@@ -75,11 +75,22 @@ def kraus_diagonal(params: NlaParams, branch: str, dim: int) -> np.ndarray:
     _check_branch(branch)
     if dim < 1:
         raise ValueError("dim must be positive")
+    return _kraus_rows(params.g, params.p, branch, dim)
+
+
+def _kraus_rows(g, p: int, branch: str, dim: int) -> np.ndarray:
+    """Kraus diagonals on levels 0..dim-1, broadcast against the gains ``g``.
+
+    ``g`` is a scalar, or an array whose last axis has length 1 (one row of
+    levels per gain).  Unchecked: the branch, ``dim`` and the gain domain are
+    the caller's to validate.  Each row equals :func:`kraus_diagonal` at its
+    gain bit for bit.
+    """
     n = np.arange(dim, dtype=float)
-    below = n <= params.p
+    below = n <= p
     if branch == SUCCESS:
-        return np.where(below, params.g ** (n - params.p), 1.0)
-    inside = np.clip(1.0 - params.g ** (2.0 * (n - params.p)), 0.0, None)
+        return np.where(below, g ** (n - p), 1.0)
+    inside = np.clip(1.0 - g ** (2.0 * (n - p)), 0.0, None)
     return np.where(below, np.sqrt(inside), 0.0)
 
 

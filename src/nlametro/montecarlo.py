@@ -11,11 +11,22 @@ empirical estimator variance against the Cramer-Rao bound of the strategy:
 Reproducibility: every replication draws from its own child stream spawned
 from the root seed, so results are independent of replication order and
 byte-stable across runs.
+
+Estimation works on sufficient statistics.  An experiment does its set-up
+(branch masses, inverse-CDF tables) once.  A photon-counting, success-only or
+herald-only replication keeps only its success count ``n_s`` and its
+per-level success and failure counts, taken as soon as it is drawn; a
+homodyne replication keeps its outcomes, as the wavefunction rows ``<x|n>``
+at the recorded quadratures, since no count summarises them.  The estimator
+is a grid argmax followed by golden-section search, run for all
+replications of a counting or herald experiment at once: one likelihood
+kernel evaluates every replication at its own gain.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import pathlib
@@ -25,10 +36,13 @@ import numpy as np
 from .fisher import classical_fi, qfi_branch, qfi_effective_closed_form
 from .fock import FockVector, default_half_width, wavefunction_matrix
 from .instrument import (
+    BRANCHES,
     FAILURE,
+    GAIN_FLOOR,
     SUCCESS,
     GainDomain,
     NlaParams,
+    _kraus_rows,
     branch_probability,
     kraus_diagonal,
 )
@@ -65,8 +79,11 @@ class GainGrid:
     points: int = 61
 
     def __post_init__(self):
-        if self.lo <= 1.0:
-            raise GainDomain("search grid must lie strictly above gain 1")
+        if not self.lo >= GAIN_FLOOR:
+            raise GainDomain(
+                f"search grid starts at gain {float(self.lo)!r}, below the domain "
+                f"floor {GAIN_FLOOR!r}"
+            )
         if not (self.hi > self.lo):
             raise ValueError("grid upper edge must exceed the lower edge")
         if self.points < 3:
@@ -151,6 +168,15 @@ class ExperimentResult:
 # Sampling
 # ---------------------------------------------------------------------------
 
+# Branches whose outcome the detector records.
+_RECORDED = {
+    PHOTON_COUNTING: BRANCHES,
+    HOMODYNE: BRANCHES,
+    HERALD_ONLY: (),
+    SUCCESS_ONLY: (SUCCESS,),
+}
+
+
 def _branch_masses(probe: FockVector, params: NlaParams) -> tuple[float, np.ndarray, np.ndarray]:
     ps = branch_probability(probe, params, SUCCESS)
     ms = photon_counting_dist(probe, params, SUCCESS).masses
@@ -161,10 +187,16 @@ def _branch_masses(probe: FockVector, params: NlaParams) -> tuple[float, np.ndar
     return ps, ms, mf
 
 
-def _inverse_cdf_discrete(masses: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _discrete_sampler(masses: np.ndarray):
+    """Inverse CDF of the photon-number masses, tabulated once."""
     cum = np.cumsum(masses)
     cum[-1] = max(cum[-1], 1.0)
-    return np.minimum(np.searchsorted(cum, u, side="right"), masses.size - 1)
+    last = masses.size - 1
+
+    def sample(u: np.ndarray) -> np.ndarray:
+        return np.minimum(np.searchsorted(cum, u, side="right"), last)
+
+    return sample
 
 
 HOMODYNE_CDF_POINTS = 8193
@@ -194,6 +226,43 @@ def _homodyne_sampler(probe: FockVector, params: NlaParams, branch: str):
     return sample
 
 
+class _ShotSource:
+    """Amplifier runs of one configuration, with its set-up done once.
+
+    The branch masses and the photon-number tables are computed at
+    construction.  A homodyne table is built on the first shot of its branch,
+    because a branch that never fires may have no density to tabulate.
+    """
+
+    def __init__(self, probe: FockVector, params: NlaParams, detector: str):
+        if detector not in DETECTORS:
+            raise ValueError(f"unknown detector {detector!r}")
+        self._probe, self._params, self._detector = probe, params, detector
+        self._ps, ms, mf = _branch_masses(probe, params)
+        self._samplers = {} if detector == HOMODYNE else {
+            SUCCESS: _discrete_sampler(ms), FAILURE: _discrete_sampler(mf)
+        }
+
+    def draw(self, rng: np.random.Generator, shots: int) -> tuple[np.ndarray, dict]:
+        """``(success_mask, {branch: outcomes of that branch's shots})``.
+
+        Only the branches the detector records appear, each only when it
+        fired; the generator is consumed in that order.
+        """
+        success = rng.random(shots) < self._ps
+        n_s = int(success.sum())
+        drawn = {}
+        for branch, n in ((SUCCESS, n_s), (FAILURE, shots - n_s)):
+            if n and branch in _RECORDED[self._detector]:
+                drawn[branch] = self._sampler(branch)(rng.random(n))
+        return success, drawn
+
+    def _sampler(self, branch: str):
+        if branch not in self._samplers:
+            self._samplers[branch] = _homodyne_sampler(self._probe, self._params, branch)
+        return self._samplers[branch]
+
+
 def sample_shots(
     probe: FockVector,
     params: NlaParams,
@@ -206,26 +275,10 @@ def sample_shots(
     Returns ``(success_mask, outcomes)``; outcomes are NaN where the detector
     records nothing (herald-only always, failure shots under success-only).
     """
-    if detector not in DETECTORS:
-        raise ValueError(f"unknown detector {detector!r}")
-    ps, ms, mf = _branch_masses(probe, params)
-    success = rng.random(shots) < ps
+    success, drawn = _ShotSource(probe, params, detector).draw(rng, shots)
     outcomes = np.full(shots, np.nan)
-    if detector == HERALD_ONLY:
-        return success, outcomes
-    n_s = int(success.sum())
-    n_f = shots - n_s
-    if detector in (PHOTON_COUNTING, SUCCESS_ONLY):
-        if n_s:
-            outcomes[success] = _inverse_cdf_discrete(ms, rng.random(n_s))
-        if detector == PHOTON_COUNTING and n_f:
-            outcomes[~success] = _inverse_cdf_discrete(mf, rng.random(n_f))
-        return success, outcomes
-    # homodyne
-    if n_s:
-        outcomes[success] = _homodyne_sampler(probe, params, SUCCESS)(rng.random(n_s))
-    if n_f:
-        outcomes[~success] = _homodyne_sampler(probe, params, FAILURE)(rng.random(n_f))
+    for branch, values in drawn.items():
+        outcomes[success if branch == SUCCESS else ~success] = values
     return success, outcomes
 
 
@@ -244,91 +297,160 @@ def sample_shot(
 
 
 # ---------------------------------------------------------------------------
-# Likelihood and estimation
+# Sufficient statistics and the likelihood
 # ---------------------------------------------------------------------------
 
-def _log_likelihood_fn(probe, p_threshold, detector, success, outcomes):
-    """Build loglik(g) from sufficient statistics of the record."""
-    w = probe.weights()
+@dataclasses.dataclass(frozen=True)
+class _Counts:
+    """Sufficient statistics of R counting or herald replications.
+
+    ``n_s``/``n_f`` hold each replication's successes and failures;
+    ``success``/``failure`` its per-level counts (R x dim), zero on a branch
+    the detector does not record.  Allocated once and filled row by row.
+    """
+
+    n_s: np.ndarray
+    n_f: np.ndarray
+    success: np.ndarray
+    failure: np.ndarray
+
+    @classmethod
+    def zeros(cls, rows: int, dim: int) -> "_Counts":
+        return cls(
+            np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=np.int64),
+            np.zeros((rows, dim), dtype=np.int64), np.zeros((rows, dim), dtype=np.int64),
+        )
+
+    def record(self, row: int, success: np.ndarray, drawn: dict) -> None:
+        """Reduce one replication's draws into row ``row``."""
+        n_s = int(success.sum())
+        self.n_s[row], self.n_f[row] = n_s, success.size - n_s
+        for branch, counts in ((SUCCESS, self.success), (FAILURE, self.failure)):
+            if branch in drawn:
+                counts[row] = np.bincount(drawn[branch], minlength=counts.shape[1])
+
+
+@dataclasses.dataclass(frozen=True)
+class _Quadratures:
+    """One homodyne replication: ``<x|n>`` at its outcomes, per branch.
+
+    Quadratures have no count summary, so the wavefunction rows are kept
+    (``None`` where the branch never fired).
+    """
+
+    success: np.ndarray | None
+    failure: np.ndarray | None
+
+    @classmethod
+    def of(cls, dim: int, drawn: dict) -> "_Quadratures":
+        return cls(*(
+            wavefunction_matrix(dim, drawn[branch]) if branch in drawn else None
+            for branch in BRANCHES
+        ))
+
+
+def _log_likelihoods(
+    probe: FockVector, p: int, detector: str, stats, g: np.ndarray
+) -> np.ndarray:
+    """Log-likelihood of replication ``r`` of ``stats`` at gain ``g[r]``.
+
+    Gains must lie in the domain (``GainGrid`` guarantees it).  Masses and
+    densities are floored at ``MASS_FLOOR`` before the logarithm.
+    """
     dim = probe.dim
-    n_s = int(success.sum())
-    n_f = success.size - n_s
-
-    if detector == HERALD_ONLY:
-        def loglik(g: float) -> float:
-            params = NlaParams(g=g, p=p_threshold)
-            ps = branch_probability(probe, params, SUCCESS)
-            ps = min(max(ps, MASS_FLOOR), 1.0 - MASS_FLOOR) if 0 < ps < 1 else ps
-            if ps <= 0.0 or ps >= 1.0:
-                return n_s * math.log(max(ps, MASS_FLOOR)) + (
-                    n_f * math.log(max(1.0 - ps, MASS_FLOOR))
-                )
-            return n_s * math.log(ps) + n_f * math.log(1.0 - ps)
-
-        return loglik
-
-    if detector in (PHOTON_COUNTING, SUCCESS_ONLY):
-        counts_s = np.bincount(
-            outcomes[success].astype(int), minlength=dim
-        ) if n_s else np.zeros(dim, dtype=int)
-        if detector == PHOTON_COUNTING and n_f:
-            counts_f = np.bincount(outcomes[~success].astype(int), minlength=dim)
-        else:
-            counts_f = np.zeros(dim, dtype=int)
-
-        def loglik(g: float) -> float:
-            params = NlaParams(g=g, p=p_threshold)
-            total = 0.0
-            es = kraus_diagonal(params, SUCCESS, dim)
-            qs = es * es * w
-            occ = counts_s > 0
-            total += float(np.sum(counts_s[occ] * np.log(np.maximum(qs[occ], MASS_FLOOR))))
-            if detector == PHOTON_COUNTING:
-                ef = kraus_diagonal(params, FAILURE, dim)
-                qf = ef * ef * w
-                occ = counts_f > 0
-                total += float(np.sum(counts_f[occ] * np.log(np.maximum(qf[occ], MASS_FLOOR))))
-            else:
-                # conditional on success: divide each mass by p_s
-                total -= n_s * math.log(max(float(qs.sum()), MASS_FLOOR))
-            return total
-
-        return loglik
-
-    # homodyne: amplitudes at the recorded quadratures, split by branch
-    psi_s = wavefunction_matrix(dim, outcomes[success]) if n_s else None
-    psi_f = wavefunction_matrix(dim, outcomes[~success]) if n_f else None
-
-    def loglik(g: float) -> float:
-        params = NlaParams(g=g, p=p_threshold)
+    if detector == HOMODYNE:
+        # amplitudes at the recorded quadratures; one replication at a time
+        (gain,) = g
+        params = NlaParams(g=float(gain), p=p)
         total = 0.0
-        if psi_s is not None:
-            field = (kraus_diagonal(params, SUCCESS, dim) * probe.amps) @ psi_s
-            total += float(np.sum(np.log(np.maximum(np.abs(field) ** 2, MASS_FLOOR))))
-        if psi_f is not None:
-            field = (kraus_diagonal(params, FAILURE, dim) * probe.amps) @ psi_f
-            total += float(np.sum(np.log(np.maximum(np.abs(field) ** 2, MASS_FLOOR))))
-        return total
+        for branch, psi in ((SUCCESS, stats.success), (FAILURE, stats.failure)):
+            if psi is not None:
+                field = (kraus_diagonal(params, branch, dim) * probe.amps) @ psi
+                total += float(np.sum(np.log(np.maximum(np.abs(field) ** 2, MASS_FLOOR))))
+        return np.array([total])
+    w = probe.weights()
+    g = g[:, np.newaxis]
+    es = _kraus_rows(g, p, SUCCESS, dim)
+    qs = es * es * w
+    if detector == HERALD_ONLY:
+        # the flooring clamps p_s into [MASS_FLOOR, 1 - MASS_FLOOR]
+        ps = qs.sum(axis=1)
+        return stats.n_s * np.log(np.maximum(ps, MASS_FLOOR)) + stats.n_f * np.log(
+            np.maximum(1.0 - ps, MASS_FLOOR)
+        )
+    total = np.sum(stats.success * np.log(np.maximum(qs, MASS_FLOOR)), axis=1)
+    if detector == PHOTON_COUNTING:
+        ef = _kraus_rows(g, p, FAILURE, dim)
+        qf = ef * ef * w
+        return total + np.sum(stats.failure * np.log(np.maximum(qf, MASS_FLOOR)), axis=1)
+    # success-only: conditional on success, divide each mass by p_s
+    return total - stats.n_s * np.log(np.maximum(qs.sum(axis=1), MASS_FLOOR))
 
-    return loglik
+
+# ---------------------------------------------------------------------------
+# Estimation
+# ---------------------------------------------------------------------------
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_section_max(fn, lo: float, hi: float, tol: float = 1e-6) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+def _maximize(loglik, rows: int, grid: GainGrid, tol: float = 1e-6) -> np.ndarray:
+    """Per-row maximum-likelihood gains: coarse grid argmax, then golden section.
+
+    ``loglik(g)`` maps one gain per row to that row's log-likelihood.  Each
+    row searches the grid cells on either side of its argmax; the rows move
+    in lockstep, and a row whose bracket is narrower than ``tol`` stops
+    moving, so each row takes exactly the steps of a search run on its own.
+    """
+    values = grid.values()
+    surface = np.stack([loglik(np.full(rows, g)) for g in values], axis=1)
+    finite = np.isfinite(surface)
+    top = surface.max(axis=1)
+    vanished = ~finite.any(axis=1)
+    flat = finite.all(axis=1) & (
+        top - surface.min(axis=1) < FLATNESS_TOL * np.maximum(1.0, np.abs(top))
+    )
+    if (vanished | flat).any():
+        if vanished[np.argmax(vanished | flat)]:
+            raise DegenerateLikelihood("likelihood vanished on the whole grid")
+        raise DegenerateLikelihood(
+            "log-likelihood is flat across the search grid; the record does "
+            "not constrain the gain"
+        )
+    idx = np.argmax(np.where(finite, surface, -np.inf), axis=1)
+    lo = values[np.maximum(idx - 1, 0)]
+    hi = values[np.minimum(idx + 1, values.size - 1)]
     a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    while b - a > tol:
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fn(x2)
-    return 0.5 * (a + b)
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1, f2 = loglik(x1), loglik(x2)
+    while (active := b - a > tol).any():
+        left = f1 >= f2
+        # left: the maximum lies in [a, x2]; otherwise in [x1, b]
+        a_new = np.where(left, a, x1)
+        b_new = np.where(left, x2, b)
+        x_new = np.where(
+            left, b_new - _INVPHI * (b_new - a_new), a_new + _INVPHI * (b_new - a_new)
+        )
+        f_new = loglik(x_new)
+        moved = (
+            a_new, b_new,
+            np.where(left, x_new, x2), np.where(left, f_new, f2),
+            np.where(left, x1, x_new), np.where(left, f1, f_new),
+        )
+        a, b, x1, f1, x2, f2 = [
+            np.where(active, new, old) for new, old in zip(moved, (a, b, x1, f1, x2, f2))
+        ]
+    return np.where(hi <= lo, values[idx], 0.5 * (a + b))
+
+
+def _estimates(
+    probe: FockVector, p: int, detector: str, stats, rows: int, grid: GainGrid
+) -> np.ndarray:
+    """Maximum-likelihood gains of the ``rows`` replications in ``stats``."""
+    return _maximize(
+        functools.partial(_log_likelihoods, probe, p, detector, stats), rows, grid
+    )
 
 
 def _coerce_records(records) -> tuple[np.ndarray, np.ndarray]:
@@ -362,29 +484,22 @@ def mle_estimate(
     grid (the record carries no gain information, e.g. a single-level probe
     whose conditional masses are gain independent).
     """
+    if detector not in DETECTORS:
+        raise ValueError(f"unknown detector {detector!r}")
     success, outcomes = _coerce_records(records)
     if success.size == 0:
         raise ValueError("records must be non-empty")
-    loglik = _log_likelihood_fn(probe, pthreshold, detector, success, outcomes)
-    values = grid.values()
-    surface = np.array([loglik(g) for g in values])
-    spread = float(surface.max() - surface.min())
-    if not np.isfinite(surface).all():
-        finite = np.isfinite(surface)
-        if not finite.any():
-            raise DegenerateLikelihood("likelihood vanished on the whole grid")
-        surface = np.where(finite, surface, -np.inf)
-    elif spread < FLATNESS_TOL * max(1.0, abs(float(surface.max()))):
-        raise DegenerateLikelihood(
-            "log-likelihood is flat across the search grid; the record does "
-            "not constrain the gain"
-        )
-    idx = int(np.argmax(surface))
-    lo = values[max(idx - 1, 0)]
-    hi = values[min(idx + 1, values.size - 1)]
-    if hi <= lo:
-        return float(values[idx])
-    return float(_golden_section_max(loglik, float(lo), float(hi)))
+    drawn = {}
+    for branch, mask in ((SUCCESS, success), (FAILURE, ~success)):
+        if mask.any() and branch in _RECORDED[detector]:
+            values = outcomes[mask]
+            drawn[branch] = values if detector == HOMODYNE else values.astype(int)
+    if detector == HOMODYNE:
+        stats = _Quadratures.of(probe.dim, drawn)
+    else:
+        stats = _Counts.zeros(1, probe.dim)
+        stats.record(0, success, drawn)
+    return float(_estimates(probe, pthreshold, detector, stats, 1, grid)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -423,19 +538,26 @@ def run_crb_experiment(config: ExperimentConfig, replications: int) -> Experimen
     if replications < 2:
         raise ValueError("need at least 2 replications for a variance")
     probe = config.probe.build()
+    p, detector = config.params_true.p, config.detector
     root = np.random.SeedSequence(config.seed)
     children = root.spawn(replications + 1)
+    source = _ShotSource(probe, config.params_true, detector)
     estimates = np.empty(replications)
     success_counts = np.empty(replications, dtype=np.int64)
+    counts = _Counts.zeros(replications, probe.dim)
     for i in range(replications):
         rng = np.random.default_rng(children[i])
-        success, outcomes = sample_shots(
-            probe, config.params_true, config.detector, rng, config.shots
-        )
+        success, drawn = source.draw(rng, config.shots)
         success_counts[i] = int(success.sum())
-        estimates[i] = mle_estimate(
-            (success, outcomes), probe, config.params_true.p, config.detector, config.grid
-        )
+        if detector == HOMODYNE:
+            # outcomes have no count summary: estimate before the next draw
+            stats = _Quadratures.of(probe.dim, drawn)
+            estimates[i] = _estimates(probe, p, detector, stats, 1, config.grid)[0]
+            del stats
+        else:
+            counts.record(i, success, drawn)
+    if detector != HOMODYNE:
+        estimates = _estimates(probe, p, detector, counts, replications, config.grid)
     variance = float(estimates.var(ddof=1))
     info = fisher_per_shot(probe, config.params_true, config.detector)
     crb = crb_for_strategy(probe, config.params_true, config.detector, config.shots)

@@ -6,7 +6,7 @@ informations from numeric derivatives of the outcome distributions
 themselves.  Each pinned number shipped in the test fixtures carries a
 report row from this module; rebuild the fixture with
 
-    python -m nlametro.oracles --out tests/data/golden.json
+    python -m nlametro.golden --out tests/data/golden.json
 
 Finite-difference hygiene.  A gain difference cancels about five digits (a
 central difference at dg=1e-5) or eleven (a fidelity deficit near 1e-11), so
@@ -38,12 +38,8 @@ can certify.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import json
 import math
-import pathlib
-import sys
 
 import mpmath
 import numpy as np
@@ -192,10 +188,10 @@ def _validate_step(dg: float) -> None:
 def overlap_deficit(lo: FockVector, hi: FockVector) -> float:
     """``1 - |<lo|hi>|`` for unit vectors, assembled without cancellation.
 
-    Writing a = |lo - hi|^2 / 2 and b = Im<lo|hi>, the deficit equals
-    a - b^2/2 up to terms quartic in the separation, and every operand is
-    small — no 1 - 0.99999... subtraction ever happens, so deficits down to
-    ~1e-30 keep full relative accuracy.
+    Writing z = <lo|hi>, a = |lo - hi|^2 / 2 = 1 - Re z and b = Im z, the
+    exact identity ``1 - |z| = (2a - a^2 - b^2) / (1 + |z|)`` leaves every
+    operand small — no 1 - 0.99999... subtraction ever happens, so deficits
+    down to ~1e-30 keep full relative accuracy.
     """
     u = lo.amps / np.linalg.norm(lo.amps)
     v = hi.amps / np.linalg.norm(hi.amps)
@@ -203,9 +199,9 @@ def overlap_deficit(lo: FockVector, hi: FockVector) -> float:
         n = max(u.size, v.size)
         u = np.pad(u, (0, n - u.size))
         v = np.pad(v, (0, n - v.size))
+    z = complex(np.vdot(u, v))
     a = 0.5 * float(np.linalg.norm(v - u) ** 2)
-    b = float(np.vdot(u, v).imag)
-    return max(a - 0.5 * b * b, 0.0)
+    return max((2.0 * a - a * a - z.imag * z.imag) / (1.0 + abs(z)), 0.0)
 
 
 def qfi_fd_pure(state_at, g: float, dg: float = DEFAULT_QFI_STEP) -> float:
@@ -821,32 +817,3 @@ def reports_payload(reports: list[OracleReport]) -> dict:
         "schema_version": GOLDEN_SCHEMA_VERSION,
         "reports": [r.as_dict() for r in reports],
     }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m nlametro.oracles",
-        description="Regenerate the golden oracle-report fixture.",
-    )
-    parser.add_argument("--out", type=pathlib.Path, default=None,
-                        help="write JSON here instead of stdout")
-    args = parser.parse_args(argv)
-    reports = generate_golden_reports()
-    text = json.dumps(reports_payload(reports), indent=2, sort_keys=True) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text, encoding="utf-8")
-    failures = [r for r in reports if not r.passes()]
-    for rep in failures:
-        print(
-            f"FAIL {rep.quantity}: analytic {rep.analytic!r} oracle {rep.oracle!r} "
-            f"rel {rep.rel_error:.3e} > tol {rep.tol:g}",
-            file=sys.stderr,
-        )
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

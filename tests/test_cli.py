@@ -219,3 +219,14 @@ def test_probe_flag_validation(capsys):
 def test_bad_grid_syntax_rejected(capsys):
     assert cli.main(["compare", "--probe", "coherent", "--nbar", "1", "--p", "1", "--g", "1.5:2"]) == 2
     assert "a:b:n" in capsys.readouterr().err
+
+
+def test_simulate_grid_below_gain_floor_rejected(capsys):
+    rc = cli.main([
+        "simulate", "--probe", "coherent", "--nbar", "1", "--p", "1", "--g-true", "1.5",
+        "--detector", "photon-counting", "--shots", "10", "--replications", "2",
+        "--seed", "1", "--grid", "1.000000000001:2:5",
+    ])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "1.000000000001" in err and "np.float64" not in err

@@ -198,3 +198,53 @@ def test_records_jsonl_roundtrip(tmp_path, g2p1):
     first = json.loads(lines[0])
     assert set(first) == {"replication", "estimate", "shots", "success_count"}
     assert first["shots"] == 500
+
+
+def _redrawn_estimates(cfg, replications):
+    """Per-replication reference: records redrawn from each child stream, one MLE each."""
+    probe = cfg.probe.build()
+    children = np.random.SeedSequence(cfg.seed).spawn(replications + 1)
+    estimates, counts = [], []
+    for child in children[:replications]:
+        rng = np.random.default_rng(child)
+        records = sample_shots(probe, cfg.params_true, cfg.detector, rng, cfg.shots)
+        counts.append(int(records[0].sum()))
+        estimates.append(mle_estimate(records, probe, cfg.params_true.p, cfg.detector, cfg.grid))
+    return np.array(estimates), np.array(counts)
+
+
+@pytest.mark.parametrize(
+    "detector, replications",
+    [("photon-counting", 20), ("success-only", 20), ("herald-only", 20), ("homodyne", 3)],
+)
+def test_batched_estimates_equal_per_record_mle(detector, replications):
+    cfg = ExperimentConfig(
+        probe=ProbeSpec.from_nbar("coherent", 1.0), params_true=NlaParams(g=2.0, p=3),
+        detector=detector, shots=2_000, seed=41, grid=SEARCH,
+    )
+    res = run_crb_experiment(cfg, replications)
+    estimates, counts = _redrawn_estimates(cfg, replications)
+    npt.assert_array_equal(res.estimates, estimates)
+    npt.assert_array_equal(res.success_counts, counts)
+
+
+def test_one_flat_replication_makes_the_batch_degenerate():
+    # |1> alone is uninformative: a record of only level-1 successes is flat
+    spec = ProbeSpec(kind="custom", amps=(math.sqrt(0.02), math.sqrt(0.98)))
+    cfg = ExperimentConfig(
+        probe=spec, params_true=NlaParams(g=2.0, p=1), detector="photon-counting",
+        shots=20, seed=4, grid=SEARCH,
+    )
+    probe = spec.build()
+    flat = []
+    for child in np.random.SeedSequence(cfg.seed).spawn(5)[:4]:
+        rng = np.random.default_rng(child)
+        records = sample_shots(probe, cfg.params_true, cfg.detector, rng, cfg.shots)
+        try:
+            mle_estimate(records, probe, 1, cfg.detector, SEARCH)
+            flat.append(False)
+        except DegenerateLikelihood:
+            flat.append(True)
+    assert any(flat) and not all(flat)
+    with pytest.raises(DegenerateLikelihood, match="flat across the search grid"):
+        run_crb_experiment(cfg, 4)

@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
+import nlametro
 from nlametro.fock import DensityOperator, FockVector
 from nlametro.instrument import (
     FAILURE,
@@ -39,6 +44,21 @@ from nlametro.oracles import (
 from nlametro.probes import ProbeSpec
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden.json"
+
+
+def test_golden_regeneration_runs_one_copy_of_the_oracles(tmp_path):
+    # run as __main__, a module the package imports would be executed twice
+    src = pathlib.Path(nlametro.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))
+    ))
+    out = tmp_path / "golden.json"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "nlametro.golden", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(out.read_text())["reports"]) == 34
 
 
 def test_shipped_golden_fixture_regenerates_exactly():
@@ -168,6 +188,25 @@ def test_overlap_deficit_cancellation_free():
     b = FockVector(np.array([math.sqrt(1 - 1e-20), 1e-10]))
     d = overlap_deficit(a, b)
     assert d == pytest.approx(5e-21, rel=1e-6)
+
+
+@pytest.mark.parametrize("separation", [1e-4, 1e-3])
+def test_overlap_deficit_exact_on_complex_pair(separation):
+    # a - b^2/2 drops quartic terms: 4e-9 (1e-4) and 4e-7 (1e-3) relative here
+    rng = np.random.default_rng(20190121)
+    u = rng.normal(size=6) + 1j * rng.normal(size=6)
+    u /= np.linalg.norm(u)
+    v = u + separation * (rng.normal(size=6) + 1j * rng.normal(size=6))
+    v /= np.linalg.norm(v)
+    with mpmath.workdps(50):
+        mu = [mpmath.mpc(complex(x)) for x in u]
+        mv = [mpmath.mpc(complex(x)) for x in v]
+        z = mpmath.fsum(mpmath.conj(x) * y for x, y in zip(mu, mv))
+        norms = mpmath.sqrt(
+            mpmath.fsum(abs(x) ** 2 for x in mu) * mpmath.fsum(abs(y) ** 2 for y in mv)
+        )
+        exact = float(1 - abs(z) / norms)
+    assert overlap_deficit(FockVector(u), FockVector(v)) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_fd_matches_analytic_branch_qfi(two_level, g2p1):
