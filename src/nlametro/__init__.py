@@ -61,7 +61,6 @@ from .oracles import (
     qfi_fd_kraus_bures,
     qfi_fd_kraus_pure,
     qfi_fd_mixed,
-    qfi_fd_mixed_richardson,
     qfi_fd_pure,
 )
 from .probes import ProbeSpec, coherent_state, custom_probe, squeezed_vacuum
@@ -109,7 +108,6 @@ __all__ = [
     "qfi_fd_kraus_bures",
     "qfi_fd_kraus_pure",
     "qfi_fd_mixed",
-    "qfi_fd_mixed_richardson",
     "qfi_fd_pure",
     "qfi_joint_meter",
     "qfi_mixed",

@@ -12,7 +12,12 @@ the equivalent closed form
 
     q_eff = 4 sum_{n<p} (n-p)^2 |c_n|^2 g^(2(n-p)-2) / (1 - g^(2(n-p))),
 
-and the QFI of the branch-averaged (unconditional) output state.
+and the QFI of the branch-averaged (unconditional) output state ``q_unc``.
+That output is ``A A^+`` for the ``dim x 2`` matrix of Kraus images
+``A = [E_s c, E_f c]``, so it has rank <= 2; :func:`qfi_unconditional`
+evaluates its QFI on that thin support from a thin SVD of ``A``, without
+forming a dim x dim matrix.  :func:`qfi_mixed` keeps the dense
+eigendecomposition route for general density operators.
 
 Numerical note: the textbook branch-QFI expression subtracts
 ``(dprob/prob)^2`` from a second moment; near points where the conditional
@@ -45,7 +50,9 @@ from .instrument import (
 
 # Pairs of eigenvalues whose sum falls below ZERO_EIGENVALUE_TOL times the
 # largest eigenvalue are excluded from the mixed-state QFI sum: both levels
-# are numerical zeros and their ratio term is noise.
+# are numerical zeros and their ratio term is noise.  On the thin support of
+# the unconditional output the same ratio, applied to squared singular
+# values, decides whether the output has rank 1 or 2.
 ZERO_EIGENVALUE_TOL = 1e-12
 
 DERIVATIVE_HERMITICITY_TOL = 1e-12
@@ -184,12 +191,42 @@ def qfi_effective_closed_form(probe: FockVector, params: NlaParams) -> float:
 
 
 def qfi_unconditional(probe: FockVector, params: NlaParams) -> float:
-    """QFI of the branch-averaged output (herald discarded)."""
-    from .instrument import unconditional_state, unconditional_state_derivative
+    """QFI of the branch-averaged output (herald discarded), on its thin support.
 
-    rho = unconditional_state(probe, params)
-    drho = unconditional_state_derivative(probe, params)
-    return qfi_mixed(rho, drho)
+    The output is ``rho = A A^+`` with the ``dim x 2`` Kraus-image matrix
+    ``A = [E_s c, E_f c]``, so it has rank <= 2 and its gain derivative is
+    ``drho = dA A^+ + A dA^+`` with ``dA = [E_s' c, E_f' c]``.  With the thin
+    SVD ``A = U S V^+`` (singular values kept while
+    ``s^2 > ZERO_EIGENVALUE_TOL * s_max^2``, which defines the rank-1 case),
+    the support eigenvalues are ``lambda = s^2`` and the arbitrary-rank QFI
+    (Liu, Jing, Zhong & Wang, Commun. Theor. Phys. 61, 45 (2014)) splits into
+    a support-pair term and a support-kernel term:
+
+        Q = 2 sum_jk |D_jk|^2 / (lambda_j + lambda_k) + 4 ||dA V - U U^+ dA V||_F^2,
+
+    where ``D = W S + (W S)^+`` is ``drho`` on the support and
+    ``W = U^+ dA V``.  ``A`` is factored directly rather than through its
+    2x2 Gram matrix, which would square the condition number, and the kernel
+    term is the norm of a residual rather than a difference of two norms.  No
+    dim x dim matrix is formed.
+    """
+    probe.require_normalized()
+    images = np.empty((probe.dim, 2), dtype=np.complex128)
+    slopes = np.empty((probe.dim, 2), dtype=np.complex128)
+    for col, branch in enumerate(BRANCHES):
+        images[:, col] = kraus_diagonal(params, branch, probe.dim) * probe.amps
+        slopes[:, col] = kraus_diagonal_derivative(params, branch, probe.dim) * probe.amps
+    u, s, vh = np.linalg.svd(images, full_matrices=False)
+    rank = int(np.count_nonzero(s * s > ZERO_EIGENVALUE_TOL * s[0] * s[0]))
+    u, s, v = u[:, :rank], s[:rank], vh[:rank].conj().T
+    dav = slopes @ v
+    w = u.conj().T @ dav
+    ws = w * s
+    d = ws + ws.conj().T
+    lam = s * s
+    pairs = float(np.sum(np.abs(d) ** 2 / (lam[:, None] + lam[None, :])))
+    kernel = float(np.linalg.norm(dav - u @ w) ** 2)
+    return 2.0 * pairs + 4.0 * kernel
 
 
 def qfi_effective(probe: FockVector, params: NlaParams) -> FisherBreakdown:

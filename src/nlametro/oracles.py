@@ -26,14 +26,16 @@ mixed row uses Uhlmann's theorem ``sqrt F(AA^+, BB^+) = ||A^+ B||_*`` on the
 ``dim x 2`` image matrices (:func:`qfi_fd_kraus_bures`); central differences
 carry the image difference through cancellation-free identities.
 
-The selfcheck grid keeps the double-precision families of
-:func:`qfi_fd_pure` and :func:`qfi_fd_mixed`: the pure-state overlap deficit
-is assembled in a cancellation-free form (see :func:`overlap_deficit`), and
-the mixed-state path delegates to the extended-precision root-fidelity
-deficit.  Deficits below 100x unit roundoff are refused via
-:class:`StepTooSmall` rather than amplified by 1/dg^2 into junk;
-:func:`resolution_floor` states the smallest information value a given step
-can certify.
+The selfcheck grid scores ``q_unc`` with the same Kraus-image Bures oracle
+(:func:`qfi_fd_kraus_bures`, one step, no extrapolation) and its pure-state
+rows with the double-precision families of :func:`qfi_fd_pure`, whose
+overlap deficit is assembled in a cancellation-free form (see
+:func:`overlap_deficit`).  Double-precision deficits below 100x unit
+roundoff are refused via :class:`StepTooSmall` rather than amplified by
+1/dg^2 into junk; :func:`resolution_floor` states the smallest information
+value a given step can certify.  :func:`qfi_fd_mixed` differences any
+family of :class:`~nlametro.fock.DensityOperator` through the
+extended-precision root-fidelity deficit; it serves as a dense cross-check.
 """
 
 from __future__ import annotations
@@ -84,18 +86,6 @@ DEFICIT_FLOOR = 100.0 * UNIT_ROUNDOFF
 # Deficits below this band are treated as an exact zero (identical states up
 # to extended-precision rounding) rather than as an unresolvable step.
 ZERO_DEFICIT_BAND = 1e-15
-# Absolute accuracy floor of the root-fidelity deficit when the density
-# operators arrive in double precision.  Their numerical support carries
-# O(eps) junk eigenvalue mass and the Bures deficit is first-order sensitive
-# to it; the pure-state overlap path suppresses the same input rounding to
-# eps * sqrt(deficit) through vector normalization, but mixed states have no
-# such luxury.  Measured offsets across the standard grid reach 7.6e-17;
-# this constant carries a 2.6x margin.
-MIXED_DEFICIT_NOISE = 2e-16
-# Richardson extrapolation from steps (dg, dg/2) amplifies the deficit noise
-# by (4 * 4 + 1) / 3: the half-step deficit is 4x smaller, so its relative
-# noise is 4x larger, and the combination weights are 4/3 and 1/3.
-RICHARDSON_NOISE_FACTOR = 17.0 / 3.0
 # Working precision of the Kraus-image oracles.  A fidelity deficit near
 # 1e-11 cancels eleven digits and a central difference five, so 40 digits
 # leave the rounded result exact to well below 1e-16.
@@ -244,21 +234,6 @@ def qfi_fd_mixed(rho_at, g: float, dg: float = DEFAULT_QFI_STEP) -> float:
     return 8.0 * deficit / (dg * dg)
 
 
-def qfi_fd_mixed_richardson(rho_at, g: float, dg: float = STEP_MAX) -> float:
-    """Richardson-extrapolated Bures finite difference at steps (dg, dg/2).
-
-    The combination ``(4 F(dg/2) - F(dg)) / 3`` cancels the O(dg^2)
-    truncation term, so the largest legal step can be used everywhere.  That
-    matters for the mixed path specifically: its deficit carries an absolute
-    noise floor, so shrinking the step to tame truncation (the pure-path
-    remedy) amplifies noise as 1/dg^2 instead.  Extrapolating from the two
-    largest steps keeps both error terms small at once.
-    """
-    coarse = qfi_fd_mixed(rho_at, g, dg)
-    fine = qfi_fd_mixed(rho_at, g, 0.5 * dg)
-    return (4.0 * fine - coarse) / 3.0
-
-
 def qfi_step_for(scale: float) -> float:
     """Step policy: small information values need the larger legal step.
 
@@ -268,24 +243,6 @@ def qfi_step_for(scale: float) -> float:
     the comparison tolerances.
     """
     return DEFAULT_QFI_STEP if abs(scale) >= 1e-2 else STEP_MAX
-
-
-def mixed_certifiable_tol(
-    scale: float, dg: float, base_tol: float, richardson: bool = False
-) -> float:
-    """Tightest relative tolerance the mixed-state oracle can certify.
-
-    The deficit carries an absolute noise floor (MIXED_DEFICIT_NOISE), so a
-    QFI of magnitude ``scale`` probed at step ``dg`` cannot be checked more
-    finely than ``noise / deficit = 8 noise / (dg^2 scale)``.  Comparisons of
-    low-signal values must widen to this, and say so.
-    """
-    if scale <= 0.0:
-        return base_tol
-    noise = 8.0 * MIXED_DEFICIT_NOISE / (dg * dg * scale)
-    if richardson:
-        noise *= RICHARDSON_NOISE_FACTOR
-    return max(base_tol, noise)
 
 
 # ---------------------------------------------------------------------------

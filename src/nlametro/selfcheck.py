@@ -29,7 +29,7 @@ from .fisher import (
     qfi_effective_closed_form,
     qfi_joint_meter,
 )
-from .fock import DensityOperator, FockVector
+from .fock import FockVector
 from .instrument import (
     FAILURE,
     MeterState,
@@ -55,10 +55,9 @@ from .measurements import (
     sequential_fi,
 )
 from .oracles import (
-    STEP_MAX,
+    DEFAULT_QFI_STEP,
     StepTooSmall,
-    mixed_certifiable_tol,
-    qfi_fd_mixed_richardson,
+    qfi_fd_kraus_bures,
     qfi_fd_pure,
     qfi_step_for,
     resolution_floor,
@@ -240,16 +239,13 @@ def _check_boundary_divergence() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 class _FdTrack:
-    """Error tracker for one FD-vs-analytic row of the oracle suite."""
+    """Error tracker for one pure-state FD-vs-analytic row of the oracle suite."""
 
-    def __init__(self, name: str, tol: float, mixed: bool = False):
+    def __init__(self, name: str, tol: float):
         self.name = name
         self.tol = tol
-        self.mixed = mixed
         self.worst = _Worst()
         self.unresolved = 0
-        self.low_signal = 0
-        self.low_signal_worst = 0.0
 
     def compare(self, label: str, analytic: float, family, g: float, dg: float):
         """Score one grid point.
@@ -258,19 +254,11 @@ class _FdTrack:
         means the oracle cannot certify the point either way; such a point
         passes only if the analytic value itself sits below what the step
         can resolve — a 1% boundary slop covers rounding of the refusal
-        threshold.  Mixed-state comparisons of low-signal values are scored
-        against the deficit-noise tolerance instead of the row tolerance
-        (and counted), since the Bures deficit of double-precision inputs
-        carries an absolute noise floor.
+        threshold.
         """
-        # The mixed path Richardson-extrapolates from (dg, dg/2), so its
-        # binding resolution floor is the half step's.
-        floor = resolution_floor(0.5 * dg if self.mixed else dg)
+        floor = resolution_floor(dg)
         try:
-            if self.mixed:
-                fd = qfi_fd_mixed_richardson(family, g, dg)
-            else:
-                fd = qfi_fd_pure(family, g, dg)
+            fd = qfi_fd_pure(family, g, dg)
         except StepTooSmall:
             if abs(analytic) < 1.01 * floor:
                 self.unresolved += 1
@@ -279,40 +267,29 @@ class _FdTrack:
                 math.inf, f"{label} (unresolvable step but analytic {analytic:g})"
             )
             return
-        scale = max(abs(analytic), abs(fd))
-        if scale < floor:
+        if max(abs(analytic), abs(fd)) < floor:
             self.unresolved += 1
             return
-        rel = _rel(analytic, fd)
-        point_tol = (
-            mixed_certifiable_tol(scale, dg, self.tol, richardson=True)
-            if self.mixed
-            else self.tol
-        )
-        if point_tol > self.tol:
-            self.low_signal += 1
-            self.low_signal_worst = max(self.low_signal_worst, rel / point_tol)
-            rel = rel * (self.tol / point_tol)
-        self.worst.update(rel, label)
+        self.worst.update(_rel(analytic, fd), label)
 
     def result(self) -> CheckResult:
-        notes = []
-        if self.unresolved:
-            notes.append(f"{self.unresolved} points below FD resolution")
-        if self.low_signal:
-            notes.append(
-                f"{self.low_signal} low-signal points scored against the "
-                f"deficit-noise tolerance (worst at {self.low_signal_worst:.2f} of it)"
-            )
-        return self.worst.result(self.name, self.tol, "; ".join(notes))
+        note = f"{self.unresolved} points below FD resolution" if self.unresolved else ""
+        return self.worst.result(self.name, self.tol, note)
 
 
 def check_oracle_suite() -> list[CheckResult]:
-    """Fidelity finite differences against every analytic information value."""
+    """Fidelity finite differences against every analytic information value.
+
+    The pure-state rows difference double-precision families and refuse
+    steps whose deficit drowns in rounding.  The ``q_unc`` row takes the
+    Bures deficit of ``A A^+`` on the Kraus images ``A = [E_s c, E_f c]`` in
+    extended precision (Uhlmann's ``sqrt F = ||A(g-)^+ A(g+)||_*``), which
+    has no noise floor, so one step at ``dg=1e-4`` is scored at every point.
+    """
     qs_t = _FdTrack("q_s vs pure-state fidelity FD", 1e-5)
     qf_t = _FdTrack("q_f vs pure-state fidelity FD", 1e-5)
     qeff_t = _FdTrack("q_eff vs joint-state fidelity FD at dg=1e-4", 1e-5)
-    qunc_t = _FdTrack("q_unc vs Bures fidelity FD", 1e-5, mixed=True)
+    qunc_w = _Worst()
     meter_t = _FdTrack("joint QFI with generic meters vs fidelity FD", 1e-5)
     rng = np.random.default_rng(GENERIC_METER_SEED)
     for label, probe, params in standard_grid():
@@ -330,16 +307,13 @@ def check_oracle_suite() -> list[CheckResult]:
                 joint_state(_probe, NlaParams(g=gv, p=_p), _meter).as_vector()
             )
 
-        def unc_at(gv, _probe=probe, _p=p):
-            return unconditional_state(_probe, NlaParams(g=gv, p=_p))
-
         qs_t.compare(label, bd.q_s, success_at, g, qfi_step_for(bd.q_s))
         qf_t.compare(label, bd.q_f, failure_at, g, qfi_step_for(bd.q_f))
         # the joint-state family check is pinned at dg = 1e-4
         qeff_t.compare(label, bd.q_eff, joint_at, g, 1e-4)
-        # mixed path: Richardson from the two largest legal steps; smaller
-        # steps amplify the absolute deficit-noise floor as 1/dg^2
-        qunc_t.compare(label, bd.q_unc, unc_at, g, STEP_MAX)
+        qunc_w.update(
+            _rel(bd.q_unc, qfi_fd_kraus_bures(probe, params, DEFAULT_QFI_STEP)), label
+        )
 
         z = rng.standard_normal(4)
         amps = (z[0] + 1j * z[1], z[2] + 1j * z[3])
@@ -354,7 +328,13 @@ def check_oracle_suite() -> list[CheckResult]:
 
         meter_t.compare(label, qm, joint_meter_at, g, qfi_step_for(qm))
 
-    return [t.result() for t in (qs_t, qf_t, qeff_t, qunc_t, meter_t)]
+    return [
+        qs_t.result(),
+        qf_t.result(),
+        qeff_t.result(),
+        qunc_w.result("q_unc vs Kraus-image Bures fidelity FD at dg=1e-4", 1e-5),
+        meter_t.result(),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 import json
 import math
 import pathlib
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
+from nlametro import fock, instrument
 from nlametro.fock import DensityOperator, FockVector
 from nlametro.instrument import (
     FAILURE,
@@ -28,6 +31,7 @@ from nlametro.fisher import (
     qfi_unconditional,
 )
 from nlametro.probes import ProbeSpec
+from nlametro.selfcheck import standard_grid
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden.json"
 
@@ -142,3 +146,93 @@ def test_hierarchy_on_sample_points():
             bd = qfi_effective(probe, NlaParams(g=g, p=3))
             assert bd.ps_qs <= bd.q_eff * (1 + 1e-12)
             assert bd.q_unc <= bd.q_eff * (1 + 1e-12)
+
+
+def test_thin_unconditional_qfi_matches_dense_path_on_standard_grid():
+    for label, probe, params in standard_grid():
+        dense = qfi_mixed(
+            unconditional_state(probe, params),
+            unconditional_state_derivative(probe, params),
+        )
+        assert qfi_unconditional(probe, params) == pytest.approx(dense, rel=1e-12), label
+
+
+def _unconditional_qfi_reference(probe, params, dps=50):
+    """q_unc in ``dps`` digits from the 2x2 Gram matrices of the Kraus images.
+
+    With G = A^+ A = V diag(lam) V^+, H = A^+ dA and K = dA^+ dA, the support
+    block of drho is D = W S + (W S)^+ with W = S^-1 V^+ H V, and the
+    support-kernel term is tr(V^+ K V) - ||W||_F^2; the Gram route squares
+    the condition number, which extended precision absorbs.
+    """
+    with mpmath.workdps(dps):
+        g, p = mpmath.mpf(params.g), params.p
+        images, slopes = [], []
+        for n, amp in enumerate(probe.amps):
+            c = mpmath.mpc(complex(amp))
+            es, ef, des, def_ = mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(0)
+            if n <= p:
+                k = n - p
+                es, ef, des = g ** k, mpmath.sqrt(1 - g ** (2 * k)), k * g ** (k - 1)
+                if n < p:
+                    def_ = -k * g ** (2 * k - 1) / ef
+            images.append((es * c, ef * c))
+            slopes.append((des * c, def_ * c))
+
+        def gram(x, y):
+            return mpmath.matrix([
+                [mpmath.fsum(mpmath.conj(a[i]) * b[j] for a, b in zip(x, y)) for j in range(2)]
+                for i in range(2)
+            ])
+
+        lam, v = mpmath.eigh(gram(images, images))
+        assert min(lam) > 0, "reference handles rank-2 outputs only"
+        root = mpmath.diag([mpmath.sqrt(x) for x in lam])
+        w = root ** -1 * v.H * gram(images, slopes) * v
+        d = w * root + (w * root).H
+        pairs = mpmath.fsum(
+            abs(d[j, k]) ** 2 / (lam[j] + lam[k]) for j in range(2) for k in range(2)
+        )
+        projected = v.H * gram(slopes, slopes) * v
+        kernel = mpmath.re(projected[0, 0] + projected[1, 1]) - mpmath.fsum(
+            abs(x) ** 2 for x in w
+        )
+        return float(2 * pairs + 4 * kernel)
+
+
+@pytest.mark.parametrize(
+    "kind,nbar,g,p", [("coherent", 0.5, 1.2, 5), ("squeezed-vacuum", 2.0, 1.05, 5)]
+)
+def test_thin_unconditional_qfi_matches_extended_precision_reference(kind, nbar, g, p):
+    probe = ProbeSpec.from_nbar(kind, nbar).build()
+    params = NlaParams(g=g, p=p)
+    assert qfi_unconditional(probe, params) == pytest.approx(
+        _unconditional_qfi_reference(probe, params), rel=1e-13
+    )
+
+
+def test_thin_unconditional_qfi_exact_zeros(vacuum, g2p1):
+    # supported only above the threshold: A = [c, 0] and dA = 0 at every gain
+    assert qfi_unconditional(FockVector([0.0, 0.0, 1.0]), NlaParams(g=2.0, p=1)) == 0.0
+    # vacuum: rank 1, and the support term is the rounding of E_s dE_s + E_f dE_f = 0
+    assert abs(qfi_unconditional(vacuum, g2p1)) < 1e-30
+
+
+def test_qfi_effective_builds_no_dense_operator(monkeypatch):
+    probe = ProbeSpec.from_nbar("squeezed-vacuum", 2.0).build()
+    assert probe.dim == 149
+    params = NlaParams(g=1.5, p=3)
+    dense = qfi_mixed(
+        unconditional_state(probe, params), unconditional_state_derivative(probe, params)
+    )
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense path reached")
+
+    monkeypatch.setattr(DensityOperator, "__post_init__", forbidden)
+    for original in (fock.eigh, instrument.unconditional_state,
+                     instrument.unconditional_state_derivative):
+        for name, module in list(sys.modules.items()):
+            if name.startswith("nlametro") and getattr(module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, forbidden)
+    assert qfi_effective(probe, params).q_unc == pytest.approx(dense, rel=1e-12)

@@ -19,7 +19,6 @@ from nlametro.instrument import (
     branch_probability_derivative,
     conditional_state,
     joint_state,
-    unconditional_state,
 )
 from nlametro.fisher import qfi_branch, qfi_effective_closed_form, qfi_unconditional
 from nlametro.oracles import (
@@ -30,11 +29,9 @@ from nlametro.oracles import (
     _coupling_fd,
     generate_golden_reports,
     joint_fi_direct,
-    mixed_certifiable_tol,
     overlap_deficit,
     probability_derivative_fd,
     qfi_fd_mixed,
-    qfi_fd_mixed_richardson,
     qfi_fd_kraus_bures,
     qfi_fd_kraus_pure,
     qfi_fd_pure,
@@ -42,6 +39,7 @@ from nlametro.oracles import (
     resolution_floor,
 )
 from nlametro.probes import ProbeSpec
+from nlametro.selfcheck import check_oracle_suite
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden.json"
 
@@ -138,8 +136,6 @@ def test_kraus_fd_agrees_with_double_precision_families(coherent_nbar1):
         assert images == pytest.approx(qfi_fd_pure(pure_family(view), 2.0, 1e-4), rel=1e-8)
     rich = qfi_fd_kraus_bures(coherent_nbar1, params, 1e-3, richardson=True)
     assert rich == pytest.approx(qfi_unconditional(coherent_nbar1, params), rel=1e-12)
-    unconditional = lambda g: unconditional_state(coherent_nbar1, NlaParams(g=g, p=3))
-    assert rich == pytest.approx(qfi_fd_mixed_richardson(unconditional, 2.0, 1e-3), rel=1e-6)
 
 
 def test_kraus_fd_zero_and_validation(vacuum, g2p1, two_level):
@@ -229,19 +225,6 @@ def test_fd_mixed_consistent_on_rank_one(coherent_nbar1):
     assert mixed == pytest.approx(pure, rel=1e-6)
 
 
-def test_richardson_beats_plain_mixed_fd(coherent_nbar1):
-    params = NlaParams(g=2.0, p=3)
-    analytic = qfi_unconditional(coherent_nbar1, params)
-
-    def family(g):
-        return unconditional_state(coherent_nbar1, NlaParams(g=g, p=3))
-
-    rich = qfi_fd_mixed_richardson(family, 2.0, 1e-3)
-    plain = qfi_fd_mixed(family, 2.0, 1e-3)
-    assert abs(rich - analytic) < abs(plain - analytic)
-    assert rich == pytest.approx(analytic, rel=1e-6)
-
-
 def test_probability_derivative_fd(squeezed_nbar1):
     params = NlaParams(g=1.5, p=2)
     fd = probability_derivative_fd(squeezed_nbar1, params, SUCCESS)
@@ -279,10 +262,15 @@ def test_step_policy_and_certifiable_tol():
     assert qfi_step_for(1.0) == 1e-4
     assert qfi_step_for(1e-3) == 1e-3
     assert resolution_floor(1e-3) == pytest.approx(8 * 100 * 2.0 ** -53 / 1e-6)
-    base = mixed_certifiable_tol(1.0, 1e-3, 1e-5)
-    assert base == 1e-5  # large signals keep the row tolerance
-    widened = mixed_certifiable_tol(1e-6, 1e-3, 1e-5)
-    assert widened > 1e-5
-    assert mixed_certifiable_tol(1e-6, 1e-3, 1e-5, richardson=True) == pytest.approx(
-        widened * 17.0 / 3.0
-    )
+
+
+def test_selfcheck_unc_row_scores_every_point_on_the_images():
+    # The Kraus-image Bures deficit has no noise floor, so every grid point is
+    # scored at the row tolerance; the O(dg^2) truncation at dg=1e-4 stays
+    # under 1e-6 (measured worst 4.0e-7).
+    (row,) = [r for r in check_oracle_suite() if r.name.startswith("q_unc ")]
+    assert row.passed
+    assert row.points == 280
+    assert row.worst <= 1e-6
+    assert "below FD resolution" not in row.detail
+    assert "low-signal" not in row.detail
