@@ -30,6 +30,7 @@ and returns exact zeros for gain-independent branches.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -269,7 +270,9 @@ def meter_coupling_term(probe: FockVector, params: NlaParams) -> float:
     return float(np.sum(probe.weights() * (es * def_ - ef * des)))
 
 
-def qfi_joint_meter(probe: FockVector, params: NlaParams, meter: MeterState) -> float:
+def qfi_joint_meter(
+    probe: FockVector, params: NlaParams, meters: MeterState | Sequence[MeterState]
+) -> float | np.ndarray:
     """QFI of the joint signal-meter pure state for a general meter.
 
     The joint state |Psi_g> has ``<dPsi|dPsi> = q_eff / 4`` regardless of the
@@ -282,7 +285,14 @@ def qfi_joint_meter(probe: FockVector, params: NlaParams, meter: MeterState) -> 
     other preparation strictly loses information.  (The prefactor is fixed by
     the 4(<d|d> - |<psi|d>|^2) QFI convention and is confirmed against the
     finite-difference oracle on the explicitly built joint state.)
+
+    ``meters`` is one :class:`MeterState`, giving a float, or a sequence of
+    them, giving an array with one QFI per meter.  Only the imbalance depends
+    on the meter, so ``q_eff`` and ``X`` are evaluated once per call and the
+    formula is broadcast over the meters.
     """
-    imbalance = meter.branch_imbalance()
+    single = isinstance(meters, MeterState)
+    imbalance = np.array([m.branch_imbalance() for m in ([meters] if single else meters)])
     coupling = meter_coupling_term(probe, params)
-    return qfi_effective_closed_form(probe, params) - 16.0 * (imbalance * coupling) ** 2
+    q = qfi_effective_closed_form(probe, params) - 16.0 * (imbalance * coupling) ** 2
+    return float(q[0]) if single else q

@@ -327,13 +327,15 @@ class QuadratureGrid:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.dot(self.weights, values))
+    def integrate(self, values: np.ndarray) -> float | np.ndarray:
+        """Integral of ``values`` at the nodes; a stack integrates row by row."""
+        total = np.dot(values, self.weights)
+        return float(total) if np.ndim(total) == 0 else total
 
     def panel_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-panel contributions to the integral, left to right."""
+        """Per-panel contributions to the integral, left to right (last axis)."""
         prods = self.weights * values
-        return prods.reshape(self.panels, self.order).sum(axis=1)
+        return prods.reshape(*prods.shape[:-1], self.panels, self.order).sum(axis=-1)
 
 
 def build_quadrature_grid(half_width: float, panels: int, order: int = 16) -> QuadratureGrid:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -40,6 +41,10 @@ MASS_FLOOR = 1e-300
 TAIL_SHARE = 1e-12
 
 REAL_AMPLITUDE_TOL = 1e-12
+
+# Field rows multiplied against the wavefunction table in one product; bounds
+# the rows x nodes temporaries of a stacked evaluation.
+ROW_CHUNK = 16
 
 
 class ComplexProbeUnsupported(ValueError):
@@ -140,6 +145,22 @@ def _grid_and_wavefunctions(dim: int, widen: int = 0) -> tuple[QuadratureGrid, n
     return grid, wavefunction_matrix(dim, grid.nodes)
 
 
+def _batch(params: NlaParams | Sequence[NlaParams]) -> list[NlaParams]:
+    """One operating point is a batch of one."""
+    return [params] if isinstance(params, NlaParams) else list(params)
+
+
+def _fields(rows: np.ndarray, psi: np.ndarray) -> list[np.ndarray]:
+    """Real and imaginary parts of ``rows @ psi``, computed in real arithmetic.
+
+    The real wavefunction table is never cast to complex; the imaginary
+    product is skipped when the rows have no imaginary part.
+    """
+    if np.iscomplexobj(rows) and np.any(rows.imag):
+        return [rows.real @ psi, rows.imag @ psi]
+    return [rows.real @ psi]
+
+
 def homodyne_density(probe: FockVector, params: NlaParams, branch: str, x) -> np.ndarray | float:
     """Conditional x-quadrature density ``|sum_n a_n <x|n>|^2``."""
     cond = conditional_state(probe, params, branch)
@@ -151,75 +172,130 @@ def homodyne_density(probe: FockVector, params: NlaParams, branch: str, x) -> np
 
 
 def homodyne_distribution(
-    probe: FockVector, params: NlaParams, branch: str
-) -> OutcomeDistribution:
-    """Conditional homodyne density tabulated on the adaptive grid."""
-    cond = conditional_state(probe, params, branch)
-    grid, psi = _grid_and_wavefunctions(probe.dim, 0)
-    field = cond.state.amps @ psi
-    return OutcomeDistribution(
-        kind=HOMODYNE,
-        branch=branch,
-        support=grid.nodes,
-        masses=np.abs(field) ** 2,
-        weights=grid.weights,
-    )
+    probe: FockVector, params: NlaParams | Sequence[NlaParams], branch: str
+) -> OutcomeDistribution | list[OutcomeDistribution]:
+    """Conditional homodyne density tabulated on the adaptive grid.
 
-
-def _fisher_integral(dim: int, amp_fn) -> float:
-    """Integrate ``(d density)^2 / density`` for amplitude rows from amp_fn.
-
-    ``amp_fn(psi)`` maps the wavefunction table to a list of
-    ``(field, dfield)`` pairs (one per branch included in the integral).
-    Widens the window until the outermost panels carry < TAIL_SHARE of the
-    total, which they always should given the default margin.
+    ``params`` is one operating point, giving one distribution, or a
+    sequence of them, giving a list.  The conditional amplitudes of all
+    points are multiplied against the window-0 wavefunction table
+    ``ROW_CHUNK`` rows at a time.
     """
+    batch = _batch(params)
+    amps = np.array([conditional_state(probe, pt, branch).state.amps for pt in batch])
+    grid, psi = _grid_and_wavefunctions(probe.dim, 0)
+    dists = []
+    for start in range(0, len(batch), ROW_CHUNK):
+        masses = sum(f * f for f in _fields(amps[start:start + ROW_CHUNK], psi))
+        dists.extend(
+            OutcomeDistribution(
+                kind=HOMODYNE,
+                branch=branch,
+                support=grid.nodes,
+                masses=row,
+                weights=grid.weights,
+            )
+            for row in masses
+        )
+    return dists[0] if isinstance(params, NlaParams) else dists
+
+
+def _fisher_integral(dim: int, amps: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """Integrate ``(d density)^2 / density`` for groups of stacked field rows.
+
+    ``amps`` and ``slopes`` have shape ``(G, K, dim)``: each of the ``G``
+    groups holds ``K`` rows of field amplitudes and their gain derivatives,
+    and the integrands of a group's rows add up (one row for a branch FI,
+    one per branch for the joint record).  Returns the ``G`` integrals.
+
+    Rows are multiplied against the real wavefunction table at most
+    ``ROW_CHUNK`` at a time, which bounds the ``rows x nodes`` temporaries.
+    The tail check runs per group: a group whose outermost panels carry more
+    than TAIL_SHARE of its total, which given the default margin should
+    never happen, is evaluated again on a window widened by 25% per step,
+    and only such groups are.
+    """
+    groups, per_group = amps.shape[:2]
+    chunk = max(1, ROW_CHUNK // per_group)
+    totals = np.empty(groups)
+    pending = np.arange(groups)
     for widen in range(6):
         grid, psi = _grid_and_wavefunctions(dim, widen)
-        integrand = np.zeros(grid.nodes.size)
-        for field, dfield in amp_fn(psi):
-            dens = np.abs(field) ** 2
-            ddens = 2.0 * (np.conj(field) * dfield).real
-            keep = dens > MASS_FLOOR
-            integrand[keep] += ddens[keep] ** 2 / dens[keep]
-        total = grid.integrate(integrand)
-        if total == 0.0:
-            return 0.0
-        shares = grid.panel_sums(integrand)
-        tail = max(shares[0], shares[-1])
-        if tail <= TAIL_SHARE * total:
-            return float(total)
+        done = np.zeros(pending.size, dtype=bool)
+        for start in range(0, pending.size, chunk):
+            idx = pending[start:start + chunk]
+            rows = np.concatenate((amps[idx], slopes[idx]), axis=1).reshape(-1, dim)
+            dens = cross = 0.0
+            for prod in _fields(rows, psi):
+                field, dfield = np.split(prod.reshape(idx.size, 2 * per_group, -1), 2, axis=1)
+                dens = dens + field * field
+                cross = cross + field * dfield
+            ddens = 2.0 * cross
+            integrand = np.divide(
+                ddens * ddens, dens, out=np.zeros_like(dens), where=dens > MASS_FLOOR
+            ).sum(axis=1)
+            total = grid.integrate(integrand)
+            shares = grid.panel_sums(integrand)
+            ok = (total == 0.0) | (np.maximum(shares[:, 0], shares[:, -1]) <= TAIL_SHARE * total)
+            totals[idx[ok]] = total[ok]
+            done[start:start + chunk] = ok
+        pending = pending[~done]
+        if pending.size == 0:
+            return totals
     raise RuntimeError("homodyne Fisher integral tail did not become negligible")
 
 
 def fi_homodyne(
-    probe: FockVector, params: NlaParams, branch: str, allow_complex: bool = False
-) -> float:
+    probe: FockVector,
+    params: NlaParams | Sequence[NlaParams],
+    branch: str,
+    allow_complex: bool = False,
+) -> float | np.ndarray:
     """Classical Fisher information of conditional homodyne detection.
 
     ``F = integral (d p(x))^2 / p(x) dx`` with the density derivative taken
     analytically through the conditional amplitudes.  Raises
     :class:`ComplexProbeUnsupported` for complex probes unless overridden.
+
+    ``params`` is one operating point, giving a float, or a sequence of
+    them, giving an array; either way the points go through one stacked
+    :func:`_fisher_integral`, one row per point.
     """
     if not allow_complex and not probe.is_real(REAL_AMPLITUDE_TOL):
         raise ComplexProbeUnsupported(
             "homodyne saturation only holds for real probe amplitudes; "
             "pass allow_complex=True to compute the classical value anyway"
         )
-    cond = conditional_state(probe, params, branch)
-    damps = conditional_state_derivative(probe, params, branch)
-
-    def rows(psi):
-        return [(cond.state.amps @ psi, damps @ psi)]
-
-    return _fisher_integral(probe.dim, rows)
+    batch = _batch(params)
+    amps = np.array([conditional_state(probe, pt, branch).state.amps for pt in batch])
+    slopes = np.array([conditional_state_derivative(probe, pt, branch) for pt in batch])
+    values = _fisher_integral(probe.dim, amps[:, None], slopes[:, None])
+    return float(values[0]) if isinstance(params, NlaParams) else values
 
 
 # ---------------------------------------------------------------------------
 # Joint record of the full sequential scheme
 # ---------------------------------------------------------------------------
 
-def sequential_fi(probe: FockVector, params: NlaParams, detector: str = PHOTON_COUNTING) -> float:
+def _photon_counting_record_fi(probe: FockVector, params: NlaParams) -> float:
+    """Joint-record FI for photon counting at one operating point."""
+    total = 0.0
+    w = probe.weights()
+    for branch in BRANCHES:
+        e = kraus_diagonal(params, branch, probe.dim)
+        de = kraus_diagonal_derivative(params, branch, probe.dim)
+        q = e * e * w
+        dq = 2.0 * e * de * w
+        keep = q > MASS_FLOOR
+        total += float(np.sum(dq[keep] ** 2 / q[keep]))
+    return total
+
+
+def sequential_fi(
+    probe: FockVector,
+    params: NlaParams | Sequence[NlaParams],
+    detector: str = PHOTON_COUNTING,
+) -> float | np.ndarray:
     """Fisher information of the joint (branch, outcome) record.
 
     Works directly on the unnormalized joint masses
@@ -227,32 +303,27 @@ def sequential_fi(probe: FockVector, params: NlaParams, detector: str = PHOTON_C
     ``E_{i,n}^2 |c_n|^2`` -- with analytic derivatives, and never touches the
     effective-QFI closed form, so it can serve as an independent witness of
     ``F_joint = p_s Q_s + p_f Q_f + F_c``.
+
+    ``params`` is one operating point, giving a float, or a sequence of
+    them, giving an array.  For homodyne all points go through one stacked
+    :func:`_fisher_integral`, with the two branch rows of a point as one
+    group.
     """
     probe.require_normalized()
+    batch = _batch(params)
     if detector == PHOTON_COUNTING:
-        total = 0.0
-        w = probe.weights()
-        for branch in BRANCHES:
-            e = kraus_diagonal(params, branch, probe.dim)
-            de = kraus_diagonal_derivative(params, branch, probe.dim)
-            q = e * e * w
-            dq = 2.0 * e * de * w
-            keep = q > MASS_FLOOR
-            total += float(np.sum(dq[keep] ** 2 / q[keep]))
-        return total
-    if detector == HOMODYNE:
+        values = np.array([_photon_counting_record_fi(probe, pt) for pt in batch])
+    elif detector == HOMODYNE:
         if not probe.is_real(REAL_AMPLITUDE_TOL):
             raise ComplexProbeUnsupported(
                 "joint homodyne record requires real probe amplitudes"
             )
-
-        def rows(psi):
-            out = []
-            for branch in BRANCHES:
-                e = kraus_diagonal(params, branch, probe.dim)
-                de = kraus_diagonal_derivative(params, branch, probe.dim)
-                out.append(((e * probe.amps) @ psi, (de * probe.amps) @ psi))
-            return out
-
-        return _fisher_integral(probe.dim, rows)
-    raise ValueError(f"unknown detector {detector!r}")
+        dim, c = probe.dim, probe.amps
+        amps = np.array([[kraus_diagonal(pt, b, dim) * c for b in BRANCHES] for pt in batch])
+        slopes = np.array(
+            [[kraus_diagonal_derivative(pt, b, dim) * c for b in BRANCHES] for pt in batch]
+        )
+        values = _fisher_integral(dim, amps, slopes)
+    else:
+        raise ValueError(f"unknown detector {detector!r}")
+    return float(values[0]) if isinstance(params, NlaParams) else values

@@ -14,6 +14,14 @@ Five suites, each returning one :class:`CheckResult` row per invariant:
 
 The standard grid is 2 probe families x 4 energies x 7 gains x 5 thresholds
 = 280 operating points.
+
+The detector and meter suites evaluate on arrays, each number still coming
+from the library function it checks.  The homodyne rows pass a probe's 35
+operating points to one ``fi_homodyne`` call per branch, one
+``sequential_fi`` call and one ``homodyne_distribution`` call per branch,
+which stack them as rows of chunked real products on the quadrature grid.
+The meter suite passes a point's 54 meters to one ``qfi_joint_meter`` call,
+which evaluates ``q_eff`` and the coupling term once for all of them.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from .fisher import (
 )
 from .fock import FockVector
 from .instrument import (
+    BRANCHES,
     FAILURE,
     MeterState,
     NlaParams,
@@ -43,7 +52,6 @@ from .instrument import (
     joint_state,
     kraus_diagonal,
     kraus_diagonal_derivative,
-    unconditional_state,
 )
 from .measurements import (
     HOMODYNE,
@@ -106,12 +114,19 @@ def standard_probes() -> list[tuple[str, float, FockVector]]:
     return out
 
 
+def standard_probe_grids():
+    """Yield (probe, labels, params) per standard probe: its 35 operating points."""
+    for kind, nbar, probe in standard_probes():
+        points = [(g, p) for g in STANDARD_GAINS for p in STANDARD_THRESHOLDS]
+        labels = [f"{kind} nbar={nbar:g} g={g:g} p={p}" for g, p in points]
+        yield probe, labels, [NlaParams(g=g, p=p) for g, p in points]
+
+
 def standard_grid():
     """Yield (label, probe, params) over the 280 standard operating points."""
-    for kind, nbar, probe in standard_probes():
-        for g in STANDARD_GAINS:
-            for p in STANDARD_THRESHOLDS:
-                yield f"{kind} nbar={nbar:g} g={g:g} p={p}", probe, NlaParams(g=g, p=p)
+    for probe, labels, points in standard_probe_grids():
+        for label, params in zip(labels, points):
+            yield label, probe, params
 
 
 class _Worst:
@@ -191,7 +206,9 @@ def check_identity_suite() -> list[CheckResult]:
         # one-sided bounds, scored as relative overshoot
         hierarchy_slack.update(max(bd.ps_qs - bd.q_eff, 0.0) / scale, label)
         hierarchy_slack.update(max(bd.q_unc - bd.q_eff, 0.0) / scale, label)
-        unc_trace.update(abs(unconditional_state(probe, params).trace() - 1.0), label)
+        # tr(A A^+) = ||A||_F^2 for the Kraus images A = [E_s c, E_f c]
+        images = np.stack((es * probe.amps, ef * probe.amps), axis=1)
+        unc_trace.update(abs(np.vdot(images, images).real - 1.0), label)
     results = [
         completeness.result("kraus completeness sum_i E_i^2 = 1", 1e-12),
         kraus_deriv.result("kraus derivative identity E_s dE_s + E_f dE_f = 0", 1e-12),
@@ -342,30 +359,39 @@ def check_oracle_suite() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def check_detector_suite() -> list[CheckResult]:
-    """Detector Fisher informations saturate the branch QFIs on the grid."""
+    """Detector Fisher informations saturate the branch QFIs on the grid.
+
+    The homodyne quantities of a probe's operating points are computed by
+    one call per function and branch over all of them; photon counting and
+    the branch QFIs stay per point.
+    """
     pc_w, hd_w, seq_pc_w, seq_hd_w, norm_w = (_Worst() for _ in range(5))
-    for label, probe, params in standard_grid():
-        bd = qfi_effective(probe, params)
-        for branch, q_branch in ((SUCCESS, bd.q_s), (FAILURE, bd.q_f)):
-            pc_w.update(
-                _rel(fi_photon_counting(probe, params, branch), q_branch),
-                f"{label} {branch}",
-            )
-            hd_w.update(
-                _rel(fi_homodyne(probe, params, branch), q_branch),
-                f"{label} {branch}",
-            )
-            norm_w.update(
-                abs(photon_counting_dist(probe, params, branch).total() - 1.0),
-                f"{label} {branch} photon",
-            )
-            norm_w.update(
-                abs(homodyne_distribution(probe, params, branch).total() - 1.0),
-                f"{label} {branch} homodyne",
-            )
-        target = bd.component_sum()
-        seq_pc_w.update(_rel(sequential_fi(probe, params, PHOTON_COUNTING), target), label)
-        seq_hd_w.update(_rel(sequential_fi(probe, params, HOMODYNE), target), label)
+    for probe, labels, points in standard_probe_grids():
+        homodyne = {b: fi_homodyne(probe, points, b).tolist() for b in BRANCHES}
+        homodyne_mass = {
+            b: [dist.total() for dist in homodyne_distribution(probe, points, b)]
+            for b in BRANCHES
+        }
+        seq_pc = sequential_fi(probe, points, PHOTON_COUNTING).tolist()
+        seq_hd = sequential_fi(probe, points, HOMODYNE).tolist()
+        for i, (label, params) in enumerate(zip(labels, points)):
+            bd = qfi_effective(probe, params)
+            for branch, q_branch in ((SUCCESS, bd.q_s), (FAILURE, bd.q_f)):
+                pc_w.update(
+                    _rel(fi_photon_counting(probe, params, branch), q_branch),
+                    f"{label} {branch}",
+                )
+                hd_w.update(_rel(homodyne[branch][i], q_branch), f"{label} {branch}")
+                norm_w.update(
+                    abs(photon_counting_dist(probe, params, branch).total() - 1.0),
+                    f"{label} {branch} photon",
+                )
+                norm_w.update(
+                    abs(homodyne_mass[branch][i] - 1.0), f"{label} {branch} homodyne"
+                )
+            target = bd.component_sum()
+            seq_pc_w.update(_rel(seq_pc[i], target), label)
+            seq_hd_w.update(_rel(seq_hd[i], target), label)
     return [
         pc_w.result("photon-counting FI saturates the branch QFI", 1e-9),
         hd_w.result("homodyne FI saturates the branch QFI", 1e-6),
@@ -477,30 +503,36 @@ def check_figure_behavior() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def check_meter_suite() -> list[CheckResult]:
-    """Joint QFI never exceeds q_eff; equality iff the meter phase is real."""
+    """Joint QFI never exceeds q_eff; equality iff the meter phase is real.
+
+    Each point's random meters and the real-phase meters go through one
+    ``qfi_joint_meter`` call.
+    """
     rng = np.random.default_rng(METER_SEED)
     bound_w = _Worst()
     equality_w = _Worst()
+    real_phase = [
+        MeterState.trivial(),
+        MeterState(alpha=1.0, beta=0.0),
+        MeterState(alpha=math.sqrt(0.5), beta=math.sqrt(0.5)),
+        MeterState(alpha=-math.sqrt(0.3), beta=math.sqrt(0.7)),
+    ]
     for label, probe, params in standard_grid():
         q_eff = qfi_effective_closed_form(probe, params)
         scale = max(q_eff, NUMERICAL_ZERO)
-        for _ in range(METER_SAMPLES_PER_POINT):
-            z = rng.standard_normal(4)
+        meters = []
+        # one draw of shape (samples, 4) yields the numbers of that many
+        # standard_normal(4) draws, in the same order
+        for z in rng.standard_normal((METER_SAMPLES_PER_POINT, 4)):
             nrm = math.sqrt(z @ z)
-            meter = MeterState(
-                alpha=complex(z[0], z[1]) / nrm, beta=complex(z[2], z[3]) / nrm
+            meters.append(
+                MeterState(alpha=complex(z[0], z[1]) / nrm, beta=complex(z[2], z[3]) / nrm)
             )
-            qm = qfi_joint_meter(probe, params, meter)
-            bound_w.update(max(qm - q_eff, 0.0) / scale, label)
-        for meter in (
-            MeterState.trivial(),
-            MeterState(alpha=1.0, beta=0.0),
-            MeterState(alpha=math.sqrt(0.5), beta=math.sqrt(0.5)),
-            MeterState(alpha=-math.sqrt(0.3), beta=math.sqrt(0.7)),
-        ):
-            equality_w.update(
-                abs(qfi_joint_meter(probe, params, meter) - q_eff) / scale, label
-            )
+        qm = qfi_joint_meter(probe, params, meters + real_phase).tolist()
+        for value in qm[:METER_SAMPLES_PER_POINT]:
+            bound_w.update(max(value - q_eff, 0.0) / scale, label)
+        for value in qm[METER_SAMPLES_PER_POINT:]:
+            equality_w.update(abs(value - q_eff) / scale, label)
     return [
         bound_w.result("joint QFI <= q_eff over random meters", 1e-9),
         equality_w.result("joint QFI equals q_eff when Im[alpha conj(beta)] = 0", 1e-9),

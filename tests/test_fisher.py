@@ -131,6 +131,43 @@ def test_meter_bound_and_equality(coherent_nbar1):
     assert qfi_joint_meter(coherent_nbar1, params, quarter) <= q_eff
 
 
+@pytest.mark.parametrize("kind, nbar, g, p", [
+    ("coherent", 1.0, 2.0, 3),
+    ("squeezed-vacuum", 2.0, 1.05, 5),
+])
+def test_joint_meter_over_a_sequence_equals_scalar_calls(kind, nbar, g, p):
+    probe = ProbeSpec.from_nbar(kind, nbar).build()
+    params = NlaParams(g=g, p=p)
+    rng = np.random.default_rng(5)
+    meters = [
+        MeterState.trivial(),
+        MeterState(alpha=1.0, beta=0.0),
+        MeterState(alpha=math.sqrt(0.5), beta=math.sqrt(0.5)),
+        MeterState(alpha=-math.sqrt(0.3), beta=math.sqrt(0.7)),
+    ]
+    for z in rng.standard_normal((20, 4)):
+        nrm = math.sqrt(z @ z)
+        alpha, beta = complex(z[0], z[1]) / nrm, complex(z[2], z[3]) / nrm
+        meters.append(MeterState(alpha=alpha, beta=beta))
+    stacked = qfi_joint_meter(probe, params, meters)
+    assert isinstance(stacked, np.ndarray) and stacked.shape == (len(meters),)
+    scalar = [qfi_joint_meter(probe, params, meter) for meter in meters]
+    assert all(isinstance(value, float) for value in scalar)
+    assert stacked.tolist() == scalar
+    q_eff = qfi_effective_closed_form(probe, params)
+    assert stacked[:4].tolist() == pytest.approx([q_eff] * 4, rel=1e-12)
+    assert np.all(stacked[4:] <= q_eff)
+
+
+def test_one_meter_draw_per_point_matches_per_meter_draws():
+    from nlametro.selfcheck import METER_SAMPLES_PER_POINT, METER_SEED
+
+    stacked = np.random.default_rng(METER_SEED).standard_normal((METER_SAMPLES_PER_POINT, 4))
+    rng = np.random.default_rng(METER_SEED)
+    one_by_one = np.array([rng.standard_normal(4) for _ in range(METER_SAMPLES_PER_POINT)])
+    assert np.array_equal(stacked, one_by_one)
+
+
 def test_quarter_cycle_meter_on_vacuum_erases_everything(vacuum, g2p1):
     # |Im[alpha beta*]| = 1/2 costs 16 X^2/4 = 4 X^2, and 4 X^2 = q_eff here
     x = meter_coupling_term(vacuum, g2p1)

@@ -4,10 +4,22 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from nlametro.fock import FockVector
-from nlametro.instrument import FAILURE, SUCCESS, NlaParams
+from nlametro import measurements
+from nlametro.fock import FockVector, build_quadrature_grid, wavefunction_matrix
+from nlametro.instrument import (
+    BRANCHES,
+    FAILURE,
+    SUCCESS,
+    NlaParams,
+    conditional_state,
+    conditional_state_derivative,
+    kraus_diagonal,
+    kraus_diagonal_derivative,
+)
 from nlametro.fisher import qfi_branch, qfi_effective
 from nlametro.measurements import (
+    HOMODYNE,
+    ROW_CHUNK,
     ComplexProbeUnsupported,
     fi_homodyne,
     fi_photon_counting,
@@ -18,6 +30,7 @@ from nlametro.measurements import (
     sequential_fi,
 )
 from nlametro.probes import ProbeSpec
+from nlametro.selfcheck import STANDARD_GAINS, STANDARD_THRESHOLDS
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -96,3 +109,109 @@ def test_impossible_branch_distribution_is_empty_weighted(vacuum):
     params = NlaParams(g=2.0, p=1)
     dist = photon_counting_dist(one, params, SUCCESS)
     npt.assert_allclose(dist.masses, [0.0, 1.0], atol=1e-14)
+
+
+STANDARD_POINTS = [NlaParams(g=g, p=p) for g in STANDARD_GAINS for p in STANDARD_THRESHOLDS]
+
+
+def _complex_fisher_integral(dim, rows):
+    """Loop reference: one complex field product per row on the window-0 grid.
+
+    ``rows`` is a list of (amplitudes, slopes) pairs whose integrands add up.
+    """
+    grid, psi = measurements._grid_and_wavefunctions(dim, 0)
+    integrand = np.zeros(grid.nodes.size)
+    for amps, slopes in rows:
+        field = np.asarray(amps, dtype=complex) @ psi
+        dfield = np.asarray(slopes, dtype=complex) @ psi
+        dens = np.abs(field) ** 2
+        ddens = 2.0 * (np.conj(field) * dfield).real
+        keep = dens > measurements.MASS_FLOOR
+        integrand[keep] += ddens[keep] ** 2 / dens[keep]
+    return grid.integrate(integrand)
+
+
+@pytest.mark.parametrize("kind, nbar", [("squeezed-vacuum", 2.0), ("coherent", 1.0)])
+def test_stacked_homodyne_equals_one_point_at_a_time(kind, nbar):
+    probe = ProbeSpec.from_nbar(kind, nbar).build()
+    assert len(STANDARD_POINTS) > ROW_CHUNK
+    for branch in BRANCHES:
+        stacked = fi_homodyne(probe, STANDARD_POINTS, branch)
+        assert stacked.shape == (len(STANDARD_POINTS),)
+        for value, params in zip(stacked, STANDARD_POINTS):
+            assert value == pytest.approx(fi_homodyne(probe, params, branch), rel=1e-12)
+            cond = conditional_state(probe, params, branch).state.amps
+            slope = conditional_state_derivative(probe, params, branch)
+            assert value == pytest.approx(
+                _complex_fisher_integral(probe.dim, [(cond, slope)]), rel=1e-12
+            )
+        dists = homodyne_distribution(probe, STANDARD_POINTS, branch)
+        for dist, params in zip(dists, STANDARD_POINTS):
+            one = homodyne_distribution(probe, params, branch)
+            # near a node of the field the density is a cancellation residue
+            npt.assert_allclose(dist.masses, one.masses, rtol=1e-12, atol=1e-15 * one.masses.max())
+            assert dist.total() == pytest.approx(one.total(), rel=1e-12)
+    stacked = sequential_fi(probe, STANDARD_POINTS, HOMODYNE)
+    for value, params in zip(stacked, STANDARD_POINTS):
+        assert value == pytest.approx(sequential_fi(probe, params, HOMODYNE), rel=1e-12)
+        rows = [
+            (kraus_diagonal(params, b, probe.dim) * probe.amps,
+             kraus_diagonal_derivative(params, b, probe.dim) * probe.amps)
+            for b in BRANCHES
+        ]
+        assert value == pytest.approx(_complex_fisher_integral(probe.dim, rows), rel=1e-12)
+
+
+def test_stacked_homodyne_of_a_complex_probe_uses_both_quadrature_parts():
+    probe = FockVector([0.6, 0.5j, 0.3 + 0.4j, -0.2]).normalized()
+    for branch in BRANCHES:
+        stacked = fi_homodyne(probe, STANDARD_POINTS, branch, allow_complex=True)
+        for value, params in zip(stacked, STANDARD_POINTS):
+            single = fi_homodyne(probe, params, branch, allow_complex=True)
+            assert value == pytest.approx(single, rel=1e-12)
+            cond = conditional_state(probe, params, branch).state.amps
+            slope = conditional_state_derivative(probe, params, branch)
+            assert value == pytest.approx(
+                _complex_fisher_integral(probe.dim, [(cond, slope)]), rel=1e-12
+            )
+
+
+def test_only_groups_with_a_heavy_tail_are_widened(monkeypatch, coherent_nbar1):
+    # At half-width 6 the failure-branch integrand of some standard points
+    # keeps more than TAIL_SHARE in an outermost panel, and of others not.
+    # The truncated window-0 table is scaled by 1 + 1e-6, which marks every
+    # value integrated on it.
+    exact = fi_homodyne(coherent_nbar1, STANDARD_POINTS, FAILURE)
+    original = measurements._grid_and_wavefunctions
+    requested = []
+
+    def truncated(dim, widen=0):
+        requested.append(widen)
+        if widen:
+            return original(dim, widen)
+        grid = build_quadrature_grid(6.0, 64)
+        return grid, wavefunction_matrix(dim, grid.nodes) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(measurements, "_grid_and_wavefunctions", truncated)
+    stacked = fi_homodyne(coherent_nbar1, STANDARD_POINTS, FAILURE)
+    widened = 0
+    for value, params, reference in zip(stacked, STANDARD_POINTS, exact):
+        requested.clear()
+        single = fi_homodyne(coherent_nbar1, params, FAILURE)
+        assert value == pytest.approx(single, rel=1e-12)
+        if 1 in requested:
+            widened += 1
+            assert value == pytest.approx(reference, rel=1e-10)
+        else:
+            assert value == pytest.approx(reference * (1.0 + 1e-6) ** 2, rel=1e-10)
+    assert 0 < widened < len(STANDARD_POINTS)
+
+
+def test_fisher_integral_raises_when_the_tail_never_vanishes(monkeypatch, coherent_nbar1):
+    def truncated(dim, widen=0):
+        grid = build_quadrature_grid(3.0, 16)
+        return grid, wavefunction_matrix(dim, grid.nodes)
+
+    monkeypatch.setattr(measurements, "_grid_and_wavefunctions", truncated)
+    with pytest.raises(RuntimeError, match="tail"):
+        fi_homodyne(coherent_nbar1, STANDARD_POINTS[:3], SUCCESS)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import nlametro
+from nlametro import fisher
 from nlametro.fock import DensityOperator, FockVector
 from nlametro.instrument import (
     FAILURE,
@@ -39,7 +40,7 @@ from nlametro.oracles import (
     resolution_floor,
 )
 from nlametro.probes import ProbeSpec
-from nlametro.selfcheck import check_oracle_suite
+from nlametro.selfcheck import check_identity_suite, check_meter_suite, check_oracle_suite
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden.json"
 
@@ -274,3 +275,32 @@ def test_selfcheck_unc_row_scores_every_point_on_the_images():
     assert row.worst <= 1e-6
     assert "below FD resolution" not in row.detail
     assert "low-signal" not in row.detail
+
+
+def test_meter_suite_computes_one_coupling_term_per_point(monkeypatch):
+    # q_eff and X do not depend on the meter: one qfi_joint_meter call per
+    # grid point covers its 50 random and 4 real-phase meters.
+    calls = []
+    original = fisher.meter_coupling_term
+
+    def counted(probe, params):
+        calls.append(params)
+        return original(probe, params)
+
+    monkeypatch.setattr(fisher, "meter_coupling_term", counted)
+    bound, equality = check_meter_suite()
+    assert bound.passed and equality.passed
+    assert (bound.points, equality.points) == (14000, 1120)
+    assert len(calls) <= 280
+
+
+def test_identity_suite_builds_no_dense_operator(monkeypatch):
+    # the unit-trace row is ||A||_F^2 of the Kraus images, not a dim x dim trace
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense path reached")
+
+    monkeypatch.setattr(DensityOperator, "__post_init__", forbidden)
+    results = check_identity_suite()
+    assert all(r.passed for r in results)
+    (row,) = [r for r in results if r.name == "unconditional state has unit trace"]
+    assert row.points == 280
