@@ -284,7 +284,9 @@ def qfi_joint_meter(
     The deduction vanishes exactly when ``Im(alpha conj(beta)) = 0``; any
     other preparation strictly loses information.  (The prefactor is fixed by
     the 4(<d|d> - |<psi|d>|^2) QFI convention and is confirmed against the
-    finite-difference oracle on the explicitly built joint state.)
+    Kraus-image fidelity oracle :class:`~nlametro.oracles.KrausImageFD`,
+    whose joint-state contraction a test ties to the explicitly built
+    :func:`~nlametro.instrument.joint_state`.)
 
     ``meters`` is one :class:`MeterState`, giving a float, or a sequence of
     them, giving an array with one QFI per meter.  Only the imbalance depends

@@ -26,16 +26,19 @@ mixed row uses Uhlmann's theorem ``sqrt F(AA^+, BB^+) = ||A^+ B||_*`` on the
 ``dim x 2`` image matrices (:func:`qfi_fd_kraus_bures`); central differences
 carry the image difference through cancellation-free identities.
 
-The selfcheck grid scores ``q_unc`` with the same Kraus-image Bures oracle
-(:func:`qfi_fd_kraus_bures`, one step, no extrapolation) and its pure-state
-rows with the double-precision families of :func:`qfi_fd_pure`, whose
-overlap deficit is assembled in a cancellation-free form (see
-:func:`overlap_deficit`).  Double-precision deficits below 100x unit
-roundoff are refused via :class:`StepTooSmall` rather than amplified by
-1/dg^2 into junk; :func:`resolution_floor` states the smallest information
-value a given step can certify.  :func:`qfi_fd_mixed` differences any
-family of :class:`~nlametro.fock.DensityOperator` through the
-extended-precision root-fidelity deficit; it serves as a dense cross-check.
+The selfcheck grid scores all five of its oracle rows on the same images:
+one :class:`KrausImageFD` per operating point builds the image Gram matrices
+at ``g -/+ dg/2`` once (``dg = 1e-4``) and contracts them per family -- the
+success and failure states, the joint state for the trivial and a generic
+meter, and the Bures deficit of the unconditional output.  No step is
+refused, so every point is scored; the oracle never calls the closed forms
+of :mod:`~nlametro.fisher`.  The double-precision references stay for the
+tests: :func:`qfi_fd_pure` differences any pure-state family with the
+cancellation-free :func:`overlap_deficit` and refuses deficits below 100x
+unit roundoff via :class:`StepTooSmall` (:func:`resolution_floor` states
+the smallest value a step can certify), and :func:`qfi_fd_mixed`
+differences any family of :class:`~nlametro.fock.DensityOperator` through
+the extended-precision root-fidelity deficit.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ from .measurements import (
     PHOTON_COUNTING,
     _grid_and_wavefunctions,
     homodyne_density,
+    homodyne_distribution,
     photon_counting_dist,
 )
 from .probes import ProbeSpec, custom_probe, solve_amplitude_for_nbar
@@ -234,17 +238,6 @@ def qfi_fd_mixed(rho_at, g: float, dg: float = DEFAULT_QFI_STEP) -> float:
     return 8.0 * deficit / (dg * dg)
 
 
-def qfi_step_for(scale: float) -> float:
-    """Step policy: small information values need the larger legal step.
-
-    At ``dg = 1e-4`` the refusal floor sits near ``Q ~ 9e-6``; picking
-    ``dg = 1e-3`` for |Q| < 1e-2 keeps every resolvable grid point clear of
-    it while the larger truncation error (quadratic in dg) stays far below
-    the comparison tolerances.
-    """
-    return DEFAULT_QFI_STEP if abs(scale) >= 1e-2 else STEP_MAX
-
-
 # ---------------------------------------------------------------------------
 # Kraus-image differences in extended precision
 # ---------------------------------------------------------------------------
@@ -297,19 +290,6 @@ def _fd_information(deficit, dg):
     return 8 * deficit / mpmath.mpf(dg) ** 2
 
 
-def _image_grams(probe: FockVector, params: NlaParams, dg: float) -> tuple:
-    """Image Gram matrices (lo-hi, lo-lo, hi-hi) at ``g -/+ dg/2`` (inside ``workdps``)."""
-    head = _head(probe, params)
-    weights = _mp_weights(probe.amps[:head])
-    tail = mpmath.fsum(_mp_weights(probe.amps[head:]))
-    lo, hi = _kraus_pair(params, dg, head)
-    return (
-        _image_gram(lo, hi, weights, tail),
-        _image_gram(lo, lo, weights, tail),
-        _image_gram(hi, hi, weights, tail),
-    )
-
-
 def _view_metric(view) -> list:
     """Inner products ``<m_i|m_j>`` of the meter vectors the two images carry.
 
@@ -330,8 +310,82 @@ def _view_metric(view) -> list:
     return [[norm, cross], [mpmath.conj(cross), norm]]
 
 
-def _contract(metric: list, gram: list):
-    return mpmath.fsum(metric[i][j] * gram[i][j] for i in range(2) for j in range(2))
+class KrausImageFD:
+    """Fidelity finite differences of every Kraus-image family at one point.
+
+    Each family is a contraction of the same three Gram matrices of the
+    images ``a_s = E_s c`` and ``a_f = E_f c`` at the exact gains
+    ``g -/+ dg/2``: ``<a_i(g-)|a_j(g+)>``, ``<a_i(g-)|a_j(g-)>`` and
+    ``<a_i(g+)|a_j(g+)>``.  They are built once, in ``IMAGE_DPS`` digits from
+    the input doubles; :meth:`pure` contracts them with a view's meter metric
+    and :meth:`bures` with a branch mask, and each result is rounded once.
+    So all families of one operating point share one build, and no value
+    depends on which others were asked for.
+    """
+
+    def __init__(self, probe: FockVector, params: NlaParams, dg: float = DEFAULT_QFI_STEP):
+        _validate_step(dg)
+        probe.require_normalized()
+        self.dg = dg
+        head = _head(probe, params)
+        with mpmath.workdps(IMAGE_DPS):
+            weights = _mp_weights(probe.amps[:head])
+            # the probe mass above p, summed exactly and rounded once
+            tail = mpmath.fsum(probe.amps[head:], absolute=True, squared=True)
+            lo, hi = _kraus_pair(params, dg, head)
+            self._cross = _image_gram(lo, hi, weights, tail)
+            self._lo = _image_gram(lo, lo, weights, tail)
+            self._hi = _image_gram(hi, hi, weights, tail)
+
+    def pure(self, view) -> float:
+        """Pure-state fidelity FD ``8 (1 - |<u(g-)|u(g+)>|) / dg^2`` of one view.
+
+        ``view`` is ``SUCCESS`` or ``FAILURE`` for the normalized conditional
+        state, a :class:`MeterState` for the joint signal-meter state.  The
+        deficit of the normalized states is taken exactly, without a
+        small-angle expansion, so no step is ever refused.
+        """
+        with mpmath.workdps(IMAGE_DPS):
+            metric = _view_metric(view)
+            cross, n_lo, n_hi = (
+                mpmath.fsum(metric[i][j] * gram[i][j] for i in range(2) for j in range(2))
+                for gram in (self._cross, self._lo, self._hi)
+            )
+            n_lo, n_hi = mpmath.re(n_lo), mpmath.re(n_hi)
+            if min(n_lo, n_hi) < PROBABILITY_FLOOR:
+                raise BranchImpossible(f"{view} family has zero norm for this probe")
+            deficit = 1 - abs(cross) / mpmath.sqrt(n_lo * n_hi)
+            return float(_fd_information(deficit, self.dg))
+
+    def bures(self, branches: tuple[str, ...] = BRANCHES) -> float:
+        """Bures fidelity FD ``8 (1 - sqrt F) / dg^2`` of ``A A^+``.
+
+        ``A`` holds the images of ``branches`` and zeroes for the others, so
+        the default is the unconditional output.
+        """
+        with mpmath.workdps(IMAGE_DPS):
+            return float(self._bures(branches))
+
+    def _bures(self, branches: tuple[str, ...]):
+        """Unrounded :meth:`bures` (inside ``workdps``), by Uhlmann's theorem.
+
+        ``sqrt F(AA^+, BB^+) = ||A^+ B||_*`` for the ``dim x 2`` image
+        matrices; the 2x2 nuclear norm is ``sqrt(||M||_F^2 + 2 |det M|)``.
+        """
+        if not branches or any(b not in BRANCHES for b in branches):
+            raise ValueError(f"branches must be a non-empty subset of {BRANCHES}")
+        mask = [1 if b in branches else 0 for b in BRANCHES]
+        cross, g_lo, g_hi = (
+            [[gram[i][j] * mask[i] * mask[j] for j in range(2)] for i in range(2)]
+            for gram in (self._cross, self._lo, self._hi)
+        )
+        frob = mpmath.fsum(x * x for row in cross for x in row)
+        det = cross[0][0] * cross[1][1] - cross[0][1] * cross[1][0]
+        trace = (g_lo[0][0] + g_lo[1][1]) * (g_hi[0][0] + g_hi[1][1])
+        if trace < PROBABILITY_FLOOR:
+            raise BranchImpossible("image pair has zero norm for this probe")
+        deficit = 1 - mpmath.sqrt((frob + 2 * abs(det)) / trace)
+        return _fd_information(deficit, self.dg)
 
 
 def qfi_fd_kraus_pure(
@@ -339,46 +393,11 @@ def qfi_fd_kraus_pure(
 ) -> float:
     """Pure-state fidelity FD ``8 (1 - |<u(g-)|u(g+)>|) / dg^2`` on the Kraus images.
 
-    ``view`` selects the family: ``SUCCESS`` or ``FAILURE`` for the
-    normalized conditional state, a :class:`MeterState` for the joint
-    signal-meter state.  The overlap and both norms are assembled from the
-    image Gram matrices in ``IMAGE_DPS`` digits from the probe doubles and
-    the exact gains ``g -/+ dg/2``, and the deficit ``1 - |<u|v>|`` of the
-    normalized states is taken exactly, without a small-angle expansion.
-    The value depends only on the input doubles and is rounded once, so it
-    carries about 1e-16 relative rounding; no step is ever refused.
+    :meth:`KrausImageFD.pure` of ``view`` on a build of its own.  The value
+    depends only on the input doubles and carries about 1e-16 relative
+    rounding.
     """
-    _validate_step(dg)
-    probe.require_normalized()
-    with mpmath.workdps(IMAGE_DPS):
-        metric = _view_metric(view)
-        cross, g_lo, g_hi = _image_grams(probe, params, dg)
-        n_lo = mpmath.re(_contract(metric, g_lo))
-        n_hi = mpmath.re(_contract(metric, g_hi))
-        if min(n_lo, n_hi) < PROBABILITY_FLOOR:
-            raise BranchImpossible(f"{view} family has zero norm for this probe")
-        deficit = 1 - abs(_contract(metric, cross)) / mpmath.sqrt(n_lo * n_hi)
-        return float(_fd_information(deficit, dg))
-
-
-def _bures_deficit(probe: FockVector, params: NlaParams, dg, mask: list):
-    """``1 - sqrt F`` of ``A A^+`` at ``g -/+ dg/2``, normalized, by Uhlmann's theorem.
-
-    ``sqrt F(AA^+, BB^+) = ||A^+ B||_*`` for the ``dim x 2`` image matrices;
-    the 2x2 nuclear norm is ``sqrt(||M||_F^2 + 2 |det M|)``.  ``mask``
-    zeroes the images left out of ``A``.
-    """
-    grams = _image_grams(probe, params, dg)
-    cross, g_lo, g_hi = (
-        [[gram[i][j] * mask[i] * mask[j] for j in range(2)] for i in range(2)]
-        for gram in grams
-    )
-    frob = mpmath.fsum(x * x for row in cross for x in row)
-    det = cross[0][0] * cross[1][1] - cross[0][1] * cross[1][0]
-    trace = (g_lo[0][0] + g_lo[1][1]) * (g_hi[0][0] + g_hi[1][1])
-    if trace < PROBABILITY_FLOOR:
-        raise BranchImpossible("image pair has zero norm for this probe")
-    return 1 - mpmath.sqrt((frob + 2 * abs(det)) / trace)
+    return KrausImageFD(probe, params, dg).pure(view)
 
 
 def qfi_fd_kraus_bures(
@@ -390,28 +409,22 @@ def qfi_fd_kraus_bures(
 ) -> float:
     """Bures fidelity FD ``8 (1 - sqrt F) / dg^2`` of ``A A^+`` on the Kraus images.
 
-    ``A`` holds the images of ``branches`` and zeroes for the others, so the
-    default is the unconditional output and ``(SUCCESS,)`` the rank-1 pair
-    ``(E_s c, 0)``.  The root fidelity is the nuclear norm of the 2x2 matrix
-    ``A(g-)^+ A(g+)`` (Uhlmann), evaluated with the states in ``IMAGE_DPS``
-    digits from the input doubles, so no double-precision eigensolver and
-    no noise floor enter.  ``richardson=True`` combines the steps
-    ``(dg, dg/2)`` as ``(4 F(dg/2) - F(dg)) / 3``, also in extended
-    precision, and the result is rounded once.
+    :meth:`KrausImageFD.bures` of ``branches``: the default is the
+    unconditional output and ``(SUCCESS,)`` the rank-1 pair ``(E_s c, 0)``.
+    The root fidelity is the nuclear norm of the 2x2 matrix
+    ``A(g-)^+ A(g+)`` (Uhlmann), so no double-precision eigensolver and no
+    noise floor enter.  ``richardson=True`` combines the steps ``(dg, dg/2)``
+    as ``(4 F(dg/2) - F(dg)) / 3``, also in extended precision, and the
+    result is rounded once.
     """
     _validate_step(dg)
     if richardson:
         _validate_step(0.5 * dg)
-    if not branches or any(b not in BRANCHES for b in branches):
-        raise ValueError(f"branches must be a non-empty subset of {BRANCHES}")
-    probe.require_normalized()
-    mask = [1 if b in branches else 0 for b in BRANCHES]
     with mpmath.workdps(IMAGE_DPS):
-        coarse = _fd_information(_bures_deficit(probe, params, dg, mask), dg)
+        coarse = KrausImageFD(probe, params, dg)._bures(branches)
         if not richardson:
             return float(coarse)
-        half = mpmath.mpf(dg) / 2
-        fine = _fd_information(_bures_deficit(probe, params, half, mask), half)
+        fine = KrausImageFD(probe, params, 0.5 * dg)._bures(branches)
         return float((4 * fine - coarse) / 3)
 
 
@@ -500,8 +513,10 @@ def joint_fi_direct(
     themselves, carried through ``|A|^2 - |B|^2 = Re[(A - B) conj(A + B)]``
     with the image difference taken in extended precision, so no analytic
     derivative enters and no cancellation reaches the slope.  The centre
-    masses and densities come from the measurement module; homodyne
-    outcomes are integrated on its adaptive quadrature grid.
+    masses and densities come from the measurement module; the homodyne
+    densities are its :func:`~nlametro.measurements.homodyne_distribution`
+    on the window-0 quadrature grid, whose wavefunction table the slope
+    fields use too.
     """
     _validate_step(dg)
     if detector == PHOTON_COUNTING:
@@ -523,7 +538,7 @@ def joint_fi_direct(
     for branch in BRANCHES:
         try:
             prob = branch_probability(probe, params, branch)
-            center = prob * homodyne_density(probe, params, branch, grid.nodes)
+            center = prob * homodyne_distribution(probe, params, branch).masses
         except BranchImpossible:
             continue
         slope_amps, sum_amps = images[branch]

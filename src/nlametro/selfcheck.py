@@ -5,7 +5,7 @@ Five suites, each returning one :class:`CheckResult` row per invariant:
 * identity     — exact algebraic identities of the instrument and the
                  information breakdown (tolerances 1e-9 relative and below);
 * oracle       — analytic information quantities against fidelity
-                 finite differences (1e-5 relative);
+                 finite differences on the Kraus images (1e-5 relative);
 * detector     — photon-counting / homodyne Fisher informations against the
                  branch QFIs, plus the joint-record identities;
 * figure       — qualitative curve behavior: hierarchy, monotonicity,
@@ -14,6 +14,11 @@ Five suites, each returning one :class:`CheckResult` row per invariant:
 
 The standard grid is 2 probe families x 4 energies x 7 gains x 5 thresholds
 = 280 operating points.
+
+The oracle suite scores its five rows (``q_s``, ``q_f``, ``q_eff`` through
+the trivial meter, ``q_unc`` and a generic meter) on one set of Kraus-image
+Gram matrices per point, built in extended precision at ``dg=1e-4``, so no
+step is refused and every row scores all 280 points.
 
 The detector and meter suites evaluate on arrays, each number still coming
 from the library function it checks.  The homodyne rows pass a probe's 35
@@ -49,7 +54,6 @@ from .instrument import (
     completeness_defect,
     conditional_state,
     conditional_state_derivative,
-    joint_state,
     kraus_diagonal,
     kraus_diagonal_derivative,
 )
@@ -62,14 +66,7 @@ from .measurements import (
     photon_counting_dist,
     sequential_fi,
 )
-from .oracles import (
-    DEFAULT_QFI_STEP,
-    StepTooSmall,
-    qfi_fd_kraus_bures,
-    qfi_fd_pure,
-    qfi_step_for,
-    resolution_floor,
-)
+from .oracles import DEFAULT_QFI_STEP, KrausImageFD
 from .probes import ProbeSpec
 
 STANDARD_KINDS = ("coherent", "squeezed-vacuum")
@@ -255,102 +252,40 @@ def _check_boundary_divergence() -> CheckResult:
 # Oracle suite
 # ---------------------------------------------------------------------------
 
-class _FdTrack:
-    """Error tracker for one pure-state FD-vs-analytic row of the oracle suite."""
-
-    def __init__(self, name: str, tol: float):
-        self.name = name
-        self.tol = tol
-        self.worst = _Worst()
-        self.unresolved = 0
-
-    def compare(self, label: str, analytic: float, family, g: float, dg: float):
-        """Score one grid point.
-
-        StepTooSmall (or both values under the step's resolution floor)
-        means the oracle cannot certify the point either way; such a point
-        passes only if the analytic value itself sits below what the step
-        can resolve — a 1% boundary slop covers rounding of the refusal
-        threshold.
-        """
-        floor = resolution_floor(dg)
-        try:
-            fd = qfi_fd_pure(family, g, dg)
-        except StepTooSmall:
-            if abs(analytic) < 1.01 * floor:
-                self.unresolved += 1
-                return
-            self.worst.update(
-                math.inf, f"{label} (unresolvable step but analytic {analytic:g})"
-            )
-            return
-        if max(abs(analytic), abs(fd)) < floor:
-            self.unresolved += 1
-            return
-        self.worst.update(_rel(analytic, fd), label)
-
-    def result(self) -> CheckResult:
-        note = f"{self.unresolved} points below FD resolution" if self.unresolved else ""
-        return self.worst.result(self.name, self.tol, note)
-
-
 def check_oracle_suite() -> list[CheckResult]:
     """Fidelity finite differences against every analytic information value.
 
-    The pure-state rows difference double-precision families and refuse
-    steps whose deficit drowns in rounding.  The ``q_unc`` row takes the
-    Bures deficit of ``A A^+`` on the Kraus images ``A = [E_s c, E_f c]`` in
-    extended precision (Uhlmann's ``sqrt F = ||A(g-)^+ A(g+)||_*``), which
-    has no noise floor, so one step at ``dg=1e-4`` is scored at every point.
+    Each point's five oracle values come from one
+    :class:`~nlametro.oracles.KrausImageFD` at ``dg=1e-4``: the Gram
+    matrices of the Kraus images ``A = [E_s c, E_f c]`` at ``g -/+ dg/2``
+    are built once in extended precision and contracted per family -- the
+    success and failure states, the joint state with the trivial and a
+    random meter, and the Bures deficit of ``A A^+`` (Uhlmann's
+    ``sqrt F = ||A(g-)^+ A(g+)||_*``).  The deficits have no noise floor,
+    so every row scores all 280 points.
     """
-    qs_t = _FdTrack("q_s vs pure-state fidelity FD", 1e-5)
-    qf_t = _FdTrack("q_f vs pure-state fidelity FD", 1e-5)
-    qeff_t = _FdTrack("q_eff vs joint-state fidelity FD at dg=1e-4", 1e-5)
-    qunc_w = _Worst()
-    meter_t = _FdTrack("joint QFI with generic meters vs fidelity FD", 1e-5)
+    qs_w, qf_w, qeff_w, qunc_w, meter_w = (_Worst() for _ in range(5))
     rng = np.random.default_rng(GENERIC_METER_SEED)
     for label, probe, params in standard_grid():
-        g, p = params.g, params.p
         bd = qfi_effective(probe, params)
-
-        def success_at(gv, _probe=probe, _p=p):
-            return conditional_state(_probe, NlaParams(g=gv, p=_p), SUCCESS).state
-
-        def failure_at(gv, _probe=probe, _p=p):
-            return conditional_state(_probe, NlaParams(g=gv, p=_p), FAILURE).state
-
-        def joint_at(gv, _probe=probe, _p=p, _meter=MeterState.trivial()):
-            return FockVector(
-                joint_state(_probe, NlaParams(g=gv, p=_p), _meter).as_vector()
-            )
-
-        qs_t.compare(label, bd.q_s, success_at, g, qfi_step_for(bd.q_s))
-        qf_t.compare(label, bd.q_f, failure_at, g, qfi_step_for(bd.q_f))
-        # the joint-state family check is pinned at dg = 1e-4
-        qeff_t.compare(label, bd.q_eff, joint_at, g, 1e-4)
-        qunc_w.update(
-            _rel(bd.q_unc, qfi_fd_kraus_bures(probe, params, DEFAULT_QFI_STEP)), label
-        )
-
         z = rng.standard_normal(4)
         amps = (z[0] + 1j * z[1], z[2] + 1j * z[3])
         nrm = math.hypot(abs(amps[0]), abs(amps[1]))
         meter = MeterState(alpha=amps[0] / nrm, beta=amps[1] / nrm)
-        qm = qfi_joint_meter(probe, params, meter)
-
-        def joint_meter_at(gv, _probe=probe, _p=p, _meter=meter):
-            return FockVector(
-                joint_state(_probe, NlaParams(g=gv, p=_p), _meter).as_vector()
-            )
-
-        meter_t.compare(label, qm, joint_meter_at, g, qfi_step_for(qm))
-
+        fd = KrausImageFD(probe, params, DEFAULT_QFI_STEP)
+        qs_w.update(_rel(bd.q_s, fd.pure(SUCCESS)), label)
+        qf_w.update(_rel(bd.q_f, fd.pure(FAILURE)), label)
+        qeff_w.update(_rel(bd.q_eff, fd.pure(MeterState.trivial())), label)
+        qunc_w.update(_rel(bd.q_unc, fd.bures()), label)
+        meter_w.update(_rel(qfi_joint_meter(probe, params, meter), fd.pure(meter)), label)
     return [
-        qs_t.result(),
-        qf_t.result(),
-        qeff_t.result(),
+        qs_w.result("q_s vs Kraus-image fidelity FD at dg=1e-4", 1e-5),
+        qf_w.result("q_f vs Kraus-image fidelity FD at dg=1e-4", 1e-5),
+        qeff_w.result("q_eff vs Kraus-image joint-state fidelity FD at dg=1e-4", 1e-5),
         qunc_w.result("q_unc vs Kraus-image Bures fidelity FD at dg=1e-4", 1e-5),
-        meter_t.result(),
+        meter_w.result(
+            "joint QFI with generic meters vs Kraus-image fidelity FD at dg=1e-4", 1e-5
+        ),
     ]
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nlametro
-from nlametro import fisher
+from nlametro import fisher, oracles
 from nlametro.fock import DensityOperator, FockVector
 from nlametro.instrument import (
     FAILURE,
@@ -24,6 +24,7 @@ from nlametro.instrument import (
 from nlametro.fisher import qfi_branch, qfi_effective_closed_form, qfi_unconditional
 from nlametro.oracles import (
     DEFICIT_FLOOR,
+    KrausImageFD,
     OracleReport,
     StepTooSmall,
     ZERO_DEFICIT_BAND,
@@ -36,7 +37,6 @@ from nlametro.oracles import (
     qfi_fd_kraus_bures,
     qfi_fd_kraus_pure,
     qfi_fd_pure,
-    qfi_step_for,
     resolution_floor,
 )
 from nlametro.probes import ProbeSpec
@@ -260,21 +260,86 @@ def test_oracle_report_scale_floor_semantics():
 
 
 def test_step_policy_and_certifiable_tol():
-    assert qfi_step_for(1.0) == 1e-4
-    assert qfi_step_for(1e-3) == 1e-3
     assert resolution_floor(1e-3) == pytest.approx(8 * 100 * 2.0 ** -53 / 1e-6)
 
 
-def test_selfcheck_unc_row_scores_every_point_on_the_images():
-    # The Kraus-image Bures deficit has no noise floor, so every grid point is
-    # scored at the row tolerance; the O(dg^2) truncation at dg=1e-4 stays
-    # under 1e-6 (measured worst 4.0e-7).
-    (row,) = [r for r in check_oracle_suite() if r.name.startswith("q_unc ")]
+# The closed forms an oracle must never reach; the oracle module imports them
+# only for the analytic side of the golden rows.
+ANALYTIC_PATHS = (
+    "qfi_branch",
+    "qfi_effective",
+    "qfi_joint_meter",
+    "meter_coupling_term",
+    "qfi_unconditional",
+)
+
+
+def _bar_analytic_paths(mp):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("oracle reached an analytic path")
+
+    for name in ANALYTIC_PATHS:
+        mp.setattr(oracles, name, forbidden)
+
+
+@pytest.fixture(scope="module")
+def oracle_suite():
+    """The oracle suite's rows, with the analytic paths barred from the
+    oracle module, and the number of image Gram matrices it built."""
+    grams = []
+    original = oracles._image_gram
+
+    def counted(*args):
+        grams.append(args)
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        _bar_analytic_paths(mp)
+        mp.setattr(oracles, "_image_gram", counted)
+        rows = check_oracle_suite()
+    return rows, len(grams)
+
+
+ORACLE_ROWS = {
+    "q_s": "q_s vs ",
+    "q_f": "q_f vs ",
+    "q_eff": "q_eff vs ",
+    "q_unc": "q_unc vs ",
+    "meter": "joint QFI with generic meters vs ",
+}
+
+
+@pytest.mark.parametrize("row_key", list(ORACLE_ROWS))
+def test_selfcheck_oracle_row_scores_every_point_on_the_images(oracle_suite, row_key):
+    # Every row's oracle is the Kraus-image deficit in extended precision,
+    # which has no noise floor, so every grid point is scored at the row
+    # tolerance; the O(dg^2) truncation at dg=1e-4 stays under 1e-6
+    # (measured worst 4.0e-7, on the q_unc row).
+    (row,) = [r for r in oracle_suite[0] if r.name.startswith(ORACLE_ROWS[row_key])]
     assert row.passed
     assert row.points == 280
     assert row.worst <= 1e-6
     assert "below FD resolution" not in row.detail
     assert "low-signal" not in row.detail
+
+
+def test_oracle_suite_builds_one_set_of_image_grams_per_point(oracle_suite):
+    # three Gram matrices (cross, g-, g+) per point, shared by the five rows
+    assert oracle_suite[1] == 3 * 280
+
+
+@pytest.mark.parametrize(
+    "kind, nbar, g, p", [("coherent", 1.0, 2.0, 3), ("squeezed-vacuum", 2.0, 1.05, 5)]
+)
+def test_shared_image_grams_match_separate_oracles_bit_for_bit(monkeypatch, kind, nbar, g, p):
+    probe = ProbeSpec.from_nbar(kind, nbar).build()
+    params = NlaParams(g=g, p=p)
+    views = (SUCCESS, FAILURE, MeterState.trivial(), QUARTER_METER)
+    separate = [qfi_fd_kraus_pure(probe, params, view, 1e-4) for view in views]
+    separate.append(qfi_fd_kraus_bures(probe, params, 1e-4))
+    _bar_analytic_paths(monkeypatch)
+    fd = KrausImageFD(probe, params, 1e-4)
+    assert [fd.pure(view) for view in views] + [fd.bures()] == separate
 
 
 def test_meter_suite_computes_one_coupling_term_per_point(monkeypatch):
