@@ -16,7 +16,6 @@ arguments (and, for ``simulate``, the seed).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import pathlib
 import sys
@@ -46,7 +45,7 @@ from .probes import (
 )
 from . import selfcheck as selfcheck_mod
 
-TABLE_SCHEMA_VERSION = 1
+TABLE_SCHEMA_VERSION = 2
 
 USAGE_ERROR = 2
 CHECK_FAILED = 3
@@ -156,14 +155,6 @@ def _emit(text: str, out: pathlib.Path | None) -> None:
         out.write_text(text, encoding="utf-8")
 
 
-def _map_grid(fn, values, threads: int) -> list:
-    """Evaluate fn over grid values, preserving grid order."""
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, values))
-    return [fn(v) for v in values]
-
-
 def _emit_table(args, command: str, config: dict, columns: list[str], rows: list[tuple]) -> int:
     if args.format == "json":
         text = render_json(command, config, columns, rows)
@@ -187,12 +178,11 @@ def cmd_compare(args) -> int:
         bd = qfi_effective(probe, NlaParams(g=float(g), p=args.p))
         return (g, bd.q_eff, bd.ps_qs, bd.q_unc)
 
-    rows = _map_grid(row, grid, args.threads)
+    rows = [row(g) for g in grid]
     config = {
         "probe": spec.describe(),
         "p": args.p,
         "g_grid": args.g,
-        "threads": args.threads,
     }
     return _emit_table(args, "compare", config, ["g", "q_eff", "ps_qs", "q_unc"], rows)
 
@@ -207,12 +197,11 @@ def cmd_contributions(args) -> int:
         bd = qfi_effective(probe, NlaParams(g=float(g), p=args.p))
         return (g, bd.f_c, bd.ps_qs, bd.pf_qf)
 
-    rows = _map_grid(row, grid, args.threads)
+    rows = [row(g) for g in grid]
     config = {
         "probe": spec.describe(),
         "p": args.p,
         "g_grid": args.g,
-        "threads": args.threads,
     }
     return _emit_table(
         args, "contributions", config, ["g", "f_c", "ps_qs", "pf_qf"], rows
@@ -238,14 +227,13 @@ def cmd_sweep_nbar(args) -> int:
         ]
         return (nbar, *vals)
 
-    rows = _map_grid(row, nbars, args.threads)
+    rows = [row(nbar) for nbar in nbars]
     columns = ["nbar"] + [f"q_eff_p{p}" for p in thresholds]
     config = {
         "probe": args.probe,
         "gain": args.gain,
         "p": list(thresholds),
         "nbar_grid": args.nbar_grid,
-        "threads": args.threads,
     }
     return _emit_table(args, "sweep-nbar", config, columns, rows)
 
@@ -333,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_probe_args(sub)
     sub.add_argument("--p", type=int, required=True, help="success threshold")
     sub.add_argument("--g", required=True, help="gain grid a:b:n")
-    sub.add_argument("--threads", type=int, default=1)
     _add_output_args(sub)
     sub.set_defaults(func=cmd_compare)
 
@@ -341,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_probe_args(sub)
     sub.add_argument("--p", type=int, required=True, help="success threshold")
     sub.add_argument("--g", required=True, help="gain grid a:b:n")
-    sub.add_argument("--threads", type=int, default=1)
     _add_output_args(sub)
     sub.set_defaults(func=cmd_contributions)
 
@@ -352,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--gain", type=float, required=True, help="fixed gain g > 1")
     sub.add_argument("--nbar-grid", required=True, help="nbar grid a:b:n")
-    sub.add_argument("--threads", type=int, default=1)
     _add_output_args(sub)
     sub.set_defaults(func=cmd_sweep_nbar)
 

@@ -15,12 +15,14 @@ byte-stable across runs.
 Estimation works on sufficient statistics.  An experiment does its set-up
 (branch masses, inverse-CDF tables) once.  A photon-counting, success-only or
 herald-only replication keeps only its success count ``n_s`` and its
-per-level success and failure counts, taken as soon as it is drawn; a
-homodyne replication keeps its outcomes, as the wavefunction rows ``<x|n>``
-at the recorded quadratures, since no count summarises them.  The estimator
-is a grid argmax followed by golden-section search, run for all
-replications of a counting or herald experiment at once: one likelihood
-kernel evaluates every replication at its own gain.
+per-level success and failure counts, taken as soon as it is drawn.  No count
+summarises homodyne quadratures, so a homodyne replication keeps its outcomes
+reduced to the basis the gain reaches: the fields ``c_n <x|n>`` of the levels
+``n <= p`` and, on the success branch, the gain-free tail
+``sum_{n>p} c_n <x|n>``.  The estimator is a grid argmax followed by
+golden-section search, run for all replications of a counting or herald
+experiment at once: one likelihood kernel evaluates every replication at its
+own gain.
 """
 
 from __future__ import annotations
@@ -332,21 +334,39 @@ class _Counts:
 
 @dataclasses.dataclass(frozen=True)
 class _Quadratures:
-    """One homodyne replication: ``<x|n>`` at its outcomes, per branch.
+    """One homodyne replication, reduced to the basis the gain reaches.
 
-    Quadratures have no count summary, so the wavefunction rows are kept
-    (``None`` where the branch never fired).
+    Above the threshold ``E_s = 1`` and ``E_f = 0``, so at outcomes ``x`` the
+    success field is ``sum_{n<=p} E_s(n) c_n <x|n> + T(x)``, whose tail
+    ``T = sum_{n>p} c_n <x|n>`` does not depend on the gain, and the failure
+    field stops at ``n = p``.  Each branch keeps the rows ``c_n <x|n>`` for
+    ``n <= p``, and the success branch also keeps ``T`` as its last row:
+    ``(p+2, N_s)`` and ``(p+1, N_f)``, or ``(dim, N)`` each when ``p+1 >= dim``
+    leaves no tail.  A field is then ``E @ rows``, with ``E`` the Kraus
+    diagonal on the first ``len(rows)`` levels, since ``E_s(p+1) = 1`` weights
+    the tail.  The rows are real when the probe's amplitudes are, and
+    ``None`` where the branch never fired.
     """
 
     success: np.ndarray | None
     failure: np.ndarray | None
 
     @classmethod
-    def of(cls, dim: int, drawn: dict) -> "_Quadratures":
-        return cls(*(
-            wavefunction_matrix(dim, drawn[branch]) if branch in drawn else None
-            for branch in BRANCHES
-        ))
+    def of(cls, probe: FockVector, p: int, drawn: dict) -> "_Quadratures":
+        amps = probe.amps if probe.amps.imag.any() else probe.amps.real
+        head = min(p + 1, probe.dim)
+
+        def reduce(branch: str) -> np.ndarray | None:
+            if branch not in drawn:
+                return None
+            levels = probe.dim if branch == SUCCESS else head
+            psi = wavefunction_matrix(levels, drawn[branch])
+            rows = amps[:head, np.newaxis] * psi[:head]
+            if levels > head:
+                rows = np.vstack((rows, amps[head:] @ psi[head:]))
+            return rows
+
+        return cls(*(reduce(branch) for branch in BRANCHES))
 
 
 def _log_likelihoods(
@@ -359,14 +379,15 @@ def _log_likelihoods(
     """
     dim = probe.dim
     if detector == HOMODYNE:
-        # amplitudes at the recorded quadratures; one replication at a time
+        # fields at the recorded quadratures; one replication at a time
         (gain,) = g
         params = NlaParams(g=float(gain), p=p)
         total = 0.0
-        for branch, psi in ((SUCCESS, stats.success), (FAILURE, stats.failure)):
-            if psi is not None:
-                field = (kraus_diagonal(params, branch, dim) * probe.amps) @ psi
-                total += float(np.sum(np.log(np.maximum(np.abs(field) ** 2, MASS_FLOOR))))
+        for branch, rows in ((SUCCESS, stats.success), (FAILURE, stats.failure)):
+            if rows is not None:
+                field = kraus_diagonal(params, branch, rows.shape[0]) @ rows
+                density = np.abs(field) ** 2 if np.iscomplexobj(field) else field * field
+                total += float(np.sum(np.log(np.maximum(density, MASS_FLOOR))))
         return np.array([total])
     w = probe.weights()
     g = g[:, np.newaxis]
@@ -495,7 +516,7 @@ def mle_estimate(
             values = outcomes[mask]
             drawn[branch] = values if detector == HOMODYNE else values.astype(int)
     if detector == HOMODYNE:
-        stats = _Quadratures.of(probe.dim, drawn)
+        stats = _Quadratures.of(probe, pthreshold, drawn)
     else:
         stats = _Counts.zeros(1, probe.dim)
         stats.record(0, success, drawn)
@@ -551,7 +572,7 @@ def run_crb_experiment(config: ExperimentConfig, replications: int) -> Experimen
         success_counts[i] = int(success.sum())
         if detector == HOMODYNE:
             # outcomes have no count summary: estimate before the next draw
-            stats = _Quadratures.of(probe.dim, drawn)
+            stats = _Quadratures.of(probe, p, drawn)
             estimates[i] = _estimates(probe, p, detector, stats, 1, config.grid)[0]
             del stats
         else:

@@ -116,15 +116,6 @@ def test_json_table_matches_csv_values(capsys):
         assert json_row == pytest.approx(csv_row, rel=1e-8)
 
 
-def test_threads_do_not_change_output(capsys):
-    base = ["compare", "--probe", "squeezed-vacuum", "--nbar", "1", "--p", "2", "--g", "1.1:4:40"]
-    cli.main(base)
-    serial = capsys.readouterr().out
-    cli.main(base + ["--threads", "4"])
-    threaded = capsys.readouterr().out
-    assert serial == threaded
-
-
 def test_sweep_nbar_squeezed_beats_coherent_at_moderate_gain(capsys):
     # p = 2, g = 1.5: squeezed vacuum dominates once the input carries at
     # least a photon on average (below nbar ~ 0.9 the coherent probe wins).

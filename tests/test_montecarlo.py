@@ -5,9 +5,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from nlametro.fock import FockVector
-from nlametro.instrument import NlaParams
+from nlametro.fock import FockVector, wavefunction_matrix
+from nlametro.instrument import BRANCHES, FAILURE, SUCCESS, NlaParams, kraus_diagonal
 from nlametro.fisher import qfi_effective_closed_form
+from nlametro.measurements import MASS_FLOOR
 from nlametro.montecarlo import (
     DegenerateLikelihood,
     ExperimentConfig,
@@ -19,6 +20,8 @@ from nlametro.montecarlo import (
     sample_shot,
     sample_shots,
     write_records_jsonl,
+    _log_likelihoods,
+    _Quadratures,
 )
 from nlametro.probes import ProbeSpec
 
@@ -248,3 +251,53 @@ def test_one_flat_replication_makes_the_batch_degenerate():
     assert any(flat) and not all(flat)
     with pytest.raises(DegenerateLikelihood, match="flat across the search grid"):
         run_crb_experiment(cfg, 4)
+
+
+def _homodyne_record(probe, params, shots, seed):
+    success, outcomes = sample_shots(probe, params, "homodyne", np.random.default_rng(seed), shots)
+    drawn = {SUCCESS: outcomes[success], FAILURE: outcomes[~success]}
+    return {branch: xs for branch, xs in drawn.items() if xs.size}
+
+
+def _full_vector_log_likelihood(probe, p, drawn, g):
+    """Uncompressed reference: ``(E c) @ <x|n>`` over every level of the probe."""
+    total = 0.0
+    for branch, xs in drawn.items():
+        amps = kraus_diagonal(NlaParams(g=g, p=p), branch, probe.dim) * probe.amps
+        field = amps @ wavefunction_matrix(probe.dim, xs)
+        total += float(np.sum(np.log(np.maximum(np.abs(field) ** 2, MASS_FLOOR))))
+    return total
+
+
+_COHERENT = ProbeSpec.from_nbar("coherent", 1.0).build()
+_COMPLEX = FockVector(np.array([0.6, 0.5j, 0.4 * np.exp(1j * np.pi / 3), 0.3 - 0.2j])).normalized()
+
+
+@pytest.mark.parametrize(
+    "probe, p, g_true, keep",
+    [
+        pytest.param(_COHERENT, 3, 2.0, BRANCHES, id="coherent-dim17"),
+        pytest.param(
+            ProbeSpec.from_nbar("squeezed-vacuum", 2.0).build(), 5, 1.5, BRANCHES,
+            id="squeezed-dim149",
+        ),
+        pytest.param(_COMPLEX, 1, 2.0, BRANCHES, id="complex-custom"),
+        pytest.param(_COMPLEX, 3, 2.0, BRANCHES, id="no-tail-row"),
+        pytest.param(_COHERENT, 3, 2.0, (SUCCESS,), id="failure-never-fired"),
+        pytest.param(_COHERENT, 3, 2.0, (FAILURE,), id="success-never-fired"),
+    ],
+)
+def test_compressed_homodyne_likelihood_matches_full_vector(probe, p, g_true, keep):
+    record = _homodyne_record(probe, NlaParams(g=g_true, p=p), 400, seed=17)
+    drawn = {branch: xs for branch, xs in record.items() if branch in keep}
+    assert set(drawn) == set(keep)
+    stats = _Quadratures.of(probe, p, drawn)
+    for branch, rows, levels in ((SUCCESS, stats.success, p + 2), (FAILURE, stats.failure, p + 1)):
+        if branch not in drawn:
+            assert rows is None
+            continue
+        assert rows.shape == (min(levels, probe.dim), drawn[branch].size)
+        assert np.iscomplexobj(rows) == bool(probe.amps.imag.any())
+    for g in SEARCH.values():
+        compressed = _log_likelihoods(probe, p, "homodyne", stats, np.array([g]))[0]
+        assert compressed == pytest.approx(_full_vector_log_likelihood(probe, p, drawn, g), rel=1e-12)
