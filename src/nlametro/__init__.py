@@ -8,7 +8,7 @@ finite-difference oracles, and verifies by Monte-Carlo simulation that
 maximum-likelihood estimation saturates the Cramér–Rao bound.
 """
 
-from .fock import DensityOperator, FockVector, fidelity
+from .fock import FockVector
 from .instrument import (
     FAILURE,
     SUCCESS,
@@ -19,7 +19,6 @@ from .instrument import (
     branch_probability,
     conditional_state,
     joint_state,
-    unconditional_state,
 )
 from .fisher import (
     FisherBreakdown,
@@ -28,7 +27,6 @@ from .fisher import (
     qfi_effective,
     qfi_effective_closed_form,
     qfi_joint_meter,
-    qfi_mixed,
     qfi_pure,
     qfi_unconditional,
 )
@@ -56,12 +54,9 @@ from .montecarlo import (
 )
 from .oracles import (
     OracleReport,
-    StepTooSmall,
     joint_fi_direct,
     qfi_fd_kraus_bures,
     qfi_fd_kraus_pure,
-    qfi_fd_mixed,
-    qfi_fd_pure,
 )
 from .probes import ProbeSpec, coherent_state, custom_probe, squeezed_vacuum
 
@@ -71,7 +66,6 @@ __all__ = [
     "BranchImpossible",
     "DETECTORS",
     "DegenerateLikelihood",
-    "DensityOperator",
     "ExperimentConfig",
     "ExperimentResult",
     "FAILURE",
@@ -88,13 +82,11 @@ __all__ = [
     "ProbeSpec",
     "SUCCESS",
     "SUCCESS_ONLY",
-    "StepTooSmall",
     "branch_probability",
     "classical_fi",
     "coherent_state",
     "conditional_state",
     "custom_probe",
-    "fidelity",
     "fi_homodyne",
     "fi_photon_counting",
     "homodyne_distribution",
@@ -107,10 +99,7 @@ __all__ = [
     "qfi_effective_closed_form",
     "qfi_fd_kraus_bures",
     "qfi_fd_kraus_pure",
-    "qfi_fd_mixed",
-    "qfi_fd_pure",
     "qfi_joint_meter",
-    "qfi_mixed",
     "qfi_pure",
     "qfi_unconditional",
     "run_crb_experiment",
@@ -118,5 +107,4 @@ __all__ = [
     "sample_shots",
     "sequential_fi",
     "squeezed_vacuum",
-    "unconditional_state",
 ]

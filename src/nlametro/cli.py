@@ -168,15 +168,15 @@ def _emit_table(args, command: str, config: dict, columns: list[str], rows: list
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_compare(args) -> int:
-    """Rows (g, q_eff, ps_qs, q_unc) over the gain grid."""
+def _gain_table(args, command: str, fields: tuple[str, ...]) -> int:
+    """Rows (g, *fields of the FisherBreakdown) over the gain grid."""
     spec = _probe_spec_from_args(args)
     probe = spec.build()
     grid = _gain_grid_from_arg(args.g)
 
     def row(g: float) -> tuple:
         bd = qfi_effective(probe, NlaParams(g=float(g), p=args.p))
-        return (g, bd.q_eff, bd.ps_qs, bd.q_unc)
+        return (g, *(getattr(bd, field) for field in fields))
 
     rows = [row(g) for g in grid]
     config = {
@@ -184,28 +184,17 @@ def cmd_compare(args) -> int:
         "p": args.p,
         "g_grid": args.g,
     }
-    return _emit_table(args, "compare", config, ["g", "q_eff", "ps_qs", "q_unc"], rows)
+    return _emit_table(args, command, config, ["g", *fields], rows)
+
+
+def cmd_compare(args) -> int:
+    """Rows (g, q_eff, ps_qs, q_unc) over the gain grid."""
+    return _gain_table(args, "compare", ("q_eff", "ps_qs", "q_unc"))
 
 
 def cmd_contributions(args) -> int:
     """Rows (g, f_c, ps_qs, pf_qf); the three columns sum to q_eff."""
-    spec = _probe_spec_from_args(args)
-    probe = spec.build()
-    grid = _gain_grid_from_arg(args.g)
-
-    def row(g: float) -> tuple:
-        bd = qfi_effective(probe, NlaParams(g=float(g), p=args.p))
-        return (g, bd.f_c, bd.ps_qs, bd.pf_qf)
-
-    rows = [row(g) for g in grid]
-    config = {
-        "probe": spec.describe(),
-        "p": args.p,
-        "g_grid": args.g,
-    }
-    return _emit_table(
-        args, "contributions", config, ["g", "f_c", "ps_qs", "pf_qf"], rows
-    )
+    return _gain_table(args, "contributions", ("f_c", "ps_qs", "pf_qf"))
 
 
 def cmd_sweep_nbar(args) -> int:

@@ -1,0 +1,165 @@
+"""Dense double-precision references that the tests compare the package against.
+
+No package module imports this one.  The package computes every quantity on
+the rank-<=2 Kraus images ``A = [E_s c, E_f c]``; the routines here take the
+long way round, through ``dim x dim`` density matrices and double-precision
+state vectors, so that a test can check an image-based value against a
+construction that shares none of its algebra:
+
+* :func:`unconditional_state` and :func:`unconditional_state_derivative`
+  build the branch-averaged output and its gain derivative as dense matrices;
+* :func:`qfi_mixed` is the eigendecomposition QFI of any such family;
+* :func:`qfi_fd_pure` differences any pure-state family with the
+  cancellation-free :func:`overlap_deficit`, and refuses deficits below 100x
+  unit roundoff via :class:`StepTooSmall` (:func:`resolution_floor` states
+  the smallest value a step can certify).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .fisher import ZERO_EIGENVALUE_TOL
+from .fock import DensityOperator, FockVector
+from .instrument import (
+    BRANCHES,
+    PROBABILITY_FLOOR,
+    NlaParams,
+    branch_probability_derivative,
+    conditional_state_derivative,
+    kraus_diagonal,
+)
+from .oracles import DEFAULT_QFI_STEP, _validate_step
+
+DERIVATIVE_HERMITICITY_TOL = 1e-12
+DERIVATIVE_TRACE_TOL = 1e-9
+
+UNIT_ROUNDOFF = 2.0 ** -53
+# Deficits below this are indistinguishable from rounding noise.
+DEFICIT_FLOOR = 100.0 * UNIT_ROUNDOFF
+# Deficits below this band are treated as an exact zero (identical states up
+# to rounding) rather than as an unresolvable step.
+ZERO_DEFICIT_BAND = 1e-15
+
+
+class NonHermitianDerivative(ValueError):
+    """The supplied state derivative is not Hermitian/traceless."""
+
+
+class StepTooSmall(ArithmeticError):
+    """The overlap deficit drowned in roundoff at the requested step."""
+
+
+# ---------------------------------------------------------------------------
+# Dense unconditional output and its QFI
+# ---------------------------------------------------------------------------
+
+def unconditional_state(probe: FockVector, params: NlaParams) -> DensityOperator:
+    """Branch-averaged output: rank <= 2 mixture of the conditional states."""
+    probe.require_normalized()
+    mat = np.zeros((probe.dim, probe.dim), dtype=np.complex128)
+    for branch in BRANCHES:
+        raw = kraus_diagonal(params, branch, probe.dim) * probe.amps
+        mat += np.outer(raw, raw.conj())
+    return DensityOperator(mat)
+
+
+def unconditional_state_derivative(probe: FockVector, params: NlaParams) -> np.ndarray:
+    """Exact gain derivative of the unconditional output matrix.
+
+    Assembled by the product rule on each branch term
+    ``prob_i |psi_i><psi_i|`` (equivalently on the unnormalized Kraus images);
+    a branch of identically zero probability contributes nothing at any gain
+    and is skipped.
+    """
+    probe.require_normalized()
+    out = np.zeros((probe.dim, probe.dim), dtype=np.complex128)
+    for branch in BRANCHES:
+        e = kraus_diagonal(params, branch, probe.dim)
+        raw = e * probe.amps
+        prob = float(np.sum(np.abs(raw) ** 2))
+        if prob < PROBABILITY_FLOOR:
+            continue
+        dprob = branch_probability_derivative(probe, params, branch)
+        psi = raw / np.sqrt(prob)
+        dpsi = conditional_state_derivative(probe, params, branch)
+        out += dprob * np.outer(psi, psi.conj())
+        out += prob * (np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj()))
+    return out
+
+
+def qfi_mixed(rho: DensityOperator, drho: np.ndarray, zero_tol: float = ZERO_EIGENVALUE_TOL) -> float:
+    """QFI of a mixed-state family from its eigendecomposition.
+
+    ``Q = 2 sum_{jk} |<j| drho |k>|^2 / (v_j + v_k)`` over eigenpairs whose
+    combined weight is resolvable; pairs with ``v_j + v_k`` below
+    ``zero_tol * max(v)`` are skipped.
+    """
+    drho = np.asarray(drho, dtype=complex)
+    if drho.shape != rho.mat.shape:
+        raise ValueError("derivative shape must match the state")
+    scale = max(1.0, float(np.max(np.abs(drho))))
+    defect = float(np.max(np.abs(drho - drho.conj().T)))
+    if defect > DERIVATIVE_HERMITICITY_TOL * scale:
+        raise NonHermitianDerivative(f"derivative hermiticity defect {defect:.3g}")
+    trace = abs(complex(np.trace(drho)))
+    if trace > DERIVATIVE_TRACE_TOL * scale:
+        raise NonHermitianDerivative(f"derivative trace {trace:.3g} not ~0")
+    vals, vecs = np.linalg.eigh(rho.mat)
+    transformed = vecs.conj().T @ drho @ vecs
+    sums = vals[:, None] + vals[None, :]
+    mask = sums > zero_tol * max(vals[-1], 0.0)
+    return float(2.0 * np.sum(np.abs(transformed[mask]) ** 2 / sums[mask]))
+
+
+# ---------------------------------------------------------------------------
+# Double-precision pure-state fidelity finite differences
+# ---------------------------------------------------------------------------
+
+def resolution_floor(dg: float) -> float:
+    """Smallest information value resolvable at step ``dg``.
+
+    A deficit at the refusal floor maps to ``8 * DEFICIT_FLOOR / dg**2``;
+    analytic values below this cannot be confirmed or denied by the
+    finite-difference oracle at that step.
+    """
+    return 8.0 * DEFICIT_FLOOR / (dg * dg)
+
+
+def overlap_deficit(lo: FockVector, hi: FockVector) -> float:
+    """``1 - |<lo|hi>|`` for unit vectors, assembled without cancellation.
+
+    Writing z = <lo|hi>, a = |lo - hi|^2 / 2 = 1 - Re z and b = Im z, the
+    exact identity ``1 - |z| = (2a - a^2 - b^2) / (1 + |z|)`` leaves every
+    operand small — no 1 - 0.99999... subtraction ever happens, so deficits
+    down to ~1e-30 keep full relative accuracy.
+    """
+    u = lo.amps / np.linalg.norm(lo.amps)
+    v = hi.amps / np.linalg.norm(hi.amps)
+    if u.size != v.size:
+        n = max(u.size, v.size)
+        u = np.pad(u, (0, n - u.size))
+        v = np.pad(v, (0, n - v.size))
+    z = complex(np.vdot(u, v))
+    a = 0.5 * float(np.linalg.norm(v - u) ** 2)
+    return max((2.0 * a - a * a - z.imag * z.imag) / (1.0 + abs(z)), 0.0)
+
+
+def qfi_fd_pure(state_at, g: float, dg: float = DEFAULT_QFI_STEP) -> float:
+    """Finite-difference QFI ``8 (1 - |<psi(g-)|psi(g+)>|) / dg^2``.
+
+    ``state_at(g)`` must return the (normalized) pure state at gain ``g``;
+    the symmetric pair ``g +/- dg/2`` makes the estimate second-order
+    accurate.  Exactly gain-independent families return 0; deficits inside
+    the rounding band raise :class:`StepTooSmall`.
+    """
+    _validate_step(dg)
+    deficit = overlap_deficit(state_at(g - 0.5 * dg), state_at(g + 0.5 * dg))
+    if deficit < ZERO_DEFICIT_BAND:
+        return 0.0
+    if deficit < DEFICIT_FLOOR:
+        raise StepTooSmall(
+            f"overlap deficit {deficit:.3e} at step {dg:g} is below 100x unit "
+            f"roundoff; values under {resolution_floor(dg):.3e} are unresolvable"
+        )
+    return 8.0 * deficit / (dg * dg)

@@ -16,8 +16,8 @@ and the QFI of the branch-averaged (unconditional) output state ``q_unc``.
 That output is ``A A^+`` for the ``dim x 2`` matrix of Kraus images
 ``A = [E_s c, E_f c]``, so it has rank <= 2; :func:`qfi_unconditional`
 evaluates its QFI on that thin support from a thin SVD of ``A``, without
-forming a dim x dim matrix.  :func:`qfi_mixed` keeps the dense
-eigendecomposition route for general density operators.
+forming a dim x dim matrix.  The dense eigendecomposition that the tests
+compare it against is :func:`nlametro.dense.qfi_mixed`.
 
 Numerical note: the textbook branch-QFI expression subtracts
 ``(dprob/prob)^2`` from a second moment; near points where the conditional
@@ -34,7 +34,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .fock import DensityOperator, FockVector, eigh
+from .fock import FockVector
 from .instrument import (
     BRANCHES,
     FAILURE,
@@ -49,19 +49,10 @@ from .instrument import (
     PROBABILITY_FLOOR,
 )
 
-# Pairs of eigenvalues whose sum falls below ZERO_EIGENVALUE_TOL times the
-# largest eigenvalue are excluded from the mixed-state QFI sum: both levels
-# are numerical zeros and their ratio term is noise.  On the thin support of
-# the unconditional output the same ratio, applied to squared singular
-# values, decides whether the output has rank 1 or 2.
+# Eigenvalues below ZERO_EIGENVALUE_TOL times the largest are numerical
+# zeros.  On the thin support of the unconditional output this ratio, applied
+# to squared singular values, decides whether the output has rank 1 or 2.
 ZERO_EIGENVALUE_TOL = 1e-12
-
-DERIVATIVE_HERMITICITY_TOL = 1e-12
-DERIVATIVE_TRACE_TOL = 1e-9
-
-
-class NonHermitianDerivative(ValueError):
-    """The supplied state derivative is not Hermitian/traceless."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,30 +95,6 @@ def qfi_pure(state, dstate) -> float:
     dd = float(np.vdot(damps, damps).real)
     sd = complex(np.vdot(amps, damps))
     return 4.0 * (dd - abs(sd) ** 2)
-
-
-def qfi_mixed(rho: DensityOperator, drho: np.ndarray, zero_tol: float = ZERO_EIGENVALUE_TOL) -> float:
-    """QFI of a mixed-state family from its eigendecomposition.
-
-    ``Q = 2 sum_{jk} |<j| drho |k>|^2 / (v_j + v_k)`` over eigenpairs whose
-    combined weight is resolvable; pairs with ``v_j + v_k`` below
-    ``zero_tol * max(v)`` are skipped.
-    """
-    drho = np.asarray(drho, dtype=complex)
-    if drho.shape != rho.mat.shape:
-        raise ValueError("derivative shape must match the state")
-    scale = max(1.0, float(np.max(np.abs(drho))))
-    defect = float(np.max(np.abs(drho - drho.conj().T)))
-    if defect > DERIVATIVE_HERMITICITY_TOL * scale:
-        raise NonHermitianDerivative(f"derivative hermiticity defect {defect:.3g}")
-    trace = abs(complex(np.trace(drho)))
-    if trace > DERIVATIVE_TRACE_TOL * scale:
-        raise NonHermitianDerivative(f"derivative trace {trace:.3g} not ~0")
-    vals, vecs = eigh(rho)
-    transformed = vecs.conj().T @ drho @ vecs
-    sums = vals[:, None] + vals[None, :]
-    mask = sums > zero_tol * max(vals[0], 0.0)
-    return float(2.0 * np.sum(np.abs(transformed[mask]) ** 2 / sums[mask]))
 
 
 def _branch_log_derivatives(probe: FockVector, params: NlaParams, branch: str):

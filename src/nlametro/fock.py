@@ -1,11 +1,12 @@
-"""Finite Fock-space states, operators, and quadrature utilities.
+"""Finite Fock-space states and quadrature utilities.
 
 Everything downstream works in a truncated number basis: a pure state is a
-1-D array of amplitudes ``c_n`` (n = 0 .. dim-1), a mixed state is a Hermitian
-matrix in the same basis.  This module owns the two wrapper types plus the
-numerical plumbing they need: normalized position wavefunctions <x|n>,
-eigendecomposition, Uhlmann fidelity, and composite Gauss-Legendre quadrature
-grids for integrals over the quadrature variable x.
+1-D array of amplitudes ``c_n`` (n = 0 .. dim-1).  This module owns that
+type, the normalized position wavefunctions <x|n> and composite
+Gauss-Legendre quadrature grids for integrals over the quadrature variable
+x.  :class:`DensityOperator`, a Hermitian matrix in the same basis, is only
+built by the dense test references in :mod:`nlametro.dense`; the package
+itself works on pure states and Kraus images.
 """
 
 from __future__ import annotations
@@ -13,28 +14,16 @@ from __future__ import annotations
 import dataclasses
 import math
 
-import mpmath
 import numpy as np
 
-# Tolerances used for type-level validation.  Hermiticity is enforced on
-# construction; trace/positivity are only checked where physicality matters
-# (fidelity), since the positivity check costs an eigendecomposition.
+# Tolerances used for type-level validation, enforced on construction
+# (Hermiticity) or on request (normalization).
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-10
-TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
-
-# Eigenvalues below RANK_TOL * (largest eigenvalue) are treated as numerical
-# zeros when a decomposition needs an effective rank.
-RANK_TOL = 1e-12
 
 
 class NonHermitianInput(ValueError):
     """A matrix that must be Hermitian is not, beyond tolerance."""
-
-
-class NonPhysicalState(ValueError):
-    """A density operator fails trace or positivity validation."""
 
 
 def _as_amplitudes(amps) -> np.ndarray:
@@ -103,11 +92,7 @@ class FockVector:
 
 @dataclasses.dataclass(frozen=True)
 class DensityOperator:
-    """Mixed state in a truncated number basis.
-
-    Hermiticity is validated on construction (cheap); trace and positivity
-    are validated by :meth:`require_physical` where a caller needs them.
-    """
+    """Mixed state in a truncated number basis; Hermiticity is validated on construction."""
 
     mat: np.ndarray
 
@@ -138,112 +123,6 @@ class DensityOperator:
 
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
-
-    def require_physical(
-        self, trace_tol: float = TRACE_TOL, psd_tol: float = PSD_TOL
-    ) -> "DensityOperator":
-        if abs(self.trace() - 1.0) > trace_tol:
-            raise NonPhysicalState(f"trace {self.trace():.12g} differs from 1")
-        w = np.linalg.eigvalsh(self.mat)
-        if w[0] < -psd_tol:
-            raise NonPhysicalState(f"most negative eigenvalue {w[0]:.3g}")
-        return self
-
-
-def eigh(rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a density operator.
-
-    Returns ``(values, vectors)`` with eigenvalues sorted in descending
-    order and the matching orthonormal eigenvectors as the *columns* of
-    ``vectors``.
-    """
-    vals, vecs = np.linalg.eigh(rho.mat)
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
-
-
-def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    root = np.sqrt(np.clip(vals, 0.0, None))
-    return (vecs * root) @ vecs.conj().T
-
-
-def _support_decomposition(rho: DensityOperator, rank_tol: float):
-    """Eigenpairs above the numerical-rank threshold, weights renormalized."""
-    vals, vecs = eigh(rho)
-    keep = vals > rank_tol * max(vals[0], 0.0) if vals[0] > 0 else vals > 0
-    w = vals[keep]
-    u = vecs[:, keep]
-    if w.size == 0:
-        raise NonPhysicalState("state has no positive eigenvalues")
-    return w / w.sum(), u
-
-
-def root_fidelity_deficit(
-    rho: DensityOperator, sigma: DensityOperator, dps: int = 50
-) -> float:
-    """``1 - sqrt(F(rho, sigma))`` computed without catastrophic cancellation.
-
-    For nearly identical states the deficit is quadratic in their separation
-    and easily drowns in double-precision noise: the kernel of a low-rank
-    state contributes O(sqrt(eps)) junk through the square roots of its
-    numerically-zero eigenvalues.  This routine projects each state onto its
-    numerical support, forms the small cross-Gram matrix
-
-        M_kl = sqrt(w_k) <u_k|v_l> sqrt(w'_l)
-
-    whose nuclear norm equals sqrt(F), and evaluates that nuclear norm in
-    extended precision so the deficit survives.  Cost is a pair of ordinary
-    eigendecompositions plus O(rank^2) extended-precision dot products.
-    """
-    w1, u1 = _support_decomposition(rho, RANK_TOL)
-    w2, u2 = _support_decomposition(sigma, RANK_TOL)
-    with mpmath.workdps(dps):
-        cols1 = [[mpmath.mpc(z) for z in u1[:, k]] for k in range(u1.shape[1])]
-        cols2 = [[mpmath.mpc(z) for z in u2[:, k]] for k in range(u2.shape[1])]
-        for cols in (cols1, cols2):
-            for k, col in enumerate(cols):
-                nrm = mpmath.sqrt(mpmath.fsum(abs(z) ** 2 for z in col))
-                cols[k] = [z / nrm for z in col]
-        rw1 = [mpmath.sqrt(mpmath.mpf(x)) for x in w1]
-        rw2 = [mpmath.sqrt(mpmath.mpf(x)) for x in w2]
-        m = mpmath.matrix(len(cols2), len(cols1))
-        for k, ck in enumerate(cols2):
-            for l, cl in enumerate(cols1):
-                ov = mpmath.fsum(
-                    mpmath.conj(a) * b for a, b in zip(ck, cl)
-                )
-                m[k, l] = rw2[k] * ov * rw1[l]
-        gram = m.H * m
-        evals = mpmath.eighe(gram, eigvals_only=True)
-        root_f = mpmath.fsum(
-            mpmath.sqrt(e) for e in evals if e > 0
-        )
-        return float(1 - root_f)
-
-
-def fidelity(rho: DensityOperator, sigma: DensityOperator, precise: bool = False) -> float:
-    """Uhlmann fidelity ``F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2``.
-
-    Both inputs are validated as physical states.  With ``precise=True`` the
-    computation goes through :func:`root_fidelity_deficit`, which stays
-    accurate when the states are nearly identical or rank deficient.
-    """
-    if rho.dim != sigma.dim:
-        raise ValueError("fidelity requires states of equal dimension")
-    rho.require_physical()
-    sigma.require_physical()
-    if precise:
-        return float(min(1.0, max(0.0, (1.0 - root_fidelity_deficit(rho, sigma)) ** 2)))
-    root = _sqrtm_psd(rho.mat)
-    inner = root @ sigma.mat @ root
-    vals = np.linalg.eigvalsh(inner)
-    # Clip kernel junk: eigenvalues of magnitude ~eps would otherwise leak
-    # O(sqrt(eps)) each through the square root.
-    cut = max(vals[-1], 0.0) * 1e-14
-    vals = np.clip(vals, 0.0, None)
-    vals[vals < cut] = 0.0
-    f = float(np.sum(np.sqrt(vals)) ** 2)
-    return min(1.0, max(0.0, f))
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,8 @@ complementary weight so that the pair is trace preserving level by level:
     failure:  sqrt(1 - g^(2(n-p)))       for n <= p,   0 for n > p
 
 This module provides the Kraus diagonals and their exact gain derivatives,
-branch probabilities, normalized conditional states, the rank-<=2
-unconditional output, and the joint pure state of signal plus a qubit meter
-that records which branch occurred.
+branch probabilities, normalized conditional states, and the joint pure
+state of signal plus a qubit meter that records which branch occurred.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import dataclasses
 
 import numpy as np
 
-from .fock import DensityOperator, FockVector
+from .fock import FockVector
 
 SUCCESS = "success"
 FAILURE = "failure"
@@ -182,40 +181,6 @@ def conditional_state_derivative(
     prob, dprob = cond.probability, branch_probability_derivative(probe, params, branch)
     de = kraus_diagonal_derivative(params, branch, probe.dim)
     return de * probe.amps / np.sqrt(prob) - cond.state.amps * (dprob / (2.0 * prob))
-
-
-def unconditional_state(probe: FockVector, params: NlaParams) -> DensityOperator:
-    """Branch-averaged output: rank <= 2 mixture of the conditional states."""
-    probe.require_normalized()
-    mat = np.zeros((probe.dim, probe.dim), dtype=np.complex128)
-    for branch in BRANCHES:
-        raw = kraus_diagonal(params, branch, probe.dim) * probe.amps
-        mat += np.outer(raw, raw.conj())
-    return DensityOperator(mat)
-
-
-def unconditional_state_derivative(probe: FockVector, params: NlaParams) -> np.ndarray:
-    """Exact gain derivative of the unconditional output matrix.
-
-    Assembled by the product rule on each branch term
-    ``prob_i |psi_i><psi_i|`` (equivalently on the unnormalized Kraus images);
-    a branch of identically zero probability contributes nothing at any gain
-    and is skipped.
-    """
-    probe.require_normalized()
-    out = np.zeros((probe.dim, probe.dim), dtype=np.complex128)
-    for branch in BRANCHES:
-        e = kraus_diagonal(params, branch, probe.dim)
-        raw = e * probe.amps
-        prob = float(np.sum(np.abs(raw) ** 2))
-        if prob < PROBABILITY_FLOOR:
-            continue
-        dprob = branch_probability_derivative(probe, params, branch)
-        psi = raw / np.sqrt(prob)
-        dpsi = conditional_state_derivative(probe, params, branch)
-        out += dprob * np.outer(psi, psi.conj())
-        out += prob * (np.outer(dpsi, psi.conj()) + np.outer(psi, dpsi.conj()))
-    return out
 
 
 @dataclasses.dataclass(frozen=True)

@@ -18,7 +18,13 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .fock import FockVector, QuadratureGrid, adaptive_quadrature_grid, wavefunction_matrix
+from .fock import (
+    FockVector,
+    QuadratureGrid,
+    adaptive_quadrature_grid,
+    default_half_width,
+    wavefunction_matrix,
+)
 from .instrument import (
     BRANCHES,
     NlaParams,
@@ -139,8 +145,6 @@ def _grid_and_wavefunctions(dim: int, widen: int = 0) -> tuple[QuadratureGrid, n
     ``widen`` enlarges the window by 25% per step when a Fisher integral
     reports a non-negligible tail.
     """
-    from .fock import default_half_width
-
     grid = adaptive_quadrature_grid(dim, half_width=default_half_width(dim) * 1.25 ** widen)
     return grid, wavefunction_matrix(dim, grid.nodes)
 

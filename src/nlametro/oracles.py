@@ -32,13 +32,9 @@ at ``g -/+ dg/2`` once (``dg = 1e-4``) and contracts them per family -- the
 success and failure states, the joint state for the trivial and a generic
 meter, and the Bures deficit of the unconditional output.  No step is
 refused, so every point is scored; the oracle never calls the closed forms
-of :mod:`~nlametro.fisher`.  The double-precision references stay for the
-tests: :func:`qfi_fd_pure` differences any pure-state family with the
-cancellation-free :func:`overlap_deficit` and refuses deficits below 100x
-unit roundoff via :class:`StepTooSmall` (:func:`resolution_floor` states
-the smallest value a step can certify), and :func:`qfi_fd_mixed`
-differences any family of :class:`~nlametro.fock.DensityOperator` through
-the extended-precision root-fidelity deficit.
+of :mod:`~nlametro.fisher`.  The double-precision finite differences of
+whole state vectors that the tests compare these oracles against live in
+:mod:`nlametro.dense`, which no package module imports.
 """
 
 from __future__ import annotations
@@ -57,7 +53,7 @@ from .fisher import (
     qfi_joint_meter,
     qfi_unconditional,
 )
-from .fock import FockVector, root_fidelity_deficit
+from .fock import FockVector
 from .instrument import (
     BRANCHES,
     BranchImpossible,
@@ -80,16 +76,10 @@ from .measurements import (
 )
 from .probes import ProbeSpec, custom_probe, solve_amplitude_for_nbar
 
-UNIT_ROUNDOFF = 2.0 ** -53
 STEP_MIN = 1e-6
 STEP_MAX = 1e-3
 DEFAULT_QFI_STEP = 1e-4
 PROB_STEP = 1e-5
-# Deficits below this are indistinguishable from rounding noise.
-DEFICIT_FLOOR = 100.0 * UNIT_ROUNDOFF
-# Deficits below this band are treated as an exact zero (identical states up
-# to extended-precision rounding) rather than as an unresolvable step.
-ZERO_DEFICIT_BAND = 1e-15
 # Working precision of the Kraus-image oracles.  A fidelity deficit near
 # 1e-11 cancels eleven digits and a central difference five, so 40 digits
 # leave the rounded result exact to well below 1e-16.
@@ -99,20 +89,6 @@ IMAGE_DPS = 40
 IMAGE_ZERO_DEFICIT = 1e-30
 
 GOLDEN_SCHEMA_VERSION = 1
-
-
-class StepTooSmall(ArithmeticError):
-    """The overlap deficit drowned in roundoff at the requested step."""
-
-
-def resolution_floor(dg: float) -> float:
-    """Smallest information value resolvable at step ``dg``.
-
-    A deficit at the refusal floor maps to ``8 * DEFICIT_FLOOR / dg**2``;
-    analytic values below this cannot be confirmed or denied by the
-    finite-difference oracle at that step.
-    """
-    return 8.0 * DEFICIT_FLOOR / (dg * dg)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -173,69 +149,6 @@ def _validate_step(dg: float) -> None:
             f"step {dg:g} outside [{STEP_MIN:g}, {STEP_MAX:g}]: larger steps "
             "lose the O(dg^2) truncation bound, smaller ones drown in roundoff"
         )
-
-
-# ---------------------------------------------------------------------------
-# Fidelity finite differences
-# ---------------------------------------------------------------------------
-
-def overlap_deficit(lo: FockVector, hi: FockVector) -> float:
-    """``1 - |<lo|hi>|`` for unit vectors, assembled without cancellation.
-
-    Writing z = <lo|hi>, a = |lo - hi|^2 / 2 = 1 - Re z and b = Im z, the
-    exact identity ``1 - |z| = (2a - a^2 - b^2) / (1 + |z|)`` leaves every
-    operand small — no 1 - 0.99999... subtraction ever happens, so deficits
-    down to ~1e-30 keep full relative accuracy.
-    """
-    u = lo.amps / np.linalg.norm(lo.amps)
-    v = hi.amps / np.linalg.norm(hi.amps)
-    if u.size != v.size:
-        n = max(u.size, v.size)
-        u = np.pad(u, (0, n - u.size))
-        v = np.pad(v, (0, n - v.size))
-    z = complex(np.vdot(u, v))
-    a = 0.5 * float(np.linalg.norm(v - u) ** 2)
-    return max((2.0 * a - a * a - z.imag * z.imag) / (1.0 + abs(z)), 0.0)
-
-
-def qfi_fd_pure(state_at, g: float, dg: float = DEFAULT_QFI_STEP) -> float:
-    """Finite-difference QFI ``8 (1 - |<psi(g-)|psi(g+)>|) / dg^2``.
-
-    ``state_at(g)`` must return the (normalized) pure state at gain ``g``;
-    the symmetric pair ``g +/- dg/2`` makes the estimate second-order
-    accurate.  Exactly gain-independent families return 0; deficits inside
-    the rounding band raise :class:`StepTooSmall`.
-    """
-    _validate_step(dg)
-    deficit = overlap_deficit(state_at(g - 0.5 * dg), state_at(g + 0.5 * dg))
-    if deficit < ZERO_DEFICIT_BAND:
-        return 0.0
-    if deficit < DEFICIT_FLOOR:
-        raise StepTooSmall(
-            f"overlap deficit {deficit:.3e} at step {dg:g} is below 100x unit "
-            f"roundoff; values under {resolution_floor(dg):.3e} are unresolvable"
-        )
-    return 8.0 * deficit / (dg * dg)
-
-
-def qfi_fd_mixed(rho_at, g: float, dg: float = DEFAULT_QFI_STEP) -> float:
-    """Bures finite-difference QFI ``8 (1 - sqrt(F)) / dg^2`` for mixed states.
-
-    ``rho_at(g)`` must return a :class:`DensityOperator`.  The root-fidelity
-    deficit is evaluated in extended precision on the numerical supports, so
-    rank-deficient families (the rank-2 unconditional state) do not leak
-    kernel noise into the deficit.
-    """
-    _validate_step(dg)
-    deficit = root_fidelity_deficit(rho_at(g - 0.5 * dg), rho_at(g + 0.5 * dg))
-    if deficit < ZERO_DEFICIT_BAND:
-        return 0.0
-    if deficit < DEFICIT_FLOOR:
-        raise StepTooSmall(
-            f"root-fidelity deficit {deficit:.3e} at step {dg:g} is below 100x "
-            f"unit roundoff; values under {resolution_floor(dg):.3e} are unresolvable"
-        )
-    return 8.0 * deficit / (dg * dg)
 
 
 # ---------------------------------------------------------------------------

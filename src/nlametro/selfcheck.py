@@ -13,7 +13,9 @@ Five suites, each returning one :class:`CheckResult` row per invariant:
 * meter        — the joint-QFI inequality over random meter states.
 
 The standard grid is 2 probe families x 4 energies x 7 gains x 5 thresholds
-= 280 operating points.
+= 280 operating points.  :func:`run_all` computes the information budget of
+each point once (:func:`standard_breakdowns`) and passes it to the identity,
+oracle and detector suites.
 
 The oracle suite scores its five rows (``q_s``, ``q_f``, ``q_eff`` through
 the trivial meter, ``q_unc`` and a generic meter) on one set of Kraus-image
@@ -126,6 +128,15 @@ def standard_grid():
             yield label, probe, params
 
 
+def standard_breakdowns() -> dict[str, FisherBreakdown]:
+    """The information budget of each standard operating point, by label.
+
+    :func:`run_all` computes it once per pass and hands it to the identity,
+    oracle and detector suites; nothing is cached between calls.
+    """
+    return {label: qfi_effective(probe, params) for label, probe, params in standard_grid()}
+
+
 class _Worst:
     """Track the largest error and where it happened."""
 
@@ -165,8 +176,11 @@ def _rel(a: float, b: float, floor: float = NUMERICAL_ZERO) -> float:
 # Identity suite
 # ---------------------------------------------------------------------------
 
-def check_identity_suite() -> list[CheckResult]:
-    """Exact algebraic identities across the standard grid."""
+def check_identity_suite(breakdowns: dict[str, FisherBreakdown]) -> list[CheckResult]:
+    """Exact algebraic identities across the standard grid.
+
+    ``breakdowns`` is :func:`standard_breakdowns`.
+    """
     completeness = _Worst()
     kraus_deriv = _Worst()
     prob_sum = _Worst()
@@ -197,7 +211,7 @@ def check_identity_suite() -> list[CheckResult]:
             orthogonality.update(
                 abs(complex(np.vdot(cond.state.amps, damps))), f"{label} {branch}"
             )
-        bd = qfi_effective(probe, params)
+        bd = breakdowns[label]
         scale = max(bd.q_eff, NUMERICAL_ZERO)
         breakdown_identity.update(abs(bd.q_eff - bd.component_sum()) / scale, label)
         # one-sided bounds, scored as relative overshoot
@@ -252,7 +266,7 @@ def _check_boundary_divergence() -> CheckResult:
 # Oracle suite
 # ---------------------------------------------------------------------------
 
-def check_oracle_suite() -> list[CheckResult]:
+def check_oracle_suite(breakdowns: dict[str, FisherBreakdown]) -> list[CheckResult]:
     """Fidelity finite differences against every analytic information value.
 
     Each point's five oracle values come from one
@@ -262,12 +276,13 @@ def check_oracle_suite() -> list[CheckResult]:
     success and failure states, the joint state with the trivial and a
     random meter, and the Bures deficit of ``A A^+`` (Uhlmann's
     ``sqrt F = ||A(g-)^+ A(g+)||_*``).  The deficits have no noise floor,
-    so every row scores all 280 points.
+    so every row scores all 280 points.  The analytic side comes from
+    ``breakdowns`` (:func:`standard_breakdowns`) and ``qfi_joint_meter``.
     """
     qs_w, qf_w, qeff_w, qunc_w, meter_w = (_Worst() for _ in range(5))
     rng = np.random.default_rng(GENERIC_METER_SEED)
     for label, probe, params in standard_grid():
-        bd = qfi_effective(probe, params)
+        bd = breakdowns[label]
         z = rng.standard_normal(4)
         amps = (z[0] + 1j * z[1], z[2] + 1j * z[3])
         nrm = math.hypot(abs(amps[0]), abs(amps[1]))
@@ -293,12 +308,13 @@ def check_oracle_suite() -> list[CheckResult]:
 # Detector suite
 # ---------------------------------------------------------------------------
 
-def check_detector_suite() -> list[CheckResult]:
+def check_detector_suite(breakdowns: dict[str, FisherBreakdown]) -> list[CheckResult]:
     """Detector Fisher informations saturate the branch QFIs on the grid.
 
     The homodyne quantities of a probe's operating points are computed by
-    one call per function and branch over all of them; photon counting and
-    the branch QFIs stay per point.
+    one call per function and branch over all of them; photon counting stays
+    per point, and the branch QFIs come from ``breakdowns``
+    (:func:`standard_breakdowns`).
     """
     pc_w, hd_w, seq_pc_w, seq_hd_w, norm_w = (_Worst() for _ in range(5))
     for probe, labels, points in standard_probe_grids():
@@ -310,7 +326,7 @@ def check_detector_suite() -> list[CheckResult]:
         seq_pc = sequential_fi(probe, points, PHOTON_COUNTING).tolist()
         seq_hd = sequential_fi(probe, points, HOMODYNE).tolist()
         for i, (label, params) in enumerate(zip(labels, points)):
-            bd = qfi_effective(probe, params)
+            bd = breakdowns[label]
             for branch, q_branch in ((SUCCESS, bd.q_s), (FAILURE, bd.q_f)):
                 pc_w.update(
                     _rel(fi_photon_counting(probe, params, branch), q_branch),
@@ -480,10 +496,11 @@ def check_meter_suite() -> list[CheckResult]:
 
 def run_all() -> list[CheckResult]:
     """Every suite, in reporting order."""
+    breakdowns = standard_breakdowns()
     results: list[CheckResult] = []
-    results.extend(check_identity_suite())
-    results.extend(check_oracle_suite())
-    results.extend(check_detector_suite())
+    results.extend(check_identity_suite(breakdowns))
+    results.extend(check_oracle_suite(breakdowns))
+    results.extend(check_detector_suite(breakdowns))
     results.extend(check_figure_behavior())
     results.extend(check_meter_suite())
     return results

@@ -8,14 +8,11 @@ from nlametro.fock import (
     DensityOperator,
     FockVector,
     NonHermitianInput,
-    NonPhysicalState,
     adaptive_quadrature_grid,
     build_quadrature_grid,
     default_half_width,
-    fidelity,
     hermite,
     position_wavefunction,
-    root_fidelity_deficit,
     wavefunction_matrix,
 )
 
@@ -44,34 +41,7 @@ def test_density_from_pure_and_validation():
     assert rho.trace() == pytest.approx(1.0)
     npt.assert_allclose(rho.mat, rho.mat.conj().T)
     with pytest.raises(NonHermitianInput):
-        DensityOperator(np.array([[0.0, 1.0], [0.0, 1.0]])).require_physical()
-    with pytest.raises(NonPhysicalState):
-        DensityOperator(np.array([[1.5, 0.0], [0.0, -0.5]])).require_physical()
-
-
-def test_fidelity_pure_states_is_squared_overlap():
-    a = FockVector([1.0, 0.0])
-    b = FockVector([0.6, 0.8])
-    f = fidelity(DensityOperator.from_pure(a), DensityOperator.from_pure(b))
-    assert f == pytest.approx(0.36, abs=1e-12)
-
-
-def test_fidelity_self_is_one_and_precise_path_agrees():
-    amps = np.array([0.5, 0.5, 0.5, 0.5])
-    rho = DensityOperator.from_pure(FockVector(amps))
-    mix = DensityOperator(0.5 * rho.mat + 0.5 * np.diag([0.4, 0.3, 0.2, 0.1]))
-    assert fidelity(mix, mix) == pytest.approx(1.0, abs=1e-12)
-    sig = DensityOperator.from_pure(FockVector([0.8, 0.0, 0.6, 0.0]))
-    fast = fidelity(mix, sig)
-    slow = fidelity(mix, sig, precise=True)
-    assert fast == pytest.approx(slow, abs=1e-12)
-
-
-def test_root_fidelity_deficit_limits():
-    a = DensityOperator.from_pure(FockVector([1.0, 0.0]))
-    b = DensityOperator.from_pure(FockVector([0.0, 1.0]))
-    assert root_fidelity_deficit(a, a) == pytest.approx(0.0, abs=1e-15)
-    assert root_fidelity_deficit(a, b) == pytest.approx(1.0, abs=1e-12)
+        DensityOperator(np.array([[0.0, 1.0], [0.0, 1.0]]))
 
 
 def test_hermite_matches_low_order_polynomials():

@@ -23,8 +23,8 @@ from nlametro.instrument import (
     joint_state,
     kraus_diagonal,
     kraus_diagonal_derivative,
-    unconditional_state,
 )
+from nlametro.dense import unconditional_state
 
 
 def test_gain_domain_enforced():

@@ -21,43 +21,78 @@ from nlametro.instrument import (
     conditional_state,
     joint_state,
 )
-from nlametro.fisher import qfi_branch, qfi_effective_closed_form, qfi_unconditional
-from nlametro.oracles import (
+from nlametro.dense import (
     DEFICIT_FLOOR,
-    KrausImageFD,
-    OracleReport,
     StepTooSmall,
     ZERO_DEFICIT_BAND,
-    _coupling_fd,
-    generate_golden_reports,
-    joint_fi_direct,
     overlap_deficit,
-    probability_derivative_fd,
-    qfi_fd_mixed,
-    qfi_fd_kraus_bures,
-    qfi_fd_kraus_pure,
     qfi_fd_pure,
     resolution_floor,
 )
+from nlametro.fisher import qfi_branch, qfi_effective_closed_form, qfi_unconditional
+from nlametro.oracles import (
+    KrausImageFD,
+    OracleReport,
+    _coupling_fd,
+    generate_golden_reports,
+    joint_fi_direct,
+    probability_derivative_fd,
+    qfi_fd_kraus_bures,
+    qfi_fd_kraus_pure,
+)
 from nlametro.probes import ProbeSpec
-from nlametro.selfcheck import check_identity_suite, check_meter_suite, check_oracle_suite
+from nlametro.selfcheck import (
+    check_identity_suite,
+    check_meter_suite,
+    check_oracle_suite,
+    standard_breakdowns,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden.json"
 
 
-def test_golden_regeneration_runs_one_copy_of_the_oracles(tmp_path):
-    # run as __main__, a module the package imports would be executed twice
+def _run_python(*args, timeout=120):
+    """Run a fresh interpreter that imports this checkout's nlametro."""
     src = pathlib.Path(nlametro.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH")))
     ))
-    out = tmp_path / "golden.json"
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "nlametro.golden", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
     )
+
+
+def test_golden_regeneration_runs_one_copy_of_the_oracles(tmp_path):
+    # run as __main__, a module the package imports would be executed twice
+    out = tmp_path / "golden.json"
+    proc = _run_python("-W", "error::RuntimeWarning", "-m", "nlametro.golden", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert len(json.loads(out.read_text())["reports"]) == 34
+
+
+# Dense-state names the package namespace must not expose; the test
+# references among them live in nlametro.dense.
+DROPPED_NAMES = (
+    "DensityOperator",
+    "StepTooSmall",
+    "fidelity",
+    "qfi_fd_mixed",
+    "qfi_fd_pure",
+    "qfi_mixed",
+    "unconditional_state",
+)
+
+
+def test_package_never_imports_the_dense_references():
+    # a fresh interpreter, since this test session imports nlametro.dense
+    proc = _run_python("-c", (
+        "import sys, nlametro, nlametro.cli, nlametro.selfcheck\n"
+        "assert 'nlametro.dense' not in sys.modules, 'the package imported nlametro.dense'\n"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    for name in DROPPED_NAMES:
+        assert not hasattr(nlametro, name), name
+        assert name not in nlametro.__all__, name
 
 
 def test_shipped_golden_fixture_regenerates_exactly():
@@ -214,18 +249,6 @@ def test_fd_matches_analytic_branch_qfi(two_level, g2p1):
     assert fd == pytest.approx(0.16, rel=1e-6)
 
 
-def test_fd_mixed_consistent_on_rank_one(coherent_nbar1):
-    def pure_family(g):
-        return conditional_state(coherent_nbar1, NlaParams(g=g, p=3), SUCCESS).state
-
-    def mixed_family(g):
-        return DensityOperator.from_pure(pure_family(g))
-
-    pure = qfi_fd_pure(pure_family, 2.0, 1e-4)
-    mixed = qfi_fd_mixed(mixed_family, 2.0, 1e-4)
-    assert mixed == pytest.approx(pure, rel=1e-6)
-
-
 def test_probability_derivative_fd(squeezed_nbar1):
     params = NlaParams(g=1.5, p=2)
     fd = probability_derivative_fd(squeezed_nbar1, params, SUCCESS)
@@ -286,6 +309,7 @@ def _bar_analytic_paths(mp):
 def oracle_suite():
     """The oracle suite's rows, with the analytic paths barred from the
     oracle module, and the number of image Gram matrices it built."""
+    breakdowns = standard_breakdowns()
     grams = []
     original = oracles._image_gram
 
@@ -296,7 +320,7 @@ def oracle_suite():
     with pytest.MonkeyPatch.context() as mp:
         _bar_analytic_paths(mp)
         mp.setattr(oracles, "_image_gram", counted)
-        rows = check_oracle_suite()
+        rows = check_oracle_suite(breakdowns)
     return rows, len(grams)
 
 
@@ -365,7 +389,7 @@ def test_identity_suite_builds_no_dense_operator(monkeypatch):
         raise AssertionError("dense path reached")
 
     monkeypatch.setattr(DensityOperator, "__post_init__", forbidden)
-    results = check_identity_suite()
+    results = check_identity_suite(standard_breakdowns())
     assert all(r.passed for r in results)
     (row,) = [r for r in results if r.name == "unconditional state has unit trace"]
     assert row.points == 280
