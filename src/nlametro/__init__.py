@@ -27,7 +27,6 @@ from .fisher import (
     qfi_effective,
     qfi_effective_closed_form,
     qfi_joint_meter,
-    qfi_pure,
     qfi_unconditional,
 )
 from .measurements import (
@@ -100,7 +99,6 @@ __all__ = [
     "qfi_fd_kraus_bures",
     "qfi_fd_kraus_pure",
     "qfi_joint_meter",
-    "qfi_pure",
     "qfi_unconditional",
     "run_crb_experiment",
     "sample_shot",

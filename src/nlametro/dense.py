@@ -9,6 +9,8 @@ construction that shares none of its algebra:
 * :func:`unconditional_state` and :func:`unconditional_state_derivative`
   build the branch-averaged output and its gain derivative as dense matrices;
 * :func:`qfi_mixed` is the eigendecomposition QFI of any such family;
+* :func:`qfi_pure` is the QFI ``4 (<d|d> - |<psi|d>|^2)`` of a pure-state
+  family given as amplitude vectors;
 * :func:`qfi_fd_pure` differences any pure-state family with the
   cancellation-free :func:`overlap_deficit`, and refuses deficits below 100x
   unit roundoff via :class:`StepTooSmall` (:func:`resolution_floor` states
@@ -110,6 +112,24 @@ def qfi_mixed(rho: DensityOperator, drho: np.ndarray, zero_tol: float = ZERO_EIG
     sums = vals[:, None] + vals[None, :]
     mask = sums > zero_tol * max(vals[-1], 0.0)
     return float(2.0 * np.sum(np.abs(transformed[mask]) ** 2 / sums[mask]))
+
+
+def qfi_pure(state, dstate) -> float:
+    """QFI of a pure-state family: ``4 (<d|d> - |<psi|d>|^2)``.
+
+    ``state`` must be normalized; ``dstate`` is the parameter derivative of
+    the amplitudes (any array-like, same length).
+    """
+    amps = state.amps if isinstance(state, FockVector) else np.asarray(state, dtype=complex)
+    damps = dstate.amps if isinstance(dstate, FockVector) else np.asarray(dstate, dtype=complex)
+    if amps.shape != damps.shape:
+        raise ValueError("state and derivative must have equal length")
+    nrm = float(np.linalg.norm(amps))
+    if abs(nrm - 1.0) > 1e-10:
+        raise ValueError(f"pure-state QFI needs a normalized state, norm={nrm:.12g}")
+    dd = float(np.vdot(damps, damps).real)
+    sd = complex(np.vdot(amps, damps))
+    return 4.0 * (dd - abs(sd) ** 2)
 
 
 # ---------------------------------------------------------------------------

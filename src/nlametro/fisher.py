@@ -13,11 +13,15 @@ the equivalent closed form
     q_eff = 4 sum_{n<p} (n-p)^2 |c_n|^2 g^(2(n-p)-2) / (1 - g^(2(n-p))),
 
 and the QFI of the branch-averaged (unconditional) output state ``q_unc``.
-That output is ``A A^+`` for the ``dim x 2`` matrix of Kraus images
-``A = [E_s c, E_f c]``, so it has rank <= 2; :func:`qfi_unconditional`
-evaluates its QFI on that thin support from a thin SVD of ``A``, without
-forming a dim x dim matrix.  The dense eigendecomposition that the tests
-compare it against is :func:`nlametro.dense.qfi_mixed`.
+
+Every quantity but the closed form is a formula on the Kraus images
+``A = [E_s c, E_f c]`` and slopes ``dA``, which :func:`_images` builds once per
+operating point.  Above the threshold ``E_s = 1``, ``E_f = 0`` and both
+derivatives vanish, so the levels ``n > p`` enter only through ``c_{>p}``:
+the images keep the rows ``n <= p`` and one tail row ``||c_{>p}||``, which
+keeps every inner product.  ``q_unc`` is the QFI of the rank-<=2 output
+``A A^+``, from a thin SVD of this ``(p+2) x 2`` matrix; the tests compare it
+with the dense :func:`nlametro.dense.qfi_mixed`.
 
 Numerical note: the textbook branch-QFI expression subtracts
 ``(dprob/prob)^2`` from a second moment; near points where the conditional
@@ -37,13 +41,10 @@ import numpy as np
 from .fock import FockVector
 from .instrument import (
     BRANCHES,
-    FAILURE,
-    SUCCESS,
     BranchImpossible,
     MeterState,
     NlaParams,
-    branch_probability,
-    branch_probability_derivative,
+    _check_branch,
     kraus_diagonal,
     kraus_diagonal_derivative,
     PROBABILITY_FLOOR,
@@ -79,36 +80,61 @@ class FisherBreakdown:
         return dataclasses.asdict(self)
 
 
-def qfi_pure(state, dstate) -> float:
-    """QFI of a pure-state family: ``4 (<d|d> - |<psi|d>|^2)``.
+def _images(probe: FockVector, params: NlaParams):
+    """Kraus diagonals ``e``, slopes ``de``, images ``a = e c`` and ``da = de c``.
 
-    ``state`` must be normalized; ``dstate`` is the parameter derivative of
-    the amplitudes (any array-like, same length).
+    Each is ``rows x 2``, one column per branch in :data:`BRANCHES` order.  The
+    rows are the levels ``n <= p`` and, when ``dim > p + 2``, one tail row of
+    amplitude ``||c_{>p}||``, whose entries are the Kraus diagonals at level
+    ``p + 1`` (``E_s = 1``, ``E_f = 0``, derivatives 0).
     """
-    amps = state.amps if isinstance(state, FockVector) else np.asarray(state, dtype=complex)
-    damps = dstate.amps if isinstance(dstate, FockVector) else np.asarray(dstate, dtype=complex)
-    if amps.shape != damps.shape:
-        raise ValueError("state and derivative must have equal length")
-    nrm = float(np.linalg.norm(amps))
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValueError(f"pure-state QFI needs a normalized state, norm={nrm:.12g}")
-    dd = float(np.vdot(damps, damps).real)
-    sd = complex(np.vdot(amps, damps))
-    return 4.0 * (dd - abs(sd) ** 2)
+    probe.require_normalized()
+    amps, head = probe.amps, params.p + 1
+    if amps.size > head + 1:
+        amps = np.append(amps[:head], np.linalg.norm(amps[head:]))
+    e = np.stack([kraus_diagonal(params, b, amps.size) for b in BRANCHES], axis=1)
+    de = np.stack([kraus_diagonal_derivative(params, b, amps.size) for b in BRANCHES], axis=1)
+    c = amps[:, np.newaxis]
+    return e, de, e * c, de * c
 
 
-def _branch_log_derivatives(probe: FockVector, params: NlaParams, branch: str):
-    """Masses and per-level log-derivatives d(ln E_n^2)/dg of one branch."""
-    e = kraus_diagonal(params, branch, probe.dim)
-    de = kraus_diagonal_derivative(params, branch, probe.dim)
-    masses = e * e * probe.weights()
+def _herald(a, da) -> tuple[float, float, float]:
+    """``p_s``, ``p_f`` and ``F_c = dp_s^2 / p_s + dp_s^2 / p_f``, ``dp_s = 2 Re<A_s|dA_s>``."""
+    ps, pf = (float(x) for x in np.sum(np.abs(a) ** 2, axis=0))
+    if ps < PROBABILITY_FLOOR or pf < PROBABILITY_FLOOR:
+        return ps, pf, 0.0
+    # elementwise: as np.vdot it is a herald-only simulate's first complex
+    # BLAS call, which raises that run's peak RSS by 128 KB
+    dps = 2.0 * float(np.sum((a[:, 0].conj() * da[:, 0]).real))
+    return ps, pf, dps * dps / ps + dps * dps / pf
+
+
+def _branch_qfi(e, de, a, col: int) -> float:
+    """Variance of ``l_n = 2 dE_n / E_n`` (0 on the tail row) under ``|A_n|^2 / p_i``."""
+    masses = np.abs(a[:, col]) ** 2
     prob = float(masses.sum())
     if prob < PROBABILITY_FLOOR:
-        raise BranchImpossible(f"{branch} branch is impossible for this probe")
+        raise BranchImpossible(f"{BRANCHES[col]} branch is impossible for this probe")
     occupied = masses > 0.0
-    logder = np.zeros(probe.dim)
-    logder[occupied] = 2.0 * de[occupied] / e[occupied]
-    return masses[occupied] / prob, logder[occupied], prob
+    logder = 2.0 * de[occupied, col] / e[occupied, col]
+    weights = masses[occupied] / prob
+    mean = float(np.dot(weights, logder))
+    return float(np.dot(weights, (logder - mean) ** 2))
+
+
+def _unconditional_qfi(a, da) -> float:
+    """QFI of ``A A^+`` on its thin support; see :func:`qfi_unconditional`."""
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    rank = int(np.count_nonzero(s * s > ZERO_EIGENVALUE_TOL * s[0] * s[0]))
+    u, s, v = u[:, :rank], s[:rank], vh[:rank].conj().T
+    dav = da @ v
+    w = u.conj().T @ dav
+    ws = w * s
+    d = ws + ws.conj().T
+    lam = s * s
+    pairs = float(np.sum(np.abs(d) ** 2 / (lam[:, None] + lam[None, :])))
+    kernel = float(np.linalg.norm(dav - u @ w) ** 2)
+    return 2.0 * pairs + 4.0 * kernel
 
 
 def qfi_branch(probe: FockVector, params: NlaParams, branch: str) -> float:
@@ -124,25 +150,18 @@ def qfi_branch(probe: FockVector, params: NlaParams, branch: str) -> float:
     real and gain-covariant, so photon counting already extracts the full
     QFI and the QFI reduces to this classical variance).
     """
-    probe.require_normalized()
-    masses, logder, _ = _branch_log_derivatives(probe, params, branch)
-    mean = float(np.dot(masses, logder))
-    return float(np.dot(masses, (logder - mean) ** 2))
+    e, de, a, _ = _images(probe, params)
+    return _branch_qfi(e, de, a, BRANCHES.index(_check_branch(branch)))
 
 
 def classical_fi(probe: FockVector, params: NlaParams) -> float:
     """Fisher information of the bare success/failure herald bit.
 
-    ``F_c = (dp_s)^2 / p_s + (dp_f)^2 / p_f``.  A deterministic herald (one
-    branch impossible) carries no information: returns 0.0 in that case.
+    ``F_c = (dp_s)^2 / p_s + (dp_f)^2 / p_f`` with ``dp_f = -dp_s``.  A
+    deterministic herald (one branch impossible) carries no information:
+    returns 0.0 in that case.
     """
-    probe.require_normalized()
-    ps = branch_probability(probe, params, SUCCESS)
-    pf = branch_probability(probe, params, FAILURE)
-    if ps < PROBABILITY_FLOOR or pf < PROBABILITY_FLOOR:
-        return 0.0
-    dps = branch_probability_derivative(probe, params, SUCCESS)
-    return dps * dps / ps + dps * dps / pf
+    return _herald(*_images(probe, params)[2:])[2]
 
 
 def qfi_effective_closed_form(probe: FockVector, params: NlaParams) -> float:
@@ -161,7 +180,7 @@ def qfi_effective_closed_form(probe: FockVector, params: NlaParams) -> float:
 def qfi_unconditional(probe: FockVector, params: NlaParams) -> float:
     """QFI of the branch-averaged output (herald discarded), on its thin support.
 
-    The output is ``rho = A A^+`` with the ``dim x 2`` Kraus-image matrix
+    The output is ``rho = A A^+`` with the Kraus-image matrix
     ``A = [E_s c, E_f c]``, so it has rank <= 2 and its gain derivative is
     ``drho = dA A^+ + A dA^+`` with ``dA = [E_s' c, E_f' c]``.  With the thin
     SVD ``A = U S V^+`` (singular values kept while
@@ -175,52 +194,34 @@ def qfi_unconditional(probe: FockVector, params: NlaParams) -> float:
     where ``D = W S + (W S)^+`` is ``drho`` on the support and
     ``W = U^+ dA V``.  ``A`` is factored directly rather than through its
     2x2 Gram matrix, which would square the condition number, and the kernel
-    term is the norm of a residual rather than a difference of two norms.  No
-    dim x dim matrix is formed.
+    term is the norm of a residual rather than a difference of two norms.
     """
-    probe.require_normalized()
-    images = np.empty((probe.dim, 2), dtype=np.complex128)
-    slopes = np.empty((probe.dim, 2), dtype=np.complex128)
-    for col, branch in enumerate(BRANCHES):
-        images[:, col] = kraus_diagonal(params, branch, probe.dim) * probe.amps
-        slopes[:, col] = kraus_diagonal_derivative(params, branch, probe.dim) * probe.amps
-    u, s, vh = np.linalg.svd(images, full_matrices=False)
-    rank = int(np.count_nonzero(s * s > ZERO_EIGENVALUE_TOL * s[0] * s[0]))
-    u, s, v = u[:, :rank], s[:rank], vh[:rank].conj().T
-    dav = slopes @ v
-    w = u.conj().T @ dav
-    ws = w * s
-    d = ws + ws.conj().T
-    lam = s * s
-    pairs = float(np.sum(np.abs(d) ** 2 / (lam[:, None] + lam[None, :])))
-    kernel = float(np.linalg.norm(dav - u @ w) ** 2)
-    return 2.0 * pairs + 4.0 * kernel
+    return _unconditional_qfi(*_images(probe, params)[2:])
 
 
 def qfi_effective(probe: FockVector, params: NlaParams) -> FisherBreakdown:
     """Full information budget at one operating point.
 
-    ``q_eff`` is the closed form; the identity
-    ``q_eff = ps_qs + pf_qf + f_c`` holds to machine precision and is
-    asserted by the self-check suite rather than silently trusted here.
+    Every component comes from one evaluation of the Kraus images.  ``q_eff``
+    is the closed form; the identity ``q_eff = ps_qs + pf_qf + f_c`` holds to
+    machine precision and is asserted by the self-check suite rather than
+    silently trusted here.
     """
-    probe.require_normalized()
-    ps = branch_probability(probe, params, SUCCESS)
-    pf = branch_probability(probe, params, FAILURE)
-    q_s = qfi_branch(probe, params, SUCCESS)
+    e, de, a, da = _images(probe, params)
+    ps, pf, f_c = _herald(a, da)
+    q_s = _branch_qfi(e, de, a, 0)
     try:
-        q_f = qfi_branch(probe, params, FAILURE)
+        q_f = _branch_qfi(e, de, a, 1)
     except BranchImpossible:
-        q_f = 0.0
-        pf = 0.0
+        q_f = pf = 0.0
     return FisherBreakdown(
         q_eff=qfi_effective_closed_form(probe, params),
         ps_qs=ps * q_s,
         pf_qf=pf * q_f,
-        f_c=classical_fi(probe, params),
+        f_c=f_c,
         q_s=q_s,
         q_f=q_f,
-        q_unc=qfi_unconditional(probe, params),
+        q_unc=_unconditional_qfi(a, da),
     )
 
 
@@ -229,12 +230,8 @@ def meter_coupling_term(probe: FockVector, params: NlaParams) -> float:
 
     This is the only way the meter preparation enters the joint-state QFI.
     """
-    probe.require_normalized()
-    es = kraus_diagonal(params, SUCCESS, probe.dim)
-    ef = kraus_diagonal(params, FAILURE, probe.dim)
-    des = kraus_diagonal_derivative(params, SUCCESS, probe.dim)
-    def_ = kraus_diagonal_derivative(params, FAILURE, probe.dim)
-    return float(np.sum(probe.weights() * (es * def_ - ef * des)))
+    _, _, a, da = _images(probe, params)
+    return float(np.vdot(a[:, 0], da[:, 1]).real - np.vdot(a[:, 1], da[:, 0]).real)
 
 
 def qfi_joint_meter(

@@ -132,20 +132,15 @@ def branch_probability(probe: FockVector, params: NlaParams, branch: str) -> flo
 def branch_probability_derivative(
     probe: FockVector, params: NlaParams, branch: str
 ) -> float:
-    """Exact gain derivative of the branch probability.
+    """Exact gain derivative ``2 sum_n E_n dE_n |c_n|^2`` of the branch probability.
 
-    Only levels strictly below the threshold contribute:
-    ``d p_success / dg = sum_{n<p} 2 (n-p) g^(2(n-p)-1) |c_n|^2`` and the
-    failure derivative is its negative.
+    Each branch is differentiated through its own Kraus derivative, so the
+    two branch derivatives sum to zero only when the Kraus pair does.
     """
-    _check_branch(branch)
     probe.require_normalized()
-    g, p = params.g, params.p
-    n = np.arange(probe.dim, dtype=float)
-    mask = n < p
-    k = n[mask] - p
-    val = float(np.sum(2.0 * k * g ** (2.0 * k - 1.0) * probe.weights()[mask]))
-    return val if branch == SUCCESS else -val
+    e = kraus_diagonal(params, branch, probe.dim)
+    de = kraus_diagonal_derivative(params, branch, probe.dim)
+    return float(2.0 * np.sum(e * de * probe.weights()))
 
 
 @dataclasses.dataclass(frozen=True)

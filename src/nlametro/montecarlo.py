@@ -542,7 +542,10 @@ def fisher_per_shot(probe: FockVector, params: NlaParams, detector: str) -> floa
 
 def crb_for_strategy(probe: FockVector, params: NlaParams, detector: str, shots: int) -> float:
     """Cramer-Rao bound ``1 / (shots * F)`` for the strategy."""
-    info = fisher_per_shot(probe, params, detector)
+    return _cramer_rao(fisher_per_shot(probe, params, detector), detector, shots)
+
+
+def _cramer_rao(info: float, detector: str, shots: int) -> float:
     if info <= 0.0:
         raise DegenerateLikelihood(
             f"{detector} carries zero gain information at this operating point"
@@ -580,8 +583,8 @@ def run_crb_experiment(config: ExperimentConfig, replications: int) -> Experimen
     if detector != HOMODYNE:
         estimates = _estimates(probe, p, detector, counts, replications, config.grid)
     variance = float(estimates.var(ddof=1))
-    info = fisher_per_shot(probe, config.params_true, config.detector)
-    crb = crb_for_strategy(probe, config.params_true, config.detector, config.shots)
+    info = fisher_per_shot(probe, config.params_true, detector)
+    crb = _cramer_rao(info, detector, config.shots)
     ratio = variance / crb
     boot_rng = np.random.default_rng(children[replications])
     resampled = boot_rng.integers(0, replications, size=(1000, replications))

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import pathlib
@@ -8,15 +9,25 @@ import numpy as np
 import pytest
 
 import nlametro.dense
-from nlametro.dense import qfi_mixed, unconditional_state, unconditional_state_derivative
+import nlametro.instrument
+from nlametro.dense import (
+    qfi_mixed,
+    qfi_pure,
+    unconditional_state,
+    unconditional_state_derivative,
+)
 from nlametro.fock import DensityOperator, FockVector
 from nlametro.instrument import (
     FAILURE,
     SUCCESS,
     MeterState,
     NlaParams,
+    branch_probability,
+    branch_probability_derivative,
     conditional_state,
     conditional_state_derivative,
+    kraus_diagonal,
+    kraus_diagonal_derivative,
 )
 from nlametro.fisher import (
     classical_fi,
@@ -25,10 +36,9 @@ from nlametro.fisher import (
     qfi_effective,
     qfi_effective_closed_form,
     qfi_joint_meter,
-    qfi_pure,
     qfi_unconditional,
 )
-from nlametro.probes import ProbeSpec
+from nlametro.probes import ProbeSpec, custom_probe
 from nlametro.selfcheck import standard_grid
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden.json"
@@ -271,3 +281,51 @@ def test_qfi_effective_builds_no_dense_operator(monkeypatch):
             if name.startswith("nlametro") and getattr(module, original.__name__, None) is original:
                 monkeypatch.setattr(module, original.__name__, forbidden)
     assert qfi_effective(probe, params).q_unc == pytest.approx(dense, rel=1e-12)
+
+
+# (dim, p): a compressed tail (dim > p + 2), one level above the threshold
+# (dim == p + 2), and no level above it (dim == p + 1, dim < p + 1)
+@pytest.mark.parametrize("dim,p", [(12, 3), (5, 3), (4, 3), (3, 3)])
+@pytest.mark.parametrize("g", [1.2, 3.0])
+def test_budget_on_compressed_images_matches_full_vector_references(dim, p, g):
+    rng = np.random.default_rng(dim)
+    probe, _ = custom_probe(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    params = NlaParams(g=g, p=p)
+    bd = qfi_effective(probe, params)
+    dense = qfi_mixed(
+        unconditional_state(probe, params), unconditional_state_derivative(probe, params)
+    )
+    assert bd.q_unc == pytest.approx(dense, rel=1e-12)
+    for branch, q_branch in ((SUCCESS, bd.q_s), (FAILURE, bd.q_f)):
+        state = conditional_state(probe, params, branch).state
+        deriv = conditional_state_derivative(probe, params, branch)
+        assert q_branch == pytest.approx(qfi_pure(state, deriv), rel=1e-12)
+    ps, pf = (branch_probability(probe, params, b) for b in (SUCCESS, FAILURE))
+    dps = branch_probability_derivative(probe, params, SUCCESS)
+    assert (bd.ps_qs, bd.pf_qf) == pytest.approx((ps * bd.q_s, pf * bd.q_f), rel=1e-12)
+    assert bd.f_c == pytest.approx(dps * dps / (ps * pf), rel=1e-12)
+    assert bd.component_sum() == pytest.approx(bd.q_eff, rel=1e-12)
+    es, ef, des, def_ = (
+        fn(params, b, dim)
+        for fn in (kraus_diagonal, kraus_diagonal_derivative)
+        for b in (SUCCESS, FAILURE)
+    )
+    coupling = float(np.sum(probe.weights() * (es * def_ - ef * des)))
+    assert meter_coupling_term(probe, params) == pytest.approx(coupling, rel=1e-12)
+
+
+def test_qfi_effective_evaluates_each_kraus_diagonal_once_per_branch(monkeypatch):
+    probe = ProbeSpec.from_nbar("squeezed-vacuum", 2.0).build()
+    calls = collections.Counter()
+    for name in ("kraus_diagonal", "kraus_diagonal_derivative"):
+        original = getattr(nlametro.instrument, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("nlametro") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    qfi_effective(probe, NlaParams(g=1.5, p=3))
+    assert calls == {"kraus_diagonal": 2, "kraus_diagonal_derivative": 2}

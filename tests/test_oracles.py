@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import nlametro
-from nlametro import fisher, oracles
+from nlametro import fisher, instrument, oracles
 from nlametro.fock import DensityOperator, FockVector
 from nlametro.instrument import (
     FAILURE,
@@ -79,6 +79,7 @@ DROPPED_NAMES = (
     "qfi_fd_mixed",
     "qfi_fd_pure",
     "qfi_mixed",
+    "qfi_pure",
     "unconditional_state",
 )
 
@@ -393,3 +394,17 @@ def test_identity_suite_builds_no_dense_operator(monkeypatch):
     assert all(r.passed for r in results)
     (row,) = [r for r in results if r.name == "unconditional state has unit trace"]
     assert row.points == 280
+
+
+def test_probability_derivative_row_fails_on_a_wrong_failure_kraus_derivative(monkeypatch):
+    # each branch differentiates its own Kraus weights, so the row sees the error
+    original = instrument.kraus_diagonal_derivative
+
+    def corrupted(params, branch, dim):
+        slope = original(params, branch, dim)
+        return 1.01 * slope if branch == FAILURE else slope
+
+    monkeypatch.setattr(instrument, "kraus_diagonal_derivative", corrupted)
+    results = check_identity_suite(standard_breakdowns())
+    (row,) = [r for r in results if r.name == "branch probability derivatives sum to 0"]
+    assert not row.passed and row.worst > 1e-3
