@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .fisher import qfi_effective
+from .fisher import qfi_effective, qfi_effective_closed_form
 from .instrument import GainDomain, NlaParams
 from .montecarlo import (
     DETECTORS,
@@ -169,16 +169,12 @@ def _emit_table(args, command: str, config: dict, columns: list[str], rows: list
 # ---------------------------------------------------------------------------
 
 def _gain_table(args, command: str, fields: tuple[str, ...]) -> int:
-    """Rows (g, *fields of the FisherBreakdown) over the gain grid."""
+    """Rows (g, *fields of the FisherBreakdown) over the gain grid, from one call."""
     spec = _probe_spec_from_args(args)
     probe = spec.build()
     grid = _gain_grid_from_arg(args.g)
-
-    def row(g: float) -> tuple:
-        bd = qfi_effective(probe, NlaParams(g=float(g), p=args.p))
-        return (g, *(getattr(bd, field) for field in fields))
-
-    rows = [row(g) for g in grid]
+    bd = qfi_effective(probe, [NlaParams(g=float(g), p=args.p) for g in grid])
+    rows = list(zip(grid, *(getattr(bd, field) for field in fields)))
     config = {
         "probe": spec.describe(),
         "p": args.p,
@@ -210,10 +206,7 @@ def cmd_sweep_nbar(args) -> int:
 
     def row(nbar: float) -> tuple:
         probe = ProbeSpec.from_nbar(args.probe, float(nbar)).build()
-        vals = [
-            qfi_effective(probe, NlaParams(g=args.gain, p=p)).q_eff
-            for p in thresholds
-        ]
+        vals = [qfi_effective_closed_form(probe, NlaParams(g=args.gain, p=p)) for p in thresholds]
         return (nbar, *vals)
 
     rows = [row(nbar) for nbar in nbars]

@@ -69,11 +69,15 @@ class NlaParams:
         object.__setattr__(self, "p", int(self.p))
 
 
-def kraus_diagonal(params: NlaParams, branch: str, dim: int) -> np.ndarray:
-    """Diagonal entries of the branch Kraus operator on levels 0..dim-1."""
+def _check_rows(branch: str, dim: int) -> None:
     _check_branch(branch)
     if dim < 1:
         raise ValueError("dim must be positive")
+
+
+def kraus_diagonal(params: NlaParams, branch: str, dim: int) -> np.ndarray:
+    """Diagonal entries of the branch Kraus operator on levels 0..dim-1."""
+    _check_rows(branch, dim)
     return _kraus_rows(params.g, params.p, branch, dim)
 
 
@@ -99,19 +103,26 @@ def kraus_diagonal_derivative(params: NlaParams, branch: str, dim: int) -> np.nd
     The failure entry at ``n == p`` is identically zero for all gains, so its
     derivative is zero (the 0/0 in the naive quotient is removable).
     """
-    _check_branch(branch)
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    g, p = params.g, params.p
-    n = np.arange(dim, dtype=float)
-    out = np.zeros(dim)
+    _check_rows(branch, dim)
+    return _kraus_slope_rows(params.g, params.p, branch, dim)
+
+
+def _kraus_slope_rows(g, p: int, branch: str, dim: int) -> np.ndarray:
+    """Gain derivatives of :func:`_kraus_rows`, broadcast against the gains ``g``.
+
+    Unchecked, like :func:`_kraus_rows`.  Only the levels ``n <= p``
+    (success) or ``n < p`` (failure) have a non-zero slope; they are
+    evaluated and the rest of each row is zero.  Each row equals
+    :func:`kraus_diagonal_derivative` at its gain bit for bit.
+    """
+    levels = min(dim, p + 1 if branch == SUCCESS else p)
+    k = np.arange(levels, dtype=float) - p
     if branch == SUCCESS:
-        below = n <= p
-        out[below] = (n[below] - p) * g ** (n[below] - p - 1.0)
-        return out
-    strictly_below = n < p
-    k = n[strictly_below] - p
-    out[strictly_below] = -k * g ** (2.0 * k - 1.0) / np.sqrt(1.0 - g ** (2.0 * k))
+        head = k * g ** (k - 1.0)
+    else:
+        head = -k * g ** (2.0 * k - 1.0) / np.sqrt(1.0 - g ** (2.0 * k))
+    out = np.zeros(head.shape[:-1] + (dim,))
+    out[..., :levels] = head
     return out
 
 

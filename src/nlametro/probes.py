@@ -2,8 +2,9 @@
 
 Coherent states and squeezed vacuum truncated to a finite number basis, plus
 a JSON loader for arbitrary custom probes.  Truncation keeps levels until the
-discarded tail mass drops below ``tail_tol`` and then renormalizes, so every
-constructor returns an exactly normalized :class:`~nlametro.fock.FockVector`.
+discarded tail mass, summed forward from its own terms, drops below
+``tail_tol`` and then renormalizes, so every constructor returns an exactly
+normalized :class:`~nlametro.fock.FockVector`.
 """
 
 from __future__ import annotations
@@ -38,6 +39,43 @@ class UnsupportedKind(ValueError):
     """Probe kind is not one of the supported family names."""
 
 
+def _tail_within(weight: float, n: int, step, tail_tol: float) -> bool:
+    """Whether ``sum_{k >= n} w_k <= tail_tol``, given ``weight = w_{n-1}``.
+
+    The tail terms come from the recurrence ``w_k = step(w_{k-1}, k)`` and
+    are summed forward until they no longer change the sum; the sum stops
+    early once it exceeds ``tail_tol``.
+    """
+    total, term = 0.0, step(weight, n)
+    while total + term != total:
+        total += term
+        if total > tail_tol:
+            return False
+        n += 1
+        term = step(term, n)
+    return True
+
+
+def _head_weights(first: float, step, tail_tol: float, max_terms: int, what: str) -> np.ndarray:
+    """Weights ``w_0 .. w_n`` of ``w_k = step(w_{k-1}, k)``, for the first ``n``
+    whose tail ``sum_{k > n} w_k`` is at most ``tail_tol``.
+
+    The tail is a forward sum of its own positive terms (:func:`_tail_within`).
+    One minus a head sum would carry the head's rounding drift, about ``n``
+    ulp, which above a few hundred levels exceeds ``tail_tol`` and keeps the
+    test from ever passing.  More than ``max_terms`` weights, or a first
+    weight that underflows, raise :class:`TruncationOverflow`.
+    """
+    if not first > 0.0:
+        raise TruncationOverflow(f"{what} needs more than {HARD_DIM_CAP} levels")
+    weights = [first]
+    while not _tail_within(weights[-1], len(weights), step, tail_tol):
+        if len(weights) >= max_terms:
+            raise TruncationOverflow(f"{what} needs more than {HARD_DIM_CAP} levels")
+        weights.append(step(weights[-1], len(weights)))
+    return np.array(weights)
+
+
 def coherent_state(alpha: float, tail_tol: float = DEFAULT_TAIL_TOL) -> FockVector:
     """Coherent state with real amplitude ``alpha >= 0``.
 
@@ -49,18 +87,14 @@ def coherent_state(alpha: float, tail_tol: float = DEFAULT_TAIL_TOL) -> FockVect
         raise ValueError("alpha must be non-negative")
     if alpha == 0.0:
         return FockVector([1.0])
-    weights = [math.exp(-alpha * alpha)]
-    acc = weights[0]
-    n = 0
-    while 1.0 - acc > tail_tol:
-        n += 1
-        if n >= HARD_DIM_CAP:
-            raise TruncationOverflow(
-                f"coherent probe alpha={alpha:g} needs more than {HARD_DIM_CAP} levels"
-            )
-        weights.append(weights[-1] * alpha * alpha / n)
-        acc += weights[-1]
-    amps = np.sqrt(np.array(weights))
+    weights = _head_weights(
+        math.exp(-alpha * alpha),
+        lambda w, n: w * alpha * alpha / n,
+        tail_tol,
+        HARD_DIM_CAP,
+        f"coherent probe alpha={alpha:g}",
+    )
+    amps = np.sqrt(weights)
     return FockVector(amps / np.linalg.norm(amps))
 
 
@@ -77,19 +111,15 @@ def squeezed_vacuum(r: float, tail_tol: float = DEFAULT_TAIL_TOL) -> FockVector:
     if r == 0.0:
         return FockVector([1.0])
     t2 = math.tanh(r) ** 2
-    weights = [1.0 / math.cosh(r)]
-    acc = weights[0]
-    n = 0
-    while 1.0 - acc > tail_tol:
-        n += 1
-        if 2 * n >= HARD_DIM_CAP:
-            raise TruncationOverflow(
-                f"squeezed probe r={r:g} needs more than {HARD_DIM_CAP} levels"
-            )
-        weights.append(weights[-1] * t2 * (2 * n - 1) / (2.0 * n))
-        acc += weights[-1]
-    amps = np.zeros(2 * len(weights) - 1)
-    amps[0::2] = np.sqrt(np.array(weights))
+    weights = _head_weights(
+        1.0 / math.cosh(r),
+        lambda w, n: w * t2 * (2 * n - 1) / (2.0 * n),
+        tail_tol,
+        (HARD_DIM_CAP + 1) // 2,
+        f"squeezed probe r={r:g}",
+    )
+    amps = np.zeros(2 * weights.size - 1)
+    amps[0::2] = np.sqrt(weights)
     return FockVector(amps / np.linalg.norm(amps))
 
 

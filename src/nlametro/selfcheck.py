@@ -131,10 +131,18 @@ def standard_grid():
 def standard_breakdowns() -> dict[str, FisherBreakdown]:
     """The information budget of each standard operating point, by label.
 
-    :func:`run_all` computes it once per pass and hands it to the identity,
-    oracle and detector suites; nothing is cached between calls.
+    One :func:`~nlametro.fisher.qfi_effective` call per probe and threshold
+    covers that threshold's gains.  :func:`run_all` computes the budgets once
+    per pass and hands them to the identity, oracle and detector suites;
+    nothing is cached between calls.
     """
-    return {label: qfi_effective(probe, params) for label, probe, params in standard_grid()}
+    out = {}
+    for probe, labels, points in standard_probe_grids():
+        for p in STANDARD_THRESHOLDS:
+            mine = [i for i, pt in enumerate(points) if pt.p == p]
+            batch = qfi_effective(probe, [points[i] for i in mine])
+            out.update(zip((labels[i] for i in mine), batch.points()))
+    return out
 
 
 class _Worst:
@@ -244,10 +252,9 @@ def _check_boundary_divergence() -> CheckResult:
     worst_label = ""
     for kind, nbar, probe in standard_probes():
         for p in STANDARD_THRESHOLDS:
-            vals = [
-                qfi_effective_closed_form(probe, NlaParams(g=g, p=p))
-                for g in (1.001, 1.01, 1.1)
-            ]
+            vals = qfi_effective_closed_form(
+                probe, [NlaParams(g=g, p=p) for g in (1.001, 1.01, 1.1)]
+            )
             count += 1
             if not (vals[0] > vals[1] > vals[2]):
                 violations += 1
@@ -362,19 +369,28 @@ def _figure_probes() -> list[tuple[str, FockVector]]:
     ]
 
 
+def _gain_points(gains, p: int) -> list[NlaParams]:
+    return [NlaParams(g=float(g), p=p) for g in gains]
+
+
+def _strictly_decreasing(values: np.ndarray) -> bool:
+    return bool(np.all(values[:-1] > values[1:]))
+
+
 def check_figure_behavior() -> list[CheckResult]:
-    """Qualitative curve properties at nbar = 1."""
+    """Qualitative curve properties at nbar = 1, one budget call per gain list."""
     results = []
 
     # hierarchy q_eff > ps_qs >= q_unc on g in [1.2, 4] at p = 3
     violations, count, worst_label = 0, 0, ""
     for kind, probe in _figure_probes():
-        for g in np.linspace(1.2, 4.0, 15):
-            bd = qfi_effective(probe, NlaParams(g=float(g), p=3))
-            count += 1
-            if not (bd.q_eff > bd.ps_qs >= bd.q_unc - 1e-12 * bd.q_eff):
-                violations += 1
-                worst_label = f"{kind} g={g:.3f}"
+        gs = np.linspace(1.2, 4.0, 15)
+        bd = qfi_effective(probe, _gain_points(gs, 3))
+        count += gs.size
+        bad = ~((bd.q_eff > bd.ps_qs) & (bd.ps_qs >= bd.q_unc - 1e-12 * bd.q_eff))
+        if bad.any():
+            violations += int(bad.sum())
+            worst_label = f"{kind} g={gs[np.flatnonzero(bad)[-1]]:.3f}"
     results.append(CheckResult(
         "hierarchy q_eff > ps_qs >= q_unc on [1.2, 4] at nbar=1 p=3",
         float(violations), 0.0, count, violations == 0, worst_label,
@@ -385,20 +401,18 @@ def check_figure_behavior() -> list[CheckResult]:
     decay_ok = True
     for kind, probe in _figure_probes():
         gs = np.linspace(1.05, 6.0, 34)
-        qeffs = [qfi_effective_closed_form(probe, NlaParams(g=float(g), p=3)) for g in gs]
         count += len(gs) - 1
-        if not all(a > b for a, b in zip(qeffs, qeffs[1:])):
+        if not _strictly_decreasing(qfi_effective_closed_form(probe, _gain_points(gs, 3))):
             violations += 1
             worst_label = f"{kind} q_eff not strictly decreasing"
         gs2 = np.linspace(1.3, 4.5, 20)
-        bds = [qfi_effective(probe, NlaParams(g=float(g), p=3)) for g in gs2]
+        bd = qfi_effective(probe, _gain_points(gs2, 3))
         count += len(gs2) - 1
         for field in ("q_eff", "ps_qs", "q_unc"):
-            vals = [getattr(b, field) for b in bds]
-            if not all(a > b for a, b in zip(vals, vals[1:])):
+            if not _strictly_decreasing(getattr(bd, field)):
                 violations += 1
                 worst_label = f"{kind} {field} not decreasing on [1.3, 4.5]"
-        if not bds[-1].q_eff < 0.05 * bds[0].q_eff:
+        if not bd.q_eff[-1] < 0.05 * bd.q_eff[0]:
             decay_ok = False
             violations += 1
             worst_label = f"{kind} q_eff(4.5) >= 5% of q_eff(1.3)"
@@ -410,11 +424,12 @@ def check_figure_behavior() -> list[CheckResult]:
     # probe-family crossover at p = 2, nbar = 1
     coh = ProbeSpec.from_nbar("coherent", 1.0).build()
     sq = ProbeSpec.from_nbar("squeezed-vacuum", 1.0).build()
-    q_at = lambda probe, g: qfi_effective_closed_form(probe, NlaParams(g=g, p=2))
-    squeezed_wins_low = q_at(sq, 1.2) > q_at(coh, 1.2)
-    coherent_wins_somewhere = any(
-        q_at(coh, float(g)) >= q_at(sq, float(g)) for g in np.linspace(1.3, 6.0, 48)
-    )
+    low = NlaParams(g=1.2, p=2)
+    squeezed_wins_low = qfi_effective_closed_form(sq, low) > qfi_effective_closed_form(coh, low)
+    high = _gain_points(np.linspace(1.3, 6.0, 48), 2)
+    coherent_wins_somewhere = bool(np.any(
+        qfi_effective_closed_form(coh, high) >= qfi_effective_closed_form(sq, high)
+    ))
     ok = squeezed_wins_low and coherent_wins_somewhere
     results.append(CheckResult(
         "probe-family crossover at p=2 nbar=1 (squeezed wins at g=1.2, "
@@ -426,8 +441,10 @@ def check_figure_behavior() -> list[CheckResult]:
     # contribution regimes at p = 3, nbar = 1
     violations, count, worst_label = 0, 0, ""
     for kind, probe in _figure_probes():
-        low = qfi_effective(probe, NlaParams(g=1.05, p=3))
-        high = qfi_effective(probe, NlaParams(g=6.0, p=3))
+        # the grid's end points are exactly 1.05 and 6.0
+        gs = np.linspace(1.05, 6.0, 23)
+        bd = qfi_effective(probe, _gain_points(gs, 3))
+        low, *_, high = bd.points()
         count += 2
         if not (low.f_c > low.ps_qs and low.f_c > low.pf_qf):
             violations += 1
@@ -435,12 +452,11 @@ def check_figure_behavior() -> list[CheckResult]:
         if not (high.ps_qs > high.f_c and high.ps_qs > high.pf_qf):
             violations += 1
             worst_label = f"{kind} ps_qs not dominant at g=6"
-        for g in np.linspace(1.05, 6.0, 23):
-            bd = qfi_effective(probe, NlaParams(g=float(g), p=3))
-            count += 1
-            if bd.pf_qf > max(bd.f_c, bd.ps_qs):
-                violations += 1
-                worst_label = f"{kind} pf_qf largest at g={g:.3f}"
+        count += gs.size
+        bad = bd.pf_qf > np.maximum(bd.f_c, bd.ps_qs)
+        if bad.any():
+            violations += int(bad.sum())
+            worst_label = f"{kind} pf_qf largest at g={gs[np.flatnonzero(bad)[-1]]:.3f}"
     results.append(CheckResult(
         "contributions: f_c dominates near the boundary, ps_qs at large gain, "
         "pf_qf never largest",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nlametro import cli
-from nlametro.fisher import qfi_effective_closed_form
+from nlametro.fisher import qfi_effective, qfi_effective_closed_form
 from nlametro.instrument import NlaParams
 from nlametro.probes import ProbeSpec
 
@@ -221,3 +221,26 @@ def test_simulate_grid_below_gain_floor_rejected(capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "1.000000000001" in err and "np.float64" not in err
+
+
+def test_compare_rows_equal_single_point_budgets(capsys):
+    rc = cli.main([
+        "compare", "--probe", "squeezed-vacuum", "--nbar", "2", "--p", "5",
+        "--g", "1.01:6:40", "--format", "json",
+    ])
+    assert rc == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    probe = ProbeSpec.from_nbar("squeezed-vacuum", 2.0).build()
+    for g, q_eff, ps_qs, q_unc in rows:
+        bd = qfi_effective(probe, NlaParams(g=g, p=5))
+        assert q_eff == qfi_effective_closed_form(probe, NlaParams(g=g, p=5))
+        assert (ps_qs, q_unc) == pytest.approx((bd.ps_qs, bd.q_unc), rel=1e-14)
+
+
+def test_compare_at_an_energy_whose_head_sum_drifted(capsys):
+    # nbar=200 needs 318 of the 512 levels; stopping on one minus the head
+    # sum used to overflow the cap here
+    rc = cli.main(["compare", "--probe", "coherent", "--nbar", "200", "--p", "3", "--g", "1.5:2:2"])
+    assert rc == 0
+    _, rows = _rows(capsys.readouterr().out)
+    assert len(rows) == 2 and all(math.isfinite(v) for row in rows for v in row)

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 import math
 import pathlib
@@ -19,6 +20,7 @@ from nlametro.dense import (
 from nlametro.fock import DensityOperator, FockVector
 from nlametro.instrument import (
     FAILURE,
+    BranchImpossible,
     SUCCESS,
     MeterState,
     NlaParams,
@@ -39,7 +41,7 @@ from nlametro.fisher import (
     qfi_unconditional,
 )
 from nlametro.probes import ProbeSpec, custom_probe
-from nlametro.selfcheck import standard_grid
+from nlametro.selfcheck import STANDARD_THRESHOLDS, standard_grid, standard_probe_grids
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden.json"
 
@@ -283,6 +285,26 @@ def test_qfi_effective_builds_no_dense_operator(monkeypatch):
     assert qfi_effective(probe, params).q_unc == pytest.approx(dense, rel=1e-12)
 
 
+# Rounding bound of the batched kernel against single points: the two differ
+# only in the summation order of sums of at most p + 2 terms and in the
+# batched SVD and products, so a few ulp of the largest term.
+BATCH_REL = 1e-14
+FIELDS = ("q_eff", "ps_qs", "pf_qf", "f_c", "q_s", "q_f", "q_unc")
+
+
+def _assert_batch_matches_points(probe, points):
+    batch = qfi_effective(probe, points)
+    for i, params in enumerate(points):
+        single = qfi_effective(probe, params)
+        for field in FIELDS:
+            got, want = getattr(batch, field)[i], getattr(single, field)
+            if want == 0.0:
+                assert got == 0.0, (field, params)
+            else:
+                assert abs(got - want) <= BATCH_REL * abs(want), (field, params)
+    return batch
+
+
 # (dim, p): a compressed tail (dim > p + 2), one level above the threshold
 # (dim == p + 2), and no level above it (dim == p + 1, dim < p + 1)
 @pytest.mark.parametrize("dim,p", [(12, 3), (5, 3), (4, 3), (3, 3)])
@@ -312,12 +334,15 @@ def test_budget_on_compressed_images_matches_full_vector_references(dim, p, g):
     )
     coupling = float(np.sum(probe.weights() * (es * def_ - ef * des)))
     assert meter_coupling_term(probe, params) == pytest.approx(coupling, rel=1e-12)
+    _assert_batch_matches_points(probe, [NlaParams(g=1.05, p=p), params, NlaParams(g=6.0, p=p)])
 
 
 def test_qfi_effective_evaluates_each_kraus_diagonal_once_per_branch(monkeypatch):
+    # one evaluation of each Kraus row function per branch and call, for a
+    # single point and for a 300-point gain grid alike
     probe = ProbeSpec.from_nbar("squeezed-vacuum", 2.0).build()
     calls = collections.Counter()
-    for name in ("kraus_diagonal", "kraus_diagonal_derivative"):
+    for name in ("_kraus_rows", "_kraus_slope_rows"):
         original = getattr(nlametro.instrument, name)
 
         def counted(*args, _name=name, _original=original):
@@ -327,5 +352,50 @@ def test_qfi_effective_evaluates_each_kraus_diagonal_once_per_branch(monkeypatch
         for module in list(sys.modules.values()):
             if module.__name__.startswith("nlametro") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
-    qfi_effective(probe, NlaParams(g=1.5, p=3))
-    assert calls == {"kraus_diagonal": 2, "kraus_diagonal_derivative": 2}
+    for points in (NlaParams(g=1.5, p=3), [NlaParams(g=g, p=3) for g in np.linspace(1.05, 6, 300)]):
+        calls.clear()
+        qfi_effective(probe, points)
+        assert calls == {"_kraus_rows": 2, "_kraus_slope_rows": 2}
+
+
+def test_batched_budget_matches_single_points_on_standard_grid():
+    zeros = 0
+    for probe, _, points in standard_probe_grids():
+        for p in STANDARD_THRESHOLDS:
+            batch = _assert_batch_matches_points(probe, [pt for pt in points if pt.p == p])
+            assert batch.q_eff.shape == (7,)
+            zeros += int(np.sum(batch.q_f == 0.0))
+    # q_f is exactly 0 at p=1 (one failure level) and for squeezed vacuum at p=2
+    assert zeros == 8 * 7 + 4 * 7
+
+
+def test_batched_budget_keeps_exact_zeros_of_q_unc():
+    # supported above the threshold only: A = [c, 0] and dA = 0 at every gain
+    batch = qfi_effective(FockVector([0.0, 0.0, 1.0]), [NlaParams(g=g, p=1) for g in (1.5, 4.0)])
+    assert np.array_equal(batch.q_unc, [0.0, 0.0])
+    assert np.array_equal(batch.q_f, [0.0, 0.0])
+
+
+def test_batched_budget_points_are_breakdowns_of_floats(coherent_nbar1):
+    points = [NlaParams(g=g, p=3) for g in (1.2, 2.0)]
+    rows = qfi_effective(coherent_nbar1, points).points()
+    assert [type(x) for x in dataclasses.astuple(rows[1])] == [float] * len(FIELDS)
+    assert rows[1] == qfi_effective(coherent_nbar1, [points[1]]).points()[0]
+
+
+def test_batched_budget_rejects_a_mixed_threshold(coherent_nbar1):
+    with pytest.raises(ValueError, match="share the threshold"):
+        qfi_effective(coherent_nbar1, [NlaParams(g=2.0, p=3), NlaParams(g=2.0, p=2)])
+    with pytest.raises(ValueError, match="share the threshold"):
+        qfi_effective_closed_form(coherent_nbar1, [NlaParams(g=2.0, p=3), NlaParams(g=2.0, p=2)])
+    with pytest.raises(ValueError):
+        qfi_effective(coherent_nbar1, [])
+
+
+def test_impossible_success_branch_in_a_batch_names_the_point(vacuum):
+    # g^-2 underflows at g=1e160, so the vacuum never succeeds there
+    points = [NlaParams(g=2.0, p=2), NlaParams(g=1e160, p=2), NlaParams(g=3.0, p=2)]
+    with pytest.raises(BranchImpossible, match=r"g=1e\+160, p=2 \(point 1\)"):
+        qfi_effective(vacuum, points)
+    with pytest.raises(BranchImpossible, match="point 0"):
+        qfi_branch(vacuum, points[1], SUCCESS)

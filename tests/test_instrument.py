@@ -22,6 +22,7 @@ from nlametro.instrument import (
     conditional_state_derivative,
     joint_state,
     kraus_diagonal,
+    _kraus_slope_rows,
     kraus_diagonal_derivative,
 )
 from nlametro.dense import unconditional_state
@@ -137,3 +138,30 @@ def test_joint_state_blocks_carry_branch_weights(two_level, g2p1):
     assert ws == pytest.approx(0.625)
     assert wf == pytest.approx(0.375)
     assert np.linalg.norm(joint.as_vector()) == pytest.approx(1.0, abs=1e-12)
+
+
+def _slope_reference(g: float, p: int, branch: str, dim: int) -> np.ndarray:
+    """The per-level derivative formula, evaluated on the masked levels only."""
+    n = np.arange(dim, dtype=float)
+    out = np.zeros(dim)
+    if branch == SUCCESS:
+        below = n <= p
+        out[below] = (n[below] - p) * g ** (n[below] - p - 1.0)
+        return out
+    strictly_below = n < p
+    k = n[strictly_below] - p
+    out[strictly_below] = -k * g ** (2.0 * k - 1.0) / np.sqrt(1.0 - g ** (2.0 * k))
+    return out
+
+
+def test_kraus_slope_rows_broadcast_bit_for_bit():
+    gains = np.concatenate([[1.0 + 1e-9, 1.05, 2.0, 6.0], np.linspace(1.01, 12.0, 57)])
+    for p in range(6):
+        for dim in (1, p + 1, p + 2, 149):
+            for branch in (SUCCESS, FAILURE):
+                rows = _kraus_slope_rows(gains[:, np.newaxis], p, branch, dim)
+                for g, row in zip(gains, rows):
+                    ref = _slope_reference(float(g), p, branch, dim)
+                    assert np.array_equal(row, ref)
+                    params = NlaParams(g=float(g), p=p)
+                    assert np.array_equal(kraus_diagonal_derivative(params, branch, dim), ref)

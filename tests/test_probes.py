@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -102,3 +103,32 @@ def test_describe_roundtrips_family_parameters():
     assert desc["kind"] == "squeezed-vacuum"
     assert desc["amplitude"] == pytest.approx(1.0317185344477802)
     assert math.sinh(desc["amplitude"]) ** 2 == pytest.approx(1.5, rel=1e-12)
+
+
+# Coherent energies at which stopping on one minus the head sum never
+# passed: the head's rounding drift stayed above the tolerance.
+DRIFT_ENERGIES = (130, 180, 185, 195, 200, 215, 270, 315, 320, 325, 330, 340, 345, 350)
+
+
+@pytest.mark.parametrize("nbar", DRIFT_ENERGIES)
+def test_coherent_truncation_keeps_the_fewest_levels_with_exact_tail_below_tolerance(nbar):
+    state = ProbeSpec.from_nbar("coherent", nbar).build()
+    assert state.dim <= HARD_DIM_CAP
+    # the Poisson tail past d levels is the regularised lower incomplete gamma P(d, nbar)
+    with mpmath.workdps(40):
+        kept = mpmath.gammainc(state.dim, 0, nbar, regularized=True)
+        one_fewer = mpmath.gammainc(state.dim - 1, 0, nbar, regularized=True)
+    assert kept <= 1e-14 < one_fewer
+
+
+def test_squeezed_truncation_stops_on_its_tail_up_to_the_cap():
+    # nbar=8 keeps 509 levels; nbar=9 genuinely needs more than the cap
+    assert ProbeSpec.from_nbar("squeezed-vacuum", 8.0).build().dim == 509
+    with pytest.raises(TruncationOverflow):
+        ProbeSpec.from_nbar("squeezed-vacuum", 9.0).build()
+
+
+def test_energies_beyond_the_cap_raise_overflow():
+    for nbar in (512.0, 1e6):
+        with pytest.raises(TruncationOverflow):
+            ProbeSpec.from_nbar("coherent", nbar).build()
