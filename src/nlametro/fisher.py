@@ -49,12 +49,14 @@ from .fock import FockVector
 from .instrument import (
     BRANCHES,
     SUCCESS,
-    BranchImpossible,
     MeterState,
     NlaParams,
+    Points,
     _check_branch,
+    _impossible,
     _kraus_rows,
     _kraus_slope_rows,
+    _point_columns,
     kraus_diagonal,  # noqa: F401  (unused; perfbench's install test reads fisher.kraus_diagonal)
     PROBABILITY_FLOOR,
 )
@@ -63,8 +65,6 @@ from .instrument import (
 # zeros.  On the thin support of the unconditional output this ratio, applied
 # to squared singular values, decides whether the output has rank 1 or 2.
 ZERO_EIGENVALUE_TOL = 1e-12
-
-Points = NlaParams | Sequence[NlaParams]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,13 +100,10 @@ class FisherBreakdown:
 
 def _gains(params: Points) -> tuple[np.ndarray, int]:
     """Gains of one operating point or of a sequence of them, and their shared ``p``."""
-    batch = [params] if isinstance(params, NlaParams) else list(params)
-    if not batch:
-        raise ValueError("need at least one operating point")
-    p = batch[0].p
-    if any(pt.p != p for pt in batch):
+    g, p = _point_columns(params)
+    if len(set(p.flat)) > 1:
         raise ValueError("operating points of one call must share the threshold p")
-    return np.array([pt.g for pt in batch], dtype=float), p
+    return g[:, 0], int(p[0, 0])
 
 
 def _images(probe: FockVector, g: np.ndarray, p: int):
@@ -165,13 +162,6 @@ def _branch_qfi(e, de, a, col: int) -> tuple[np.ndarray, np.ndarray]:
     mean = np.sum(np.where(occupied, weights * logder, 0.0), axis=1)
     dev = np.where(occupied, logder - mean[:, np.newaxis], 0.0)
     return np.sum(np.where(occupied, weights * dev * dev, 0.0), axis=1), prob
-
-
-def _impossible(branch: str, g: np.ndarray, p: int, prob: np.ndarray) -> BranchImpossible:
-    i = int(np.argmax(prob < PROBABILITY_FLOOR))
-    return BranchImpossible(
-        f"{branch} branch is impossible for this probe at g={float(g[i])!r}, p={p} (point {i})"
-    )
 
 
 def _unconditional_qfi(a, da) -> np.ndarray:

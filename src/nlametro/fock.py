@@ -126,27 +126,8 @@ class DensityOperator:
 
 
 # ---------------------------------------------------------------------------
-# Hermite polynomials and position wavefunctions
+# Position wavefunctions
 # ---------------------------------------------------------------------------
-
-def hermite(n: int, x):
-    """Physicists' Hermite polynomial ``H_n(x)`` by the three-term recurrence.
-
-    ``x`` may be a scalar or an array.  Values grow like ``2^n n!`` so large
-    ``n`` overflows; use :func:`position_wavefunction` for anything that needs
-    the normalized product with the Gaussian envelope.
-    """
-    if n < 0:
-        raise ValueError("order must be non-negative")
-    xa = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(xa)
-    if n == 0:
-        return h_prev if isinstance(x, np.ndarray) else float(h_prev)
-    h = 2.0 * xa
-    for k in range(1, n):
-        h, h_prev = 2.0 * xa * h - 2.0 * k * h_prev, h
-    return h if isinstance(x, np.ndarray) else float(h)
-
 
 def wavefunction_matrix(dim: int, x: np.ndarray) -> np.ndarray:
     """All normalized position wavefunctions ``<x|n>`` for n < dim.
@@ -169,15 +150,6 @@ def wavefunction_matrix(dim: int, x: np.ndarray) -> np.ndarray:
     for n in range(2, dim):
         out[n] = math.sqrt(2.0 / n) * xa * out[n - 1] - math.sqrt((n - 1.0) / n) * out[n - 2]
     return out
-
-
-def position_wavefunction(n: int, x):
-    """Normalized harmonic-oscillator wavefunction ``<x|n>``."""
-    if n < 0:
-        raise ValueError("order must be non-negative")
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    val = wavefunction_matrix(n + 1, xa)[n]
-    return val if isinstance(x, np.ndarray) else float(val[0])
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,14 @@ complementary weight so that the pair is trace preserving level by level:
 This module provides the Kraus diagonals and their exact gain derivatives,
 branch probabilities, normalized conditional states, and the joint pure
 state of signal plus a qubit meter that records which branch occurred.
+The conditional amplitudes and their slopes come from one broadcast kernel,
+:func:`_conditional_rows`, for one operating point or a stack of them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -69,6 +72,18 @@ class NlaParams:
         object.__setattr__(self, "p", int(self.p))
 
 
+Points = NlaParams | Sequence[NlaParams]
+
+
+def _point_columns(params: Points) -> tuple[np.ndarray, np.ndarray]:
+    """Gain and threshold columns ``(G, 1)`` of one operating point or a sequence of them."""
+    batch = [params] if isinstance(params, NlaParams) else list(params)
+    if not batch:
+        raise ValueError("need at least one operating point")
+    g, p = np.array([pt.g for pt in batch], dtype=float), np.array([pt.p for pt in batch])
+    return g[:, np.newaxis], p[:, np.newaxis]
+
+
 def _check_rows(branch: str, dim: int) -> None:
     _check_branch(branch)
     if dim < 1:
@@ -81,20 +96,20 @@ def kraus_diagonal(params: NlaParams, branch: str, dim: int) -> np.ndarray:
     return _kraus_rows(params.g, params.p, branch, dim)
 
 
-def _kraus_rows(g, p: int, branch: str, dim: int) -> np.ndarray:
+def _kraus_rows(g, p, branch: str, dim: int) -> np.ndarray:
     """Kraus diagonals on levels 0..dim-1, broadcast against the gains ``g``.
 
-    ``g`` is a scalar, or an array whose last axis has length 1 (one row of
-    levels per gain).  Unchecked: the branch, ``dim`` and the gain domain are
-    the caller's to validate.  Each row equals :func:`kraus_diagonal` at its
-    gain bit for bit.
+    ``g`` and ``p`` are scalars, or arrays whose last axis has length 1 (one
+    row of levels per point, see :func:`_point_columns`).  Unchecked: the
+    branch, ``dim`` and the gain domain are the caller's to validate.  The
+    exponent ``n - p`` is clamped at 0, which gives the constant rows above
+    ``p`` (``g^0 = 1``) without a power of ``g`` that could overflow.  Each
+    row equals :func:`kraus_diagonal` at its point bit for bit.
     """
-    n = np.arange(dim, dtype=float)
-    below = n <= p
+    k = np.minimum(np.arange(dim, dtype=float) - p, 0.0)
     if branch == SUCCESS:
-        return np.where(below, g ** (n - p), 1.0)
-    inside = np.clip(1.0 - g ** (2.0 * (n - p)), 0.0, None)
-    return np.where(below, np.sqrt(inside), 0.0)
+        return g ** k
+    return np.sqrt(np.clip(1.0 - g ** (2.0 * k), 0.0, None))
 
 
 def kraus_diagonal_derivative(params: NlaParams, branch: str, dim: int) -> np.ndarray:
@@ -107,20 +122,23 @@ def kraus_diagonal_derivative(params: NlaParams, branch: str, dim: int) -> np.nd
     return _kraus_slope_rows(params.g, params.p, branch, dim)
 
 
-def _kraus_slope_rows(g, p: int, branch: str, dim: int) -> np.ndarray:
-    """Gain derivatives of :func:`_kraus_rows`, broadcast against the gains ``g``.
+def _kraus_slope_rows(g, p, branch: str, dim: int) -> np.ndarray:
+    """Gain derivatives of :func:`_kraus_rows`, broadcast against ``g`` and ``p``.
 
     Unchecked, like :func:`_kraus_rows`.  Only the levels ``n <= p``
-    (success) or ``n < p`` (failure) have a non-zero slope; they are
-    evaluated and the rest of each row is zero.  Each row equals
-    :func:`kraus_diagonal_derivative` at its gain bit for bit.
+    (success) or ``n < p`` (failure) have a non-zero slope; the levels up to
+    the largest ``p`` are evaluated and the rest of each row is zero.  Each
+    row equals :func:`kraus_diagonal_derivative` at its point bit for bit.
     """
-    levels = min(dim, p + 1 if branch == SUCCESS else p)
-    k = np.arange(levels, dtype=float) - p
+    top = int(np.max(p))
+    levels = min(dim, top + 1 if branch == SUCCESS else top)
+    # clamped like _kraus_rows: the slope is 0 wherever k = 0
+    k = np.minimum(np.arange(levels, dtype=float) - p, 0.0)
     if branch == SUCCESS:
         head = k * g ** (k - 1.0)
     else:
-        head = -k * g ** (2.0 * k - 1.0) / np.sqrt(1.0 - g ** (2.0 * k))
+        root = np.sqrt(1.0 - g ** (2.0 * k))
+        head = np.divide(-k * g ** (2.0 * k - 1.0), root, out=np.zeros(root.shape), where=k < 0.0)
     out = np.zeros(head.shape[:-1] + (dim,))
     out[..., :levels] = head
     return out
@@ -163,30 +181,50 @@ class ConditionalState:
     branch: str
 
 
-def conditional_state(probe: FockVector, params: NlaParams, branch: str) -> ConditionalState:
-    probe.require_normalized()
-    e = kraus_diagonal(params, branch, probe.dim)
-    raw = e * probe.amps
-    prob = float(np.sum(np.abs(raw) ** 2))
-    if prob < PROBABILITY_FLOOR:
-        raise BranchImpossible(
-            f"{branch} branch has probability {prob:.3g} for this probe"
-        )
-    return ConditionalState(FockVector(raw / np.sqrt(prob)), prob, branch)
+def _impossible(branch: str, g, p, prob: np.ndarray) -> BranchImpossible:
+    """The error naming the first point whose ``prob`` is below :data:`PROBABILITY_FLOOR`."""
+    i = int(np.argmax(prob < PROBABILITY_FLOOR))
+    g, p = np.broadcast_arrays(np.ravel(g), np.ravel(p))
+    return BranchImpossible(
+        f"{branch} branch is impossible for this probe at g={float(g[i])!r}, p={int(p[i])}"
+        f" (point {i})"
+    )
 
 
-def conditional_state_derivative(
-    probe: FockVector, params: NlaParams, branch: str
-) -> np.ndarray:
-    """Exact gain derivative of the normalized conditional amplitudes.
+def _conditional_rows(probe: FockVector, params: Points, branch: str):
+    """Normalized conditional amplitudes, their gain slopes and the branch probabilities.
 
-    Product rule on ``a_n = E_n c_n / sqrt(prob)``:
-    ``da_n = dE_n c_n / sqrt(prob) - E_n c_n dprob / (2 prob^{3/2})``.
+    ``params`` is one operating point or a sequence of them, whose thresholds
+    may differ.  Amplitudes and slopes are ``G x dim`` stacks, one row per
+    point; the probabilities have length ``G``.  The slopes follow the product
+    rule on ``a_n = E_n c_n / sqrt(prob)``:
+    ``da_n = dE_n c_n / sqrt(prob) - a_n dprob / (2 prob)``.  An impossible
+    branch at any point raises :class:`BranchImpossible` naming that point.
     """
-    cond = conditional_state(probe, params, branch)
-    prob, dprob = cond.probability, branch_probability_derivative(probe, params, branch)
-    de = kraus_diagonal_derivative(params, branch, probe.dim)
-    return de * probe.amps / np.sqrt(prob) - cond.state.amps * (dprob / (2.0 * prob))
+    _check_branch(branch)
+    probe.require_normalized()
+    g, p = _point_columns(params)
+    e = _kraus_rows(g, p, branch, probe.dim)
+    de = _kraus_slope_rows(g, p, branch, probe.dim)
+    raw = e * probe.amps
+    prob = np.sum(np.abs(raw) ** 2, axis=1)
+    if np.any(prob < PROBABILITY_FLOOR):
+        raise _impossible(branch, g, p, prob)
+    dprob = 2.0 * np.sum(e * de * probe.weights(), axis=1)
+    root = np.sqrt(prob)[:, np.newaxis]
+    amps = raw / root
+    return amps, de * probe.amps / root - amps * (dprob / (2.0 * prob))[:, np.newaxis], prob
+
+
+def conditional_state(probe: FockVector, params: NlaParams, branch: str) -> ConditionalState:
+    """Normalized post-selected state at one point: a view of :func:`_conditional_rows`."""
+    amps, _, prob = _conditional_rows(probe, params, branch)
+    return ConditionalState(FockVector(amps[0]), float(prob[0]), branch)
+
+
+def conditional_state_derivative(probe: FockVector, params: NlaParams, branch: str) -> np.ndarray:
+    """Gain derivative of the conditional amplitudes at one point (:func:`_conditional_rows`)."""
+    return _conditional_rows(probe, params, branch)[1][0]
 
 
 @dataclasses.dataclass(frozen=True)

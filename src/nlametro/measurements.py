@@ -8,13 +8,18 @@ their exact gain derivatives, the resulting classical Fisher informations,
 and the Fisher information of the full joint record (branch, outcome) --
 the latter through its own code path so it can arbitrate the identity
 ``F_joint = p_s Q_s + p_f Q_f + F_c`` independently.
+
+Every function but :func:`homodyne_density` takes one operating point or a
+sequence of them, whose thresholds may differ, and evaluates all points as
+one stack of rows: conditional amplitudes and slopes from one call of the
+instrument kernel ``_conditional_rows``, joint-record rows ``E_i c`` from one
+``_kraus_rows`` and ``_kraus_slope_rows`` call per branch.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -28,11 +33,12 @@ from .fock import (
 from .instrument import (
     BRANCHES,
     NlaParams,
-    branch_probability_derivative,
+    Points,
+    _conditional_rows,
+    _kraus_rows,
+    _kraus_slope_rows,
+    _point_columns,
     conditional_state,
-    conditional_state_derivative,
-    kraus_diagonal,
-    kraus_diagonal_derivative,
 )
 
 PHOTON_COUNTING = "photon-counting"
@@ -102,36 +108,52 @@ class OutcomeDistribution:
 # Photon counting
 # ---------------------------------------------------------------------------
 
-def photon_counting_dist(probe: FockVector, params: NlaParams, branch: str) -> OutcomeDistribution:
-    """Photon-number distribution of the normalized conditional state."""
-    cond = conditional_state(probe, params, branch)
-    return OutcomeDistribution(
-        kind=PHOTON_COUNTING,
-        branch=branch,
-        support=np.arange(probe.dim),
-        masses=cond.state.weights(),
-    )
+def photon_counting_dist(
+    probe: FockVector, params: Points, branch: str
+) -> OutcomeDistribution | list[OutcomeDistribution]:
+    """Photon-number distribution of the normalized conditional state.
+
+    ``params`` is one operating point, giving one distribution, or a
+    sequence of them, giving a list.
+    """
+    masses = np.abs(_conditional_rows(probe, params, branch)[0]) ** 2
+    support = np.arange(probe.dim)
+    dists = [OutcomeDistribution(PHOTON_COUNTING, branch, support, row) for row in masses]
+    return dists[0] if isinstance(params, NlaParams) else dists
 
 
-def photon_counting_mass_derivative(
-    probe: FockVector, params: NlaParams, branch: str
-) -> np.ndarray:
-    """Exact gain derivative of the conditional photon-number masses."""
-    cond = conditional_state(probe, params, branch)
-    damps = conditional_state_derivative(probe, params, branch)
-    return 2.0 * (np.conj(cond.state.amps) * damps).real
+def photon_counting_mass_derivative(probe: FockVector, params: Points, branch: str) -> np.ndarray:
+    """Exact gain derivative of the conditional photon-number masses.
+
+    One row for one operating point, a ``G x dim`` stack for a sequence.
+    """
+    amps, slopes, _ = _conditional_rows(probe, params, branch)
+    dm = 2.0 * (np.conj(amps) * slopes).real
+    return dm[0] if isinstance(params, NlaParams) else dm
 
 
-def fi_photon_counting(probe: FockVector, params: NlaParams, branch: str) -> float:
+def _counting_fi(amps: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """``sum dm^2 / m`` over occupied outcomes, ``m = |a|^2``, ``dm = 2 Re(conj(a) da)``.
+
+    ``amps`` and ``slopes`` are ``(G, K, dim)`` groups of rows, summed per
+    group as in :func:`_fisher_integral`.
+    """
+    m = np.abs(amps) ** 2
+    dm = 2.0 * (np.conj(amps) * slopes).real
+    return np.divide(dm * dm, m, out=np.zeros_like(m), where=m > MASS_FLOOR).sum(axis=(1, 2))
+
+
+def fi_photon_counting(probe: FockVector, params: Points, branch: str) -> float | np.ndarray:
     """Classical Fisher information of conditional photon counting.
 
     ``F = sum_n (dm_n)^2 / m_n`` over occupied levels, with the mass
     derivatives taken analytically through the conditional amplitudes.
+    ``params`` is one operating point, giving a float, or a sequence of
+    them, giving an array.
     """
-    dist = photon_counting_dist(probe, params, branch)
-    dm = photon_counting_mass_derivative(probe, params, branch)
-    keep = dist.masses > MASS_FLOOR
-    return float(np.sum(dm[keep] ** 2 / dist.masses[keep]))
+    amps, slopes, _ = _conditional_rows(probe, params, branch)
+    values = _counting_fi(amps[:, None], slopes[:, None])
+    return float(values[0]) if isinstance(params, NlaParams) else values
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +169,6 @@ def _grid_and_wavefunctions(dim: int, widen: int = 0) -> tuple[QuadratureGrid, n
     """
     grid = adaptive_quadrature_grid(dim, half_width=default_half_width(dim) * 1.25 ** widen)
     return grid, wavefunction_matrix(dim, grid.nodes)
-
-
-def _batch(params: NlaParams | Sequence[NlaParams]) -> list[NlaParams]:
-    """One operating point is a batch of one."""
-    return [params] if isinstance(params, NlaParams) else list(params)
 
 
 def _fields(rows: np.ndarray, psi: np.ndarray) -> list[np.ndarray]:
@@ -176,7 +193,7 @@ def homodyne_density(probe: FockVector, params: NlaParams, branch: str, x) -> np
 
 
 def homodyne_distribution(
-    probe: FockVector, params: NlaParams | Sequence[NlaParams], branch: str
+    probe: FockVector, params: Points, branch: str
 ) -> OutcomeDistribution | list[OutcomeDistribution]:
     """Conditional homodyne density tabulated on the adaptive grid.
 
@@ -185,11 +202,10 @@ def homodyne_distribution(
     points are multiplied against the window-0 wavefunction table
     ``ROW_CHUNK`` rows at a time.
     """
-    batch = _batch(params)
-    amps = np.array([conditional_state(probe, pt, branch).state.amps for pt in batch])
+    amps = _conditional_rows(probe, params, branch)[0]
     grid, psi = _grid_and_wavefunctions(probe.dim, 0)
     dists = []
-    for start in range(0, len(batch), ROW_CHUNK):
+    for start in range(0, len(amps), ROW_CHUNK):
         masses = sum(f * f for f in _fields(amps[start:start + ROW_CHUNK], psi))
         dists.extend(
             OutcomeDistribution(
@@ -250,10 +266,7 @@ def _fisher_integral(dim: int, amps: np.ndarray, slopes: np.ndarray) -> np.ndarr
 
 
 def fi_homodyne(
-    probe: FockVector,
-    params: NlaParams | Sequence[NlaParams],
-    branch: str,
-    allow_complex: bool = False,
+    probe: FockVector, params: Points, branch: str, allow_complex: bool = False
 ) -> float | np.ndarray:
     """Classical Fisher information of conditional homodyne detection.
 
@@ -270,9 +283,7 @@ def fi_homodyne(
             "homodyne saturation only holds for real probe amplitudes; "
             "pass allow_complex=True to compute the classical value anyway"
         )
-    batch = _batch(params)
-    amps = np.array([conditional_state(probe, pt, branch).state.amps for pt in batch])
-    slopes = np.array([conditional_state_derivative(probe, pt, branch) for pt in batch])
+    amps, slopes, _ = _conditional_rows(probe, params, branch)
     values = _fisher_integral(probe.dim, amps[:, None], slopes[:, None])
     return float(values[0]) if isinstance(params, NlaParams) else values
 
@@ -281,53 +292,33 @@ def fi_homodyne(
 # Joint record of the full sequential scheme
 # ---------------------------------------------------------------------------
 
-def _photon_counting_record_fi(probe: FockVector, params: NlaParams) -> float:
-    """Joint-record FI for photon counting at one operating point."""
-    total = 0.0
-    w = probe.weights()
-    for branch in BRANCHES:
-        e = kraus_diagonal(params, branch, probe.dim)
-        de = kraus_diagonal_derivative(params, branch, probe.dim)
-        q = e * e * w
-        dq = 2.0 * e * de * w
-        keep = q > MASS_FLOOR
-        total += float(np.sum(dq[keep] ** 2 / q[keep]))
-    return total
-
-
 def sequential_fi(
-    probe: FockVector,
-    params: NlaParams | Sequence[NlaParams],
-    detector: str = PHOTON_COUNTING,
+    probe: FockVector, params: Points, detector: str = PHOTON_COUNTING
 ) -> float | np.ndarray:
     """Fisher information of the joint (branch, outcome) record.
 
     Works directly on the unnormalized joint masses
     ``q_{i,o} = prob_i * p(o|i)`` -- for photon counting these are simply
-    ``E_{i,n}^2 |c_n|^2`` -- with analytic derivatives, and never touches the
+    ``|E_{i,n} c_n|^2`` -- with analytic derivatives, and never touches the
     effective-QFI closed form, so it can serve as an independent witness of
     ``F_joint = p_s Q_s + p_f Q_f + F_c``.
 
     ``params`` is one operating point, giving a float, or a sequence of
-    them, giving an array.  For homodyne all points go through one stacked
-    :func:`_fisher_integral`, with the two branch rows of a point as one
-    group.
+    them, giving an array.  The two branch rows ``E_i c`` of a point are one
+    group of :func:`_counting_fi` or, for homodyne, of one stacked
+    :func:`_fisher_integral`.
     """
     probe.require_normalized()
-    batch = _batch(params)
-    if detector == PHOTON_COUNTING:
-        values = np.array([_photon_counting_record_fi(probe, pt) for pt in batch])
-    elif detector == HOMODYNE:
-        if not probe.is_real(REAL_AMPLITUDE_TOL):
-            raise ComplexProbeUnsupported(
-                "joint homodyne record requires real probe amplitudes"
-            )
-        dim, c = probe.dim, probe.amps
-        amps = np.array([[kraus_diagonal(pt, b, dim) * c for b in BRANCHES] for pt in batch])
-        slopes = np.array(
-            [[kraus_diagonal_derivative(pt, b, dim) * c for b in BRANCHES] for pt in batch]
-        )
-        values = _fisher_integral(dim, amps, slopes)
-    else:
+    if detector not in DETECTOR_KINDS:
         raise ValueError(f"unknown detector {detector!r}")
+    if detector == HOMODYNE and not probe.is_real(REAL_AMPLITUDE_TOL):
+        raise ComplexProbeUnsupported("joint homodyne record requires real probe amplitudes")
+    g, p = _point_columns(params)
+    dim, c = probe.dim, probe.amps
+    amps = np.stack([_kraus_rows(g, p, b, dim) * c for b in BRANCHES], axis=1)
+    slopes = np.stack([_kraus_slope_rows(g, p, b, dim) * c for b in BRANCHES], axis=1)
+    if detector == PHOTON_COUNTING:
+        values = _counting_fi(amps, slopes)
+    else:
+        values = _fisher_integral(dim, amps, slopes)
     return float(values[0]) if isinstance(params, NlaParams) else values

@@ -83,8 +83,8 @@ def coherent_state(alpha: float, tail_tol: float = DEFAULT_TAIL_TOL) -> FockVect
     the stable weight recurrence ``w_{n+1} = w_n alpha^2/(n+1)``; mean photon
     number ``alpha^2``.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and non-negative, got {alpha!r}")
     if alpha == 0.0:
         return FockVector([1.0])
     weights = _head_weights(
@@ -106,13 +106,17 @@ def squeezed_vacuum(r: float, tail_tol: float = DEFAULT_TAIL_TOL) -> FockVector:
     normalization; mean photon number ``sinh(r)^2``.  Even weights follow the
     recurrence ``w_{n+1} = w_n tanh(r)^2 (2n+1)/(2n+2)``.
     """
-    if r < 0:
-        raise ValueError("squeezing parameter must be non-negative")
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"squeezing parameter must be finite and non-negative, got {r!r}")
     if r == 0.0:
         return FockVector([1.0])
     t2 = math.tanh(r) ** 2
+    try:
+        first = 1.0 / math.cosh(r)
+    except OverflowError:  # r above ~710: the weight underflows, the cap is exceeded
+        first = 0.0
     weights = _head_weights(
-        1.0 / math.cosh(r),
+        first,
         lambda w, n: w * t2 * (2 * n - 1) / (2.0 * n),
         tail_tol,
         (HARD_DIM_CAP + 1) // 2,
@@ -129,8 +133,8 @@ def solve_amplitude_for_nbar(kind: str, nbar: float) -> float:
     ``sqrt(nbar)`` for coherent probes, ``arcsinh(sqrt(nbar))`` for squeezed
     vacuum.  Custom probes have no family amplitude.
     """
-    if nbar < 0:
-        raise ValueError("mean photon number must be non-negative")
+    if not 0.0 <= nbar < math.inf:
+        raise ValueError(f"mean photon number must be finite and non-negative, got {nbar!r}")
     if kind == KIND_COHERENT:
         return math.sqrt(nbar)
     if kind == KIND_SQUEEZED:

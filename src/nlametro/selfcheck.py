@@ -23,10 +23,12 @@ Gram matrices per point, built in extended precision at ``dg=1e-4``, so no
 step is refused and every row scores all 280 points.
 
 The detector and meter suites evaluate on arrays, each number still coming
-from the library function it checks.  The homodyne rows pass a probe's 35
-operating points to one ``fi_homodyne`` call per branch, one
-``sequential_fi`` call and one ``homodyne_distribution`` call per branch,
-which stack them as rows of chunked real products on the quadrature grid.
+from the library function it checks.  The detector rows pass a probe's 35
+operating points, of all five thresholds, to one call per branch of
+``fi_photon_counting``, ``photon_counting_dist``, ``fi_homodyne`` and
+``homodyne_distribution``, and to one ``sequential_fi`` call per detector;
+each takes the rows of all points from one kernel evaluation, and homodyne
+stacks them as chunked real products on the quadrature grid.
 The meter suite passes a point's 54 meters to one ``qfi_joint_meter`` call,
 which evaluates ``q_eff`` and the coupling term once for all of them.
 """
@@ -318,35 +320,29 @@ def check_oracle_suite(breakdowns: dict[str, FisherBreakdown]) -> list[CheckResu
 def check_detector_suite(breakdowns: dict[str, FisherBreakdown]) -> list[CheckResult]:
     """Detector Fisher informations saturate the branch QFIs on the grid.
 
-    The homodyne quantities of a probe's operating points are computed by
-    one call per function and branch over all of them; photon counting stays
-    per point, and the branch QFIs come from ``breakdowns``
-    (:func:`standard_breakdowns`).
+    The detector quantities of a probe's operating points are computed by
+    one call per function and branch over all of them, and the branch QFIs
+    come from ``breakdowns`` (:func:`standard_breakdowns`).
     """
     pc_w, hd_w, seq_pc_w, seq_hd_w, norm_w = (_Worst() for _ in range(5))
+    detectors = (("photon", photon_counting_dist), ("homodyne", homodyne_distribution))
     for probe, labels, points in standard_probe_grids():
+        photon = {b: fi_photon_counting(probe, points, b).tolist() for b in BRANCHES}
         homodyne = {b: fi_homodyne(probe, points, b).tolist() for b in BRANCHES}
-        homodyne_mass = {
-            b: [dist.total() for dist in homodyne_distribution(probe, points, b)]
+        totals = {
+            (b, name): [dist.total() for dist in distribution(probe, points, b)]
             for b in BRANCHES
+            for name, distribution in detectors
         }
         seq_pc = sequential_fi(probe, points, PHOTON_COUNTING).tolist()
         seq_hd = sequential_fi(probe, points, HOMODYNE).tolist()
-        for i, (label, params) in enumerate(zip(labels, points)):
+        for i, label in enumerate(labels):
             bd = breakdowns[label]
             for branch, q_branch in ((SUCCESS, bd.q_s), (FAILURE, bd.q_f)):
-                pc_w.update(
-                    _rel(fi_photon_counting(probe, params, branch), q_branch),
-                    f"{label} {branch}",
-                )
+                pc_w.update(_rel(photon[branch][i], q_branch), f"{label} {branch}")
                 hd_w.update(_rel(homodyne[branch][i], q_branch), f"{label} {branch}")
-                norm_w.update(
-                    abs(photon_counting_dist(probe, params, branch).total() - 1.0),
-                    f"{label} {branch} photon",
-                )
-                norm_w.update(
-                    abs(homodyne_mass[branch][i] - 1.0), f"{label} {branch} homodyne"
-                )
+                for name, _ in detectors:
+                    norm_w.update(abs(totals[branch, name][i] - 1.0), f"{label} {branch} {name}")
             target = bd.component_sum()
             seq_pc_w.update(_rel(seq_pc[i], target), label)
             seq_hd_w.update(_rel(seq_hd[i], target), label)

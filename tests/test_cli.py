@@ -244,3 +244,22 @@ def test_compare_at_an_energy_whose_head_sum_drifted(capsys):
     assert rc == 0
     _, rows = _rows(capsys.readouterr().out)
     assert len(rows) == 2 and all(math.isfinite(v) for row in rows for v in row)
+
+
+def test_squeezed_probe_beyond_the_cosh_range_is_a_usage_error(capsys):
+    # cosh(800) overflows a double; the probe would need far more than 512 levels
+    rc = cli.main([
+        "compare", "--probe", "squeezed-vacuum", "--amplitude", "800", "--p", "3", "--g", "1.5:2:2",
+    ])
+    assert rc == 2
+    assert "r=800 needs more than 512 levels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--amplitude", "--nbar"])
+@pytest.mark.parametrize("kind", ["coherent", "squeezed-vacuum"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_probe_energy_is_rejected_by_value(flag, kind, value, capsys):
+    rc = cli.main(["compare", "--probe", kind, flag, value, "--p", "3", "--g", "1.5:2:2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"must be finite and non-negative, got {value}" in err and "levels" not in err

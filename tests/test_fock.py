@@ -11,8 +11,6 @@ from nlametro.fock import (
     adaptive_quadrature_grid,
     build_quadrature_grid,
     default_half_width,
-    hermite,
-    position_wavefunction,
     wavefunction_matrix,
 )
 
@@ -44,19 +42,10 @@ def test_density_from_pure_and_validation():
         DensityOperator(np.array([[0.0, 1.0], [0.0, 1.0]]))
 
 
-def test_hermite_matches_low_order_polynomials():
-    # physicists' convention: H0 = 1, H1 = 2x, H2 = 4x^2 - 2, H3 = 8x^3 - 12x
-    x = np.linspace(-2.0, 2.0, 9)
-    npt.assert_allclose(hermite(0, x), np.ones_like(x))
-    npt.assert_allclose(hermite(1, x), 2 * x)
-    npt.assert_allclose(hermite(2, x), 4 * x ** 2 - 2, rtol=1e-13)
-    npt.assert_allclose(hermite(3, x), 8 * x ** 3 - 12 * x, rtol=1e-13)
-
-
 def test_position_wavefunction_ground_state():
     x = np.array([0.0, 0.7, -1.3])
     expected = np.pi ** -0.25 * np.exp(-0.5 * x ** 2)
-    npt.assert_allclose(position_wavefunction(0, x), expected, rtol=1e-14)
+    npt.assert_allclose(wavefunction_matrix(1, x)[0], expected, rtol=1e-14)
 
 
 def test_wavefunctions_orthonormal_under_adaptive_grid():

@@ -22,6 +22,7 @@ from nlametro.instrument import (
     conditional_state_derivative,
     joint_state,
     kraus_diagonal,
+    _kraus_rows,
     _kraus_slope_rows,
     kraus_diagonal_derivative,
 )
@@ -165,3 +166,27 @@ def test_kraus_slope_rows_broadcast_bit_for_bit():
                     assert np.array_equal(row, ref)
                     params = NlaParams(g=float(g), p=p)
                     assert np.array_equal(kraus_diagonal_derivative(params, branch, dim), ref)
+    # one row per point, each with its own threshold
+    g_col = np.repeat(gains, 6)[:, np.newaxis]
+    p_col = np.tile(np.arange(6), gains.size)[:, np.newaxis]
+    for dim in (1, 3, 6, 7, 149):
+        for branch in (SUCCESS, FAILURE):
+            slopes = _kraus_slope_rows(g_col, p_col, branch, dim)
+            rows = _kraus_rows(g_col, p_col, branch, dim)
+            for g, p, slope, row in zip(g_col[:, 0], p_col[:, 0], slopes, rows):
+                assert np.array_equal(slope, _slope_reference(float(g), int(p), branch, dim))
+                params = NlaParams(g=float(g), p=int(p))
+                assert np.array_equal(row, kraus_diagonal(params, branch, dim))
+
+
+def test_kraus_rows_do_not_overflow_above_the_threshold():
+    # g^(n-p) at n=148, p=1, g=12 is about 1e159 and its square overflows;
+    # above p the rows are constant, so no power of g is needed there
+    n = np.arange(149)
+    with np.errstate(all="raise"):
+        es = kraus_diagonal(NlaParams(g=12.0, p=1), SUCCESS, 149)
+        ef = kraus_diagonal(NlaParams(g=12.0, p=1), FAILURE, 149)
+        rows = _kraus_rows(np.array([[12.0], [1e3]]), np.array([[1], [0]]), FAILURE, 149)
+    npt.assert_array_equal(es, np.where(n <= 1, 12.0 ** np.minimum(n - 1.0, 0.0), 1.0))
+    assert ef[0] == math.sqrt(1.0 - 12.0 ** -2.0) and not ef[1:].any()
+    assert not rows.any(axis=0)[1:].any()

@@ -10,6 +10,7 @@ from nlametro.instrument import (
     BRANCHES,
     FAILURE,
     SUCCESS,
+    BranchImpossible,
     NlaParams,
     conditional_state,
     conditional_state_derivative,
@@ -19,6 +20,7 @@ from nlametro.instrument import (
 from nlametro.fisher import qfi_branch, qfi_effective
 from nlametro.measurements import (
     HOMODYNE,
+    PHOTON_COUNTING,
     ROW_CHUNK,
     ComplexProbeUnsupported,
     fi_homodyne,
@@ -131,8 +133,17 @@ def _complex_fisher_integral(dim, rows):
     return grid.integrate(integrand)
 
 
+def _counting_sum(rows):
+    """Loop reference: ``sum dm^2 / m`` over occupied levels of (masses, derivatives) pairs."""
+    total = 0.0
+    for m, dm in rows:
+        keep = m > measurements.MASS_FLOOR
+        total += float(np.sum(dm[keep] ** 2 / m[keep]))
+    return total
+
+
 @pytest.mark.parametrize("kind, nbar", [("squeezed-vacuum", 2.0), ("coherent", 1.0)])
-def test_stacked_homodyne_equals_one_point_at_a_time(kind, nbar):
+def test_stacked_detectors_equal_one_point_at_a_time(kind, nbar):
     probe = ProbeSpec.from_nbar(kind, nbar).build()
     assert len(STANDARD_POINTS) > ROW_CHUNK
     for branch in BRANCHES:
@@ -151,15 +162,47 @@ def test_stacked_homodyne_equals_one_point_at_a_time(kind, nbar):
             # near a node of the field the density is a cancellation residue
             npt.assert_allclose(dist.masses, one.masses, rtol=1e-12, atol=1e-15 * one.masses.max())
             assert dist.total() == pytest.approx(one.total(), rel=1e-12)
-    stacked = sequential_fi(probe, STANDARD_POINTS, HOMODYNE)
-    for value, params in zip(stacked, STANDARD_POINTS):
-        assert value == pytest.approx(sequential_fi(probe, params, HOMODYNE), rel=1e-12)
-        rows = [
-            (kraus_diagonal(params, b, probe.dim) * probe.amps,
-             kraus_diagonal_derivative(params, b, probe.dim) * probe.amps)
-            for b in BRANCHES
-        ]
-        assert value == pytest.approx(_complex_fisher_integral(probe.dim, rows), rel=1e-12)
+        counted = fi_photon_counting(probe, STANDARD_POINTS, branch)
+        dists = photon_counting_dist(probe, STANDARD_POINTS, branch)
+        slopes = photon_counting_mass_derivative(probe, STANDARD_POINTS, branch)
+        assert counted.shape == (len(STANDARD_POINTS),) and len(dists) == len(STANDARD_POINTS)
+        assert slopes.shape == (len(STANDARD_POINTS), probe.dim)
+        for value, dist, dm, params in zip(counted, dists, slopes, STANDARD_POINTS):
+            assert value == pytest.approx(fi_photon_counting(probe, params, branch), rel=1e-12)
+            npt.assert_array_equal(dist.masses, photon_counting_dist(probe, params, branch).masses)
+            npt.assert_array_equal(dm, photon_counting_mass_derivative(probe, params, branch))
+            cond = conditional_state(probe, params, branch).state.amps
+            slope = conditional_state_derivative(probe, params, branch)
+            masses = np.abs(cond) ** 2
+            npt.assert_allclose(dist.masses, masses, rtol=1e-12, atol=1e-300)
+            ref_dm = 2.0 * (np.conj(cond) * slope).real
+            npt.assert_allclose(dm, ref_dm, rtol=1e-12, atol=1e-12 * np.abs(ref_dm).max())
+            assert value == pytest.approx(_counting_sum([(masses, ref_dm)]), rel=1e-12)
+    for detector in (HOMODYNE, PHOTON_COUNTING):
+        stacked = sequential_fi(probe, STANDARD_POINTS, detector)
+        for value, params in zip(stacked, STANDARD_POINTS):
+            assert value == pytest.approx(sequential_fi(probe, params, detector), rel=1e-12)
+            e = [kraus_diagonal(params, b, probe.dim) for b in BRANCHES]
+            de = [kraus_diagonal_derivative(params, b, probe.dim) for b in BRANCHES]
+            if detector == HOMODYNE:
+                rows = [(ei * probe.amps, dei * probe.amps) for ei, dei in zip(e, de)]
+                reference = _complex_fisher_integral(probe.dim, rows)
+            else:
+                w = probe.weights()
+                reference = _counting_sum([(ei * ei * w, 2.0 * ei * dei * w) for ei, dei in zip(e, de)])
+            assert value == pytest.approx(reference, rel=1e-12)
+
+
+def test_impossible_branch_in_a_batch_names_the_point():
+    # |1> can fail below a threshold of 2, but never at threshold 1
+    one = FockVector([0.0, 1.0])
+    points = [NlaParams(g=2.0, p=2), NlaParams(g=2.0, p=1)]
+    assert fi_photon_counting(one, points[:1], FAILURE).shape == (1,)
+    for function in (photon_counting_dist, fi_photon_counting, fi_homodyne):
+        with pytest.raises(BranchImpossible, match=r"failure branch .* g=2\.0, p=1 \(point 1\)"):
+            function(one, points, FAILURE)
+    with pytest.raises(BranchImpossible, match=r"p=1 \(point 0\)"):
+        conditional_state(one, points[1], FAILURE)
 
 
 def test_stacked_homodyne_of_a_complex_probe_uses_both_quadrature_parts():

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import nlametro
-from nlametro import fisher, instrument, oracles
+from nlametro import fisher, instrument, measurements, oracles, selfcheck
 from nlametro.fock import DensityOperator, FockVector
 from nlametro.instrument import (
     FAILURE,
@@ -382,6 +383,37 @@ def test_meter_suite_computes_one_coupling_term_per_point(monkeypatch):
     assert bound.passed and equality.passed
     assert (bound.points, equality.points) == (14000, 1120)
     assert len(calls) <= 280
+
+
+def test_detector_suite_makes_a_fixed_number_of_calls_per_probe(monkeypatch):
+    # each detector function takes a probe's 35 points, of all thresholds, at
+    # once, and takes their conditional rows from one kernel evaluation
+    calls = collections.Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("fi_photon_counting", "photon_counting_dist", "fi_homodyne",
+                 "homodyne_distribution", "sequential_fi"):
+        count(selfcheck, name)
+    count(measurements, "_conditional_rows")
+    results = selfcheck.check_detector_suite(standard_breakdowns())
+    assert all(r.passed for r in results)
+    probes = len(selfcheck.STANDARD_KINDS) * len(selfcheck.STANDARD_NBARS)
+    assert calls == {
+        "fi_photon_counting": 2 * probes,
+        "photon_counting_dist": 2 * probes,
+        "fi_homodyne": 2 * probes,
+        "homodyne_distribution": 2 * probes,
+        "sequential_fi": 2 * probes,
+        "_conditional_rows": 8 * probes,
+    }
 
 
 def test_identity_suite_builds_no_dense_operator(monkeypatch):
