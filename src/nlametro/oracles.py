@@ -14,35 +14,45 @@ if the states at ``g +/- dg/2`` were built in double precision, their 1e-16
 rounding would reach the oracle value amplified some 1e5 times, and the
 value would depend on how the probe and the Kraus powers happen to round.
 Every oracle behind a fixture row therefore takes its difference on the
-Kraus images ``E_s c`` and ``E_f c`` in extended precision (``IMAGE_DPS``
-digits), starting from the exact input doubles: the probe amplitudes, the
+Kraus images ``E_s c`` and ``E_f c`` in double-double arithmetic, about 32
+digits, starting from the exact input doubles: the probe amplitudes, the
 gains ``g +/- dg/2`` and the meter amplitudes.  Only the levels ``n <= p``
-depend on the gain, so that work is a handful of numbers per image.  The
-result is rounded once, so a fixture value depends only on the input doubles
-and rounding enters near 1e-16 relative: the fixture regenerates to 1e-12 on
-any IEEE-754 platform.  Pure-state rows use the exact deficit
-``1 - |<u|v>|`` of the normalized images (:func:`qfi_fd_kraus_pure`); the
-mixed row uses Uhlmann's theorem ``sqrt F(AA^+, BB^+) = ||A^+ B||_*`` on the
-``dim x 2`` image matrices (:func:`qfi_fd_kraus_bures`); central differences
-carry the image difference through cancellation-free identities.
+depend on the gain, so that work is a handful of numbers per image.
+
+Double-double numbers are built from error-free transformations that need
+only the correctly rounded IEEE-754 ``+ - * /`` and ``sqrt``: Knuth's
+TwoSum (TAOCP vol. 2, 4.2.2), Dekker's TwoProduct (Numer. Math. 18, 224,
+1971), and the division and square root of Hida, Li & Bailey (ARITH-15,
+2001).  Their unit roundoff is ``DD_UNIT = 2^-104``, and a deficit that
+contracts sums over at most ``p+2`` levels carries an absolute error of
+O(p) units, so the fixture regenerates to 1e-12 on any IEEE-754 platform.
+The same bound fixes :data:`IMAGE_ZERO_DEFICIT`, under which a deficit is
+the rounding of a gain-independent family and reads exactly 0: it is
+1e-28, eleven orders below the smallest real deficit on the selfcheck grid
+(about 4e-17).  Pure-state rows use the exact deficit ``1 - |<u|v>|`` of
+the normalized images (:func:`qfi_fd_kraus_pure`); the mixed row uses
+Uhlmann's theorem ``sqrt F(AA^+, BB^+) = ||A^+ B||_*`` on the ``dim x 2``
+image matrices (:func:`qfi_fd_kraus_bures`); central differences carry the
+image difference through cancellation-free identities.
 
 The selfcheck grid scores all five of its oracle rows on the same images:
-one :class:`KrausImageFD` per operating point builds the image Gram matrices
-at ``g -/+ dg/2`` once (``dg = 1e-4``) and contracts them per family -- the
-success and failure states, the joint state for the trivial and a generic
-meter, and the Bures deficit of the unconditional output.  No step is
-refused, so every point is scored; the oracle never calls the closed forms
-of :mod:`~nlametro.fisher`.  The double-precision finite differences of
-whole state vectors that the tests compare these oracles against live in
-:mod:`nlametro.dense`, which no package module imports.
+one :class:`KrausImageFD` builds the image Gram matrices of all 280
+operating points at ``g -/+ dg/2`` once (``dg = 1e-4``) and contracts them
+per family -- the success and failure states, the joint state for the
+trivial and a generic meter, and the Bures deficit of the unconditional
+output.  No step is refused, so every point is scored; the oracle never
+calls the closed forms of :mod:`~nlametro.fisher`, nor the row and slope
+kernels of :mod:`~nlametro.instrument`.  The double-precision finite
+differences of whole state vectors that the tests compare these oracles
+against live in :mod:`nlametro.dense`, which no package module imports.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Sequence
 
-import mpmath
 import numpy as np
 
 from .fisher import (
@@ -61,7 +71,9 @@ from .instrument import (
     MeterState,
     NlaParams,
     PROBABILITY_FLOOR,
+    Points,
     SUCCESS,
+    _point_columns,
     branch_probability,
     branch_probability_derivative,
 )
@@ -74,19 +86,15 @@ from .measurements import (
     homodyne_distribution,
     photon_counting_dist,
 )
-from .probes import ProbeSpec, custom_probe, solve_amplitude_for_nbar
+from .probes import HARD_DIM_CAP, ProbeSpec, custom_probe, solve_amplitude_for_nbar
 
 STEP_MIN = 1e-6
 STEP_MAX = 1e-3
 DEFAULT_QFI_STEP = 1e-4
 PROB_STEP = 1e-5
-# Working precision of the Kraus-image oracles.  A fidelity deficit near
-# 1e-11 cancels eleven digits and a central difference five, so 40 digits
-# leave the rounded result exact to well below 1e-16.
-IMAGE_DPS = 40
-# Deficits this far under 1 at IMAGE_DPS digits are rounding of an exact
-# zero (a gain-independent family), not a resolvable signal.
-IMAGE_ZERO_DEFICIT = 1e-30
+
+# One probe for every operating point, or a sequence of one per point.
+Probes = FockVector | Sequence[FockVector]
 
 GOLDEN_SCHEMA_VERSION = 1
 
@@ -152,158 +160,368 @@ def _validate_step(dg: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Kraus-image differences in extended precision
+# Double-double arithmetic
+# ---------------------------------------------------------------------------
+#
+# A double-double number is the unevaluated sum hi + lo of two doubles with
+# |lo| <= ulp(hi)/2, about 32 significant digits.  Its operations are built
+# from error-free transformations that need only the correctly rounded
+# IEEE-754 + - * / and sqrt: Knuth's TwoSum (TAOCP vol. 2, 4.2.2), Dekker's
+# TwoProduct with Veltkamp's split (Numer. Math. 18, 224, 1971), and the
+# division and square root of Hida, Li & Bailey (ARITH-15, 2001).  numpy
+# never fuses a*b + c, so these give the same bits on every IEEE-754 platform.
+
+DD_UNIT = 2.0 ** -104
+_SPLITTER = 2.0 ** 27 + 1.0
+
+
+def _two_sum(a, b):
+    """``s = fl(a + b)`` and the rounding error ``e``: ``s + e == a + b`` exactly."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _fast_two_sum(a, b):
+    """:func:`_two_sum` for ``|a| >= |b|``, in three operations."""
+    s = a + b
+    return s, b - (s - a)
+
+
+def _two_prod(a, b):
+    """``p = fl(a * b)`` and the rounding error ``e``: ``p + e == a * b`` exactly."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _split(a):
+    """Veltkamp's split of ``a`` into two halves of 26 significant bits."""
+    t = _SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+class _DD:
+    """An array of double-double numbers, broadcast like numpy arrays.
+
+    Every operation has a relative error of a few :data:`DD_UNIT`.  The value
+    rounded to a double is ``hi``.
+    """
+
+    __slots__ = ("hi", "lo")
+
+    def __init__(self, hi, lo=None):
+        self.hi = np.asarray(hi, dtype=float)
+        self.lo = np.zeros(self.hi.shape) if lo is None else np.asarray(lo, dtype=float)
+
+    @staticmethod
+    def of(x) -> "_DD":
+        return x if isinstance(x, _DD) else _DD(x)
+
+    @staticmethod
+    def exact_product(a, b) -> "_DD":
+        """The product of two double arrays, without rounding."""
+        return _DD(*_two_prod(np.asarray(a, dtype=float), np.asarray(b, dtype=float)))
+
+    @staticmethod
+    def where(keep, x: "_DD", y: "_DD") -> "_DD":
+        x, y = _DD.of(x), _DD.of(y)
+        return _DD(np.where(keep, x.hi, y.hi), np.where(keep, x.lo, y.lo))
+
+    @staticmethod
+    def stack(items, axis: int) -> "_DD":
+        items = [_DD.of(x) for x in items]
+        return _DD(np.stack([x.hi for x in items], axis), np.stack([x.lo for x in items], axis))
+
+    def __getitem__(self, key) -> "_DD":
+        return _DD(self.hi[key], self.lo[key])
+
+    def __neg__(self) -> "_DD":
+        return _DD(-self.hi, -self.lo)
+
+    def __abs__(self) -> "_DD":
+        return _DD.where(self.hi < 0.0, -self, self)
+
+    def __add__(self, other) -> "_DD":
+        other = _DD.of(other)
+        s, e = _two_sum(self.hi, other.hi)
+        t, f = _two_sum(self.lo, other.lo)
+        s, e = _fast_two_sum(s, e + t)
+        return _DD(*_fast_two_sum(s, e + f))
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "_DD":
+        return self + -_DD.of(other)
+
+    def __rsub__(self, other) -> "_DD":
+        return _DD.of(other) - self
+
+    def __mul__(self, other) -> "_DD":
+        other = _DD.of(other)
+        p, e = _two_prod(self.hi, other.hi)
+        return _DD(*_fast_two_sum(p, e + (self.hi * other.lo + self.lo * other.hi)))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "_DD":
+        """Hida, Li & Bailey's division: three quotient digits of double precision."""
+        other = _DD.of(other)
+        q1 = self.hi / other.hi
+        r = self - other * q1
+        q2 = r.hi / other.hi
+        r = r - other * q2
+        return _DD(*_fast_two_sum(q1, q2)) + r.hi / other.hi
+
+    def __rtruediv__(self, other) -> "_DD":
+        return _DD.of(other) / self
+
+    def sqrt(self) -> "_DD":
+        """One Newton correction of the double root (Hida, Li & Bailey); sqrt(0) is 0."""
+        s = np.sqrt(self.hi)
+        residual = (self - _DD.exact_product(s, s)).hi
+        step = np.divide(residual, 2.0 * s, out=np.zeros(s.shape), where=s > 0.0)
+        return _DD(*_fast_two_sum(s, step))
+
+    def sum(self) -> "_DD":
+        """Pairwise sum over the last axis.
+
+        The axis is padded with zeros to a power of two, and adding an exact
+        zero changes no bit, so a sum does not depend on how far its axis
+        was padded: a point's sums are the same in a batch as alone.
+        """
+        size = self.hi.shape[-1]
+        width = 1 << (size - 1).bit_length()
+        shape = self.hi.shape[:-1] + (width,)
+        total = _DD(np.zeros(shape), np.zeros(shape))
+        total.hi[..., :size], total.lo[..., :size] = self.hi, self.lo
+        while width > 1:
+            width //= 2
+            total = total[..., :width] + total[..., width:]
+        return total[..., 0]
+
+
+# ---------------------------------------------------------------------------
+# Kraus-image differences in double-double
 # ---------------------------------------------------------------------------
 #
 # The images are a_s = E_s c and a_f = E_f c.  Both Kraus operators are real
 # and diagonal, and above the threshold a_s = c and a_f = 0 for every gain,
 # so a gain difference only ever involves the levels n <= p.
 
-def _head(probe: FockVector, params: NlaParams) -> int:
-    """Number of gain-dependent levels ``n <= p`` the probe occupies."""
-    return min(params.p + 1, probe.dim)
+# Deficits below this bound are rounding of an exact zero (a gain-independent
+# family), not a resolvable signal.  A deficit contracts Gram sums of at most
+# HARD_DIM_CAP nonnegative terms, each a product of three double-double
+# factors, and each operation errs by a few DD_UNIT relative; so the deficit
+# of a family that does not move errs by less than 4 (levels + 8) DD_UNIT,
+# 1.0e-28 at the truncation cap (the selfcheck grid's exact zeros measure at
+# most 2.4e-32).  The smallest real deficit on that grid, about
+# 3e-8 * dg^2 / 8 = 4e-17 at dg=1e-4, lies eleven orders above the bound.
+IMAGE_ZERO_DEFICIT = 4 * (HARD_DIM_CAP + 8) * DD_UNIT
 
 
-def _mp_weights(amps: np.ndarray) -> list:
-    """Exact ``|c_n|^2`` of the amplitude doubles (inside ``workdps``)."""
-    return [mpmath.mpf(z.real) ** 2 + mpmath.mpf(z.imag) ** 2 for z in amps]
+def _point_arrays(params: Points) -> tuple[np.ndarray, np.ndarray]:
+    """Gains and thresholds, shape ``(B,)``, of one operating point or a sequence."""
+    g, p = _point_columns(params)
+    return g[:, 0], p[:, 0]
 
 
-def _kraus_mp(g, p: int, levels: int) -> dict:
-    """Success and failure Kraus entries on levels ``n < levels <= p+1`` at gain ``g``."""
-    es = [g ** (n - p) for n in range(levels)]
-    return {SUCCESS: es, FAILURE: [mpmath.sqrt(1 - e * e) for e in es]}
+def _probe_weights(probe: Probes, p: np.ndarray) -> tuple[_DD, _DD]:
+    """Per point, ``|c_n|^2`` on its levels ``n <= p`` and the probe mass above them.
 
-
-def _kraus_pair(params: NlaParams, dg, levels: int) -> tuple[dict, dict]:
-    """Kraus entries at the exact gains ``g -/+ dg/2`` of the input doubles."""
-    half = mpmath.mpf(dg) / 2
-    g = mpmath.mpf(params.g)
-    return _kraus_mp(g - half, params.p, levels), _kraus_mp(g + half, params.p, levels)
-
-
-def _image_gram(k1: dict, k2: dict, weights: list, tail) -> list:
-    """Gram matrix ``<a_i(g1)|a_j(g2)>`` of the images at two gains, i, j in (s, f).
-
-    ``weights`` are the exact ``|c_n|^2`` on the levels n <= p and ``tail``
-    the probe mass above p, which only the success images carry.
+    ``probe`` is one probe for every point or a sequence of one per point.
+    The weights are the squares of the amplitude doubles in double-double,
+    on ``H`` columns (the largest head of the batch), zero above each
+    point's own head.  The tail mass is a pairwise sum of its own terms,
+    never one minus the head, taken once per distinct probe and head.
     """
-    gram = [
-        [mpmath.fsum(a * b * w for a, b, w in zip(k1[i], k2[j], weights)) for j in BRANCHES]
-        for i in BRANCHES
-    ]
-    gram[0][0] += tail
-    return gram
+    probes = [probe] * p.size if isinstance(probe, FockVector) else list(probe)
+    if len(probes) != p.size:
+        raise ValueError(f"{len(probes)} probes for {p.size} points")
+    distinct = {id(x): x for x in probes}
+    dims = np.array([x.require_normalized().dim for x in distinct.values()])
+    amps = np.zeros((dims.size, dims.max()), dtype=np.complex128)
+    for row, x in zip(amps, distinct.values()):
+        row[: x.dim] = x.amps
+    rows = {key: i for i, key in enumerate(distinct)}
+    which = np.array([rows[id(x)] for x in probes])
+    w = _DD.exact_product(amps.real, amps.real) + _DD.exact_product(amps.imag, amps.imag)
+    head = np.minimum(p + 1, dims[which])
+    levels = np.arange(dims.max())
+    # a grid has far fewer (probe, head) pairs than points
+    pairs, pair_of_point = np.unique(which * (dims.max() + 1) + head, return_inverse=True)
+    pair_probe, pair_head = np.divmod(pairs, dims.max() + 1)
+    tails = _DD.where(levels >= pair_head[:, np.newaxis], w[pair_probe], 0.0).sum()
+    top = int(head.max())
+    heads = _DD.where(levels[:top] < head[:, np.newaxis], w[which, :top], 0.0)
+    return heads, tails[pair_of_point]
 
 
-def _fd_information(deficit, dg):
-    """``8 deficit / dg^2``; deficits inside the working precision are zeros."""
-    if deficit < IMAGE_ZERO_DEFICIT:
-        return mpmath.mpf(0)
-    return 8 * deficit / mpmath.mpf(dg) ** 2
+def _gain_pair(g: np.ndarray, dg: float) -> tuple[_DD, _DD]:
+    """The exact gains ``g -/+ dg/2`` of the input doubles."""
+    half = 0.5 * dg
+    if np.any(g - half <= 1.0):
+        raise ValueError(f"step {dg:g} reaches unit gain: need g - dg/2 > 1")
+    return _DD(*_two_sum(g, -half)), _DD(*_two_sum(g, half))
 
 
-def _view_metric(view) -> list:
-    """Inner products ``<m_i|m_j>`` of the meter vectors the two images carry.
+def _kraus_entries(gain: _DD, p: np.ndarray, levels: int) -> _DD:
+    """Success and failure entries, shape ``(B, 2, levels)``, at the gains ``gain``.
 
-    A conditional state keeps one image, unnormalized (``SUCCESS`` or
-    ``FAILURE``).  The joint state of :func:`~nlametro.instrument.joint_state`
-    for a meter ``alpha|s> + beta|f>`` is
-    ``a_s (x) (beta|s> - alpha|f>) + a_f (x) (alpha|s> + beta|f>)``.
+    ``E_s = g^(n-p)`` is the ``(p-n)``-th power of ``1/g`` and
+    ``E_f = sqrt(1 - E_s^2)``; the levels above ``p`` carry 1 and 0.
     """
-    if view == SUCCESS:
-        return [[1, 0], [0, 0]]
-    if view == FAILURE:
-        return [[0, 0], [0, 1]]
-    if not isinstance(view, MeterState):
-        raise ValueError(f"view must be a branch or a MeterState, got {view!r}")
-    alpha, beta = mpmath.mpc(view.alpha), mpmath.mpc(view.beta)
-    norm = abs(alpha) ** 2 + abs(beta) ** 2
-    cross = alpha * mpmath.conj(beta) - mpmath.conj(alpha) * beta
-    return [[norm, cross], [mpmath.conj(cross), norm]]
+    inv, powers = 1.0 / gain, [_DD(np.ones(gain.hi.shape))]
+    for _ in range(int(p.max())):
+        powers.append(powers[-1] * inv)
+    table = _DD.stack(powers, 1)
+    index = np.maximum(p[:, np.newaxis] - np.arange(levels), 0)
+    es = _DD(np.take_along_axis(table.hi, index, 1), np.take_along_axis(table.lo, index, 1))
+    return _DD.stack((es, (1.0 - es * es).sqrt()), 1)
+
+
+def _kraus_pair(g: np.ndarray, p: np.ndarray, dg: float, levels: int) -> tuple[_DD, _DD]:
+    """:func:`_kraus_entries` at the gains ``g -/+ dg/2``."""
+    return tuple(_kraus_entries(gain, p, levels) for gain in _gain_pair(g, dg))
+
+
+def _image_gram(x: _DD, y: _DD, weights: _DD, tail: _DD) -> _DD:
+    """Gram matrices ``<a_i(g1)|a_j(g2)>``, shape ``(B, 2, 2)``, of the images at two gains.
+
+    ``x`` and ``y`` are the Kraus entries at ``g1`` and ``g2``, ``weights``
+    the ``|c_n|^2`` of the levels n <= p and ``tail`` the probe mass above
+    p, which only the success images carry.
+    """
+    terms = x[:, :, np.newaxis, :] * weights[:, np.newaxis, np.newaxis, :] * y[:, np.newaxis]
+    return terms.sum() + tail[:, np.newaxis, np.newaxis] * _SUCCESS_CORNER
+
+
+_SUCCESS_CORNER = np.array([[1.0, 0.0], [0.0, 0.0]])
+
+
+def _first_impossible(low: np.ndarray, what: str) -> BranchImpossible:
+    return BranchImpossible(f"{what} has zero norm for this probe (point {int(np.argmax(low))})")
 
 
 class KrausImageFD:
-    """Fidelity finite differences of every Kraus-image family at one point.
+    """Fidelity finite differences of every Kraus-image family at a stack of points.
 
     Each family is a contraction of the same three Gram matrices of the
     images ``a_s = E_s c`` and ``a_f = E_f c`` at the exact gains
     ``g -/+ dg/2``: ``<a_i(g-)|a_j(g+)>``, ``<a_i(g-)|a_j(g-)>`` and
-    ``<a_i(g+)|a_j(g+)>``.  They are built once, in ``IMAGE_DPS`` digits from
-    the input doubles; :meth:`pure` contracts them with a view's meter metric
-    and :meth:`bures` with a branch mask, and each result is rounded once.
-    So all families of one operating point share one build, and no value
-    depends on which others were asked for.
+    ``<a_i(g+)|a_j(g+)>``.  They are real, since the Kraus entries and the
+    weights are, and are built once in double-double from the input doubles
+    for every operating point of ``params``: one point, or a sequence whose
+    thresholds may differ, with one probe for all or one probe per point.
+    :meth:`pure` contracts them with a view's meter metric and :meth:`bures`
+    with a branch mask.  A single point gives floats, a sequence one array
+    per view.  Every operation acts on each point alone, so a point's values
+    depend neither on the rest of the batch nor on which other families
+    were asked for.
     """
 
-    def __init__(self, probe: FockVector, params: NlaParams, dg: float = DEFAULT_QFI_STEP):
+    def __init__(self, probe: Probes, params: Points, dg: float = DEFAULT_QFI_STEP):
         _validate_step(dg)
-        probe.require_normalized()
         self.dg = dg
-        head = _head(probe, params)
-        with mpmath.workdps(IMAGE_DPS):
-            weights = _mp_weights(probe.amps[:head])
-            # the probe mass above p, summed exactly and rounded once
-            tail = mpmath.fsum(probe.amps[head:], absolute=True, squared=True)
-            lo, hi = _kraus_pair(params, dg, head)
-            self._cross = _image_gram(lo, hi, weights, tail)
-            self._lo = _image_gram(lo, lo, weights, tail)
-            self._hi = _image_gram(hi, hi, weights, tail)
+        self._single = isinstance(params, NlaParams)
+        g, p = _point_arrays(params)
+        weights, tail = _probe_weights(probe, p)
+        lo, hi = _kraus_pair(g, p, dg, weights.hi.shape[-1])
+        self._cross = _image_gram(lo, hi, weights, tail)
+        self._lo = _image_gram(lo, lo, weights, tail)
+        self._hi = _image_gram(hi, hi, weights, tail)
+        self._per_deficit = 8.0 / _DD.exact_product(dg, dg)
 
-    def pure(self, view) -> float:
+    def _information(self, deficit: _DD) -> _DD:
+        """``8 deficit / dg^2``; deficits under :data:`IMAGE_ZERO_DEFICIT` are zeros."""
+        return _DD.where(deficit.hi >= IMAGE_ZERO_DEFICIT, deficit * self._per_deficit, 0.0)
+
+    def _rounded(self, value: _DD):
+        return float(value.hi[0]) if self._single else value.hi
+
+    def _meter_metric(self, view) -> tuple[_DD, _DD]:
+        """``(m, y)`` of the meter metric ``[[m, i y], [-i y, m]]`` of the joint state.
+
+        The joint state of :func:`~nlametro.instrument.joint_state` for a
+        meter ``alpha|s> + beta|f>`` is
+        ``a_s (x) (beta|s> - alpha|f>) + a_f (x) (alpha|s> + beta|f>)``, so
+        ``m = |alpha|^2 + |beta|^2`` and ``y = 2 Im(alpha conj(beta))``.
+        ``view`` is one meter or a sequence of one meter per point.
+        """
+        meters = [view] if isinstance(view, MeterState) else list(view)
+        if not all(isinstance(m, MeterState) for m in meters):
+            raise ValueError(f"view must be a branch or a MeterState, got {view!r}")
+        if len(meters) not in (1, self._lo.hi.shape[0]):
+            raise ValueError(f"{len(meters)} meters for {self._lo.hi.shape[0]} points")
+        a = np.array([m.alpha for m in meters])
+        b = np.array([m.beta for m in meters])
+        square = _DD.exact_product
+        norm = (square(a.real, a.real) + square(a.imag, a.imag)) + (
+            square(b.real, b.real) + square(b.imag, b.imag)
+        )
+        return norm, 2.0 * (square(a.imag, b.real) - square(a.real, b.imag))
+
+    def pure(self, view):
         """Pure-state fidelity FD ``8 (1 - |<u(g-)|u(g+)>|) / dg^2`` of one view.
 
         ``view`` is ``SUCCESS`` or ``FAILURE`` for the normalized conditional
-        state, a :class:`MeterState` for the joint signal-meter state.  The
-        deficit of the normalized states is taken exactly, without a
-        small-angle expansion, so no step is ever refused.
+        state, which keeps one image, unnormalized; or a :class:`MeterState`
+        (or one per point) for the joint signal-meter state.  The deficit of
+        the normalized states is taken exactly, without a small-angle
+        expansion, so no step is ever refused.
         """
-        with mpmath.workdps(IMAGE_DPS):
-            metric = _view_metric(view)
-            cross, n_lo, n_hi = (
-                mpmath.fsum(metric[i][j] * gram[i][j] for i in range(2) for j in range(2))
-                for gram in (self._cross, self._lo, self._hi)
-            )
-            n_lo, n_hi = mpmath.re(n_lo), mpmath.re(n_hi)
-            if min(n_lo, n_hi) < PROBABILITY_FLOOR:
-                raise BranchImpossible(f"{view} family has zero norm for this probe")
-            deficit = 1 - abs(cross) / mpmath.sqrt(n_lo * n_hi)
-            return float(_fd_information(deficit, self.dg))
+        grams = (self._cross, self._lo, self._hi)
+        if isinstance(view, str):
+            if view not in BRANCHES:
+                raise ValueError(f"view must be a branch or a MeterState, got {view!r}")
+            i = BRANCHES.index(view)
+            cross, n_lo, n_hi = (gram[:, i, i] for gram in grams)
+            overlap = cross * cross
+        else:
+            norm, y = self._meter_metric(view)
+            cross, n_lo, n_hi = (norm * (gram[:, 0, 0] + gram[:, 1, 1]) for gram in grams)
+            im = y * (self._cross[:, 0, 1] - self._cross[:, 1, 0])
+            overlap = cross * cross + im * im
+        low = np.minimum(n_lo.hi, n_hi.hi) < PROBABILITY_FLOOR
+        if low.any():
+            raise _first_impossible(low, f"{view} family")
+        deficit = 1.0 - (overlap / (n_lo * n_hi)).sqrt()
+        return self._rounded(self._information(deficit))
 
-    def bures(self, branches: tuple[str, ...] = BRANCHES) -> float:
+    def bures(self, branches: tuple[str, ...] = BRANCHES):
         """Bures fidelity FD ``8 (1 - sqrt F) / dg^2`` of ``A A^+``.
 
         ``A`` holds the images of ``branches`` and zeroes for the others, so
         the default is the unconditional output.
         """
-        with mpmath.workdps(IMAGE_DPS):
-            return float(self._bures(branches))
+        return self._rounded(self._bures(branches))
 
-    def _bures(self, branches: tuple[str, ...]):
-        """Unrounded :meth:`bures` (inside ``workdps``), by Uhlmann's theorem.
+    def _bures(self, branches: tuple[str, ...]) -> _DD:
+        """Unrounded :meth:`bures`, by Uhlmann's theorem.
 
         ``sqrt F(AA^+, BB^+) = ||A^+ B||_*`` for the ``dim x 2`` image
         matrices; the 2x2 nuclear norm is ``sqrt(||M||_F^2 + 2 |det M|)``.
         """
         if not branches or any(b not in BRANCHES for b in branches):
             raise ValueError(f"branches must be a non-empty subset of {BRANCHES}")
-        mask = [1 if b in branches else 0 for b in BRANCHES]
-        cross, g_lo, g_hi = (
-            [[gram[i][j] * mask[i] * mask[j] for j in range(2)] for i in range(2)]
-            for gram in (self._cross, self._lo, self._hi)
-        )
-        frob = mpmath.fsum(x * x for row in cross for x in row)
-        det = cross[0][0] * cross[1][1] - cross[0][1] * cross[1][0]
-        trace = (g_lo[0][0] + g_lo[1][1]) * (g_hi[0][0] + g_hi[1][1])
-        if trace < PROBABILITY_FLOOR:
-            raise BranchImpossible("image pair has zero norm for this probe")
-        deficit = 1 - mpmath.sqrt((frob + 2 * abs(det)) / trace)
-        return _fd_information(deficit, self.dg)
+        mask = np.array([b in branches for b in BRANCHES], dtype=float)
+        mask = np.outer(mask, mask)
+        cross, g_lo, g_hi = (gram * mask for gram in (self._cross, self._lo, self._hi))
+        frob = (cross * cross).sum().sum()
+        det = cross[:, 0, 0] * cross[:, 1, 1] - cross[:, 0, 1] * cross[:, 1, 0]
+        trace = (g_lo[:, 0, 0] + g_lo[:, 1, 1]) * (g_hi[:, 0, 0] + g_hi[:, 1, 1])
+        low = trace.hi < PROBABILITY_FLOOR
+        if low.any():
+            raise _first_impossible(low, "image pair")
+        deficit = 1.0 - ((frob + 2.0 * abs(det)) / trace).sqrt()
+        return self._information(deficit)
 
 
 def qfi_fd_kraus_pure(
-    probe: FockVector, params: NlaParams, view, dg: float = DEFAULT_QFI_STEP
-) -> float:
+    probe: Probes, params: Points, view, dg: float = DEFAULT_QFI_STEP
+):
     """Pure-state fidelity FD ``8 (1 - |<u(g-)|u(g+)>|) / dg^2`` on the Kraus images.
 
     :meth:`KrausImageFD.pure` of ``view`` on a build of its own.  The value
@@ -314,12 +532,12 @@ def qfi_fd_kraus_pure(
 
 
 def qfi_fd_kraus_bures(
-    probe: FockVector,
-    params: NlaParams,
+    probe: Probes,
+    params: Points,
     dg: float = STEP_MAX,
     branches: tuple[str, ...] = BRANCHES,
     richardson: bool = False,
-) -> float:
+):
     """Bures fidelity FD ``8 (1 - sqrt F) / dg^2`` of ``A A^+`` on the Kraus images.
 
     :meth:`KrausImageFD.bures` of ``branches``: the default is the
@@ -327,35 +545,27 @@ def qfi_fd_kraus_bures(
     The root fidelity is the nuclear norm of the 2x2 matrix
     ``A(g-)^+ A(g+)`` (Uhlmann), so no double-precision eigensolver and no
     noise floor enter.  ``richardson=True`` combines the steps ``(dg, dg/2)``
-    as ``(4 F(dg/2) - F(dg)) / 3``, also in extended precision, and the
-    result is rounded once.
+    as ``(4 F(dg/2) - F(dg)) / 3``, also in double-double, and the result is
+    rounded once.
     """
-    _validate_step(dg)
-    if richardson:
-        _validate_step(0.5 * dg)
-    with mpmath.workdps(IMAGE_DPS):
-        coarse = KrausImageFD(probe, params, dg)._bures(branches)
-        if not richardson:
-            return float(coarse)
-        fine = KrausImageFD(probe, params, 0.5 * dg)._bures(branches)
-        return float((4 * fine - coarse) / 3)
+    coarse = KrausImageFD(probe, params, dg)
+    if not richardson:
+        return coarse.bures(branches)
+    fine = KrausImageFD(probe, params, 0.5 * dg)._bures(branches)
+    return coarse._rounded((4.0 * fine - coarse._bures(branches)) / 3.0)
 
 
-def _mass_slopes(probe: FockVector, params: NlaParams, dg: float) -> dict:
+def _mass_slopes(probe: FockVector, params: NlaParams, dg: float) -> _DD:
     """Per branch, ``(|A_n(g+)|^2 - |A_n(g-)|^2) / dg`` on the levels n <= p.
 
-    The image difference is carried as
-    ``(E(g+) - E(g-)) (E(g+) + E(g-)) |c_n|^2`` (inside ``workdps``); the
-    levels above p do not depend on the gain and have zero slope.
+    Shape ``(2, levels)``, branches in :data:`BRANCHES` order.  The image
+    difference is carried as ``(E(g+) - E(g-)) (E(g+) + E(g-)) |c_n|^2``;
+    the levels above p do not depend on the gain and have zero slope.
     """
-    head = _head(probe, params)
-    lo, hi = _kraus_pair(params, dg, head)
-    weights = _mp_weights(probe.amps[:head])
-    inv = 1 / mpmath.mpf(dg)
-    return {
-        branch: [(h - l) * (h + l) * w * inv for l, h, w in zip(lo[branch], hi[branch], weights)]
-        for branch in BRANCHES
-    }
+    g, p = _point_arrays(params)
+    weights, _ = _probe_weights(probe, p)
+    lo, hi = _kraus_pair(g, p, dg, weights.hi.shape[-1])
+    return ((hi - lo) * (hi + lo) * weights[:, np.newaxis] / dg)[0]
 
 
 def probability_derivative_fd(
@@ -363,15 +573,13 @@ def probability_derivative_fd(
 ) -> float:
     """Central-difference derivative of the branch probability.
 
-    The sum of the joint photon-mass slopes of the branch, taken in extended
-    precision from the probe doubles and rounded once.
+    The sum of the joint photon-mass slopes of the branch, taken in
+    double-double from the probe doubles and rounded once.
     """
     _validate_step(dg)
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
-    probe.require_normalized()
-    with mpmath.workdps(IMAGE_DPS):
-        return float(mpmath.fsum(_mass_slopes(probe, params, dg)[branch]))
+    return float(_mass_slopes(probe, params, dg)[BRANCHES.index(branch)].sum().hi)
 
 
 # ---------------------------------------------------------------------------
@@ -394,23 +602,24 @@ def _joint_photon_masses(probe: FockVector, params: NlaParams) -> np.ndarray:
 def _image_slope_and_sum(probe: FockVector, params: NlaParams, dg: float) -> dict:
     """Per branch: ``(A(g+) - A(g-)) / dg`` on the levels n <= p, ``A(g+) + A(g-)`` on all.
 
-    Each entry is formed in extended precision from the probe doubles and
-    rounded once, so the difference keeps full relative accuracy.
+    Each entry is formed in double-double from the probe doubles and rounded
+    once, so the difference keeps full relative accuracy.
     """
-    head = _head(probe, params)
+    g, p = _point_arrays(params)
+    head = min(params.p + 1, probe.dim)
+    lo, hi = _kraus_pair(g, p, dg, head)
+    c = probe.amps[:head]
+
+    def times_amps(kraus: _DD) -> np.ndarray:
+        return (kraus * c.real).hi + 1j * (kraus * c.imag).hi
+
     out = {}
-    with mpmath.workdps(IMAGE_DPS):
-        lo, hi = _kraus_pair(params, dg, head)
-        inv = 1 / mpmath.mpf(dg)
-        amps = [mpmath.mpc(z) for z in probe.amps[:head]]
-        for branch in BRANCHES:
-            pairs = list(zip(lo[branch], hi[branch], amps))
-            slope = np.array([complex((h - l) * inv * c) for l, h, c in pairs])
-            total = np.zeros(probe.dim, dtype=np.complex128)
-            total[:head] = [complex((h + l) * c) for l, h, c in pairs]
-            if branch == SUCCESS:
-                total[head:] = 2.0 * probe.amps[head:]
-            out[branch] = (slope, total)
+    for b, branch in enumerate(BRANCHES):
+        total = np.zeros(probe.dim, dtype=np.complex128)
+        total[:head] = times_amps((hi + lo)[0, b])
+        if branch == SUCCESS:
+            total[head:] = 2.0 * probe.amps[head:]
+        out[branch] = (times_amps((hi - lo)[0, b] / dg), total)
     return out
 
 
@@ -424,7 +633,7 @@ def joint_fi_direct(
     Kraus image (photon counting) or of its field ``sum_n A_n <x|n>``
     (homodyne).  The gain derivative is a central difference of the images
     themselves, carried through ``|A|^2 - |B|^2 = Re[(A - B) conj(A + B)]``
-    with the image difference taken in extended precision, so no analytic
+    with the image difference taken in double-double, so no analytic
     derivative enters and no cancellation reaches the slope.  The centre
     masses and densities come from the measurement module; the homodyne
     densities are its :func:`~nlametro.measurements.homodyne_distribution`
@@ -434,12 +643,10 @@ def joint_fi_direct(
     _validate_step(dg)
     if detector == PHOTON_COUNTING:
         center = _joint_photon_masses(probe, params)
-        slope = np.zeros(center.size)
-        with mpmath.workdps(IMAGE_DPS):
-            slopes = _mass_slopes(probe, params, dg)
-            for b, branch in enumerate(BRANCHES):
-                for n, value in enumerate(slopes[branch]):
-                    slope[b * probe.dim + n] = float(value)
+        slopes = _mass_slopes(probe, params, dg).hi
+        slope = np.zeros((len(BRANCHES), probe.dim))
+        slope[:, : slopes.shape[1]] = slopes
+        slope = slope.ravel()
         keep = center > MASS_FLOOR
         return float(np.sum(slope[keep] ** 2 / center[keep]))
     if detector != HOMODYNE:
@@ -468,22 +675,18 @@ def joint_fi_direct(
 def _coupling_fd(probe: FockVector, params: NlaParams, dg: float = PROB_STEP) -> float:
     """Cross term <E_s dE_f> - <E_f dE_s> with central-difference derivatives.
 
-    The Kraus differences and the centre entries are taken in extended
-    precision on the levels n <= p, where alone the derivatives are nonzero.
+    The Kraus differences and the centre entries are taken in double-double
+    on the levels n <= p, where alone the derivatives are nonzero.
     """
     _validate_step(dg)
-    head = _head(probe, params)
-    with mpmath.workdps(IMAGE_DPS):
-        lo, hi = _kraus_pair(params, dg, head)
-        mid = _kraus_mp(mpmath.mpf(params.g), params.p, head)
-        weights = _mp_weights(probe.amps[:head])
-        terms = zip(
-            mid[SUCCESS], mid[FAILURE], lo[SUCCESS], hi[SUCCESS], lo[FAILURE], hi[FAILURE], weights
-        )
-        cross = mpmath.fsum(
-            w * (es * (fh - fl) - ef * (sh - sl)) for es, ef, sl, sh, fl, fh, w in terms
-        )
-        return float(cross / mpmath.mpf(dg))
+    g, p = _point_arrays(params)
+    weights, _ = _probe_weights(probe, p)
+    levels = weights.hi.shape[-1]
+    mid = _kraus_entries(_DD(g), p, levels)[0]
+    lo, hi = _kraus_pair(g, p, dg, levels)
+    slope = (hi - lo)[0]
+    cross = weights[0] * (mid[0] * slope[1] - mid[1] * slope[0])
+    return float((cross.sum() / dg).hi)
 
 
 # ---------------------------------------------------------------------------

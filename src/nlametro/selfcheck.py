@@ -18,9 +18,14 @@ each point once (:func:`standard_breakdowns`) and passes it to the identity,
 oracle and detector suites.
 
 The oracle suite scores its five rows (``q_s``, ``q_f``, ``q_eff`` through
-the trivial meter, ``q_unc`` and a generic meter) on one set of Kraus-image
-Gram matrices per point, built in extended precision at ``dg=1e-4``, so no
-step is refused and every row scores all 280 points.
+the trivial meter, ``q_unc`` and a generic meter) on the Kraus-image Gram
+matrices of all 280 points, built in one batch at ``dg=1e-4`` in
+double-double arithmetic, about 32 digits from error-free transformations
+(Knuth's TwoSum, Dekker's TwoProduct, Hida-Li-Bailey division and square
+root).  Their rounding, O(p) units of 2^-104 in a deficit, lies eleven
+orders below the smallest real deficit, so no step is refused and every row
+scores all 280 points.  The identity suite takes a probe's conditional
+states and slopes from one ``_conditional_rows`` call per branch.
 
 The detector and meter suites evaluate on arrays, each number still coming
 from the library function it checks.  The detector rows pass a probe's 35
@@ -55,9 +60,8 @@ from .instrument import (
     SUCCESS,
     branch_probability,
     branch_probability_derivative,
+    _conditional_rows,
     completeness_defect,
-    conditional_state,
-    conditional_state_derivative,
     kraus_diagonal,
     kraus_diagonal_derivative,
 )
@@ -189,7 +193,9 @@ def _rel(a: float, b: float, floor: float = NUMERICAL_ZERO) -> float:
 def check_identity_suite(breakdowns: dict[str, FisherBreakdown]) -> list[CheckResult]:
     """Exact algebraic identities across the standard grid.
 
-    ``breakdowns`` is :func:`standard_breakdowns`.
+    ``breakdowns`` is :func:`standard_breakdowns`.  The conditional states
+    and their slopes of a probe's 35 operating points come from one
+    ``_conditional_rows`` call per branch.
     """
     completeness = _Worst()
     kraus_deriv = _Worst()
@@ -200,36 +206,35 @@ def check_identity_suite(breakdowns: dict[str, FisherBreakdown]) -> list[CheckRe
     breakdown_identity = _Worst()
     unc_trace = _Worst()
     hierarchy_slack = _Worst()
-    for label, probe, params in standard_grid():
+    for probe, labels, points in standard_probe_grids():
         dim = probe.dim
-        completeness.update(completeness_defect(params, dim), label)
-        es = kraus_diagonal(params, SUCCESS, dim)
-        ef = kraus_diagonal(params, FAILURE, dim)
-        des = kraus_diagonal_derivative(params, SUCCESS, dim)
-        def_ = kraus_diagonal_derivative(params, FAILURE, dim)
-        kraus_deriv.update(float(np.max(np.abs(es * des + ef * def_))), label)
-        ps = branch_probability(probe, params, SUCCESS)
-        pf = branch_probability(probe, params, FAILURE)
-        prob_sum.update(abs(ps + pf - 1.0), label)
-        dps = branch_probability_derivative(probe, params, SUCCESS)
-        dpf = branch_probability_derivative(probe, params, FAILURE)
-        dprob_sum.update(abs(dps + dpf), label)
-        for branch in (SUCCESS, FAILURE):
-            cond = conditional_state(probe, params, branch)
-            cond_norm.update(abs(cond.state.norm() - 1.0), f"{label} {branch}")
-            damps = conditional_state_derivative(probe, params, branch)
-            orthogonality.update(
-                abs(complex(np.vdot(cond.state.amps, damps))), f"{label} {branch}"
-            )
-        bd = breakdowns[label]
-        scale = max(bd.q_eff, NUMERICAL_ZERO)
-        breakdown_identity.update(abs(bd.q_eff - bd.component_sum()) / scale, label)
-        # one-sided bounds, scored as relative overshoot
-        hierarchy_slack.update(max(bd.ps_qs - bd.q_eff, 0.0) / scale, label)
-        hierarchy_slack.update(max(bd.q_unc - bd.q_eff, 0.0) / scale, label)
-        # tr(A A^+) = ||A||_F^2 for the Kraus images A = [E_s c, E_f c]
-        images = np.stack((es * probe.amps, ef * probe.amps), axis=1)
-        unc_trace.update(abs(np.vdot(images, images).real - 1.0), label)
+        rows = {branch: _conditional_rows(probe, points, branch) for branch in BRANCHES}
+        for i, (label, params) in enumerate(zip(labels, points)):
+            completeness.update(completeness_defect(params, dim), label)
+            es = kraus_diagonal(params, SUCCESS, dim)
+            ef = kraus_diagonal(params, FAILURE, dim)
+            des = kraus_diagonal_derivative(params, SUCCESS, dim)
+            def_ = kraus_diagonal_derivative(params, FAILURE, dim)
+            kraus_deriv.update(float(np.max(np.abs(es * des + ef * def_))), label)
+            ps = branch_probability(probe, params, SUCCESS)
+            pf = branch_probability(probe, params, FAILURE)
+            prob_sum.update(abs(ps + pf - 1.0), label)
+            dps = branch_probability_derivative(probe, params, SUCCESS)
+            dpf = branch_probability_derivative(probe, params, FAILURE)
+            dprob_sum.update(abs(dps + dpf), label)
+            for branch in BRANCHES:
+                amps, damps = rows[branch][0][i], rows[branch][1][i]
+                cond_norm.update(abs(np.linalg.norm(amps) - 1.0), f"{label} {branch}")
+                orthogonality.update(abs(complex(np.vdot(amps, damps))), f"{label} {branch}")
+            bd = breakdowns[label]
+            scale = max(bd.q_eff, NUMERICAL_ZERO)
+            breakdown_identity.update(abs(bd.q_eff - bd.component_sum()) / scale, label)
+            # one-sided bounds, scored as relative overshoot
+            hierarchy_slack.update(max(bd.ps_qs - bd.q_eff, 0.0) / scale, label)
+            hierarchy_slack.update(max(bd.q_unc - bd.q_eff, 0.0) / scale, label)
+            # tr(A A^+) = ||A||_F^2 for the Kraus images A = [E_s c, E_f c]
+            images = np.stack((es * probe.amps, ef * probe.amps), axis=1)
+            unc_trace.update(abs(np.vdot(images, images).real - 1.0), label)
     results = [
         completeness.result("kraus completeness sum_i E_i^2 = 1", 1e-12),
         kraus_deriv.result("kraus derivative identity E_s dE_s + E_f dE_f = 0", 1e-12),
@@ -278,30 +283,43 @@ def _check_boundary_divergence() -> CheckResult:
 def check_oracle_suite(breakdowns: dict[str, FisherBreakdown]) -> list[CheckResult]:
     """Fidelity finite differences against every analytic information value.
 
-    Each point's five oracle values come from one
+    The oracle values of all 280 points come from one
     :class:`~nlametro.oracles.KrausImageFD` at ``dg=1e-4``: the Gram
     matrices of the Kraus images ``A = [E_s c, E_f c]`` at ``g -/+ dg/2``
-    are built once in extended precision and contracted per family -- the
+    are built once in double-double and contracted per family -- the
     success and failure states, the joint state with the trivial and a
-    random meter, and the Bures deficit of ``A A^+`` (Uhlmann's
+    random meter per point, and the Bures deficit of ``A A^+`` (Uhlmann's
     ``sqrt F = ||A(g-)^+ A(g+)||_*``).  The deficits have no noise floor,
     so every row scores all 280 points.  The analytic side comes from
     ``breakdowns`` (:func:`standard_breakdowns`) and ``qfi_joint_meter``.
     """
-    qs_w, qf_w, qeff_w, qunc_w, meter_w = (_Worst() for _ in range(5))
+    labels, probes, points = zip(*standard_grid())
     rng = np.random.default_rng(GENERIC_METER_SEED)
-    for label, probe, params in standard_grid():
-        bd = breakdowns[label]
-        z = rng.standard_normal(4)
+    # one draw of shape (points, 4) yields the numbers of that many
+    # standard_normal(4) draws, in the same order
+    meters = []
+    for z in rng.standard_normal((len(points), 4)):
         amps = (z[0] + 1j * z[1], z[2] + 1j * z[3])
         nrm = math.hypot(abs(amps[0]), abs(amps[1]))
-        meter = MeterState(alpha=amps[0] / nrm, beta=amps[1] / nrm)
-        fd = KrausImageFD(probe, params, DEFAULT_QFI_STEP)
-        qs_w.update(_rel(bd.q_s, fd.pure(SUCCESS)), label)
-        qf_w.update(_rel(bd.q_f, fd.pure(FAILURE)), label)
-        qeff_w.update(_rel(bd.q_eff, fd.pure(MeterState.trivial())), label)
-        qunc_w.update(_rel(bd.q_unc, fd.bures()), label)
-        meter_w.update(_rel(qfi_joint_meter(probe, params, meter), fd.pure(meter)), label)
+        meters.append(MeterState(alpha=amps[0] / nrm, beta=amps[1] / nrm))
+    fd = KrausImageFD(probes, points, DEFAULT_QFI_STEP)
+    oracle = zip(
+        fd.pure(SUCCESS).tolist(),
+        fd.pure(FAILURE).tolist(),
+        fd.pure(MeterState.trivial()).tolist(),
+        fd.bures().tolist(),
+        fd.pure(meters).tolist(),
+    )
+    qs_w, qf_w, qeff_w, qunc_w, meter_w = (_Worst() for _ in range(5))
+    for label, probe, params, meter, (q_s, q_f, q_eff, q_unc, q_meter) in zip(
+        labels, probes, points, meters, oracle
+    ):
+        bd = breakdowns[label]
+        qs_w.update(_rel(bd.q_s, q_s), label)
+        qf_w.update(_rel(bd.q_f, q_f), label)
+        qeff_w.update(_rel(bd.q_eff, q_eff), label)
+        qunc_w.update(_rel(bd.q_unc, q_unc), label)
+        meter_w.update(_rel(qfi_joint_meter(probe, params, meter), q_meter), label)
     return [
         qs_w.result("q_s vs Kraus-image fidelity FD at dg=1e-4", 1e-5),
         qf_w.result("q_f vs Kraus-image fidelity FD at dg=1e-4", 1e-5),

@@ -1,10 +1,12 @@
 import collections
+import fractions
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -14,6 +16,7 @@ import nlametro
 from nlametro import fisher, instrument, measurements, oracles, selfcheck
 from nlametro.fock import DensityOperator, FockVector
 from nlametro.instrument import (
+    BRANCHES,
     FAILURE,
     SUCCESS,
     MeterState,
@@ -32,8 +35,11 @@ from nlametro.dense import (
 )
 from nlametro.fisher import qfi_branch, qfi_effective_closed_form, qfi_unconditional
 from nlametro.oracles import (
+    DD_UNIT,
+    IMAGE_ZERO_DEFICIT,
     KrausImageFD,
     OracleReport,
+    _DD,
     _coupling_fd,
     generate_golden_reports,
     joint_fi_direct,
@@ -43,10 +49,15 @@ from nlametro.oracles import (
 )
 from nlametro.probes import ProbeSpec
 from nlametro.selfcheck import (
+    STANDARD_GAINS,
+    STANDARD_KINDS,
+    STANDARD_THRESHOLDS,
     check_identity_suite,
     check_meter_suite,
     check_oracle_suite,
     standard_breakdowns,
+    standard_grid,
+    standard_probe_grids,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden.json"
@@ -86,10 +97,13 @@ DROPPED_NAMES = (
 
 
 def test_package_never_imports_the_dense_references():
-    # a fresh interpreter, since this test session imports nlametro.dense
+    # a fresh interpreter, since this test session imports nlametro.dense and
+    # mpmath; the oracles run in double-double, so mpmath is a test-only
+    # reference too
     proc = _run_python("-c", (
         "import sys, nlametro, nlametro.cli, nlametro.selfcheck\n"
-        "assert 'nlametro.dense' not in sys.modules, 'the package imported nlametro.dense'\n"
+        "for name in ('nlametro.dense', 'mpmath'):\n"
+        "    assert name not in sys.modules, f'the package imported {name}'\n"
     ))
     assert proc.returncode == 0, proc.stderr
     for name in DROPPED_NAMES:
@@ -138,8 +152,8 @@ def test_fixture_oracles_are_insensitive_to_one_ulp_of_the_probe(
     coherent_nbar1, squeezed_nbar1, two_level
 ):
     # A difference taken on double-precision states amplifies their 1e-16
-    # rounding ~1e5 times; taken on the Kraus images in extended precision,
-    # it leaves one ulp of input at the 1e-16 level it started from.
+    # rounding ~1e5 times; taken on the Kraus images in double-double, it
+    # leaves one ulp of input at the 1e-16 level it started from.
     rng = np.random.default_rng(20190121)
     params = NlaParams(g=2.0, p=3)
     for name, probe in (
@@ -191,6 +205,15 @@ def test_kraus_fd_zero_and_validation(vacuum, g2p1, two_level):
         qfi_fd_kraus_bures(vacuum, g2p1, branches=())
     with pytest.raises(ValueError):
         qfi_fd_kraus_bures(vacuum, g2p1, 1.5e-6, richardson=True)
+    # g - dg/2 would reach unit gain, where the failure entries vanish
+    with pytest.raises(ValueError, match="unit gain"):
+        KrausImageFD(vacuum, NlaParams(g=1.0004, p=1), 1e-3)
+    # one probe, or one per point; one meter, or one per point
+    points = [g2p1, NlaParams(g=3.0, p=2)]
+    with pytest.raises(ValueError, match="1 probes for 2 points"):
+        KrausImageFD([vacuum], points)
+    with pytest.raises(ValueError, match="3 meters for 2 points"):
+        KrausImageFD(two_level, points).pure([MeterState.trivial()] * 3)
 
 
 def test_fd_pure_zero_for_constant_family():
@@ -310,20 +333,20 @@ def _bar_analytic_paths(mp):
 @pytest.fixture(scope="module")
 def oracle_suite():
     """The oracle suite's rows, with the analytic paths barred from the
-    oracle module, and the number of image Gram matrices it built."""
+    oracle module, and the batch size of each image Gram build."""
     breakdowns = standard_breakdowns()
     grams = []
     original = oracles._image_gram
 
-    def counted(*args):
-        grams.append(args)
-        return original(*args)
+    def counted(x, *args):
+        grams.append(x.hi.shape[0])
+        return original(x, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         _bar_analytic_paths(mp)
         mp.setattr(oracles, "_image_gram", counted)
         rows = check_oracle_suite(breakdowns)
-    return rows, len(grams)
+    return rows, grams
 
 
 ORACLE_ROWS = {
@@ -337,7 +360,7 @@ ORACLE_ROWS = {
 
 @pytest.mark.parametrize("row_key", list(ORACLE_ROWS))
 def test_selfcheck_oracle_row_scores_every_point_on_the_images(oracle_suite, row_key):
-    # Every row's oracle is the Kraus-image deficit in extended precision,
+    # Every row's oracle is the Kraus-image deficit in double-double,
     # which has no noise floor, so every grid point is scored at the row
     # tolerance; the O(dg^2) truncation at dg=1e-4 stays under 1e-6
     # (measured worst 4.0e-7, on the q_unc row).
@@ -350,8 +373,9 @@ def test_selfcheck_oracle_row_scores_every_point_on_the_images(oracle_suite, row
 
 
 def test_oracle_suite_builds_one_set_of_image_grams_per_point(oracle_suite):
-    # three Gram matrices (cross, g-, g+) per point, shared by the five rows
-    assert oracle_suite[1] == 3 * 280
+    # one batched build: three Gram matrices (cross, g-, g+) for all 280
+    # points at once, shared by the five rows
+    assert oracle_suite[1] == [280, 280, 280]
 
 
 @pytest.mark.parametrize(
@@ -440,3 +464,188 @@ def test_probability_derivative_row_fails_on_a_wrong_failure_kraus_derivative(mo
     results = check_identity_suite(standard_breakdowns())
     (row,) = [r for r in results if r.name == "branch probability derivatives sum to 0"]
     assert not row.passed and row.worst > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# Double-double arithmetic and the batched image build
+# ---------------------------------------------------------------------------
+
+def _exact(x):
+    return fractions.Fraction(float(x))
+
+
+def test_double_double_primitives_are_error_free_and_accurate():
+    rng = np.random.default_rng(104)
+    a = rng.standard_normal(300) * 10.0 ** rng.integers(-8, 9, 300)
+    b = rng.standard_normal(300) * 10.0 ** rng.integers(-8, 9, 300)
+    s, e = oracles._two_sum(a, b)
+    p, f = oracles._two_prod(a, b)
+    for i in range(a.size):
+        assert _exact(s[i]) + _exact(e[i]) == _exact(a[i]) + _exact(b[i])
+        assert _exact(p[i]) + _exact(f[i]) == _exact(a[i]) * _exact(b[i])
+    # normalized double-doubles with a non-zero low word
+    x = _DD(*oracles._two_sum(a, a * 3e-17))
+    y = _DD(*oracles._two_sum(b, b * -7e-17))
+    value = lambda z, i: _exact(z.hi[i]) + _exact(z.lo[i])
+    q, r = x / y, abs(x).sqrt()
+    for i in range(a.size):
+        want = value(x, i) / value(y, i)
+        assert abs(value(q, i) - want) <= 4 * DD_UNIT * abs(want)
+        # a relative error d of the root is 2d in its square
+        assert abs(value(r, i) ** 2 - abs(value(x, i))) <= 8 * DD_UNIT * abs(value(x, i))
+
+
+def test_double_double_square_root_of_zero_is_silent():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        root = _DD(np.zeros(3)).sqrt()
+    assert not root.hi.any() and not root.lo.any()
+
+
+@pytest.mark.parametrize("kind", STANDARD_KINDS)
+def test_gain_independent_families_read_exactly_zero(kind, vacuum):
+    # one occupied failure level (n < p) at p=1, and at p=2 for squeezed
+    # vacuum, whose odd levels are empty; the vacuum's success state and
+    # unconditional output never move.  The failure entry at n = p, the
+    # Bures trace and Richardson's pair all pass exact zeros through sqrt.
+    probe = ProbeSpec.from_nbar(kind, 1.0).build()
+    constant = [1, 2] if kind == "squeezed-vacuum" else [1]
+    points = [NlaParams(g=g, p=p) for g in STANDARD_GAINS for p in constant]
+    vacuum_points = [NlaParams(g=g, p=p) for g in STANDARD_GAINS for p in STANDARD_THRESHOLDS]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not KrausImageFD(probe, points).pure(FAILURE).any()
+        fd = KrausImageFD(vacuum, vacuum_points)
+        assert not fd.pure(SUCCESS).any()
+        assert not fd.bures().any()
+        assert not qfi_fd_kraus_bures(vacuum, vacuum_points, richardson=True).any()
+
+
+def _grid_meters(count):
+    rng = np.random.default_rng(11)
+    meters = []
+    for z in rng.standard_normal((count, 4)):
+        nrm = math.sqrt(z @ z)
+        meters.append(MeterState(complex(z[0], z[1]) / nrm, complex(z[2], z[3]) / nrm))
+    return meters
+
+
+def _five_views(fd, meter):
+    return [fd.pure(SUCCESS), fd.pure(FAILURE), fd.pure(MeterState.trivial()), fd.bures(),
+            fd.pure(meter)]
+
+
+def test_batched_image_build_equals_single_point_builds_bit_for_bit():
+    # one build over the whole grid (probes and thresholds mixed) against a
+    # build of its own for every point, in all five views
+    labels, probes, points = zip(*standard_grid())
+    meters = _grid_meters(len(points))
+    batched = _five_views(KrausImageFD(probes, points), meters)
+    for i, (label, probe, params) in enumerate(zip(labels, probes, points)):
+        single = _five_views(KrausImageFD(probe, params), meters[i])
+        assert single == [float(values[i]) for values in batched], label
+    # one probe for a probe's 35 points gives the same numbers
+    start = 0
+    for probe, _, points in standard_probe_grids():
+        stop = start + len(points)
+        views = _five_views(KrausImageFD(probe, points), meters[start:stop])
+        for values, whole in zip(views, batched):
+            assert values.tolist() == whole[start:stop].tolist()
+        start = stop
+
+
+def _image_fd_reference(probe, params, dg, view=None, branches=None, dps=50):
+    """A Kraus-image fidelity FD in ``dps`` digits, from the images themselves.
+
+    ``view`` gives the pure-state deficit of a branch or a joint state;
+    ``branches`` the Bures deficit of the masked images, whose root
+    fidelity is the sum of the singular values of ``A(g-)^+ A(g+)``.
+    Deficits under ``IMAGE_ZERO_DEFICIT`` read 0, as in the oracle.
+    """
+    with mpmath.workdps(dps):
+        p, half = params.p, mpmath.mpf(dg) / 2
+
+        def images(gain):
+            amps = [mpmath.mpc(complex(c)) for c in probe.amps]
+            es = [gain ** (n - p) if n <= p else mpmath.mpf(1) for n in range(len(amps))]
+            return ([e * c for e, c in zip(es, amps)],
+                    [mpmath.sqrt(1 - e * e) * c for e, c in zip(es, amps)])
+
+        def dot(x, y):
+            return mpmath.fsum(mpmath.conj(a) * b for a, b in zip(x, y))
+
+        lo, hi = images(mpmath.mpf(params.g) - half), images(mpmath.mpf(params.g) + half)
+        if branches is not None:
+            keep = [b in branches for b in BRANCHES]
+            a, b = ([x if k else [0] * len(x) for x, k in zip(pair, keep)] for pair in (lo, hi))
+            m = mpmath.matrix([[dot(a[i], b[j]) for j in range(2)] for i in range(2)])
+            nuclear = mpmath.fsum(mpmath.svd(m, compute_uv=False))
+            trace = mpmath.re(sum(dot(x, x) for x in a) * sum(dot(y, y) for y in b))
+            deficit = 1 - nuclear / mpmath.sqrt(trace)
+        else:
+            if isinstance(view, MeterState):
+                alpha, beta = mpmath.mpc(view.alpha), mpmath.mpc(view.beta)
+                u, v = ([beta * s + alpha * f for s, f in zip(*x)]
+                        + [beta * f - alpha * s for s, f in zip(*x)] for x in (lo, hi))
+            else:
+                u, v = lo[BRANCHES.index(view)], hi[BRANCHES.index(view)]
+            deficit = 1 - abs(dot(u, v)) / mpmath.sqrt(mpmath.re(dot(u, u) * dot(v, v)))
+        if deficit < IMAGE_ZERO_DEFICIT:
+            return mpmath.mpf(0)
+        return 8 * deficit / mpmath.mpf(dg) ** 2
+
+
+@pytest.mark.parametrize("p", STANDARD_THRESHOLDS)
+@pytest.mark.parametrize("kind", STANDARD_KINDS)
+def test_image_fd_matches_a_50_digit_reference(kind, p):
+    # double-double carries ~32 digits; the smallest deficit on the grid
+    # (~4e-17 at dg=1e-4) leaves about 14 of them in the information
+    probe = ProbeSpec.from_nbar(kind, 1.0).build()
+    points = [NlaParams(g=g, p=p) for g in (1.05, 2.0, 6.0)]
+    fd = KrausImageFD(probe, points)
+    for view in (SUCCESS, FAILURE, MeterState.trivial(), QUARTER_METER):
+        for params, value in zip(points, fd.pure(view)):
+            want = float(_image_fd_reference(probe, params, 1e-4, view=view))
+            assert value == pytest.approx(want, rel=1e-14, abs=0.0), (params, view)
+    for params, value in zip(points, fd.bures()):
+        want = float(_image_fd_reference(probe, params, 1e-4, branches=BRANCHES))
+        assert value == pytest.approx(want, rel=1e-14, abs=0.0), params
+
+
+def test_golden_bures_rows_match_a_50_digit_reference(coherent_nbar1, two_level, g2p1):
+    params = NlaParams(g=2.0, p=3)
+    with mpmath.workdps(50):
+        coarse, fine = (
+            _image_fd_reference(coherent_nbar1, params, dg, branches=BRANCHES)
+            for dg in (1e-3, 5e-4)
+        )
+        richardson = float((4 * fine - coarse) / 3)
+    assert qfi_fd_kraus_bures(coherent_nbar1, params, 1e-3, richardson=True) == pytest.approx(
+        richardson, rel=1e-14, abs=0.0
+    )
+    rank_one = float(_image_fd_reference(two_level, g2p1, 1e-4, branches=(SUCCESS,)))
+    assert qfi_fd_kraus_bures(two_level, g2p1, 1e-4, branches=(SUCCESS,)) == pytest.approx(
+        rank_one, rel=1e-14, abs=0.0
+    )
+
+
+def test_identity_suite_makes_a_fixed_number_of_kernel_calls_per_probe(monkeypatch):
+    # a probe's conditional states and slopes come from one kernel call per
+    # branch; the per-point views are never reached
+    calls = collections.Counter()
+    original = selfcheck._conditional_rows
+
+    def counted(*args, **kwargs):
+        calls["_conditional_rows"] += 1
+        return original(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-point conditional view reached")
+
+    monkeypatch.setattr(selfcheck, "_conditional_rows", counted)
+    for name in ("conditional_state", "conditional_state_derivative"):
+        monkeypatch.setattr(instrument, name, forbidden)
+    results = check_identity_suite(standard_breakdowns())
+    assert all(r.passed for r in results)
+    probes = len(selfcheck.STANDARD_KINDS) * len(selfcheck.STANDARD_NBARS)
+    assert calls == {"_conditional_rows": 2 * probes}
