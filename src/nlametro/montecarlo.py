@@ -13,16 +13,19 @@ from the root seed, so results are independent of replication order and
 byte-stable across runs.
 
 Estimation works on sufficient statistics.  An experiment does its set-up
-(branch masses, inverse-CDF tables) once.  A photon-counting, success-only or
-herald-only replication keeps only its success count ``n_s`` and its
-per-level success and failure counts, taken as soon as it is drawn.  No count
-summarises homodyne quadratures, so a homodyne replication keeps its outcomes
-reduced to the basis the gain reaches: the fields ``c_n <x|n>`` of the levels
-``n <= p`` and, on the success branch, the gain-free tail
-``sum_{n>p} c_n <x|n>``.  The estimator is a grid argmax followed by
-golden-section search, run for all replications of a counting or herald
-experiment at once: one likelihood kernel evaluates every replication at its
-own gain.
+(branch masses, cumulative photon-number tables) once.  A photon-counting,
+success-only or herald-only replication is drawn directly as its counts: its
+success count ``n_s`` and its per-level success and failure counts, read off
+the sorted uniforms at the cumulative thresholds, with no per-shot outcome
+array.  The draw consumes the generator exactly as the per-shot inverse CDF
+of :func:`sample_shots` does and gives the same counts.  No count summarises
+homodyne quadratures, so a homodyne replication keeps its outcomes reduced to
+the basis the gain reaches: the fields ``c_n <x|n>`` of the levels ``n <= p``
+and, on the success branch, the gain-free tail ``sum_{n>p} c_n <x|n>``.  The
+estimator is a grid argmax followed by golden-section search, run for all
+replications of a counting or herald experiment at once: the grid surface
+takes one likelihood evaluation per grid gain, shared by every replication,
+and the search evaluates every replication at its own gain.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ DETECTORS = (PHOTON_COUNTING, HOMODYNE, HERALD_ONLY, SUCCESS_ONLY)
 # no gain information at all.
 FLATNESS_TOL = 1e-9
 
-RESULT_SCHEMA_VERSION = 1
+RESULT_SCHEMA_VERSION = 2
 
 
 class DegenerateLikelihood(RuntimeError):
@@ -93,6 +96,11 @@ class GainGrid:
 
     def values(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.points)
+
+    def edge_hits(self, estimates: np.ndarray) -> int:
+        """Estimates that lie in the first or the last grid cell."""
+        cell = (self.hi - self.lo) / (self.points - 1)
+        return int(((estimates < self.lo + cell) | (estimates > self.hi - cell)).sum())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -128,7 +136,16 @@ class ExperimentConfig:
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentResult:
-    """Replication estimates and their comparison against the bound."""
+    """Replication estimates and their comparison against the bound.
+
+    Search diagnostics: ``edge_hits`` counts the estimates in the first or
+    last grid cell (:meth:`GainGrid.edge_hits`); ``likelihood_evaluations``
+    and ``golden_section_iterations`` total, over the replications, what a
+    search run on each replication alone makes (grid points, two bracket
+    points and one evaluation per iteration).  There is no count of
+    degenerate replications: a flat or vanished likelihood raises
+    :class:`DegenerateLikelihood` and aborts the whole run.
+    """
 
     detector: str
     estimates: np.ndarray
@@ -140,6 +157,9 @@ class ExperimentResult:
     ratio_ci: tuple[float, float]
     shots: int
     seed: int
+    edge_hits: int
+    likelihood_evaluations: int
+    golden_section_iterations: int
 
     @property
     def replications(self) -> int:
@@ -163,6 +183,9 @@ class ExperimentResult:
             "crb": self.crb,
             "ratio": self.ratio,
             "ratio_ci": [self.ratio_ci[0], self.ratio_ci[1]],
+            "edge_hits": self.edge_hits,
+            "likelihood_evaluations": self.likelihood_evaluations,
+            "golden_section_iterations": self.golden_section_iterations,
         }
 
 
@@ -189,16 +212,44 @@ def _branch_masses(probe: FockVector, params: NlaParams) -> tuple[float, np.ndar
     return ps, ms, mf
 
 
-def _discrete_sampler(masses: np.ndarray):
-    """Inverse CDF of the photon-number masses, tabulated once."""
+def _cumulative(masses: np.ndarray) -> np.ndarray:
+    """Cumulative photon-number masses, the top one raised to at least 1."""
     cum = np.cumsum(masses)
     cum[-1] = max(cum[-1], 1.0)
+    return cum
+
+
+def _discrete_sampler(masses: np.ndarray):
+    """Inverse CDF of the photon-number masses, tabulated once.
+
+    A uniform goes to the first level whose cumulative mass exceeds it; the
+    uniforms above a table that sums to less than 1 go to the last level.
+    """
+    cum = _cumulative(masses)
     last = masses.size - 1
 
     def sample(u: np.ndarray) -> np.ndarray:
         return np.minimum(np.searchsorted(cum, u, side="right"), last)
 
     return sample
+
+
+def _discrete_counter(masses: np.ndarray):
+    """Per-level counts of the levels :func:`_discrete_sampler` draws from ``u``.
+
+    ``sample(u) <= k`` exactly when ``u < cum[k]``, so the number ``C_k`` of
+    draws at levels ``<= k`` is the number of uniforms below ``cum[k]``, read
+    off the sorted uniforms for every ``k`` below the last level at once.
+    The counts are the differences of ``[0, C_0, ..., C_{last-1}, n]``, whose
+    ends are the uniforms below ``-inf`` and below ``+inf``.
+    """
+    thresholds = np.concatenate(([-np.inf], _cumulative(masses)[:-1], [np.inf]))
+
+    def count(u: np.ndarray) -> np.ndarray:
+        below = np.searchsorted(np.sort(u), thresholds, side="left")
+        return below[1:] - below[:-1]
+
+    return count
 
 
 HOMODYNE_CDF_POINTS = 8193
@@ -241,9 +292,10 @@ class _ShotSource:
             raise ValueError(f"unknown detector {detector!r}")
         self._probe, self._params, self._detector = probe, params, detector
         self._ps, ms, mf = _branch_masses(probe, params)
-        self._samplers = {} if detector == HOMODYNE else {
-            SUCCESS: _discrete_sampler(ms), FAILURE: _discrete_sampler(mf)
-        }
+        self._samplers, self._counters = {}, {}
+        if detector != HOMODYNE:
+            self._samplers = {SUCCESS: _discrete_sampler(ms), FAILURE: _discrete_sampler(mf)}
+            self._counters = {SUCCESS: _discrete_counter(ms), FAILURE: _discrete_counter(mf)}
 
     def draw(self, rng: np.random.Generator, shots: int) -> tuple[np.ndarray, dict]:
         """``(success_mask, {branch: outcomes of that branch's shots})``.
@@ -252,12 +304,25 @@ class _ShotSource:
         fired; the generator is consumed in that order.
         """
         success = rng.random(shots) < self._ps
-        n_s = int(success.sum())
-        drawn = {}
+        uniforms = self._uniforms(rng, int(success.sum()), shots)
+        return success, {branch: self._sampler(branch)(u) for branch, u in uniforms}
+
+    def counts(self, rng: np.random.Generator, shots: int) -> tuple[int, dict]:
+        """``(n_s, {branch: per-level counts of that branch's shots})``.
+
+        A photon-counting or herald draw that consumes ``rng`` exactly as
+        :meth:`draw` does, and whose counts are the ``bincount`` of the
+        outcomes :meth:`draw` gives, without building them shot by shot.
+        """
+        n_s = int(np.count_nonzero(rng.random(shots) < self._ps))
+        uniforms = self._uniforms(rng, n_s, shots)
+        return n_s, {branch: self._counters[branch](u) for branch, u in uniforms}
+
+    def _uniforms(self, rng: np.random.Generator, n_s: int, shots: int):
+        """Each recorded branch that fired, with its uniforms, drawn in that order."""
         for branch, n in ((SUCCESS, n_s), (FAILURE, shots - n_s)):
             if n and branch in _RECORDED[self._detector]:
-                drawn[branch] = self._sampler(branch)(rng.random(n))
-        return success, drawn
+                yield branch, rng.random(n)
 
     def _sampler(self, branch: str):
         if branch not in self._samplers:
@@ -308,7 +373,8 @@ class _Counts:
 
     ``n_s``/``n_f`` hold each replication's successes and failures;
     ``success``/``failure`` its per-level counts (R x dim), zero on a branch
-    the detector does not record.  Allocated once and filled row by row.
+    the detector does not record or that never fired.  Allocated once and
+    filled row by row.
     """
 
     n_s: np.ndarray
@@ -323,13 +389,12 @@ class _Counts:
             np.zeros((rows, dim), dtype=np.int64), np.zeros((rows, dim), dtype=np.int64),
         )
 
-    def record(self, row: int, success: np.ndarray, drawn: dict) -> None:
-        """Reduce one replication's draws into row ``row``."""
-        n_s = int(success.sum())
-        self.n_s[row], self.n_f[row] = n_s, success.size - n_s
+    def record(self, row: int, n_s: int, shots: int, levels: dict) -> None:
+        """Store one replication's counts, ``levels[branch]`` per level, in row ``row``."""
+        self.n_s[row], self.n_f[row] = n_s, shots - n_s
         for branch, counts in ((SUCCESS, self.success), (FAILURE, self.failure)):
-            if branch in drawn:
-                counts[row] = np.bincount(drawn[branch], minlength=counts.shape[1])
+            if branch in levels:
+                counts[row] = levels[branch]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -415,16 +480,18 @@ def _log_likelihoods(
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _maximize(loglik, rows: int, grid: GainGrid, tol: float = 1e-6) -> np.ndarray:
+def _maximize(loglik, grid: GainGrid, tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
     """Per-row maximum-likelihood gains: coarse grid argmax, then golden section.
 
-    ``loglik(g)`` maps one gain per row to that row's log-likelihood.  Each
-    row searches the grid cells on either side of its argmax; the rows move
-    in lockstep, and a row whose bracket is narrower than ``tol`` stops
-    moving, so each row takes exactly the steps of a search run on its own.
+    ``loglik(g)`` maps one gain per row, or one gain shared by every row, to
+    each row's log-likelihood.  Each row searches the grid cells on either
+    side of its argmax; the rows move in lockstep, and a row whose bracket is
+    narrower than ``tol`` stops moving, so each row takes exactly the steps
+    of a search run on its own.  Returns the gains and each row's number of
+    golden-section iterations.
     """
     values = grid.values()
-    surface = np.stack([loglik(np.full(rows, g)) for g in values], axis=1)
+    surface = np.stack([loglik(np.array([g])) for g in values], axis=1)
     finite = np.isfinite(surface)
     top = surface.max(axis=1)
     vanished = ~finite.any(axis=1)
@@ -445,7 +512,9 @@ def _maximize(loglik, rows: int, grid: GainGrid, tol: float = 1e-6) -> np.ndarra
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = loglik(x1), loglik(x2)
+    iterations = np.zeros(idx.size, dtype=np.int64)
     while (active := b - a > tol).any():
+        iterations += active
         left = f1 >= f2
         # left: the maximum lies in [a, x2]; otherwise in [x1, b]
         a_new = np.where(left, a, x1)
@@ -462,16 +531,14 @@ def _maximize(loglik, rows: int, grid: GainGrid, tol: float = 1e-6) -> np.ndarra
         a, b, x1, f1, x2, f2 = [
             np.where(active, new, old) for new, old in zip(moved, (a, b, x1, f1, x2, f2))
         ]
-    return np.where(hi <= lo, values[idx], 0.5 * (a + b))
+    return 0.5 * (a + b), iterations
 
 
 def _estimates(
-    probe: FockVector, p: int, detector: str, stats, rows: int, grid: GainGrid
-) -> np.ndarray:
-    """Maximum-likelihood gains of the ``rows`` replications in ``stats``."""
-    return _maximize(
-        functools.partial(_log_likelihoods, probe, p, detector, stats), rows, grid
-    )
+    probe: FockVector, p: int, detector: str, stats, grid: GainGrid
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum-likelihood gains of the replications in ``stats``, and their iterations."""
+    return _maximize(functools.partial(_log_likelihoods, probe, p, detector, stats), grid)
 
 
 def _coerce_records(records) -> tuple[np.ndarray, np.ndarray]:
@@ -519,8 +586,10 @@ def mle_estimate(
         stats = _Quadratures.of(probe, pthreshold, drawn)
     else:
         stats = _Counts.zeros(1, probe.dim)
-        stats.record(0, success, drawn)
-    return float(_estimates(probe, pthreshold, detector, stats, 1, grid)[0])
+        levels = {branch: np.bincount(v, minlength=probe.dim) for branch, v in drawn.items()}
+        stats.record(0, int(success.sum()), success.size, levels)
+    estimates, _ = _estimates(probe, pthreshold, detector, stats, grid)
+    return float(estimates[0])
 
 
 # ---------------------------------------------------------------------------
@@ -566,29 +635,35 @@ def run_crb_experiment(config: ExperimentConfig, replications: int) -> Experimen
     root = np.random.SeedSequence(config.seed)
     children = root.spawn(replications + 1)
     source = _ShotSource(probe, config.params_true, detector)
-    estimates = np.empty(replications)
-    success_counts = np.empty(replications, dtype=np.int64)
-    counts = _Counts.zeros(replications, probe.dim)
-    for i in range(replications):
-        rng = np.random.default_rng(children[i])
-        success, drawn = source.draw(rng, config.shots)
-        success_counts[i] = int(success.sum())
-        if detector == HOMODYNE:
+    if detector == HOMODYNE:
+        estimates = np.empty(replications)
+        iterations = np.empty(replications, dtype=np.int64)
+        success_counts = np.empty(replications, dtype=np.int64)
+        for i in range(replications):
+            success, drawn = source.draw(np.random.default_rng(children[i]), config.shots)
+            success_counts[i] = int(success.sum())
             # outcomes have no count summary: estimate before the next draw
             stats = _Quadratures.of(probe, p, drawn)
-            estimates[i] = _estimates(probe, p, detector, stats, 1, config.grid)[0]
+            (estimates[i],), (iterations[i],) = _estimates(probe, p, detector, stats, config.grid)
             del stats
-        else:
-            counts.record(i, success, drawn)
-    if detector != HOMODYNE:
-        estimates = _estimates(probe, p, detector, counts, replications, config.grid)
+    else:
+        counts = _Counts.zeros(replications, probe.dim)
+        for i in range(replications):
+            n_s, levels = source.counts(np.random.default_rng(children[i]), config.shots)
+            counts.record(i, n_s, config.shots, levels)
+        estimates, iterations = _estimates(probe, p, detector, counts, config.grid)
+        success_counts = counts.n_s
     variance = float(estimates.var(ddof=1))
     info = fisher_per_shot(probe, config.params_true, detector)
     crb = _cramer_rao(info, detector, config.shots)
     ratio = variance / crb
     boot_rng = np.random.default_rng(children[replications])
-    resampled = boot_rng.integers(0, replications, size=(1000, replications))
-    boot = estimates[resampled].var(axis=1, ddof=1) / crb
+    # 100 resamples at a time: the same draws and row variances as one
+    # (1000, R) block, without holding three such blocks at the peak
+    boot = np.concatenate([
+        estimates[boot_rng.integers(0, replications, size=(100, replications))].var(axis=1, ddof=1)
+        for _ in range(10)
+    ]) / crb
     lo, hi = np.percentile(boot, [2.5, 97.5])
     return ExperimentResult(
         detector=config.detector,
@@ -601,6 +676,9 @@ def run_crb_experiment(config: ExperimentConfig, replications: int) -> Experimen
         ratio_ci=(float(lo), float(hi)),
         shots=config.shots,
         seed=config.seed,
+        edge_hits=config.grid.edge_hits(estimates),
+        likelihood_evaluations=int((config.grid.points + 2) * replications + iterations.sum()),
+        golden_section_iterations=int(iterations.sum()),
     )
 
 

@@ -168,11 +168,15 @@ def test_simulate_writes_reproducible_json(tmp_path):
     assert cli.main(argv + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     payload = json.loads(out1.read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == cli.RESULT_SCHEMA_VERSION
     assert payload["config"]["seed"] == 123
     assert payload["config"]["probe"]["kind"] == "custom"
-    assert len(payload["result"]["estimates"]) == 40
-    assert payload["result"]["ratio"] > 0
+    result = payload["result"]
+    assert len(result["estimates"]) == 40
+    assert result["ratio"] > 0
+    # default 61-point grid: each replication makes 61 + 2 evaluations plus one per iteration
+    assert result["likelihood_evaluations"] == 63 * 40 + result["golden_section_iterations"]
+    assert 0 <= result["edge_hits"] <= 40
 
 
 def test_simulate_records_jsonl(tmp_path):

@@ -20,8 +20,12 @@ from nlametro.montecarlo import (
     sample_shot,
     sample_shots,
     write_records_jsonl,
+    _branch_masses,
+    _discrete_counter,
+    _discrete_sampler,
     _log_likelihoods,
     _Quadratures,
+    _ShotSource,
 )
 from nlametro.probes import ProbeSpec
 
@@ -216,19 +220,91 @@ def _redrawn_estimates(cfg, replications):
     return np.array(estimates), np.array(counts)
 
 
-@pytest.mark.parametrize(
-    "detector, replications",
-    [("photon-counting", 20), ("success-only", 20), ("herald-only", 20), ("homodyne", 3)],
+_COUNT_DETECTORS = ("photon-counting", "success-only", "herald-only")
+_HALF = 1 / math.sqrt(2)
+# (id prefix, probe, true parameters); the coherent rows keep their original ids
+_BATCH_CASES = (
+    ("", ProbeSpec.from_nbar("coherent", 1.0), NlaParams(g=2.0, p=3)),
+    ("two-level-", ProbeSpec(kind="custom", amps=(_HALF, _HALF)), NlaParams(g=2.0, p=1)),
+    ("squeezed-dim149-", ProbeSpec.from_nbar("squeezed-vacuum", 2.0), NlaParams(g=1.5, p=5)),
 )
-def test_batched_estimates_equal_per_record_mle(detector, replications):
+
+
+@pytest.mark.parametrize(
+    "spec, params, detector, replications",
+    [
+        *[
+            pytest.param(spec, params, d, 20, id=f"{prefix}{d}-20")
+            for prefix, spec, params in _BATCH_CASES
+            for d in _COUNT_DETECTORS
+        ],
+        pytest.param(*_BATCH_CASES[0][1:], "homodyne", 3, id="homodyne-3"),
+    ],
+)
+def test_batched_estimates_equal_per_record_mle(spec, params, detector, replications):
     cfg = ExperimentConfig(
-        probe=ProbeSpec.from_nbar("coherent", 1.0), params_true=NlaParams(g=2.0, p=3),
+        probe=spec, params_true=params,
         detector=detector, shots=2_000, seed=41, grid=SEARCH,
     )
     res = run_crb_experiment(cfg, replications)
     estimates, counts = _redrawn_estimates(cfg, replications)
     npt.assert_array_equal(res.estimates, estimates)
     npt.assert_array_equal(res.success_counts, counts)
+
+
+def _bincount_of_draws(masses, u):
+    return np.bincount(_discrete_sampler(masses)(u), minlength=masses.size)
+
+
+@pytest.mark.parametrize(
+    "masses",
+    [
+        pytest.param(np.array([1.0]), id="dim1"),
+        pytest.param(np.array([0.25, 0.75]), id="dim2"),
+        pytest.param(np.array([0.25, 0.0, 0.0, 0.25, 0.0, 0.5]), id="zero-mass-levels"),
+        pytest.param(np.array([0.0, 0.5, 0.5, 0.0]), id="zero-mass-ends"),
+        pytest.param(np.array([0.125, 0.25, 0.125]), id="table-below-one"),
+        pytest.param(
+            _branch_masses(ProbeSpec.from_nbar("coherent", 1.0).build(), NlaParams(g=2.0, p=3))[1],
+            id="coherent-dim17",
+        ),
+    ],
+)
+def test_count_draw_equals_bincount_of_inverse_cdf_draws(masses):
+    cum = np.cumsum(masses)
+    # every threshold, its neighbours on either side, and the ends of [0, 1]
+    edges = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0), [0.0, 1.0]])
+    u = np.concatenate([edges, np.random.default_rng(8).random(5_000)])
+    u = u[(u >= 0.0) & (u <= 1.0)]
+    counts = _discrete_counter(masses)(u)
+    npt.assert_array_equal(counts, _bincount_of_draws(masses, u))
+    assert counts.sum() == u.size
+    # a uniform equal to a threshold goes to the next level with non-zero mass
+    at = _discrete_counter(masses)(cum[:-1])
+    npt.assert_array_equal(at, _bincount_of_draws(masses, cum[:-1]))
+    npt.assert_array_equal(_discrete_counter(masses)(np.empty(0)), np.zeros(masses.size))
+
+
+def test_count_draw_clamps_the_top_of_a_short_table_into_the_last_level():
+    masses = np.array([0.125, 0.25, 0.125])  # sums to 1/2
+    # levels 0, 1, then 2 for every uniform from 0.375 up, past the table's own mass
+    u = np.array([0.0, 0.125, 0.375, 0.5, 0.75, np.nextafter(1.0, 0.0), 1.0])
+    npt.assert_array_equal(_discrete_counter(masses)(u), [1, 1, 5])
+    npt.assert_array_equal(_bincount_of_draws(masses, u), [1, 1, 5])
+
+
+@pytest.mark.parametrize("detector", _COUNT_DETECTORS)
+def test_shot_source_counts_consume_the_generator_as_draw(detector):
+    probe = ProbeSpec.from_nbar("coherent", 1.0).build()
+    source = _ShotSource(probe, NlaParams(g=2.0, p=3), detector)
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    success, drawn = source.draw(a, 3_000)
+    n_s, levels = source.counts(b, 3_000)
+    assert n_s == int(success.sum())
+    assert set(levels) == set(drawn)
+    for branch, outcomes in drawn.items():
+        npt.assert_array_equal(levels[branch], np.bincount(outcomes, minlength=probe.dim))
+    assert a.random() == b.random()
 
 
 def test_one_flat_replication_makes_the_batch_degenerate():
