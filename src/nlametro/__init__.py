@@ -18,7 +18,6 @@ from .instrument import (
     NlaParams,
     branch_probability,
     conditional_state,
-    joint_state,
 )
 from .fisher import (
     FisherBreakdown,
@@ -90,7 +89,6 @@ __all__ = [
     "fi_photon_counting",
     "homodyne_distribution",
     "joint_fi_direct",
-    "joint_state",
     "mle_estimate",
     "photon_counting_dist",
     "qfi_branch",

@@ -14,10 +14,14 @@ construction that shares none of its algebra:
 * :func:`qfi_fd_pure` differences any pure-state family with the
   cancellation-free :func:`overlap_deficit`, and refuses deficits below 100x
   unit roundoff via :class:`StepTooSmall` (:func:`resolution_floor` states
-  the smallest value a step can certify).
+  the smallest value a step can certify);
+* :func:`joint_state` builds the joint signal-meter state of the unitary
+  dilation as a :class:`JointState` of two explicit amplitude blocks.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -25,7 +29,10 @@ from .fisher import ZERO_EIGENVALUE_TOL
 from .fock import DensityOperator, FockVector
 from .instrument import (
     BRANCHES,
+    FAILURE,
     PROBABILITY_FLOOR,
+    SUCCESS,
+    MeterState,
     NlaParams,
     branch_probability_derivative,
     conditional_state_derivative,
@@ -130,6 +137,67 @@ def qfi_pure(state, dstate) -> float:
     dd = float(np.vdot(damps, damps).real)
     sd = complex(np.vdot(amps, damps))
     return 4.0 * (dd - abs(sd) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# Joint signal-meter state
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class JointState:
+    """Pure state of signal tensor meter after the unitary dilation.
+
+    ``success_amps``/``failure_amps`` are the signal amplitudes paired with
+    the meter's success/failure basis states.
+    """
+
+    success_amps: np.ndarray
+    failure_amps: np.ndarray
+
+    def __post_init__(self):
+        for name in ("success_amps", "failure_amps"):
+            arr = np.array(getattr(self, name), dtype=np.complex128)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if self.success_amps.shape != self.failure_amps.shape:
+            raise ValueError("joint-state blocks must have equal length")
+
+    @property
+    def dim(self) -> int:
+        return self.success_amps.size
+
+    def as_vector(self) -> np.ndarray:
+        """Flatten to a single 2*dim amplitude vector (success block first)."""
+        return np.concatenate([self.success_amps, self.failure_amps])
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.as_vector()))
+
+    def block_weights(self) -> tuple[float, float]:
+        return (
+            float(np.sum(np.abs(self.success_amps) ** 2)),
+            float(np.sum(np.abs(self.failure_amps) ** 2)),
+        )
+
+
+def joint_state(probe: FockVector, params: NlaParams, meter: MeterState) -> JointState:
+    """Joint signal-meter state for a general meter preparation.
+
+    The unitary dilation acts on signal tensor meter; reading the meter in
+    its success/failure basis reproduces the instrument when the meter starts
+    in ``|failure>`` (the trivial meter).  A general preparation
+    ``alpha |success> + beta |failure>`` yields
+
+        success block:  (beta E_s + alpha E_f) |probe>
+        failure block:  (beta E_f - alpha E_s) |probe>
+    """
+    probe.require_normalized()
+    es = kraus_diagonal(params, SUCCESS, probe.dim) * probe.amps
+    ef = kraus_diagonal(params, FAILURE, probe.dim) * probe.amps
+    return JointState(
+        success_amps=meter.beta * es + meter.alpha * ef,
+        failure_amps=meter.beta * ef - meter.alpha * es,
+    )
 
 
 # ---------------------------------------------------------------------------

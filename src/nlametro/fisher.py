@@ -24,11 +24,13 @@ levels ``n > p`` enter only through ``c_{>p}``: the images keep the rows
 this ``(p+2) x 2`` matrix, one batched SVD for the whole stack; the tests
 compare it with the dense :func:`nlametro.dense.qfi_mixed`.
 
-:func:`qfi_effective` and :func:`qfi_effective_closed_form` take one
-:class:`NlaParams` or a sequence of them, like the homodyne functions of
-:mod:`nlametro.measurements`; the other functions take one point and read
-the same images with a stack of one.  None of the single-point views but
-:func:`qfi_unconditional` runs an SVD.
+:func:`qfi_effective`, :func:`qfi_effective_closed_form`,
+:func:`meter_coupling_term` and :func:`qfi_joint_meter` take one
+:class:`NlaParams` or a sequence of them, like the functions of
+:mod:`nlametro.measurements`, and their single-point forms are views of the
+batch; the other functions take one point and read the same images with a
+stack of one.  None of the single-point views but :func:`qfi_unconditional`
+runs an SVD.
 
 Numerical note: the textbook branch-QFI expression subtracts
 ``(dprob/prob)^2`` from a second moment; near points where the conditional
@@ -49,6 +51,7 @@ from .fock import FockVector
 from .instrument import (
     BRANCHES,
     SUCCESS,
+    MeterBatch,
     MeterState,
     NlaParams,
     Points,
@@ -298,19 +301,36 @@ def qfi_effective(probe: FockVector, params: Points) -> FisherBreakdown:
     return FisherBreakdown(*fields)
 
 
-def meter_coupling_term(probe: FockVector, params: NlaParams) -> float:
+def _coupling(a, da) -> np.ndarray:
+    """Per point ``Re<A_s|dA_f> - Re<A_f|dA_s>``; see :func:`meter_coupling_term`."""
+    return (np.sum((a[..., 0].conj() * da[..., 1]).real, axis=1)
+            - np.sum((a[..., 1].conj() * da[..., 0]).real, axis=1))
+
+
+def meter_coupling_term(probe: FockVector, params: Points) -> float | np.ndarray:
     """Cross term ``<psi|E_s dE_f|psi> - <psi|E_f dE_s|psi>`` (real).
 
     This is the only way the meter preparation enters the joint-state QFI.
+    ``params`` is one operating point, giving a float, or a sequence of them
+    with one shared ``p``, giving an array; the coupling of every point comes
+    from one evaluation of the stacked images (:func:`_images`).
     """
-    _, _, a, da = _images(probe, *_gains(params))
-    a, da = a[0], da[0]
-    return float(np.vdot(a[:, 0], da[:, 1]).real - np.vdot(a[:, 1], da[:, 0]).real)
+    g, p = _gains(params)
+    values = _coupling(*_images(probe, g, p)[2:])
+    return _one(values) if isinstance(params, NlaParams) else values
 
 
-def qfi_joint_meter(
-    probe: FockVector, params: NlaParams, meters: MeterState | Sequence[MeterState]
-) -> float | np.ndarray:
+Meters = MeterState | MeterBatch | Sequence[MeterState]
+
+
+def _imbalances(meters: Meters) -> np.ndarray:
+    """``Im(alpha conj(beta))`` of one meter (0-d), a batch or a sequence of meters."""
+    if isinstance(meters, (MeterState, MeterBatch)):
+        return np.asarray(meters.branch_imbalance())
+    return np.array([m.branch_imbalance() for m in meters])
+
+
+def qfi_joint_meter(probe: FockVector, params: Points, meters: Meters) -> float | np.ndarray:
     """QFI of the joint signal-meter pure state for a general meter.
 
     The joint state |Psi_g> has ``<dPsi|dPsi> = q_eff / 4`` regardless of the
@@ -324,15 +344,26 @@ def qfi_joint_meter(
     the 4(<d|d> - |<psi|d>|^2) QFI convention and is confirmed against the
     Kraus-image fidelity oracle :class:`~nlametro.oracles.KrausImageFD`,
     whose joint-state contraction a test ties to the explicitly built
-    :func:`~nlametro.instrument.joint_state`.)
+    :func:`nlametro.dense.joint_state`.)
 
-    ``meters`` is one :class:`MeterState`, giving a float, or a sequence of
-    them, giving an array with one QFI per meter.  Only the imbalance depends
-    on the meter, so ``q_eff`` and ``X`` are evaluated once per call and the
-    formula is broadcast over the meters.
+    ``meters`` is one :class:`MeterState`, a sequence of them or a
+    :class:`MeterBatch`.  At one operating point the result has the meters'
+    shape: a float for one meter, an array for several.  ``params`` may also
+    be a sequence of ``G`` points with one shared ``p``; then the meters'
+    leading axis runs over the points: one meter for all points gives shape
+    ``(G,)``, one meter per point (a sequence or a batch of length ``G``)
+    gives ``(G,)``, and ``M`` meters per point (a ``G x M`` batch) give
+    ``(G, M)``.  Only the imbalance depends on the meter, so ``q_eff`` and
+    ``X`` are evaluated once per call, for all points, and the formula is
+    broadcast over the meters.
     """
-    single = isinstance(meters, MeterState)
-    imbalance = np.array([m.branch_imbalance() for m in ([meters] if single else meters)])
+    imbalance = _imbalances(meters)
+    q_eff = qfi_effective_closed_form(probe, params)
     coupling = meter_coupling_term(probe, params)
-    q = qfi_effective_closed_form(probe, params) - 16.0 * (imbalance * coupling) ** 2
-    return float(q[0]) if single else q
+    if not isinstance(params, NlaParams) and imbalance.ndim:
+        if imbalance.shape[0] != q_eff.size:
+            raise ValueError(f"{imbalance.shape[0]} rows of meters for {q_eff.size} points")
+        trailing = (1,) * (imbalance.ndim - 1)
+        q_eff, coupling = q_eff.reshape(-1, *trailing), coupling.reshape(-1, *trailing)
+    q = q_eff - 16.0 * (imbalance * coupling) ** 2
+    return float(q) if q.ndim == 0 else q

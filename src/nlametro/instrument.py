@@ -10,10 +10,14 @@ complementary weight so that the pair is trace preserving level by level:
     failure:  sqrt(1 - g^(2(n-p)))       for n <= p,   0 for n > p
 
 This module provides the Kraus diagonals and their exact gain derivatives,
-branch probabilities, normalized conditional states, and the joint pure
-state of signal plus a qubit meter that records which branch occurred.
-The conditional amplitudes and their slopes come from one broadcast kernel,
-:func:`_conditional_rows`, for one operating point or a stack of them.
+branch probabilities, normalized conditional states, and the qubit meter
+that records which branch occurred, one meter (:class:`MeterState`) or an
+array of them (:class:`MeterBatch`).  The Kraus, completeness and
+branch-probability functions take one operating point or a sequence of
+them, whose thresholds may differ, with their rows from the broadcast
+kernels :func:`_kraus_rows` and :func:`_kraus_slope_rows`.  The conditional
+amplitudes and their slopes come from :func:`_conditional_rows`, for one
+operating point or a stack of them.
 """
 
 from __future__ import annotations
@@ -90,10 +94,16 @@ def _check_rows(branch: str, dim: int) -> None:
         raise ValueError("dim must be positive")
 
 
-def kraus_diagonal(params: NlaParams, branch: str, dim: int) -> np.ndarray:
-    """Diagonal entries of the branch Kraus operator on levels 0..dim-1."""
+def kraus_diagonal(params: Points, branch: str, dim: int) -> np.ndarray:
+    """Diagonal entries of the branch Kraus operator on levels 0..dim-1.
+
+    One operating point gives a row of length ``dim``; a sequence of ``G``
+    points, thresholds mixed, gives a ``G x dim`` stack of the same rows.
+    """
     _check_rows(branch, dim)
-    return _kraus_rows(params.g, params.p, branch, dim)
+    if isinstance(params, NlaParams):
+        return _kraus_rows(params.g, params.p, branch, dim)
+    return _kraus_rows(*_point_columns(params), branch, dim)
 
 
 def _kraus_rows(g, p, branch: str, dim: int) -> np.ndarray:
@@ -112,14 +122,16 @@ def _kraus_rows(g, p, branch: str, dim: int) -> np.ndarray:
     return np.sqrt(np.clip(1.0 - g ** (2.0 * k), 0.0, None))
 
 
-def kraus_diagonal_derivative(params: NlaParams, branch: str, dim: int) -> np.ndarray:
-    """Exact gain derivative of :func:`kraus_diagonal`.
+def kraus_diagonal_derivative(params: Points, branch: str, dim: int) -> np.ndarray:
+    """Exact gain derivative of :func:`kraus_diagonal`, for one point or a sequence.
 
     The failure entry at ``n == p`` is identically zero for all gains, so its
     derivative is zero (the 0/0 in the naive quotient is removable).
     """
     _check_rows(branch, dim)
-    return _kraus_slope_rows(params.g, params.p, branch, dim)
+    if isinstance(params, NlaParams):
+        return _kraus_slope_rows(params.g, params.p, branch, dim)
+    return _kraus_slope_rows(*_point_columns(params), branch, dim)
 
 
 def _kraus_slope_rows(g, p, branch: str, dim: int) -> np.ndarray:
@@ -144,32 +156,44 @@ def _kraus_slope_rows(g, p, branch: str, dim: int) -> np.ndarray:
     return out
 
 
-def completeness_defect(params: NlaParams, dim: int) -> float:
-    """max_n |E_s(n)^2 + E_f(n)^2 - 1|; zero for a trace-preserving pair."""
+def _per_point(params: Points, values: np.ndarray) -> float | np.ndarray:
+    """A float for one operating point, the array of per-point values for a sequence."""
+    return float(values) if isinstance(params, NlaParams) else values
+
+
+def completeness_defect(params: Points, dim: int) -> float | np.ndarray:
+    """max_n |E_s(n)^2 + E_f(n)^2 - 1|; zero for a trace-preserving pair.
+
+    A float for one operating point, one value per point for a sequence.
+    """
     es = kraus_diagonal(params, SUCCESS, dim)
     ef = kraus_diagonal(params, FAILURE, dim)
-    return float(np.max(np.abs(es * es + ef * ef - 1.0)))
+    return _per_point(params, np.max(np.abs(es * es + ef * ef - 1.0), axis=-1))
 
 
-def branch_probability(probe: FockVector, params: NlaParams, branch: str) -> float:
-    """Probability of the branch firing on the given normalized probe."""
+def branch_probability(probe: FockVector, params: Points, branch: str) -> float | np.ndarray:
+    """Probability of the branch firing on the given normalized probe.
+
+    A float for one operating point, one probability per point for a sequence.
+    """
     probe.require_normalized()
     e = kraus_diagonal(params, branch, probe.dim)
-    return float(np.sum(e * e * probe.weights()))
+    return _per_point(params, np.sum(e * e * probe.weights(), axis=-1))
 
 
 def branch_probability_derivative(
-    probe: FockVector, params: NlaParams, branch: str
-) -> float:
+    probe: FockVector, params: Points, branch: str
+) -> float | np.ndarray:
     """Exact gain derivative ``2 sum_n E_n dE_n |c_n|^2`` of the branch probability.
 
     Each branch is differentiated through its own Kraus derivative, so the
-    two branch derivatives sum to zero only when the Kraus pair does.
+    two branch derivatives sum to zero only when the Kraus pair does.  A
+    float for one operating point, one derivative per point for a sequence.
     """
     probe.require_normalized()
     e = kraus_diagonal(params, branch, probe.dim)
     de = kraus_diagonal_derivative(params, branch, probe.dim)
-    return float(2.0 * np.sum(e * de * probe.weights()))
+    return _per_point(params, 2.0 * np.sum(e * de * probe.weights(), axis=-1))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -227,6 +251,32 @@ def conditional_state_derivative(probe: FockVector, params: NlaParams, branch: s
     return _conditional_rows(probe, params, branch)[1][0]
 
 
+def _check_meters(alpha, beta) -> None:
+    """Raise :class:`MeterNotNormalized` at the first meter off the unit sphere.
+
+    A meter passes when ``| |alpha|^2 + |beta|^2 - 1 | <= 1e-10``; a NaN
+    norm fails.  ``alpha`` and ``beta`` are complex scalars or arrays of one
+    shape.
+    """
+    nrm = np.ravel(np.abs(alpha) ** 2 + np.abs(beta) ** 2)
+    bad = ~(np.abs(nrm - 1.0) <= 1e-10)
+    if bad.any():
+        i = int(np.argmax(bad))
+        index = tuple(int(k) for k in np.unravel_index(i, np.shape(alpha)))
+        where = f" (meter {index})" if index else ""
+        raise MeterNotNormalized(f"|alpha|^2 + |beta|^2 = {nrm[i]:.12g}{where}")
+
+
+def _imbalance(alpha, beta):
+    """``Im(alpha conj(beta))`` in real arithmetic.
+
+    A vectorised complex product may fuse its multiply-adds, so its bits
+    depend on the array path taken; written out, a meter's imbalance is the
+    same whether it is evaluated alone or in a batch.
+    """
+    return alpha.imag * beta.real - alpha.real * beta.imag
+
+
 @dataclasses.dataclass(frozen=True)
 class MeterState:
     """Qubit meter prepared as ``alpha |success> + beta |failure>``."""
@@ -237,9 +287,7 @@ class MeterState:
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
-        nrm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(nrm - 1.0) > 1e-10:
-            raise MeterNotNormalized(f"|alpha|^2 + |beta|^2 = {nrm:.12g}")
+        _check_meters(self.alpha, self.beta)
 
     @classmethod
     def trivial(cls) -> "MeterState":
@@ -248,61 +296,32 @@ class MeterState:
 
     def branch_imbalance(self) -> float:
         """Im(alpha conj(beta)); zero exactly when the meter costs nothing."""
-        return float((self.alpha * np.conj(self.beta)).imag)
+        return _imbalance(self.alpha, self.beta)
 
 
 @dataclasses.dataclass(frozen=True)
-class JointState:
-    """Pure state of signal tensor meter after the unitary dilation.
+class MeterBatch:
+    """An array of qubit meters ``alpha |success> + beta |failure>``.
 
-    ``success_amps``/``failure_amps`` are the signal amplitudes paired with
-    the meter's success/failure basis states.
+    ``alpha`` and ``beta`` are complex arrays of one shape, one entry per
+    meter, so a stack of meters costs no Python object per meter.  Every
+    meter gets :class:`MeterState`'s normalization check: one meter off the
+    unit sphere raises :class:`MeterNotNormalized` naming its index.
     """
 
-    success_amps: np.ndarray
-    failure_amps: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
 
     def __post_init__(self):
-        for name in ("success_amps", "failure_amps"):
-            arr = np.array(getattr(self, name), dtype=np.complex128)
+        alpha = np.array(self.alpha, dtype=np.complex128)
+        beta = np.array(self.beta, dtype=np.complex128)
+        if alpha.shape != beta.shape:
+            raise ValueError(f"alpha {alpha.shape} and beta {beta.shape} differ in shape")
+        _check_meters(alpha, beta)
+        for name, arr in (("alpha", alpha), ("beta", beta)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.success_amps.shape != self.failure_amps.shape:
-            raise ValueError("joint-state blocks must have equal length")
 
-    @property
-    def dim(self) -> int:
-        return self.success_amps.size
-
-    def as_vector(self) -> np.ndarray:
-        """Flatten to a single 2*dim amplitude vector (success block first)."""
-        return np.concatenate([self.success_amps, self.failure_amps])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_vector()))
-
-    def block_weights(self) -> tuple[float, float]:
-        return (
-            float(np.sum(np.abs(self.success_amps) ** 2)),
-            float(np.sum(np.abs(self.failure_amps) ** 2)),
-        )
-
-
-def joint_state(probe: FockVector, params: NlaParams, meter: MeterState) -> JointState:
-    """Joint signal-meter state for a general meter preparation.
-
-    The unitary dilation acts on signal tensor meter; reading the meter in
-    its success/failure basis reproduces the instrument when the meter starts
-    in ``|failure>`` (the trivial meter).  A general preparation
-    ``alpha |success> + beta |failure>`` yields
-
-        success block:  (beta E_s + alpha E_f) |probe>
-        failure block:  (beta E_f - alpha E_s) |probe>
-    """
-    probe.require_normalized()
-    es = kraus_diagonal(params, SUCCESS, probe.dim) * probe.amps
-    ef = kraus_diagonal(params, FAILURE, probe.dim) * probe.amps
-    return JointState(
-        success_amps=meter.beta * es + meter.alpha * ef,
-        failure_amps=meter.beta * ef - meter.alpha * es,
-    )
+    def branch_imbalance(self) -> np.ndarray:
+        """Im(alpha conj(beta)) of every meter, in the batch's shape."""
+        return _imbalance(self.alpha, self.beta)

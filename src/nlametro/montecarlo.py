@@ -142,7 +142,11 @@ class ExperimentResult:
     last grid cell (:meth:`GainGrid.edge_hits`); ``likelihood_evaluations``
     and ``golden_section_iterations`` total, over the replications, what a
     search run on each replication alone makes (grid points, two bracket
-    points and one evaluation per iteration).  There is no count of
+    points and one evaluation per iteration).  A replication whose estimate
+    is not in an edge cell searches a bracket of two grid cells down to the
+    absolute ``tol=1e-6``, so its iteration count is fixed by the grid
+    spacing: 23 per replication on the grid ``4/3:3:61``.  The two counts
+    therefore change only through edge hits.  There is no count of
     degenerate replications: a flat or vanished likelihood raises
     :class:`DegenerateLikelihood` and aborts the whole run.
     """
@@ -352,7 +356,15 @@ def sample_shots(
 def sample_shot(
     probe: FockVector, params: NlaParams, detector: str, rng: np.random.Generator
 ):
-    """Single amplifier run: ``(branch, outcome-or-None)``."""
+    """Single amplifier run: ``(branch, outcome-or-None)``.
+
+    Each call rebuilds the whole shot source: the branch masses and, for
+    homodyne, the quadrature density table.  On coherent nbar=1, g=2, p=3
+    (one core of a Xeon host) that is about 1.7 ms per homodyne shot and
+    0.3 ms per photon-counting shot, against about 3.8 ms and 0.4 ms for a
+    whole :func:`sample_shots` batch of 1000.  Draw many shots with
+    :func:`sample_shots`, not a loop over this function.
+    """
     success, outcomes = sample_shots(probe, params, detector, rng, 1)
     branch = SUCCESS if success[0] else FAILURE
     out = outcomes[0]
@@ -565,8 +577,10 @@ def mle_estimate(
     """Maximum-likelihood gain: coarse grid argmax, then golden-section.
 
     ``records`` is either the ``(success_mask, outcomes)`` array pair from
-    :func:`sample_shots` or an iterable of ``(branch, outcome)`` tuples from
-    repeated :func:`sample_shot` calls.
+    :func:`sample_shots` or an iterable of ``(branch, outcome)`` tuples.
+    Draw records with :func:`sample_shots`: each :func:`sample_shot` call
+    rebuilds the whole shot source, so a loop over it pays that set-up once
+    per shot.
 
     Raises :class:`DegenerateLikelihood` when the surface is flat over the
     grid (the record carries no gain information, e.g. a single-level probe

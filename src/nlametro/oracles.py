@@ -444,8 +444,9 @@ class KrausImageFD:
     def _meter_metric(self, view) -> tuple[_DD, _DD]:
         """``(m, y)`` of the meter metric ``[[m, i y], [-i y, m]]`` of the joint state.
 
-        The joint state of :func:`~nlametro.instrument.joint_state` for a
-        meter ``alpha|s> + beta|f>`` is
+        The joint state of the unitary dilation, which the test reference
+        :func:`nlametro.dense.joint_state` builds explicitly, for a meter
+        ``alpha|s> + beta|f>`` is
         ``a_s (x) (beta|s> - alpha|f>) + a_f (x) (alpha|s> + beta|f>)``, so
         ``m = |alpha|^2 + |beta|^2`` and ``y = 2 Im(alpha conj(beta))``.
         ``view`` is one meter or a sequence of one meter per point.

@@ -24,18 +24,25 @@ double-double arithmetic, about 32 digits from error-free transformations
 (Knuth's TwoSum, Dekker's TwoProduct, Hida-Li-Bailey division and square
 root).  Their rounding, O(p) units of 2^-104 in a deficit, lies eleven
 orders below the smallest real deficit, so no step is refused and every row
-scores all 280 points.  The identity suite takes a probe's conditional
-states and slopes from one ``_conditional_rows`` call per branch.
+scores all 280 points.  Its analytic generic-meter side makes one
+``qfi_joint_meter`` call per probe and threshold, one meter per point.
 
-The detector and meter suites evaluate on arrays, each number still coming
-from the library function it checks.  The detector rows pass a probe's 35
-operating points, of all five thresholds, to one call per branch of
+The suites evaluate on stacks of operating points, each number still coming
+from the library function it checks, and score each row's errors as one
+array.  The identity rows pass a probe's 35 operating points, of all five
+thresholds, to one ``completeness_defect`` call and to one call per branch
+of ``kraus_diagonal``, ``kraus_diagonal_derivative``,
+``branch_probability`` and ``branch_probability_derivative``, and take the
+conditional states and slopes from one ``_conditional_rows`` call per
+branch.  The detector rows pass them to one call per branch of
 ``fi_photon_counting``, ``photon_counting_dist``, ``fi_homodyne`` and
 ``homodyne_distribution``, and to one ``sequential_fi`` call per detector;
 each takes the rows of all points from one kernel evaluation, and homodyne
-stacks them as chunked real products on the quadrature grid.
-The meter suite passes a point's 54 meters to one ``qfi_joint_meter`` call,
-which evaluates ``q_eff`` and the coupling term once for all of them.
+stacks them as chunked real products on the quadrature grid.  The meter
+suite draws the normals of a probe's 1750 random meters as one block and
+makes one ``qfi_joint_meter`` call per probe and threshold, 40 in all: a
+:class:`~nlametro.instrument.MeterBatch` of the threshold's 7 points x 54
+meters, whose ``q_eff`` and coupling terms are evaluated once.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ from .fock import FockVector
 from .instrument import (
     BRANCHES,
     FAILURE,
+    MeterBatch,
     MeterState,
     NlaParams,
     SUCCESS,
@@ -159,11 +167,20 @@ class _Worst:
         self.label = ""
         self.count = 0
 
-    def update(self, err: float, label: str):
-        self.count += 1
-        if err > self.value:
-            self.value = err
-            self.label = label
+    def update(self, errs, labels) -> None:
+        """Score an array of errors and name where the worst one happened.
+
+        ``labels`` names equal consecutive runs of the errors in row-major
+        order: one label per error, or one per row of a 2-D array.  The
+        first largest error names the location, as if the errors were
+        scored one at a time; a NaN is never the largest.
+        """
+        flat = np.ravel(errs)
+        self.count += flat.size
+        i = int(np.argmax(np.where(flat > self.value, flat, -np.inf)))
+        if flat[i] > self.value:
+            self.value = float(flat[i])
+            self.label = labels[i // (flat.size // len(labels))]
 
     def result(self, name: str, tol: float, extra: str = "") -> CheckResult:
         detail = self.label if self.value > 0 else ""
@@ -179,11 +196,35 @@ class _Worst:
         )
 
 
-def _rel(a: float, b: float, floor: float = NUMERICAL_ZERO) -> float:
-    scale = max(abs(a), abs(b))
-    if scale < floor:
-        return 0.0
-    return abs(a - b) / scale
+def _rel(a, b, floor: float = NUMERICAL_ZERO) -> np.ndarray:
+    """Elementwise ``|a - b| / max(|a|, |b|)``, and 0 where that scale is below ``floor``."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    scale = np.maximum(np.abs(a), np.abs(b))
+    return np.divide(np.abs(a - b), scale, out=np.zeros(scale.shape), where=~(scale < floor))
+
+
+def _by_threshold(points: list[NlaParams], evaluate) -> np.ndarray:
+    """``evaluate(indices, points)`` on each group of points that share ``p``.
+
+    The calls that need one shared threshold get one group each; their
+    results, whose leading axis runs over the group, are scattered back into
+    the order of ``points``.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, params in enumerate(points):
+        groups.setdefault(params.p, []).append(i)
+    out = None
+    for idx in groups.values():
+        values = evaluate(idx, [points[i] for i in idx])
+        if out is None:
+            out = np.empty((len(points),) + values.shape[1:])
+        out[idx] = values
+    return out
+
+
+def _branch_labels(labels: list[str], suffixes) -> list[str]:
+    """One label per point and suffix, point-major, as the errors of a ``G x S`` array run."""
+    return [f"{label} {suffix}" for label in labels for suffix in suffixes]
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +234,10 @@ def _rel(a: float, b: float, floor: float = NUMERICAL_ZERO) -> float:
 def check_identity_suite(breakdowns: dict[str, FisherBreakdown]) -> list[CheckResult]:
     """Exact algebraic identities across the standard grid.
 
-    ``breakdowns`` is :func:`standard_breakdowns`.  The conditional states
-    and their slopes of a probe's 35 operating points come from one
-    ``_conditional_rows`` call per branch.
+    ``breakdowns`` is :func:`standard_breakdowns`.  Each ``instrument``
+    function takes a probe's 35 operating points, thresholds mixed, in one
+    call (per branch), and the conditional states and their slopes come from
+    one ``_conditional_rows`` call per branch.
     """
     completeness = _Worst()
     kraus_deriv = _Worst()
@@ -208,33 +250,36 @@ def check_identity_suite(breakdowns: dict[str, FisherBreakdown]) -> list[CheckRe
     hierarchy_slack = _Worst()
     for probe, labels, points in standard_probe_grids():
         dim = probe.dim
-        rows = {branch: _conditional_rows(probe, points, branch) for branch in BRANCHES}
-        for i, (label, params) in enumerate(zip(labels, points)):
-            completeness.update(completeness_defect(params, dim), label)
-            es = kraus_diagonal(params, SUCCESS, dim)
-            ef = kraus_diagonal(params, FAILURE, dim)
-            des = kraus_diagonal_derivative(params, SUCCESS, dim)
-            def_ = kraus_diagonal_derivative(params, FAILURE, dim)
-            kraus_deriv.update(float(np.max(np.abs(es * des + ef * def_))), label)
-            ps = branch_probability(probe, params, SUCCESS)
-            pf = branch_probability(probe, params, FAILURE)
-            prob_sum.update(abs(ps + pf - 1.0), label)
-            dps = branch_probability_derivative(probe, params, SUCCESS)
-            dpf = branch_probability_derivative(probe, params, FAILURE)
-            dprob_sum.update(abs(dps + dpf), label)
-            for branch in BRANCHES:
-                amps, damps = rows[branch][0][i], rows[branch][1][i]
-                cond_norm.update(abs(np.linalg.norm(amps) - 1.0), f"{label} {branch}")
-                orthogonality.update(abs(complex(np.vdot(amps, damps))), f"{label} {branch}")
-            bd = breakdowns[label]
-            scale = max(bd.q_eff, NUMERICAL_ZERO)
-            breakdown_identity.update(abs(bd.q_eff - bd.component_sum()) / scale, label)
-            # one-sided bounds, scored as relative overshoot
-            hierarchy_slack.update(max(bd.ps_qs - bd.q_eff, 0.0) / scale, label)
-            hierarchy_slack.update(max(bd.q_unc - bd.q_eff, 0.0) / scale, label)
-            # tr(A A^+) = ||A||_F^2 for the Kraus images A = [E_s c, E_f c]
-            images = np.stack((es * probe.amps, ef * probe.amps), axis=1)
-            unc_trace.update(abs(np.vdot(images, images).real - 1.0), label)
+        completeness.update(completeness_defect(points, dim), labels)
+        es, ef = (kraus_diagonal(points, b, dim) for b in BRANCHES)
+        des, def_ = (kraus_diagonal_derivative(points, b, dim) for b in BRANCHES)
+        kraus_deriv.update(np.max(np.abs(es * des + ef * def_), axis=1), labels)
+        ps, pf = (branch_probability(probe, points, b) for b in BRANCHES)
+        prob_sum.update(np.abs(ps + pf - 1.0), labels)
+        dps, dpf = (branch_probability_derivative(probe, points, b) for b in BRANCHES)
+        dprob_sum.update(np.abs(dps + dpf), labels)
+        branch_labels = _branch_labels(labels, BRANCHES)
+        norms, overlaps = [], []
+        for branch in BRANCHES:
+            amps, damps = _conditional_rows(probe, points, branch)[:2]
+            # per row: a batched norm sums in another order than the BLAS dot
+            # of np.linalg.norm, which moves this row's printed location
+            norms.append([abs(np.linalg.norm(row) - 1.0) for row in amps])
+            overlaps.append(np.abs(np.sum(amps.conj() * damps, axis=1)))
+        cond_norm.update(np.transpose(norms), branch_labels)
+        orthogonality.update(np.transpose(overlaps), branch_labels)
+        bd = np.array([[b.q_eff, b.component_sum(), b.ps_qs, b.q_unc]
+                       for b in (breakdowns[label] for label in labels)])
+        q_eff, total, ps_qs, q_unc = bd.T
+        scale = np.maximum(q_eff, NUMERICAL_ZERO)
+        breakdown_identity.update(np.abs(q_eff - total) / scale, labels)
+        # one-sided bounds, scored as relative overshoot
+        hierarchy_slack.update(np.stack([np.maximum(ps_qs - q_eff, 0.0) / scale,
+                                         np.maximum(q_unc - q_eff, 0.0) / scale], axis=1), labels)
+        # tr(A A^+) = ||A||_F^2 for the Kraus images A = [E_s c, E_f c]; per
+        # point, like the norms above
+        images = np.stack((es * probe.amps, ef * probe.amps), axis=2)
+        unc_trace.update([abs(np.vdot(a, a).real - 1.0) for a in images], labels)
     results = [
         completeness.result("kraus completeness sum_i E_i^2 = 1", 1e-12),
         kraus_deriv.result("kraus derivative identity E_s dE_s + E_f dE_f = 0", 1e-12),
@@ -293,7 +338,10 @@ def check_oracle_suite(breakdowns: dict[str, FisherBreakdown]) -> list[CheckResu
     so every row scores all 280 points.  The analytic side comes from
     ``breakdowns`` (:func:`standard_breakdowns`) and ``qfi_joint_meter``.
     """
-    labels, probes, points = zip(*standard_grid())
+    grids = list(standard_probe_grids())
+    labels = [label for _, grid_labels, _ in grids for label in grid_labels]
+    probes = [probe for probe, _, grid_points in grids for _ in grid_points]
+    points = [params for _, _, grid_points in grids for params in grid_points]
     rng = np.random.default_rng(GENERIC_METER_SEED)
     # one draw of shape (points, 4) yields the numbers of that many
     # standard_normal(4) draws, in the same order
@@ -303,32 +351,37 @@ def check_oracle_suite(breakdowns: dict[str, FisherBreakdown]) -> list[CheckResu
         nrm = math.hypot(abs(amps[0]), abs(amps[1]))
         meters.append(MeterState(alpha=amps[0] / nrm, beta=amps[1] / nrm))
     fd = KrausImageFD(probes, points, DEFAULT_QFI_STEP)
-    oracle = zip(
-        fd.pure(SUCCESS).tolist(),
-        fd.pure(FAILURE).tolist(),
-        fd.pure(MeterState.trivial()).tolist(),
-        fd.bures().tolist(),
-        fd.pure(meters).tolist(),
+    oracle = np.column_stack([
+        fd.pure(SUCCESS),
+        fd.pure(FAILURE),
+        fd.pure(MeterState.trivial()),
+        fd.bures(),
+        fd.pure(meters),
+    ])
+    # one qfi_joint_meter call per probe and threshold, one meter per point
+    joint, start = [], 0
+    for probe, _, grid_points in grids:
+        mine = meters[start:start + len(grid_points)]
+        joint.append(_by_threshold(grid_points, lambda idx, group: qfi_joint_meter(
+            probe, group, [mine[i] for i in idx])))
+        start += len(grid_points)
+    analytic = np.column_stack([
+        [[b.q_s, b.q_f, b.q_eff, b.q_unc] for b in map(breakdowns.get, labels)],
+        np.concatenate(joint),
+    ])
+    names = (
+        "q_s vs Kraus-image fidelity FD at dg=1e-4",
+        "q_f vs Kraus-image fidelity FD at dg=1e-4",
+        "q_eff vs Kraus-image joint-state fidelity FD at dg=1e-4",
+        "q_unc vs Kraus-image Bures fidelity FD at dg=1e-4",
+        "joint QFI with generic meters vs Kraus-image fidelity FD at dg=1e-4",
     )
-    qs_w, qf_w, qeff_w, qunc_w, meter_w = (_Worst() for _ in range(5))
-    for label, probe, params, meter, (q_s, q_f, q_eff, q_unc, q_meter) in zip(
-        labels, probes, points, meters, oracle
-    ):
-        bd = breakdowns[label]
-        qs_w.update(_rel(bd.q_s, q_s), label)
-        qf_w.update(_rel(bd.q_f, q_f), label)
-        qeff_w.update(_rel(bd.q_eff, q_eff), label)
-        qunc_w.update(_rel(bd.q_unc, q_unc), label)
-        meter_w.update(_rel(qfi_joint_meter(probe, params, meter), q_meter), label)
-    return [
-        qs_w.result("q_s vs Kraus-image fidelity FD at dg=1e-4", 1e-5),
-        qf_w.result("q_f vs Kraus-image fidelity FD at dg=1e-4", 1e-5),
-        qeff_w.result("q_eff vs Kraus-image joint-state fidelity FD at dg=1e-4", 1e-5),
-        qunc_w.result("q_unc vs Kraus-image Bures fidelity FD at dg=1e-4", 1e-5),
-        meter_w.result(
-            "joint QFI with generic meters vs Kraus-image fidelity FD at dg=1e-4", 1e-5
-        ),
-    ]
+    results = []
+    for name, errs in zip(names, _rel(analytic, oracle).T):
+        worst = _Worst()
+        worst.update(errs, labels)
+        results.append(worst.result(name, 1e-5))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -345,25 +398,24 @@ def check_detector_suite(breakdowns: dict[str, FisherBreakdown]) -> list[CheckRe
     pc_w, hd_w, seq_pc_w, seq_hd_w, norm_w = (_Worst() for _ in range(5))
     detectors = (("photon", photon_counting_dist), ("homodyne", homodyne_distribution))
     for probe, labels, points in standard_probe_grids():
-        photon = {b: fi_photon_counting(probe, points, b).tolist() for b in BRANCHES}
-        homodyne = {b: fi_homodyne(probe, points, b).tolist() for b in BRANCHES}
-        totals = {
-            (b, name): [dist.total() for dist in distribution(probe, points, b)]
+        bd = [breakdowns[label] for label in labels]
+        q_branch = np.array([[b.q_s, b.q_f] for b in bd])
+        branch_labels = _branch_labels(labels, BRANCHES)
+        photon = np.column_stack([fi_photon_counting(probe, points, b) for b in BRANCHES])
+        pc_w.update(_rel(photon, q_branch), branch_labels)
+        homodyne = np.column_stack([fi_homodyne(probe, points, b) for b in BRANCHES])
+        hd_w.update(_rel(homodyne, q_branch), branch_labels)
+        # point x branch x detector
+        totals = np.array([
+            [[dist.total() for dist in distribution(probe, points, b)]
+             for _, distribution in detectors]
             for b in BRANCHES
-            for name, distribution in detectors
-        }
-        seq_pc = sequential_fi(probe, points, PHOTON_COUNTING).tolist()
-        seq_hd = sequential_fi(probe, points, HOMODYNE).tolist()
-        for i, label in enumerate(labels):
-            bd = breakdowns[label]
-            for branch, q_branch in ((SUCCESS, bd.q_s), (FAILURE, bd.q_f)):
-                pc_w.update(_rel(photon[branch][i], q_branch), f"{label} {branch}")
-                hd_w.update(_rel(homodyne[branch][i], q_branch), f"{label} {branch}")
-                for name, _ in detectors:
-                    norm_w.update(abs(totals[branch, name][i] - 1.0), f"{label} {branch} {name}")
-            target = bd.component_sum()
-            seq_pc_w.update(_rel(seq_pc[i], target), label)
-            seq_hd_w.update(_rel(seq_hd[i], target), label)
+        ]).transpose(2, 0, 1)
+        norm_w.update(np.abs(totals - 1.0),
+                      _branch_labels(branch_labels, [name for name, _ in detectors]))
+        target = [b.component_sum() for b in bd]
+        seq_pc_w.update(_rel(sequential_fi(probe, points, PHOTON_COUNTING), target), labels)
+        seq_hd_w.update(_rel(sequential_fi(probe, points, HOMODYNE), target), labels)
     return [
         pc_w.result("photon-counting FI saturates the branch QFI", 1e-9),
         hd_w.result("homodyne FI saturates the branch QFI", 1e-6),
@@ -486,34 +538,31 @@ def check_figure_behavior() -> list[CheckResult]:
 def check_meter_suite() -> list[CheckResult]:
     """Joint QFI never exceeds q_eff; equality iff the meter phase is real.
 
-    Each point's random meters and the real-phase meters go through one
-    ``qfi_joint_meter`` call.
+    The random meters and the real-phase meters of a probe's points that
+    share a threshold go through one ``qfi_joint_meter`` call, as one
+    :class:`~nlametro.instrument.MeterBatch`.
     """
-    rng = np.random.default_rng(METER_SEED)
     bound_w = _Worst()
     equality_w = _Worst()
-    real_phase = [
-        MeterState.trivial(),
-        MeterState(alpha=1.0, beta=0.0),
-        MeterState(alpha=math.sqrt(0.5), beta=math.sqrt(0.5)),
-        MeterState(alpha=-math.sqrt(0.3), beta=math.sqrt(0.7)),
-    ]
-    for label, probe, params in standard_grid():
-        q_eff = qfi_effective_closed_form(probe, params)
-        scale = max(q_eff, NUMERICAL_ZERO)
-        meters = []
-        # one draw of shape (samples, 4) yields the numbers of that many
-        # standard_normal(4) draws, in the same order
-        for z in rng.standard_normal((METER_SAMPLES_PER_POINT, 4)):
-            nrm = math.sqrt(z @ z)
-            meters.append(
-                MeterState(alpha=complex(z[0], z[1]) / nrm, beta=complex(z[2], z[3]) / nrm)
-            )
-        qm = qfi_joint_meter(probe, params, meters + real_phase).tolist()
-        for value in qm[:METER_SAMPLES_PER_POINT]:
-            bound_w.update(max(value - q_eff, 0.0) / scale, label)
-        for value in qm[METER_SAMPLES_PER_POINT:]:
-            equality_w.update(abs(value - q_eff) / scale, label)
+    # trivial, |s>, (|s> + |f>)/sqrt2, -sqrt(0.3)|s> + sqrt(0.7)|f>
+    real_alpha = [0.0, 1.0, math.sqrt(0.5), -math.sqrt(0.3)]
+    real_beta = [1.0, 0.0, math.sqrt(0.5), math.sqrt(0.7)]
+    rng = np.random.default_rng(METER_SEED)
+    for probe, labels, points in standard_probe_grids():
+        # one draw of shape (points, samples, 4) yields the numbers of that
+        # many standard_normal(4) draws, in the same order; a block per probe
+        # keeps the suite's arrays small
+        normals = rng.standard_normal((len(points), METER_SAMPLES_PER_POINT, 4))
+        amps = normals.view(np.complex128) / np.linalg.norm(normals, axis=-1, keepdims=True)
+        alpha = np.concatenate([amps[..., 0], np.tile(real_alpha, (len(points), 1))], axis=1)
+        beta = np.concatenate([amps[..., 1], np.tile(real_beta, (len(points), 1))], axis=1)
+        q_eff = _by_threshold(points, lambda idx, group: qfi_effective_closed_form(probe, group))
+        joint = _by_threshold(points, lambda idx, group: qfi_joint_meter(
+            probe, group, MeterBatch(alpha[idx], beta[idx])))
+        q_eff = q_eff[:, np.newaxis]
+        scale = np.maximum(q_eff, NUMERICAL_ZERO)
+        bound_w.update(np.maximum(joint[:, :METER_SAMPLES_PER_POINT] - q_eff, 0.0) / scale, labels)
+        equality_w.update(np.abs(joint[:, METER_SAMPLES_PER_POINT:] - q_eff) / scale, labels)
     return [
         bound_w.result("joint QFI <= q_eff over random meters", 1e-9),
         equality_w.result("joint QFI equals q_eff when Im[alpha conj(beta)] = 0", 1e-9),

@@ -22,6 +22,8 @@ from nlametro.instrument import (
     FAILURE,
     BranchImpossible,
     SUCCESS,
+    MeterBatch,
+    MeterNotNormalized,
     MeterState,
     NlaParams,
     branch_probability,
@@ -169,13 +171,64 @@ def test_joint_meter_over_a_sequence_equals_scalar_calls(kind, nbar, g, p):
     assert np.all(stacked[4:] <= q_eff)
 
 
-def test_one_meter_draw_per_point_matches_per_meter_draws():
+def test_one_meter_draw_per_probe_matches_per_meter_draws():
+    # the meter suite draws each probe's normals as one block
     from nlametro.selfcheck import METER_SAMPLES_PER_POINT, METER_SEED
 
-    stacked = np.random.default_rng(METER_SEED).standard_normal((METER_SAMPLES_PER_POINT, 4))
+    shapes = [(len(points), METER_SAMPLES_PER_POINT, 4) for *_, points in standard_probe_grids()]
     rng = np.random.default_rng(METER_SEED)
-    one_by_one = np.array([rng.standard_normal(4) for _ in range(METER_SAMPLES_PER_POINT)])
-    assert np.array_equal(stacked, one_by_one)
+    stacked = np.concatenate([rng.standard_normal(shape) for shape in shapes])
+    rng = np.random.default_rng(METER_SEED)
+    one_by_one = [rng.standard_normal(4) for _ in range(stacked.size // 4)]
+    assert np.array_equal(stacked.reshape(-1, 4), one_by_one)
+
+
+def _random_meters(rng, shape):
+    z = rng.standard_normal(shape + (4,))
+    amps = z.view(np.complex128) / np.linalg.norm(z, axis=-1, keepdims=True)
+    return MeterBatch(amps[..., 0], amps[..., 1])
+
+
+@pytest.mark.parametrize("kind, nbar, p", [("two-level", None, 1), ("squeezed-vacuum", 2.0, 5)])
+def test_joint_meter_over_a_sequence_of_points_equals_single_point_calls(kind, nbar, p):
+    probe = (FockVector([2 ** -0.5, 2 ** -0.5]) if nbar is None
+             else ProbeSpec.from_nbar(kind, nbar).build())
+    points = [NlaParams(g=g, p=p) for g in (1.0 + 1e-9, 1.05, 2.0, 6.0)]
+    coupling = meter_coupling_term(probe, points)
+    assert coupling.shape == (len(points),)
+    np.testing.assert_array_equal(coupling, [meter_coupling_term(probe, pt) for pt in points])
+    rng = np.random.default_rng(3)
+    many = _random_meters(rng, (len(points), 6))
+    stacked = qfi_joint_meter(probe, points, many)
+    assert stacked.shape == (len(points), 6)
+    for i, params in enumerate(points):
+        single = MeterBatch(many.alpha[i], many.beta[i])
+        np.testing.assert_array_equal(stacked[i], qfi_joint_meter(probe, params, single))
+        one_by_one = [qfi_joint_meter(probe, params, MeterState(a, b))
+                      for a, b in zip(many.alpha[i], many.beta[i])]
+        np.testing.assert_array_equal(stacked[i], one_by_one)
+    # one meter per point, as a batch or as a sequence, and one meter for all
+    per_point = [MeterState(a, b) for a, b in zip(many.alpha[:, 0], many.beta[:, 0])]
+    np.testing.assert_array_equal(qfi_joint_meter(probe, points, per_point), stacked[:, 0])
+    np.testing.assert_array_equal(
+        qfi_joint_meter(probe, points, MeterBatch(many.alpha[:, 0], many.beta[:, 0])),
+        stacked[:, 0],
+    )
+    np.testing.assert_array_equal(
+        qfi_joint_meter(probe, points, per_point[0]),
+        [qfi_joint_meter(probe, pt, per_point[0]) for pt in points],
+    )
+    with pytest.raises(ValueError, match="5 rows of meters for 4 points"):
+        qfi_joint_meter(probe, points, per_point + per_point[:1])
+
+
+def test_a_batch_with_one_unnormalized_meter_never_reaches_the_joint_qfi():
+    rng = np.random.default_rng(4)
+    good = _random_meters(rng, (3, 5))
+    alpha = good.alpha.copy()
+    alpha[1, 3] *= 1.0 + 1e-9
+    with pytest.raises(MeterNotNormalized, match=r"meter \(1, 3\)"):
+        MeterBatch(alpha, good.beta)
 
 
 def test_quarter_cycle_meter_on_vacuum_erases_everything(vacuum, g2p1):

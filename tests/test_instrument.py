@@ -12,6 +12,7 @@ from nlametro.instrument import (
     SUCCESS,
     BranchImpossible,
     GainDomain,
+    MeterBatch,
     MeterNotNormalized,
     MeterState,
     NlaParams,
@@ -20,13 +21,13 @@ from nlametro.instrument import (
     completeness_defect,
     conditional_state,
     conditional_state_derivative,
-    joint_state,
     kraus_diagonal,
     _kraus_rows,
     _kraus_slope_rows,
     kraus_diagonal_derivative,
 )
-from nlametro.dense import unconditional_state
+from nlametro.dense import joint_state, unconditional_state
+from nlametro.probes import ProbeSpec
 
 
 def test_gain_domain_enforced():
@@ -126,6 +127,8 @@ def test_unconditional_state_is_physical_rank_two(coherent_nbar1):
 def test_meter_state_validation_and_imbalance():
     with pytest.raises(MeterNotNormalized):
         MeterState(alpha=1.0, beta=1.0)
+    with pytest.raises(MeterNotNormalized):
+        MeterState(alpha=math.nan, beta=1.0)
     trivial = MeterState.trivial()
     assert trivial.branch_imbalance() == pytest.approx(0.0)
     quarter = MeterState(alpha=1 / math.sqrt(2), beta=1j / math.sqrt(2))
@@ -190,3 +193,51 @@ def test_kraus_rows_do_not_overflow_above_the_threshold():
     npt.assert_array_equal(es, np.where(n <= 1, 12.0 ** np.minimum(n - 1.0, 0.0), 1.0))
     assert ef[0] == math.sqrt(1.0 - 12.0 ** -2.0) and not ef[1:].any()
     assert not rows.any(axis=0)[1:].any()
+
+
+# Two-level probe and squeezed vacuum nbar=2 (dim 149); thresholds mixed.
+MIXED_POINTS = [NlaParams(g=g, p=p) for g in (1.0 + 1e-9, 1.05, 2.0, 6.0) for p in (0, 1, 3, 5)]
+
+
+@pytest.fixture(params=["two-level", "squeezed nbar=2"])
+def batch_probe(request, two_level):
+    if request.param == "two-level":
+        return two_level
+    return ProbeSpec.from_nbar("squeezed-vacuum", 2.0).build()
+
+
+def test_instrument_functions_over_a_sequence_equal_single_point_calls(batch_probe):
+    dim = batch_probe.dim
+    for fn in (kraus_diagonal, kraus_diagonal_derivative):
+        for branch in (SUCCESS, FAILURE):
+            rows = fn(MIXED_POINTS, branch, dim)
+            assert rows.shape == (len(MIXED_POINTS), dim)
+            npt.assert_array_equal(rows, [fn(pt, branch, dim) for pt in MIXED_POINTS])
+    defects = completeness_defect(MIXED_POINTS, dim)
+    npt.assert_array_equal(defects, [completeness_defect(pt, dim) for pt in MIXED_POINTS])
+    for fn in (branch_probability, branch_probability_derivative):
+        for branch in (SUCCESS, FAILURE):
+            values = fn(batch_probe, MIXED_POINTS, branch)
+            assert values.shape == (len(MIXED_POINTS),)
+            single = [fn(batch_probe, pt, branch) for pt in MIXED_POINTS]
+            assert all(isinstance(x, float) for x in single)
+            npt.assert_array_equal(values, single)
+
+
+def test_meter_batch_checks_every_meter():
+    alpha = np.full((3, 4), 0.6 + 0j)
+    beta = np.full((3, 4), 0.8j)
+    imbalance = MeterBatch(alpha, beta).branch_imbalance()
+    npt.assert_array_equal(imbalance, np.full((3, 4), -(0.6 * 0.8)))
+    beta[2, 1] = 0.81
+    with pytest.raises(MeterNotNormalized, match=r"meter \(2, 1\)"):
+        MeterBatch(alpha, beta)
+    beta[2, 1] = np.nan
+    with pytest.raises(MeterNotNormalized):
+        MeterBatch(alpha, beta)
+    with pytest.raises(ValueError, match="shape"):
+        MeterBatch(alpha, beta[:2])
+    # the batch holds its own read-only copies
+    batch = MeterBatch(alpha[:2], beta[:2])
+    alpha[0, 0] = 5.0
+    assert batch.alpha[0, 0] == 0.6 and not batch.alpha.flags.writeable

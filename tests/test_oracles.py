@@ -23,12 +23,12 @@ from nlametro.instrument import (
     NlaParams,
     branch_probability_derivative,
     conditional_state,
-    joint_state,
 )
 from nlametro.dense import (
     DEFICIT_FLOOR,
     StepTooSmall,
     ZERO_DEFICIT_BAND,
+    joint_state,
     overlap_deficit,
     qfi_fd_pure,
     resolution_floor,
@@ -86,8 +86,10 @@ def test_golden_regeneration_runs_one_copy_of_the_oracles(tmp_path):
 # references among them live in nlametro.dense.
 DROPPED_NAMES = (
     "DensityOperator",
+    "JointState",
     "StepTooSmall",
     "fidelity",
+    "joint_state",
     "qfi_fd_mixed",
     "qfi_fd_pure",
     "qfi_mixed",
@@ -333,20 +335,26 @@ def _bar_analytic_paths(mp):
 @pytest.fixture(scope="module")
 def oracle_suite():
     """The oracle suite's rows, with the analytic paths barred from the
-    oracle module, and the batch size of each image Gram build."""
+    oracle module, the batch size of each image Gram build, and the points
+    of each analytic ``qfi_joint_meter`` call."""
     breakdowns = standard_breakdowns()
-    grams = []
-    original = oracles._image_gram
+    grams, joint = [], []
+    original_gram, original_joint = oracles._image_gram, selfcheck.qfi_joint_meter
 
-    def counted(x, *args):
+    def counted_gram(x, *args):
         grams.append(x.hi.shape[0])
-        return original(x, *args)
+        return original_gram(x, *args)
+
+    def counted_joint(probe, params, meters):
+        joint.append(len(params))
+        return original_joint(probe, params, meters)
 
     with pytest.MonkeyPatch.context() as mp:
         _bar_analytic_paths(mp)
-        mp.setattr(oracles, "_image_gram", counted)
+        mp.setattr(oracles, "_image_gram", counted_gram)
+        mp.setattr(selfcheck, "qfi_joint_meter", counted_joint)
         rows = check_oracle_suite(breakdowns)
-    return rows, grams
+    return rows, grams, joint
 
 
 ORACLE_ROWS = {
@@ -378,6 +386,14 @@ def test_oracle_suite_builds_one_set_of_image_grams_per_point(oracle_suite):
     assert oracle_suite[1] == [280, 280, 280]
 
 
+PROBES_X_THRESHOLDS = len(STANDARD_KINDS) * len(selfcheck.STANDARD_NBARS) * len(STANDARD_THRESHOLDS)
+
+
+def test_oracle_suite_analytic_meter_side_is_one_call_per_probe_and_threshold(oracle_suite):
+    # each call covers one threshold's 7 gains, with one random meter per point
+    assert oracle_suite[2] == [len(STANDARD_GAINS)] * PROBES_X_THRESHOLDS
+
+
 @pytest.mark.parametrize(
     "kind, nbar, g, p", [("coherent", 1.0, 2.0, 3), ("squeezed-vacuum", 2.0, 1.05, 5)]
 )
@@ -394,19 +410,34 @@ def test_shared_image_grams_match_separate_oracles_bit_for_bit(monkeypatch, kind
 
 def test_meter_suite_computes_one_coupling_term_per_point(monkeypatch):
     # q_eff and X do not depend on the meter: one qfi_joint_meter call per
-    # grid point covers its 50 random and 4 real-phase meters.
+    # probe and threshold covers its 7 points' 50 random and 4 real-phase
+    # meters, and computes each point's coupling term once.
     calls = []
     original = fisher.meter_coupling_term
 
     def counted(probe, params):
-        calls.append(params)
+        calls.append(len(params))
         return original(probe, params)
 
     monkeypatch.setattr(fisher, "meter_coupling_term", counted)
     bound, equality = check_meter_suite()
     assert bound.passed and equality.passed
     assert (bound.points, equality.points) == (14000, 1120)
-    assert len(calls) <= 280
+    assert len(calls) <= PROBES_X_THRESHOLDS
+    assert sum(calls) == 280
+
+
+def test_worst_of_an_error_array_is_the_first_largest_in_row_major_order():
+    worst = selfcheck._Worst()
+    worst.update(np.array([[1.0, 3.0], [3.0, 2.0]]), ["a", "b"])
+    worst.update([3.0], ["c"])
+    assert (worst.value, worst.label, worst.count) == (3.0, "a", 5)
+    worst.update([0.0, 4.0, 4.0, 1.0], ["d", "e", "f", "g"])
+    assert (worst.value, worst.label, worst.count) == (4.0, "e", 9)
+    # as when scored one at a time, a NaN never counts as the largest
+    nan_first = selfcheck._Worst()
+    nan_first.update([math.nan, 0.5], ["x", "y"])
+    assert (nan_first.value, nan_first.label) == (0.5, "y")
 
 
 def test_detector_suite_makes_a_fixed_number_of_calls_per_probe(monkeypatch):
@@ -630,22 +661,30 @@ def test_golden_bures_rows_match_a_50_digit_reference(coherent_nbar1, two_level,
 
 
 def test_identity_suite_makes_a_fixed_number_of_kernel_calls_per_probe(monkeypatch):
-    # a probe's conditional states and slopes come from one kernel call per
-    # branch; the per-point views are never reached
+    # a probe's 35 points go to one call per instrument function (and
+    # branch), and its conditional states and slopes come from one kernel
+    # call per branch; the per-point views are never reached
     calls = collections.Counter()
-    original = selfcheck._conditional_rows
 
-    def counted(*args, **kwargs):
-        calls["_conditional_rows"] += 1
-        return original(*args, **kwargs)
+    def count(name):
+        original = getattr(selfcheck, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(selfcheck, name, counted)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("per-point conditional view reached")
 
-    monkeypatch.setattr(selfcheck, "_conditional_rows", counted)
+    names = ("_conditional_rows", "completeness_defect", "kraus_diagonal",
+             "kraus_diagonal_derivative", "branch_probability", "branch_probability_derivative")
+    for name in names:
+        count(name)
     for name in ("conditional_state", "conditional_state_derivative"):
         monkeypatch.setattr(instrument, name, forbidden)
     results = check_identity_suite(standard_breakdowns())
     assert all(r.passed for r in results)
     probes = len(selfcheck.STANDARD_KINDS) * len(selfcheck.STANDARD_NBARS)
-    assert calls == {"_conditional_rows": 2 * probes}
+    assert calls == {name: (1 if name == "completeness_defect" else 2) * probes for name in names}
