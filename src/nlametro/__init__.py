@@ -47,7 +47,6 @@ from .montecarlo import (
     GainGrid,
     mle_estimate,
     run_crb_experiment,
-    sample_shot,
     sample_shots,
 )
 from .oracles import (
@@ -99,7 +98,6 @@ __all__ = [
     "qfi_joint_meter",
     "qfi_unconditional",
     "run_crb_experiment",
-    "sample_shot",
     "sample_shots",
     "sequential_fi",
     "squeezed_vacuum",

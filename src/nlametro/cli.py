@@ -194,7 +194,7 @@ def cmd_contributions(args) -> int:
 
 
 def cmd_sweep_nbar(args) -> int:
-    """Rows (nbar, q_eff per threshold) at fixed gain."""
+    """Rows (nbar, q_eff per threshold) at fixed gain, one closed-form call per row."""
     if args.probe == KIND_CUSTOM:
         raise ValueError("sweep-nbar varies the family energy; custom probes have none")
     if args.gain <= 1.0:
@@ -203,13 +203,11 @@ def cmd_sweep_nbar(args) -> int:
     if nbars[0] < 0.0:
         raise ValueError("mean photon numbers must be non-negative")
     thresholds = args.p
-
-    def row(nbar: float) -> tuple:
+    points = [NlaParams(g=args.gain, p=p) for p in thresholds]
+    rows = []
+    for nbar in nbars:
         probe = ProbeSpec.from_nbar(args.probe, float(nbar)).build()
-        vals = [qfi_effective_closed_form(probe, NlaParams(g=args.gain, p=p)) for p in thresholds]
-        return (nbar, *vals)
-
-    rows = [row(nbar) for nbar in nbars]
+        rows.append((nbar, *qfi_effective_closed_form(probe, points)))
     columns = ["nbar"] + [f"q_eff_p{p}" for p in thresholds]
     config = {
         "probe": args.probe,

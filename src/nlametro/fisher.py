@@ -16,21 +16,22 @@ and the QFI of the branch-averaged (unconditional) output state ``q_unc``.
 
 Every quantity but the closed form is a formula on the Kraus images
 ``A = [E_s c, E_f c]`` and slopes ``dA``, which :func:`_images` builds once per
-call for a stack of operating points that share the threshold ``p``.  Above
+call for a stack of operating points, whose thresholds may differ.  Above
 the threshold ``E_s = 1``, ``E_f = 0`` and both derivatives vanish, so the
 levels ``n > p`` enter only through ``c_{>p}``: the images keep the rows
-``n <= p`` and one tail row ``||c_{>p}||``, which keeps every inner product.
-``q_unc`` is the QFI of the rank-<=2 output ``A A^+``, from a thin SVD of
-this ``(p+2) x 2`` matrix, one batched SVD for the whole stack; the tests
-compare it with the dense :func:`nlametro.dense.qfi_mixed`.
+``n <= p`` and one tail row ``||c_{>p}||``, which keeps every inner product,
+zero-padded to the stack's largest ``p``.  ``q_unc`` is the QFI of the
+rank-<=2 output ``A A^+``, from a thin SVD of this ``(p+2) x 2`` matrix, one
+batched SVD for the whole stack; the tests compare it with the dense
+:func:`nlametro.dense.qfi_mixed`.
 
 :func:`qfi_effective`, :func:`qfi_effective_closed_form`,
 :func:`meter_coupling_term` and :func:`qfi_joint_meter` take one
-:class:`NlaParams` or a sequence of them, like the functions of
-:mod:`nlametro.measurements`, and their single-point forms are views of the
-batch; the other functions take one point and read the same images with a
-stack of one.  None of the single-point views but :func:`qfi_unconditional`
-runs an SVD.
+:class:`NlaParams` or a sequence of them, thresholds mixed, like the
+functions of :mod:`nlametro.instrument` and :mod:`nlametro.measurements`,
+and their single-point forms are views of the batch; the other functions
+take one point and read the same images with a stack of one.  None of the
+single-point views but :func:`qfi_unconditional` runs an SVD.
 
 Numerical note: the textbook branch-QFI expression subtracts
 ``(dprob/prob)^2`` from a second moment; near points where the conditional
@@ -59,6 +60,7 @@ from .instrument import (
     _impossible,
     _kraus_rows,
     _kraus_slope_rows,
+    _per_point,
     _point_columns,
     kraus_diagonal,  # noqa: F401  (unused; perfbench's install test reads fisher.kraus_diagonal)
     PROBABILITY_FLOOR,
@@ -101,34 +103,32 @@ class FisherBreakdown:
         return [FisherBreakdown(*row) for row in np.stack(columns, axis=1).tolist()]
 
 
-def _gains(params: Points) -> tuple[np.ndarray, int]:
-    """Gains of one operating point or of a sequence of them, and their shared ``p``."""
-    g, p = _point_columns(params)
-    if len(set(p.flat)) > 1:
-        raise ValueError("operating points of one call must share the threshold p")
-    return g[:, 0], int(p[0, 0])
-
-
-def _images(probe: FockVector, g: np.ndarray, p: int):
+def _images(probe: FockVector, g: np.ndarray, p: np.ndarray):
     """Kraus diagonals ``e``, slopes ``de``, images ``a = e c`` and ``da = de c``.
 
-    ``g`` holds the ``G`` gains of operating points that share the threshold
-    ``p`` (see :func:`_gains`).  Each array is ``G x rows x 2``: one block
-    per point, one column per branch in :data:`BRANCHES` order.  The rows
+    ``g`` and ``p`` are the ``(G, 1)`` gain and threshold columns of ``G``
+    operating points (:func:`~nlametro.instrument._point_columns`), whose
+    thresholds may differ.  Each array is ``G x rows x 2``: one block per
+    point, one column per branch in :data:`BRANCHES` order.  A point's rows
     are the levels ``n <= p`` and, when ``dim > p + 2``, one tail row of
     amplitude ``||c_{>p}||``, whose entries are the Kraus diagonals at level
-    ``p + 1`` (``E_s = 1``, ``E_f = 0``, derivatives 0).  The Kraus rows and
-    slopes of each branch are evaluated once for all ``G`` gains, and each
-    block equals the images of its point alone bit for bit.
+    ``p + 1`` (``E_s = 1``, ``E_f = 0``, derivatives 0); they are
+    zero-padded to the stack's widest ``rows = min(dim, max(p) + 2)``, and a
+    padded row has a zero image.  The Kraus rows and slopes of each branch
+    are evaluated once for all ``G`` points.  Sums over fewer than 8 rows add
+    the padded zeros last, so a point's values equal its own bit for bit; on
+    8 rows or more numpy sums pairwise, which can move them by rounding.
     """
     probe.require_normalized()
-    amps, head = probe.amps, p + 1
-    if amps.size > head + 1:
-        amps = np.append(amps[:head], np.linalg.norm(amps[head:]))
-    g = g[:, np.newaxis]
-    e = np.stack([_kraus_rows(g, p, b, amps.size) for b in BRANCHES], axis=-1)
-    de = np.stack([_kraus_slope_rows(g, p, b, amps.size) for b in BRANCHES], axis=-1)
-    c = amps[:, np.newaxis]
+    amps = probe.amps
+    c = np.zeros((g.shape[0], min(amps.size, int(np.max(p)) + 2)), dtype=amps.dtype)
+    for top in set(p.flat):
+        head = top + 1
+        row = amps if amps.size <= head + 1 else np.append(amps[:head], np.linalg.norm(amps[head:]))
+        c[p[:, 0] == top, :row.size] = row
+    e = np.stack([_kraus_rows(g, p, b, c.shape[1]) for b in BRANCHES], axis=-1)
+    de = np.stack([_kraus_slope_rows(g, p, b, c.shape[1]) for b in BRANCHES], axis=-1)
+    c = c[..., np.newaxis]
     return e, de, e * c, de * c
 
 
@@ -192,17 +192,14 @@ def _unconditional_qfi(a, da) -> np.ndarray:
     return 2.0 * pairs + 4.0 * kernel
 
 
-def _closed_form(probe: FockVector, g: np.ndarray, p: int) -> np.ndarray:
-    n = np.arange(probe.dim, dtype=float)
-    mask = n < p
-    k = n[mask] - p
-    w = probe.weights()[mask]
-    g = g[:, np.newaxis]
-    return 4.0 * np.sum(k * k * w * g ** (2.0 * k - 2.0) / (1.0 - g ** (2.0 * k)), axis=1)
-
-
-def _one(values: np.ndarray) -> float:
-    return float(values[0])
+def _closed_form(probe: FockVector, g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The closed form of each point, over the levels ``n < p`` of its own ``p``."""
+    n = np.arange(min(probe.dim, int(np.max(p))), dtype=float)
+    k = np.minimum(n - p, 0.0)
+    w = probe.weights()[:n.size]
+    # k = 0 above a point's threshold: a zero term over a unit denominator
+    return 4.0 * np.sum(k * k * w * g ** (2.0 * k - 2.0)
+                        / np.where(k < 0.0, 1.0 - g ** (2.0 * k), 1.0), axis=1)
 
 
 def qfi_branch(probe: FockVector, params: NlaParams, branch: str) -> float:
@@ -218,12 +215,12 @@ def qfi_branch(probe: FockVector, params: NlaParams, branch: str) -> float:
     real and gain-covariant, so photon counting already extracts the full
     QFI and the QFI reduces to this classical variance).
     """
-    g, p = _gains(params)
+    g, p = _point_columns(params)
     e, de, a, _ = _images(probe, g, p)
     q, prob = _branch_qfi(e, de, a, BRANCHES.index(_check_branch(branch)))
     if prob[0] < PROBABILITY_FLOOR:
         raise _impossible(branch, g, p, prob)
-    return _one(q)
+    return _per_point(params, q)
 
 
 def classical_fi(probe: FockVector, params: NlaParams) -> float:
@@ -233,18 +230,18 @@ def classical_fi(probe: FockVector, params: NlaParams) -> float:
     deterministic herald (one branch impossible) carries no information:
     returns 0.0 in that case.
     """
-    return _one(_herald(*_images(probe, *_gains(params))[2:])[2])
+    return _per_point(params, _herald(*_images(probe, *_point_columns(params))[2:])[2])
 
 
 def qfi_effective_closed_form(probe: FockVector, params: Points) -> float | np.ndarray:
     """Closed form of the combined sequential-scheme QFI.
 
-    ``params`` is one operating point, giving a float, or a sequence of them
-    with one shared ``p``, giving an array.
+    ``params`` is one operating point, giving a float, or a sequence of them,
+    thresholds mixed, giving an array.  Each point sums over the levels
+    below its own threshold.
     """
     probe.require_normalized()
-    values = _closed_form(probe, *_gains(params))
-    return _one(values) if isinstance(params, NlaParams) else values
+    return _per_point(params, _closed_form(probe, *_point_columns(params)))
 
 
 def qfi_unconditional(probe: FockVector, params: NlaParams) -> float:
@@ -266,19 +263,18 @@ def qfi_unconditional(probe: FockVector, params: NlaParams) -> float:
     2x2 Gram matrix, which would square the condition number, and the kernel
     term is the norm of a residual rather than a difference of two norms.
     """
-    return _one(_unconditional_qfi(*_images(probe, *_gains(params))[2:]))
+    return _per_point(params, _unconditional_qfi(*_images(probe, *_point_columns(params))[2:]))
 
 
 def qfi_effective(probe: FockVector, params: Points) -> FisherBreakdown:
     """Full information budget at one operating point or over a gain grid.
 
     ``params`` is one :class:`NlaParams`, giving a breakdown of floats, or a
-    sequence of them with one shared ``p``, giving a breakdown whose fields
-    are 1-D arrays with one entry per point; a mixed ``p`` raises
-    ``ValueError``.  Every component of every point comes from one
-    evaluation of the stacked Kraus images (:func:`_images`): the herald
-    terms, the two branch variances, one batched SVD for ``q_unc`` and the
-    closed form, which is ``q_eff``.  The identity
+    sequence of them, thresholds mixed, giving a breakdown whose fields are
+    1-D arrays with one entry per point.  Every component of every point
+    comes from one evaluation of the stacked Kraus images (:func:`_images`):
+    the herald terms, the two branch variances, one batched SVD for
+    ``q_unc`` and the closed form, which is ``q_eff``.  The identity
     ``q_eff = ps_qs + pf_qf + f_c`` holds to machine precision and is
     asserted by the self-check suite rather than silently trusted here.
 
@@ -286,7 +282,7 @@ def qfi_effective(probe: FockVector, params: Points) -> FisherBreakdown:
     :class:`BranchImpossible` naming that point; an impossible failure
     branch gives ``q_f = pf_qf = 0`` there.
     """
-    g, p = _gains(params)
+    g, p = _point_columns(params)
     e, de, a, da = _images(probe, g, p)
     ps, pf, f_c = _herald(a, da)
     q_s, prob_s = _branch_qfi(e, de, a, 0)
@@ -296,9 +292,7 @@ def qfi_effective(probe: FockVector, params: Points) -> FisherBreakdown:
     q_f = np.where(prob_f >= PROBABILITY_FLOOR, q_f, 0.0)
     fields = (_closed_form(probe, g, p), ps * q_s, pf * q_f, f_c, q_s, q_f,
               _unconditional_qfi(a, da))
-    if isinstance(params, NlaParams):
-        return FisherBreakdown(*(_one(x) for x in fields))
-    return FisherBreakdown(*fields)
+    return FisherBreakdown(*(_per_point(params, x) for x in fields))
 
 
 def _coupling(a, da) -> np.ndarray:
@@ -311,13 +305,11 @@ def meter_coupling_term(probe: FockVector, params: Points) -> float | np.ndarray
     """Cross term ``<psi|E_s dE_f|psi> - <psi|E_f dE_s|psi>`` (real).
 
     This is the only way the meter preparation enters the joint-state QFI.
-    ``params`` is one operating point, giving a float, or a sequence of them
-    with one shared ``p``, giving an array; the coupling of every point comes
+    ``params`` is one operating point, giving a float, or a sequence of them,
+    thresholds mixed, giving an array; the coupling of every point comes
     from one evaluation of the stacked images (:func:`_images`).
     """
-    g, p = _gains(params)
-    values = _coupling(*_images(probe, g, p)[2:])
-    return _one(values) if isinstance(params, NlaParams) else values
+    return _per_point(params, _coupling(*_images(probe, *_point_columns(params))[2:]))
 
 
 Meters = MeterState | MeterBatch | Sequence[MeterState]
@@ -349,7 +341,7 @@ def qfi_joint_meter(probe: FockVector, params: Points, meters: Meters) -> float 
     ``meters`` is one :class:`MeterState`, a sequence of them or a
     :class:`MeterBatch`.  At one operating point the result has the meters'
     shape: a float for one meter, an array for several.  ``params`` may also
-    be a sequence of ``G`` points with one shared ``p``; then the meters'
+    be a sequence of ``G`` points, thresholds mixed; then the meters'
     leading axis runs over the points: one meter for all points gives shape
     ``(G,)``, one meter per point (a sequence or a batch of length ``G``)
     gives ``(G,)``, and ``M`` meters per point (a ``G x M`` batch) give

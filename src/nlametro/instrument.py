@@ -157,8 +157,11 @@ def _kraus_slope_rows(g, p, branch: str, dim: int) -> np.ndarray:
 
 
 def _per_point(params: Points, values: np.ndarray) -> float | np.ndarray:
-    """A float for one operating point, the array of per-point values for a sequence."""
-    return float(values) if isinstance(params, NlaParams) else values
+    """A float for one operating point, the array of per-point values for a sequence.
+
+    The value of one point may be a scalar or the one entry of a stack of one.
+    """
+    return float(np.ravel(values)[0]) if isinstance(params, NlaParams) else values
 
 
 def completeness_defect(params: Points, dim: int) -> float | np.ndarray:

@@ -37,6 +37,7 @@ from .instrument import (
     _conditional_rows,
     _kraus_rows,
     _kraus_slope_rows,
+    _per_point,
     _point_columns,
     conditional_state,
 )
@@ -152,8 +153,7 @@ def fi_photon_counting(probe: FockVector, params: Points, branch: str) -> float 
     them, giving an array.
     """
     amps, slopes, _ = _conditional_rows(probe, params, branch)
-    values = _counting_fi(amps[:, None], slopes[:, None])
-    return float(values[0]) if isinstance(params, NlaParams) else values
+    return _per_point(params, _counting_fi(amps[:, None], slopes[:, None]))
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +284,7 @@ def fi_homodyne(
             "pass allow_complex=True to compute the classical value anyway"
         )
     amps, slopes, _ = _conditional_rows(probe, params, branch)
-    values = _fisher_integral(probe.dim, amps[:, None], slopes[:, None])
-    return float(values[0]) if isinstance(params, NlaParams) else values
+    return _per_point(params, _fisher_integral(probe.dim, amps[:, None], slopes[:, None]))
 
 
 # ---------------------------------------------------------------------------
@@ -321,4 +320,4 @@ def sequential_fi(
         values = _counting_fi(amps, slopes)
     else:
         values = _fisher_integral(dim, amps, slopes)
-    return float(values[0]) if isinstance(params, NlaParams) else values
+    return _per_point(params, values)

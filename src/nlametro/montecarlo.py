@@ -353,28 +353,6 @@ def sample_shots(
     return success, outcomes
 
 
-def sample_shot(
-    probe: FockVector, params: NlaParams, detector: str, rng: np.random.Generator
-):
-    """Single amplifier run: ``(branch, outcome-or-None)``.
-
-    Each call rebuilds the whole shot source: the branch masses and, for
-    homodyne, the quadrature density table.  On coherent nbar=1, g=2, p=3
-    (one core of a Xeon host) that is about 1.7 ms per homodyne shot and
-    0.3 ms per photon-counting shot, against about 3.8 ms and 0.4 ms for a
-    whole :func:`sample_shots` batch of 1000.  Draw many shots with
-    :func:`sample_shots`, not a loop over this function.
-    """
-    success, outcomes = sample_shots(probe, params, detector, rng, 1)
-    branch = SUCCESS if success[0] else FAILURE
-    out = outcomes[0]
-    if math.isnan(out):
-        return branch, None
-    if detector == HOMODYNE:
-        return branch, float(out)
-    return branch, int(out)
-
-
 # ---------------------------------------------------------------------------
 # Sufficient statistics and the likelihood
 # ---------------------------------------------------------------------------
@@ -553,22 +531,8 @@ def _estimates(
     return _maximize(functools.partial(_log_likelihoods, probe, p, detector, stats), grid)
 
 
-def _coerce_records(records) -> tuple[np.ndarray, np.ndarray]:
-    """Accept either the (success_mask, outcomes) pair or (branch, outcome) tuples."""
-    if isinstance(records, tuple) and len(records) == 2 and isinstance(records[0], np.ndarray):
-        return records
-    pairs = list(records)
-    if not pairs:
-        raise ValueError("records must be non-empty")
-    success = np.array([branch == SUCCESS for branch, _ in pairs])
-    outcomes = np.array(
-        [np.nan if out is None else float(out) for _, out in pairs]
-    )
-    return success, outcomes
-
-
 def mle_estimate(
-    records,
+    records: tuple[np.ndarray, np.ndarray],
     probe: FockVector,
     pthreshold: int,
     detector: str,
@@ -576,11 +540,8 @@ def mle_estimate(
 ) -> float:
     """Maximum-likelihood gain: coarse grid argmax, then golden-section.
 
-    ``records`` is either the ``(success_mask, outcomes)`` array pair from
-    :func:`sample_shots` or an iterable of ``(branch, outcome)`` tuples.
-    Draw records with :func:`sample_shots`: each :func:`sample_shot` call
-    rebuilds the whole shot source, so a loop over it pays that set-up once
-    per shot.
+    ``records`` is the ``(success_mask, outcomes)`` array pair from
+    :func:`sample_shots`.
 
     Raises :class:`DegenerateLikelihood` when the surface is flat over the
     grid (the record carries no gain information, e.g. a single-level probe
@@ -588,7 +549,7 @@ def mle_estimate(
     """
     if detector not in DETECTORS:
         raise ValueError(f"unknown detector {detector!r}")
-    success, outcomes = _coerce_records(records)
+    success, outcomes = records
     if success.size == 0:
         raise ValueError("records must be non-empty")
     drawn = {}

@@ -13,9 +13,9 @@ Five suites, each returning one :class:`CheckResult` row per invariant:
 * meter        — the joint-QFI inequality over random meter states.
 
 The standard grid is 2 probe families x 4 energies x 7 gains x 5 thresholds
-= 280 operating points.  :func:`run_all` computes the information budget of
-each point once (:func:`standard_breakdowns`) and passes it to the identity,
-oracle and detector suites.
+= 280 operating points, 35 per probe.  :func:`run_all` computes the
+information budget of each point once (:func:`standard_breakdowns`) and
+passes it to the identity, oracle and detector suites.
 
 The oracle suite scores its five rows (``q_s``, ``q_f``, ``q_eff`` through
 the trivial meter, ``q_unc`` and a generic meter) on the Kraus-image Gram
@@ -25,24 +25,30 @@ double-double arithmetic, about 32 digits from error-free transformations
 root).  Their rounding, O(p) units of 2^-104 in a deficit, lies eleven
 orders below the smallest real deficit, so no step is refused and every row
 scores all 280 points.  Its analytic generic-meter side makes one
-``qfi_joint_meter`` call per probe and threshold, one meter per point.
+``qfi_joint_meter`` call per probe, one meter per point.
 
 The suites evaluate on stacks of operating points, each number still coming
 from the library function it checks, and score each row's errors as one
-array.  The identity rows pass a probe's 35 operating points, of all five
-thresholds, to one ``completeness_defect`` call and to one call per branch
-of ``kraus_diagonal``, ``kraus_diagonal_derivative``,
-``branch_probability`` and ``branch_probability_derivative``, and take the
-conditional states and slopes from one ``_conditional_rows`` call per
-branch.  The detector rows pass them to one call per branch of
-``fi_photon_counting``, ``photon_counting_dist``, ``fi_homodyne`` and
-``homodyne_distribution``, and to one ``sequential_fi`` call per detector;
-each takes the rows of all points from one kernel evaluation, and homodyne
-stacks them as chunked real products on the quadrature grid.  The meter
-suite draws the normals of a probe's 1750 random meters as one block and
-makes one ``qfi_joint_meter`` call per probe and threshold, 40 in all: a
-:class:`~nlametro.instrument.MeterBatch` of the threshold's 7 points x 54
-meters, whose ``q_eff`` and coupling terms are evaluated once.
+array.  Every library function takes a probe's 35 operating points, of all
+five thresholds, in one call.  The budgets come from one ``qfi_effective``
+call per probe.  The identity rows pass the points to one
+``completeness_defect`` call and to one call per branch of
+``kraus_diagonal``, ``kraus_diagonal_derivative``, ``branch_probability``
+and ``branch_probability_derivative``, and take the conditional states and
+slopes from one ``_conditional_rows`` call per branch.  The detector rows
+pass them to one call per branch of ``fi_photon_counting``,
+``photon_counting_dist``, ``fi_homodyne`` and ``homodyne_distribution``,
+and to one ``sequential_fi`` call per detector; each takes the rows of all
+points from one kernel evaluation, and homodyne stacks them as chunked real
+products on the quadrature grid.  The meter suite draws the normals of a
+probe's 1750 random meters as one block and makes one ``qfi_joint_meter``
+call per probe, 8 in all: a :class:`~nlametro.instrument.MeterBatch` of
+the probe's 35 points x 54 meters, whose ``q_eff`` and coupling terms are
+evaluated once.
+
+A row fails when its worst error exceeds the tolerance or when any of its
+errors is NaN or infinite; the row then names the first such point and
+counts them.
 """
 
 from __future__ import annotations
@@ -135,64 +141,66 @@ def standard_probe_grids():
         yield probe, labels, [NlaParams(g=g, p=p) for g, p in points]
 
 
-def standard_grid():
-    """Yield (label, probe, params) over the 280 standard operating points."""
-    for probe, labels, points in standard_probe_grids():
-        for label, params in zip(labels, points):
-            yield label, probe, params
-
-
 def standard_breakdowns() -> dict[str, FisherBreakdown]:
     """The information budget of each standard operating point, by label.
 
-    One :func:`~nlametro.fisher.qfi_effective` call per probe and threshold
-    covers that threshold's gains.  :func:`run_all` computes the budgets once
-    per pass and hands them to the identity, oracle and detector suites;
-    nothing is cached between calls.
+    One :func:`~nlametro.fisher.qfi_effective` call per probe covers its 35
+    operating points, thresholds mixed.  :func:`run_all` computes the budgets
+    once per pass and hands them to the identity, oracle and detector
+    suites; nothing is cached between calls.
     """
     out = {}
     for probe, labels, points in standard_probe_grids():
-        for p in STANDARD_THRESHOLDS:
-            mine = [i for i, pt in enumerate(points) if pt.p == p]
-            batch = qfi_effective(probe, [points[i] for i in mine])
-            out.update(zip((labels[i] for i in mine), batch.points()))
+        out.update(zip(labels, qfi_effective(probe, points).points()))
     return out
 
 
 class _Worst:
-    """Track the largest error and where it happened."""
+    """Track the largest error and where it happened, and any non-finite error."""
 
     def __init__(self):
         self.value = 0.0
         self.label = ""
         self.count = 0
+        self.nonfinite = 0
+        self.nonfinite_label = ""
 
     def update(self, errs, labels) -> None:
         """Score an array of errors and name where the worst one happened.
 
         ``labels`` names equal consecutive runs of the errors in row-major
         order: one label per error, or one per row of a 2-D array.  The
-        first largest error names the location, as if the errors were
-        scored one at a time; a NaN is never the largest.
+        first largest finite error names the location, as if the errors were
+        scored one at a time.  A NaN or infinite error is never the largest:
+        it is counted apart, the first one names its own location, and any
+        one of them fails the row.
         """
         flat = np.ravel(errs)
+        run = flat.size // len(labels)
         self.count += flat.size
-        i = int(np.argmax(np.where(flat > self.value, flat, -np.inf)))
-        if flat[i] > self.value:
+        finite = np.isfinite(flat)
+        if not finite.all():
+            if not self.nonfinite:
+                self.nonfinite_label = labels[int(np.argmin(finite)) // run]
+            self.nonfinite += int(flat.size - np.count_nonzero(finite))
+        i = int(np.argmax(np.where(finite & (flat > self.value), flat, -np.inf)))
+        if finite[i] and flat[i] > self.value:
             self.value = float(flat[i])
-            self.label = labels[i // (flat.size // len(labels))]
+            self.label = labels[i // run]
 
     def result(self, name: str, tol: float, extra: str = "") -> CheckResult:
-        detail = self.label if self.value > 0 else ""
+        parts = [self.label] if self.value > 0 else []
+        if self.nonfinite:
+            parts.append(f"{self.nonfinite} non-finite, first at {self.nonfinite_label}")
         if extra:
-            detail = f"{detail}; {extra}" if detail else extra
+            parts.append(extra)
         return CheckResult(
             name=name,
             worst=self.value,
             tolerance=tol,
             points=self.count,
-            passed=self.value <= tol,
-            detail=detail,
+            passed=self.value <= tol and not self.nonfinite,
+            detail="; ".join(parts),
         )
 
 
@@ -201,25 +209,6 @@ def _rel(a, b, floor: float = NUMERICAL_ZERO) -> np.ndarray:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     scale = np.maximum(np.abs(a), np.abs(b))
     return np.divide(np.abs(a - b), scale, out=np.zeros(scale.shape), where=~(scale < floor))
-
-
-def _by_threshold(points: list[NlaParams], evaluate) -> np.ndarray:
-    """``evaluate(indices, points)`` on each group of points that share ``p``.
-
-    The calls that need one shared threshold get one group each; their
-    results, whose leading axis runs over the group, are scattered back into
-    the order of ``points``.
-    """
-    groups: dict[int, list[int]] = {}
-    for i, params in enumerate(points):
-        groups.setdefault(params.p, []).append(i)
-    out = None
-    for idx in groups.values():
-        values = evaluate(idx, [points[i] for i in idx])
-        if out is None:
-            out = np.empty((len(points),) + values.shape[1:])
-        out[idx] = values
-    return out
 
 
 def _branch_labels(labels: list[str], suffixes) -> list[str]:
@@ -298,17 +287,21 @@ def check_identity_suite(breakdowns: dict[str, FisherBreakdown]) -> list[CheckRe
 
 
 def _check_boundary_divergence() -> CheckResult:
-    """q_eff grows toward the gain floor: q(1.001) > q(1.01) > q(1.1)."""
+    """q_eff grows toward the gain floor: q(1.001) > q(1.01) > q(1.1).
+
+    One closed-form call per probe covers its thresholds' three gains.
+    """
     violations = 0
     count = 0
     worst_label = ""
+    gains = (1.001, 1.01, 1.1)
     for kind, nbar, probe in standard_probes():
-        for p in STANDARD_THRESHOLDS:
-            vals = qfi_effective_closed_form(
-                probe, [NlaParams(g=g, p=p) for g in (1.001, 1.01, 1.1)]
-            )
+        vals = qfi_effective_closed_form(
+            probe, [NlaParams(g=g, p=p) for p in STANDARD_THRESHOLDS for g in gains]
+        ).reshape(len(STANDARD_THRESHOLDS), len(gains))
+        for p, (near, mid, far) in zip(STANDARD_THRESHOLDS, vals):
             count += 1
-            if not (vals[0] > vals[1] > vals[2]):
+            if not (near > mid > far):
                 violations += 1
                 worst_label = f"{kind} nbar={nbar:g} p={p}"
     return CheckResult(
@@ -358,13 +351,12 @@ def check_oracle_suite(breakdowns: dict[str, FisherBreakdown]) -> list[CheckResu
         fd.bures(),
         fd.pure(meters),
     ])
-    # one qfi_joint_meter call per probe and threshold, one meter per point
+    # one qfi_joint_meter call per probe, one meter per point
     joint, start = [], 0
     for probe, _, grid_points in grids:
-        mine = meters[start:start + len(grid_points)]
-        joint.append(_by_threshold(grid_points, lambda idx, group: qfi_joint_meter(
-            probe, group, [mine[i] for i in idx])))
-        start += len(grid_points)
+        stop = start + len(grid_points)
+        joint.append(qfi_joint_meter(probe, grid_points, meters[start:stop]))
+        start = stop
     analytic = np.column_stack([
         [[b.q_s, b.q_f, b.q_eff, b.q_unc] for b in map(breakdowns.get, labels)],
         np.concatenate(joint),
@@ -538,8 +530,8 @@ def check_figure_behavior() -> list[CheckResult]:
 def check_meter_suite() -> list[CheckResult]:
     """Joint QFI never exceeds q_eff; equality iff the meter phase is real.
 
-    The random meters and the real-phase meters of a probe's points that
-    share a threshold go through one ``qfi_joint_meter`` call, as one
+    The random meters and the real-phase meters of a probe's 35 points go
+    through one ``qfi_joint_meter`` call, as one
     :class:`~nlametro.instrument.MeterBatch`.
     """
     bound_w = _Worst()
@@ -556,10 +548,8 @@ def check_meter_suite() -> list[CheckResult]:
         amps = normals.view(np.complex128) / np.linalg.norm(normals, axis=-1, keepdims=True)
         alpha = np.concatenate([amps[..., 0], np.tile(real_alpha, (len(points), 1))], axis=1)
         beta = np.concatenate([amps[..., 1], np.tile(real_beta, (len(points), 1))], axis=1)
-        q_eff = _by_threshold(points, lambda idx, group: qfi_effective_closed_form(probe, group))
-        joint = _by_threshold(points, lambda idx, group: qfi_joint_meter(
-            probe, group, MeterBatch(alpha[idx], beta[idx])))
-        q_eff = q_eff[:, np.newaxis]
+        q_eff = qfi_effective_closed_form(probe, points)[:, np.newaxis]
+        joint = qfi_joint_meter(probe, points, MeterBatch(alpha, beta))
         scale = np.maximum(q_eff, NUMERICAL_ZERO)
         bound_w.update(np.maximum(joint[:, :METER_SAMPLES_PER_POINT] - q_eff, 0.0) / scale, labels)
         equality_w.update(np.abs(joint[:, METER_SAMPLES_PER_POINT:] - q_eff) / scale, labels)

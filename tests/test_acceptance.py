@@ -24,7 +24,7 @@ from nlametro.selfcheck import (
     check_meter_suite,
     check_oracle_suite,
     standard_breakdowns,
-    standard_grid,
+    standard_probe_grids,
 )
 
 MC_SEED = 9
@@ -43,13 +43,14 @@ def test_criterion_1_decomposition_identities_on_standard_grid():
     # 1e-9 relative, across all 280 standard operating points.
     start = time.perf_counter()
     count = 0
-    for label, probe, params in standard_grid():
-        bd = qfi_effective(probe, params)
-        closed = qfi_effective_closed_form(probe, params)
-        total = bd.component_sum()
-        assert abs(bd.q_eff - total) <= 1e-9 * bd.q_eff, label
-        assert abs(closed - total) <= 1e-9 * closed, label
-        count += 1
+    for probe, labels, points in standard_probe_grids():
+        for label, params in zip(labels, points):
+            bd = qfi_effective(probe, params)
+            closed = qfi_effective_closed_form(probe, params)
+            total = bd.component_sum()
+            assert abs(bd.q_eff - total) <= 1e-9 * bd.q_eff, label
+            assert abs(closed - total) <= 1e-9 * closed, label
+            count += 1
     assert count == 280
     # the full identity suite adds completeness/normalization invariants
     _assert_all_passed(check_identity_suite(standard_breakdowns()))
@@ -67,11 +68,12 @@ def test_criterion_3_detector_fisher_information_saturates_the_qfi():
     # 1e-9, homodyne 1e-6); the joint (branch, outcome) record is checked
     # brute-force against the closed form for both detectors.
     _assert_all_passed(check_detector_suite(standard_breakdowns()))
-    for label, probe, params in standard_grid():
-        q_eff = qfi_effective_closed_form(probe, params)
-        for detector in ("photon-counting", "homodyne"):
-            fi = joint_fi_direct(probe, params, detector)
-            assert abs(fi - q_eff) <= 1e-5 * q_eff, f"{label} {detector}"
+    for probe, labels, points in standard_probe_grids():
+        for label, params in zip(labels, points):
+            q_eff = qfi_effective_closed_form(probe, params)
+            for detector in ("photon-counting", "homodyne"):
+                fi = joint_fi_direct(probe, params, detector)
+                assert abs(fi - q_eff) <= 1e-5 * q_eff, f"{label} {detector}"
 
 
 def test_criterion_4_hand_derived_golden_points():

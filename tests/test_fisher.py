@@ -43,7 +43,7 @@ from nlametro.fisher import (
     qfi_unconditional,
 )
 from nlametro.probes import ProbeSpec, custom_probe
-from nlametro.selfcheck import STANDARD_THRESHOLDS, standard_grid, standard_probe_grids
+from nlametro.selfcheck import STANDARD_THRESHOLDS, standard_probe_grids
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden.json"
 
@@ -249,12 +249,13 @@ def test_hierarchy_on_sample_points():
 
 
 def test_thin_unconditional_qfi_matches_dense_path_on_standard_grid():
-    for label, probe, params in standard_grid():
-        dense = qfi_mixed(
-            unconditional_state(probe, params),
-            unconditional_state_derivative(probe, params),
-        )
-        assert qfi_unconditional(probe, params) == pytest.approx(dense, rel=1e-12), label
+    for probe, labels, points in standard_probe_grids():
+        for label, params in zip(labels, points):
+            dense = qfi_mixed(
+                unconditional_state(probe, params),
+                unconditional_state_derivative(probe, params),
+            )
+            assert qfi_unconditional(probe, params) == pytest.approx(dense, rel=1e-12), label
 
 
 def _unconditional_qfi_reference(probe, params, dps=50):
@@ -345,16 +346,22 @@ BATCH_REL = 1e-14
 FIELDS = ("q_eff", "ps_qs", "pf_qf", "f_c", "q_s", "q_f", "q_unc")
 
 
+def _assert_close_to_single_points(stacked, singles, points, what=""):
+    """Within BATCH_REL of the single-point values, and exact zeros stay exact."""
+    for got, want, params in zip(stacked, singles, points, strict=True):
+        if want == 0.0:
+            assert got == 0.0, (what, params)
+        else:
+            assert abs(got - want) <= BATCH_REL * abs(want), (what, params)
+
+
 def _assert_batch_matches_points(probe, points):
     batch = qfi_effective(probe, points)
-    for i, params in enumerate(points):
-        single = qfi_effective(probe, params)
-        for field in FIELDS:
-            got, want = getattr(batch, field)[i], getattr(single, field)
-            if want == 0.0:
-                assert got == 0.0, (field, params)
-            else:
-                assert abs(got - want) <= BATCH_REL * abs(want), (field, params)
+    singles = [qfi_effective(probe, params) for params in points]
+    for field in FIELDS:
+        _assert_close_to_single_points(
+            getattr(batch, field), [getattr(single, field) for single in singles], points, field
+        )
     return batch
 
 
@@ -413,11 +420,16 @@ def test_qfi_effective_evaluates_each_kraus_diagonal_once_per_branch(monkeypatch
 
 def test_batched_budget_matches_single_points_on_standard_grid():
     zeros = 0
-    for probe, _, points in standard_probe_grids():
+    for probe, labels, points in standard_probe_grids():
         for p in STANDARD_THRESHOLDS:
             batch = _assert_batch_matches_points(probe, [pt for pt in points if pt.p == p])
             assert batch.q_eff.shape == (7,)
             zeros += int(np.sum(batch.q_f == 0.0))
+        # the probe's 35 points, thresholds mixed, in one call: the images
+        # are padded to p = 5, whose sums of at most 7 terms add the padded
+        # zeros last, so every field equals the point's own bit for bit
+        mixed = qfi_effective(probe, points).points()
+        assert mixed == [qfi_effective(probe, params) for params in points], labels
     # q_f is exactly 0 at p=1 (one failure level) and for squeezed vacuum at p=2
     assert zeros == 8 * 7 + 4 * 7
 
@@ -436,13 +448,22 @@ def test_batched_budget_points_are_breakdowns_of_floats(coherent_nbar1):
     assert rows[1] == qfi_effective(coherent_nbar1, [points[1]]).points()[0]
 
 
-def test_batched_budget_rejects_a_mixed_threshold(coherent_nbar1):
-    with pytest.raises(ValueError, match="share the threshold"):
-        qfi_effective(coherent_nbar1, [NlaParams(g=2.0, p=3), NlaParams(g=2.0, p=2)])
-    with pytest.raises(ValueError, match="share the threshold"):
-        qfi_effective_closed_form(coherent_nbar1, [NlaParams(g=2.0, p=3), NlaParams(g=2.0, p=2)])
-    with pytest.raises(ValueError):
-        qfi_effective(coherent_nbar1, [])
+def test_batched_budget_takes_mixed_thresholds_and_rejects_no_points():
+    # thresholds from 0 to beyond the probe's support: each point's images
+    # are padded to p = 40, and numpy sums 8 or more terms pairwise, which
+    # regroups the padded zeros, so the points agree within rounding rather
+    # than bit for bit
+    points = [NlaParams(g=g, p=p) for p in (0, 1, 3, 7, 9, 20, 40) for g in (1.05, 1.5, 3.0, 6.0)]
+    meter = MeterState(0.6, 0.8j)
+    for kind, nbar in (("coherent", 5.0), ("squeezed-vacuum", 2.0)):
+        probe = ProbeSpec.from_nbar(kind, nbar).build()
+        _assert_batch_matches_points(probe, points)
+        for fn, args in ((qfi_effective_closed_form, ()), (meter_coupling_term, ()),
+                         (qfi_joint_meter, (meter,))):
+            singles = [fn(probe, params, *args) for params in points]
+            _assert_close_to_single_points(fn(probe, points, *args), singles, points, fn.__name__)
+        with pytest.raises(ValueError):
+            qfi_effective(probe, [])
 
 
 def test_impossible_success_branch_in_a_batch_names_the_point(vacuum):

@@ -17,7 +17,6 @@ from nlametro.montecarlo import (
     fisher_per_shot,
     mle_estimate,
     run_crb_experiment,
-    sample_shot,
     sample_shots,
     write_records_jsonl,
     _branch_masses,
@@ -65,10 +64,9 @@ def test_experiment_config_validation(g2p1):
 
 def test_one_photon_probe_is_deterministic(g2p1):
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        branch, outcome = sample_shot(ONE_PHOTON, g2p1, "photon-counting", rng)
-        assert branch == "success"
-        assert outcome == 1
+    success, outcomes = sample_shots(ONE_PHOTON, g2p1, "photon-counting", rng, 20)
+    assert success.all()
+    assert np.array_equal(outcomes, np.ones(20))
 
 
 def test_branch_frequency_matches_probability(vacuum, g2p1):
@@ -120,18 +118,6 @@ def test_mle_consistency_photon_counting(coherent_nbar1):
     est = mle_estimate(records, coherent_nbar1, 3, "photon-counting", SEARCH)
     se = math.sqrt(crb_for_strategy(coherent_nbar1, params, "photon-counting", shots))
     assert abs(est - 2.0) < 3 * se
-
-
-def test_tuple_records_agree_with_array_records(two_level, g2p1):
-    rng = np.random.default_rng(9)
-    success, outcomes = sample_shots(two_level, g2p1, "photon-counting", rng, 500)
-    tuples = [
-        ("success" if s else "failure", None if math.isnan(o) else int(o))
-        for s, o in zip(success, outcomes)
-    ]
-    est_arrays = mle_estimate((success, outcomes), two_level, 1, "photon-counting", SEARCH)
-    est_tuples = mle_estimate(tuples, two_level, 1, "photon-counting", SEARCH)
-    assert est_arrays == est_tuples
 
 
 def test_degenerate_likelihood_for_uninformative_probe(g2p1):

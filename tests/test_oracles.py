@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import nlametro
-from nlametro import fisher, instrument, measurements, oracles, selfcheck
+from nlametro import cli, fisher, instrument, measurements, oracles, selfcheck
 from nlametro.fock import DensityOperator, FockVector
 from nlametro.instrument import (
     BRANCHES,
@@ -56,17 +56,19 @@ from nlametro.selfcheck import (
     check_meter_suite,
     check_oracle_suite,
     standard_breakdowns,
-    standard_grid,
     standard_probe_grids,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden.json"
 
 
-def _run_python(*args, timeout=120):
-    """Run a fresh interpreter that imports this checkout's nlametro."""
+def _run_python(*args, timeout=120, **environ):
+    """Run a fresh interpreter that imports this checkout's nlametro.
+
+    ``environ`` adds variables to the inherited environment.
+    """
     src = pathlib.Path(nlametro.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(src), os.environ.get("PYTHONPATH")))
     ))
     return subprocess.run(
@@ -82,8 +84,9 @@ def test_golden_regeneration_runs_one_copy_of_the_oracles(tmp_path):
     assert len(json.loads(out.read_text())["reports"]) == 34
 
 
-# Dense-state names the package namespace must not expose; the test
-# references among them live in nlametro.dense.
+# Names the package namespace must not expose: the dense-state test
+# references, which live in nlametro.dense, and the per-shot sampler, whose
+# every call rebuilt the whole shot source.
 DROPPED_NAMES = (
     "DensityOperator",
     "JointState",
@@ -94,6 +97,7 @@ DROPPED_NAMES = (
     "qfi_fd_pure",
     "qfi_mixed",
     "qfi_pure",
+    "sample_shot",
     "unconditional_state",
 )
 
@@ -111,6 +115,18 @@ def test_package_never_imports_the_dense_references():
     for name in DROPPED_NAMES:
         assert not hasattr(nlametro, name), name
         assert name not in nlametro.__all__, name
+
+
+def test_selfcheck_text_does_not_depend_on_the_blas_thread_count():
+    # the budgets, SVDs and oracle sums must not pick up the summation order
+    # of a multi-threaded BLAS
+    runs = [
+        _run_python("-m", "nlametro.cli", "selfcheck", timeout=300, **extra)
+        for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {})
+    ]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_shipped_golden_fixture_regenerates_exactly():
@@ -386,12 +402,13 @@ def test_oracle_suite_builds_one_set_of_image_grams_per_point(oracle_suite):
     assert oracle_suite[1] == [280, 280, 280]
 
 
-PROBES_X_THRESHOLDS = len(STANDARD_KINDS) * len(selfcheck.STANDARD_NBARS) * len(STANDARD_THRESHOLDS)
+PROBES = len(STANDARD_KINDS) * len(selfcheck.STANDARD_NBARS)
 
 
-def test_oracle_suite_analytic_meter_side_is_one_call_per_probe_and_threshold(oracle_suite):
-    # each call covers one threshold's 7 gains, with one random meter per point
-    assert oracle_suite[2] == [len(STANDARD_GAINS)] * PROBES_X_THRESHOLDS
+def test_oracle_suite_analytic_meter_side_is_one_call_per_probe(oracle_suite):
+    # each call covers a probe's 35 points, thresholds mixed, with one
+    # random meter per point
+    assert oracle_suite[2] == [len(STANDARD_GAINS) * len(STANDARD_THRESHOLDS)] * PROBES
 
 
 @pytest.mark.parametrize(
@@ -410,8 +427,8 @@ def test_shared_image_grams_match_separate_oracles_bit_for_bit(monkeypatch, kind
 
 def test_meter_suite_computes_one_coupling_term_per_point(monkeypatch):
     # q_eff and X do not depend on the meter: one qfi_joint_meter call per
-    # probe and threshold covers its 7 points' 50 random and 4 real-phase
-    # meters, and computes each point's coupling term once.
+    # probe covers its 35 points' 50 random and 4 real-phase meters, and
+    # computes each point's coupling term once.
     calls = []
     original = fisher.meter_coupling_term
 
@@ -423,7 +440,7 @@ def test_meter_suite_computes_one_coupling_term_per_point(monkeypatch):
     bound, equality = check_meter_suite()
     assert bound.passed and equality.passed
     assert (bound.points, equality.points) == (14000, 1120)
-    assert len(calls) <= PROBES_X_THRESHOLDS
+    assert len(calls) <= PROBES
     assert sum(calls) == 280
 
 
@@ -434,10 +451,44 @@ def test_worst_of_an_error_array_is_the_first_largest_in_row_major_order():
     assert (worst.value, worst.label, worst.count) == (3.0, "a", 5)
     worst.update([0.0, 4.0, 4.0, 1.0], ["d", "e", "f", "g"])
     assert (worst.value, worst.label, worst.count) == (4.0, "e", 9)
-    # as when scored one at a time, a NaN never counts as the largest
+    # a NaN or an infinity never counts as the largest: it is counted
+    # apart, the first one names its own location, and it fails the row
     nan_first = selfcheck._Worst()
     nan_first.update([math.nan, 0.5], ["x", "y"])
-    assert (nan_first.value, nan_first.label) == (0.5, "y")
+    nan_first.update(np.array([[0.1, math.inf], [math.nan, 0.2]]), ["z", "w"])
+    assert (nan_first.value, nan_first.label, nan_first.count) == (0.5, "y", 6)
+    assert (nan_first.nonfinite, nan_first.nonfinite_label) == (3, "x")
+    row = nan_first.result("row", 1.0)
+    assert not row.passed
+    assert row.detail == "y; 3 non-finite, first at x"
+
+
+# The rows whose analytic side is qfi_joint_meter, and the meters that
+# reach it there: a list of MeterState per probe from the oracle suite, and
+# from the meter suite a MeterBatch of 50 random then 4 real-phase meters
+# per point.
+NAN_ROWS = {
+    "joint QFI with generic meters": lambda meters, q: (
+        np.full_like(q, np.nan) if isinstance(meters, list) else q),
+    "joint QFI <= q_eff over random meters": lambda meters, q: (
+        np.where(np.arange(q.shape[-1]) < 50, np.nan, q) if q.ndim == 2 else q),
+    "joint QFI equals q_eff when Im[alpha conj(beta)] = 0": lambda meters, q: (
+        np.where(np.arange(q.shape[-1]) >= 50, np.nan, q) if q.ndim == 2 else q),
+}
+
+
+@pytest.mark.parametrize("row_name", list(NAN_ROWS))
+def test_selfcheck_fails_a_row_whose_analytic_side_is_nan(monkeypatch, capsys, row_name):
+    original, poison = selfcheck.qfi_joint_meter, NAN_ROWS[row_name]
+
+    def nan_joint(probe, params, meters):
+        return poison(meters, original(probe, params, meters))
+
+    monkeypatch.setattr(selfcheck, "qfi_joint_meter", nan_joint)
+    assert cli.main(["selfcheck"]) == cli.CHECK_FAILED
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith(f"FAIL  {row_name}"), failed
+    assert "non-finite, first at coherent nbar=0.5 g=1.05 p=1" in failed[0]
 
 
 def test_detector_suite_makes_a_fixed_number_of_calls_per_probe(monkeypatch):
@@ -569,7 +620,11 @@ def _five_views(fd, meter):
 def test_batched_image_build_equals_single_point_builds_bit_for_bit():
     # one build over the whole grid (probes and thresholds mixed) against a
     # build of its own for every point, in all five views
-    labels, probes, points = zip(*standard_grid())
+    labels, probes, points = zip(*(
+        (label, probe, params)
+        for probe, grid_labels, grid_points in standard_probe_grids()
+        for label, params in zip(grid_labels, grid_points)
+    ))
     meters = _grid_meters(len(points))
     batched = _five_views(KrausImageFD(probes, points), meters)
     for i, (label, probe, params) in enumerate(zip(labels, probes, points)):
