@@ -13,12 +13,13 @@ from the root seed, so results are independent of replication order and
 byte-stable across runs.
 
 Estimation works on sufficient statistics.  An experiment does its set-up
-(branch masses, cumulative photon-number tables) once.  A photon-counting,
-success-only or herald-only replication is drawn directly as its counts: its
-success count ``n_s`` and its per-level success and failure counts, read off
-the sorted uniforms at the cumulative thresholds, with no per-shot outcome
-array.  The draw consumes the generator exactly as the per-shot inverse CDF
-of :func:`sample_shots` does and gives the same counts.  No count summarises
+(branch masses, photon-number tables) once.  A photon-counting, success-only
+or herald-only replication is drawn directly as its counts, in O(levels)
+per replication: its success count ``n_s ~ Binomial(shots, p_s)``, then the
+per-level counts of each recorded branch that fired, ``Multinomial(n,
+masses)``.  These counts have the distribution of the ``bincount`` of the
+per-shot inverse-CDF draw of :func:`sample_shots`, which stays the per-shot
+reference, but they are not the same integers.  No count summarises
 homodyne quadratures, so a homodyne replication keeps its outcomes reduced to
 the basis the gain reaches: the fields ``c_n <x|n>`` of the levels ``n <= p``
 and, on the success branch, the gain-free tail ``sum_{n>p} c_n <x|n>``.  The
@@ -68,7 +69,7 @@ DETECTORS = (PHOTON_COUNTING, HOMODYNE, HERALD_ONLY, SUCCESS_ONLY)
 # no gain information at all.
 FLATNESS_TOL = 1e-9
 
-RESULT_SCHEMA_VERSION = 2
+RESULT_SCHEMA_VERSION = 3
 
 
 class DegenerateLikelihood(RuntimeError):
@@ -216,44 +217,20 @@ def _branch_masses(probe: FockVector, params: NlaParams) -> tuple[float, np.ndar
     return ps, ms, mf
 
 
-def _cumulative(masses: np.ndarray) -> np.ndarray:
-    """Cumulative photon-number masses, the top one raised to at least 1."""
-    cum = np.cumsum(masses)
-    cum[-1] = max(cum[-1], 1.0)
-    return cum
-
-
 def _discrete_sampler(masses: np.ndarray):
     """Inverse CDF of the photon-number masses, tabulated once.
 
     A uniform goes to the first level whose cumulative mass exceeds it; the
     uniforms above a table that sums to less than 1 go to the last level.
     """
-    cum = _cumulative(masses)
+    cum = np.cumsum(masses)
+    cum[-1] = max(cum[-1], 1.0)
     last = masses.size - 1
 
     def sample(u: np.ndarray) -> np.ndarray:
         return np.minimum(np.searchsorted(cum, u, side="right"), last)
 
     return sample
-
-
-def _discrete_counter(masses: np.ndarray):
-    """Per-level counts of the levels :func:`_discrete_sampler` draws from ``u``.
-
-    ``sample(u) <= k`` exactly when ``u < cum[k]``, so the number ``C_k`` of
-    draws at levels ``<= k`` is the number of uniforms below ``cum[k]``, read
-    off the sorted uniforms for every ``k`` below the last level at once.
-    The counts are the differences of ``[0, C_0, ..., C_{last-1}, n]``, whose
-    ends are the uniforms below ``-inf`` and below ``+inf``.
-    """
-    thresholds = np.concatenate(([-np.inf], _cumulative(masses)[:-1], [np.inf]))
-
-    def count(u: np.ndarray) -> np.ndarray:
-        below = np.searchsorted(np.sort(u), thresholds, side="left")
-        return below[1:] - below[:-1]
-
-    return count
 
 
 HOMODYNE_CDF_POINTS = 8193
@@ -286,9 +263,11 @@ def _homodyne_sampler(probe: FockVector, params: NlaParams, branch: str):
 class _ShotSource:
     """Amplifier runs of one configuration, with its set-up done once.
 
-    The branch masses and the photon-number tables are computed at
-    construction.  A homodyne table is built on the first shot of its branch,
-    because a branch that never fires may have no density to tabulate.
+    The branch masses are computed at construction.  A branch's inverse-CDF
+    table is built on the first shot of that branch, because a homodyne
+    branch that never fires may have no density to tabulate.
+    :meth:`draw` gives the runs shot by shot; :meth:`counts` gives the counts
+    of a counting or herald record straight from their own distribution.
     """
 
     def __init__(self, probe: FockVector, params: NlaParams, detector: str):
@@ -296,10 +275,8 @@ class _ShotSource:
             raise ValueError(f"unknown detector {detector!r}")
         self._probe, self._params, self._detector = probe, params, detector
         self._ps, ms, mf = _branch_masses(probe, params)
-        self._samplers, self._counters = {}, {}
-        if detector != HOMODYNE:
-            self._samplers = {SUCCESS: _discrete_sampler(ms), FAILURE: _discrete_sampler(mf)}
-            self._counters = {SUCCESS: _discrete_counter(ms), FAILURE: _discrete_counter(mf)}
+        self._masses = {SUCCESS: ms, FAILURE: mf}
+        self._samplers = {}
 
     def draw(self, rng: np.random.Generator, shots: int) -> tuple[np.ndarray, dict]:
         """``(success_mask, {branch: outcomes of that branch's shots})``.
@@ -308,29 +285,37 @@ class _ShotSource:
         fired; the generator is consumed in that order.
         """
         success = rng.random(shots) < self._ps
-        uniforms = self._uniforms(rng, int(success.sum()), shots)
-        return success, {branch: self._sampler(branch)(u) for branch, u in uniforms}
+        fired = self._fired(int(success.sum()), shots)
+        return success, {branch: self._sampler(branch)(rng.random(n)) for branch, n in fired}
 
     def counts(self, rng: np.random.Generator, shots: int) -> tuple[int, dict]:
         """``(n_s, {branch: per-level counts of that branch's shots})``.
 
-        A photon-counting or herald draw that consumes ``rng`` exactly as
-        :meth:`draw` does, and whose counts are the ``bincount`` of the
-        outcomes :meth:`draw` gives, without building them shot by shot.
+        A photon-counting or herald draw in O(levels): ``n_s ~ Binomial(shots,
+        p_s)``, then ``Multinomial(n, masses)`` for each branch of :meth:`draw`,
+        in its order.  The counts have the distribution of the ``bincount`` of
+        the outcomes :meth:`draw` gives, not the same integers.  The last level
+        takes the mass a table leaves over, as in the inverse CDF.  ``p_s``, a
+        sum of squares, is capped at 1, since a norm within rounding of 1 can
+        round it above 1.
         """
-        n_s = int(np.count_nonzero(rng.random(shots) < self._ps))
-        uniforms = self._uniforms(rng, n_s, shots)
-        return n_s, {branch: self._counters[branch](u) for branch, u in uniforms}
+        n_s = int(rng.binomial(shots, min(self._ps, 1.0)))
+        fired = self._fired(n_s, shots)
+        return n_s, {branch: rng.multinomial(n, self._masses[branch]) for branch, n in fired}
 
-    def _uniforms(self, rng: np.random.Generator, n_s: int, shots: int):
-        """Each recorded branch that fired, with its uniforms, drawn in that order."""
+    def _fired(self, n_s: int, shots: int):
+        """Each recorded branch that fired, with its number of shots, in draw order."""
         for branch, n in ((SUCCESS, n_s), (FAILURE, shots - n_s)):
             if n and branch in _RECORDED[self._detector]:
-                yield branch, rng.random(n)
+                yield branch, n
 
     def _sampler(self, branch: str):
         if branch not in self._samplers:
-            self._samplers[branch] = _homodyne_sampler(self._probe, self._params, branch)
+            self._samplers[branch] = (
+                _homodyne_sampler(self._probe, self._params, branch)
+                if self._detector == HOMODYNE
+                else _discrete_sampler(self._masses[branch])
+            )
         return self._samplers[branch]
 
 

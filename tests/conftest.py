@@ -1,6 +1,12 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import nlametro
 
 from nlametro.fock import FockVector
 from nlametro.instrument import NlaParams
@@ -31,3 +37,23 @@ def squeezed_nbar1():
 @pytest.fixture
 def g2p1():
     return NlaParams(g=2.0, p=1)
+
+
+def _run_python(*args, timeout=120, **environ):
+    src = pathlib.Path(nlametro.__file__).resolve().parent.parent
+    env = dict(os.environ, **environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))
+    ))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
+@pytest.fixture
+def run_python():
+    """``run_python(*args, timeout=120, **environ)`` runs a fresh interpreter
+    that imports this checkout's nlametro.
+
+    ``environ`` adds variables to the inherited environment.
+    """
+    return _run_python

@@ -267,3 +267,29 @@ def test_non_finite_probe_energy_is_rejected_by_value(flag, kind, value, capsys)
     assert rc == 2
     err = capsys.readouterr().err
     assert f"must be finite and non-negative, got {value}" in err and "levels" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(
+            "simulate --probe coherent --nbar 1 --p 3 --g-true 2 --detector homodyne "
+            "--shots 10000 --replications 6 --seed 3",
+            id="simulate-homodyne",
+        ),
+        pytest.param(
+            "compare --probe squeezed-vacuum --nbar 2 --p 5 --g 1.01:6:2000 --format json",
+            id="compare-squeezed-dim149",
+        ),
+    ],
+)
+def test_output_does_not_depend_on_the_blas_thread_count(run_python, args):
+    # the likelihood searches and budgets must not pick up the summation order
+    # of a multi-threaded BLAS
+    runs = [
+        run_python("-m", "nlametro.cli", *args.split(), **extra)
+        for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {})
+    ]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert runs[0].stdout == runs[1].stdout

@@ -9,6 +9,7 @@ from nlametro.fock import FockVector, wavefunction_matrix
 from nlametro.instrument import BRANCHES, FAILURE, SUCCESS, NlaParams, kraus_diagonal
 from nlametro.fisher import qfi_effective_closed_form
 from nlametro.measurements import MASS_FLOOR
+from nlametro import montecarlo
 from nlametro.montecarlo import (
     DegenerateLikelihood,
     ExperimentConfig,
@@ -20,8 +21,6 @@ from nlametro.montecarlo import (
     sample_shots,
     write_records_jsonl,
     _branch_masses,
-    _discrete_counter,
-    _discrete_sampler,
     _log_likelihoods,
     _Quadratures,
     _ShotSource,
@@ -193,14 +192,39 @@ def test_records_jsonl_roundtrip(tmp_path, g2p1):
     assert first["shots"] == 500
 
 
+_RECORDED = {"photon-counting": BRANCHES, "success-only": (SUCCESS,), "herald-only": ()}
+
+
+def _replayed_record(probe, params, detector, rng, shots):
+    """A counting record replayed from ``rng``: ``n_s ~ Binomial(shots, p_s)``,
+    then ``Multinomial(n, masses)`` per recorded branch that fired, expanded
+    shot by shot into ``(success_mask, outcomes)``."""
+    ps, ms, mf = _branch_masses(probe, params)
+    n_s = int(rng.binomial(shots, ps))
+    success = np.repeat([True, False], [n_s, shots - n_s])
+    outcomes = np.full(shots, np.nan)
+    for branch, mask, masses in ((SUCCESS, success, ms), (FAILURE, ~success, mf)):
+        n = int(mask.sum())
+        if n and branch in _RECORDED[detector]:
+            outcomes[mask] = np.repeat(np.arange(probe.dim), rng.multinomial(n, masses))
+    return success, outcomes
+
+
 def _redrawn_estimates(cfg, replications):
-    """Per-replication reference: records redrawn from each child stream, one MLE each."""
+    """Per-replication reference: records redrawn from each child stream, one MLE each.
+
+    A homodyne record is drawn shot by shot; a counting record replays the
+    binomial and multinomial count draws and expands them.
+    """
     probe = cfg.probe.build()
     children = np.random.SeedSequence(cfg.seed).spawn(replications + 1)
     estimates, counts = [], []
     for child in children[:replications]:
         rng = np.random.default_rng(child)
-        records = sample_shots(probe, cfg.params_true, cfg.detector, rng, cfg.shots)
+        if cfg.detector == "homodyne":
+            records = sample_shots(probe, cfg.params_true, cfg.detector, rng, cfg.shots)
+        else:
+            records = _replayed_record(probe, cfg.params_true, cfg.detector, rng, cfg.shots)
         counts.append(int(records[0].sum()))
         estimates.append(mle_estimate(records, probe, cfg.params_true.p, cfg.detector, cfg.grid))
     return np.array(estimates), np.array(counts)
@@ -238,59 +262,93 @@ def test_batched_estimates_equal_per_record_mle(spec, params, detector, replicat
     npt.assert_array_equal(res.success_counts, counts)
 
 
-def _bincount_of_draws(masses, u):
-    return np.bincount(_discrete_sampler(masses)(u), minlength=masses.size)
-
-
-@pytest.mark.parametrize(
-    "masses",
-    [
-        pytest.param(np.array([1.0]), id="dim1"),
-        pytest.param(np.array([0.25, 0.75]), id="dim2"),
-        pytest.param(np.array([0.25, 0.0, 0.0, 0.25, 0.0, 0.5]), id="zero-mass-levels"),
-        pytest.param(np.array([0.0, 0.5, 0.5, 0.0]), id="zero-mass-ends"),
-        pytest.param(np.array([0.125, 0.25, 0.125]), id="table-below-one"),
-        pytest.param(
-            _branch_masses(ProbeSpec.from_nbar("coherent", 1.0).build(), NlaParams(g=2.0, p=3))[1],
-            id="coherent-dim17",
-        ),
-    ],
-)
-def test_count_draw_equals_bincount_of_inverse_cdf_draws(masses):
-    cum = np.cumsum(masses)
-    # every threshold, its neighbours on either side, and the ends of [0, 1]
-    edges = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0), [0.0, 1.0]])
-    u = np.concatenate([edges, np.random.default_rng(8).random(5_000)])
-    u = u[(u >= 0.0) & (u <= 1.0)]
-    counts = _discrete_counter(masses)(u)
-    npt.assert_array_equal(counts, _bincount_of_draws(masses, u))
-    assert counts.sum() == u.size
-    # a uniform equal to a threshold goes to the next level with non-zero mass
-    at = _discrete_counter(masses)(cum[:-1])
-    npt.assert_array_equal(at, _bincount_of_draws(masses, cum[:-1]))
-    npt.assert_array_equal(_discrete_counter(masses)(np.empty(0)), np.zeros(masses.size))
-
-
-def test_count_draw_clamps_the_top_of_a_short_table_into_the_last_level():
-    masses = np.array([0.125, 0.25, 0.125])  # sums to 1/2
-    # levels 0, 1, then 2 for every uniform from 0.375 up, past the table's own mass
-    u = np.array([0.0, 0.125, 0.375, 0.5, 0.75, np.nextafter(1.0, 0.0), 1.0])
-    npt.assert_array_equal(_discrete_counter(masses)(u), [1, 1, 5])
-    npt.assert_array_equal(_bincount_of_draws(masses, u), [1, 1, 5])
+_CASES_BY_ID = {
+    "coherent-dim17": (ProbeSpec.from_nbar("coherent", 1.0).build(), NlaParams(g=2.0, p=3)),
+    "two-level": (FockVector([_HALF, _HALF]), NlaParams(g=2.0, p=1)),
+}
 
 
 @pytest.mark.parametrize("detector", _COUNT_DETECTORS)
-def test_shot_source_counts_consume_the_generator_as_draw(detector):
-    probe = ProbeSpec.from_nbar("coherent", 1.0).build()
-    source = _ShotSource(probe, NlaParams(g=2.0, p=3), detector)
+def test_shot_source_counts_draw_a_binomial_then_a_multinomial_per_recorded_branch(detector):
+    probe, params = _CASES_BY_ID["coherent-dim17"]
+    ps, ms, mf = _branch_masses(probe, params)
     a, b = np.random.default_rng(5), np.random.default_rng(5)
-    success, drawn = source.draw(a, 3_000)
-    n_s, levels = source.counts(b, 3_000)
-    assert n_s == int(success.sum())
-    assert set(levels) == set(drawn)
-    for branch, outcomes in drawn.items():
-        npt.assert_array_equal(levels[branch], np.bincount(outcomes, minlength=probe.dim))
+    n_s, levels = _ShotSource(probe, params, detector).counts(a, 3_000)
+    assert n_s == b.binomial(3_000, ps)
+    assert 0 < n_s < 3_000
+    assert set(levels) == set(_RECORDED[detector])
+    for branch, n, masses in ((SUCCESS, n_s, ms), (FAILURE, 3_000 - n_s, mf)):
+        if branch in levels:
+            npt.assert_array_equal(levels[branch], b.multinomial(n, masses))
+            assert levels[branch].sum() == n
     assert a.random() == b.random()
+
+
+@pytest.mark.parametrize("case", sorted(_CASES_BY_ID))
+def test_count_draw_matches_the_per_shot_draw_in_distribution(case):
+    probe, params = _CASES_BY_ID[case]
+    ps, ms, mf = _branch_masses(probe, params)
+    source = _ShotSource(probe, params, "photon-counting")
+    shots, replications = 1_000, 2_000
+    # mean counts per replication: one row per branch, one column per level
+    expected = shots * np.array([ps * ms, (1.0 - ps) * mf])
+    sigma = np.sqrt(expected * (1.0 - expected / shots) / replications)
+    drawn_by = {
+        "counts": lambda rng: source.counts(rng, shots)[1],
+        "draw": lambda rng: {
+            branch: np.bincount(outcomes, minlength=probe.dim)
+            for branch, outcomes in source.draw(rng, shots)[1].items()
+        },
+    }
+    for name, draw in drawn_by.items():
+        rng = np.random.default_rng(13)
+        total = np.zeros((2, probe.dim), dtype=np.int64)
+        for _ in range(replications):
+            levels = draw(rng)
+            for row, branch in enumerate(BRANCHES):
+                total[row] += levels.get(branch, 0)
+        assert total.sum() == shots * replications, name
+        mean = total / replications
+        npt.assert_array_equal(total[expected == 0.0], 0, err_msg=name)
+        assert (np.abs(mean - expected) <= 5.0 * sigma).all(), (name, mean - expected, sigma)
+
+
+def test_count_draw_of_a_one_photon_probe_never_fails(g2p1):
+    n_s, levels = _ShotSource(ONE_PHOTON, g2p1, "photon-counting").counts(
+        np.random.default_rng(3), 500
+    )
+    assert n_s == 500
+    assert set(levels) == {SUCCESS}
+    npt.assert_array_equal(levels[SUCCESS], [0, 500])
+
+
+def test_count_draw_clamps_a_success_probability_rounded_above_one():
+    # the norm check accepts 1 + 4e-11, so p_s rounds above 1
+    probe, params = FockVector([0.0, 1.0 + 4e-11]), NlaParams(g=2.0, p=0)
+    assert _branch_masses(probe, params)[0] > 1.0
+    n_s, levels = _ShotSource(probe, params, "photon-counting").counts(
+        np.random.default_rng(3), 500
+    )
+    assert n_s == 500
+    assert set(levels) == {SUCCESS}
+
+
+def test_count_draw_puts_the_remainder_of_a_short_table_in_the_last_level(monkeypatch):
+    masses = np.array([0.125, 0.25, 0.125])  # sums to 1/2
+    monkeypatch.setattr(
+        montecarlo, "_branch_masses", lambda probe, params: (1.0, masses, np.zeros(3))
+    )
+    source = _ShotSource(FockVector([1.0, 0.0, 0.0]), NlaParams(g=2.0, p=1), "success-only")
+    shots = 40_000
+    expected = shots * np.array([0.125, 0.25, 0.625])
+    sigma = np.sqrt(expected * (1.0 - expected / shots))
+    rng = np.random.default_rng(21)
+    n_s, levels = source.counts(rng, shots)
+    assert n_s == shots and levels[SUCCESS].sum() == shots
+    success, drawn = source.draw(rng, shots)
+    assert success.all()
+    for counts in (levels[SUCCESS], np.bincount(drawn[SUCCESS], minlength=3)):
+        assert (np.abs(counts - expected) <= 5.0 * sigma).all(), counts
 
 
 def test_one_flat_replication_makes_the_batch_degenerate():

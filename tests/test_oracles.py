@@ -2,9 +2,7 @@ import collections
 import fractions
 import json
 import math
-import os
 import pathlib
-import subprocess
 import sys
 import warnings
 
@@ -62,24 +60,10 @@ from nlametro.selfcheck import (
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden.json"
 
 
-def _run_python(*args, timeout=120, **environ):
-    """Run a fresh interpreter that imports this checkout's nlametro.
-
-    ``environ`` adds variables to the inherited environment.
-    """
-    src = pathlib.Path(nlametro.__file__).resolve().parent.parent
-    env = dict(os.environ, **environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(src), os.environ.get("PYTHONPATH")))
-    ))
-    return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
-    )
-
-
-def test_golden_regeneration_runs_one_copy_of_the_oracles(tmp_path):
+def test_golden_regeneration_runs_one_copy_of_the_oracles(tmp_path, run_python):
     # run as __main__, a module the package imports would be executed twice
     out = tmp_path / "golden.json"
-    proc = _run_python("-W", "error::RuntimeWarning", "-m", "nlametro.golden", "--out", str(out))
+    proc = run_python("-W", "error::RuntimeWarning", "-m", "nlametro.golden", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert len(json.loads(out.read_text())["reports"]) == 34
 
@@ -102,11 +86,11 @@ DROPPED_NAMES = (
 )
 
 
-def test_package_never_imports_the_dense_references():
+def test_package_never_imports_the_dense_references(run_python):
     # a fresh interpreter, since this test session imports nlametro.dense and
     # mpmath; the oracles run in double-double, so mpmath is a test-only
     # reference too
-    proc = _run_python("-c", (
+    proc = run_python("-c", (
         "import sys, nlametro, nlametro.cli, nlametro.selfcheck\n"
         "for name in ('nlametro.dense', 'mpmath'):\n"
         "    assert name not in sys.modules, f'the package imported {name}'\n"
@@ -117,11 +101,11 @@ def test_package_never_imports_the_dense_references():
         assert name not in nlametro.__all__, name
 
 
-def test_selfcheck_text_does_not_depend_on_the_blas_thread_count():
+def test_selfcheck_text_does_not_depend_on_the_blas_thread_count(run_python):
     # the budgets, SVDs and oracle sums must not pick up the summation order
     # of a multi-threaded BLAS
     runs = [
-        _run_python("-m", "nlametro.cli", "selfcheck", timeout=300, **extra)
+        run_python("-m", "nlametro.cli", "selfcheck", timeout=300, **extra)
         for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {})
     ]
     for proc in runs:
