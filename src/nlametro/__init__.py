@@ -45,9 +45,7 @@ from .montecarlo import (
     ExperimentConfig,
     ExperimentResult,
     GainGrid,
-    mle_estimate,
     run_crb_experiment,
-    sample_shots,
 )
 from .oracles import (
     OracleReport,
@@ -88,7 +86,6 @@ __all__ = [
     "fi_photon_counting",
     "homodyne_distribution",
     "joint_fi_direct",
-    "mle_estimate",
     "photon_counting_dist",
     "qfi_branch",
     "qfi_effective",
@@ -98,7 +95,6 @@ __all__ = [
     "qfi_joint_meter",
     "qfi_unconditional",
     "run_crb_experiment",
-    "sample_shots",
     "sequential_fi",
     "squeezed_vacuum",
 ]

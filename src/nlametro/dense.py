@@ -16,7 +16,12 @@ construction that shares none of its algebra:
   unit roundoff via :class:`StepTooSmall` (:func:`resolution_floor` states
   the smallest value a step can certify);
 * :func:`joint_state` builds the joint signal-meter state of the unitary
-  dilation as a :class:`JointState` of two explicit amplitude blocks.
+  dilation as a :class:`JointState` of two explicit amplitude blocks;
+* :func:`sample_shots` draws a Monte-Carlo record shot by shot, a counting
+  branch by the inverse CDF of its photon-number masses, and
+  :func:`mle_estimate` estimates the gain of one such record: the per-shot,
+  per-record reference for the count draws and the batched search of
+  :mod:`nlametro.montecarlo`.
 """
 
 from __future__ import annotations
@@ -37,6 +42,16 @@ from .instrument import (
     branch_probability_derivative,
     conditional_state_derivative,
     kraus_diagonal,
+)
+from .measurements import HOMODYNE
+from .montecarlo import (
+    DETECTORS,
+    GainGrid,
+    _RECORDED,
+    _Counts,
+    _Quadratures,
+    _ShotSource,
+    _estimates,
 )
 from .oracles import DEFAULT_QFI_STEP, _validate_step
 
@@ -251,3 +266,91 @@ def qfi_fd_pure(state_at, g: float, dg: float = DEFAULT_QFI_STEP) -> float:
             f"roundoff; values under {resolution_floor(dg):.3e} are unresolvable"
         )
     return 8.0 * deficit / (dg * dg)
+
+
+# ---------------------------------------------------------------------------
+# Per-shot Monte-Carlo records
+# ---------------------------------------------------------------------------
+
+def _discrete_sampler(masses: np.ndarray):
+    """Inverse CDF of the photon-number masses, tabulated once.
+
+    A uniform goes to the first level whose cumulative mass exceeds it; the
+    uniforms above a table that sums to less than 1 go to the last level.
+    """
+    cum = np.cumsum(masses)
+    cum[-1] = max(cum[-1], 1.0)
+    last = masses.size - 1
+
+    def sample(u: np.ndarray) -> np.ndarray:
+        return np.minimum(np.searchsorted(cum, u, side="right"), last)
+
+    return sample
+
+
+class _PerShotSource(_ShotSource):
+    """A shot source whose :meth:`draw` also draws counting records shot by shot.
+
+    A counting branch takes one uniform per shot through the inverse CDF of
+    its masses; homodyne draws as in :mod:`nlametro.montecarlo`.
+    """
+
+    def _sampler(self, branch: str):
+        if self._detector == HOMODYNE:
+            return super()._sampler(branch)
+        return _discrete_sampler(self._masses[branch])
+
+
+def sample_shots(
+    probe: FockVector,
+    params: NlaParams,
+    detector: str,
+    rng: np.random.Generator,
+    shots: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized draw of ``shots`` amplifier runs.
+
+    Returns ``(success_mask, outcomes)``; outcomes are NaN where the detector
+    records nothing (herald-only always, failure shots under success-only).
+    """
+    success, drawn = _PerShotSource(probe, params, detector).draw(rng, shots)
+    outcomes = np.full(shots, np.nan)
+    for branch, values in drawn.items():
+        outcomes[success if branch == SUCCESS else ~success] = values
+    return success, outcomes
+
+
+def mle_estimate(
+    records: tuple[np.ndarray, np.ndarray],
+    probe: FockVector,
+    pthreshold: int,
+    detector: str,
+    grid: GainGrid,
+) -> float:
+    """Maximum-likelihood gain of one record: coarse grid argmax, then golden-section.
+
+    ``records`` is the ``(success_mask, outcomes)`` array pair from
+    :func:`sample_shots`.
+
+    Raises :class:`~nlametro.montecarlo.DegenerateLikelihood` when the
+    surface is flat over the grid (the record carries no gain information,
+    e.g. a single-level probe whose conditional masses are gain independent).
+    """
+    if detector not in DETECTORS:
+        raise ValueError(f"unknown detector {detector!r}")
+    success, outcomes = records
+    if success.size == 0:
+        raise ValueError("records must be non-empty")
+    drawn = {}
+    for branch, mask in ((SUCCESS, success), (FAILURE, ~success)):
+        if mask.any() and branch in _RECORDED[detector]:
+            values = outcomes[mask]
+            drawn[branch] = values if detector == HOMODYNE else values.astype(int)
+    if detector == HOMODYNE:
+        stats = _Quadratures.of(probe, pthreshold, drawn)
+    else:
+        stats = _Counts.zeros(1, probe.dim)
+        levels = {branch: np.bincount(v, minlength=probe.dim) for branch, v in drawn.items()}
+        stats.record(0, int(success.sum()), success.size, levels)
+    estimates, _ = _estimates(probe, pthreshold, detector, stats, grid)
+    return float(estimates[0])

@@ -193,13 +193,21 @@ def _unconditional_qfi(a, da) -> np.ndarray:
 
 
 def _closed_form(probe: FockVector, g: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The closed form of each point, over the levels ``n < p`` of its own ``p``."""
+    """The closed form of each point, over the levels ``n < p`` of its own ``p``.
+
+    The levels are added one column at a time, in level order, so a point's
+    sum does not depend on how many zero-padded levels its stack holds (a
+    pairwise ``np.sum`` regroups a row of 8 or more).
+    """
     n = np.arange(min(probe.dim, int(np.max(p))), dtype=float)
     k = np.minimum(n - p, 0.0)
     w = probe.weights()[:n.size]
     # k = 0 above a point's threshold: a zero term over a unit denominator
-    return 4.0 * np.sum(k * k * w * g ** (2.0 * k - 2.0)
-                        / np.where(k < 0.0, 1.0 - g ** (2.0 * k), 1.0), axis=1)
+    terms = k * k * w * g ** (2.0 * k - 2.0) / np.where(k < 0.0, 1.0 - g ** (2.0 * k), 1.0)
+    total = np.zeros(terms.shape[0])
+    for column in terms.T:
+        total += column
+    return 4.0 * total
 
 
 def qfi_branch(probe: FockVector, params: NlaParams, branch: str) -> float:

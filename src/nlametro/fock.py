@@ -17,9 +17,15 @@ import math
 import numpy as np
 
 # Tolerances used for type-level validation, enforced on construction
-# (Hermiticity) or on request (normalization).
+# (Hermiticity) or on request (normalization, real amplitudes).
 HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-10
+REAL_AMPLITUDE_TOL = 1e-12
+# Gauss-Legendre points per panel; an adaptive grid's relative tolerance
+# and panel cap.
+QUADRATURE_ORDER = 16
+QUADRATURE_REL_TOL = 1e-9
+QUADRATURE_MAX_PANELS = 1 << 14
 
 
 class NonHermitianInput(ValueError):
@@ -57,13 +63,10 @@ class FockVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm() - 1.0) <= tol
-
-    def require_normalized(self, tol: float = NORM_TOL) -> "FockVector":
-        if not self.is_normalized(tol):
+    def require_normalized(self) -> "FockVector":
+        if abs(self.norm() - 1.0) > NORM_TOL:
             raise ValueError(
-                f"state norm {self.norm():.12g} differs from 1 beyond {tol:g}"
+                f"state norm {self.norm():.12g} differs from 1 beyond {NORM_TOL:g}"
             )
         return self
 
@@ -86,8 +89,8 @@ class FockVector:
         n = min(self.dim, other.dim)
         return complex(np.vdot(self.amps[:n], other.amps[:n]))
 
-    def is_real(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.amps.imag)) <= tol)
+    def is_real(self) -> bool:
+        return bool(np.max(np.abs(self.amps.imag)) <= REAL_AMPLITUDE_TOL)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -189,16 +192,16 @@ class QuadratureGrid:
         return prods.reshape(*prods.shape[:-1], self.panels, self.order).sum(axis=-1)
 
 
-def build_quadrature_grid(half_width: float, panels: int, order: int = 16) -> QuadratureGrid:
-    if half_width <= 0 or panels < 1 or order < 2:
+def build_quadrature_grid(half_width: float, panels: int) -> QuadratureGrid:
+    if half_width <= 0 or panels < 1:
         raise ValueError("invalid quadrature grid request")
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    base_x, base_w = np.polynomial.legendre.leggauss(QUADRATURE_ORDER)
     edges = np.linspace(-half_width, half_width, panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     centers = 0.5 * (edges[:-1] + edges[1:])
     nodes = (half * base_x[None, :] + centers[:, None]).ravel()
     weights = np.tile(half * base_w, panels)
-    return QuadratureGrid(half_width, panels, order, nodes, weights)
+    return QuadratureGrid(half_width, panels, QUADRATURE_ORDER, nodes, weights)
 
 
 def default_half_width(dim: int) -> float:
@@ -206,31 +209,26 @@ def default_half_width(dim: int) -> float:
     return 6.0 + 2.0 * math.sqrt(dim)
 
 
-def adaptive_quadrature_grid(
-    dim: int,
-    rel_tol: float = 1e-9,
-    half_width: float | None = None,
-    max_panels: int = 1 << 14,
-) -> QuadratureGrid:
+def adaptive_quadrature_grid(dim: int, half_width: float | None = None) -> QuadratureGrid:
     """Refine a composite Gauss-Legendre grid until it resolves level ``dim-1``.
 
     The most oscillatory integrand any consumer produces is the density of
     the highest level, so the panel count is doubled until that density
-    integrates to 1 within ``rel_tol`` and no longer changes between
-    refinements.
+    integrates to 1 within ``QUADRATURE_REL_TOL`` and no longer changes
+    between refinements.
     """
     if half_width is None:
         half_width = default_half_width(dim)
     panels = max(8, int(math.ceil(half_width)))
     previous = None
-    while panels <= max_panels:
+    while panels <= QUADRATURE_MAX_PANELS:
         grid = build_quadrature_grid(half_width, panels)
         top = wavefunction_matrix(dim, grid.nodes)[dim - 1]
         total = grid.integrate(top * top)
         if (
             previous is not None
-            and abs(total - previous) <= rel_tol * abs(total)
-            and abs(total - 1.0) <= rel_tol
+            and abs(total - previous) <= QUADRATURE_REL_TOL * abs(total)
+            and abs(total - 1.0) <= QUADRATURE_REL_TOL
         ):
             return grid
         previous = total

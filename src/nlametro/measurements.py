@@ -53,8 +53,6 @@ MASS_FLOOR = 1e-300
 # window is widened before trusting the result.
 TAIL_SHARE = 1e-12
 
-REAL_AMPLITUDE_TOL = 1e-12
-
 # Field rows multiplied against the wavefunction table in one product; bounds
 # the rows x nodes temporaries of a stacked evaluation.
 ROW_CHUNK = 16
@@ -94,11 +92,6 @@ class OutcomeDistribution:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def probs(self) -> np.ndarray:
-        """Alias: masses for photon counting, density values for homodyne."""
-        return self.masses
-
     def total(self) -> float:
         if self.weights is None:
             return float(self.masses.sum())
@@ -121,16 +114,6 @@ def photon_counting_dist(
     support = np.arange(probe.dim)
     dists = [OutcomeDistribution(PHOTON_COUNTING, branch, support, row) for row in masses]
     return dists[0] if isinstance(params, NlaParams) else dists
-
-
-def photon_counting_mass_derivative(probe: FockVector, params: Points, branch: str) -> np.ndarray:
-    """Exact gain derivative of the conditional photon-number masses.
-
-    One row for one operating point, a ``G x dim`` stack for a sequence.
-    """
-    amps, slopes, _ = _conditional_rows(probe, params, branch)
-    dm = 2.0 * (np.conj(amps) * slopes).real
-    return dm[0] if isinstance(params, NlaParams) else dm
 
 
 def _counting_fi(amps: np.ndarray, slopes: np.ndarray) -> np.ndarray:
@@ -278,7 +261,7 @@ def fi_homodyne(
     them, giving an array; either way the points go through one stacked
     :func:`_fisher_integral`, one row per point.
     """
-    if not allow_complex and not probe.is_real(REAL_AMPLITUDE_TOL):
+    if not allow_complex and not probe.is_real():
         raise ComplexProbeUnsupported(
             "homodyne saturation only holds for real probe amplitudes; "
             "pass allow_complex=True to compute the classical value anyway"
@@ -310,7 +293,7 @@ def sequential_fi(
     probe.require_normalized()
     if detector not in DETECTOR_KINDS:
         raise ValueError(f"unknown detector {detector!r}")
-    if detector == HOMODYNE and not probe.is_real(REAL_AMPLITUDE_TOL):
+    if detector == HOMODYNE and not probe.is_real():
         raise ComplexProbeUnsupported("joint homodyne record requires real probe amplitudes")
     g, p = _point_columns(params)
     dim, c = probe.dim, probe.amps

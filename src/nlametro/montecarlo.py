@@ -18,7 +18,7 @@ or herald-only replication is drawn directly as its counts, in O(levels)
 per replication: its success count ``n_s ~ Binomial(shots, p_s)``, then the
 per-level counts of each recorded branch that fired, ``Multinomial(n,
 masses)``.  These counts have the distribution of the ``bincount`` of the
-per-shot inverse-CDF draw of :func:`sample_shots`, which stays the per-shot
+per-shot inverse-CDF draw of :func:`nlametro.dense.sample_shots`, the test
 reference, but they are not the same integers.  No count summarises
 homodyne quadratures, so a homodyne replication keeps its outcomes reduced to
 the basis the gain reaches: the fields ``c_n <x|n>`` of the levels ``n <= p``
@@ -217,22 +217,6 @@ def _branch_masses(probe: FockVector, params: NlaParams) -> tuple[float, np.ndar
     return ps, ms, mf
 
 
-def _discrete_sampler(masses: np.ndarray):
-    """Inverse CDF of the photon-number masses, tabulated once.
-
-    A uniform goes to the first level whose cumulative mass exceeds it; the
-    uniforms above a table that sums to less than 1 go to the last level.
-    """
-    cum = np.cumsum(masses)
-    cum[-1] = max(cum[-1], 1.0)
-    last = masses.size - 1
-
-    def sample(u: np.ndarray) -> np.ndarray:
-        return np.minimum(np.searchsorted(cum, u, side="right"), last)
-
-    return sample
-
-
 HOMODYNE_CDF_POINTS = 8193
 
 
@@ -263,11 +247,11 @@ def _homodyne_sampler(probe: FockVector, params: NlaParams, branch: str):
 class _ShotSource:
     """Amplifier runs of one configuration, with its set-up done once.
 
-    The branch masses are computed at construction.  A branch's inverse-CDF
-    table is built on the first shot of that branch, because a homodyne
+    The branch masses are computed at construction.  :meth:`counts` gives
+    the counts of a counting or herald record straight from their own
+    distribution; :meth:`draw` gives homodyne runs shot by shot.  A branch's
+    inverse-CDF table is built on the first shot of that branch, because a
     branch that never fires may have no density to tabulate.
-    :meth:`draw` gives the runs shot by shot; :meth:`counts` gives the counts
-    of a counting or herald record straight from their own distribution.
     """
 
     def __init__(self, probe: FockVector, params: NlaParams, detector: str):
@@ -279,7 +263,7 @@ class _ShotSource:
         self._samplers = {}
 
     def draw(self, rng: np.random.Generator, shots: int) -> tuple[np.ndarray, dict]:
-        """``(success_mask, {branch: outcomes of that branch's shots})``.
+        """``(success_mask, {branch: quadratures of that branch's shots})``.
 
         Only the branches the detector records appear, each only when it
         fired; the generator is consumed in that order.
@@ -292,12 +276,11 @@ class _ShotSource:
         """``(n_s, {branch: per-level counts of that branch's shots})``.
 
         A photon-counting or herald draw in O(levels): ``n_s ~ Binomial(shots,
-        p_s)``, then ``Multinomial(n, masses)`` for each branch of :meth:`draw`,
-        in its order.  The counts have the distribution of the ``bincount`` of
-        the outcomes :meth:`draw` gives, not the same integers.  The last level
-        takes the mass a table leaves over, as in the inverse CDF.  ``p_s``, a
-        sum of squares, is capped at 1, since a norm within rounding of 1 can
-        round it above 1.
+        p_s)``, then ``Multinomial(n, masses)`` for each recorded branch that
+        fired, in :meth:`_fired` order.  The last level takes the mass a table
+        leaves over, as in the per-shot inverse CDF.  ``p_s``, a sum of
+        squares, is capped at 1, since a norm within rounding of 1 can round it
+        above 1.
         """
         n_s = int(rng.binomial(shots, min(self._ps, 1.0)))
         fired = self._fired(n_s, shots)
@@ -310,32 +293,11 @@ class _ShotSource:
                 yield branch, n
 
     def _sampler(self, branch: str):
+        if self._detector != HOMODYNE:
+            raise ValueError(f"{self._detector} records are drawn as counts")
         if branch not in self._samplers:
-            self._samplers[branch] = (
-                _homodyne_sampler(self._probe, self._params, branch)
-                if self._detector == HOMODYNE
-                else _discrete_sampler(self._masses[branch])
-            )
+            self._samplers[branch] = _homodyne_sampler(self._probe, self._params, branch)
         return self._samplers[branch]
-
-
-def sample_shots(
-    probe: FockVector,
-    params: NlaParams,
-    detector: str,
-    rng: np.random.Generator,
-    shots: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized draw of ``shots`` amplifier runs.
-
-    Returns ``(success_mask, outcomes)``; outcomes are NaN where the detector
-    records nothing (herald-only always, failure shots under success-only).
-    """
-    success, drawn = _ShotSource(probe, params, detector).draw(rng, shots)
-    outcomes = np.full(shots, np.nan)
-    for branch, values in drawn.items():
-        outcomes[success if branch == SUCCESS else ~success] = values
-    return success, outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -516,42 +478,6 @@ def _estimates(
     return _maximize(functools.partial(_log_likelihoods, probe, p, detector, stats), grid)
 
 
-def mle_estimate(
-    records: tuple[np.ndarray, np.ndarray],
-    probe: FockVector,
-    pthreshold: int,
-    detector: str,
-    grid: GainGrid,
-) -> float:
-    """Maximum-likelihood gain: coarse grid argmax, then golden-section.
-
-    ``records`` is the ``(success_mask, outcomes)`` array pair from
-    :func:`sample_shots`.
-
-    Raises :class:`DegenerateLikelihood` when the surface is flat over the
-    grid (the record carries no gain information, e.g. a single-level probe
-    whose conditional masses are gain independent).
-    """
-    if detector not in DETECTORS:
-        raise ValueError(f"unknown detector {detector!r}")
-    success, outcomes = records
-    if success.size == 0:
-        raise ValueError("records must be non-empty")
-    drawn = {}
-    for branch, mask in ((SUCCESS, success), (FAILURE, ~success)):
-        if mask.any() and branch in _RECORDED[detector]:
-            values = outcomes[mask]
-            drawn[branch] = values if detector == HOMODYNE else values.astype(int)
-    if detector == HOMODYNE:
-        stats = _Quadratures.of(probe, pthreshold, drawn)
-    else:
-        stats = _Counts.zeros(1, probe.dim)
-        levels = {branch: np.bincount(v, minlength=probe.dim) for branch, v in drawn.items()}
-        stats.record(0, int(success.sum()), success.size, levels)
-    estimates, _ = _estimates(probe, pthreshold, detector, stats, grid)
-    return float(estimates[0])
-
-
 # ---------------------------------------------------------------------------
 # Bounds and the experiment driver
 # ---------------------------------------------------------------------------
@@ -567,11 +493,6 @@ def fisher_per_shot(probe: FockVector, params: NlaParams, detector: str) -> floa
             probe, params, SUCCESS
         )
     raise ValueError(f"unknown detector {detector!r}")
-
-
-def crb_for_strategy(probe: FockVector, params: NlaParams, detector: str, shots: int) -> float:
-    """Cramer-Rao bound ``1 / (shots * F)`` for the strategy."""
-    return _cramer_rao(fisher_per_shot(probe, params, detector), detector, shots)
 
 
 def _cramer_rao(info: float, detector: str, shots: int) -> float:

@@ -434,11 +434,10 @@ class KrausImageFD:
         self._hi = _image_gram(hi, hi, weights, tail)
         self._per_deficit = 8.0 / _DD.exact_product(dg, dg)
 
-    def _information(self, deficit: _DD) -> _DD:
-        """``8 deficit / dg^2``; deficits under :data:`IMAGE_ZERO_DEFICIT` are zeros."""
-        return _DD.where(deficit.hi >= IMAGE_ZERO_DEFICIT, deficit * self._per_deficit, 0.0)
-
-    def _rounded(self, value: _DD):
+    def _information(self, deficit: _DD):
+        """``8 deficit / dg^2`` rounded to double; deficits under
+        :data:`IMAGE_ZERO_DEFICIT` are zeros."""
+        value = _DD.where(deficit.hi >= IMAGE_ZERO_DEFICIT, deficit * self._per_deficit, 0.0)
         return float(value.hi[0]) if self._single else value.hi
 
     def _meter_metric(self, view) -> tuple[_DD, _DD]:
@@ -489,19 +488,13 @@ class KrausImageFD:
         if low.any():
             raise _first_impossible(low, f"{view} family")
         deficit = 1.0 - (overlap / (n_lo * n_hi)).sqrt()
-        return self._rounded(self._information(deficit))
+        return self._information(deficit)
 
     def bures(self, branches: tuple[str, ...] = BRANCHES):
         """Bures fidelity FD ``8 (1 - sqrt F) / dg^2`` of ``A A^+``.
 
         ``A`` holds the images of ``branches`` and zeroes for the others, so
-        the default is the unconditional output.
-        """
-        return self._rounded(self._bures(branches))
-
-    def _bures(self, branches: tuple[str, ...]) -> _DD:
-        """Unrounded :meth:`bures`, by Uhlmann's theorem.
-
+        the default is the unconditional output.  By Uhlmann's theorem
         ``sqrt F(AA^+, BB^+) = ||A^+ B||_*`` for the ``dim x 2`` image
         matrices; the 2x2 nuclear norm is ``sqrt(||M||_F^2 + 2 |det M|)``.
         """
@@ -535,25 +528,19 @@ def qfi_fd_kraus_pure(
 def qfi_fd_kraus_bures(
     probe: Probes,
     params: Points,
-    dg: float = STEP_MAX,
+    dg: float = DEFAULT_QFI_STEP,
     branches: tuple[str, ...] = BRANCHES,
-    richardson: bool = False,
 ):
     """Bures fidelity FD ``8 (1 - sqrt F) / dg^2`` of ``A A^+`` on the Kraus images.
 
-    :meth:`KrausImageFD.bures` of ``branches``: the default is the
-    unconditional output and ``(SUCCESS,)`` the rank-1 pair ``(E_s c, 0)``.
-    The root fidelity is the nuclear norm of the 2x2 matrix
+    :meth:`KrausImageFD.bures` of ``branches`` on a build of its own: the
+    default is the unconditional output and ``(SUCCESS,)`` the rank-1 pair
+    ``(E_s c, 0)``.  The root fidelity is the nuclear norm of the 2x2 matrix
     ``A(g-)^+ A(g+)`` (Uhlmann), so no double-precision eigensolver and no
-    noise floor enter.  ``richardson=True`` combines the steps ``(dg, dg/2)``
-    as ``(4 F(dg/2) - F(dg)) / 3``, also in double-double, and the result is
-    rounded once.
+    noise floor enter.  Its truncation error is O(dg^2) relative; the
+    double-double deficit keeps its rounding at ~1e-16 down to ``STEP_MIN``.
     """
-    coarse = KrausImageFD(probe, params, dg)
-    if not richardson:
-        return coarse.bures(branches)
-    fine = KrausImageFD(probe, params, 0.5 * dg)._bures(branches)
-    return coarse._rounded((4.0 * fine - coarse._bures(branches)) / 3.0)
+    return KrausImageFD(probe, params, dg).bures(branches)
 
 
 def _mass_slopes(probe: FockVector, params: NlaParams, dg: float) -> _DD:
@@ -807,10 +794,10 @@ def generate_golden_reports() -> list[OracleReport]:
     add(OracleReport.build(
         "coherent nbar=1 g=2 p=3: q_unc vs Bures fidelity FD",
         q_unc_coh,
-        qfi_fd_kraus_bures(coh1, g2p3, STEP_MAX, richardson=True),
-        STEP_MAX, 1e-5,
-        note="this oracle fixes the pinned q_unc value; Richardson pair "
-        "(1e-3, 5e-4)",
+        qfi_fd_kraus_bures(coh1, g2p3, STEP_MIN),
+        STEP_MIN, 1e-5,
+        note="this oracle fixes the pinned q_unc value; one double-double "
+        "step at 1e-6",
     ))
     add(OracleReport.build(
         "two-level g=2 p=1: pure vs mixed fidelity FD on the success family",

@@ -3,8 +3,8 @@
 Coherent states and squeezed vacuum truncated to a finite number basis, plus
 a JSON loader for arbitrary custom probes.  Truncation keeps levels until the
 discarded tail mass, summed forward from its own terms, drops below
-``tail_tol`` and then renormalizes, so every constructor returns an exactly
-normalized :class:`~nlametro.fock.FockVector`.
+``DEFAULT_TAIL_TOL`` and then renormalizes, so every constructor returns an
+exactly normalized :class:`~nlametro.fock.FockVector`.
 """
 
 from __future__ import annotations
@@ -39,44 +39,44 @@ class UnsupportedKind(ValueError):
     """Probe kind is not one of the supported family names."""
 
 
-def _tail_within(weight: float, n: int, step, tail_tol: float) -> bool:
-    """Whether ``sum_{k >= n} w_k <= tail_tol``, given ``weight = w_{n-1}``.
+def _tail_within(weight: float, n: int, step) -> bool:
+    """Whether ``sum_{k >= n} w_k <= DEFAULT_TAIL_TOL``, given ``weight = w_{n-1}``.
 
     The tail terms come from the recurrence ``w_k = step(w_{k-1}, k)`` and
     are summed forward until they no longer change the sum; the sum stops
-    early once it exceeds ``tail_tol``.
+    early once it exceeds the tolerance.
     """
     total, term = 0.0, step(weight, n)
     while total + term != total:
         total += term
-        if total > tail_tol:
+        if total > DEFAULT_TAIL_TOL:
             return False
         n += 1
         term = step(term, n)
     return True
 
 
-def _head_weights(first: float, step, tail_tol: float, max_terms: int, what: str) -> np.ndarray:
+def _head_weights(first: float, step, max_terms: int, what: str) -> np.ndarray:
     """Weights ``w_0 .. w_n`` of ``w_k = step(w_{k-1}, k)``, for the first ``n``
-    whose tail ``sum_{k > n} w_k`` is at most ``tail_tol``.
+    whose tail ``sum_{k > n} w_k`` is at most ``DEFAULT_TAIL_TOL``.
 
     The tail is a forward sum of its own positive terms (:func:`_tail_within`).
     One minus a head sum would carry the head's rounding drift, about ``n``
-    ulp, which above a few hundred levels exceeds ``tail_tol`` and keeps the
+    ulp, which above a few hundred levels exceeds the tolerance and keeps the
     test from ever passing.  More than ``max_terms`` weights, or a first
     weight that underflows, raise :class:`TruncationOverflow`.
     """
     if not first > 0.0:
         raise TruncationOverflow(f"{what} needs more than {HARD_DIM_CAP} levels")
     weights = [first]
-    while not _tail_within(weights[-1], len(weights), step, tail_tol):
+    while not _tail_within(weights[-1], len(weights), step):
         if len(weights) >= max_terms:
             raise TruncationOverflow(f"{what} needs more than {HARD_DIM_CAP} levels")
         weights.append(step(weights[-1], len(weights)))
     return np.array(weights)
 
 
-def coherent_state(alpha: float, tail_tol: float = DEFAULT_TAIL_TOL) -> FockVector:
+def coherent_state(alpha: float) -> FockVector:
     """Coherent state with real amplitude ``alpha >= 0``.
 
     Amplitudes ``c_n = exp(-alpha^2/2) alpha^n / sqrt(n!)`` accumulated by
@@ -90,7 +90,6 @@ def coherent_state(alpha: float, tail_tol: float = DEFAULT_TAIL_TOL) -> FockVect
     weights = _head_weights(
         math.exp(-alpha * alpha),
         lambda w, n: w * alpha * alpha / n,
-        tail_tol,
         HARD_DIM_CAP,
         f"coherent probe alpha={alpha:g}",
     )
@@ -98,7 +97,7 @@ def coherent_state(alpha: float, tail_tol: float = DEFAULT_TAIL_TOL) -> FockVect
     return FockVector(amps / np.linalg.norm(amps))
 
 
-def squeezed_vacuum(r: float, tail_tol: float = DEFAULT_TAIL_TOL) -> FockVector:
+def squeezed_vacuum(r: float) -> FockVector:
     """Squeezed vacuum with squeezing parameter ``r >= 0``.
 
     Only even levels are occupied:
@@ -118,7 +117,6 @@ def squeezed_vacuum(r: float, tail_tol: float = DEFAULT_TAIL_TOL) -> FockVector:
     weights = _head_weights(
         first,
         lambda w, n: w * t2 * (2 * n - 1) / (2.0 * n),
-        tail_tol,
         (HARD_DIM_CAP + 1) // 2,
         f"squeezed probe r={r:g}",
     )
@@ -191,7 +189,6 @@ class ProbeSpec:
     kind: str
     amplitude: float | None = None
     amps: tuple[complex, ...] | None = None
-    tail_tol: float = DEFAULT_TAIL_TOL
 
     def __post_init__(self):
         if self.kind not in KNOWN_KINDS:
@@ -201,18 +198,16 @@ class ProbeSpec:
                 raise ValueError("custom probes require explicit amplitudes")
         elif self.amplitude is None:
             raise ValueError(f"{self.kind} probes require an amplitude")
-        if not (0.0 < self.tail_tol < 1e-2):
-            raise ValueError("tail_tol must lie in (0, 1e-2)")
 
     @classmethod
-    def from_nbar(cls, kind: str, nbar: float, tail_tol: float = DEFAULT_TAIL_TOL) -> "ProbeSpec":
-        return cls(kind=kind, amplitude=solve_amplitude_for_nbar(kind, nbar), tail_tol=tail_tol)
+    def from_nbar(cls, kind: str, nbar: float) -> "ProbeSpec":
+        return cls(kind=kind, amplitude=solve_amplitude_for_nbar(kind, nbar))
 
     def build(self) -> FockVector:
         if self.kind == KIND_COHERENT:
-            return coherent_state(self.amplitude, self.tail_tol)
+            return coherent_state(self.amplitude)
         if self.kind == KIND_SQUEEZED:
-            return squeezed_vacuum(self.amplitude, self.tail_tol)
+            return squeezed_vacuum(self.amplitude)
         state, _ = custom_probe(np.array(self.amps, dtype=np.complex128))
         return state
 

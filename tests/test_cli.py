@@ -156,6 +156,20 @@ def test_sweep_nbar_distinct_threshold_columns(capsys):
     assert not np.allclose(arr[:, 2], arr[:, 3])
 
 
+def test_sweep_nbar_cells_equal_their_single_threshold_values(capsys):
+    # with thresholds 1..8 in one call, each cell is its own point's value
+    thresholds = range(1, 9)
+    rc = cli.main([
+        "sweep-nbar", "--probe", "coherent", "--gain", "1.05", "--nbar-grid", "0.1:8:40",
+        "--p", *map(str, thresholds), "--format", "json",
+    ])
+    assert rc == 0
+    for nbar, *cells in json.loads(capsys.readouterr().out)["rows"]:
+        probe = ProbeSpec.from_nbar("coherent", nbar).build()
+        singles = [qfi_effective_closed_form(probe, NlaParams(g=1.05, p=p)) for p in thresholds]
+        assert cells == singles, nbar
+
+
 def test_simulate_writes_reproducible_json(tmp_path):
     probe = _write_probe(tmp_path, "vacuum.json", [1.0])
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

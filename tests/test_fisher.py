@@ -466,6 +466,17 @@ def test_batched_budget_takes_mixed_thresholds_and_rejects_no_points():
             qfi_effective(probe, [])
 
 
+def test_mixed_threshold_closed_form_equals_single_points_bit_for_bit():
+    # the levels are added one column at a time, so the zero-padded levels
+    # of the stack's larger thresholds never regroup a point's own sum
+    points = [NlaParams(g=g, p=p) for p in range(13) for g in (1.05, 1.5, 2.0, 6.0)]
+    for kind in ("coherent", "squeezed-vacuum"):
+        for nbar in (0.1, 1.0, 4.0):
+            probe = ProbeSpec.from_nbar(kind, nbar).build()
+            singles = [qfi_effective_closed_form(probe, params) for params in points]
+            assert qfi_effective_closed_form(probe, points).tolist() == singles, (kind, nbar)
+
+
 def test_impossible_success_branch_in_a_batch_names_the_point(vacuum):
     # g^-2 underflows at g=1e160, so the vacuum never succeeds there
     points = [NlaParams(g=2.0, p=2), NlaParams(g=1e160, p=2), NlaParams(g=3.0, p=2)]

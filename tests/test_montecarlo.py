@@ -10,17 +10,16 @@ from nlametro.instrument import BRANCHES, FAILURE, SUCCESS, NlaParams, kraus_dia
 from nlametro.fisher import qfi_effective_closed_form
 from nlametro.measurements import MASS_FLOOR
 from nlametro import montecarlo
+from nlametro.dense import _PerShotSource, mle_estimate, sample_shots
 from nlametro.montecarlo import (
     DegenerateLikelihood,
     ExperimentConfig,
     GainGrid,
-    crb_for_strategy,
     fisher_per_shot,
-    mle_estimate,
     run_crb_experiment,
-    sample_shots,
     write_records_jsonl,
     _branch_masses,
+    _cramer_rao,
     _log_likelihoods,
     _Quadratures,
     _ShotSource,
@@ -115,7 +114,8 @@ def test_mle_consistency_photon_counting(coherent_nbar1):
     rng = np.random.default_rng(303)
     records = sample_shots(coherent_nbar1, params, "photon-counting", rng, shots)
     est = mle_estimate(records, coherent_nbar1, 3, "photon-counting", SEARCH)
-    se = math.sqrt(crb_for_strategy(coherent_nbar1, params, "photon-counting", shots))
+    info = fisher_per_shot(coherent_nbar1, params, "photon-counting")
+    se = math.sqrt(_cramer_rao(info, "photon-counting", shots))
     assert abs(est - 2.0) < 3 * se
 
 
@@ -125,7 +125,7 @@ def test_degenerate_likelihood_for_uninformative_probe(g2p1):
     with pytest.raises(DegenerateLikelihood):
         mle_estimate(records, ONE_PHOTON, 1, "photon-counting", SEARCH)
     with pytest.raises(DegenerateLikelihood):
-        crb_for_strategy(ONE_PHOTON, g2p1, "photon-counting", 100)
+        _cramer_rao(fisher_per_shot(ONE_PHOTON, g2p1, "photon-counting"), "photon-counting", 100)
 
 
 def test_fisher_per_shot_strategy_map(two_level, g2p1):
@@ -288,7 +288,7 @@ def test_shot_source_counts_draw_a_binomial_then_a_multinomial_per_recorded_bran
 def test_count_draw_matches_the_per_shot_draw_in_distribution(case):
     probe, params = _CASES_BY_ID[case]
     ps, ms, mf = _branch_masses(probe, params)
-    source = _ShotSource(probe, params, "photon-counting")
+    source = _PerShotSource(probe, params, "photon-counting")
     shots, replications = 1_000, 2_000
     # mean counts per replication: one row per branch, one column per level
     expected = shots * np.array([ps * ms, (1.0 - ps) * mf])
@@ -311,6 +311,14 @@ def test_count_draw_matches_the_per_shot_draw_in_distribution(case):
         mean = total / replications
         npt.assert_array_equal(total[expected == 0.0], 0, err_msg=name)
         assert (np.abs(mean - expected) <= 5.0 * sigma).all(), (name, mean - expected, sigma)
+
+
+def test_shot_source_draws_only_homodyne_runs_shot_by_shot(g2p1):
+    for detector in ("photon-counting", "success-only"):
+        with pytest.raises(ValueError, match="drawn as counts"):
+            _ShotSource(ONE_PHOTON, g2p1, detector).draw(np.random.default_rng(3), 10)
+    success, drawn = _ShotSource(ONE_PHOTON, g2p1, "homodyne").draw(np.random.default_rng(3), 10)
+    assert success.all() and drawn[SUCCESS].shape == (10,)
 
 
 def test_count_draw_of_a_one_photon_probe_never_fails(g2p1):
@@ -338,7 +346,7 @@ def test_count_draw_puts_the_remainder_of_a_short_table_in_the_last_level(monkey
     monkeypatch.setattr(
         montecarlo, "_branch_masses", lambda probe, params: (1.0, masses, np.zeros(3))
     )
-    source = _ShotSource(FockVector([1.0, 0.0, 0.0]), NlaParams(g=2.0, p=1), "success-only")
+    source = _PerShotSource(FockVector([1.0, 0.0, 0.0]), NlaParams(g=2.0, p=1), "success-only")
     shots = 40_000
     expected = shots * np.array([0.125, 0.25, 0.625])
     sigma = np.sqrt(expected * (1.0 - expected / shots))

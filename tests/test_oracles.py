@@ -68,22 +68,29 @@ def test_golden_regeneration_runs_one_copy_of_the_oracles(tmp_path, run_python):
     assert len(json.loads(out.read_text())["reports"]) == 34
 
 
-# Names the package namespace must not expose: the dense-state test
-# references, which live in nlametro.dense, and the per-shot sampler, whose
-# every call rebuilt the whole shot source.
+# Names the package namespace must not expose: the dense-state and per-shot
+# Monte-Carlo test references, which live in nlametro.dense, and the per-shot
+# sampler, whose every call rebuilt the whole shot source.
 DROPPED_NAMES = (
     "DensityOperator",
     "JointState",
     "StepTooSmall",
     "fidelity",
     "joint_state",
+    "mle_estimate",
     "qfi_fd_mixed",
     "qfi_fd_pure",
     "qfi_mixed",
     "qfi_pure",
     "sample_shot",
+    "sample_shots",
     "unconditional_state",
 )
+# Test-only names that left the package modules.
+DROPPED_MODULE_NAMES = {
+    "montecarlo": ("crb_for_strategy", "_discrete_sampler", "mle_estimate", "sample_shots"),
+    "measurements": ("photon_counting_mass_derivative",),
+}
 
 
 def test_package_never_imports_the_dense_references(run_python):
@@ -99,6 +106,9 @@ def test_package_never_imports_the_dense_references(run_python):
     for name in DROPPED_NAMES:
         assert not hasattr(nlametro, name), name
         assert name not in nlametro.__all__, name
+    for module, names in DROPPED_MODULE_NAMES.items():
+        for name in names:
+            assert not hasattr(getattr(nlametro, module), name), f"{module}.{name}"
 
 
 def test_selfcheck_text_does_not_depend_on_the_blas_thread_count(run_python):
@@ -140,7 +150,7 @@ def _fixture_oracles(probe, params):
         f"pure {view}": qfi_fd_kraus_pure(probe, params, view)
         for view in (SUCCESS, FAILURE, MeterState.trivial(), QUARTER_METER)
     }
-    values["bures richardson"] = qfi_fd_kraus_bures(probe, params, 1e-3, richardson=True)
+    values["bures"] = qfi_fd_kraus_bures(probe, params, 1e-6)
     values["bures rank-1"] = qfi_fd_kraus_bures(probe, params, 1e-4, branches=(SUCCESS,))
     for detector in ("photon-counting", "homodyne"):
         values[f"joint {detector}"] = joint_fi_direct(probe, params, detector)
@@ -188,14 +198,14 @@ def test_kraus_fd_agrees_with_double_precision_families(coherent_nbar1):
     for view in (SUCCESS, FAILURE, MeterState.trivial(), QUARTER_METER):
         images = qfi_fd_kraus_pure(coherent_nbar1, params, view)
         assert images == pytest.approx(qfi_fd_pure(pure_family(view), 2.0, 1e-4), rel=1e-8)
-    rich = qfi_fd_kraus_bures(coherent_nbar1, params, 1e-3, richardson=True)
-    assert rich == pytest.approx(qfi_unconditional(coherent_nbar1, params), rel=1e-12)
+    bures = qfi_fd_kraus_bures(coherent_nbar1, params, 1e-6)
+    assert bures == pytest.approx(qfi_unconditional(coherent_nbar1, params), rel=1e-12)
 
 
 def test_kraus_fd_zero_and_validation(vacuum, g2p1, two_level):
     # vacuum: the success state and the unconditional output never move
     assert qfi_fd_kraus_pure(vacuum, g2p1, SUCCESS) == 0.0
-    assert qfi_fd_kraus_bures(vacuum, g2p1, richardson=True) == 0.0
+    assert qfi_fd_kraus_bures(vacuum, g2p1, 1e-6) == 0.0
     # the rank-1 Uhlmann root fidelity is the pure-state overlap
     rank_one = qfi_fd_kraus_bures(two_level, g2p1, 1e-4, branches=(SUCCESS,))
     assert rank_one == pytest.approx(qfi_fd_kraus_pure(two_level, g2p1, SUCCESS), rel=1e-15)
@@ -205,8 +215,6 @@ def test_kraus_fd_zero_and_validation(vacuum, g2p1, two_level):
         qfi_fd_kraus_pure(vacuum, g2p1, "neither")
     with pytest.raises(ValueError):
         qfi_fd_kraus_bures(vacuum, g2p1, branches=())
-    with pytest.raises(ValueError):
-        qfi_fd_kraus_bures(vacuum, g2p1, 1.5e-6, richardson=True)
     # g - dg/2 would reach unit gain, where the failure entries vanish
     with pytest.raises(ValueError, match="unit gain"):
         KrausImageFD(vacuum, NlaParams(g=1.0004, p=1), 1e-3)
@@ -572,8 +580,8 @@ def test_double_double_square_root_of_zero_is_silent():
 def test_gain_independent_families_read_exactly_zero(kind, vacuum):
     # one occupied failure level (n < p) at p=1, and at p=2 for squeezed
     # vacuum, whose odd levels are empty; the vacuum's success state and
-    # unconditional output never move.  The failure entry at n = p, the
-    # Bures trace and Richardson's pair all pass exact zeros through sqrt.
+    # unconditional output never move.  The failure entry at n = p and the
+    # Bures trace, at the default step and at 1e-6, pass exact zeros through sqrt.
     probe = ProbeSpec.from_nbar(kind, 1.0).build()
     constant = [1, 2] if kind == "squeezed-vacuum" else [1]
     points = [NlaParams(g=g, p=p) for g in STANDARD_GAINS for p in constant]
@@ -584,7 +592,7 @@ def test_gain_independent_families_read_exactly_zero(kind, vacuum):
         fd = KrausImageFD(vacuum, vacuum_points)
         assert not fd.pure(SUCCESS).any()
         assert not fd.bures().any()
-        assert not qfi_fd_kraus_bures(vacuum, vacuum_points, richardson=True).any()
+        assert not qfi_fd_kraus_bures(vacuum, vacuum_points, 1e-6).any()
 
 
 def _grid_meters(count):
@@ -684,14 +692,9 @@ def test_image_fd_matches_a_50_digit_reference(kind, p):
 
 def test_golden_bures_rows_match_a_50_digit_reference(coherent_nbar1, two_level, g2p1):
     params = NlaParams(g=2.0, p=3)
-    with mpmath.workdps(50):
-        coarse, fine = (
-            _image_fd_reference(coherent_nbar1, params, dg, branches=BRANCHES)
-            for dg in (1e-3, 5e-4)
-        )
-        richardson = float((4 * fine - coarse) / 3)
-    assert qfi_fd_kraus_bures(coherent_nbar1, params, 1e-3, richardson=True) == pytest.approx(
-        richardson, rel=1e-14, abs=0.0
+    unconditional = float(_image_fd_reference(coherent_nbar1, params, 1e-6, branches=BRANCHES))
+    assert qfi_fd_kraus_bures(coherent_nbar1, params, 1e-6) == pytest.approx(
+        unconditional, rel=1e-14, abs=0.0
     )
     rank_one = float(_image_fd_reference(two_level, g2p1, 1e-4, branches=(SUCCESS,)))
     assert qfi_fd_kraus_bures(two_level, g2p1, 1e-4, branches=(SUCCESS,)) == pytest.approx(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nlametro.probes import (
+    DEFAULT_TAIL_TOL,
     HARD_DIM_CAP,
     ProbeSpec,
     TruncationOverflow,
@@ -59,9 +60,8 @@ def test_zero_energy_probes_are_vacuum():
 
 
 def test_truncation_tail_below_tolerance():
-    for tol in (1e-10, 1e-14):
-        state = coherent_state(2.0, tail_tol=tol)
-        assert abs(1.0 - state.norm() ** 2) < tol
+    state = coherent_state(2.0)
+    assert abs(1.0 - state.norm() ** 2) < DEFAULT_TAIL_TOL
 
 
 def test_custom_probe_normalizes_and_reports_correction():
