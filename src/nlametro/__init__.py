@@ -47,12 +47,7 @@ from .montecarlo import (
     GainGrid,
     run_crb_experiment,
 )
-from .oracles import (
-    OracleReport,
-    joint_fi_direct,
-    qfi_fd_kraus_bures,
-    qfi_fd_kraus_pure,
-)
+from .oracles import KrausImageFD, OracleReport, joint_fi_direct
 from .probes import ProbeSpec, coherent_state, custom_probe, squeezed_vacuum
 
 __version__ = "0.1.0"
@@ -70,6 +65,7 @@ __all__ = [
     "GainGrid",
     "HERALD_ONLY",
     "HOMODYNE",
+    "KrausImageFD",
     "MeterState",
     "NlaParams",
     "OracleReport",
@@ -90,8 +86,6 @@ __all__ = [
     "qfi_branch",
     "qfi_effective",
     "qfi_effective_closed_form",
-    "qfi_fd_kraus_bures",
-    "qfi_fd_kraus_pure",
     "qfi_joint_meter",
     "qfi_unconditional",
     "run_crb_experiment",

@@ -94,9 +94,6 @@ class FisherBreakdown:
     def component_sum(self) -> float | np.ndarray:
         return self.ps_qs + self.pf_qf + self.f_c
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
     def points(self) -> list["FisherBreakdown"]:
         """One breakdown of floats per point of a breakdown of arrays."""
         columns = [np.atleast_1d(getattr(self, f.name)) for f in dataclasses.fields(self)]

@@ -84,11 +84,6 @@ class FockVector:
         w = self.weights()
         return float(np.sum(np.arange(self.dim) * w) / np.sum(w))
 
-    def overlap(self, other: "FockVector") -> complex:
-        """<self|other>, padding the shorter vector with zeros."""
-        n = min(self.dim, other.dim)
-        return complex(np.vdot(self.amps[:n], other.amps[:n]))
-
     def is_real(self) -> bool:
         return bool(np.max(np.abs(self.amps.imag)) <= REAL_AMPLITUDE_TOL)
 

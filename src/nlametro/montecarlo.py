@@ -92,6 +92,8 @@ class GainGrid:
             )
         if not (self.hi > self.lo):
             raise ValueError("grid upper edge must exceed the lower edge")
+        if not math.isfinite(self.hi):
+            raise ValueError(f"search grid endpoints must be finite, got hi={float(self.hi)!r}")
         if self.points < 3:
             raise ValueError("grid needs at least 3 points")
 

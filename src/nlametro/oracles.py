@@ -29,20 +29,25 @@ O(p) units, so the fixture regenerates to 1e-12 on any IEEE-754 platform.
 The same bound fixes :data:`IMAGE_ZERO_DEFICIT`, under which a deficit is
 the rounding of a gain-independent family and reads exactly 0: it is
 1e-28, eleven orders below the smallest real deficit on the selfcheck grid
-(about 4e-17).  Pure-state rows use the exact deficit ``1 - |<u|v>|`` of
-the normalized images (:func:`qfi_fd_kraus_pure`); the mixed row uses
-Uhlmann's theorem ``sqrt F(AA^+, BB^+) = ||A^+ B||_*`` on the ``dim x 2``
-image matrices (:func:`qfi_fd_kraus_bures`); central differences carry the
-image difference through cancellation-free identities.
+(about 4e-17).
+
+:class:`KrausImageFD` is the one place where the Kraus pair ``E(g -/+
+dg/2)`` is built; every oracle is one of its views.  Pure-state rows use
+the exact deficit ``1 - |<u|v>|`` of the normalized images
+(:meth:`~KrausImageFD.pure`); the mixed row uses Uhlmann's theorem
+``sqrt F(AA^+, BB^+) = ||A^+ B||_*`` on the ``dim x 2`` image matrices
+(:meth:`~KrausImageFD.bures`); the mass and probability slopes, the meter
+coupling term and :func:`joint_fi_direct` carry the image difference
+through cancellation-free identities.
 
 The selfcheck grid scores all five of its oracle rows on the same images:
 one :class:`KrausImageFD` builds the image Gram matrices of all 280
 operating points at ``g -/+ dg/2`` once (``dg = 1e-4``) and contracts them
 per family -- the success and failure states, the joint state for the
 trivial and a generic meter, and the Bures deficit of the unconditional
-output.  No step is refused, so every point is scored; the oracle never
-calls the closed forms of :mod:`~nlametro.fisher`, nor the row and slope
-kernels of :mod:`~nlametro.instrument`.  The double-precision finite
+output.  No step is refused, so every point is scored; no view calls the
+closed forms of :mod:`~nlametro.fisher`, nor the row and slope kernels of
+:mod:`~nlametro.instrument`.  The double-precision finite
 differences of whole state vectors that the tests compare these oracles
 against live in :mod:`nlametro.dense`, which no package module imports.
 """
@@ -50,6 +55,7 @@ against live in :mod:`nlametro.dense`, which no package module imports.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from collections.abc import Sequence
 
@@ -322,12 +328,6 @@ class _DD:
 IMAGE_ZERO_DEFICIT = 4 * (HARD_DIM_CAP + 8) * DD_UNIT
 
 
-def _point_arrays(params: Points) -> tuple[np.ndarray, np.ndarray]:
-    """Gains and thresholds, shape ``(B,)``, of one operating point or a sequence."""
-    g, p = _point_columns(params)
-    return g[:, 0], p[:, 0]
-
-
 def _probe_weights(probe: Probes, p: np.ndarray) -> tuple[_DD, _DD]:
     """Per point, ``|c_n|^2`` on its levels ``n <= p`` and the probe mass above them.
 
@@ -406,39 +406,51 @@ def _first_impossible(low: np.ndarray, what: str) -> BranchImpossible:
 
 
 class KrausImageFD:
-    """Fidelity finite differences of every Kraus-image family at a stack of points.
+    """Finite differences of the Kraus images at a stack of operating points.
 
-    Each family is a contraction of the same three Gram matrices of the
-    images ``a_s = E_s c`` and ``a_f = E_f c`` at the exact gains
-    ``g -/+ dg/2``: ``<a_i(g-)|a_j(g+)>``, ``<a_i(g-)|a_j(g-)>`` and
-    ``<a_i(g+)|a_j(g+)>``.  They are real, since the Kraus entries and the
-    weights are, and are built once in double-double from the input doubles
-    for every operating point of ``params``: one point, or a sequence whose
+    The images ``a_s = E_s c`` and ``a_f = E_f c`` are built once, in
+    double-double from the input doubles, at the exact gains ``g -/+ dg/2``
+    of every operating point of ``params``: one point, or a sequence whose
     thresholds may differ, with one probe for all or one probe per point.
-    :meth:`pure` contracts them with a view's meter metric and :meth:`bures`
-    with a branch mask.  A single point gives floats, a sequence one array
-    per view.  Every operation acts on each point alone, so a point's values
-    depend neither on the rest of the batch nor on which other families
-    were asked for.
+    Every oracle is a view of that one Kraus pair.  :meth:`pure` and
+    :meth:`bures` are fidelity differences: they contract three Gram
+    matrices, ``<a_i(g-)|a_j(g+)>``, ``<a_i(g-)|a_j(g-)>`` and
+    ``<a_i(g+)|a_j(g+)>``, which are real, since the Kraus entries and the
+    weights are, and are built on the first such call.  :meth:`mass_slopes`,
+    :meth:`probability_slope` and :meth:`coupling` are central differences
+    of the Kraus entries themselves.  A single point gives floats, a
+    sequence one array per view.  Every operation acts on each point alone,
+    so a point's values depend neither on the rest of the batch nor on which
+    other views were asked for.
     """
 
     def __init__(self, probe: Probes, params: Points, dg: float = DEFAULT_QFI_STEP):
         _validate_step(dg)
         self.dg = dg
         self._single = isinstance(params, NlaParams)
-        g, p = _point_arrays(params)
-        weights, tail = _probe_weights(probe, p)
-        lo, hi = _kraus_pair(g, p, dg, weights.hi.shape[-1])
-        self._cross = _image_gram(lo, hi, weights, tail)
-        self._lo = _image_gram(lo, lo, weights, tail)
-        self._hi = _image_gram(hi, hi, weights, tail)
+        self.g, self.p = (column[:, 0] for column in _point_columns(params))
+        self._weights, self._tail = _probe_weights(probe, self.p)
+        self._pair = _kraus_pair(self.g, self.p, dg, self._weights.hi.shape[-1])
         self._per_deficit = 8.0 / _DD.exact_product(dg, dg)
+
+    @functools.cached_property
+    def _grams(self) -> tuple[_DD, _DD, _DD]:
+        """The cross, ``g-`` and ``g+`` Gram matrices, shape ``(B, 2, 2)`` each."""
+        lo, hi = self._pair
+        return tuple(
+            _image_gram(x, y, self._weights, self._tail) for x, y in ((lo, hi), (lo, lo), (hi, hi))
+        )
+
+    def _rounded(self, value: _DD):
+        """One double per point: a float for a single point, else an array."""
+        return float(value.hi[0]) if self._single else value.hi
 
     def _information(self, deficit: _DD):
         """``8 deficit / dg^2`` rounded to double; deficits under
         :data:`IMAGE_ZERO_DEFICIT` are zeros."""
-        value = _DD.where(deficit.hi >= IMAGE_ZERO_DEFICIT, deficit * self._per_deficit, 0.0)
-        return float(value.hi[0]) if self._single else value.hi
+        return self._rounded(
+            _DD.where(deficit.hi >= IMAGE_ZERO_DEFICIT, deficit * self._per_deficit, 0.0)
+        )
 
     def _meter_metric(self, view) -> tuple[_DD, _DD]:
         """``(m, y)`` of the meter metric ``[[m, i y], [-i y, m]]`` of the joint state.
@@ -453,8 +465,8 @@ class KrausImageFD:
         meters = [view] if isinstance(view, MeterState) else list(view)
         if not all(isinstance(m, MeterState) for m in meters):
             raise ValueError(f"view must be a branch or a MeterState, got {view!r}")
-        if len(meters) not in (1, self._lo.hi.shape[0]):
-            raise ValueError(f"{len(meters)} meters for {self._lo.hi.shape[0]} points")
+        if len(meters) not in (1, self.g.size):
+            raise ValueError(f"{len(meters)} meters for {self.g.size} points")
         a = np.array([m.alpha for m in meters])
         b = np.array([m.beta for m in meters])
         square = _DD.exact_product
@@ -472,17 +484,16 @@ class KrausImageFD:
         the normalized states is taken exactly, without a small-angle
         expansion, so no step is ever refused.
         """
-        grams = (self._cross, self._lo, self._hi)
         if isinstance(view, str):
             if view not in BRANCHES:
                 raise ValueError(f"view must be a branch or a MeterState, got {view!r}")
             i = BRANCHES.index(view)
-            cross, n_lo, n_hi = (gram[:, i, i] for gram in grams)
+            cross, n_lo, n_hi = (gram[:, i, i] for gram in self._grams)
             overlap = cross * cross
         else:
             norm, y = self._meter_metric(view)
-            cross, n_lo, n_hi = (norm * (gram[:, 0, 0] + gram[:, 1, 1]) for gram in grams)
-            im = y * (self._cross[:, 0, 1] - self._cross[:, 1, 0])
+            cross, n_lo, n_hi = (norm * (gram[:, 0, 0] + gram[:, 1, 1]) for gram in self._grams)
+            im = y * (self._grams[0][:, 0, 1] - self._grams[0][:, 1, 0])
             overlap = cross * cross + im * im
         low = np.minimum(n_lo.hi, n_hi.hi) < PROBABILITY_FLOOR
         if low.any():
@@ -494,15 +505,17 @@ class KrausImageFD:
         """Bures fidelity FD ``8 (1 - sqrt F) / dg^2`` of ``A A^+``.
 
         ``A`` holds the images of ``branches`` and zeroes for the others, so
-        the default is the unconditional output.  By Uhlmann's theorem
+        the default is the unconditional output and ``(SUCCESS,)`` the
+        rank-1 pair ``(E_s c, 0)``.  By Uhlmann's theorem
         ``sqrt F(AA^+, BB^+) = ||A^+ B||_*`` for the ``dim x 2`` image
-        matrices; the 2x2 nuclear norm is ``sqrt(||M||_F^2 + 2 |det M|)``.
+        matrices; the 2x2 nuclear norm is ``sqrt(||M||_F^2 + 2 |det M|)``,
+        so no double-precision eigensolver and no noise floor enter.
         """
         if not branches or any(b not in BRANCHES for b in branches):
             raise ValueError(f"branches must be a non-empty subset of {BRANCHES}")
         mask = np.array([b in branches for b in BRANCHES], dtype=float)
         mask = np.outer(mask, mask)
-        cross, g_lo, g_hi = (gram * mask for gram in (self._cross, self._lo, self._hi))
+        cross, g_lo, g_hi = (gram * mask for gram in self._grams)
         frob = (cross * cross).sum().sum()
         det = cross[:, 0, 0] * cross[:, 1, 1] - cross[:, 0, 1] * cross[:, 1, 0]
         trace = (g_lo[:, 0, 0] + g_lo[:, 1, 1]) * (g_hi[:, 0, 0] + g_hi[:, 1, 1])
@@ -512,62 +525,40 @@ class KrausImageFD:
         deficit = 1.0 - ((frob + 2.0 * abs(det)) / trace).sqrt()
         return self._information(deficit)
 
+    def _slopes(self) -> _DD:
+        lo, hi = self._pair
+        return (hi - lo) * (hi + lo) * self._weights[:, np.newaxis] / self.dg
 
-def qfi_fd_kraus_pure(
-    probe: Probes, params: Points, view, dg: float = DEFAULT_QFI_STEP
-):
-    """Pure-state fidelity FD ``8 (1 - |<u(g-)|u(g+)>|) / dg^2`` on the Kraus images.
+    def mass_slopes(self) -> np.ndarray:
+        """Joint photon-mass slopes ``(|A_n(g+)|^2 - |A_n(g-)|^2) / dg``.
 
-    :meth:`KrausImageFD.pure` of ``view`` on a build of its own.  The value
-    depends only on the input doubles and carries about 1e-16 relative
-    rounding.
-    """
-    return KrausImageFD(probe, params, dg).pure(view)
+        Shape ``(B, 2, levels)`` for ``B`` points, branches in
+        :data:`BRANCHES` order, on the levels up to the largest ``p`` of the
+        batch.  The image difference is carried as
+        ``(E(g+) - E(g-)) (E(g+) + E(g-)) |c_n|^2`` and rounded once; the
+        levels above a point's ``p`` do not depend on the gain and read 0.
+        """
+        return self._slopes().hi
 
+    def probability_slope(self, branch: str):
+        """Central-difference derivative of the branch probability: the sum
+        of the branch's mass slopes, taken in double-double and rounded once."""
+        if branch not in BRANCHES:
+            raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
+        return self._rounded(self._slopes()[:, BRANCHES.index(branch)].sum())
 
-def qfi_fd_kraus_bures(
-    probe: Probes,
-    params: Points,
-    dg: float = DEFAULT_QFI_STEP,
-    branches: tuple[str, ...] = BRANCHES,
-):
-    """Bures fidelity FD ``8 (1 - sqrt F) / dg^2`` of ``A A^+`` on the Kraus images.
+    def coupling(self):
+        """Cross term ``<E_s dE_f> - <E_f dE_s>`` with central-difference derivatives.
 
-    :meth:`KrausImageFD.bures` of ``branches`` on a build of its own: the
-    default is the unconditional output and ``(SUCCESS,)`` the rank-1 pair
-    ``(E_s c, 0)``.  The root fidelity is the nuclear norm of the 2x2 matrix
-    ``A(g-)^+ A(g+)`` (Uhlmann), so no double-precision eigensolver and no
-    noise floor enter.  Its truncation error is O(dg^2) relative; the
-    double-double deficit keeps its rounding at ~1e-16 down to ``STEP_MIN``.
-    """
-    return KrausImageFD(probe, params, dg).bures(branches)
-
-
-def _mass_slopes(probe: FockVector, params: NlaParams, dg: float) -> _DD:
-    """Per branch, ``(|A_n(g+)|^2 - |A_n(g-)|^2) / dg`` on the levels n <= p.
-
-    Shape ``(2, levels)``, branches in :data:`BRANCHES` order.  The image
-    difference is carried as ``(E(g+) - E(g-)) (E(g+) + E(g-)) |c_n|^2``;
-    the levels above p do not depend on the gain and have zero slope.
-    """
-    g, p = _point_arrays(params)
-    weights, _ = _probe_weights(probe, p)
-    lo, hi = _kraus_pair(g, p, dg, weights.hi.shape[-1])
-    return ((hi - lo) * (hi + lo) * weights[:, np.newaxis] / dg)[0]
-
-
-def probability_derivative_fd(
-    probe: FockVector, params: NlaParams, branch: str, dg: float = PROB_STEP
-) -> float:
-    """Central-difference derivative of the branch probability.
-
-    The sum of the joint photon-mass slopes of the branch, taken in
-    double-double from the probe doubles and rounded once.
-    """
-    _validate_step(dg)
-    if branch not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
-    return float(_mass_slopes(probe, params, dg)[BRANCHES.index(branch)].sum().hi)
+        The Kraus differences ``E(g+) - E(g-)`` and the entries ``E(g)`` at
+        the midpoint are taken in double-double on the levels n <= p, where
+        alone the derivatives are nonzero.
+        """
+        lo, hi = self._pair
+        mid = _kraus_entries(_DD(self.g), self.p, self._weights.hi.shape[-1])
+        slope = hi - lo
+        cross = self._weights * (mid[:, 0] * slope[:, 1] - mid[:, 1] * slope[:, 0])
+        return self._rounded(cross.sum() / self.dg)
 
 
 # ---------------------------------------------------------------------------
@@ -587,30 +578,6 @@ def _joint_photon_masses(probe: FockVector, params: NlaParams) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _image_slope_and_sum(probe: FockVector, params: NlaParams, dg: float) -> dict:
-    """Per branch: ``(A(g+) - A(g-)) / dg`` on the levels n <= p, ``A(g+) + A(g-)`` on all.
-
-    Each entry is formed in double-double from the probe doubles and rounded
-    once, so the difference keeps full relative accuracy.
-    """
-    g, p = _point_arrays(params)
-    head = min(params.p + 1, probe.dim)
-    lo, hi = _kraus_pair(g, p, dg, head)
-    c = probe.amps[:head]
-
-    def times_amps(kraus: _DD) -> np.ndarray:
-        return (kraus * c.real).hi + 1j * (kraus * c.imag).hi
-
-    out = {}
-    for b, branch in enumerate(BRANCHES):
-        total = np.zeros(probe.dim, dtype=np.complex128)
-        total[:head] = times_amps((hi + lo)[0, b])
-        if branch == SUCCESS:
-            total[head:] = 2.0 * probe.amps[head:]
-        out[branch] = (times_amps((hi - lo)[0, b] / dg), total)
-    return out
-
-
 def joint_fi_direct(
     probe: FockVector, params: NlaParams, detector: str, dg: float = PROB_STEP
 ) -> float:
@@ -620,61 +587,51 @@ def joint_fi_direct(
     ``m = p_branch * p(outcome | branch)`` -- the squared modulus of the
     Kraus image (photon counting) or of its field ``sum_n A_n <x|n>``
     (homodyne).  The gain derivative is a central difference of the images
-    themselves, carried through ``|A|^2 - |B|^2 = Re[(A - B) conj(A + B)]``
-    with the image difference taken in double-double, so no analytic
-    derivative enters and no cancellation reaches the slope.  The centre
-    masses and densities come from the measurement module; the homodyne
-    densities are its :func:`~nlametro.measurements.homodyne_distribution`
-    on the window-0 quadrature grid, whose wavefunction table the slope
-    fields use too.
+    of one :class:`KrausImageFD`, carried through
+    ``|A|^2 - |B|^2 = Re[(A - B) conj(A + B)]`` with the image difference
+    taken in double-double and rounded once, so no analytic derivative
+    enters and no cancellation reaches the slope.  The centre masses and
+    densities come from the measurement module; the homodyne densities are
+    its :func:`~nlametro.measurements.homodyne_distribution` on the window-0
+    quadrature grid, whose wavefunction table the slope fields use too.
     """
-    _validate_step(dg)
+    if detector not in (PHOTON_COUNTING, HOMODYNE):
+        raise ValueError(f"unknown detector {detector!r}")
+    fd = KrausImageFD(probe, params, dg)
     if detector == PHOTON_COUNTING:
         center = _joint_photon_masses(probe, params)
-        slopes = _mass_slopes(probe, params, dg).hi
+        slopes = fd.mass_slopes()[0]
         slope = np.zeros((len(BRANCHES), probe.dim))
         slope[:, : slopes.shape[1]] = slopes
         slope = slope.ravel()
         keep = center > MASS_FLOOR
         return float(np.sum(slope[keep] ** 2 / center[keep]))
-    if detector != HOMODYNE:
-        raise ValueError(f"unknown detector {detector!r}")
-    probe.require_normalized()
     grid, psi = _grid_and_wavefunctions(probe.dim, 0)
-    images = _image_slope_and_sum(probe, params, dg)
+    lo, hi = fd._pair
+    head = lo.hi.shape[-1]
+    c = probe.amps[:head]
+
+    def times_amps(kraus: _DD) -> np.ndarray:
+        return (kraus * c.real).hi + 1j * (kraus * c.imag).hi
+
     total = 0.0
-    for branch in BRANCHES:
+    for b, branch in enumerate(BRANCHES):
         try:
             prob = branch_probability(probe, params, branch)
             center = prob * homodyne_distribution(probe, params, branch).masses
         except BranchImpossible:
             continue
-        slope_amps, sum_amps = images[branch]
-        slope = (
-            (slope_amps @ psi[: slope_amps.size]) * np.conj(sum_amps @ psi)
-        ).real
+        slope_amps = times_amps((hi - lo)[0, b] / dg)
+        sum_amps = np.zeros(probe.dim, dtype=np.complex128)
+        sum_amps[:head] = times_amps((hi + lo)[0, b])
+        if branch == SUCCESS:
+            sum_amps[head:] = 2.0 * probe.amps[head:]
+        slope = ((slope_amps @ psi[:head]) * np.conj(sum_amps @ psi)).real
         keep = center > MASS_FLOOR
         integrand = np.zeros(grid.nodes.size)
         integrand[keep] = slope[keep] ** 2 / center[keep]
         total += grid.integrate(integrand)
     return float(total)
-
-
-def _coupling_fd(probe: FockVector, params: NlaParams, dg: float = PROB_STEP) -> float:
-    """Cross term <E_s dE_f> - <E_f dE_s> with central-difference derivatives.
-
-    The Kraus differences and the centre entries are taken in double-double
-    on the levels n <= p, where alone the derivatives are nonzero.
-    """
-    _validate_step(dg)
-    g, p = _point_arrays(params)
-    weights, _ = _probe_weights(probe, p)
-    levels = weights.hi.shape[-1]
-    mid = _kraus_entries(_DD(g), p, levels)[0]
-    lo, hi = _kraus_pair(g, p, dg, levels)
-    slope = (hi - lo)[0]
-    cross = weights[0] * (mid[0] * slope[1] - mid[1] * slope[0])
-    return float((cross.sum() / dg).hi)
 
 
 # ---------------------------------------------------------------------------
@@ -767,42 +724,44 @@ def generate_golden_reports() -> list[OracleReport]:
         ))
 
     # --- finite-difference cross-checks -------------------------------------
+    two_fd = KrausImageFD(two_level, g2p1, DEFAULT_QFI_STEP)
+    coh_fd = KrausImageFD(coh1, g2p3, DEFAULT_QFI_STEP)
     add(OracleReport.build(
         "two-level g=2 p=1: q_s vs pure-state fidelity FD",
-        two.q_s, qfi_fd_kraus_pure(two_level, g2p1, SUCCESS, DEFAULT_QFI_STEP),
+        two.q_s, two_fd.pure(SUCCESS),
         DEFAULT_QFI_STEP, 1e-5,
     ))
     add(OracleReport.build(
         "coherent nbar=1 g=2 p=3: q_eff vs joint-state fidelity FD",
         qfi_effective_closed_form(coh1, g2p3),
-        qfi_fd_kraus_pure(coh1, g2p3, MeterState.trivial(), DEFAULT_QFI_STEP),
+        coh_fd.pure(MeterState.trivial()),
         DEFAULT_QFI_STEP, 1e-5,
     ))
     add(OracleReport.build(
         "coherent nbar=1 g=2 p=3: q_s vs pure-state fidelity FD",
         qfi_branch(coh1, g2p3, SUCCESS),
-        qfi_fd_kraus_pure(coh1, g2p3, SUCCESS, DEFAULT_QFI_STEP),
+        coh_fd.pure(SUCCESS),
         DEFAULT_QFI_STEP, 1e-5,
     ))
     add(OracleReport.build(
         "coherent nbar=1 g=2 p=3: q_f vs pure-state fidelity FD",
         qfi_branch(coh1, g2p3, FAILURE),
-        qfi_fd_kraus_pure(coh1, g2p3, FAILURE, DEFAULT_QFI_STEP),
+        coh_fd.pure(FAILURE),
         DEFAULT_QFI_STEP, 1e-5,
     ))
     q_unc_coh = qfi_unconditional(coh1, g2p3)
     add(OracleReport.build(
         "coherent nbar=1 g=2 p=3: q_unc vs Bures fidelity FD",
         q_unc_coh,
-        qfi_fd_kraus_bures(coh1, g2p3, STEP_MIN),
+        KrausImageFD(coh1, g2p3, STEP_MIN).bures(),
         STEP_MIN, 1e-5,
         note="this oracle fixes the pinned q_unc value; one double-double "
         "step at 1e-6",
     ))
     add(OracleReport.build(
         "two-level g=2 p=1: pure vs mixed fidelity FD on the success family",
-        qfi_fd_kraus_pure(two_level, g2p1, SUCCESS, DEFAULT_QFI_STEP),
-        qfi_fd_kraus_bures(two_level, g2p1, DEFAULT_QFI_STEP, branches=(SUCCESS,)),
+        two_fd.pure(SUCCESS),
+        two_fd.bures((SUCCESS,)),
         DEFAULT_QFI_STEP, 1e-6,
         note="oracle self-consistency: Uhlmann root fidelity on the rank-1 image "
         "pair (E_s c, 0) against the pure-state deficit",
@@ -813,7 +772,7 @@ def generate_golden_reports() -> list[OracleReport]:
     add(OracleReport.build(
         "coherent nbar=1 g=2 p=3: joint QFI with quarter-cycle meter vs FD",
         qfi_joint_meter(coh1, g2p3, meter),
-        qfi_fd_kraus_pure(coh1, g2p3, meter, DEFAULT_QFI_STEP),
+        coh_fd.pure(meter),
         DEFAULT_QFI_STEP, 1e-5,
         note="fixes the pinned meter-gap value",
     ))
@@ -857,11 +816,12 @@ def generate_golden_reports() -> list[OracleReport]:
         ("two-level g=2 p=1", two_level, g2p1),
         ("squeezed nbar=1 g=1.5 p=2", sq1, g15p2),
     ):
+        fd = KrausImageFD(probe, params, PROB_STEP)
         for branch in (SUCCESS, FAILURE):
             add(OracleReport.build(
                 f"{name}: d p_{branch}/dg vs central difference",
                 branch_probability_derivative(probe, params, branch),
-                probability_derivative_fd(probe, params, branch),
+                fd.probability_slope(branch),
                 PROB_STEP, 1e-7,
             ))
 
@@ -881,7 +841,7 @@ def generate_golden_reports() -> list[OracleReport]:
     add(OracleReport.build(
         "coherent nbar=1 g=2 p=3: meter coupling term X vs central difference",
         meter_coupling_term(coh1, g2p3),
-        _coupling_fd(coh1, g2p3),
+        KrausImageFD(coh1, g2p3, PROB_STEP).coupling(),
         PROB_STEP, 1e-7,
         note="provenance of the pinned meter-gap value",
     ))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from nlametro import cli
 from nlametro.fisher import qfi_effective, qfi_effective_closed_form
 from nlametro.instrument import NlaParams
+from nlametro.montecarlo import DETECTORS
 from nlametro.probes import ProbeSpec
 
 
@@ -239,6 +241,21 @@ def test_simulate_grid_below_gain_floor_rejected(capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "1.000000000001" in err and "np.float64" not in err
+
+
+@pytest.mark.parametrize("detector", DETECTORS)
+def test_simulate_non_finite_grid_is_a_usage_error(detector, capsys):
+    # an infinite upper edge once searched a grid of NaN gains and emitted
+    # NaN estimates with exit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([
+            "simulate", "--probe", "coherent", "--nbar", "1", "--p", "3", "--g-true", "2",
+            "--detector", detector, "--shots", "100", "--replications", "3",
+            "--seed", "1", "--grid", "1.5:inf:61",
+        ])
+    assert rc == 2
+    assert "endpoints must be finite" in capsys.readouterr().err
 
 
 def test_compare_rows_equal_single_point_budgets(capsys):

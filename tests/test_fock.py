@@ -26,11 +26,8 @@ def test_fock_vector_basic_accessors():
     assert u.mean_photon() == pytest.approx(1.28)
 
 
-def test_overlap_and_reality():
-    a = FockVector([1.0, 0.0])
-    b = FockVector([0.6, 0.8])
-    assert a.overlap(b) == pytest.approx(0.6)
-    assert b.is_real()
+def test_reality():
+    assert FockVector([0.6, 0.8]).is_real()
     assert not FockVector([1.0, 1j]).normalized().is_real()
 
 

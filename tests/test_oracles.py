@@ -37,13 +37,10 @@ from nlametro.oracles import (
     IMAGE_ZERO_DEFICIT,
     KrausImageFD,
     OracleReport,
+    PROB_STEP,
     _DD,
-    _coupling_fd,
     generate_golden_reports,
     joint_fi_direct,
-    probability_derivative_fd,
-    qfi_fd_kraus_bures,
-    qfi_fd_kraus_pure,
 )
 from nlametro.probes import ProbeSpec
 from nlametro.selfcheck import (
@@ -69,8 +66,9 @@ def test_golden_regeneration_runs_one_copy_of_the_oracles(tmp_path, run_python):
 
 
 # Names the package namespace must not expose: the dense-state and per-shot
-# Monte-Carlo test references, which live in nlametro.dense, and the per-shot
-# sampler, whose every call rebuilt the whole shot source.
+# Monte-Carlo test references, which live in nlametro.dense, the per-shot
+# sampler, whose every call rebuilt the whole shot source, and the wrappers
+# that built a KrausImageFD for one view.
 DROPPED_NAMES = (
     "DensityOperator",
     "JointState",
@@ -79,6 +77,8 @@ DROPPED_NAMES = (
     "joint_state",
     "mle_estimate",
     "qfi_fd_mixed",
+    "qfi_fd_kraus_bures",
+    "qfi_fd_kraus_pure",
     "qfi_fd_pure",
     "qfi_mixed",
     "qfi_pure",
@@ -86,10 +86,13 @@ DROPPED_NAMES = (
     "sample_shots",
     "unconditional_state",
 )
-# Test-only names that left the package modules.
+# Test-only names that left the package modules, and the oracle helpers
+# that built a Kraus pair of their own beside KrausImageFD.
 DROPPED_MODULE_NAMES = {
     "montecarlo": ("crb_for_strategy", "_discrete_sampler", "mle_estimate", "sample_shots"),
     "measurements": ("photon_counting_mass_derivative",),
+    "oracles": ("_point_arrays", "_mass_slopes", "_image_slope_and_sum", "_coupling_fd",
+                "probability_derivative_fd", "qfi_fd_kraus_pure", "qfi_fd_kraus_bures"),
 }
 
 
@@ -146,17 +149,19 @@ QUARTER_METER = MeterState(alpha=1.0 / math.sqrt(2.0), beta=1j / math.sqrt(2.0))
 
 def _fixture_oracles(probe, params):
     """Every oracle behind a golden fixture row, evaluated on one probe."""
+    fd = KrausImageFD(probe, params, 1e-4)
     values = {
-        f"pure {view}": qfi_fd_kraus_pure(probe, params, view)
+        f"pure {view}": fd.pure(view)
         for view in (SUCCESS, FAILURE, MeterState.trivial(), QUARTER_METER)
     }
-    values["bures"] = qfi_fd_kraus_bures(probe, params, 1e-6)
-    values["bures rank-1"] = qfi_fd_kraus_bures(probe, params, 1e-4, branches=(SUCCESS,))
+    values["bures"] = KrausImageFD(probe, params, 1e-6).bures()
+    values["bures rank-1"] = fd.bures((SUCCESS,))
     for detector in ("photon-counting", "homodyne"):
         values[f"joint {detector}"] = joint_fi_direct(probe, params, detector)
+    slopes = KrausImageFD(probe, params, PROB_STEP)
     for branch in (SUCCESS, FAILURE):
-        values[f"dp_{branch}"] = probability_derivative_fd(probe, params, branch)
-    values["coupling"] = _coupling_fd(probe, params)
+        values[f"dp_{branch}"] = slopes.probability_slope(branch)
+    values["coupling"] = slopes.coupling()
     return values
 
 
@@ -195,26 +200,29 @@ def test_kraus_fd_agrees_with_double_precision_families(coherent_nbar1):
             )
         return lambda g: conditional_state(coherent_nbar1, NlaParams(g=g, p=3), view).state
 
+    fd = KrausImageFD(coherent_nbar1, params, 1e-4)
     for view in (SUCCESS, FAILURE, MeterState.trivial(), QUARTER_METER):
-        images = qfi_fd_kraus_pure(coherent_nbar1, params, view)
+        images = fd.pure(view)
         assert images == pytest.approx(qfi_fd_pure(pure_family(view), 2.0, 1e-4), rel=1e-8)
-    bures = qfi_fd_kraus_bures(coherent_nbar1, params, 1e-6)
+    bures = KrausImageFD(coherent_nbar1, params, 1e-6).bures()
     assert bures == pytest.approx(qfi_unconditional(coherent_nbar1, params), rel=1e-12)
 
 
 def test_kraus_fd_zero_and_validation(vacuum, g2p1, two_level):
     # vacuum: the success state and the unconditional output never move
-    assert qfi_fd_kraus_pure(vacuum, g2p1, SUCCESS) == 0.0
-    assert qfi_fd_kraus_bures(vacuum, g2p1, 1e-6) == 0.0
+    assert KrausImageFD(vacuum, g2p1).pure(SUCCESS) == 0.0
+    assert KrausImageFD(vacuum, g2p1, 1e-6).bures() == 0.0
     # the rank-1 Uhlmann root fidelity is the pure-state overlap
-    rank_one = qfi_fd_kraus_bures(two_level, g2p1, 1e-4, branches=(SUCCESS,))
-    assert rank_one == pytest.approx(qfi_fd_kraus_pure(two_level, g2p1, SUCCESS), rel=1e-15)
+    fd = KrausImageFD(two_level, g2p1, 1e-4)
+    assert fd.bures((SUCCESS,)) == pytest.approx(fd.pure(SUCCESS), rel=1e-15)
     with pytest.raises(ValueError):
-        qfi_fd_kraus_pure(vacuum, g2p1, SUCCESS, 5e-3)
+        KrausImageFD(vacuum, g2p1, 5e-3)
     with pytest.raises(ValueError):
-        qfi_fd_kraus_pure(vacuum, g2p1, "neither")
+        KrausImageFD(vacuum, g2p1).pure("neither")
     with pytest.raises(ValueError):
-        qfi_fd_kraus_bures(vacuum, g2p1, branches=())
+        KrausImageFD(vacuum, g2p1).bures(())
+    with pytest.raises(ValueError):
+        KrausImageFD(vacuum, g2p1).probability_slope("neither")
     # g - dg/2 would reach unit gain, where the failure entries vanish
     with pytest.raises(ValueError, match="unit gain"):
         KrausImageFD(vacuum, NlaParams(g=1.0004, p=1), 1e-3)
@@ -284,9 +292,9 @@ def test_fd_matches_analytic_branch_qfi(two_level, g2p1):
     assert fd == pytest.approx(0.16, rel=1e-6)
 
 
-def test_probability_derivative_fd(squeezed_nbar1):
+def test_probability_slope_matches_the_analytic_derivative(squeezed_nbar1):
     params = NlaParams(g=1.5, p=2)
-    fd = probability_derivative_fd(squeezed_nbar1, params, SUCCESS)
+    fd = KrausImageFD(squeezed_nbar1, params, PROB_STEP).probability_slope(SUCCESS)
     analytic = branch_probability_derivative(squeezed_nbar1, params, SUCCESS)
     assert fd == pytest.approx(analytic, rel=1e-8)
 
@@ -321,14 +329,15 @@ def test_step_policy_and_certifiable_tol():
     assert resolution_floor(1e-3) == pytest.approx(8 * 100 * 2.0 ** -53 / 1e-6)
 
 
-# The closed forms an oracle must never reach; the oracle module imports them
-# only for the analytic side of the golden rows.
+# The closed forms and analytic slopes an oracle must never reach; the oracle
+# module imports them only for the analytic side of the golden rows.
 ANALYTIC_PATHS = (
     "qfi_branch",
     "qfi_effective",
     "qfi_joint_meter",
     "meter_coupling_term",
     "qfi_unconditional",
+    "branch_probability_derivative",
 )
 
 
@@ -410,8 +419,8 @@ def test_shared_image_grams_match_separate_oracles_bit_for_bit(monkeypatch, kind
     probe = ProbeSpec.from_nbar(kind, nbar).build()
     params = NlaParams(g=g, p=p)
     views = (SUCCESS, FAILURE, MeterState.trivial(), QUARTER_METER)
-    separate = [qfi_fd_kraus_pure(probe, params, view, 1e-4) for view in views]
-    separate.append(qfi_fd_kraus_bures(probe, params, 1e-4))
+    separate = [KrausImageFD(probe, params, 1e-4).pure(view) for view in views]
+    separate.append(KrausImageFD(probe, params, 1e-4).bures())
     _bar_analytic_paths(monkeypatch)
     fd = KrausImageFD(probe, params, 1e-4)
     assert [fd.pure(view) for view in views] + [fd.bures()] == separate
@@ -480,6 +489,35 @@ def test_selfcheck_fails_a_row_whose_analytic_side_is_nan(monkeypatch, capsys, r
     assert cli.main(["selfcheck"]) == cli.CHECK_FAILED
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert len(failed) == 1 and failed[0].startswith(f"FAIL  {row_name}"), failed
+    assert "non-finite, first at coherent nbar=0.5 g=1.05 p=1" in failed[0]
+
+
+# The KrausImageFD view behind each oracle-suite row, told apart by its
+# method and arguments: a branch, the trivial meter, the Bures default and
+# a list of one meter per point.
+ORACLE_VIEWS = {
+    "q_s": ("pure", lambda view: view == SUCCESS),
+    "q_f": ("pure", lambda view: view == FAILURE),
+    "q_eff": ("pure", lambda view: isinstance(view, MeterState)),
+    "q_unc": ("bures", lambda: True),
+    "meter": ("pure", lambda view: isinstance(view, list)),
+}
+
+
+@pytest.mark.parametrize("row_key", list(ORACLE_VIEWS))
+def test_selfcheck_fails_a_row_whose_oracle_side_is_nan(monkeypatch, capsys, row_key):
+    method, matches = ORACLE_VIEWS[row_key]
+    original = getattr(KrausImageFD, method)
+
+    def nan_view(fd, *args):
+        values = original(fd, *args)
+        # the golden rows build single points, the oracle suite all 280 at once
+        return np.full_like(values, np.nan) if fd.g.size == 280 and matches(*args) else values
+
+    monkeypatch.setattr(KrausImageFD, method, nan_view)
+    assert cli.main(["selfcheck"]) == cli.CHECK_FAILED
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith(f"FAIL  {ORACLE_ROWS[row_key]}"), failed
     assert "non-finite, first at coherent nbar=0.5 g=1.05 p=1" in failed[0]
 
 
@@ -592,7 +630,7 @@ def test_gain_independent_families_read_exactly_zero(kind, vacuum):
         fd = KrausImageFD(vacuum, vacuum_points)
         assert not fd.pure(SUCCESS).any()
         assert not fd.bures().any()
-        assert not qfi_fd_kraus_bures(vacuum, vacuum_points, 1e-6).any()
+        assert not KrausImageFD(vacuum, vacuum_points, 1e-6).bures().any()
 
 
 def _grid_meters(count):
@@ -604,31 +642,47 @@ def _grid_meters(count):
     return meters
 
 
-def _five_views(fd, meter):
+def _views(fd, meter):
+    """The oracle suite's five views, the probability slopes and the coupling term."""
     return [fd.pure(SUCCESS), fd.pure(FAILURE), fd.pure(MeterState.trivial()), fd.bures(),
-            fd.pure(meter)]
+            fd.pure(meter), fd.probability_slope(SUCCESS), fd.probability_slope(FAILURE),
+            fd.coupling()]
 
 
-def test_batched_image_build_equals_single_point_builds_bit_for_bit():
+def _same_slopes(padded, own):
+    """Mass slopes on more levels equal a build's own, and read 0 above them."""
+    levels = own.shape[-1]
+    return padded[..., :levels].tolist() == own.tolist() and not padded[..., levels:].any()
+
+
+def test_batched_image_build_equals_single_point_builds_bit_for_bit(monkeypatch):
     # one build over the whole grid (probes and thresholds mixed) against a
-    # build of its own for every point, in all five views
+    # build of its own for every point, in every view; no view may reach an
+    # analytic path
+    _bar_analytic_paths(monkeypatch)
     labels, probes, points = zip(*(
         (label, probe, params)
         for probe, grid_labels, grid_points in standard_probe_grids()
         for label, params in zip(grid_labels, grid_points)
     ))
     meters = _grid_meters(len(points))
-    batched = _five_views(KrausImageFD(probes, points), meters)
+    grid = KrausImageFD(probes, points)
+    batched, slopes = _views(grid, meters), grid.mass_slopes()
     for i, (label, probe, params) in enumerate(zip(labels, probes, points)):
-        single = _five_views(KrausImageFD(probe, params), meters[i])
-        assert single == [float(values[i]) for values in batched], label
+        single = KrausImageFD(probe, params)
+        assert _views(single, meters[i]) == [float(values[i]) for values in batched], label
+        assert _same_slopes(slopes[i], single.mass_slopes()[0]), label
+    # the joint-record FI takes its slopes from the same kind of build
+    for detector in ("photon-counting", "homodyne"):
+        assert joint_fi_direct(probes[0], points[0], detector) > 0.0
     # one probe for a probe's 35 points gives the same numbers
     start = 0
-    for probe, _, points in standard_probe_grids():
-        stop = start + len(points)
-        views = _five_views(KrausImageFD(probe, points), meters[start:stop])
-        for values, whole in zip(views, batched):
+    for probe, _, grid_points in standard_probe_grids():
+        stop = start + len(grid_points)
+        fd = KrausImageFD(probe, grid_points)
+        for values, whole in zip(_views(fd, meters[start:stop]), batched):
             assert values.tolist() == whole[start:stop].tolist()
+        assert _same_slopes(slopes[start:stop], fd.mass_slopes())
         start = stop
 
 
@@ -693,11 +747,11 @@ def test_image_fd_matches_a_50_digit_reference(kind, p):
 def test_golden_bures_rows_match_a_50_digit_reference(coherent_nbar1, two_level, g2p1):
     params = NlaParams(g=2.0, p=3)
     unconditional = float(_image_fd_reference(coherent_nbar1, params, 1e-6, branches=BRANCHES))
-    assert qfi_fd_kraus_bures(coherent_nbar1, params, 1e-6) == pytest.approx(
+    assert KrausImageFD(coherent_nbar1, params, 1e-6).bures() == pytest.approx(
         unconditional, rel=1e-14, abs=0.0
     )
     rank_one = float(_image_fd_reference(two_level, g2p1, 1e-4, branches=(SUCCESS,)))
-    assert qfi_fd_kraus_bures(two_level, g2p1, 1e-4, branches=(SUCCESS,)) == pytest.approx(
+    assert KrausImageFD(two_level, g2p1, 1e-4).bures((SUCCESS,)) == pytest.approx(
         rank_one, rel=1e-14, abs=0.0
     )
 
