@@ -203,6 +203,10 @@ def cmd_sweep_nbar(args) -> int:
     if nbars[0] < 0.0:
         raise ValueError("mean photon numbers must be non-negative")
     thresholds = args.p
+    repeated = sorted({p for p in thresholds if thresholds.count(p) > 1})
+    if repeated:
+        noun = "threshold" if len(repeated) == 1 else "thresholds"
+        raise ValueError(f"--p repeats the {noun} {', '.join(map(str, repeated))}")
     points = [NlaParams(g=args.gain, p=p) for p in thresholds]
     rows = []
     for nbar in nbars:

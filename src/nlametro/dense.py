@@ -349,8 +349,11 @@ def mle_estimate(
     if detector == HOMODYNE:
         stats = _Quadratures.of(probe, pthreshold, drawn)
     else:
-        stats = _Counts.zeros(1, probe.dim)
-        levels = {branch: np.bincount(v, minlength=probe.dim) for branch, v in drawn.items()}
-        stats.record(0, int(success.sum()), success.size, levels)
+        levels = [
+            np.bincount(drawn.get(branch, []), minlength=probe.dim)[np.newaxis]
+            for branch in BRANCHES
+        ]
+        n_s = np.array([success.sum()])
+        stats = _Counts(n_s, success.size - n_s, *levels)
     estimates, _ = _estimates(probe, pthreshold, detector, stats, grid)
     return float(estimates[0])

@@ -8,25 +8,31 @@ empirical estimator variance against the Cramer-Rao bound of the strategy:
     herald-only                 ->  1 / (shots * f_c)
     success-only                ->  1 / (shots * p_s * q_s)
 
-Reproducibility: every replication draws from its own child stream spawned
-from the root seed, so results are independent of replication order and
-byte-stable across runs.
+Reproducibility: the root seed spawns two child streams, one that draws
+every replication and one for the bootstrap, so results are byte-stable
+across runs.  A counting or herald experiment draws its replications as
+arrays, so a run with fewer replications is not a prefix of a longer one.
 
 Estimation works on sufficient statistics.  An experiment does its set-up
-(branch masses, photon-number tables) once.  A photon-counting, success-only
-or herald-only replication is drawn directly as its counts, in O(levels)
-per replication: its success count ``n_s ~ Binomial(shots, p_s)``, then the
-per-level counts of each recorded branch that fired, ``Multinomial(n,
-masses)``.  These counts have the distribution of the ``bincount`` of the
-per-shot inverse-CDF draw of :func:`nlametro.dense.sample_shots`, the test
-reference, but they are not the same integers.  No count summarises
-homodyne quadratures, so a homodyne replication keeps its outcomes reduced to
-the basis the gain reaches: the fields ``c_n <x|n>`` of the levels ``n <= p``
-and, on the success branch, the gain-free tail ``sum_{n>p} c_n <x|n>``.  The
-estimator is a grid argmax followed by golden-section search, run for all
-replications of a counting or herald experiment at once: the grid surface
-takes one likelihood evaluation per grid gain, shared by every replication,
-and the search evaluates every replication at its own gain.
+(branch masses, photon-number tables) once.  The R replications of a
+photon-counting, success-only or herald-only experiment are drawn directly
+as their counts, one vectorised call per quantity and no loop per
+replication: the success counts ``n_s ~ Binomial(shots, p_s)`` of all R,
+then, for each recorded branch that fired in any replication, every
+replication's per-level counts ``Multinomial(n, masses)``, with ``n`` the
+array of that branch's shots.  These counts have the distribution of the
+``bincount`` of the per-shot inverse-CDF draw of
+:func:`nlametro.dense.sample_shots`, the test reference, but they are not
+the same integers.  No count summarises homodyne quadratures, so homodyne
+replications are drawn one after another from the same stream, and each is
+estimated before the next is drawn.  A homodyne replication keeps its
+outcomes reduced to the basis the gain reaches: the fields ``c_n <x|n>`` of
+the levels ``n <= p`` and, on the success branch, the gain-free tail
+``sum_{n>p} c_n <x|n>``.  The estimator is a grid argmax followed by
+golden-section search, run for all replications of a counting or herald
+experiment at once: the grid surface takes one likelihood evaluation per
+grid gain, shared by every replication, and the search evaluates every
+replication at its own gain.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ DETECTORS = (PHOTON_COUNTING, HOMODYNE, HERALD_ONLY, SUCCESS_ONLY)
 # no gain information at all.
 FLATNESS_TOL = 1e-9
 
-RESULT_SCHEMA_VERSION = 3
+RESULT_SCHEMA_VERSION = 4
 
 
 class DegenerateLikelihood(RuntimeError):
@@ -250,10 +256,10 @@ class _ShotSource:
     """Amplifier runs of one configuration, with its set-up done once.
 
     The branch masses are computed at construction.  :meth:`counts` gives
-    the counts of a counting or herald record straight from their own
-    distribution; :meth:`draw` gives homodyne runs shot by shot.  A branch's
-    inverse-CDF table is built on the first shot of that branch, because a
-    branch that never fires may have no density to tabulate.
+    the counts of many counting or herald records at once, straight from
+    their own distribution; :meth:`draw` gives homodyne runs shot by shot.
+    A branch's inverse-CDF table is built on the first shot of that branch,
+    because a branch that never fires may have no density to tabulate.
     """
 
     def __init__(self, probe: FockVector, params: NlaParams, detector: str):
@@ -274,24 +280,32 @@ class _ShotSource:
         fired = self._fired(int(success.sum()), shots)
         return success, {branch: self._sampler(branch)(rng.random(n)) for branch, n in fired}
 
-    def counts(self, rng: np.random.Generator, shots: int) -> tuple[int, dict]:
-        """``(n_s, {branch: per-level counts of that branch's shots})``.
+    def counts(self, rng: np.random.Generator, shots: int, replications: int) -> "_Counts":
+        """The counts of ``replications`` photon-counting or herald records.
 
-        A photon-counting or herald draw in O(levels): ``n_s ~ Binomial(shots,
-        p_s)``, then ``Multinomial(n, masses)`` for each recorded branch that
-        fired, in :meth:`_fired` order.  The last level takes the mass a table
-        leaves over, as in the per-shot inverse CDF.  ``p_s``, a sum of
-        squares, is capped at 1, since a norm within rounding of 1 can round it
-        above 1.
+        One ``Binomial(shots, p_s)`` call draws every record's ``n_s``, then
+        one ``Multinomial(n, masses)`` call per recorded branch that fired in
+        any record, in :meth:`_fired` order, draws every record's per-level
+        counts.  The last level takes the mass a table leaves over, as in the
+        per-shot inverse CDF.  ``p_s``, a sum of squares, is capped at 1,
+        since a norm within rounding of 1 can round it above 1.
         """
-        n_s = int(rng.binomial(shots, min(self._ps, 1.0)))
-        fired = self._fired(n_s, shots)
-        return n_s, {branch: rng.multinomial(n, self._masses[branch]) for branch, n in fired}
+        n_s = rng.binomial(shots, min(self._ps, 1.0), size=replications)
+        levels = {
+            branch: rng.multinomial(n, self._masses[branch])
+            for branch, n in self._fired(n_s, shots)
+        }
+        zeros = np.zeros((replications, self._probe.dim), dtype=np.int64)
+        return _Counts(n_s, shots - n_s, levels.get(SUCCESS, zeros), levels.get(FAILURE, zeros))
 
-    def _fired(self, n_s: int, shots: int):
-        """Each recorded branch that fired, with its number of shots, in draw order."""
+    def _fired(self, n_s, shots: int):
+        """Each recorded branch that fired, with its shots, in draw order.
+
+        ``n_s`` is one record's success count or an array of them; a branch
+        fired if it did in any record.
+        """
         for branch, n in ((SUCCESS, n_s), (FAILURE, shots - n_s)):
-            if n and branch in _RECORDED[self._detector]:
+            if np.any(n) and branch in _RECORDED[self._detector]:
                 yield branch, n
 
     def _sampler(self, branch: str):
@@ -312,28 +326,13 @@ class _Counts:
 
     ``n_s``/``n_f`` hold each replication's successes and failures;
     ``success``/``failure`` its per-level counts (R x dim), zero on a branch
-    the detector does not record or that never fired.  Allocated once and
-    filled row by row.
+    the detector does not record or that never fired.
     """
 
     n_s: np.ndarray
     n_f: np.ndarray
     success: np.ndarray
     failure: np.ndarray
-
-    @classmethod
-    def zeros(cls, rows: int, dim: int) -> "_Counts":
-        return cls(
-            np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=np.int64),
-            np.zeros((rows, dim), dtype=np.int64), np.zeros((rows, dim), dtype=np.int64),
-        )
-
-    def record(self, row: int, n_s: int, shots: int, levels: dict) -> None:
-        """Store one replication's counts, ``levels[branch]`` per level, in row ``row``."""
-        self.n_s[row], self.n_f[row] = n_s, shots - n_s
-        for branch, counts in ((SUCCESS, self.success), (FAILURE, self.failure)):
-            if branch in levels:
-                counts[row] = levels[branch]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -515,32 +514,27 @@ def run_crb_experiment(config: ExperimentConfig, replications: int) -> Experimen
         raise ValueError("need at least 2 replications for a variance")
     probe = config.probe.build()
     p, detector = config.params_true.p, config.detector
-    root = np.random.SeedSequence(config.seed)
-    children = root.spawn(replications + 1)
+    draws, boot_rng = map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2))
     source = _ShotSource(probe, config.params_true, detector)
     if detector == HOMODYNE:
         estimates = np.empty(replications)
         iterations = np.empty(replications, dtype=np.int64)
         success_counts = np.empty(replications, dtype=np.int64)
         for i in range(replications):
-            success, drawn = source.draw(np.random.default_rng(children[i]), config.shots)
+            success, drawn = source.draw(draws, config.shots)
             success_counts[i] = int(success.sum())
             # outcomes have no count summary: estimate before the next draw
             stats = _Quadratures.of(probe, p, drawn)
             (estimates[i],), (iterations[i],) = _estimates(probe, p, detector, stats, config.grid)
             del stats
     else:
-        counts = _Counts.zeros(replications, probe.dim)
-        for i in range(replications):
-            n_s, levels = source.counts(np.random.default_rng(children[i]), config.shots)
-            counts.record(i, n_s, config.shots, levels)
+        counts = source.counts(draws, config.shots, replications)
         estimates, iterations = _estimates(probe, p, detector, counts, config.grid)
         success_counts = counts.n_s
     variance = float(estimates.var(ddof=1))
     info = fisher_per_shot(probe, config.params_true, detector)
     crb = _cramer_rao(info, detector, config.shots)
     ratio = variance / crb
-    boot_rng = np.random.default_rng(children[replications])
     # 100 resamples at a time: the same draws and row variances as one
     # (1000, R) block, without holding three such blocks at the peak
     boot = np.concatenate([

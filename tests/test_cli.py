@@ -1,5 +1,8 @@
 import json
 import math
+import pathlib
+import re
+import shlex
 import warnings
 
 import numpy as np
@@ -156,6 +159,21 @@ def test_sweep_nbar_distinct_threshold_columns(capsys):
     # columns must genuinely differ
     assert not np.allclose(arr[:, 1], arr[:, 2])
     assert not np.allclose(arr[:, 2], arr[:, 3])
+
+
+@pytest.mark.parametrize(
+    "thresholds, message",
+    [(["2", "2"], "repeats the threshold 2"), (["3", "2", "3", "2", "4"], "repeats the thresholds 2, 3")],
+)
+def test_sweep_nbar_rejects_a_repeated_threshold(thresholds, message, capsys):
+    # a repeated threshold once gave the header nbar,q_eff_p2,q_eff_p2 and exit 0
+    rc = cli.main([
+        "sweep-nbar", "--probe", "coherent", "--gain", "1.5",
+        "--p", *thresholds, "--nbar-grid", "0:1:2",
+    ])
+    assert rc == cli.USAGE_ERROR
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
 
 
 def test_sweep_nbar_cells_equal_their_single_threshold_values(capsys):
@@ -324,3 +342,44 @@ def test_output_does_not_depend_on_the_blas_thread_count(run_python, args):
     for proc in runs:
         assert proc.returncode == 0, proc.stderr
     assert runs[0].stdout == runs[1].stdout
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_examples():
+    """``{command: (argv, printed lines)}`` of the README's ``$ nlametro`` examples."""
+    examples = {}
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
+        lines = block.splitlines()
+        command = lines.pop(0)
+        if not command.startswith("$ nlametro "):
+            continue
+        while command.endswith("\\"):
+            command = command[:-1] + lines.pop(0)
+        argv = shlex.split(command)[2:]
+        examples[argv[0]] = (argv, lines)
+    return examples
+
+
+@pytest.mark.parametrize("command", ["compare", "contributions"])
+def test_readme_table_example_prints_what_the_readme_shows(command, capsys):
+    argv, printed = _readme_examples()[command]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == printed
+
+
+def test_readme_simulate_example_prints_what_the_readme_shows(tmp_path, capsys):
+    argv, printed = _readme_examples()["simulate"]
+    assert argv[argv.index("--seed") + 1] == "9"
+    half = 1.0 / math.sqrt(2.0)
+    probe = _write_probe(tmp_path, "two_level.json", [half, half])
+    argv = [str(probe) if arg == "two_level.json" else arg for arg in argv]
+    assert cli.main(argv) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    # the README elides the config and the estimates, and prints ratio_ci on one line
+    shown = json.loads(
+        "{" + "\n".join(line for line in printed if line.strip() not in ("{", "...", "}")) + "}"
+    )
+    assert len(shown) == 7
+    assert {key: result[key] for key in shown} == shown

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 
@@ -195,39 +196,47 @@ def test_records_jsonl_roundtrip(tmp_path, g2p1):
 _RECORDED = {"photon-counting": BRANCHES, "success-only": (SUCCESS,), "herald-only": ()}
 
 
-def _replayed_record(probe, params, detector, rng, shots):
-    """A counting record replayed from ``rng``: ``n_s ~ Binomial(shots, p_s)``,
-    then ``Multinomial(n, masses)`` per recorded branch that fired, expanded
-    shot by shot into ``(success_mask, outcomes)``."""
+def _replayed_records(cfg, replications):
+    """The experiment's records, replayed from its replication stream.
+
+    The root seed spawns the replication stream and the bootstrap stream.  A
+    homodyne experiment draws its records shot by shot, one after another.  A
+    counting experiment draws every record's ``n_s ~ Binomial(shots, p_s)``
+    in one call, then ``Multinomial(n, masses)`` of every record per
+    recorded branch that fired; each record is expanded shot by shot into
+    ``(success_mask, outcomes)``.
+    """
+    probe, params, shots = cfg.probe.build(), cfg.params_true, cfg.shots
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[0])
+    if cfg.detector == "homodyne":
+        return [sample_shots(probe, params, cfg.detector, rng, shots) for _ in range(replications)]
     ps, ms, mf = _branch_masses(probe, params)
-    n_s = int(rng.binomial(shots, ps))
-    success = np.repeat([True, False], [n_s, shots - n_s])
-    outcomes = np.full(shots, np.nan)
-    for branch, mask, masses in ((SUCCESS, success, ms), (FAILURE, ~success, mf)):
-        n = int(mask.sum())
-        if n and branch in _RECORDED[detector]:
-            outcomes[mask] = np.repeat(np.arange(probe.dim), rng.multinomial(n, masses))
-    return success, outcomes
+    n_s = rng.binomial(shots, ps, size=replications)
+    levels = {
+        branch: rng.multinomial(n, masses)
+        for branch, n, masses in ((SUCCESS, n_s, ms), (FAILURE, shots - n_s, mf))
+        if n.any() and branch in _RECORDED[cfg.detector]
+    }
+    records = []
+    for r in range(replications):
+        success = np.repeat([True, False], [n_s[r], shots - n_s[r]])
+        outcomes = np.full(shots, np.nan)
+        for branch, mask in ((SUCCESS, success), (FAILURE, ~success)):
+            if branch in levels:
+                outcomes[mask] = np.repeat(np.arange(probe.dim), levels[branch][r])
+        records.append((success, outcomes))
+    return records
 
 
 def _redrawn_estimates(cfg, replications):
-    """Per-replication reference: records redrawn from each child stream, one MLE each.
-
-    A homodyne record is drawn shot by shot; a counting record replays the
-    binomial and multinomial count draws and expands them.
-    """
+    """Per-replication reference: the replayed records, one MLE each."""
     probe = cfg.probe.build()
-    children = np.random.SeedSequence(cfg.seed).spawn(replications + 1)
-    estimates, counts = [], []
-    for child in children[:replications]:
-        rng = np.random.default_rng(child)
-        if cfg.detector == "homodyne":
-            records = sample_shots(probe, cfg.params_true, cfg.detector, rng, cfg.shots)
-        else:
-            records = _replayed_record(probe, cfg.params_true, cfg.detector, rng, cfg.shots)
-        counts.append(int(records[0].sum()))
-        estimates.append(mle_estimate(records, probe, cfg.params_true.p, cfg.detector, cfg.grid))
-    return np.array(estimates), np.array(counts)
+    records = _replayed_records(cfg, replications)
+    estimates = [
+        mle_estimate(record, probe, cfg.params_true.p, cfg.detector, cfg.grid)
+        for record in records
+    ]
+    return np.array(estimates), np.array([int(success.sum()) for success, _ in records])
 
 
 _COUNT_DETECTORS = ("photon-counting", "success-only", "herald-only")
@@ -262,6 +271,52 @@ def test_batched_estimates_equal_per_record_mle(spec, params, detector, replicat
     npt.assert_array_equal(res.success_counts, counts)
 
 
+class _CountingGenerator:
+    """A generator that counts its calls by method name."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("replications", [20, 500])
+@pytest.mark.parametrize("detector", _COUNT_DETECTORS)
+def test_counting_experiment_draws_with_a_fixed_number_of_calls(monkeypatch, detector, replications):
+    spawned, generators = [], []
+    seed_sequence, default_rng = np.random.SeedSequence, np.random.default_rng
+
+    class CountingSeedSequence(seed_sequence):
+        def spawn(self, n):
+            spawned.append(n)
+            return super().spawn(n)
+
+    def counting_rng(seed):
+        generators.append(collections.Counter())
+        return _CountingGenerator(default_rng(seed), generators[-1])
+
+    monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    spec, params = _BATCH_CASES[0][1:]
+    cfg = ExperimentConfig(
+        probe=spec, params_true=params, detector=detector, shots=2_000, seed=41, grid=SEARCH,
+    )
+    res = run_crb_experiment(cfg, replications)
+    assert res.replications == replications
+    assert spawned == [2]
+    draws, boot = generators
+    # 0 < p_s < 1: both branches fire
+    assert draws == collections.Counter(binomial=1, multinomial=len(_RECORDED[detector]))
+    assert set(boot) == {"integers"}
+
+
 _CASES_BY_ID = {
     "coherent-dim17": (ProbeSpec.from_nbar("coherent", 1.0).build(), NlaParams(g=2.0, p=3)),
     "two-level": (FockVector([_HALF, _HALF]), NlaParams(g=2.0, p=1)),
@@ -273,14 +328,19 @@ def test_shot_source_counts_draw_a_binomial_then_a_multinomial_per_recorded_bran
     probe, params = _CASES_BY_ID["coherent-dim17"]
     ps, ms, mf = _branch_masses(probe, params)
     a, b = np.random.default_rng(5), np.random.default_rng(5)
-    n_s, levels = _ShotSource(probe, params, detector).counts(a, 3_000)
-    assert n_s == b.binomial(3_000, ps)
-    assert 0 < n_s < 3_000
-    assert set(levels) == set(_RECORDED[detector])
-    for branch, n, masses in ((SUCCESS, n_s, ms), (FAILURE, 3_000 - n_s, mf)):
-        if branch in levels:
-            npt.assert_array_equal(levels[branch], b.multinomial(n, masses))
-            assert levels[branch].sum() == n
+    counts = _ShotSource(probe, params, detector).counts(a, 3_000, 7)
+    npt.assert_array_equal(counts.n_s, b.binomial(3_000, ps, size=7))
+    npt.assert_array_equal(counts.n_s + counts.n_f, 3_000)
+    assert ((0 < counts.n_s) & (counts.n_s < 3_000)).all()
+    for branch, n, masses, rows in (
+        (SUCCESS, counts.n_s, ms, counts.success), (FAILURE, counts.n_f, mf, counts.failure),
+    ):
+        assert rows.shape == (7, probe.dim)
+        if branch in _RECORDED[detector]:
+            npt.assert_array_equal(rows, b.multinomial(n, masses))
+            npt.assert_array_equal(rows.sum(axis=1), n)
+        else:
+            npt.assert_array_equal(rows, 0)
     assert a.random() == b.random()
 
 
@@ -293,20 +353,22 @@ def test_count_draw_matches_the_per_shot_draw_in_distribution(case):
     # mean counts per replication: one row per branch, one column per level
     expected = shots * np.array([ps * ms, (1.0 - ps) * mf])
     sigma = np.sqrt(expected * (1.0 - expected / shots) / replications)
-    drawn_by = {
-        "counts": lambda rng: source.counts(rng, shots)[1],
-        "draw": lambda rng: {
-            branch: np.bincount(outcomes, minlength=probe.dim)
-            for branch, outcomes in source.draw(rng, shots)[1].items()
-        },
-    }
-    for name, draw in drawn_by.items():
-        rng = np.random.default_rng(13)
+
+    def summed_counts(rng):
+        counts = source.counts(rng, shots, replications)
+        return np.array([counts.success.sum(axis=0), counts.failure.sum(axis=0)])
+
+    def summed_draws(rng):
         total = np.zeros((2, probe.dim), dtype=np.int64)
         for _ in range(replications):
-            levels = draw(rng)
+            drawn = source.draw(rng, shots)[1]
             for row, branch in enumerate(BRANCHES):
-                total[row] += levels.get(branch, 0)
+                if branch in drawn:
+                    total[row] += np.bincount(drawn[branch], minlength=probe.dim)
+        return total
+
+    for name, summed in (("counts", summed_counts), ("draw", summed_draws)):
+        total = summed(np.random.default_rng(13))
         assert total.sum() == shots * replications, name
         mean = total / replications
         npt.assert_array_equal(total[expected == 0.0], 0, err_msg=name)
@@ -322,23 +384,26 @@ def test_shot_source_draws_only_homodyne_runs_shot_by_shot(g2p1):
 
 
 def test_count_draw_of_a_one_photon_probe_never_fails(g2p1):
-    n_s, levels = _ShotSource(ONE_PHOTON, g2p1, "photon-counting").counts(
-        np.random.default_rng(3), 500
+    counts = _ShotSource(ONE_PHOTON, g2p1, "photon-counting").counts(
+        np.random.default_rng(3), 500, 4
     )
-    assert n_s == 500
-    assert set(levels) == {SUCCESS}
-    npt.assert_array_equal(levels[SUCCESS], [0, 500])
+    npt.assert_array_equal(counts.n_s, 500)
+    npt.assert_array_equal(counts.n_f, 0)
+    npt.assert_array_equal(counts.success, [[0, 500]] * 4)
+    # the failure branch never fired: its rows stay zero
+    npt.assert_array_equal(counts.failure, 0)
 
 
 def test_count_draw_clamps_a_success_probability_rounded_above_one():
     # the norm check accepts 1 + 4e-11, so p_s rounds above 1
     probe, params = FockVector([0.0, 1.0 + 4e-11]), NlaParams(g=2.0, p=0)
     assert _branch_masses(probe, params)[0] > 1.0
-    n_s, levels = _ShotSource(probe, params, "photon-counting").counts(
-        np.random.default_rng(3), 500
+    counts = _ShotSource(probe, params, "photon-counting").counts(
+        np.random.default_rng(3), 500, 4
     )
-    assert n_s == 500
-    assert set(levels) == {SUCCESS}
+    npt.assert_array_equal(counts.n_s, 500)
+    npt.assert_array_equal(counts.success.sum(axis=1), 500)
+    npt.assert_array_equal(counts.failure, 0)
 
 
 def test_count_draw_puts_the_remainder_of_a_short_table_in_the_last_level(monkeypatch):
@@ -351,11 +416,11 @@ def test_count_draw_puts_the_remainder_of_a_short_table_in_the_last_level(monkey
     expected = shots * np.array([0.125, 0.25, 0.625])
     sigma = np.sqrt(expected * (1.0 - expected / shots))
     rng = np.random.default_rng(21)
-    n_s, levels = source.counts(rng, shots)
-    assert n_s == shots and levels[SUCCESS].sum() == shots
+    counted = source.counts(rng, shots, 1)
+    assert counted.n_s[0] == shots and counted.success[0].sum() == shots
     success, drawn = source.draw(rng, shots)
     assert success.all()
-    for counts in (levels[SUCCESS], np.bincount(drawn[SUCCESS], minlength=3)):
+    for counts in (counted.success[0], np.bincount(drawn[SUCCESS], minlength=3)):
         assert (np.abs(counts - expected) <= 5.0 * sigma).all(), counts
 
 
@@ -368,9 +433,7 @@ def test_one_flat_replication_makes_the_batch_degenerate():
     )
     probe = spec.build()
     flat = []
-    for child in np.random.SeedSequence(cfg.seed).spawn(5)[:4]:
-        rng = np.random.default_rng(child)
-        records = sample_shots(probe, cfg.params_true, cfg.detector, rng, cfg.shots)
+    for records in _replayed_records(cfg, 4):
         try:
             mle_estimate(records, probe, 1, cfg.detector, SEARCH)
             flat.append(False)

@@ -521,6 +521,35 @@ def test_selfcheck_fails_a_row_whose_oracle_side_is_nan(monkeypatch, capsys, row
     assert "non-finite, first at coherent nbar=0.5 g=1.05 p=1" in failed[0]
 
 
+# The detector function behind each detector row: the selfcheck's row names
+# that a NaN from it must fail, and no others.
+DETECTOR_NAN_ROWS = {
+    "fi_photon_counting": ("photon-counting FI saturates the branch QFI",),
+    "fi_homodyne": ("homodyne FI saturates the branch QFI",),
+    "sequential_fi": (
+        "sequential photon-counting record FI equals the sum",
+        "sequential homodyne record FI equals the sum",
+    ),
+}
+
+
+@pytest.mark.parametrize("function", list(DETECTOR_NAN_ROWS))
+def test_selfcheck_fails_a_detector_row_that_is_nan(monkeypatch, capsys, function):
+    original = getattr(selfcheck, function)
+
+    def nan_detector(*args):
+        return np.full_like(original(*args), np.nan)
+
+    monkeypatch.setattr(selfcheck, function, nan_detector)
+    assert cli.main(["selfcheck"]) == cli.CHECK_FAILED
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    rows = DETECTOR_NAN_ROWS[function]
+    assert len(failed) == len(rows), failed
+    for line, row_name in zip(failed, rows):
+        assert line.startswith(f"FAIL  {row_name}"), failed
+        assert "non-finite, first at coherent nbar=0.5 g=1.05 p=1" in line
+
+
 def test_detector_suite_makes_a_fixed_number_of_calls_per_probe(monkeypatch):
     # each detector function takes a probe's 35 points, of all thresholds, at
     # once, and takes their conditional rows from one kernel evaluation
