@@ -327,7 +327,7 @@ def mle_estimate(
     detector: str,
     grid: GainGrid,
 ) -> float:
-    """Maximum-likelihood gain of one record: coarse grid argmax, then golden-section.
+    """Maximum-likelihood gain of one record: grid argmax, then a root search on the score.
 
     ``records`` is the ``(success_mask, outcomes)`` array pair from
     :func:`sample_shots`.
@@ -355,5 +355,4 @@ def mle_estimate(
         ]
         n_s = np.array([success.sum()])
         stats = _Counts(n_s, success.size - n_s, *levels)
-    estimates, _ = _estimates(probe, pthreshold, detector, stats, grid)
-    return float(estimates[0])
+    return float(_estimates(probe, pthreshold, detector, stats, grid)[0][0])

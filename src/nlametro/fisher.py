@@ -134,6 +134,8 @@ def _herald(a, da) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     ``dp_s = 2 Re<A_s|dA_s>``.  A deterministic herald (one branch below
     :data:`PROBABILITY_FLOOR`) carries no information: ``F_c = 0`` there.
+    Each term divides before it squares, ``dp_s (dp_s / p_s)``, so a slope
+    below ~1e-162 whose square would underflow still gives its ``F_c``.
     """
     probs = np.sum(np.abs(a) ** 2, axis=1)
     ps, pf = probs[:, 0], probs[:, 1]
@@ -142,7 +144,7 @@ def _herald(a, da) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     dps = 2.0 * np.sum((a[..., 0].conj() * da[..., 0]).real, axis=1)
     live = (ps >= PROBABILITY_FLOOR) & (pf >= PROBABILITY_FLOOR)
     ps_safe, pf_safe = np.where(live, ps, 1.0), np.where(live, pf, 1.0)
-    f_c = np.where(live, dps * dps / ps_safe + dps * dps / pf_safe, 0.0)
+    f_c = np.where(live, dps * (dps / ps_safe) + dps * (dps / pf_safe), 0.0)
     return ps, pf, f_c
 
 
@@ -184,7 +186,8 @@ def _unconditional_qfi(a, da) -> np.ndarray:
     lam = s * s
     pair = keep[:, :, np.newaxis] & keep[:, np.newaxis, :]
     denom = np.where(pair, lam[:, :, np.newaxis] + lam[:, np.newaxis, :], 1.0)
-    pairs = np.sum(np.where(pair, np.abs(d) ** 2 / denom, 0.0), axis=(1, 2))
+    modulus = np.abs(d)
+    pairs = np.sum(np.where(pair, modulus * (modulus / denom), 0.0), axis=(1, 2))
     kernel = np.sum(np.abs(dav - u @ w) ** 2, axis=(1, 2))
     return 2.0 * pairs + 4.0 * kernel
 

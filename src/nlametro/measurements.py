@@ -120,11 +120,12 @@ def _counting_fi(amps: np.ndarray, slopes: np.ndarray) -> np.ndarray:
     """``sum dm^2 / m`` over occupied outcomes, ``m = |a|^2``, ``dm = 2 Re(conj(a) da)``.
 
     ``amps`` and ``slopes`` are ``(G, K, dim)`` groups of rows, summed per
-    group as in :func:`_fisher_integral`.
+    group as in :func:`_fisher_integral`.  Each term is ``dm (dm / m)``:
+    dividing first keeps a slope whose square would underflow.
     """
     m = np.abs(amps) ** 2
     dm = 2.0 * (np.conj(amps) * slopes).real
-    return np.divide(dm * dm, m, out=np.zeros_like(m), where=m > MASS_FLOOR).sum(axis=(1, 2))
+    return (dm * np.divide(dm, m, out=np.zeros_like(m), where=m > MASS_FLOOR)).sum(axis=(1, 2))
 
 
 def fi_photon_counting(probe: FockVector, params: Points, branch: str) -> float | np.ndarray:
@@ -234,8 +235,9 @@ def _fisher_integral(dim: int, amps: np.ndarray, slopes: np.ndarray) -> np.ndarr
                 dens = dens + field * field
                 cross = cross + field * dfield
             ddens = 2.0 * cross
-            integrand = np.divide(
-                ddens * ddens, dens, out=np.zeros_like(dens), where=dens > MASS_FLOOR
+            # divided before squared, as in _counting_fi
+            integrand = (
+                ddens * np.divide(ddens, dens, out=np.zeros_like(dens), where=dens > MASS_FLOOR)
             ).sum(axis=1)
             total = grid.integrate(integrand)
             shares = grid.panel_sums(integrand)

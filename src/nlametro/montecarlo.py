@@ -28,11 +28,18 @@ replications are drawn one after another from the same stream, and each is
 estimated before the next is drawn.  A homodyne replication keeps its
 outcomes reduced to the basis the gain reaches: the fields ``c_n <x|n>`` of
 the levels ``n <= p`` and, on the success branch, the gain-free tail
-``sum_{n>p} c_n <x|n>``.  The estimator is a grid argmax followed by
-golden-section search, run for all replications of a counting or herald
-experiment at once: the grid surface takes one likelihood evaluation per
-grid gain, shared by every replication, and the search evaluates every
-replication at its own gain.
+``sum_{n>p} c_n <x|n>``.
+
+The estimator is a grid argmax followed by a root search on the analytic
+score, the gain derivative of the log-likelihood, inside one grid cell
+(:func:`_maximize`).  The score takes the Kraus diagonals and their exact
+slopes, not a logarithm, and a few score evaluations replace the golden
+section's two dozen likelihood evaluations.  A counting or herald experiment
+searches all its replications at once: its grid surface is one product of
+the count matrix with the log-masses at every grid gain, and each search
+step evaluates every replication's score at its own gain.  A homodyne
+replication's surface multiplies ``GRID_BLOCK`` gains' Kraus rows against
+its reduced fields at a time.
 """
 
 from __future__ import annotations
@@ -55,8 +62,10 @@ from .instrument import (
     GainDomain,
     NlaParams,
     _kraus_rows,
+    _kraus_slope_rows,
     branch_probability,
     kraus_diagonal,
+    kraus_diagonal_derivative,
 )
 from .measurements import (
     HOMODYNE,
@@ -75,7 +84,13 @@ DETECTORS = (PHOTON_COUNTING, HOMODYNE, HERALD_ONLY, SUCCESS_ONLY)
 # no gain information at all.
 FLATNESS_TOL = 1e-9
 
-RESULT_SCHEMA_VERSION = 4
+RESULT_SCHEMA_VERSION = 5
+
+# Gains per block of a homodyne likelihood surface, whose fields are one
+# (block, rows) @ (rows, shots) product.  Blocks of 4 to 8 gains run equally
+# fast; a whole 61-point grid at once is about 2x slower, through its
+# multi-MB temporaries.  At 6 a complex block of 10^4 shots stays under 1 MB.
+GRID_BLOCK = 6
 
 
 class DegenerateLikelihood(RuntimeError):
@@ -147,17 +162,19 @@ class ExperimentConfig:
 class ExperimentResult:
     """Replication estimates and their comparison against the bound.
 
-    Search diagnostics: ``edge_hits`` counts the estimates in the first or
-    last grid cell (:meth:`GainGrid.edge_hits`); ``likelihood_evaluations``
-    and ``golden_section_iterations`` total, over the replications, what a
-    search run on each replication alone makes (grid points, two bracket
-    points and one evaluation per iteration).  A replication whose estimate
-    is not in an edge cell searches a bracket of two grid cells down to the
-    absolute ``tol=1e-6``, so its iteration count is fixed by the grid
-    spacing: 23 per replication on the grid ``4/3:3:61``.  The two counts
-    therefore change only through edge hits.  There is no count of
-    degenerate replications: a flat or vanished likelihood raises
-    :class:`DegenerateLikelihood` and aborts the whole run.
+    Search diagnostics, totals over the replications of what a search run on
+    each replication alone makes: ``likelihood_evaluations`` counts grid
+    gains (the grid points per replication), ``score_evaluations`` the
+    evaluations of the analytic score (two at the ends of the grid cell the
+    search takes, then one per root-search step).  ``edge_hits`` counts the
+    estimates in the first or last grid cell (:meth:`GainGrid.edge_hits`).
+    ``observed_information_ratio`` is the mean over the replications of the
+    observed information ``-l''`` at the estimate, taken from the score
+    across the final bracket, divided by the expected ``shots *
+    fisher_per_shot``; near 1 when the bound describes the likelihood's
+    curvature.  There is no count of degenerate replications: a flat or
+    vanished likelihood raises :class:`DegenerateLikelihood` and aborts the
+    whole run.
     """
 
     detector: str
@@ -172,7 +189,8 @@ class ExperimentResult:
     seed: int
     edge_hits: int
     likelihood_evaluations: int
-    golden_section_iterations: int
+    score_evaluations: int
+    observed_information_ratio: float
 
     @property
     def replications(self) -> int:
@@ -198,7 +216,8 @@ class ExperimentResult:
             "ratio_ci": [self.ratio_ci[0], self.ratio_ci[1]],
             "edge_hits": self.edge_hits,
             "likelihood_evaluations": self.likelihood_evaluations,
-            "golden_section_iterations": self.golden_section_iterations,
+            "score_evaluations": self.score_evaluations,
+            "observed_information_ratio": self.observed_information_ratio,
         }
 
 
@@ -373,63 +392,114 @@ class _Quadratures:
 
 
 def _log_likelihoods(
-    probe: FockVector, p: int, detector: str, stats, g: np.ndarray
+    probe: FockVector, p: int, detector: str, stats, gains: np.ndarray
 ) -> np.ndarray:
-    """Log-likelihood of replication ``r`` of ``stats`` at gain ``g[r]``.
+    """The likelihood surface: ``(R, G)`` log-likelihoods of every replication at every gain.
 
     Gains must lie in the domain (``GainGrid`` guarantees it).  Masses and
-    densities are floored at ``MASS_FLOOR`` before the logarithm.
+    densities are floored at ``MASS_FLOOR`` before the logarithm.  A counting
+    or herald surface is one product of the counts with the log-masses of
+    every gain.  A homodyne record is one replication, whose fields are one
+    ``(GRID_BLOCK, rows) @ (rows, N)`` product per block of gains.
     """
-    dim = probe.dim
+    g = gains[:, np.newaxis]
     if detector == HOMODYNE:
-        # fields at the recorded quadratures; one replication at a time
+        total = np.zeros(g.shape[0])
+        for branch, rows in ((SUCCESS, stats.success), (FAILURE, stats.failure)):
+            if rows is None:
+                continue
+            e = _kraus_rows(g, p, branch, rows.shape[0])
+            for start in range(0, e.shape[0], GRID_BLOCK):
+                field = e[start:start + GRID_BLOCK] @ rows
+                density = np.abs(field) ** 2 if np.iscomplexobj(field) else field * field
+                total[start:start + GRID_BLOCK] += np.log(np.maximum(density, MASS_FLOOR)).sum(axis=1)
+        return total[np.newaxis]
+    w = probe.weights()
+    es = _kraus_rows(g, p, SUCCESS, probe.dim)
+    qs = es * es * w
+    ps = qs.sum(axis=1)
+    if detector == HERALD_ONLY:
+        # the flooring clamps p_s into [MASS_FLOOR, 1 - MASS_FLOOR]
+        return np.outer(stats.n_s, np.log(np.maximum(ps, MASS_FLOOR))) + np.outer(
+            stats.n_f, np.log(np.maximum(1.0 - ps, MASS_FLOOR))
+        )
+    total = stats.success @ np.log(np.maximum(qs, MASS_FLOOR)).T
+    if detector == PHOTON_COUNTING:
+        ef = _kraus_rows(g, p, FAILURE, probe.dim)
+        return total + stats.failure @ np.log(np.maximum(ef * ef * w, MASS_FLOOR)).T
+    # success-only: conditional on success, divide each mass by p_s
+    return total - np.outer(stats.n_s, np.log(np.maximum(ps, MASS_FLOOR)))
+
+
+def _log_slope(value: np.ndarray, slope: np.ndarray, mass: np.ndarray) -> np.ndarray:
+    """``slope / value`` where ``mass > MASS_FLOOR`` and 0 where the floor holds ``log(mass)``."""
+    return np.divide(slope, value, out=np.zeros_like(slope), where=mass > MASS_FLOOR)
+
+
+def _scores(probe: FockVector, p: int, detector: str, stats, g: np.ndarray) -> np.ndarray:
+    """The score: gain derivative of :func:`_log_likelihoods` of replication ``r`` at ``g[r]``.
+
+    It differentiates the same floored log-likelihood, so a mass or density
+    held at ``MASS_FLOOR`` adds 0, and it takes no logarithm.  A level of mass
+    ``q = E^2 w`` adds ``n dq/q = 2 n dE/E``; a homodyne outcome of field
+    ``f = E @ rows`` and slope ``df = dE @ rows`` adds ``2 Re(df/f)``; a
+    herald adds ``n_s dp_s/p_s - n_f dp_s/(1 - p_s)``.
+    """
+    if detector == HOMODYNE:
         (gain,) = g
         params = NlaParams(g=float(gain), p=p)
         total = 0.0
         for branch, rows in ((SUCCESS, stats.success), (FAILURE, stats.failure)):
             if rows is not None:
-                field = kraus_diagonal(params, branch, rows.shape[0]) @ rows
+                m = rows.shape[0]
+                field, slope = np.stack(
+                    (kraus_diagonal(params, branch, m), kraus_diagonal_derivative(params, branch, m))
+                ) @ rows
                 density = np.abs(field) ** 2 if np.iscomplexobj(field) else field * field
-                total += float(np.sum(np.log(np.maximum(density, MASS_FLOOR))))
+                total += 2.0 * float(np.sum(_log_slope(field, slope, density).real))
         return np.array([total])
     w = probe.weights()
     g = g[:, np.newaxis]
-    es = _kraus_rows(g, p, SUCCESS, dim)
+    es = _kraus_rows(g, p, SUCCESS, probe.dim)
+    des = _kraus_slope_rows(g, p, SUCCESS, probe.dim)
     qs = es * es * w
+    ps = qs.sum(axis=1)
+    dps = 2.0 * np.sum(es * des * w, axis=1)
     if detector == HERALD_ONLY:
-        # the flooring clamps p_s into [MASS_FLOOR, 1 - MASS_FLOOR]
-        ps = qs.sum(axis=1)
-        return stats.n_s * np.log(np.maximum(ps, MASS_FLOOR)) + stats.n_f * np.log(
-            np.maximum(1.0 - ps, MASS_FLOOR)
-        )
-    total = np.sum(stats.success * np.log(np.maximum(qs, MASS_FLOOR)), axis=1)
+        return stats.n_s * _log_slope(ps, dps, ps) - stats.n_f * _log_slope(1.0 - ps, dps, 1.0 - ps)
+    total = np.sum(stats.success * _log_slope(es, 2.0 * des, qs), axis=1)
     if detector == PHOTON_COUNTING:
-        ef = _kraus_rows(g, p, FAILURE, dim)
-        qf = ef * ef * w
-        return total + np.sum(stats.failure * np.log(np.maximum(qf, MASS_FLOOR)), axis=1)
-    # success-only: conditional on success, divide each mass by p_s
-    return total - stats.n_s * np.log(np.maximum(qs.sum(axis=1), MASS_FLOOR))
+        ef = _kraus_rows(g, p, FAILURE, probe.dim)
+        def_ = _kraus_slope_rows(g, p, FAILURE, probe.dim)
+        return total + np.sum(stats.failure * _log_slope(ef, 2.0 * def_, ef * ef * w), axis=1)
+    return total - stats.n_s * _log_slope(ps, dps, ps)
 
 
-# ---------------------------------------------------------------------------
-# Estimation
-# ---------------------------------------------------------------------------
+def _maximize(surface: np.ndarray, score, values: np.ndarray, tol: float = 1e-6):
+    """Per-row maximum-likelihood gains: grid argmax, then a root search on the score.
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+    ``surface`` holds each row's log-likelihood at the grid gains ``values``;
+    ``score(g)`` maps one gain per row to each row's score.  Each row takes
+    the grid cell on the uphill side of its argmax, by the sign of the score
+    there; at a grid edge whose score points outward, it takes the edge cell.
 
+    When the score falls from positive to negative across the cell, regula
+    falsi narrows the bracket until it is at most ``tol`` wide.  The end a
+    step keeps has its score weighted by ``1 - s(x)/s(replaced end)``, or by
+    1/2 when that is not positive (Anderson & Bjorck's variant of the
+    Illinois rule), so neither end stalls.  A step that would leave the
+    bracket bisects it, and no step comes within ``tol/2`` of an end (Brent's
+    minimum step), so the last step closes the bracket around a converged
+    iterate.  The estimate is the secant root of the final bracket.
+    Otherwise the cell holds no interior maximum the score can find, and the
+    estimate is the argmax end of the cell: at an edge, the edge itself.
 
-def _maximize(loglik, grid: GainGrid, tol: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row maximum-likelihood gains: coarse grid argmax, then golden section.
-
-    ``loglik(g)`` maps one gain per row, or one gain shared by every row, to
-    each row's log-likelihood.  Each row searches the grid cells on either
-    side of its argmax; the rows move in lockstep, and a row whose bracket is
-    narrower than ``tol`` stops moving, so each row takes exactly the steps
-    of a search run on its own.  Returns the gains and each row's number of
-    golden-section iterations.
+    The rows move in lockstep and a row whose bracket is at most ``tol`` wide
+    stops moving, so each row takes exactly the steps of a search run on its
+    own.  Returns the gains, each row's score evaluations and its observed
+    information ``-l''``, the secant slope of the score over its final
+    bracket (the grid cell when there was no root to find).
     """
-    values = grid.values()
-    surface = np.stack([loglik(np.array([g])) for g in values], axis=1)
     finite = np.isfinite(surface)
     top = surface.max(axis=1)
     vanished = ~finite.any(axis=1)
@@ -444,39 +514,41 @@ def _maximize(loglik, grid: GainGrid, tol: float = 1e-6) -> tuple[np.ndarray, np
             "not constrain the gain"
         )
     idx = np.argmax(np.where(finite, surface, -np.inf), axis=1)
-    lo = values[np.maximum(idx - 1, 0)]
-    hi = values[np.minimum(idx + 1, values.size - 1)]
-    a, b = lo, hi
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = loglik(x1), loglik(x2)
-    iterations = np.zeros(idx.size, dtype=np.int64)
-    while (active := b - a > tol).any():
-        iterations += active
-        left = f1 >= f2
-        # left: the maximum lies in [a, x2]; otherwise in [x1, b]
-        a_new = np.where(left, a, x1)
-        b_new = np.where(left, x2, b)
-        x_new = np.where(
-            left, b_new - _INVPHI * (b_new - a_new), a_new + _INVPHI * (b_new - a_new)
-        )
-        f_new = loglik(x_new)
-        moved = (
-            a_new, b_new,
-            np.where(left, x_new, x2), np.where(left, f_new, f2),
-            np.where(left, x1, x_new), np.where(left, f1, f_new),
-        )
-        a, b, x1, f1, x2, f2 = [
-            np.where(active, new, old) for new, old in zip(moved, (a, b, x1, f1, x2, f2))
-        ]
-    return 0.5 * (a + b), iterations
+    s_top = score(values[idx])
+    step = np.where(s_top > 0.0, 1, -1)
+    other = idx + step
+    other = np.where((other < 0) | (other >= values.size), idx - step, other)
+    s_other = score(values[other])
+    below = other < idx
+    a, b = values[np.minimum(idx, other)], values[np.maximum(idx, other)]
+    sa, sb = np.where(below, s_other, s_top), np.where(below, s_top, s_other)
+    root = (sa > 0.0) & (sb < 0.0)
+    fa, fb = sa, sb  # the weighted scores the steps interpolate
+    evaluations = np.full(idx.size, 2, dtype=np.int64)
+    while (active := root & (b - a > tol)).any():
+        evaluations += active
+        x = b - np.divide(fb * (b - a), fb - fa, out=np.zeros(a.size), where=active)
+        x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
+        x = np.where(active, np.clip(x, a + 0.5 * tol, b - 0.5 * tol), a)
+        sx = score(x)
+        up, down = active & (sx > 0.0), active & ~(sx > 0.0)
+        replaced = np.where(up, fa, fb)
+        m = 1.0 - np.divide(sx, replaced, out=np.ones(a.size), where=replaced != 0.0)
+        m = np.where(m > 0.0, m, 0.5)
+        fa = np.where(up, sx, np.where(down, m * fa, fa))
+        fb = np.where(down, sx, np.where(up, m * fb, fb))
+        a, sa = np.where(up, x, a), np.where(up, sx, sa)
+        b, sb = np.where(down, x, b), np.where(down, sx, sb)
+    slope = (sa - sb) / (b - a)
+    estimates = np.where(root, b + np.divide(sb, slope, out=np.zeros(a.size), where=root), values[idx])
+    return estimates, evaluations, slope
 
 
-def _estimates(
-    probe: FockVector, p: int, detector: str, stats, grid: GainGrid
-) -> tuple[np.ndarray, np.ndarray]:
-    """Maximum-likelihood gains of the replications in ``stats``, and their iterations."""
-    return _maximize(functools.partial(_log_likelihoods, probe, p, detector, stats), grid)
+def _estimates(probe: FockVector, p: int, detector: str, stats, grid: GainGrid):
+    """Maximum-likelihood gains of the replications in ``stats`` (see :func:`_maximize`)."""
+    values = grid.values()
+    surface = _log_likelihoods(probe, p, detector, stats, values)
+    return _maximize(surface, functools.partial(_scores, probe, p, detector, stats), values)
 
 
 # ---------------------------------------------------------------------------
@@ -517,31 +589,37 @@ def run_crb_experiment(config: ExperimentConfig, replications: int) -> Experimen
     draws, boot_rng = map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2))
     source = _ShotSource(probe, config.params_true, detector)
     if detector == HOMODYNE:
-        estimates = np.empty(replications)
-        iterations = np.empty(replications, dtype=np.int64)
+        estimates, observed = np.empty(replications), np.empty(replications)
+        evaluations = np.empty(replications, dtype=np.int64)
         success_counts = np.empty(replications, dtype=np.int64)
         for i in range(replications):
             success, drawn = source.draw(draws, config.shots)
             success_counts[i] = int(success.sum())
             # outcomes have no count summary: estimate before the next draw
             stats = _Quadratures.of(probe, p, drawn)
-            (estimates[i],), (iterations[i],) = _estimates(probe, p, detector, stats, config.grid)
+            (estimates[i],), (evaluations[i],), (observed[i],) = _estimates(
+                probe, p, detector, stats, config.grid
+            )
             del stats
     else:
         counts = source.counts(draws, config.shots, replications)
-        estimates, iterations = _estimates(probe, p, detector, counts, config.grid)
+        estimates, evaluations, observed = _estimates(probe, p, detector, counts, config.grid)
         success_counts = counts.n_s
     variance = float(estimates.var(ddof=1))
     info = fisher_per_shot(probe, config.params_true, detector)
     crb = _cramer_rao(info, detector, config.shots)
     ratio = variance / crb
-    # 100 resamples at a time: the same draws and row variances as one
-    # (1000, R) block, without holding three such blocks at the peak
-    boot = np.concatenate([
-        estimates[boot_rng.integers(0, replications, size=(100, replications))].var(axis=1, ddof=1)
-        for _ in range(10)
-    ]) / crb
-    lo, hi = np.percentile(boot, [2.5, 97.5])
+    # 100 resamples at a time, the same draws as one (1000, R) block.  The
+    # estimates are centred once; a resample's variance then comes from its
+    # sums of x and x*x, one gather each.
+    centred = estimates - estimates.mean()
+    squares = centred * centred
+    boot = np.empty((10, 100))
+    for block in boot:
+        pick = boot_rng.integers(0, replications, size=(100, replications))
+        sums = centred[pick].sum(axis=1)
+        block[:] = (squares[pick].sum(axis=1) - sums * sums / replications) / (replications - 1)
+    lo, hi = np.percentile(boot.ravel() / crb, [2.5, 97.5])
     return ExperimentResult(
         detector=config.detector,
         estimates=estimates,
@@ -554,8 +632,9 @@ def run_crb_experiment(config: ExperimentConfig, replications: int) -> Experimen
         shots=config.shots,
         seed=config.seed,
         edge_hits=config.grid.edge_hits(estimates),
-        likelihood_evaluations=int((config.grid.points + 2) * replications + iterations.sum()),
-        golden_section_iterations=int(iterations.sum()),
+        likelihood_evaluations=config.grid.points * replications,
+        score_evaluations=int(evaluations.sum()),
+        observed_information_ratio=float(observed.mean()) / (config.shots * info),
     )
 
 

@@ -208,8 +208,10 @@ def test_simulate_writes_reproducible_json(tmp_path):
     result = payload["result"]
     assert len(result["estimates"]) == 40
     assert result["ratio"] > 0
-    # default 61-point grid: each replication makes 61 + 2 evaluations plus one per iteration
-    assert result["likelihood_evaluations"] == 63 * 40 + result["golden_section_iterations"]
+    # default 61-point grid: each replication evaluates the likelihood at the 61
+    # grid gains, and the score at the two ends of one cell plus once per step
+    assert result["likelihood_evaluations"] == 61 * 40
+    assert result["score_evaluations"] >= 2 * 40
     assert 0 <= result["edge_hits"] <= 40
 
 

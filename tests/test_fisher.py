@@ -42,6 +42,7 @@ from nlametro.fisher import (
     qfi_joint_meter,
     qfi_unconditional,
 )
+from nlametro.measurements import HOMODYNE, sequential_fi
 from nlametro.probes import ProbeSpec, custom_probe
 from nlametro.selfcheck import STANDARD_THRESHOLDS, standard_probe_grids
 
@@ -101,6 +102,38 @@ def test_branch_qfi_via_pure_state_form(coherent_nbar1):
         assert qfi_branch(coherent_nbar1, params, branch) == pytest.approx(
             qfi_pure(state, deriv), rel=1e-9
         )
+
+
+def _herald_reference(probe, params, dps=50):
+    """``f_c`` and the closed-form ``q_eff`` at ``dps`` digits, from the probe's amplitudes."""
+    with mpmath.workdps(dps):
+        g, p = mpmath.mpf(params.g), params.p
+        ps = slope = q_eff = mpmath.mpf(0)
+        for n, amp in enumerate(probe.amps):
+            w = abs(mpmath.mpc(complex(amp))) ** 2
+            k = min(n - p, 0)
+            ps += g ** (2 * k) * w
+            slope += 2 * k * g ** (2 * k - 1) * w
+            if k < 0:
+                q_eff += 4 * k * k * w * g ** (2 * k - 2) / (1 - g ** (2 * k))
+        return float(slope ** 2 / ps + slope ** 2 / (1 - ps)), float(q_eff)
+
+
+def test_herald_information_survives_a_slope_whose_square_underflows():
+    # dp_s^2 underflows to 0 in double precision here; abs=0 because pytest.approx
+    # would otherwise accept any value within 1e-12
+    probe = ProbeSpec.from_nbar("coherent", 1.0).build()
+    params = NlaParams(g=500.75, p=60)
+    f_c, q_eff = _herald_reference(probe, params)
+    assert 1e-254 < f_c < 1e-252
+    bd = qfi_effective(probe, params)
+    assert bd.f_c == pytest.approx(f_c, rel=1e-12, abs=0.0)
+    assert bd.q_eff == pytest.approx(q_eff, rel=1e-12, abs=0.0)
+    assert bd.ps_qs + bd.pf_qf + bd.f_c == pytest.approx(bd.q_eff, rel=1e-12, abs=0.0)
+    assert classical_fi(probe, params) == pytest.approx(f_c, rel=1e-12, abs=0.0)
+    # the joint-record sum and the homodyne quadrature, at test_measurements' tolerances
+    assert sequential_fi(probe, params) == pytest.approx(q_eff, rel=1e-10, abs=0.0)
+    assert sequential_fi(probe, params, HOMODYNE) == pytest.approx(q_eff, rel=1e-7, abs=0.0)
 
 
 def test_classical_fi_from_branch_probability(two_level, g2p1):

@@ -1,6 +1,9 @@
 import collections
+import dataclasses
+import functools
 import json
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -21,8 +24,10 @@ from nlametro.montecarlo import (
     write_records_jsonl,
     _branch_masses,
     _cramer_rao,
+    _Counts,
     _log_likelihoods,
     _Quadratures,
+    _scores,
     _ShotSource,
 )
 from nlametro.probes import ProbeSpec
@@ -492,3 +497,145 @@ def test_compressed_homodyne_likelihood_matches_full_vector(probe, p, g_true, ke
     for g in SEARCH.values():
         compressed = _log_likelihoods(probe, p, "homodyne", stats, np.array([g]))[0]
         assert compressed == pytest.approx(_full_vector_log_likelihood(probe, p, drawn, g), rel=1e-12)
+
+
+def _count_row(counts, r):
+    """Replication ``r`` of ``counts`` as a one-row :class:`_Counts`."""
+    return _Counts(*(getattr(counts, f.name)[r:r + 1] for f in dataclasses.fields(counts)))
+
+
+def _failure_never_fired(counts):
+    """``counts`` with every shot a success: the failure branch never fired."""
+    zeros = np.zeros_like(counts.n_f)
+    return _Counts(counts.n_s + counts.n_f, zeros, counts.success, np.zeros_like(counts.failure))
+
+
+def _score_cases():
+    """(id, probe, p, detector, stats) for every detector, with never-fired branches."""
+    cases = []
+    for name, probe, p in (("coherent", _COHERENT, 3), ("complex", _COMPLEX, 1)):
+        for detector in _COUNT_DETECTORS:
+            counts = _ShotSource(probe, NlaParams(g=2.0, p=p), detector).counts(
+                np.random.default_rng(5), 2_000, 4
+            )
+            cases.append((f"{name}-{detector}", probe, p, detector, counts))
+        cases.append((
+            f"{name}-photon-counting-failure-never-fired", probe, p, "photon-counting",
+            _failure_never_fired(cases[-3][-1]),
+        ))
+        record = _homodyne_record(probe, NlaParams(g=2.0, p=p), 400, seed=17)
+        for keep in (BRANCHES, (SUCCESS,), (FAILURE,)):
+            drawn = {branch: xs for branch, xs in record.items() if branch in keep}
+            label = "" if keep == BRANCHES else f"-only-{keep[0]}-fired"
+            cases.append(
+                (f"{name}-homodyne{label}", probe, p, "homodyne", _Quadratures.of(probe, p, drawn))
+            )
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("probe, p, detector, stats", _score_cases())
+def test_score_is_the_gain_derivative_of_the_log_likelihood(probe, p, detector, stats):
+    # The central difference errs by h^2 |l'''| / 6 plus a rounding of about
+    # eps |l| / h = 2e-11 |l|; both stay below 1e-9 |l| on these records, and
+    # the test allows ten times that.
+    gains, h = np.array([1.4, 1.8, 2.0, 2.3, 2.9]), 1e-5
+    surface = functools.partial(_log_likelihoods, probe, p, detector, stats)
+    rows = surface(gains).shape[0]
+    scores = np.array([_scores(probe, p, detector, stats, np.full(rows, g)) for g in gains]).T
+    central = (surface(gains + h) - surface(gains - h)) / (2.0 * h)
+    assert np.all(np.abs(central - scores) <= 1e-8 * np.abs(surface(gains)))
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section_reference(probe, p, detector, stats, grid, tol=1e-6):
+    """The log-path estimate of a one-row record: grid argmax, then golden section.
+
+    The search brackets the two grid cells around the argmax and narrows
+    them by golden section on the log-likelihood itself to ``tol``.
+    """
+    def loglik(g):
+        return _log_likelihoods(probe, p, detector, stats, np.array([g]))[0, 0]
+
+    values = grid.values()
+    i = int(np.argmax(_log_likelihoods(probe, p, detector, stats, values)[0]))
+    a, b = values[max(i - 1, 0)], values[min(i + 1, values.size - 1)]
+    x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    f1, f2 = loglik(x1), loglik(x2)
+    while b - a > tol:
+        if f1 >= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INVPHI * (b - a)
+            f1 = loglik(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INVPHI * (b - a)
+            f2 = loglik(x2)
+    return 0.5 * (a + b)
+
+
+@pytest.mark.parametrize(
+    "spec, params, detector",
+    [
+        *[
+            pytest.param(spec, params, d, id=f"{prefix}{d}")
+            for prefix, spec, params in _BATCH_CASES
+            for d in _COUNT_DETECTORS
+        ],
+        pytest.param(*_BATCH_CASES[0][1:], "homodyne", id="homodyne"),
+    ],
+)
+def test_score_root_search_agrees_with_golden_section_on_the_log_path(spec, params, detector):
+    probe, p = spec.build(), params.p
+    rng = np.random.default_rng(29)
+    source = _ShotSource(probe, params, detector)
+    if detector == "homodyne":
+        records = [_Quadratures.of(probe, p, source.draw(rng, 2_000)[1]) for _ in range(3)]
+    else:
+        counts = source.counts(rng, 2_000, 8)
+        records = [_count_row(counts, r) for r in range(8)]
+    for stats in records:
+        estimate = montecarlo._estimates(probe, p, detector, stats, SEARCH)[0][0]
+        assert abs(estimate - _golden_section_reference(probe, p, detector, stats, SEARCH)) <= 1e-6
+
+
+@pytest.mark.parametrize("edge", ["lo", "hi"])
+def test_a_true_gain_at_the_grid_edge_gives_estimates_at_the_edge(edge):
+    g_true = getattr(SEARCH, edge)
+    cfg = ExperimentConfig(
+        probe=ProbeSpec(kind="custom", amps=(1.0 + 0j,)), params_true=NlaParams(g=g_true, p=1),
+        detector="herald-only", shots=2_000, seed=5, grid=SEARCH,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_crb_experiment(cfg, 40)
+    # about half the records' likelihoods still rise at the edge: those estimate the edge
+    at_edge = res.estimates == g_true
+    assert 0 < at_edge.sum() < 40
+    assert res.edge_hits >= at_edge.sum()
+    assert np.all((res.estimates >= SEARCH.lo) & (res.estimates <= SEARCH.hi))
+
+
+@pytest.mark.parametrize("detector, replications", [("photon-counting", 500), ("homodyne", 3)])
+def test_search_makes_one_surface_and_a_few_score_steps(monkeypatch, detector, replications):
+    calls = collections.Counter()
+    for name in ("_log_likelihoods", "_scores"):
+        def counted(*args, _name=name, _original=getattr(montecarlo, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(montecarlo, name, counted)
+    spec, params = _BATCH_CASES[0][1:]
+    cfg = ExperimentConfig(
+        probe=spec, params_true=params, detector=detector, shots=2_000, seed=41, grid=SEARCH,
+    )
+    res = run_crb_experiment(cfg, replications)
+    # one surface per experiment, or per replication when no count summarises it
+    searches = 1 if detector == "photon-counting" else replications
+    assert calls["_log_likelihoods"] == searches
+    # the two cell ends, then at most four lockstep steps (golden section took 25)
+    assert 2 * searches < calls["_scores"] <= 6 * searches
+    assert res.likelihood_evaluations == SEARCH.points * replications
+    # the weighted steps take about 3 per replication; unweighted regula falsi about 4
+    assert 2 * replications < res.score_evaluations <= 5.5 * replications
