@@ -16,6 +16,7 @@ arguments (and, for ``simulate``, the seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import pathlib
 import sys
@@ -306,14 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--p", type=int, required=True, help="success threshold")
     sub.add_argument("--g", required=True, help="gain grid a:b:n")
     _add_output_args(sub)
-    sub.set_defaults(func=cmd_compare)
 
     sub = subs.add_parser("contributions", help="f_c / ps_qs / pf_qf over a gain grid")
     _add_probe_args(sub)
     sub.add_argument("--p", type=int, required=True, help="success threshold")
     sub.add_argument("--g", required=True, help="gain grid a:b:n")
     _add_output_args(sub)
-    sub.set_defaults(func=cmd_contributions)
 
     sub = subs.add_parser("sweep-nbar", help="q_eff versus mean photon number")
     _add_probe_args(sub)
@@ -323,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--gain", type=float, required=True, help="fixed gain g > 1")
     sub.add_argument("--nbar-grid", required=True, help="nbar grid a:b:n")
     _add_output_args(sub)
-    sub.set_defaults(func=cmd_sweep_nbar)
 
     sub = subs.add_parser("simulate", help="Monte-Carlo CRB experiment (JSON)")
     _add_probe_args(sub)
@@ -343,23 +341,28 @@ def build_parser() -> argparse.ArgumentParser:
         "--records", type=pathlib.Path, help="also write per-replication JSON lines here"
     )
     _add_output_args(sub, formats=())
-    sub.set_defaults(func=cmd_simulate)
 
     sub = subs.add_parser("selfcheck", help="oracle fixture + invariant grids")
     _add_output_args(sub, formats=())
-    sub.set_defaults(func=cmd_selfcheck)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call in a process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "grid", None) is None and args.command == "simulate":
         lo = max(1.0 + 1e-6, args.g_true / 1.5)
         args.grid = (lo, args.g_true * 1.5, 61)
+    # looked up at call time, so a handler replaced on this module still runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (GainDomain, UnsupportedKind, TruncationOverflow, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR

@@ -25,10 +25,12 @@ array of that branch's shots.  These counts have the distribution of the
 :func:`nlametro.dense.sample_shots`, the test reference, but they are not
 the same integers.  No count summarises homodyne quadratures, so homodyne
 replications are drawn one after another from the same stream, and each is
-estimated before the next is drawn.  A homodyne replication keeps its
-outcomes reduced to the basis the gain reaches: the fields ``c_n <x|n>`` of
-the levels ``n <= p`` and, on the success branch, the gain-free tail
-``sum_{n>p} c_n <x|n>``.
+estimated before the next is drawn.  A branch's homodyne outcomes come in
+ascending order: the branch's uniforms are sorted before the inverse CDF
+maps them, which gives the same outcomes as unsorted uniforms would, sorted.
+A homodyne replication keeps its outcomes reduced to the basis the gain
+reaches: the fields ``c_n <x|n>`` of the levels ``n <= p`` and, on the
+success branch, the gain-free tail ``sum_{n>p} c_n <x|n>``.
 
 The estimator is a grid argmax followed by a root search on the analytic
 score, the gain derivative of the log-likelihood, inside one grid cell
@@ -39,7 +41,8 @@ searches all its replications at once: its grid surface is one product of
 the count matrix with the log-masses at every grid gain, and each search
 step evaluates every replication's score at its own gain.  A homodyne
 replication's surface multiplies ``GRID_BLOCK`` gains' Kraus rows against
-its reduced fields at a time.
+its reduced fields at a time, into one buffer in which the density, its
+floor and its logarithm are then taken in place.
 """
 
 from __future__ import annotations
@@ -64,8 +67,7 @@ from .instrument import (
     _kraus_rows,
     _kraus_slope_rows,
     branch_probability,
-    kraus_diagonal,
-    kraus_diagonal_derivative,
+    kraus_diagonal,  # noqa: F401  (unused; perfbench's install test reads montecarlo.kraus_diagonal)
 )
 from .measurements import (
     HOMODYNE,
@@ -84,13 +86,15 @@ DETECTORS = (PHOTON_COUNTING, HOMODYNE, HERALD_ONLY, SUCCESS_ONLY)
 # no gain information at all.
 FLATNESS_TOL = 1e-9
 
-RESULT_SCHEMA_VERSION = 5
+RESULT_SCHEMA_VERSION = 6
 
-# Gains per block of a homodyne likelihood surface, whose fields are one
-# (block, rows) @ (rows, shots) product.  Blocks of 4 to 8 gains run equally
-# fast; a whole 61-point grid at once is about 2x slower, through its
-# multi-MB temporaries.  At 6 a complex block of 10^4 shots stays under 1 MB.
-GRID_BLOCK = 6
+# Gains per block of a homodyne likelihood surface.  A block's fields are one
+# (block, rows) @ (rows, shots) product into a reused buffer, and the rest of
+# the surface is taken in place there.  For 10^4 shots, blocks of 8 to 16
+# gains run equally fast, 6 gains about 5% slower and the whole 61-gain grid
+# at once 30% (real) to 2.5x (complex) slower.  At 8 a complex block takes
+# 1.3 MB and its modulus 0.6 MB.
+GRID_BLOCK = 8
 
 
 class DegenerateLikelihood(RuntimeError):
@@ -254,6 +258,9 @@ def _homodyne_sampler(probe: FockVector, params: NlaParams, branch: str):
     trapezoid rule, so inverse sampling draws from the piecewise-linear CDF
     whose moment and Fisher-information bias is O(dx^2) — quadrature-node
     cumsums instead shift every sample left by about half a node weight.
+    The sampler maps the uniforms in ascending order, so ``np.interp`` finds
+    each uniform's cell next to the previous one's.  The table increases
+    strictly, so the outcomes are those of the unsorted uniforms, sorted.
     """
     half_width = default_half_width(probe.dim)
     xs = np.linspace(-half_width, half_width, HOMODYNE_CDF_POINTS)
@@ -266,7 +273,7 @@ def _homodyne_sampler(probe: FockVector, params: NlaParams, branch: str):
     cdf_k, xs_k = cdf[keep], xs[keep]
 
     def sample(u: np.ndarray) -> np.ndarray:
-        return np.interp(u, cdf_k, xs_k)
+        return np.interp(np.sort(u), cdf_k, xs_k)
 
     return sample
 
@@ -404,16 +411,7 @@ def _log_likelihoods(
     """
     g = gains[:, np.newaxis]
     if detector == HOMODYNE:
-        total = np.zeros(g.shape[0])
-        for branch, rows in ((SUCCESS, stats.success), (FAILURE, stats.failure)):
-            if rows is None:
-                continue
-            e = _kraus_rows(g, p, branch, rows.shape[0])
-            for start in range(0, e.shape[0], GRID_BLOCK):
-                field = e[start:start + GRID_BLOCK] @ rows
-                density = np.abs(field) ** 2 if np.iscomplexobj(field) else field * field
-                total[start:start + GRID_BLOCK] += np.log(np.maximum(density, MASS_FLOOR)).sum(axis=1)
-        return total[np.newaxis]
+        return _homodyne_surface(p, stats, g)[np.newaxis]
     w = probe.weights()
     es = _kraus_rows(g, p, SUCCESS, probe.dim)
     qs = es * es * w
@@ -429,6 +427,36 @@ def _log_likelihoods(
         return total + stats.failure @ np.log(np.maximum(ef * ef * w, MASS_FLOOR)).T
     # success-only: conditional on success, divide each mass by p_s
     return total - np.outer(stats.n_s, np.log(np.maximum(ps, MASS_FLOOR)))
+
+
+def _homodyne_surface(p: int, stats: _Quadratures, g: np.ndarray) -> np.ndarray:
+    """Log-likelihoods of one homodyne replication at the gains ``g`` (a column).
+
+    Each block of ``GRID_BLOCK`` gains is fused into one preallocated buffer:
+    the fields ``E @ rows`` land in it, and the density ``|field|^2``, its
+    floor at ``MASS_FLOOR`` and the logarithm are taken in place.  Complex
+    fields take their modulus into a real buffer first.  Each gain's value
+    equals ``np.log(np.maximum(np.abs(field) ** 2, MASS_FLOOR)).sum()`` of
+    its row of the block's fields bit for bit.
+    """
+    total = np.zeros(g.shape[0])
+    for branch, rows in ((SUCCESS, stats.success), (FAILURE, stats.failure)):
+        if rows is None:
+            continue
+        e = _kraus_rows(g, p, branch, rows.shape[0])
+        field = np.empty((min(GRID_BLOCK, e.shape[0]), rows.shape[1]), dtype=rows.dtype)
+        density = np.empty(field.shape) if np.iscomplexobj(field) else field
+        for start in range(0, e.shape[0], GRID_BLOCK):
+            block = e[start:start + GRID_BLOCK]
+            f, d = field[:block.shape[0]], density[:block.shape[0]]
+            np.matmul(block, rows, out=f)
+            if d is not f:
+                np.abs(f, out=d)
+            np.multiply(d, d, out=d)
+            np.maximum(d, MASS_FLOOR, out=d)
+            np.log(d, out=d)
+            total[start:start + GRID_BLOCK] += d.sum(axis=1)
+    return total
 
 
 def _log_slope(value: np.ndarray, slope: np.ndarray, mass: np.ndarray) -> np.ndarray:
@@ -447,14 +475,13 @@ def _scores(probe: FockVector, p: int, detector: str, stats, g: np.ndarray) -> n
     """
     if detector == HOMODYNE:
         (gain,) = g
-        params = NlaParams(g=float(gain), p=p)
         total = 0.0
         for branch, rows in ((SUCCESS, stats.success), (FAILURE, stats.failure)):
             if rows is not None:
-                m = rows.shape[0]
-                field, slope = np.stack(
-                    (kraus_diagonal(params, branch, m), kraus_diagonal_derivative(params, branch, m))
-                ) @ rows
+                pair = np.empty((2, rows.shape[0]))
+                pair[0] = _kraus_rows(gain, p, branch, rows.shape[0])
+                pair[1] = _kraus_slope_rows(gain, p, branch, rows.shape[0])
+                field, slope = pair @ rows
                 density = np.abs(field) ** 2 if np.iscomplexobj(field) else field * field
                 total += 2.0 * float(np.sum(_log_slope(field, slope, density).real))
         return np.array([total])
@@ -488,11 +515,12 @@ def _maximize(surface: np.ndarray, score, values: np.ndarray, tol: float = 1e-6)
     step keeps has its score weighted by ``1 - s(x)/s(replaced end)``, or by
     1/2 when that is not positive (Anderson & Bjorck's variant of the
     Illinois rule), so neither end stalls.  A step that would leave the
-    bracket bisects it, and no step comes within ``tol/2`` of an end (Brent's
-    minimum step), so the last step closes the bracket around a converged
-    iterate.  The estimate is the secant root of the final bracket.
-    Otherwise the cell holds no interior maximum the score can find, and the
-    estimate is the argmax end of the cell: at an edge, the edge itself.
+    bracket bisects it, and a step onto an end or within ``tol/2`` of one is
+    moved ``tol/2`` inside (Brent's minimum step), so the last step closes
+    the bracket around a converged iterate.  The estimate is the secant root
+    of the final bracket.  Otherwise the cell holds no interior maximum the
+    score can find, and the estimate is the argmax end of the cell: at an
+    edge, the edge itself.
 
     The rows move in lockstep and a row whose bracket is at most ``tol`` wide
     stops moving, so each row takes exactly the steps of a search run on its
@@ -528,7 +556,7 @@ def _maximize(surface: np.ndarray, score, values: np.ndarray, tol: float = 1e-6)
     while (active := root & (b - a > tol)).any():
         evaluations += active
         x = b - np.divide(fb * (b - a), fb - fa, out=np.zeros(a.size), where=active)
-        x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
+        x = np.where((a <= x) & (x <= b), x, 0.5 * (a + b))
         x = np.where(active, np.clip(x, a + 0.5 * tol, b - 0.5 * tol), a)
         sx = score(x)
         up, down = active & (sx > 0.0), active & ~(sx > 0.0)

@@ -320,6 +320,16 @@ def test_non_finite_probe_energy_is_rejected_by_value(flag, kind, value, capsys)
     assert f"must be finite and non-negative, got {value}" in err and "levels" not in err
 
 
+def test_main_builds_its_parser_once_and_finds_the_handler_at_call_time(monkeypatch, capsys):
+    argv = ["compare", "--probe", "coherent", "--nbar", "1", "--p", "1", "--g", "1.5:2:2"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser built again"))
+    # a handler replaced on the module after the first call still runs
+    monkeypatch.setattr(cli, "cmd_compare", lambda args: 17)
+    assert cli.main(argv) == 17
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -329,16 +339,24 @@ def test_non_finite_probe_energy_is_rejected_by_value(flag, kind, value, capsys)
             id="simulate-homodyne",
         ),
         pytest.param(
+            "simulate --probe custom --custom-file {complex_probe} --p 1 --g-true 2 "
+            "--detector homodyne --shots 10000 --replications 4 --seed 3",
+            id="simulate-homodyne-complex",
+        ),
+        pytest.param(
             "compare --probe squeezed-vacuum --nbar 2 --p 5 --g 1.01:6:2000 --format json",
             id="compare-squeezed-dim149",
         ),
     ],
 )
-def test_output_does_not_depend_on_the_blas_thread_count(run_python, args):
+def test_output_does_not_depend_on_the_blas_thread_count(run_python, args, tmp_path):
     # the likelihood searches and budgets must not pick up the summation order
     # of a multi-threaded BLAS
+    complex_probe = tmp_path / "complex.json"
+    amps = np.array([0.6, 0.5j, 0.4 * np.exp(1j * np.pi / 3), 0.3 - 0.2j])
+    complex_probe.write_text(json.dumps([[a.real, a.imag] for a in amps / np.linalg.norm(amps)]))
     runs = [
-        run_python("-m", "nlametro.cli", *args.split(), **extra)
+        run_python("-m", "nlametro.cli", *args.format(complex_probe=complex_probe).split(), **extra)
         for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {})
     ]
     for proc in runs:

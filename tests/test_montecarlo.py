@@ -388,6 +388,17 @@ def test_shot_source_draws_only_homodyne_runs_shot_by_shot(g2p1):
     assert success.all() and drawn[SUCCESS].shape == (10,)
 
 
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_homodyne_sampler_gives_the_sorted_outcomes_of_its_uniforms(branch):
+    sample = montecarlo._homodyne_sampler(_COHERENT, NlaParams(g=2.0, p=3), branch)
+    u = np.random.default_rng(23).random(2_000)
+    # one uniform per call: the outcome each uniform maps to, in draw order
+    unsorted = np.array([sample(u[i:i + 1])[0] for i in range(u.size)])
+    drawn = sample(u)
+    assert np.all(np.diff(drawn) >= 0.0)
+    assert np.array_equal(drawn, np.sort(unsorted))
+
+
 def test_count_draw_of_a_one_photon_probe_never_fails(g2p1):
     counts = _ShotSource(ONE_PHOTON, g2p1, "photon-counting").counts(
         np.random.default_rng(3), 500, 4
@@ -497,6 +508,54 @@ def test_compressed_homodyne_likelihood_matches_full_vector(probe, p, g_true, ke
     for g in SEARCH.values():
         compressed = _log_likelihoods(probe, p, "homodyne", stats, np.array([g]))[0]
         assert compressed == pytest.approx(_full_vector_log_likelihood(probe, p, drawn, g), rel=1e-12)
+
+
+def _blockwise_surface_reference(p, stats, gains):
+    """Unfused homodyne surface: per gain, ``np.log(np.maximum(|E @ rows|^2, MASS_FLOOR)).sum()``.
+
+    The fields come from the same ``GRID_BLOCK``-gain products as the
+    surface's: a BLAS product of one row may round differently from the same
+    row inside a larger product.
+    """
+    total = np.zeros(gains.size)
+    block = montecarlo.GRID_BLOCK
+    for branch, rows in ((SUCCESS, stats.success), (FAILURE, stats.failure)):
+        if rows is None:
+            continue
+        e = kraus_diagonal([NlaParams(g=g, p=p) for g in gains], branch, rows.shape[0])
+        for start in range(0, gains.size, block):
+            for i, field in enumerate(e[start:start + block] @ rows, start):
+                total[i] += np.log(np.maximum(np.abs(field) ** 2, MASS_FLOOR)).sum()
+    return total
+
+
+def _with_a_vanished_field(stats):
+    """``stats`` with one more success outcome whose field is 0 at every gain."""
+    rows = stats.success
+    return _Quadratures(np.hstack((rows, np.zeros((rows.shape[0], 1), rows.dtype))), stats.failure)
+
+
+@pytest.mark.parametrize(
+    "probe, p, floored",
+    [
+        pytest.param(_COHERENT, 3, False, id="real-coherent"),
+        pytest.param(_COMPLEX, 1, False, id="complex-custom"),
+        pytest.param(_COHERENT, 3, True, id="real-floored"),
+        pytest.param(_COMPLEX, 1, True, id="complex-floored"),
+    ],
+)
+def test_fused_homodyne_surface_equals_the_unfused_reference_bit_for_bit(probe, p, floored):
+    stats = _Quadratures.of(probe, p, _homodyne_record(probe, NlaParams(g=2.0, p=p), 3_000, seed=19))
+    gains = SEARCH.values()
+    if floored:
+        plain = _log_likelihoods(probe, p, "homodyne", stats, gains)
+        stats = _with_a_vanished_field(stats)
+    surface = _log_likelihoods(probe, p, "homodyne", stats, gains)
+    assert surface.shape == (1, gains.size)
+    npt.assert_array_equal(surface[0], _blockwise_surface_reference(p, stats, gains))
+    if floored:
+        # the vanished field adds log(MASS_FLOOR) at every gain
+        npt.assert_allclose(surface - plain, math.log(MASS_FLOOR), rtol=1e-9)
 
 
 def _count_row(counts, r):
@@ -615,6 +674,23 @@ def test_a_true_gain_at_the_grid_edge_gives_estimates_at_the_edge(edge):
     assert 0 < at_edge.sum() < 40
     assert res.edge_hits >= at_edge.sum()
     assert np.all((res.estimates >= SEARCH.lo) & (res.estimates <= SEARCH.hi))
+
+
+def test_a_secant_step_onto_a_bracket_end_takes_the_minimum_step():
+    # Two-level photon counting at p = 1: the likelihood of u = 1/g^2 peaks at
+    # n_0 / (n_0 + n_f), so the counts n_0 : n_f = 1 : 3 put the maximum
+    # exactly on the grid gain 2.  The secant step then rounds onto the end of
+    # the bracket; moved tol/2 inside, it closes the bracket at once.  A
+    # bisection there takes 17 score evaluations.
+    assert 2.0 in SEARCH.values()
+    half = 1.0 / math.sqrt(2.0)
+    stats = _Counts(np.array([7_000]), np.array([3_000]), np.array([[1_000, 6_000]]),
+                    np.array([[3_000, 0]]))
+    (estimate,), (evaluations,), _ = montecarlo._estimates(
+        FockVector([half, half]), 1, "photon-counting", stats, SEARCH
+    )
+    assert estimate == pytest.approx(2.0, rel=0.0, abs=1e-9)
+    assert evaluations <= 3
 
 
 @pytest.mark.parametrize("detector, replications", [("photon-counting", 500), ("homodyne", 3)])
