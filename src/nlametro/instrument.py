@@ -17,7 +17,8 @@ branch-probability functions take one operating point or a sequence of
 them, whose thresholds may differ, with their rows from the broadcast
 kernels :func:`_kraus_rows` and :func:`_kraus_slope_rows`.  The conditional
 amplitudes and their slopes come from :func:`_conditional_rows`, for one
-operating point or a stack of them.
+operating point or a stack of them; :func:`_conditional_factors` gives
+their real Kraus factors on the levels up to the largest threshold plus one.
 """
 
 from __future__ import annotations
@@ -218,6 +219,25 @@ def _impossible(branch: str, g, p, prob: np.ndarray) -> BranchImpossible:
     )
 
 
+def _branch_rows(probe: FockVector, g, p, branch: str):
+    """Kraus rows, their slopes, the branch probabilities and their gain slopes.
+
+    ``g`` and ``p`` are the ``(G, 1)`` columns of :func:`_point_columns`.
+    The rows are ``G x dim`` stacks, one per point; the probabilities
+    ``sum_n |E_n c_n|^2`` and their slopes ``2 sum_n E_n dE_n |c_n|^2`` run
+    over the whole probe and have length ``G``.  An impossible branch at any
+    point raises :class:`BranchImpossible` naming that point.
+    """
+    _check_branch(branch)
+    probe.require_normalized()
+    e = _kraus_rows(g, p, branch, probe.dim)
+    de = _kraus_slope_rows(g, p, branch, probe.dim)
+    prob = np.sum(np.abs(e * probe.amps) ** 2, axis=1)
+    if np.any(prob < PROBABILITY_FLOOR):
+        raise _impossible(branch, g, p, prob)
+    return e, de, prob, 2.0 * np.sum(e * de * probe.weights(), axis=1)
+
+
 def _conditional_rows(probe: FockVector, params: Points, branch: str):
     """Normalized conditional amplitudes, their gain slopes and the branch probabilities.
 
@@ -228,19 +248,28 @@ def _conditional_rows(probe: FockVector, params: Points, branch: str):
     ``da_n = dE_n c_n / sqrt(prob) - a_n dprob / (2 prob)``.  An impossible
     branch at any point raises :class:`BranchImpossible` naming that point.
     """
-    _check_branch(branch)
-    probe.require_normalized()
-    g, p = _point_columns(params)
-    e = _kraus_rows(g, p, branch, probe.dim)
-    de = _kraus_slope_rows(g, p, branch, probe.dim)
-    raw = e * probe.amps
-    prob = np.sum(np.abs(raw) ** 2, axis=1)
-    if np.any(prob < PROBABILITY_FLOOR):
-        raise _impossible(branch, g, p, prob)
-    dprob = 2.0 * np.sum(e * de * probe.weights(), axis=1)
+    e, de, prob, dprob = _branch_rows(probe, *_point_columns(params), branch)
     root = np.sqrt(prob)[:, np.newaxis]
-    amps = raw / root
+    amps = e * probe.amps / root
     return amps, de * probe.amps / root - amps * (dprob / (2.0 * prob))[:, np.newaxis], prob
+
+
+def _conditional_factors(probe: FockVector, params: Points, branch: str):
+    """The real factors ``a_n``, ``da_n`` of the conditional amplitudes ``a_n c_n``.
+
+    ``a_n = E_n / sqrt(prob)`` and ``da_n = dE_n / sqrt(prob) - a_n dprob /
+    (2 prob)``, with the probability and its slope over the whole probe
+    (:func:`_branch_rows`).  The rows stop after level ``max p + 1``, at
+    ``min(dim, max p + 2)`` levels: every level above a point's threshold
+    has ``E_s = 1`` and ``E_f = dE = 0``, so the last column is the factor
+    of every higher level too.
+    """
+    g, p = _point_columns(params)
+    e, de, prob, dprob = _branch_rows(probe, g, p, branch)
+    levels = min(probe.dim, int(np.max(p)) + 2)
+    root = np.sqrt(prob)[:, np.newaxis]
+    a = e[:, :levels] / root
+    return a, de[:, :levels] / root - a * (dprob / (2.0 * prob))[:, np.newaxis]
 
 
 def conditional_state(probe: FockVector, params: NlaParams, branch: str) -> ConditionalState:

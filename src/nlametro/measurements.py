@@ -11,9 +11,24 @@ the latter through its own code path so it can arbitrate the identity
 
 Every function but :func:`homodyne_density` takes one operating point or a
 sequence of them, whose thresholds may differ, and evaluates all points as
-one stack of rows: conditional amplitudes and slopes from one call of the
-instrument kernel ``_conditional_rows``, joint-record rows ``E_i c`` from one
-``_kraus_rows`` and ``_kraus_slope_rows`` call per branch.
+one stack of rows.  Photon counting takes the conditional amplitudes and
+slopes from one call of the instrument kernel ``_conditional_rows``, and
+joint-record rows ``E_i c`` from one ``_kraus_rows`` and
+``_kraus_slope_rows`` call per branch.
+
+Homodyne works on the Kraus-image basis.  Above a threshold ``p`` the
+Kraus operators are constant (``E_s = 1``, ``E_f = 0``), so every branch
+field of a stack whose largest threshold is ``max p`` is a real combination
+of the ``min(dim, max p + 2)`` rows ``c_n <x|n>`` for ``n <= max p`` and the
+gain-free tail ``sum_{n > max p} c_n <x|n>`` (:func:`_image_basis`, which
+the Monte-Carlo homodyne records share).  One basis per call serves every
+threshold in the stack: a point's coefficient row is its Kraus factor row on
+those levels, whose last entry multiplies the tail.  The conditional
+factors ``E / sqrt(p_b)`` and their slopes come from one
+``_conditional_factors`` call, the joint-record rows ``E_i`` from one
+``_kraus_rows`` and ``_kraus_slope_rows`` call per branch.  A field from the
+basis differs from the full ``dim``-level sum only by the regrouped tail
+sum, at most about ``dim`` ulp of ``sum_n |c_n <x|n>|``.
 """
 
 from __future__ import annotations
@@ -34,6 +49,7 @@ from .instrument import (
     BRANCHES,
     NlaParams,
     Points,
+    _conditional_factors,
     _conditional_rows,
     _kraus_rows,
     _kraus_slope_rows,
@@ -163,15 +179,48 @@ def _grid_and_wavefunctions(dim: int, widen: int = 0) -> tuple[QuadratureGrid, n
     return grid, wavefunction_matrix(dim, grid.nodes)
 
 
-def _fields(rows: np.ndarray, psi: np.ndarray) -> list[np.ndarray]:
-    """Real and imaginary parts of ``rows @ psi``, computed in real arithmetic.
+def _image_basis(probe: FockVector, psi: np.ndarray, head: int) -> np.ndarray:
+    """The rows ``c_n <x|n>`` for ``n < head``, then the tail ``sum_{n>=head} c_n <x|n>``.
 
-    The real wavefunction table is never cast to complex; the imaginary
-    product is skipped when the rows have no imaginary part.
+    ``psi`` holds ``<x|n>`` at the outcomes for its first levels; the tail
+    row is there only when those reach past ``head``.  A branch field of a
+    point with threshold ``p < head`` is the point's Kraus diagonal on the
+    first ``len(rows)`` levels times the rows, since every level above ``p``
+    has ``E_s = 1`` and ``E_f = 0``, the tail's coefficients.  The rows are
+    real when the probe's amplitudes are.
     """
-    if np.iscomplexobj(rows) and np.any(rows.imag):
-        return [rows.real @ psi, rows.imag @ psi]
-    return [rows.real @ psi]
+    amps = probe.amps if probe.amps.imag.any() else probe.amps.real
+    rows = amps[:head, np.newaxis] * psi[:head]
+    if psi.shape[0] > head:
+        rows = np.vstack((rows, amps[head:] @ psi[head:]))
+    return rows
+
+
+def _basis_parts(probe: FockVector, levels: int, widen: int = 0):
+    """The window-``widen`` grid and the parts of the probe's ``levels``-row basis.
+
+    The basis is :func:`_image_basis` on the grid's wavefunction table: the
+    rows of the first ``levels - 1`` levels and the tail from level
+    ``levels - 1`` on, or all ``dim`` rows when ``levels = dim``.  With
+    ``levels = min(dim, max p + 2)`` it serves every threshold up to
+    ``max p``.  Its parts are its real part and, for a complex probe, its
+    imaginary part, each contiguous.
+    """
+    grid, psi = _grid_and_wavefunctions(probe.dim, widen)
+    basis = _image_basis(probe, psi, levels if levels == probe.dim else levels - 1)
+    if np.iscomplexobj(basis):
+        return grid, [np.ascontiguousarray(basis.real), np.ascontiguousarray(basis.imag)]
+    return grid, [basis]
+
+
+def _fields(rows: np.ndarray, parts: list[np.ndarray]) -> list[np.ndarray]:
+    """Real coefficient rows times each part of the basis: the fields' real and imaginary parts.
+
+    Error model: a field from the basis differs from the full sum
+    ``sum_n a_n c_n <x|n>`` over all ``dim`` levels only by the regrouped
+    tail sum, at most about ``dim`` ulp of ``sum_n |c_n <x|n>|``.
+    """
+    return [rows @ part for part in parts]
 
 
 def homodyne_density(probe: FockVector, params: NlaParams, branch: str, x) -> np.ndarray | float:
@@ -190,15 +239,17 @@ def homodyne_distribution(
     """Conditional homodyne density tabulated on the adaptive grid.
 
     ``params`` is one operating point, giving one distribution, or a
-    sequence of them, giving a list.  The conditional amplitudes of all
-    points are multiplied against the window-0 wavefunction table
-    ``ROW_CHUNK`` rows at a time.
+    sequence of them, giving a list.  The real Kraus factors of all points
+    (:func:`~nlametro.instrument._conditional_factors`) are multiplied
+    against the probe's window-0 basis of ``min(dim, max p + 2)`` rows
+    (:func:`_basis_parts`), ``ROW_CHUNK`` rows at a time; each density
+    carries the basis's error model (:func:`_fields`).
     """
-    amps = _conditional_rows(probe, params, branch)[0]
-    grid, psi = _grid_and_wavefunctions(probe.dim, 0)
+    factors = _conditional_factors(probe, params, branch)[0]
+    grid, parts = _basis_parts(probe, factors.shape[1])
     dists = []
-    for start in range(0, len(amps), ROW_CHUNK):
-        masses = sum(f * f for f in _fields(amps[start:start + ROW_CHUNK], psi))
+    for start in range(0, len(factors), ROW_CHUNK):
+        masses = sum(f * f for f in _fields(factors[start:start + ROW_CHUNK], parts))
         masses.setflags(write=False)
         dists.extend(
             OutcomeDistribution(
@@ -213,41 +264,45 @@ def homodyne_distribution(
     return dists[0] if isinstance(params, NlaParams) else dists
 
 
-def _fisher_integral(dim: int, amps: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+def _fisher_integral(probe: FockVector, amps: np.ndarray, slopes: np.ndarray) -> np.ndarray:
     """Integrate ``(d density)^2 / density`` for groups of stacked field rows.
 
-    ``amps`` and ``slopes`` have shape ``(G, K, dim)``: each of the ``G``
-    groups holds ``K`` rows of field amplitudes and their gain derivatives,
-    and the integrands of a group's rows add up (one row for a branch FI,
-    one per branch for the joint record).  Returns the ``G`` integrals.
+    ``amps`` and ``slopes`` are real coefficient rows of shape
+    ``(G, K, levels)`` on the probe's ``levels``-row basis
+    (:func:`_basis_parts`, ``levels = min(dim, max p + 2)``): each of the
+    ``G`` groups holds ``K`` rows of field coefficients and their gain
+    derivatives, and the integrands of a group's rows add up (one row for a
+    branch FI, one per branch for the joint record).  Returns the ``G``
+    integrals.  The fields carry the basis's error model (:func:`_fields`).
 
-    Rows are multiplied against the real wavefunction table at most
-    ``ROW_CHUNK`` at a time, which bounds the ``rows x nodes`` temporaries.
-    The products are then reduced in place: each field product becomes the
-    density ``f^2`` and the cross term ``f df``, and the integrand
-    ``cross (cross / density)`` is formed in one buffer, with the
-    ``MASS_FLOOR`` floor, divided before squared as in :func:`_counting_fi`.
-    Since ``d density = 2 cross``, the factor 4 is applied to each group's
-    integral, where a power of two rescales exactly.
+    Rows are multiplied against the basis at most ``ROW_CHUNK`` at a time,
+    which bounds the ``rows x nodes`` temporaries.  The products are then
+    reduced in place: each field product becomes the density ``f^2`` and
+    the cross term ``f df``, and the integrand ``cross (cross / density)``
+    is formed in one buffer, with the ``MASS_FLOOR`` floor, divided before
+    squared as in :func:`_counting_fi`.  Since ``d density = 2 cross``, the
+    factor 4 is applied to each group's integral, where a power of two
+    rescales exactly.
 
     The tail check runs per group on its two outermost panels: a group
     whose left or right panel carries more than TAIL_SHARE of its total,
     which given the default margin should never happen, is evaluated again
-    on a window widened by 25% per step, and only such groups are.
+    on a window widened by 25% per step, with the basis rebuilt on it, and
+    only such groups are.
     """
-    groups, per_group = amps.shape[:2]
+    groups, per_group, levels = amps.shape
     chunk = max(1, ROW_CHUNK // per_group)
     totals = np.empty(groups)
     pending = np.arange(groups)
     for widen in range(6):
-        grid, psi = _grid_and_wavefunctions(dim, widen)
+        grid, parts = _basis_parts(probe, levels, widen)
         edge = grid.weights[:grid.order]  # every panel has the same weights
         done = np.zeros(pending.size, dtype=bool)
         for start in range(0, pending.size, chunk):
             idx = pending[start:start + chunk]
-            rows = np.concatenate((amps[idx], slopes[idx]), axis=1).reshape(-1, dim)
+            rows = np.concatenate((amps[idx], slopes[idx]), axis=1).reshape(-1, levels)
             dens = cross = None
-            for prod in _fields(rows, psi):
+            for prod in _fields(rows, parts):
                 field, dfield = np.split(prod.reshape(idx.size, 2 * per_group, -1), 2, axis=1)
                 dfield *= field
                 field *= field
@@ -282,15 +337,16 @@ def fi_homodyne(
 
     ``params`` is one operating point, giving a float, or a sequence of
     them, giving an array; either way the points go through one stacked
-    :func:`_fisher_integral`, one row per point.
+    :func:`_fisher_integral`, one row of real Kraus factors per point
+    (:func:`~nlametro.instrument._conditional_factors`) on one basis.
     """
     if not allow_complex and not probe.is_real():
         raise ComplexProbeUnsupported(
             "homodyne saturation only holds for real probe amplitudes; "
             "pass allow_complex=True to compute the classical value anyway"
         )
-    amps, slopes, _ = _conditional_rows(probe, params, branch)
-    return _per_point(params, _fisher_integral(probe.dim, amps[:, None], slopes[:, None]))
+    a, da = _conditional_factors(probe, params, branch)
+    return _per_point(params, _fisher_integral(probe, a[:, None], da[:, None]))
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +366,10 @@ def sequential_fi(
 
     ``params`` is one operating point, giving a float, or a sequence of
     them, giving an array.  The two branch rows ``E_i c`` of a point are one
-    group of :func:`_counting_fi` or, for homodyne, of one stacked
-    :func:`_fisher_integral`.
+    group of :func:`_counting_fi`.  For homodyne, the two unnormalized Kraus
+    rows ``E_i`` and their slopes on the first ``min(dim, max p + 2)``
+    levels are one group of one stacked :func:`_fisher_integral` on the
+    probe's basis, with its error model.
     """
     probe.require_normalized()
     if detector not in DETECTOR_KINDS:
@@ -319,11 +377,12 @@ def sequential_fi(
     if detector == HOMODYNE and not probe.is_real():
         raise ComplexProbeUnsupported("joint homodyne record requires real probe amplitudes")
     g, p = _point_columns(params)
-    dim, c = probe.dim, probe.amps
-    amps = np.stack([_kraus_rows(g, p, b, dim) * c for b in BRANCHES], axis=1)
-    slopes = np.stack([_kraus_slope_rows(g, p, b, dim) * c for b in BRANCHES], axis=1)
     if detector == PHOTON_COUNTING:
-        values = _counting_fi(amps, slopes)
-    else:
-        values = _fisher_integral(dim, amps, slopes)
-    return _per_point(params, values)
+        dim, c = probe.dim, probe.amps
+        amps = np.stack([_kraus_rows(g, p, b, dim) * c for b in BRANCHES], axis=1)
+        slopes = np.stack([_kraus_slope_rows(g, p, b, dim) * c for b in BRANCHES], axis=1)
+        return _per_point(params, _counting_fi(amps, slopes))
+    levels = min(probe.dim, int(np.max(p)) + 2)
+    amps = np.stack([_kraus_rows(g, p, b, levels) for b in BRANCHES], axis=1)
+    slopes = np.stack([_kraus_slope_rows(g, p, b, levels) for b in BRANCHES], axis=1)
+    return _per_point(params, _fisher_integral(probe, amps, slopes))

@@ -73,6 +73,7 @@ from .measurements import (
     HOMODYNE,
     MASS_FLOOR,
     PHOTON_COUNTING,
+    _image_basis,
     homodyne_density,
     photon_counting_dist,
 )
@@ -373,8 +374,9 @@ class _Quadratures:
     ``(p+2, N_s)`` and ``(p+1, N_f)``, or ``(dim, N)`` each when ``p+1 >= dim``
     leaves no tail.  A field is then ``E @ rows``, with ``E`` the Kraus
     diagonal on the first ``len(rows)`` levels, since ``E_s(p+1) = 1`` weights
-    the tail.  The rows are real when the probe's amplitudes are, and
-    ``None`` where the branch never fired.
+    the tail.  The rows are those of the detector kernels' basis,
+    :func:`~nlametro.measurements._image_basis`; they are real when the
+    probe's amplitudes are, and ``None`` where the branch never fired.
     """
 
     success: np.ndarray | None
@@ -382,18 +384,13 @@ class _Quadratures:
 
     @classmethod
     def of(cls, probe: FockVector, p: int, drawn: dict) -> "_Quadratures":
-        amps = probe.amps if probe.amps.imag.any() else probe.amps.real
         head = min(p + 1, probe.dim)
 
         def reduce(branch: str) -> np.ndarray | None:
             if branch not in drawn:
                 return None
             levels = probe.dim if branch == SUCCESS else head
-            psi = wavefunction_matrix(levels, drawn[branch])
-            rows = amps[:head, np.newaxis] * psi[:head]
-            if levels > head:
-                rows = np.vstack((rows, amps[head:] @ psi[head:]))
-            return rows
+            return _image_basis(probe, wavefunction_matrix(levels, drawn[branch]), head)
 
         return cls(*(reduce(branch) for branch in BRANCHES))
 

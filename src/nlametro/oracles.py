@@ -594,6 +594,10 @@ def joint_fi_direct(
     densities come from the measurement module; the homodyne densities are
     its :func:`~nlametro.measurements.homodyne_distribution` on the window-0
     quadrature grid, whose wavefunction table the slope fields use too.
+    The slope fields are full ``dim``-level sums formed in real arithmetic,
+    ``Re[s conj(t)] = s_r t_r + s_i t_i``, and never the measurement
+    module's Kraus-image basis, so the homodyne joint record stays an
+    independent witness of the library's kernels.
     """
     if detector not in (PHOTON_COUNTING, HOMODYNE):
         raise ValueError(f"unknown detector {detector!r}")
@@ -609,10 +613,7 @@ def joint_fi_direct(
     grid, psi = _grid_and_wavefunctions(probe.dim, 0)
     lo, hi = fd._pair
     head = lo.hi.shape[-1]
-    c = probe.amps[:head]
-
-    def times_amps(kraus: _DD) -> np.ndarray:
-        return (kraus * c.real).hi + 1j * (kraus * c.imag).hi
+    parts = (probe.amps.real, probe.amps.imag) if probe.amps.imag.any() else (probe.amps.real,)
 
     total = 0.0
     for b, branch in enumerate(BRANCHES):
@@ -621,12 +622,15 @@ def joint_fi_direct(
             center = prob * homodyne_distribution(probe, params, branch).masses
         except BranchImpossible:
             continue
-        slope_amps = times_amps((hi - lo)[0, b] / dg)
-        sum_amps = np.zeros(probe.dim, dtype=np.complex128)
-        sum_amps[:head] = times_amps((hi + lo)[0, b])
-        if branch == SUCCESS:
-            sum_amps[head:] = 2.0 * probe.amps[head:]
-        slope = ((slope_amps @ psi[:head]) * np.conj(sum_amps @ psi)).real
+        diff, both = (hi - lo)[0, b] / dg, (hi + lo)[0, b]
+        slope = np.zeros(grid.nodes.size)
+        for c in parts:
+            # Re[s conj(t)] = sr tr + si ti, one real field pair per part
+            sum_amps = np.zeros(probe.dim)
+            sum_amps[:head] = (both * c[:head]).hi
+            if branch == SUCCESS:
+                sum_amps[head:] = 2.0 * c[head:]
+            slope += ((diff * c[:head]).hi @ psi[:head]) * (sum_amps @ psi)
         keep = center > MASS_FLOOR
         integrand = np.zeros(grid.nodes.size)
         integrand[keep] = slope[keep] ** 2 / center[keep]

@@ -39,8 +39,12 @@ slopes from one ``_conditional_rows`` call per branch.  The detector rows
 pass them to one call per branch of ``fi_photon_counting``,
 ``photon_counting_dist``, ``fi_homodyne`` and ``homodyne_distribution``,
 and to one ``sequential_fi`` call per detector; each takes the rows of all
-points from one kernel evaluation, and homodyne stacks them as chunked real
-products on the quadrature grid.  The meter suite draws the normals of a
+points from one kernel evaluation.  Homodyne multiplies the points' real
+coefficient rows, in chunks, against one Kraus-image basis of
+``min(dim, max p + 2)`` rows on the quadrature grid (7 here, for probes of up
+to 149 levels); its fields differ from the full ``dim``-level sums only by
+the regrouped tail sum, at most about ``dim`` ulp of ``sum_n |c_n <x|n>|``.
+The products stay small enough that OpenBLAS keeps them on one thread.  The meter suite draws the normals of a
 probe's 1750 random meters as one block and makes one ``qfi_joint_meter``
 call per probe, 8 in all: a :class:`~nlametro.instrument.MeterBatch` of
 the probe's 35 points x 54 meters, whose ``q_eff`` and coupling terms are

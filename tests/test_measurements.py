@@ -12,6 +12,7 @@ from nlametro.instrument import (
     SUCCESS,
     BranchImpossible,
     NlaParams,
+    _conditional_factors,
     _conditional_rows,
     _kraus_rows,
     _kraus_slope_rows,
@@ -36,7 +37,12 @@ from nlametro.measurements import (
     sequential_fi,
 )
 from nlametro.probes import ProbeSpec
-from nlametro.selfcheck import STANDARD_GAINS, STANDARD_THRESHOLDS
+from nlametro.selfcheck import (
+    NUMERICAL_ZERO,
+    STANDARD_GAINS,
+    STANDARD_THRESHOLDS,
+    standard_probe_grids,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -263,17 +269,17 @@ def test_groups_with_a_heavy_left_tail_are_widened(monkeypatch, coherent_nbar1):
     assert 0 < sum(widened) < len(STANDARD_POINTS)
 
 
-def _two_pass_fisher_integral(dim, amps, slopes):
+def _two_pass_integral(grid, amps, slopes, fields):
     """The integrand formed as ``ddens * (ddens / dens)``, its tail by per-panel sums.
 
-    Evaluates one chunk of groups on the window-0 grid and requires every
-    group to pass the tail check there.
+    ``fields(rows)`` gives the field products of the stacked ``(G, K, levels)``
+    rows on ``grid``.  Evaluates one chunk of groups and requires every group
+    to pass the tail check there.
     """
-    grid, psi = measurements._grid_and_wavefunctions(dim, 0)
     per_group = amps.shape[1]
-    rows = np.concatenate((amps, slopes), axis=1).reshape(-1, dim)
+    rows = np.concatenate((amps, slopes), axis=1).reshape(-1, amps.shape[-1])
     dens = cross = 0.0
-    for prod in measurements._fields(rows, psi):
+    for prod in fields(rows):
         field, dfield = np.split(prod.reshape(len(amps), 2 * per_group, -1), 2, axis=1)
         dens = dens + field * field
         cross = cross + field * dfield
@@ -288,36 +294,133 @@ def _two_pass_fisher_integral(dim, amps, slopes):
     return total
 
 
+def _two_pass_fisher_integral(probe, amps, slopes):
+    """:func:`_two_pass_integral` of real coefficient rows on the probe's window-0 basis."""
+    grid, parts = measurements._basis_parts(probe, amps.shape[-1], 0)
+    return _two_pass_integral(grid, amps, slopes, lambda rows: measurements._fields(rows, parts))
+
+
+def _dim_row_fields(rows, psi):
+    """The fields of ``dim``-level rows: real and imaginary parts of ``rows @ psi``."""
+    if np.any(rows.imag):
+        return [rows.real @ psi, rows.imag @ psi]
+    return [rows.real @ psi]
+
+
+def _dim_row_fisher_integral(dim, amps, slopes):
+    """:func:`_two_pass_integral` of full ``dim``-level rows on the window-0 table.
+
+    The kernel before the Kraus-image basis: every row multiplies all ``dim``
+    rows of the wavefunction table.
+    """
+    grid, psi = measurements._grid_and_wavefunctions(dim, 0)
+    return _two_pass_integral(grid, amps, slopes, lambda rows: _dim_row_fields(rows, psi))
+
+
+def _joint_rows(points, levels, c=1.0):
+    """The joint-record rows ``E_i c`` and slopes ``dE_i c``, ``(G, 2, levels)``."""
+    g, p = _point_columns(points)
+    amps = np.stack([_kraus_rows(g, p, b, levels) * c for b in BRANCHES], axis=1)
+    slopes = np.stack([_kraus_slope_rows(g, p, b, levels) * c for b in BRANCHES], axis=1)
+    return amps, slopes
+
+
 @pytest.mark.parametrize("complex_rows", [False, True])
 def test_one_pass_fisher_integral_equals_the_two_pass_formula_bit_for_bit(
     complex_rows, coherent_nbar1
 ):
     probe = coherent_nbar1
+    one = np.zeros(probe.dim)
+    one[1] = 1.0
+    one = FockVector(one)
     if complex_rows:
         probe = FockVector(probe.amps * np.exp(0.7j * np.arange(probe.dim)))
-    dim = probe.dim
-    # K = 1: the conditional rows of each branch
+        one = FockVector(one.amps * np.exp(0.7j))
+    # K = 1: the conditional factor rows of each branch
     for branch in BRANCHES:
-        amps, slopes, _ = _conditional_rows(probe, STANDARD_POINTS[:ROW_CHUNK], branch)
-        assert bool(np.any(amps.imag)) == complex_rows
+        amps, slopes = _conditional_factors(probe, STANDARD_POINTS[:ROW_CHUNK], branch)
+        parts = measurements._basis_parts(probe, amps.shape[1])[1]
+        assert len(parts) == 1 + complex_rows
         npt.assert_array_equal(
-            measurements._fisher_integral(dim, amps[:, None], slopes[:, None]),
-            _two_pass_fisher_integral(dim, amps[:, None], slopes[:, None]),
+            measurements._fisher_integral(probe, amps[:, None], slopes[:, None]),
+            _two_pass_fisher_integral(probe, amps[:, None], slopes[:, None]),
         )
-    # K = 2: joint-record rows, plus |1> at p = 1, whose failure row is zero,
-    # so its density is floored at every node
+    # K = 2: joint-record rows, and |1> at p = 1, whose failure field is
+    # zero, so its density is floored at every node
     points = STANDARD_POINTS[:ROW_CHUNK // 2 - 1] + [NlaParams(g=2.0, p=1)]
-    one = np.zeros(dim)
-    one[1] = 1.0
-    c = np.vstack((np.broadcast_to(probe.amps, (len(points) - 1, dim)), one))
-    g, p = _point_columns(points)
-    amps = np.stack([_kraus_rows(g, p, b, dim) * c for b in BRANCHES], axis=1)
-    slopes = np.stack([_kraus_slope_rows(g, p, b, dim) * c for b in BRANCHES], axis=1)
-    assert not np.any(amps[-1, 1]) and len(amps) == ROW_CHUNK // 2
-    npt.assert_array_equal(
-        measurements._fisher_integral(dim, amps, slopes),
-        _two_pass_fisher_integral(dim, amps, slopes),
-    )
+    amps, slopes = _joint_rows(points, min(probe.dim, 5 + 2))
+    assert len(amps) == ROW_CHUNK // 2
+    for state in (probe, one):
+        npt.assert_array_equal(
+            measurements._fisher_integral(state, amps, slopes),
+            _two_pass_fisher_integral(state, amps, slopes),
+        )
+    fields = measurements._fields(amps[-1, 1:], measurements._basis_parts(one, amps.shape[-1])[1])
+    assert not any(np.any(f) for f in fields)
+
+
+def _close(got, want, rel=1e-12):
+    """Within ``rel`` of the reference where the scale reaches NUMERICAL_ZERO, and
+    both below NUMERICAL_ZERO elsewhere (the exact zeros of an uninformative branch)."""
+    got, want = np.asarray(got), np.asarray(want)
+    scale = np.maximum(np.abs(got), np.abs(want))
+    error = np.abs(got - want)
+    return bool(np.all(np.where(scale < NUMERICAL_ZERO, error <= NUMERICAL_ZERO,
+                                error <= rel * scale)))
+
+
+def _standard_and_complex_grids():
+    grids = [(probe, points) for probe, _, points in standard_probe_grids()]
+    probe, points = grids[0]
+    return grids + [(FockVector(probe.amps * np.exp(0.7j * np.arange(probe.dim))), points)]
+
+
+def test_basis_kernels_equal_the_dim_row_formula_on_every_standard_point():
+    # the p+2-row basis regroups only the gain-free tail sum; a density's
+    # scale is its row maximum, since near a node of the field the density
+    # is a cancellation residue
+    for probe, points in _standard_and_complex_grids():
+        dim = probe.dim
+        psi = measurements._grid_and_wavefunctions(dim, 0)[1]
+        for branch in BRANCHES:
+            amps, slopes, _ = _conditional_rows(probe, points, branch)
+            assert _close(fi_homodyne(probe, points, branch, allow_complex=True),
+                          _dim_row_fisher_integral(dim, amps[:, None], slopes[:, None]))
+            want = sum(f * f for f in _dim_row_fields(amps, psi))
+            got = np.array([d.masses for d in homodyne_distribution(probe, points, branch)])
+            scale = np.maximum(want.max(axis=1, keepdims=True), NUMERICAL_ZERO)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        if probe.is_real():
+            amps, slopes = _joint_rows(points, dim, probe.amps)
+            assert _close(sequential_fi(probe, points, HOMODYNE),
+                          _dim_row_fisher_integral(dim, amps, slopes))
+
+
+def test_homodyne_kernels_multiply_only_the_kraus_image_basis(monkeypatch):
+    # every product is against min(dim, max p + 2) rows, and the conditional
+    # amplitudes over all dim levels are never formed
+    shapes = []
+    original = measurements._fields
+
+    def recorded(rows, parts):
+        shapes.extend((rows.shape[1],) + part.shape for part in parts)
+        return original(rows, parts)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dim-level conditional rows reached")
+
+    monkeypatch.setattr(measurements, "_fields", recorded)
+    monkeypatch.setattr(measurements, "_conditional_rows", forbidden)
+    for probe, points in _standard_and_complex_grids():
+        levels = min(probe.dim, max(STANDARD_THRESHOLDS) + 2)
+        assert levels < probe.dim
+        shapes.clear()
+        for branch in BRANCHES:
+            fi_homodyne(probe, points, branch, allow_complex=True)
+            homodyne_distribution(probe, points, branch)
+        if probe.is_real():
+            sequential_fi(probe, points, HOMODYNE)
+        assert shapes and {s[:2] for s in shapes} == {(levels, levels)}
 
 
 def test_outcome_distributions_are_read_only_and_never_aliased_to_the_caller():
@@ -352,3 +455,50 @@ def test_fisher_integral_raises_when_the_tail_never_vanishes(monkeypatch, cohere
     monkeypatch.setattr(measurements, "_grid_and_wavefunctions", truncated)
     with pytest.raises(RuntimeError, match="tail"):
         fi_homodyne(coherent_nbar1, STANDARD_POINTS[:3], SUCCESS)
+
+
+def _random_probe_stacks(count=100, seed=2024):
+    """Seeded custom probes of dims 1-29, every other one complex, each with a
+    stack of points whose thresholds run from 0 to dim + 2 and whose gains are
+    log-uniform in [1.001, 30]."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        dim = int(rng.integers(1, 30))
+        amps = rng.standard_normal(dim)
+        if i % 2:
+            amps = amps + 1j * rng.standard_normal(dim)
+        ps = np.unique(np.concatenate(([0, dim + 2], rng.integers(0, dim + 3, size=2))))
+        gains = np.exp(rng.uniform(math.log(1.001), math.log(30.0), size=ps.size))
+        yield FockVector(amps).normalized(), [NlaParams(g=g, p=int(p)) for g, p in zip(gains, ps)]
+
+
+def test_basis_kernels_on_random_probes_and_mixed_thresholds():
+    # p = 0 has no basis row below the tail, and p + 1 >= dim leaves no tail;
+    # the failure branch is impossible at p = 0, where E_f = 0 on every level
+    for probe, points in _random_probe_stacks():
+        dim = probe.dim
+        psi = measurements._grid_and_wavefunctions(dim, 0)[1]
+        for branch in BRANCHES:
+            stack = points if branch == SUCCESS else [pt for pt in points if pt.p > 0]
+            if branch == FAILURE:
+                with pytest.raises(BranchImpossible):
+                    fi_homodyne(probe, points, branch, allow_complex=True)
+            amps, slopes, _ = _conditional_rows(probe, stack, branch)
+            stacked = fi_homodyne(probe, stack, branch, allow_complex=True)
+            assert _close(stacked, _dim_row_fisher_integral(dim, amps[:, None], slopes[:, None]))
+            want = sum(f * f for f in _dim_row_fields(amps, psi))
+            dists = homodyne_distribution(probe, stack, branch)
+            got = np.array([d.masses for d in dists])
+            assert np.all(np.abs(got - want) <= 1e-12 * want.max(axis=1, keepdims=True))
+            for value, dist, params in zip(stacked, dists, stack):
+                assert value == pytest.approx(
+                    fi_homodyne(probe, params, branch, allow_complex=True), rel=1e-12, abs=1e-300
+                )
+                one = homodyne_distribution(probe, params, branch).masses
+                npt.assert_allclose(dist.masses, one, rtol=1e-12, atol=1e-15 * one.max())
+        if probe.is_real():
+            amps, slopes = _joint_rows(points, dim, probe.amps)
+            stacked = sequential_fi(probe, points, HOMODYNE)
+            assert _close(stacked, _dim_row_fisher_integral(dim, amps, slopes))
+            for value, params in zip(stacked, points):
+                assert value == pytest.approx(sequential_fi(probe, params, HOMODYNE), rel=1e-12)

@@ -314,6 +314,39 @@ def test_joint_fi_direct_reference_points(vacuum, g2p1):
     )
 
 
+def test_joint_fi_direct_never_reaches_the_library_homodyne_kernels(monkeypatch):
+    # the oracle's slope fields are its own full-dim sums: with the library's
+    # Fisher integrals barred it still runs, at the golden points and a few
+    # standard ones, and it never imports the Kraus-image basis
+    golden = [
+        (FockVector([0.0, 1.0]), NlaParams(g=2.0, p=1)),
+        (FockVector([1.0]), NlaParams(g=2.0, p=1)),
+        (ProbeSpec.from_nbar("squeezed-vacuum", 1.0).build(), NlaParams(g=1.5, p=2)),
+        (ProbeSpec.from_nbar("coherent", 1.0).build(), NlaParams(g=2.0, p=3)),
+    ]
+    standard = [
+        (probe, points[i])
+        for (probe, _, points), i in zip(standard_probe_grids(), (0, 12, 24, 34))
+    ]
+    cases = [(probe, params, qfi_effective_closed_form(probe, params))
+             for probe, params in golden + standard]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("oracle reached a library homodyne kernel")
+
+    for name in ("_fisher_integral", "fi_homodyne", "sequential_fi"):
+        monkeypatch.setattr(measurements, name, forbidden)
+    _bar_analytic_paths(monkeypatch)
+    for probe, params, q_eff in cases:
+        for detector in ("photon-counting", "homodyne"):
+            assert joint_fi_direct(probe, params, detector) == pytest.approx(
+                q_eff, rel=1e-5, abs=1e-12
+            )
+    source = pathlib.Path(oracles.__file__).read_text()
+    for name in ("_image_basis", "_basis_parts"):
+        assert not hasattr(oracles, name) and name not in source
+
+
 def test_oracle_report_scale_floor_semantics():
     rep = OracleReport.build("zeroish", analytic=1e-33, oracle=0.0, step=0.0, tol=1e-9)
     assert rep.rel_error == 1.0  # plain relative error explodes on zeros
@@ -552,7 +585,8 @@ def test_selfcheck_fails_a_detector_row_that_is_nan(monkeypatch, capsys, functio
 
 def test_detector_suite_makes_a_fixed_number_of_calls_per_probe(monkeypatch):
     # each detector function takes a probe's 35 points, of all thresholds, at
-    # once, and takes their conditional rows from one kernel evaluation
+    # once; photon counting takes their conditional rows from one kernel
+    # evaluation, and homodyne never forms them over all dim levels
     calls = collections.Counter()
 
     def count(module, name):
@@ -577,7 +611,7 @@ def test_detector_suite_makes_a_fixed_number_of_calls_per_probe(monkeypatch):
         "fi_homodyne": 2 * probes,
         "homodyne_distribution": 2 * probes,
         "sequential_fi": 2 * probes,
-        "_conditional_rows": 8 * probes,
+        "_conditional_rows": 4 * probes,
     }
 
 
