@@ -15,7 +15,9 @@ that records which branch occurred, one meter (:class:`MeterState`) or an
 array of them (:class:`MeterBatch`).  The Kraus, completeness and
 branch-probability functions take one operating point or a sequence of
 them, whose thresholds may differ, with their rows from the broadcast
-kernels :func:`_kraus_rows` and :func:`_kraus_slope_rows`.  The conditional
+kernels :func:`_kraus_rows` and :func:`_kraus_slope_rows`; at one scalar
+gain, :func:`_kraus_pair_rows` gives both branches' rows and slopes in one
+call, equal to theirs bit for bit.  The conditional
 amplitudes and their slopes come from :func:`_conditional_rows`, for one
 operating point or a stack of them; :func:`_conditional_factors` gives
 their real Kraus factors on the levels up to the largest threshold plus one.
@@ -24,6 +26,7 @@ their real Kraus factors on the levels up to the largest threshold plus one.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections.abc import Sequence
 
 import numpy as np
@@ -154,6 +157,43 @@ def _kraus_slope_rows(g, p, branch: str, dim: int) -> np.ndarray:
         head = np.divide(-k * g ** (2.0 * k - 1.0), root, out=np.zeros(root.shape), where=k < 0.0)
     out = np.zeros(head.shape[:-1] + (dim,))
     out[..., :levels] = head
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def _pair_exponents(p: int, dim: int) -> np.ndarray:
+    """The exponents ``k, 2k, k - 1, 2k - 1`` of :func:`_kraus_pair_rows`, and ``-k``.
+
+    ``k = min(n - p, 0)`` on levels 0..dim-1, formed as :func:`_kraus_rows`
+    and :func:`_kraus_slope_rows` form it.  Read-only: every call shares it.
+    """
+    k = np.minimum(np.arange(dim, dtype=float) - p, 0.0)
+    out = np.stack((k, 2.0 * k, k - 1.0, 2.0 * k - 1.0, -k))
+    out.setflags(write=False)
+    return out
+
+
+def _kraus_pair_rows(g: float, p: int, dim: int) -> np.ndarray:
+    """Both branches' Kraus rows and slopes at one gain, ``(2, 2, dim)``.
+
+    ``out[0]`` is the success row and its slope, ``out[1]`` the failure row
+    and its slope, each equal to :func:`_kraus_rows` and
+    :func:`_kraus_slope_rows` at ``(g, p)`` bit for bit: the same operations
+    on the same operands, with the four powers of ``g`` taken in one call.
+    Where ``k = 0`` the success slope ``k g^(k-1)`` is the exact zero that
+    :func:`_kraus_slope_rows` pads with, and the failure slope divides by the
+    clipped root, which is the unclipped one since ``g^(2k) <= 1``.
+    Unchecked, like :func:`_kraus_rows`.
+    """
+    exponents = _pair_exponents(p, dim)
+    k, neg = exponents[0], exponents[4]
+    power = g ** exponents[:4]
+    out = np.empty((2, 2, dim))
+    out[0, 0] = power[0]
+    np.multiply(k, power[2], out=out[0, 1])
+    np.sqrt(np.clip(1.0 - power[1], 0.0, None), out=out[1, 0])
+    out[1, 1] = 0.0
+    np.divide(neg * power[3], out[1, 0], out=out[1, 1], where=k < 0.0)
     return out
 
 

@@ -9,26 +9,31 @@ and the Fisher information of the full joint record (branch, outcome) --
 the latter through its own code path so it can arbitrate the identity
 ``F_joint = p_s Q_s + p_f Q_f + F_c`` independently.
 
-Every function but :func:`homodyne_density` takes one operating point or a
-sequence of them, whose thresholds may differ, and evaluates all points as
-one stack of rows.  Photon counting takes the conditional amplitudes and
-slopes from one call of the instrument kernel ``_conditional_rows``, and
-joint-record rows ``E_i c`` from one ``_kraus_rows`` and
-``_kraus_slope_rows`` call per branch.
+Every function takes one operating point or a sequence of them, whose
+thresholds may differ, and evaluates all points as one stack of rows, except
+:func:`homodyne_density`, which takes one point and any outcomes.  Photon
+counting takes the conditional amplitudes and slopes from one call of the
+instrument kernel ``_conditional_rows``, and joint-record rows ``E_i c``
+from one ``_kraus_rows`` and ``_kraus_slope_rows`` call per branch.
 
-Homodyne works on the Kraus-image basis.  Above a threshold ``p`` the
-Kraus operators are constant (``E_s = 1``, ``E_f = 0``), so every branch
-field of a stack whose largest threshold is ``max p`` is a real combination
-of the ``min(dim, max p + 2)`` rows ``c_n <x|n>`` for ``n <= max p`` and the
-gain-free tail ``sum_{n > max p} c_n <x|n>`` (:func:`_image_basis`, which
-the Monte-Carlo homodyne records share).  One basis per call serves every
-threshold in the stack: a point's coefficient row is its Kraus factor row on
-those levels, whose last entry multiplies the tail.  The conditional
-factors ``E / sqrt(p_b)`` and their slopes come from one
-``_conditional_factors`` call, the joint-record rows ``E_i`` from one
-``_kraus_rows`` and ``_kraus_slope_rows`` call per branch.  A field from the
-basis differs from the full ``dim``-level sum only by the regrouped tail
-sum, at most about ``dim`` ulp of ``sum_n |c_n <x|n>|``.
+Homodyne works on the Kraus-image basis, in real arithmetic.  Above a
+threshold ``p`` the Kraus operators are constant (``E_s = 1``, ``E_f = 0``),
+so every branch field of a stack whose largest threshold is ``max p`` is a
+real combination of the ``min(dim, max p + 2)`` rows ``c_n <x|n>`` for
+``n <= max p`` and the gain-free tail ``sum_{n > max p} c_n <x|n>``
+(:func:`_image_basis`, which the Monte-Carlo homodyne records share).  The
+basis is kept as its parts, real arrays: the rows of the real amplitudes
+and, for a complex probe, those of the imaginary ones, so a density is the
+sum of the squared field parts and no complex array is built.  One basis per
+call serves every threshold in the stack: a point's coefficient row is its
+Kraus factor row on those levels, whose last entry multiplies the tail.
+:func:`homodyne_density`, :func:`homodyne_distribution`,
+:func:`fi_homodyne` and ``sequential_fi(HOMODYNE)`` all multiply such rows
+against the basis.  The conditional factors ``E / sqrt(p_b)`` and their
+slopes come from one ``_conditional_factors`` call, the joint-record rows
+``E_i`` from one ``_kraus_rows`` and ``_kraus_slope_rows`` call per branch.
+A field from the basis differs from the full ``dim``-level sum only by the
+regrouped tail sum, at most about ``dim`` ulp of ``sum_n |c_n <x|n>|``.
 """
 
 from __future__ import annotations
@@ -55,7 +60,6 @@ from .instrument import (
     _kraus_slope_rows,
     _per_point,
     _point_columns,
-    conditional_state,
 )
 
 PHOTON_COUNTING = "photon-counting"
@@ -179,21 +183,31 @@ def _grid_and_wavefunctions(dim: int, widen: int = 0) -> tuple[QuadratureGrid, n
     return grid, wavefunction_matrix(dim, grid.nodes)
 
 
-def _image_basis(probe: FockVector, psi: np.ndarray, head: int) -> np.ndarray:
-    """The rows ``c_n <x|n>`` for ``n < head``, then the tail ``sum_{n>=head} c_n <x|n>``.
+def _image_basis(probe: FockVector, psi: np.ndarray, levels: int) -> tuple[np.ndarray, ...]:
+    """The parts of the ``levels``-row basis: rows ``c_n <x|n>``, then the tail.
 
-    ``psi`` holds ``<x|n>`` at the outcomes for its first levels; the tail
-    row is there only when those reach past ``head``.  A branch field of a
-    point with threshold ``p < head`` is the point's Kraus diagonal on the
-    first ``len(rows)`` levels times the rows, since every level above ``p``
-    has ``E_s = 1`` and ``E_f = 0``, the tail's coefficients.  The rows are
-    real when the probe's amplitudes are.
+    ``psi`` holds ``<x|n>`` at the outcomes for its first levels.  With more
+    than ``levels`` of them, the rows are those of the first ``levels - 1``
+    levels and the last row is the tail ``sum_{n >= levels-1} c_n <x|n>``;
+    with exactly ``levels``, every row is a level's.  A branch field of a
+    point whose threshold is at most ``levels - 2``, or of any point when
+    there is no tail, is the point's Kraus diagonal on the first ``levels``
+    levels times the rows, since every level above ``p`` has ``E_s = 1``
+    and ``E_f = 0``, the tail's coefficients.
+
+    The parts are the rows' real part and, for a complex probe, their
+    imaginary part: contiguous real arrays, each formed from its own real
+    amplitudes, so no complex array is built.
     """
-    amps = probe.amps if probe.amps.imag.any() else probe.amps.real
-    rows = amps[:head, np.newaxis] * psi[:head]
-    if psi.shape[0] > head:
-        rows = np.vstack((rows, amps[head:] @ psi[head:]))
-    return rows
+    head = levels if psi.shape[0] == levels else levels - 1
+    amps = probe.amps
+    parts = []
+    for c in (amps.real, amps.imag) if amps.imag.any() else (amps.real,):
+        rows = c[:head, np.newaxis] * psi[:head]
+        if psi.shape[0] > head:
+            rows = np.vstack((rows, c[head:] @ psi[head:]))
+        parts.append(rows)
+    return tuple(parts)
 
 
 def _basis_parts(probe: FockVector, levels: int, widen: int = 0):
@@ -203,17 +217,13 @@ def _basis_parts(probe: FockVector, levels: int, widen: int = 0):
     rows of the first ``levels - 1`` levels and the tail from level
     ``levels - 1`` on, or all ``dim`` rows when ``levels = dim``.  With
     ``levels = min(dim, max p + 2)`` it serves every threshold up to
-    ``max p``.  Its parts are its real part and, for a complex probe, its
-    imaginary part, each contiguous.
+    ``max p``.
     """
     grid, psi = _grid_and_wavefunctions(probe.dim, widen)
-    basis = _image_basis(probe, psi, levels if levels == probe.dim else levels - 1)
-    if np.iscomplexobj(basis):
-        return grid, [np.ascontiguousarray(basis.real), np.ascontiguousarray(basis.imag)]
-    return grid, [basis]
+    return grid, _image_basis(probe, psi, levels)
 
 
-def _fields(rows: np.ndarray, parts: list[np.ndarray]) -> list[np.ndarray]:
+def _fields(rows: np.ndarray, parts: tuple[np.ndarray, ...]) -> list[np.ndarray]:
     """Real coefficient rows times each part of the basis: the fields' real and imaginary parts.
 
     Error model: a field from the basis differs from the full sum
@@ -224,12 +234,17 @@ def _fields(rows: np.ndarray, parts: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def homodyne_density(probe: FockVector, params: NlaParams, branch: str, x) -> np.ndarray | float:
-    """Conditional x-quadrature density ``|sum_n a_n <x|n>|^2``."""
-    cond = conditional_state(probe, params, branch)
+    """Conditional x-quadrature density ``|sum_n a_n <x|n>|^2`` at the outcomes ``x``.
+
+    The point's real conditional factor row
+    (:func:`~nlametro.instrument._conditional_factors`) times the parts of
+    the probe's ``min(dim, p + 2)``-row basis at ``x`` (:func:`_image_basis`);
+    the density carries the basis's error model (:func:`_fields`).
+    """
+    factors = _conditional_factors(probe, params, branch)[0]
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    psi = wavefunction_matrix(probe.dim, xa)
-    field = cond.state.amps @ psi
-    dens = np.abs(field) ** 2
+    parts = _image_basis(probe, wavefunction_matrix(probe.dim, xa), factors.shape[1])
+    dens = sum(f * f for f in _fields(factors, parts))[0]
     return dens if isinstance(x, np.ndarray) else float(dens[0])
 
 

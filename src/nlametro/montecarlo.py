@@ -30,7 +30,9 @@ ascending order: the branch's uniforms are sorted before the inverse CDF
 maps them, which gives the same outcomes as unsorted uniforms would, sorted.
 A homodyne replication keeps its outcomes reduced to the basis the gain
 reaches: the fields ``c_n <x|n>`` of the levels ``n <= p`` and, on the
-success branch, the gain-free tail ``sum_{n>p} c_n <x|n>``.
+success branch, the gain-free tail ``sum_{n>p} c_n <x|n>``, as real rows
+(and imaginary rows for a complex probe), so its likelihood and score run
+in real arithmetic.
 
 The estimator is a grid argmax followed by a root search on the analytic
 score, the gain derivative of the log-likelihood, inside one grid cell
@@ -64,6 +66,7 @@ from .instrument import (
     SUCCESS,
     GainDomain,
     NlaParams,
+    _kraus_pair_rows,
     _kraus_rows,
     _kraus_slope_rows,
     branch_probability,
@@ -87,14 +90,14 @@ DETECTORS = (PHOTON_COUNTING, HOMODYNE, HERALD_ONLY, SUCCESS_ONLY)
 # no gain information at all.
 FLATNESS_TOL = 1e-9
 
-RESULT_SCHEMA_VERSION = 6
+RESULT_SCHEMA_VERSION = 7
 
 # Gains per block of a homodyne likelihood surface.  A block's fields are one
-# (block, rows) @ (rows, shots) product into a reused buffer, and the rest of
-# the surface is taken in place there.  For 10^4 shots, blocks of 8 to 16
-# gains run equally fast, 6 gains about 5% slower and the whole 61-gain grid
-# at once 30% (real) to 2.5x (complex) slower.  At 8 a complex block takes
-# 1.3 MB and its modulus 0.6 MB.
+# (block, rows) @ (rows, shots) product per part of the record into reused
+# buffers, and the rest of the surface is taken in place there.  For 10^4
+# shots, blocks of 8 to 16 gains run equally fast, 6 gains about 5% slower
+# and the whole 61-gain grid at once 30% slower.  At 8 a block takes 0.6 MB
+# per part.
 GRID_BLOCK = 8
 
 
@@ -375,22 +378,22 @@ class _Quadratures:
     leaves no tail.  A field is then ``E @ rows``, with ``E`` the Kraus
     diagonal on the first ``len(rows)`` levels, since ``E_s(p+1) = 1`` weights
     the tail.  The rows are those of the detector kernels' basis,
-    :func:`~nlametro.measurements._image_basis`; they are real when the
-    probe's amplitudes are, and ``None`` where the branch never fired.
+    :func:`~nlametro.measurements._image_basis`, kept as its parts: the real
+    rows and, for a complex probe, the imaginary rows, each a contiguous real
+    array.  A branch is ``None`` where it never fired.
     """
 
-    success: np.ndarray | None
-    failure: np.ndarray | None
+    success: tuple[np.ndarray, ...] | None
+    failure: tuple[np.ndarray, ...] | None
 
     @classmethod
     def of(cls, probe: FockVector, p: int, drawn: dict) -> "_Quadratures":
-        head = min(p + 1, probe.dim)
-
-        def reduce(branch: str) -> np.ndarray | None:
+        def reduce(branch: str) -> tuple[np.ndarray, ...] | None:
             if branch not in drawn:
                 return None
-            levels = probe.dim if branch == SUCCESS else head
-            return _image_basis(probe, wavefunction_matrix(levels, drawn[branch]), head)
+            levels = min(p + 2 if branch == SUCCESS else p + 1, probe.dim)
+            table = probe.dim if branch == SUCCESS else levels
+            return _image_basis(probe, wavefunction_matrix(table, drawn[branch]), levels)
 
         return cls(*(reduce(branch) for branch in BRANCHES))
 
@@ -404,7 +407,7 @@ def _log_likelihoods(
     densities are floored at ``MASS_FLOOR`` before the logarithm.  A counting
     or herald surface is one product of the counts with the log-masses of
     every gain.  A homodyne record is one replication, whose fields are one
-    ``(GRID_BLOCK, rows) @ (rows, N)`` product per block of gains.
+    ``(GRID_BLOCK, rows) @ (rows, N)`` product per part and block of gains.
     """
     g = gains[:, np.newaxis]
     if detector == HOMODYNE:
@@ -429,30 +432,33 @@ def _log_likelihoods(
 def _homodyne_surface(p: int, stats: _Quadratures, g: np.ndarray) -> np.ndarray:
     """Log-likelihoods of one homodyne replication at the gains ``g`` (a column).
 
-    Each block of ``GRID_BLOCK`` gains is fused into one preallocated buffer:
-    the fields ``E @ rows`` land in it, and the density ``|field|^2``, its
-    floor at ``MASS_FLOOR`` and the logarithm are taken in place.  Complex
-    fields take their modulus into a real buffer first.  Each gain's value
-    equals ``np.log(np.maximum(np.abs(field) ** 2, MASS_FLOOR)).sum()`` of
+    Each block of ``GRID_BLOCK`` gains is fused into one preallocated buffer
+    per part of the record: the fields ``E @ part`` land in them and are
+    squared in place, the squares add up into the first, the density
+    ``re^2 + im^2``, and its floor at ``MASS_FLOOR`` and the logarithm are
+    taken there.  Each gain's value equals
+    ``np.log(np.maximum(sum(f * f for f in fields), MASS_FLOOR)).sum()`` of
     its row of the block's fields bit for bit.
     """
     total = np.zeros(g.shape[0])
-    for branch, rows in ((SUCCESS, stats.success), (FAILURE, stats.failure)):
-        if rows is None:
+    for branch, parts in ((SUCCESS, stats.success), (FAILURE, stats.failure)):
+        if parts is None:
             continue
-        e = _kraus_rows(g, p, branch, rows.shape[0])
-        field = np.empty((min(GRID_BLOCK, e.shape[0]), rows.shape[1]), dtype=rows.dtype)
-        density = np.empty(field.shape) if np.iscomplexobj(field) else field
+        levels, shots = parts[0].shape
+        e = _kraus_rows(g, p, branch, levels)
+        fields = np.empty((len(parts), min(GRID_BLOCK, e.shape[0]), shots))
         for start in range(0, e.shape[0], GRID_BLOCK):
             block = e[start:start + GRID_BLOCK]
-            f, d = field[:block.shape[0]], density[:block.shape[0]]
-            np.matmul(block, rows, out=f)
-            if d is not f:
-                np.abs(f, out=d)
-            np.multiply(d, d, out=d)
-            np.maximum(d, MASS_FLOOR, out=d)
-            np.log(d, out=d)
-            total[start:start + GRID_BLOCK] += d.sum(axis=1)
+            f = fields[:, :block.shape[0]]
+            for part, out in zip(parts, f):
+                np.matmul(block, part, out=out)
+            np.multiply(f, f, out=f)
+            density = f[0]
+            for square in f[1:]:
+                density += square
+            np.maximum(density, MASS_FLOOR, out=density)
+            np.log(density, out=density)
+            total[start:start + GRID_BLOCK] += density.sum(axis=1)
     return total
 
 
@@ -468,19 +474,27 @@ def _scores(probe: FockVector, p: int, detector: str, stats, g: np.ndarray) -> n
     held at ``MASS_FLOOR`` adds 0, and it takes no logarithm.  A level of mass
     ``q = E^2 w`` adds ``n dq/q = 2 n dE/E``; a homodyne outcome of field
     ``f = E @ rows`` and slope ``df = dE @ rows`` adds ``2 Re(df/f)``; a
-    herald adds ``n_s dp_s/p_s - n_f dp_s/(1 - p_s)``.
+    herald adds ``n_s dp_s/p_s - n_f dp_s/(1 - p_s)``.  In real arithmetic,
+    with ``f_i`` and ``df_i`` the field's and the slope's parts (real, then
+    imaginary for a complex probe), ``Re(df/f) = sum_i f_i df_i / density``
+    and ``density = sum_i f_i^2``.
+
+    Both homodyne branches' Kraus rows and slopes come from one
+    :func:`~nlametro.instrument._kraus_pair_rows` call.
     """
     if detector == HOMODYNE:
         (gain,) = g
         total = 0.0
-        for branch, rows in ((SUCCESS, stats.success), (FAILURE, stats.failure)):
-            if rows is not None:
-                pair = np.empty((2, rows.shape[0]))
-                pair[0] = _kraus_rows(gain, p, branch, rows.shape[0])
-                pair[1] = _kraus_slope_rows(gain, p, branch, rows.shape[0])
-                field, slope = pair @ rows
-                density = np.abs(field) ** 2 if np.iscomplexobj(field) else field * field
-                total += 2.0 * float(np.sum(_log_slope(field, slope, density).real))
+        pairs = _kraus_pair_rows(gain, p, min(p + 2, probe.dim))
+        for pair, parts in zip(pairs, (stats.success, stats.failure)):
+            if parts is None:
+                continue
+            (field, slope), *more = (pair[:, :part.shape[0]] @ part for part in parts)
+            density, cross = field * field, field * slope
+            for f, df in more:
+                density += f * f
+                cross += f * df
+            total += 2.0 * float(np.sum(_log_slope(density, cross, density)))
         return np.array([total])
     w = probe.weights()
     g = g[:, np.newaxis]

@@ -22,6 +22,7 @@ from nlametro.instrument import (
     conditional_state,
     conditional_state_derivative,
     kraus_diagonal,
+    _kraus_pair_rows,
     _kraus_rows,
     _kraus_slope_rows,
     kraus_diagonal_derivative,
@@ -180,6 +181,20 @@ def test_kraus_slope_rows_broadcast_bit_for_bit():
                 assert np.array_equal(slope, _slope_reference(float(g), int(p), branch, dim))
                 params = NlaParams(g=float(g), p=int(p))
                 assert np.array_equal(row, kraus_diagonal(params, branch, dim))
+
+
+def test_kraus_pair_rows_equal_the_row_kernels_bit_for_bit():
+    # the homodyne score's one-call pair at a numpy scalar gain, as its root
+    # search passes it, including thresholds at and above dim
+    gains = np.concatenate([[1.0 + 1e-9, 1.05, 2.0, 6.0, 30.0, 500.0], np.linspace(1.01, 12.0, 23)])
+    for p in (0, 1, 2, 3, 5, 40):
+        for dim in sorted({1, 2, p + 1, p + 2, 149}):
+            for g in gains:
+                pair = _kraus_pair_rows(g, p, dim)
+                assert pair.shape == (2, 2, dim)
+                for (row, slope), branch in zip(pair, (SUCCESS, FAILURE)):
+                    assert np.array_equal(row, _kraus_rows(float(g), p, branch, dim))
+                    assert np.array_equal(slope, _kraus_slope_rows(float(g), p, branch, dim))
 
 
 def test_kraus_rows_do_not_overflow_above_the_threshold():

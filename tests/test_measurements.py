@@ -4,8 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from nlametro import measurements
-from nlametro.fock import FockVector, build_quadrature_grid, wavefunction_matrix
+from nlametro import instrument, measurements, montecarlo
+from nlametro.fock import FockVector, build_quadrature_grid, default_half_width, wavefunction_matrix
 from nlametro.instrument import (
     BRANCHES,
     FAILURE,
@@ -57,14 +57,15 @@ def test_photon_counting_masses_two_level(two_level, g2p1):
 
 
 def test_homodyne_density_hand_values(vacuum, two_level, g2p1):
-    # vacuum conditional states stay vacuum: |psi_0(0)|^2 = 1/sqrt(pi)
-    assert homodyne_density(vacuum, g2p1, SUCCESS, np.array([0.0]))[0] == pytest.approx(
-        1.0 / SQRT_PI, rel=1e-12
-    )
-    # two-level success state has weight 0.2 on |0>; psi_1(0) = 0
-    assert homodyne_density(two_level, g2p1, SUCCESS, np.array([0.0]))[0] == pytest.approx(
-        0.2 / SQRT_PI, rel=1e-12
-    )
+    # vacuum conditional states stay vacuum: |psi_0(0)|^2 = 1/sqrt(pi);
+    # two-level success state has weight 0.2 on |0>; psi_1(0) = 0.  A
+    # scalar x, as the golden spot rows pass it, gives a float.
+    for probe, want in ((vacuum, 1.0 / SQRT_PI), (two_level, 0.2 / SQRT_PI)):
+        assert homodyne_density(probe, g2p1, SUCCESS, np.array([0.0]))[0] == pytest.approx(
+            want, rel=1e-12
+        )
+        spot = homodyne_density(probe, g2p1, SUCCESS, 0.0)
+        assert isinstance(spot, float) and spot == pytest.approx(want, rel=1e-12)
 
 
 def test_homodyne_distribution_normalized(squeezed_nbar1):
@@ -421,6 +422,57 @@ def test_homodyne_kernels_multiply_only_the_kraus_image_basis(monkeypatch):
         if probe.is_real():
             sequential_fi(probe, points, HOMODYNE)
         assert shapes and {s[:2] for s in shapes} == {(levels, levels)}
+
+
+def _conditional_state_density(probe, params, branch, x):
+    """The density before the Kraus-image basis: ``|conditional amplitudes @ <x|n>|^2``."""
+    amps = conditional_state(probe, params, branch).state.amps
+    return np.abs(amps @ wavefunction_matrix(probe.dim, x)) ** 2
+
+
+def test_homodyne_density_equals_the_conditional_state_formula_on_every_standard_point():
+    # the basis regroups only the gain-free tail sum; as for the tabulated
+    # densities, a row's scale is its maximum, floored at NUMERICAL_ZERO
+    for probe, points in _standard_and_complex_grids():
+        half_width = default_half_width(probe.dim)
+        xs = np.linspace(-half_width, half_width, 257)
+        for params in points:
+            for branch in BRANCHES:
+                got = homodyne_density(probe, params, branch, xs)
+                want = _conditional_state_density(probe, params, branch, xs)
+                assert got.dtype == np.float64 and got.shape == xs.shape
+                scale = max(want.max(), NUMERICAL_ZERO)
+                assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def test_homodyne_density_and_sampler_never_build_the_conditional_state(monkeypatch):
+    # a real probe's density is real factor rows times real basis parts, and
+    # neither the density nor the Monte-Carlo sampler built on it reaches
+    # the complex conditional state
+    products = []
+    original = measurements._fields
+
+    def recorded(rows, parts):
+        products.extend((rows.dtype,) + tuple(part.dtype for part in parts))
+        return original(rows, parts)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("conditional state built")
+
+    monkeypatch.setattr(measurements, "_fields", recorded)
+    for module in (instrument, measurements, montecarlo):
+        monkeypatch.setattr(module, "conditional_state", forbidden, raising=False)
+    monkeypatch.setattr(measurements, "_conditional_rows", forbidden)
+    probe = ProbeSpec.from_nbar("coherent", 1.0).build()
+    params = NlaParams(g=2.0, p=3)
+    uniforms = np.random.default_rng(3).random(500)
+    for branch in BRANCHES:
+        dens = homodyne_density(probe, params, branch, np.linspace(-4.0, 4.0, 65))
+        assert dens.dtype == np.float64
+        assert isinstance(homodyne_density(probe, params, branch, 0.5), float)
+        outcomes = montecarlo._homodyne_sampler(probe, params, branch)(uniforms)
+        assert outcomes.dtype == np.float64 and np.all(np.diff(outcomes) >= 0.0)
+    assert products and set(products) == {np.dtype(np.float64)}
 
 
 def test_outcome_distributions_are_read_only_and_never_aliased_to_the_caller():

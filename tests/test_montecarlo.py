@@ -499,40 +499,45 @@ def test_compressed_homodyne_likelihood_matches_full_vector(probe, p, g_true, ke
     drawn = {branch: xs for branch, xs in record.items() if branch in keep}
     assert set(drawn) == set(keep)
     stats = _Quadratures.of(probe, p, drawn)
-    for branch, rows, levels in ((SUCCESS, stats.success, p + 2), (FAILURE, stats.failure, p + 1)):
+    for branch, parts, levels in ((SUCCESS, stats.success, p + 2), (FAILURE, stats.failure, p + 1)):
         if branch not in drawn:
-            assert rows is None
+            assert parts is None
             continue
-        assert rows.shape == (min(levels, probe.dim), drawn[branch].size)
-        assert np.iscomplexobj(rows) == bool(probe.amps.imag.any())
+        # the real rows, then the imaginary rows of a complex probe
+        assert len(parts) == 1 + bool(probe.amps.imag.any())
+        for part in parts:
+            assert part.shape == (min(levels, probe.dim), drawn[branch].size)
+            assert part.dtype == np.float64 and part.flags.c_contiguous
     for g in SEARCH.values():
         compressed = _log_likelihoods(probe, p, "homodyne", stats, np.array([g]))[0]
         assert compressed == pytest.approx(_full_vector_log_likelihood(probe, p, drawn, g), rel=1e-12)
 
 
 def _blockwise_surface_reference(p, stats, gains):
-    """Unfused homodyne surface: per gain, ``np.log(np.maximum(|E @ rows|^2, MASS_FLOOR)).sum()``.
+    """Unfused homodyne surface: per gain, ``np.log(np.maximum(re^2 + im^2, MASS_FLOOR)).sum()``.
 
-    The fields come from the same ``GRID_BLOCK``-gain products as the
+    The field parts come from the same ``GRID_BLOCK``-gain products as the
     surface's: a BLAS product of one row may round differently from the same
     row inside a larger product.
     """
     total = np.zeros(gains.size)
     block = montecarlo.GRID_BLOCK
-    for branch, rows in ((SUCCESS, stats.success), (FAILURE, stats.failure)):
-        if rows is None:
+    for branch, parts in ((SUCCESS, stats.success), (FAILURE, stats.failure)):
+        if parts is None:
             continue
-        e = kraus_diagonal([NlaParams(g=g, p=p) for g in gains], branch, rows.shape[0])
+        e = kraus_diagonal([NlaParams(g=g, p=p) for g in gains], branch, parts[0].shape[0])
         for start in range(0, gains.size, block):
-            for i, field in enumerate(e[start:start + block] @ rows, start):
-                total[i] += np.log(np.maximum(np.abs(field) ** 2, MASS_FLOOR)).sum()
+            fields = [e[start:start + block] @ part for part in parts]
+            for i, row in enumerate(zip(*fields), start):
+                density = sum(f * f for f in row)
+                total[i] += np.log(np.maximum(density, MASS_FLOOR)).sum()
     return total
 
 
 def _with_a_vanished_field(stats):
     """``stats`` with one more success outcome whose field is 0 at every gain."""
-    rows = stats.success
-    return _Quadratures(np.hstack((rows, np.zeros((rows.shape[0], 1), rows.dtype))), stats.failure)
+    parts = tuple(np.hstack((part, np.zeros((part.shape[0], 1)))) for part in stats.success)
+    return _Quadratures(parts, stats.failure)
 
 
 @pytest.mark.parametrize(
@@ -572,7 +577,10 @@ def _failure_never_fired(counts):
 def _score_cases():
     """(id, probe, p, detector, stats) for every detector, with never-fired branches."""
     cases = []
-    for name, probe, p in (("coherent", _COHERENT, 3), ("complex", _COMPLEX, 1)):
+    # at p = 3 the complex probe's imaginary amplitudes reach gain-dependent
+    # levels, so its homodyne score has an imaginary cross term
+    for name, probe, p in (("coherent", _COHERENT, 3), ("complex", _COMPLEX, 1),
+                           ("complex-p3", _COMPLEX, 3)):
         for detector in _COUNT_DETECTORS:
             counts = _ShotSource(probe, NlaParams(g=2.0, p=p), detector).counts(
                 np.random.default_rng(5), 2_000, 4
