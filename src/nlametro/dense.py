@@ -30,7 +30,6 @@ import dataclasses
 
 import numpy as np
 
-from .fisher import ZERO_EIGENVALUE_TOL
 from .fock import DensityOperator, FockVector
 from .instrument import (
     BRANCHES,
@@ -112,7 +111,7 @@ def unconditional_state_derivative(probe: FockVector, params: NlaParams) -> np.n
     return out
 
 
-def qfi_mixed(rho: DensityOperator, drho: np.ndarray, zero_tol: float = ZERO_EIGENVALUE_TOL) -> float:
+def qfi_mixed(rho: DensityOperator, drho: np.ndarray, zero_tol: float = 1e-12) -> float:
     """QFI of a mixed-state family from its eigendecomposition.
 
     ``Q = 2 sum_{jk} |<j| drho |k>|^2 / (v_j + v_k)`` over eigenpairs whose

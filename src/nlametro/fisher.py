@@ -16,14 +16,16 @@ and the QFI of the branch-averaged (unconditional) output state ``q_unc``.
 
 Every quantity but the closed form is a formula on the Kraus images
 ``A = [E_s c, E_f c]`` and slopes ``dA``, which :func:`_images` builds once per
-call for a stack of operating points, whose thresholds may differ.  Above
-the threshold ``E_s = 1``, ``E_f = 0`` and both derivatives vanish, so the
-levels ``n > p`` enter only through ``c_{>p}``: the images keep the rows
-``n <= p`` and one tail row ``||c_{>p}||``, which keeps every inner product,
+call for a stack of operating points, whose thresholds may differ, from one
+call of the instrument's Kraus kernel ``_kraus_pair``.  Above the threshold
+``E_s = 1``, ``E_f = 0`` and both derivatives vanish, so the levels
+``n > p`` enter only through ``c_{>p}``: the images keep the rows ``n <= p``
+and one tail row ``||c_{>p}||``, which keeps every inner product,
 zero-padded to the stack's largest ``p``.  ``q_unc`` is the QFI of the
-rank-<=2 output ``A A^+``, from a thin SVD of this ``(p+2) x 2`` matrix, one
-batched SVD for the whole stack; the tests compare it with the dense
-:func:`nlametro.dense.qfi_mixed`.
+rank-<=2 output ``A A^+``, from a QR factorisation of this ``(p+2) x 2``
+matrix and an SVD of its 2x2 triangular factor, batched over the whole
+stack, with the rank read off the images' structure; the tests compare it
+with the dense :func:`nlametro.dense.qfi_mixed`.
 
 :func:`qfi_effective`, :func:`qfi_effective_closed_form`,
 :func:`meter_coupling_term` and :func:`qfi_joint_meter` take one
@@ -57,19 +59,14 @@ from .instrument import (
     NlaParams,
     Points,
     _check_branch,
+    _image_levels,
     _impossible,
-    _kraus_rows,
-    _kraus_slope_rows,
+    _kraus_pair,
     _per_point,
     _point_columns,
     kraus_diagonal,  # noqa: F401  (unused; perfbench's install test reads fisher.kraus_diagonal)
     PROBABILITY_FLOOR,
 )
-
-# Eigenvalues below ZERO_EIGENVALUE_TOL times the largest are numerical
-# zeros.  On the thin support of the unconditional output this ratio, applied
-# to squared singular values, decides whether the output has rank 1 or 2.
-ZERO_EIGENVALUE_TOL = 1e-12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,21 +107,24 @@ def _images(probe: FockVector, g: np.ndarray, p: np.ndarray):
     are the levels ``n <= p`` and, when ``dim > p + 2``, one tail row of
     amplitude ``||c_{>p}||``, whose entries are the Kraus diagonals at level
     ``p + 1`` (``E_s = 1``, ``E_f = 0``, derivatives 0); they are
-    zero-padded to the stack's widest ``rows = min(dim, max(p) + 2)``, and a
-    padded row has a zero image.  The Kraus rows and slopes of each branch
-    are evaluated once for all ``G`` points.  Sums over fewer than 8 rows add
-    the padded zeros last, so a point's values equal its own bit for bit; on
-    8 rows or more numpy sums pairwise, which can move them by rounding.
+    zero-padded to the stack's widest ``rows``, the
+    :func:`~nlametro.instrument._image_levels` ``min(dim, max(p) + 2)``, and
+    a padded row has a zero image.  The Kraus rows and slopes of both
+    branches come from one ``_kraus_pair`` call for all ``G`` points, copied
+    into this contiguous layout, which fixes the order of the sums over
+    rows: numpy reduces a strided view in another order.  Sums over fewer
+    than 8 rows add the padded zeros last, so a point's values equal its
+    own bit for bit; on 8 rows or more numpy sums pairwise, which can move
+    them by rounding.
     """
     probe.require_normalized()
     amps = probe.amps
-    c = np.zeros((g.shape[0], min(amps.size, int(np.max(p)) + 2)), dtype=amps.dtype)
+    c = np.zeros((g.shape[0], _image_levels(amps.size, p)), dtype=amps.dtype)
     for top in set(p.flat):
         head = top + 1
         row = amps if amps.size <= head + 1 else np.append(amps[:head], np.linalg.norm(amps[head:]))
         c[p[:, 0] == top, :row.size] = row
-    e = np.stack([_kraus_rows(g, p, b, c.shape[1]) for b in BRANCHES], axis=-1)
-    de = np.stack([_kraus_slope_rows(g, p, b, c.shape[1]) for b in BRANCHES], axis=-1)
+    e, de = np.ascontiguousarray(np.moveaxis(_kraus_pair(g, p, c.shape[1]), (1, 2), (3, 0)))
     c = c[..., np.newaxis]
     return e, de, e * c, de * c
 
@@ -169,13 +169,18 @@ def _branch_qfi(e, de, a, col: int) -> tuple[np.ndarray, np.ndarray]:
 def _unconditional_qfi(a, da) -> np.ndarray:
     """Per point QFI of ``A A^+`` on its thin support; see :func:`qfi_unconditional`.
 
-    One SVD of the whole ``G x rows x 2`` stack.  A singular value with
-    ``s^2 <= ZERO_EIGENVALUE_TOL * s_max^2`` is dropped by zeroing its
-    column of ``U`` and ``V`` and masking its pairs, so each point keeps its
-    own rank 1 or 2.
+    One QR ``A = Q R`` of the whole ``G x rows x 2`` stack and one SVD
+    ``R = U_R S V^+`` of its small factors, so ``U = Q U_R``.  A singular
+    value beyond a point's structural rank has its column of ``U`` and
+    ``V`` zeroed and its pairs masked, as has a pair whose eigenvalue sum
+    underflows to 0.
     """
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    keep = s * s > ZERO_EIGENVALUE_TOL * s[:, :1] * s[:, :1]
+    q, r = np.linalg.qr(a)
+    ur, s, vh = np.linalg.svd(r, full_matrices=False)
+    u = q @ ur
+    rows = np.count_nonzero(np.any(a != 0.0, axis=2), axis=1)
+    rank = np.where(np.any(a[..., 1] != 0.0, axis=1) & (rows >= 2), 2, 1)
+    keep = np.arange(s.shape[1]) < rank[:, np.newaxis]
     s = np.where(keep, s, 0.0)
     u = np.where(keep[:, np.newaxis, :], u, 0.0)
     v = np.where(keep[:, np.newaxis, :], vh.conj().swapaxes(1, 2), 0.0)
@@ -184,8 +189,9 @@ def _unconditional_qfi(a, da) -> np.ndarray:
     ws = w * s[:, np.newaxis, :]
     d = ws + ws.conj().swapaxes(1, 2)
     lam = s * s
-    pair = keep[:, :, np.newaxis] & keep[:, np.newaxis, :]
-    denom = np.where(pair, lam[:, :, np.newaxis] + lam[:, np.newaxis, :], 1.0)
+    sums = lam[:, :, np.newaxis] + lam[:, np.newaxis, :]
+    pair = keep[:, :, np.newaxis] & keep[:, np.newaxis, :] & (sums > 0.0)
+    denom = np.where(pair, sums, 1.0)
     modulus = np.abs(d)
     pairs = np.sum(np.where(pair, modulus * (modulus / denom), 0.0), axis=(1, 2))
     kernel = np.sum(np.abs(dav - u @ w) ** 2, axis=(1, 2))
@@ -246,7 +252,9 @@ def qfi_effective_closed_form(probe: FockVector, params: Points) -> float | np.n
 
     ``params`` is one operating point, giving a float, or a sequence of them,
     thresholds mixed, giving an array.  Each point sums over the levels
-    below its own threshold.
+    below its own threshold.  At a point whose success probability
+    underflows to 0 every term underflows with it, and this returns 0.0
+    rather than raising.
     """
     probe.require_normalized()
     return _per_point(params, _closed_form(probe, *_point_columns(params)))
@@ -258,18 +266,23 @@ def qfi_unconditional(probe: FockVector, params: NlaParams) -> float:
     The output is ``rho = A A^+`` with the Kraus-image matrix
     ``A = [E_s c, E_f c]``, so it has rank <= 2 and its gain derivative is
     ``drho = dA A^+ + A dA^+`` with ``dA = [E_s' c, E_f' c]``.  With the thin
-    SVD ``A = U S V^+`` (singular values kept while
-    ``s^2 > ZERO_EIGENVALUE_TOL * s_max^2``, which defines the rank-1 case),
-    the support eigenvalues are ``lambda = s^2`` and the arbitrary-rank QFI
-    (Liu, Jing, Zhong & Wang, Commun. Theor. Phys. 61, 45 (2014)) splits into
-    a support-pair term and a support-kernel term:
+    SVD ``A = U S V^+``, the support eigenvalues are ``lambda = s^2`` and the
+    arbitrary-rank QFI (Liu, Jing, Zhong & Wang, Commun. Theor. Phys. 61, 45
+    (2014)) splits into a support-pair term and a support-kernel term:
 
         Q = 2 sum_jk |D_jk|^2 / (lambda_j + lambda_k) + 4 ||dA V - U U^+ dA V||_F^2,
 
     where ``D = W S + (W S)^+`` is ``drho`` on the support and
     ``W = U^+ dA V``.  ``A`` is factored directly rather than through its
-    2x2 Gram matrix, which would square the condition number, and the kernel
-    term is the norm of a residual rather than a difference of two norms.
+    2x2 Gram matrix, which would square the condition number: a QR
+    ``A = Q R``, then the SVD of the 2x2 ``R``, which finds even a singular
+    value 1e-140 times the largest to high relative accuracy, so a success
+    branch far below ``p_s = 1e-12`` keeps its information.  The rank is
+    exact, from the images' structure: 2 when the failure image is non-zero
+    and at least two levels are occupied (``E_f / E_s`` then differs
+    between them), else 1.  The kernel term is the norm of a residual
+    rather than a difference of two norms.  Where ``p_s`` underflows to 0
+    the terms underflow with it, and this returns 0.0 rather than raising.
     """
     return _per_point(params, _unconditional_qfi(*_images(probe, *_point_columns(params))[2:]))
 
@@ -286,9 +299,10 @@ def qfi_effective(probe: FockVector, params: Points) -> FisherBreakdown:
     ``q_eff = ps_qs + pf_qf + f_c`` holds to machine precision and is
     asserted by the self-check suite rather than silently trusted here.
 
-    An impossible success branch at any point raises
-    :class:`BranchImpossible` naming that point; an impossible failure
-    branch gives ``q_f = pf_qf = 0`` there.
+    An impossible success branch at any point, among them one whose success
+    probability underflows to 0, raises :class:`BranchImpossible` naming
+    that point; an impossible failure branch gives ``q_f = pf_qf = 0``
+    there.
     """
     g, p = _point_columns(params)
     e, de, a, da = _images(probe, g, p)

@@ -14,19 +14,19 @@ branch probabilities, normalized conditional states, and the qubit meter
 that records which branch occurred, one meter (:class:`MeterState`) or an
 array of them (:class:`MeterBatch`).  The Kraus, completeness and
 branch-probability functions take one operating point or a sequence of
-them, whose thresholds may differ, with their rows from the broadcast
-kernels :func:`_kraus_rows` and :func:`_kraus_slope_rows`; at one scalar
-gain, :func:`_kraus_pair_rows` gives both branches' rows and slopes in one
-call, equal to theirs bit for bit.  The conditional
-amplitudes and their slopes come from :func:`_conditional_rows`, for one
-operating point or a stack of them; :func:`_conditional_factors` gives
-their real Kraus factors on the levels up to the largest threshold plus one.
+them, whose thresholds may differ.  Every Kraus entry comes from one
+kernel, :func:`_kraus_pair`, which gives the rows and slopes of both
+branches in one call, for one gain or a column of them; it takes powers of
+the gain on the :func:`_image_levels` ``min(dim, max p + 2)`` levels only,
+the levels above holding the exact constants.  The conditional amplitudes
+and their slopes come from :func:`_conditional_rows`, for one operating
+point or a stack of them; :func:`_conditional_factors` gives their real
+Kraus factors on the :func:`_image_levels` levels.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 from collections.abc import Sequence
 
 import numpy as np
@@ -92,10 +92,56 @@ def _point_columns(params: Points) -> tuple[np.ndarray, np.ndarray]:
     return g[:, np.newaxis], p[:, np.newaxis]
 
 
-def _check_rows(branch: str, dim: int) -> None:
-    _check_branch(branch)
+def _image_levels(dim: int, p) -> int:
+    """``min(dim, max p + 2)``: the levels that carry every Kraus image.
+
+    ``p`` is a threshold or an array of them.  Every level above a point's
+    threshold has ``E_s = 1``, ``E_f = 0`` and zero slopes, so the levels
+    ``n <= max p`` and one above them hold every distinct Kraus entry.
+    """
+    return min(dim, int(np.asarray(p).max()) + 2)
+
+
+def _kraus_pair(g, p, levels: int) -> np.ndarray:
+    """Both branches' Kraus rows and gain slopes on levels 0..levels-1.
+
+    ``g`` and ``p`` are scalars or ``(G, 1)`` columns (one point per row,
+    see :func:`_point_columns`), whose thresholds may differ.  The result
+    has shape ``(..., 2, 2, levels)``: the branch in :data:`BRANCHES` order,
+    then the row and its slope.  Unchecked: ``levels`` and the gain domain
+    are the caller's to validate.
+
+    With ``k = min(n - p, 0)``, the rows are ``E_s = g^k`` and
+    ``E_f = sqrt(1 - g^(2k))`` and the slopes ``dE_s = k g^(k-1)`` and
+    ``dE_f = -k g^(2k-1) / E_f``, taken where ``k < 0``: at ``k = 0`` the
+    failure entry is 0 at every gain and the quotient's 0/0 is removable,
+    so the slope is 0.  The powers of ``g`` are taken on the first
+    :func:`_image_levels` levels only, where the clamped ``k`` keeps them
+    from overflowing; the levels above hold the exact constants ``E_s = 1``
+    and ``E_f = dE_s = dE_f = 0``.
+    """
+    top = _image_levels(levels, p)
+    k = np.minimum(np.arange(top, dtype=float) - p, 0.0)
+    # one ``g ** x`` per exponent: for an array ``g`` and a one-level ``x``
+    # numpy's operator takes 1/g at x = -1, where the ufunc rounds g^-1 itself
+    es, square, des, ratio = (g ** x for x in (k, 2.0 * k, k - 1.0, 2.0 * k - 1.0))
+    out = np.zeros(es.shape[:-1] + (2, 2, levels))
+    out[..., 0, 0, top:] = 1.0
+    out[..., 0, 0, :top] = es
+    np.multiply(k, des, out=out[..., 0, 1, :top])
+    ef = out[..., 1, 0, :top]
+    np.sqrt(np.maximum(1.0 - square, 0.0), out=ef)
+    np.divide(-k * ratio, ef, out=out[..., 1, 1, :top], where=k < 0.0)
+    return out
+
+
+def _kraus_at(params: Points, dim: int) -> np.ndarray:
+    """:func:`_kraus_pair` on levels 0..dim-1 at one point, or a stack for a sequence."""
     if dim < 1:
         raise ValueError("dim must be positive")
+    if isinstance(params, NlaParams):
+        return _kraus_pair(params.g, params.p, dim)
+    return _kraus_pair(*_point_columns(params), dim)
 
 
 def kraus_diagonal(params: Points, branch: str, dim: int) -> np.ndarray:
@@ -104,26 +150,8 @@ def kraus_diagonal(params: Points, branch: str, dim: int) -> np.ndarray:
     One operating point gives a row of length ``dim``; a sequence of ``G``
     points, thresholds mixed, gives a ``G x dim`` stack of the same rows.
     """
-    _check_rows(branch, dim)
-    if isinstance(params, NlaParams):
-        return _kraus_rows(params.g, params.p, branch, dim)
-    return _kraus_rows(*_point_columns(params), branch, dim)
-
-
-def _kraus_rows(g, p, branch: str, dim: int) -> np.ndarray:
-    """Kraus diagonals on levels 0..dim-1, broadcast against the gains ``g``.
-
-    ``g`` and ``p`` are scalars, or arrays whose last axis has length 1 (one
-    row of levels per point, see :func:`_point_columns`).  Unchecked: the
-    branch, ``dim`` and the gain domain are the caller's to validate.  The
-    exponent ``n - p`` is clamped at 0, which gives the constant rows above
-    ``p`` (``g^0 = 1``) without a power of ``g`` that could overflow.  Each
-    row equals :func:`kraus_diagonal` at its point bit for bit.
-    """
-    k = np.minimum(np.arange(dim, dtype=float) - p, 0.0)
-    if branch == SUCCESS:
-        return g ** k
-    return np.sqrt(np.clip(1.0 - g ** (2.0 * k), 0.0, None))
+    i = BRANCHES.index(_check_branch(branch))
+    return _kraus_at(params, dim)[..., i, 0, :]
 
 
 def kraus_diagonal_derivative(params: Points, branch: str, dim: int) -> np.ndarray:
@@ -132,69 +160,8 @@ def kraus_diagonal_derivative(params: Points, branch: str, dim: int) -> np.ndarr
     The failure entry at ``n == p`` is identically zero for all gains, so its
     derivative is zero (the 0/0 in the naive quotient is removable).
     """
-    _check_rows(branch, dim)
-    if isinstance(params, NlaParams):
-        return _kraus_slope_rows(params.g, params.p, branch, dim)
-    return _kraus_slope_rows(*_point_columns(params), branch, dim)
-
-
-def _kraus_slope_rows(g, p, branch: str, dim: int) -> np.ndarray:
-    """Gain derivatives of :func:`_kraus_rows`, broadcast against ``g`` and ``p``.
-
-    Unchecked, like :func:`_kraus_rows`.  Only the levels ``n <= p``
-    (success) or ``n < p`` (failure) have a non-zero slope; the levels up to
-    the largest ``p`` are evaluated and the rest of each row is zero.  Each
-    row equals :func:`kraus_diagonal_derivative` at its point bit for bit.
-    """
-    top = int(np.max(p))
-    levels = min(dim, top + 1 if branch == SUCCESS else top)
-    # clamped like _kraus_rows: the slope is 0 wherever k = 0
-    k = np.minimum(np.arange(levels, dtype=float) - p, 0.0)
-    if branch == SUCCESS:
-        head = k * g ** (k - 1.0)
-    else:
-        root = np.sqrt(1.0 - g ** (2.0 * k))
-        head = np.divide(-k * g ** (2.0 * k - 1.0), root, out=np.zeros(root.shape), where=k < 0.0)
-    out = np.zeros(head.shape[:-1] + (dim,))
-    out[..., :levels] = head
-    return out
-
-
-@functools.lru_cache(maxsize=32)
-def _pair_exponents(p: int, dim: int) -> np.ndarray:
-    """The exponents ``k, 2k, k - 1, 2k - 1`` of :func:`_kraus_pair_rows`, and ``-k``.
-
-    ``k = min(n - p, 0)`` on levels 0..dim-1, formed as :func:`_kraus_rows`
-    and :func:`_kraus_slope_rows` form it.  Read-only: every call shares it.
-    """
-    k = np.minimum(np.arange(dim, dtype=float) - p, 0.0)
-    out = np.stack((k, 2.0 * k, k - 1.0, 2.0 * k - 1.0, -k))
-    out.setflags(write=False)
-    return out
-
-
-def _kraus_pair_rows(g: float, p: int, dim: int) -> np.ndarray:
-    """Both branches' Kraus rows and slopes at one gain, ``(2, 2, dim)``.
-
-    ``out[0]`` is the success row and its slope, ``out[1]`` the failure row
-    and its slope, each equal to :func:`_kraus_rows` and
-    :func:`_kraus_slope_rows` at ``(g, p)`` bit for bit: the same operations
-    on the same operands, with the four powers of ``g`` taken in one call.
-    Where ``k = 0`` the success slope ``k g^(k-1)`` is the exact zero that
-    :func:`_kraus_slope_rows` pads with, and the failure slope divides by the
-    clipped root, which is the unclipped one since ``g^(2k) <= 1``.
-    Unchecked, like :func:`_kraus_rows`.
-    """
-    exponents = _pair_exponents(p, dim)
-    k, neg = exponents[0], exponents[4]
-    power = g ** exponents[:4]
-    out = np.empty((2, 2, dim))
-    out[0, 0] = power[0]
-    np.multiply(k, power[2], out=out[0, 1])
-    np.sqrt(np.clip(1.0 - power[1], 0.0, None), out=out[1, 0])
-    out[1, 1] = 0.0
-    np.divide(neg * power[3], out[1, 0], out=out[1, 1], where=k < 0.0)
-    return out
+    i = BRANCHES.index(_check_branch(branch))
+    return _kraus_at(params, dim)[..., i, 1, :]
 
 
 def _per_point(params: Points, values: np.ndarray) -> float | np.ndarray:
@@ -210,8 +177,7 @@ def completeness_defect(params: Points, dim: int) -> float | np.ndarray:
 
     A float for one operating point, one value per point for a sequence.
     """
-    es = kraus_diagonal(params, SUCCESS, dim)
-    ef = kraus_diagonal(params, FAILURE, dim)
+    es, ef = np.moveaxis(_kraus_at(params, dim)[..., 0, :], -2, 0)
     return _per_point(params, np.max(np.abs(es * es + ef * ef - 1.0), axis=-1))
 
 
@@ -235,8 +201,8 @@ def branch_probability_derivative(
     float for one operating point, one derivative per point for a sequence.
     """
     probe.require_normalized()
-    e = kraus_diagonal(params, branch, probe.dim)
-    de = kraus_diagonal_derivative(params, branch, probe.dim)
+    i = BRANCHES.index(_check_branch(branch))
+    e, de = np.moveaxis(_kraus_at(params, probe.dim)[..., i, :, :], -2, 0)
     return _per_point(params, 2.0 * np.sum(e * de * probe.weights(), axis=-1))
 
 
@@ -268,10 +234,9 @@ def _branch_rows(probe: FockVector, g, p, branch: str):
     over the whole probe and have length ``G``.  An impossible branch at any
     point raises :class:`BranchImpossible` naming that point.
     """
-    _check_branch(branch)
+    i = BRANCHES.index(_check_branch(branch))
     probe.require_normalized()
-    e = _kraus_rows(g, p, branch, probe.dim)
-    de = _kraus_slope_rows(g, p, branch, probe.dim)
+    e, de = np.moveaxis(_kraus_pair(g, p, probe.dim)[:, i], -2, 0)
     prob = np.sum(np.abs(e * probe.amps) ** 2, axis=1)
     if np.any(prob < PROBABILITY_FLOOR):
         raise _impossible(branch, g, p, prob)
@@ -300,13 +265,13 @@ def _conditional_factors(probe: FockVector, params: Points, branch: str):
     ``a_n = E_n / sqrt(prob)`` and ``da_n = dE_n / sqrt(prob) - a_n dprob /
     (2 prob)``, with the probability and its slope over the whole probe
     (:func:`_branch_rows`).  The rows stop after level ``max p + 1``, at
-    ``min(dim, max p + 2)`` levels: every level above a point's threshold
-    has ``E_s = 1`` and ``E_f = dE = 0``, so the last column is the factor
-    of every higher level too.
+    the :func:`_image_levels` ``min(dim, max p + 2)``: every level above a
+    point's threshold has ``E_s = 1`` and ``E_f = dE = 0``, so the last
+    column is the factor of every higher level too.
     """
     g, p = _point_columns(params)
     e, de, prob, dprob = _branch_rows(probe, g, p, branch)
-    levels = min(probe.dim, int(np.max(p)) + 2)
+    levels = _image_levels(probe.dim, p)
     root = np.sqrt(prob)[:, np.newaxis]
     a = e[:, :levels] / root
     return a, de[:, :levels] / root - a * (dprob / (2.0 * prob))[:, np.newaxis]

@@ -13,8 +13,8 @@ Every function takes one operating point or a sequence of them, whose
 thresholds may differ, and evaluates all points as one stack of rows, except
 :func:`homodyne_density`, which takes one point and any outcomes.  Photon
 counting takes the conditional amplitudes and slopes from one call of the
-instrument kernel ``_conditional_rows``, and joint-record rows ``E_i c``
-from one ``_kraus_rows`` and ``_kraus_slope_rows`` call per branch.
+instrument kernel ``_conditional_rows``, and the joint-record rows ``E_i c``
+of both branches and their slopes from one ``_kraus_pair`` call.
 
 Homodyne works on the Kraus-image basis, in real arithmetic.  Above a
 threshold ``p`` the Kraus operators are constant (``E_s = 1``, ``E_f = 0``),
@@ -31,7 +31,7 @@ Kraus factor row on those levels, whose last entry multiplies the tail.
 :func:`fi_homodyne` and ``sequential_fi(HOMODYNE)`` all multiply such rows
 against the basis.  The conditional factors ``E / sqrt(p_b)`` and their
 slopes come from one ``_conditional_factors`` call, the joint-record rows
-``E_i`` from one ``_kraus_rows`` and ``_kraus_slope_rows`` call per branch.
+``E_i`` of both branches and their slopes from one ``_kraus_pair`` call.
 A field from the basis differs from the full ``dim``-level sum only by the
 regrouped tail sum, at most about ``dim`` ulp of ``sum_n |c_n <x|n>|``.
 """
@@ -51,13 +51,12 @@ from .fock import (
     wavefunction_matrix,
 )
 from .instrument import (
-    BRANCHES,
     NlaParams,
     Points,
     _conditional_factors,
     _conditional_rows,
-    _kraus_rows,
-    _kraus_slope_rows,
+    _image_levels,
+    _kraus_pair,
     _per_point,
     _point_columns,
 )
@@ -384,7 +383,10 @@ def sequential_fi(
     group of :func:`_counting_fi`.  For homodyne, the two unnormalized Kraus
     rows ``E_i`` and their slopes on the first ``min(dim, max p + 2)``
     levels are one group of one stacked :func:`_fisher_integral` on the
-    probe's basis, with its error model.
+    probe's basis, with its error model.  The rows of both branches come
+    from one ``_kraus_pair`` call.  Neither detector conditions on a branch,
+    so a point whose success probability underflows to 0 raises nothing:
+    its information underflows with it, and the result there is 0.0.
     """
     probe.require_normalized()
     if detector not in DETECTOR_KINDS:
@@ -393,11 +395,7 @@ def sequential_fi(
         raise ComplexProbeUnsupported("joint homodyne record requires real probe amplitudes")
     g, p = _point_columns(params)
     if detector == PHOTON_COUNTING:
-        dim, c = probe.dim, probe.amps
-        amps = np.stack([_kraus_rows(g, p, b, dim) * c for b in BRANCHES], axis=1)
-        slopes = np.stack([_kraus_slope_rows(g, p, b, dim) * c for b in BRANCHES], axis=1)
-        return _per_point(params, _counting_fi(amps, slopes))
-    levels = min(probe.dim, int(np.max(p)) + 2)
-    amps = np.stack([_kraus_rows(g, p, b, levels) for b in BRANCHES], axis=1)
-    slopes = np.stack([_kraus_slope_rows(g, p, b, levels) for b in BRANCHES], axis=1)
-    return _per_point(params, _fisher_integral(probe, amps, slopes))
+        rows, c = _kraus_pair(g, p, probe.dim), probe.amps
+        return _per_point(params, _counting_fi(rows[:, :, 0] * c, rows[:, :, 1] * c))
+    rows = _kraus_pair(g, p, _image_levels(probe.dim, p))
+    return _per_point(params, _fisher_integral(probe, rows[:, :, 0], rows[:, :, 1]))

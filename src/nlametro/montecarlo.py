@@ -66,9 +66,8 @@ from .instrument import (
     SUCCESS,
     GainDomain,
     NlaParams,
-    _kraus_pair_rows,
-    _kraus_rows,
-    _kraus_slope_rows,
+    _image_levels,
+    _kraus_pair,
     branch_probability,
     kraus_diagonal,  # noqa: F401  (unused; perfbench's install test reads montecarlo.kraus_diagonal)
 )
@@ -413,7 +412,8 @@ def _log_likelihoods(
     if detector == HOMODYNE:
         return _homodyne_surface(p, stats, g)[np.newaxis]
     w = probe.weights()
-    es = _kraus_rows(g, p, SUCCESS, probe.dim)
+    rows = _kraus_pair(g, p, probe.dim)
+    es = rows[:, 0, 0]
     qs = es * es * w
     ps = qs.sum(axis=1)
     if detector == HERALD_ONLY:
@@ -423,7 +423,7 @@ def _log_likelihoods(
         )
     total = stats.success @ np.log(np.maximum(qs, MASS_FLOOR)).T
     if detector == PHOTON_COUNTING:
-        ef = _kraus_rows(g, p, FAILURE, probe.dim)
+        ef = rows[:, 1, 0]
         return total + stats.failure @ np.log(np.maximum(ef * ef * w, MASS_FLOOR)).T
     # success-only: conditional on success, divide each mass by p_s
     return total - np.outer(stats.n_s, np.log(np.maximum(ps, MASS_FLOOR)))
@@ -441,11 +441,13 @@ def _homodyne_surface(p: int, stats: _Quadratures, g: np.ndarray) -> np.ndarray:
     its row of the block's fields bit for bit.
     """
     total = np.zeros(g.shape[0])
-    for branch, parts in ((SUCCESS, stats.success), (FAILURE, stats.failure)):
+    # a branch's record has at most p + 2 rows
+    rows = _kraus_pair(g, p, p + 2)
+    for pair, parts in zip(rows.swapaxes(0, 1), (stats.success, stats.failure)):
         if parts is None:
             continue
         levels, shots = parts[0].shape
-        e = _kraus_rows(g, p, branch, levels)
+        e = pair[:, 0, :levels]
         fields = np.empty((len(parts), min(GRID_BLOCK, e.shape[0]), shots))
         for start in range(0, e.shape[0], GRID_BLOCK):
             block = e[start:start + GRID_BLOCK]
@@ -479,13 +481,15 @@ def _scores(probe: FockVector, p: int, detector: str, stats, g: np.ndarray) -> n
     imaginary for a complex probe), ``Re(df/f) = sum_i f_i df_i / density``
     and ``density = sum_i f_i^2``.
 
-    Both homodyne branches' Kraus rows and slopes come from one
-    :func:`~nlametro.instrument._kraus_pair_rows` call.
+    The Kraus rows and slopes of both branches come from one
+    :func:`~nlametro.instrument._kraus_pair` call: at the one scalar gain of
+    a homodyne replication, on its :func:`~nlametro.instrument._image_levels`
+    levels, or at the column of every replication's gain for counts.
     """
     if detector == HOMODYNE:
         (gain,) = g
         total = 0.0
-        pairs = _kraus_pair_rows(gain, p, min(p + 2, probe.dim))
+        pairs = _kraus_pair(gain, p, _image_levels(probe.dim, p))
         for pair, parts in zip(pairs, (stats.success, stats.failure)):
             if parts is None:
                 continue
@@ -497,9 +501,7 @@ def _scores(probe: FockVector, p: int, detector: str, stats, g: np.ndarray) -> n
             total += 2.0 * float(np.sum(_log_slope(density, cross, density)))
         return np.array([total])
     w = probe.weights()
-    g = g[:, np.newaxis]
-    es = _kraus_rows(g, p, SUCCESS, probe.dim)
-    des = _kraus_slope_rows(g, p, SUCCESS, probe.dim)
+    (es, des), (ef, def_) = np.moveaxis(_kraus_pair(g[:, np.newaxis], p, probe.dim), 0, 2)
     qs = es * es * w
     ps = qs.sum(axis=1)
     dps = 2.0 * np.sum(es * des * w, axis=1)
@@ -507,8 +509,6 @@ def _scores(probe: FockVector, p: int, detector: str, stats, g: np.ndarray) -> n
         return stats.n_s * _log_slope(ps, dps, ps) - stats.n_f * _log_slope(1.0 - ps, dps, 1.0 - ps)
     total = np.sum(stats.success * _log_slope(es, 2.0 * des, qs), axis=1)
     if detector == PHOTON_COUNTING:
-        ef = _kraus_rows(g, p, FAILURE, probe.dim)
-        def_ = _kraus_slope_rows(g, p, FAILURE, probe.dim)
         return total + np.sum(stats.failure * _log_slope(ef, 2.0 * def_, ef * ef * w), axis=1)
     return total - stats.n_s * _log_slope(ps, dps, ps)
 

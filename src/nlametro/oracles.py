@@ -46,8 +46,9 @@ operating points at ``g -/+ dg/2`` once (``dg = 1e-4``) and contracts them
 per family -- the success and failure states, the joint state for the
 trivial and a generic meter, and the Bures deficit of the unconditional
 output.  No step is refused, so every point is scored; no view calls the
-closed forms of :mod:`~nlametro.fisher`, nor the row and slope kernels of
-:mod:`~nlametro.instrument`.  The double-precision finite
+closed forms of :mod:`~nlametro.fisher`, nor the Kraus kernel
+:func:`~nlametro.instrument._kraus_pair`, which a test makes raise in every
+namespace while the views score the grid.  The double-precision finite
 differences of whole state vectors that the tests compare these oracles
 against live in :mod:`nlametro.dense`, which no package module imports.
 """
@@ -382,7 +383,9 @@ def _kraus_entries(gain: _DD, p: np.ndarray, levels: int) -> _DD:
     return _DD.stack((es, (1.0 - es * es).sqrt()), 1)
 
 
-def _kraus_pair(g: np.ndarray, p: np.ndarray, dg: float, levels: int) -> tuple[_DD, _DD]:
+def _stepped_kraus_entries(
+    g: np.ndarray, p: np.ndarray, dg: float, levels: int
+) -> tuple[_DD, _DD]:
     """:func:`_kraus_entries` at the gains ``g -/+ dg/2``."""
     return tuple(_kraus_entries(gain, p, levels) for gain in _gain_pair(g, dg))
 
@@ -430,7 +433,7 @@ class KrausImageFD:
         self._single = isinstance(params, NlaParams)
         self.g, self.p = (column[:, 0] for column in _point_columns(params))
         self._weights, self._tail = _probe_weights(probe, self.p)
-        self._pair = _kraus_pair(self.g, self.p, dg, self._weights.hi.shape[-1])
+        self._pair = _stepped_kraus_entries(self.g, self.p, dg, self._weights.hi.shape[-1])
         self._per_deficit = 8.0 / _DD.exact_product(dg, dg)
 
     @functools.cached_property

@@ -38,10 +38,12 @@ and ``branch_probability_derivative``, and take the conditional states and
 slopes from one ``_conditional_rows`` call per branch.  The detector rows
 pass them to one call per branch of ``fi_photon_counting``,
 ``photon_counting_dist``, ``fi_homodyne`` and ``homodyne_distribution``,
-and to one ``sequential_fi`` call per detector; each takes the rows of all
-points from one kernel evaluation.  Homodyne multiplies the points' real
-coefficient rows, in chunks, against one Kraus-image basis of
-``min(dim, max p + 2)`` rows on the quadrature grid (7 here, for probes of up
+and to one ``sequential_fi`` call per detector.  Each of these calls takes
+the Kraus rows and slopes of all points, both branches, from one call of
+the instrument's kernel ``_kraus_pair``, which takes powers of the gain on
+``min(dim, max p + 2)`` levels only.  Homodyne multiplies the points' real
+coefficient rows, in chunks, against one Kraus-image basis of that many
+rows on the quadrature grid (7 here, for probes of up
 to 149 levels); its fields differ from the full ``dim``-level sums only by
 the regrouped tail sum, at most about ``dim`` ulp of ``sum_n |c_n <x|n>|``.
 The products stay small enough that OpenBLAS keeps them on one thread.  The meter suite draws the normals of a

@@ -69,6 +69,18 @@ def test_compare_rejects_gain_at_or_below_one(capsys):
     assert "g > 1" in err
 
 
+def test_compare_keeps_q_unc_where_the_success_branch_vanishes(capsys):
+    # p_s < 1e-20 at each gain; q_unc tracks q_eff instead of reading 0
+    rc = cli.main(["compare", "--probe", "coherent", "--nbar", "1", "--p", "60", "--g", "1.5:1000:3"])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "g,q_eff,ps_qs,q_unc\n"
+        "1.5,1.53176226e-17,1.0327067e-20,3.08463313e-18\n"
+        "500.75,1.47297046e-253,4.85527657e-261,1.47297046e-253\n"
+        "1000,1.3616282e-280,1.12534324e-288,1.3616282e-280\n"
+    )
+
+
 def test_contributions_two_level_hand_row(tmp_path, capsys):
     s = 1.0 / math.sqrt(2.0)
     probe = _write_probe(tmp_path, "two.json", [s, s])

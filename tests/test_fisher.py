@@ -352,6 +352,46 @@ def test_thin_unconditional_qfi_exact_zeros(vacuum, g2p1):
     assert abs(qfi_unconditional(vacuum, g2p1)) < 1e-30
 
 
+# Coherent nbar=1 at p=60: p_s falls from 1e-20 to 1e-288, far below any
+# relative cut on the singular values, yet q_unc keeps its success branch
+# (q_unc ~ q_eff from g=30 on).  The Gram-route reference squares the
+# condition number, which 900 digits absorb.
+@pytest.mark.parametrize("g", [1.5, 3.0, 30.0, 100.0, 500.75, 1000.0])
+def test_unconditional_qfi_keeps_a_vanishing_success_branch(coherent_nbar1, g):
+    params = NlaParams(g=g, p=60)
+    want = _unconditional_qfi_reference(coherent_nbar1, params, dps=900)
+    assert want > 0.0
+    assert qfi_unconditional(coherent_nbar1, params) == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert qfi_effective(coherent_nbar1, params).q_unc == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("amps,p", [([0.0, 1.0], 2), ([0.0, 0.0, 1.0, 0.0], 3)])
+def test_structural_rank_one_output_keeps_q_unc_at_rounding(amps, p):
+    # one occupied level: A A^+ has rank 1 whatever the factorisation leaves
+    # as a second singular value (about 1e-16 here), which must not count
+    assert abs(qfi_unconditional(FockVector(amps), NlaParams(g=1.1, p=p))) < 1e-30
+
+
+# Coherent nbar=1, p=60, g=1e4: p_s ~ 1e-366 underflows to 0.
+UNDERFLOW = NlaParams(g=1e4, p=60)
+
+
+@pytest.mark.parametrize("evaluate", [
+    pytest.param(lambda probe: qfi_effective_closed_form(probe, UNDERFLOW), id="closed-form"),
+    pytest.param(lambda probe: sequential_fi(probe, UNDERFLOW), id="sequential-counting"),
+    pytest.param(lambda probe: sequential_fi(probe, UNDERFLOW, HOMODYNE), id="sequential-homodyne"),
+    pytest.param(lambda probe: qfi_unconditional(probe, UNDERFLOW), id="q_unc"),
+    pytest.param(None, id="qfi_effective"),
+])
+def test_underflowed_success_probability_is_pinned(coherent_nbar1, evaluate):
+    assert branch_probability(coherent_nbar1, UNDERFLOW, SUCCESS) == 0.0
+    if evaluate is None:
+        with pytest.raises(BranchImpossible, match=r"g=10000\.0, p=60 \(point 0\)"):
+            qfi_effective(coherent_nbar1, UNDERFLOW)
+    else:
+        assert evaluate(coherent_nbar1) == 0.0
+
+
 def test_qfi_effective_builds_no_dense_operator(monkeypatch):
     probe = ProbeSpec.from_nbar("squeezed-vacuum", 2.0).build()
     assert probe.dim == 149
@@ -430,25 +470,24 @@ def test_budget_on_compressed_images_matches_full_vector_references(dim, p, g):
     _assert_batch_matches_points(probe, [NlaParams(g=1.05, p=p), params, NlaParams(g=6.0, p=p)])
 
 
-def test_qfi_effective_evaluates_each_kraus_diagonal_once_per_branch(monkeypatch):
-    # one evaluation of each Kraus row function per branch and call, for a
-    # single point and for a 300-point gain grid alike
+def test_qfi_effective_evaluates_the_kraus_pair_once(monkeypatch):
+    # one evaluation of the Kraus kernel, both branches' rows and slopes,
+    # per call, for a single point and for a 300-point gain grid alike
     probe = ProbeSpec.from_nbar("squeezed-vacuum", 2.0).build()
     calls = collections.Counter()
-    for name in ("_kraus_rows", "_kraus_slope_rows"):
-        original = getattr(nlametro.instrument, name)
+    original = nlametro.instrument._kraus_pair
 
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
+    def counted(*args):
+        calls["_kraus_pair"] += 1
+        return original(*args)
 
-        for module in list(sys.modules.values()):
-            if module.__name__.startswith("nlametro") and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("nlametro") and getattr(module, "_kraus_pair", None) is original:
+            monkeypatch.setattr(module, "_kraus_pair", counted)
     for points in (NlaParams(g=1.5, p=3), [NlaParams(g=g, p=3) for g in np.linspace(1.05, 6, 300)]):
         calls.clear()
         qfi_effective(probe, points)
-        assert calls == {"_kraus_rows": 2, "_kraus_slope_rows": 2}
+        assert calls == {"_kraus_pair": 1}
 
 
 def test_batched_budget_matches_single_points_on_standard_grid():

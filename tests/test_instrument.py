@@ -22,9 +22,7 @@ from nlametro.instrument import (
     conditional_state,
     conditional_state_derivative,
     kraus_diagonal,
-    _kraus_pair_rows,
-    _kraus_rows,
-    _kraus_slope_rows,
+    _kraus_pair,
     kraus_diagonal_derivative,
 )
 from nlametro.dense import joint_state, unconditional_state
@@ -159,13 +157,43 @@ def _slope_reference(g: float, p: int, branch: str, dim: int) -> np.ndarray:
     return out
 
 
-def test_kraus_slope_rows_broadcast_bit_for_bit():
+def _old_rows(g, p, branch: str, dim: int) -> np.ndarray:
+    """The Kraus rows as the row kernel formed them, on all ``dim`` levels."""
+    k = np.minimum(np.arange(dim, dtype=float) - p, 0.0)
+    if branch == SUCCESS:
+        return g ** k
+    return np.sqrt(np.clip(1.0 - g ** (2.0 * k), 0.0, None))
+
+
+def _old_slope_rows(g, p, branch: str, dim: int) -> np.ndarray:
+    """The Kraus slopes as the slope kernel formed them, zero-padded to ``dim`` levels."""
+    top = int(np.max(p))
+    levels = min(dim, top + 1 if branch == SUCCESS else top)
+    k = np.minimum(np.arange(levels, dtype=float) - p, 0.0)
+    if branch == SUCCESS:
+        head = k * g ** (k - 1.0)
+    else:
+        root = np.sqrt(1.0 - g ** (2.0 * k))
+        head = np.divide(-k * g ** (2.0 * k - 1.0), root, out=np.zeros(root.shape), where=k < 0.0)
+    out = np.zeros(head.shape[:-1] + (dim,))
+    out[..., :levels] = head
+    return out
+
+
+def _assert_pair_equals_old_kernels(pair, g, p, dim):
+    assert pair.shape == np.shape(g)[:-1] + (2, 2, dim)
+    for i, branch in enumerate((SUCCESS, FAILURE)):
+        assert np.array_equal(pair[..., i, 0, :], _old_rows(g, p, branch, dim)), branch
+        assert np.array_equal(pair[..., i, 1, :], _old_slope_rows(g, p, branch, dim)), branch
+
+
+def test_kraus_pair_slopes_broadcast_bit_for_bit():
     gains = np.concatenate([[1.0 + 1e-9, 1.05, 2.0, 6.0], np.linspace(1.01, 12.0, 57)])
     for p in range(6):
         for dim in (1, p + 1, p + 2, 149):
-            for branch in (SUCCESS, FAILURE):
-                rows = _kraus_slope_rows(gains[:, np.newaxis], p, branch, dim)
-                for g, row in zip(gains, rows):
+            pair = _kraus_pair(gains[:, np.newaxis], p, dim)
+            for i, branch in enumerate((SUCCESS, FAILURE)):
+                for g, row in zip(gains, pair[:, i, 1]):
                     ref = _slope_reference(float(g), p, branch, dim)
                     assert np.array_equal(row, ref)
                     params = NlaParams(g=float(g), p=p)
@@ -174,37 +202,53 @@ def test_kraus_slope_rows_broadcast_bit_for_bit():
     g_col = np.repeat(gains, 6)[:, np.newaxis]
     p_col = np.tile(np.arange(6), gains.size)[:, np.newaxis]
     for dim in (1, 3, 6, 7, 149):
-        for branch in (SUCCESS, FAILURE):
-            slopes = _kraus_slope_rows(g_col, p_col, branch, dim)
-            rows = _kraus_rows(g_col, p_col, branch, dim)
-            for g, p, slope, row in zip(g_col[:, 0], p_col[:, 0], slopes, rows):
+        pair = _kraus_pair(g_col, p_col, dim)
+        for i, branch in enumerate((SUCCESS, FAILURE)):
+            for g, p, row, slope in zip(g_col[:, 0], p_col[:, 0], pair[:, i, 0], pair[:, i, 1]):
                 assert np.array_equal(slope, _slope_reference(float(g), int(p), branch, dim))
                 params = NlaParams(g=float(g), p=int(p))
                 assert np.array_equal(row, kraus_diagonal(params, branch, dim))
 
 
-def test_kraus_pair_rows_equal_the_row_kernels_bit_for_bit():
+def test_kraus_pair_at_a_numpy_scalar_gain_equals_the_old_kernels_bit_for_bit():
     # the homodyne score's one-call pair at a numpy scalar gain, as its root
     # search passes it, including thresholds at and above dim
     gains = np.concatenate([[1.0 + 1e-9, 1.05, 2.0, 6.0, 30.0, 500.0], np.linspace(1.01, 12.0, 23)])
     for p in (0, 1, 2, 3, 5, 40):
         for dim in sorted({1, 2, p + 1, p + 2, 149}):
             for g in gains:
-                pair = _kraus_pair_rows(g, p, dim)
+                pair = _kraus_pair(g, p, dim)
                 assert pair.shape == (2, 2, dim)
                 for (row, slope), branch in zip(pair, (SUCCESS, FAILURE)):
-                    assert np.array_equal(row, _kraus_rows(float(g), p, branch, dim))
-                    assert np.array_equal(slope, _kraus_slope_rows(float(g), p, branch, dim))
+                    assert np.array_equal(row, _old_rows(float(g), p, branch, dim))
+                    assert np.array_equal(slope, _old_slope_rows(float(g), p, branch, dim))
 
 
-def test_kraus_rows_do_not_overflow_above_the_threshold():
+def test_kraus_pair_equals_the_old_kernels_on_a_seeded_sweep():
+    # gain columns of up to 70 points, dims 1-160, thresholds 0-40 (at and
+    # above dim too), one threshold for all points or one per point, and a
+    # numpy scalar gain as the homodyne root search passes it
+    rng = np.random.default_rng(2026)
+    for case in range(600):
+        dim = 1 if case % 10 == 0 else int(rng.integers(1, 161))
+        gains = np.exp(rng.uniform(np.log(1.0 + 1e-9), np.log(1e3), int(rng.integers(1, 71))))
+        if case % 3 == 0:
+            g, p = gains[0], int(rng.integers(0, 41))
+        elif case % 3 == 1:
+            g, p = gains[:, np.newaxis], int(rng.integers(0, 41))
+        else:
+            g, p = gains[:, np.newaxis], rng.integers(0, 41, size=(gains.size, 1))
+        _assert_pair_equals_old_kernels(_kraus_pair(g, p, dim), g, p, dim)
+
+
+def test_kraus_pair_does_not_overflow_above_the_threshold():
     # g^(n-p) at n=148, p=1, g=12 is about 1e159 and its square overflows;
     # above p the rows are constant, so no power of g is needed there
     n = np.arange(149)
     with np.errstate(all="raise"):
         es = kraus_diagonal(NlaParams(g=12.0, p=1), SUCCESS, 149)
         ef = kraus_diagonal(NlaParams(g=12.0, p=1), FAILURE, 149)
-        rows = _kraus_rows(np.array([[12.0], [1e3]]), np.array([[1], [0]]), FAILURE, 149)
+        rows = _kraus_pair(np.array([[12.0], [1e3]]), np.array([[1], [0]]), 149)[:, 1, 0]
     npt.assert_array_equal(es, np.where(n <= 1, 12.0 ** np.minimum(n - 1.0, 0.0), 1.0))
     assert ef[0] == math.sqrt(1.0 - 12.0 ** -2.0) and not ef[1:].any()
     assert not rows.any(axis=0)[1:].any()

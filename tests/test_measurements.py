@@ -14,8 +14,7 @@ from nlametro.instrument import (
     NlaParams,
     _conditional_factors,
     _conditional_rows,
-    _kraus_rows,
-    _kraus_slope_rows,
+    _kraus_pair,
     _point_columns,
     conditional_state,
     conditional_state_derivative,
@@ -320,10 +319,8 @@ def _dim_row_fisher_integral(dim, amps, slopes):
 
 def _joint_rows(points, levels, c=1.0):
     """The joint-record rows ``E_i c`` and slopes ``dE_i c``, ``(G, 2, levels)``."""
-    g, p = _point_columns(points)
-    amps = np.stack([_kraus_rows(g, p, b, levels) * c for b in BRANCHES], axis=1)
-    slopes = np.stack([_kraus_slope_rows(g, p, b, levels) * c for b in BRANCHES], axis=1)
-    return amps, slopes
+    rows = _kraus_pair(*_point_columns(points), levels)
+    return rows[:, :, 0] * c, rows[:, :, 1] * c
 
 
 @pytest.mark.parametrize("complex_rows", [False, True])

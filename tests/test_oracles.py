@@ -627,15 +627,43 @@ def test_identity_suite_builds_no_dense_operator(monkeypatch):
     assert row.points == 280
 
 
+def test_image_oracle_views_never_call_the_instrument_kernel(monkeypatch):
+    # KrausImageFD builds its own double-double Kraus entries, so with the
+    # library's kernel raising in every namespace each view still scores all
+    # 280 standard points.  joint_fi_direct is not among them: its centre
+    # masses come from the library by design.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("instrument._kraus_pair reached")
+
+    patched = [name for name, module in list(sys.modules.items())
+               if name.startswith("nlametro") and hasattr(module, "_kraus_pair")]
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "_kraus_pair", forbidden)
+    assert {"nlametro.instrument", "nlametro.fisher"} <= set(patched)
+    with pytest.raises(AssertionError, match="_kraus_pair reached"):
+        instrument.kraus_diagonal(NlaParams(g=2.0, p=1), SUCCESS, 3)
+    grids = list(standard_probe_grids())
+    probes = [probe for probe, _, points in grids for _ in points]
+    points = [params for _, _, grid_points in grids for params in grid_points]
+    assert len(points) == 280
+    fd = KrausImageFD(probes, points, oracles.DEFAULT_QFI_STEP)
+    views = [fd.pure(SUCCESS), fd.pure(FAILURE), fd.pure(MeterState.trivial()), fd.bures(),
+             fd.mass_slopes(), fd.probability_slope(SUCCESS), fd.probability_slope(FAILURE),
+             fd.coupling()]
+    for values in views:
+        assert values.shape[0] == 280 and np.isfinite(values).all()
+
+
 def test_probability_derivative_row_fails_on_a_wrong_failure_kraus_derivative(monkeypatch):
     # each branch differentiates its own Kraus weights, so the row sees the error
-    original = instrument.kraus_diagonal_derivative
+    original = instrument._kraus_pair
 
-    def corrupted(params, branch, dim):
-        slope = original(params, branch, dim)
-        return 1.01 * slope if branch == FAILURE else slope
+    def corrupted(g, p, levels):
+        pair = original(g, p, levels)
+        pair[..., BRANCHES.index(FAILURE), 1, :] *= 1.01
+        return pair
 
-    monkeypatch.setattr(instrument, "kraus_diagonal_derivative", corrupted)
+    monkeypatch.setattr(instrument, "_kraus_pair", corrupted)
     results = check_identity_suite(standard_breakdowns())
     (row,) = [r for r in results if r.name == "branch probability derivatives sum to 0"]
     assert not row.passed and row.worst > 1e-3
