@@ -9,14 +9,18 @@ Subcommands
 ``selfcheck``      oracle fixture + invariant grids, exit 0 iff everything passes
 
 Tabular commands emit CSV (default) or JSON; grids use ``a:b:n`` notation for
-n points linearly spaced on [a, b].  All output is deterministic given the
-arguments (and, for ``simulate``, the seed).
+n points linearly spaced on [a, b].  A gain grid is one batch of operating
+points, one :class:`~nlametro.instrument.NlaParams` with an array of gains.
+JSON output is laid out by :func:`_indented_json`, byte for byte as
+``json.dumps(payload, sort_keys=True, indent=2)``.  All output is
+deterministic given the arguments (and, for ``simulate``, the seed).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import pathlib
 import sys
@@ -138,15 +142,59 @@ def render_csv(columns: list[str], rows: list[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_json(command: str, config: dict, columns: list[str], rows: list[tuple]) -> str:
+_NUMBER_TYPES = {int, float, bool}
+
+
+def _numbers(items) -> bool:
+    """Whether every item is exactly an int, a float or a bool, which JSON writes as one token.
+
+    The test is on the exact type, so it runs at C speed; a subclass, such
+    as a numpy float, takes the item-by-item layout instead.
+    """
+    return set(map(type, items)) <= _NUMBER_TYPES
+
+
+def _indented_json(value, indent: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for a value that starts at ``indent``.
+
+    The output is byte for byte that of ``json.dumps``, whose ``indent``
+    forces the pure-Python encoder.  Here the C encoder writes each list of
+    numbers, and each list of such rows, in one call, and the layout is put
+    around it: a number's text has no ``", "``, and a list of rows has
+    ``"], ["`` only between rows, so those separators are where the line
+    breaks go.  Dicts with string keys are laid out item by item; anything
+    else is ``json.dumps`` itself, re-indented (JSON text holds no raw
+    newline).
+    """
+    inner = indent + "  "
+    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        items = (f"{inner}{json.dumps(key)}: {_indented_json(item, inner)}"
+                 for key, item in sorted(value.items()))
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if isinstance(value, (list, tuple)) and value:
+        if _numbers(value):
+            body = json.dumps(value)[1:-1].replace(", ", ",\n" + inner)
+            return f"[\n{inner}{body}\n{indent}]"
+        rows = set(map(type, value)) <= {list, tuple} and all(value)
+        if rows and _numbers(itertools.chain.from_iterable(value)):
+            cell = inner + "  "
+            body = json.dumps(value)[2:-2].replace("], [", f"\n{inner}],\n{inner}[\n{cell}")
+            body = body.replace(", ", ",\n" + cell)
+            return f"[\n{inner}[\n{cell}{body}\n{inner}]\n{indent}]"
+        items = (inner + _indented_json(item, inner) for item in value)
+        return "[\n" + ",\n".join(items) + f"\n{indent}]"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+
+def render_json(command: str, config: dict, columns: list[str], rows) -> str:
     payload = {
         "schema_version": TABLE_SCHEMA_VERSION,
         "command": command,
         "config": config,
         "columns": columns,
-        "rows": [[float(v) for v in row] for row in rows],
+        "rows": np.asarray(rows, dtype=float).tolist(),
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _indented_json(payload) + "\n"
 
 
 def _emit(text: str, out: pathlib.Path | None) -> None:
@@ -156,7 +204,7 @@ def _emit(text: str, out: pathlib.Path | None) -> None:
         out.write_text(text, encoding="utf-8")
 
 
-def _emit_table(args, command: str, config: dict, columns: list[str], rows: list[tuple]) -> int:
+def _emit_table(args, command: str, config: dict, columns: list[str], rows) -> int:
     if args.format == "json":
         text = render_json(command, config, columns, rows)
     else:
@@ -170,12 +218,12 @@ def _emit_table(args, command: str, config: dict, columns: list[str], rows: list
 # ---------------------------------------------------------------------------
 
 def _gain_table(args, command: str, fields: tuple[str, ...]) -> int:
-    """Rows (g, *fields of the FisherBreakdown) over the gain grid, from one call."""
+    """Rows (g, *fields of the FisherBreakdown) over the gain grid, from one batch."""
     spec = _probe_spec_from_args(args)
     probe = spec.build()
     grid = _gain_grid_from_arg(args.g)
-    bd = qfi_effective(probe, [NlaParams(g=float(g), p=args.p) for g in grid])
-    rows = list(zip(grid, *(getattr(bd, field) for field in fields)))
+    bd = qfi_effective(probe, NlaParams(g=grid, p=args.p))
+    rows = np.column_stack([grid, *(getattr(bd, field) for field in fields)])
     config = {
         "probe": spec.describe(),
         "p": args.p,
@@ -195,7 +243,10 @@ def cmd_contributions(args) -> int:
 
 
 def cmd_sweep_nbar(args) -> int:
-    """Rows (nbar, q_eff per threshold) at fixed gain, one closed-form call per row."""
+    """Rows (nbar, q_eff per threshold) at fixed gain, one closed-form call per row.
+
+    The thresholds are one batch of points at the fixed gain.
+    """
     if args.probe == KIND_CUSTOM:
         raise ValueError("sweep-nbar varies the family energy; custom probes have none")
     if args.gain <= 1.0:
@@ -208,7 +259,7 @@ def cmd_sweep_nbar(args) -> int:
     if repeated:
         noun = "threshold" if len(repeated) == 1 else "thresholds"
         raise ValueError(f"--p repeats the {noun} {', '.join(map(str, repeated))}")
-    points = [NlaParams(g=args.gain, p=p) for p in thresholds]
+    points = NlaParams(g=np.full(len(thresholds), args.gain), p=thresholds)
     rows = []
     for nbar in nbars:
         probe = ProbeSpec.from_nbar(args.probe, float(nbar)).build()
@@ -245,7 +296,7 @@ def cmd_simulate(args) -> int:
             "replications": args.replications,
             "error": {"type": "DegenerateLikelihood", "message": str(exc)},
         }
-        sys.stderr.write(json.dumps(error, sort_keys=True, indent=2) + "\n")
+        sys.stderr.write(_indented_json(error) + "\n")
         return CHECK_FAILED
     payload = {
         "schema_version": RESULT_SCHEMA_VERSION,
@@ -253,7 +304,7 @@ def cmd_simulate(args) -> int:
         "config": config.describe(),
         "result": result.to_dict(),
     }
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(_indented_json(payload) + "\n", args.out)
     if args.records is not None:
         write_records_jsonl(args.records, config, result)
     return 0

@@ -38,6 +38,7 @@ from .instrument import (
     SUCCESS,
     MeterState,
     NlaParams,
+    _one_point,
     branch_probability_derivative,
     conditional_state_derivative,
     kraus_diagonal,
@@ -82,7 +83,7 @@ def unconditional_state(probe: FockVector, params: NlaParams) -> DensityOperator
     probe.require_normalized()
     mat = np.zeros((probe.dim, probe.dim), dtype=np.complex128)
     for branch in BRANCHES:
-        raw = kraus_diagonal(params, branch, probe.dim) * probe.amps
+        raw = kraus_diagonal(_one_point(params), branch, probe.dim) * probe.amps
         mat += np.outer(raw, raw.conj())
     return DensityOperator(mat)
 
@@ -206,7 +207,7 @@ def joint_state(probe: FockVector, params: NlaParams, meter: MeterState) -> Join
         failure block:  (beta E_f - alpha E_s) |probe>
     """
     probe.require_normalized()
-    es = kraus_diagonal(params, SUCCESS, probe.dim) * probe.amps
+    es = kraus_diagonal(_one_point(params), SUCCESS, probe.dim) * probe.amps
     ef = kraus_diagonal(params, FAILURE, probe.dim) * probe.amps
     return JointState(
         success_amps=meter.beta * es + meter.alpha * ef,

@@ -27,13 +27,16 @@ matrix and an SVD of its 2x2 triangular factor, batched over the whole
 stack, with the rank read off the images' structure; the tests compare it
 with the dense :func:`nlametro.dense.qfi_mixed`.
 
-:func:`qfi_effective`, :func:`qfi_effective_closed_form`,
-:func:`meter_coupling_term` and :func:`qfi_joint_meter` take one
-:class:`NlaParams` or a sequence of them, thresholds mixed, like the
-functions of :mod:`nlametro.instrument` and :mod:`nlametro.measurements`,
-and their single-point forms are views of the batch; the other functions
-take one point and read the same images with a stack of one.  None of the
-single-point views but :func:`qfi_unconditional` runs an SVD.
+Every function takes the ``Points`` of :mod:`nlametro.instrument`: one
+:class:`~nlametro.instrument.NlaParams`, a batch (one ``NlaParams`` with an
+array of gains) or a sequence of them, thresholds mixed, which
+:func:`~nlametro.instrument._point_columns` maps to gain and threshold
+columns.  One point gives floats, a batch or a sequence arrays, and a
+point's value is a view of a stack of one.  Only :func:`qfi_effective` and
+:func:`qfi_unconditional` run an SVD.  The images take the probe's dtype:
+a probe stored real (:class:`~nlametro.fock.FockVector`) gives real images,
+so every kernel, the QR and the SVD among them, runs in real arithmetic
+with no second code path.
 
 Numerical note: the textbook branch-QFI expression subtracts
 ``(dprob/prob)^2`` from a second moment; near points where the conditional
@@ -56,11 +59,11 @@ from .instrument import (
     SUCCESS,
     MeterBatch,
     MeterState,
-    NlaParams,
     Points,
     _check_branch,
     _image_levels,
     _impossible,
+    _is_point,
     _kraus_pair,
     _per_point,
     _point_columns,
@@ -77,7 +80,7 @@ class FisherBreakdown:
     terms ``ps_qs``/``pf_qf``, the herald information ``f_c``, the bare
     branch QFIs ``q_s``/``q_f``, and the unconditional-state QFI ``q_unc``.
     Each field is a float for one operating point, or a 1-D array with one
-    entry per point for a sequence of them.
+    entry per point for a batch or a sequence of them.
     """
 
     q_eff: float | np.ndarray
@@ -216,8 +219,8 @@ def _closed_form(probe: FockVector, g: np.ndarray, p: np.ndarray) -> np.ndarray:
     return 4.0 * total
 
 
-def qfi_branch(probe: FockVector, params: NlaParams, branch: str) -> float:
-    """QFI of one normalized conditional output state.
+def qfi_branch(probe: FockVector, params: Points, branch: str) -> float | np.ndarray:
+    """QFI of the normalized conditional output state; one point gives a float.
 
     Evaluated as the variance of the per-level log-derivative of the Kraus
     weights under the conditional photon-number distribution,
@@ -227,22 +230,25 @@ def qfi_branch(probe: FockVector, params: NlaParams, branch: str) -> float:
     which equals the usual ``-(dprob/prob)^2 + second-moment`` expression but
     is free of its cancellation (the conditional amplitudes can be chosen
     real and gain-covariant, so photon counting already extracts the full
-    QFI and the QFI reduces to this classical variance).
+    QFI and the QFI reduces to this classical variance).  A batch or a
+    sequence of points gives an array; an impossible branch at any point
+    raises :class:`BranchImpossible` naming that point.
     """
     g, p = _point_columns(params)
     e, de, a, _ = _images(probe, g, p)
     q, prob = _branch_qfi(e, de, a, BRANCHES.index(_check_branch(branch)))
-    if prob[0] < PROBABILITY_FLOOR:
+    if np.any(prob < PROBABILITY_FLOOR):
         raise _impossible(branch, g, p, prob)
     return _per_point(params, q)
 
 
-def classical_fi(probe: FockVector, params: NlaParams) -> float:
+def classical_fi(probe: FockVector, params: Points) -> float | np.ndarray:
     """Fisher information of the bare success/failure herald bit.
 
     ``F_c = (dp_s)^2 / p_s + (dp_f)^2 / p_f`` with ``dp_f = -dp_s``.  A
     deterministic herald (one branch impossible) carries no information:
-    returns 0.0 in that case.
+    returns 0.0 in that case.  One point gives a float, a batch or a
+    sequence of points an array.
     """
     return _per_point(params, _herald(*_images(probe, *_point_columns(params))[2:])[2])
 
@@ -250,17 +256,17 @@ def classical_fi(probe: FockVector, params: NlaParams) -> float:
 def qfi_effective_closed_form(probe: FockVector, params: Points) -> float | np.ndarray:
     """Closed form of the combined sequential-scheme QFI.
 
-    ``params`` is one operating point, giving a float, or a sequence of them,
-    thresholds mixed, giving an array.  Each point sums over the levels
-    below its own threshold.  At a point whose success probability
-    underflows to 0 every term underflows with it, and this returns 0.0
-    rather than raising.
+    ``params`` is one operating point, giving a float, or a batch or a
+    sequence of them, thresholds mixed, giving an array.  Each point sums
+    over the levels below its own threshold.  At a point whose success
+    probability underflows to 0 every term underflows with it, and this
+    returns 0.0 rather than raising.
     """
     probe.require_normalized()
     return _per_point(params, _closed_form(probe, *_point_columns(params)))
 
 
-def qfi_unconditional(probe: FockVector, params: NlaParams) -> float:
+def qfi_unconditional(probe: FockVector, params: Points) -> float | np.ndarray:
     """QFI of the branch-averaged output (herald discarded), on its thin support.
 
     The output is ``rho = A A^+`` with the Kraus-image matrix
@@ -283,6 +289,7 @@ def qfi_unconditional(probe: FockVector, params: NlaParams) -> float:
     between them), else 1.  The kernel term is the norm of a residual
     rather than a difference of two norms.  Where ``p_s`` underflows to 0
     the terms underflow with it, and this returns 0.0 rather than raising.
+    One point gives a float, a batch or a sequence of points an array.
     """
     return _per_point(params, _unconditional_qfi(*_images(probe, *_point_columns(params))[2:]))
 
@@ -291,13 +298,13 @@ def qfi_effective(probe: FockVector, params: Points) -> FisherBreakdown:
     """Full information budget at one operating point or over a gain grid.
 
     ``params`` is one :class:`NlaParams`, giving a breakdown of floats, or a
-    sequence of them, thresholds mixed, giving a breakdown whose fields are
-    1-D arrays with one entry per point.  Every component of every point
-    comes from one evaluation of the stacked Kraus images (:func:`_images`):
-    the herald terms, the two branch variances, one batched SVD for
-    ``q_unc`` and the closed form, which is ``q_eff``.  The identity
-    ``q_eff = ps_qs + pf_qf + f_c`` holds to machine precision and is
-    asserted by the self-check suite rather than silently trusted here.
+    batch or a sequence of them, thresholds mixed, giving a breakdown whose
+    fields are 1-D arrays with one entry per point.  Every component of
+    every point comes from one evaluation of the stacked Kraus images
+    (:func:`_images`): the herald terms, the two branch variances, one
+    batched SVD for ``q_unc`` and the closed form, which is ``q_eff``.  The
+    identity ``q_eff = ps_qs + pf_qf + f_c`` holds to machine precision and
+    is asserted by the self-check suite rather than silently trusted here.
 
     An impossible success branch at any point, among them one whose success
     probability underflows to 0, raises :class:`BranchImpossible` naming
@@ -327,9 +334,10 @@ def meter_coupling_term(probe: FockVector, params: Points) -> float | np.ndarray
     """Cross term ``<psi|E_s dE_f|psi> - <psi|E_f dE_s|psi>`` (real).
 
     This is the only way the meter preparation enters the joint-state QFI.
-    ``params`` is one operating point, giving a float, or a sequence of them,
-    thresholds mixed, giving an array; the coupling of every point comes
-    from one evaluation of the stacked images (:func:`_images`).
+    ``params`` is one operating point, giving a float, or a batch or a
+    sequence of them, thresholds mixed, giving an array; the coupling of
+    every point comes from one evaluation of the stacked images
+    (:func:`_images`).
     """
     return _per_point(params, _coupling(*_images(probe, *_point_columns(params))[2:]))
 
@@ -363,8 +371,8 @@ def qfi_joint_meter(probe: FockVector, params: Points, meters: Meters) -> float 
     ``meters`` is one :class:`MeterState`, a sequence of them or a
     :class:`MeterBatch`.  At one operating point the result has the meters'
     shape: a float for one meter, an array for several.  ``params`` may also
-    be a sequence of ``G`` points, thresholds mixed; then the meters'
-    leading axis runs over the points: one meter for all points gives shape
+    be a batch or a sequence of ``G`` points, thresholds mixed; then the
+    meters' leading axis runs over the points: one meter for all points gives shape
     ``(G,)``, one meter per point (a sequence or a batch of length ``G``)
     gives ``(G,)``, and ``M`` meters per point (a ``G x M`` batch) give
     ``(G, M)``.  Only the imbalance depends on the meter, so ``q_eff`` and
@@ -374,7 +382,7 @@ def qfi_joint_meter(probe: FockVector, params: Points, meters: Meters) -> float 
     imbalance = _imbalances(meters)
     q_eff = qfi_effective_closed_form(probe, params)
     coupling = meter_coupling_term(probe, params)
-    if not isinstance(params, NlaParams) and imbalance.ndim:
+    if not _is_point(params) and imbalance.ndim:
         if imbalance.shape[0] != q_eff.size:
             raise ValueError(f"{imbalance.shape[0]} rows of meters for {q_eff.size} points")
         trailing = (1,) * (imbalance.ndim - 1)

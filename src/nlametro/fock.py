@@ -1,7 +1,8 @@
 """Finite Fock-space states and quadrature utilities.
 
 Everything downstream works in a truncated number basis: a pure state is a
-1-D array of amplitudes ``c_n`` (n = 0 .. dim-1).  This module owns that
+1-D array of amplitudes ``c_n`` (n = 0 .. dim-1), stored real when every
+imaginary part is exactly zero (:class:`FockVector`).  This module owns that
 type, the normalized position wavefunctions <x|n> and composite
 Gauss-Legendre quadrature grids for integrals over the quadrature variable
 x.  A grid sized for ``dim`` levels is the coarsest of a doubling sequence
@@ -39,7 +40,15 @@ class NonHermitianInput(ValueError):
 
 
 def _as_amplitudes(amps) -> np.ndarray:
-    arr = np.array(amps, dtype=np.complex128)
+    """A read-only copy of ``amps``: ``float64`` when every imaginary part is
+    exactly zero, else ``complex128``."""
+    arr = np.asarray(amps)
+    if arr.dtype.kind in "biuf":
+        arr = arr.astype(np.float64)
+    else:
+        arr = arr.astype(np.complex128)
+        if not arr.imag.any():
+            arr = arr.real.copy()
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("amplitudes must form a non-empty 1-D array")
     if not np.all(np.isfinite(arr)):
@@ -55,6 +64,14 @@ class FockVector:
     ``amps[n]`` is the amplitude on level ``n``.  The vector is not forced to
     be normalized at construction (derivative vectors reuse the type), but
     most consumers call :meth:`require_normalized` first.
+
+    Storage rule: ``amps`` is a read-only ``float64`` array when every
+    imaginary part of the input is exactly zero, and ``complex128``
+    otherwise, so every kernel that reads a real probe runs in real
+    arithmetic.  This is an exact test, unlike :meth:`is_real`, which
+    accepts imaginary parts up to ``REAL_AMPLITUDE_TOL`` (1e-12): a probe
+    with an imaginary part of 1e-300 is stored complex yet is "real" to the
+    detectors that require real amplitudes.
     """
 
     amps: np.ndarray
@@ -91,6 +108,7 @@ class FockVector:
         return float(np.sum(np.arange(self.dim) * w) / np.sum(w))
 
     def is_real(self) -> bool:
+        """Every imaginary part within ``REAL_AMPLITUDE_TOL``; see the storage rule."""
         return bool(np.max(np.abs(self.amps.imag)) <= REAL_AMPLITUDE_TOL)
 
 

@@ -13,12 +13,13 @@ This module provides the Kraus diagonals and their exact gain derivatives,
 branch probabilities, normalized conditional states, and the qubit meter
 that records which branch occurred, one meter (:class:`MeterState`) or an
 array of them (:class:`MeterBatch`).  The Kraus, completeness and
-branch-probability functions take one operating point or a sequence of
-them, whose thresholds may differ.  Every Kraus entry comes from one
-kernel, :func:`_kraus_pair`, which gives the rows and slopes of both
-branches in one call, for one gain or a column of them; it takes powers of
-the gain on the :func:`_image_levels` ``min(dim, max p + 2)`` levels only,
-the levels above holding the exact constants.  The conditional amplitudes
+branch-probability functions take one operating point, a batch of them
+(:class:`NlaParams` with an array of gains) or a sequence of them, whose
+thresholds may differ; the conditional states take one point.  Every Kraus
+entry comes from one kernel, :func:`_kraus_pair`, which gives the rows and
+slopes of both branches in one call, for one gain or a column of them; it
+takes powers of the gain on the :func:`_image_levels` ``min(dim, max p +
+2)`` levels only, the levels above holding the exact constants.  The conditional amplitudes
 and their slopes come from :func:`_conditional_rows`, for one operating
 point or a stack of them; :func:`_conditional_factors` gives their real
 Kraus factors on the :func:`_image_levels` levels.
@@ -65,30 +66,101 @@ def _check_branch(branch: str) -> str:
 
 @dataclasses.dataclass(frozen=True)
 class NlaParams:
-    """Operating point of the amplifier: target gain ``g``, threshold ``p``."""
+    """Operating point of the amplifier: target gain ``g``, threshold ``p``; or a batch of them.
 
-    g: float
-    p: int
+    One point has a scalar gain and an integer threshold.  A batch has a
+    non-empty 1-D array of ``G`` gains and, as ``p``, one integer for every
+    gain or an integer array of length ``G``; it is stored as read-only
+    ``float64`` gains and ``int64`` thresholds of length ``G``, and every
+    function that takes a sequence of points takes a batch alike, with the
+    same result bit for bit.  A batch is validated with array checks, and an
+    error names its first bad point.  A function of one point raises
+    ``ValueError`` on a batch.  A batch is also a sequence of its points:
+    it has a length, and its items are single ``NlaParams`` (a slice gives a
+    batch); one point is none of these.
+    """
+
+    g: float | np.ndarray
+    p: int | np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.p, (int, np.integer)) or isinstance(self.p, bool):
-            raise ValueError("threshold p must be an integer")
-        if self.p < 0:
-            raise ValueError("threshold p must be non-negative")
-        if not np.isfinite(self.g) or self.g < GAIN_FLOOR:
-            raise GainDomain(f"gain {self.g!r} below domain floor {GAIN_FLOOR!r}")
-        object.__setattr__(self, "p", int(self.p))
+        if np.ndim(self.g) == 0:
+            if not isinstance(self.p, (int, np.integer)) or isinstance(self.p, bool):
+                raise ValueError("threshold p must be an integer")
+            if self.p < 0:
+                raise ValueError("threshold p must be non-negative")
+            if not np.isfinite(self.g) or self.g < GAIN_FLOOR:
+                raise GainDomain(f"gain {self.g!r} below domain floor {GAIN_FLOOR!r}")
+            object.__setattr__(self, "p", int(self.p))
+            return
+        g = np.array(self.g, dtype=float)
+        if g.ndim != 1 or g.size == 0:
+            raise ValueError("a batch of gains must be a non-empty 1-D array")
+        p = np.asarray(self.p)
+        if p.dtype.kind not in "iu" or p.shape not in ((), g.shape):
+            raise ValueError(f"threshold p must be an integer or {g.size} integers")
+        p = np.broadcast_to(p, g.shape).astype(np.int64)
+        if (i := _first(p < 0)) is not None:
+            raise ValueError(f"threshold p must be non-negative, got {p[i]} (point {i})")
+        if (i := _first(~(np.isfinite(g) & (g >= GAIN_FLOOR)))) is not None:
+            raise GainDomain(f"gain {float(g[i])!r} below domain floor {GAIN_FLOOR!r} (point {i})")
+        for name, arr in (("g", g), ("p", p)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def _require_batch(self) -> None:
+        if np.ndim(self.g) == 0:
+            raise TypeError("one operating point is not a sequence of points")
+
+    def __bool__(self) -> bool:
+        """Always true: one point has no length, and a batch is never empty."""
+        return True
+
+    def __len__(self) -> int:
+        self._require_batch()
+        return self.g.size
+
+    def __iter__(self):
+        self._require_batch()
+        return map(NlaParams, self.g.tolist(), self.p.tolist())
+
+    def __getitem__(self, index) -> "NlaParams":
+        self._require_batch()
+        g, p = self.g[index], self.p[index]
+        return NlaParams(float(g), int(p)) if np.ndim(g) == 0 else NlaParams(g, p)
+
+
+def _first(bad: np.ndarray) -> int | None:
+    """The first index where ``bad`` holds, or None."""
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 Points = NlaParams | Sequence[NlaParams]
 
 
+def _is_point(params: Points) -> bool:
+    """Whether ``params`` is one operating point, not a batch or a sequence."""
+    return isinstance(params, NlaParams) and np.ndim(params.g) == 0
+
+
+def _one_point(params: Points) -> NlaParams:
+    """``params`` if it is one operating point; a batch or a sequence raises ``ValueError``."""
+    if not _is_point(params):
+        raise ValueError("this function takes one operating point, not a batch or a sequence")
+    return params
+
+
 def _point_columns(params: Points) -> tuple[np.ndarray, np.ndarray]:
-    """Gain and threshold columns ``(G, 1)`` of one operating point or a sequence of them."""
-    batch = [params] if isinstance(params, NlaParams) else list(params)
+    """Gain and threshold columns ``(G, 1)`` of one point, a batch or a sequence of points."""
+    if isinstance(params, NlaParams):
+        g, p = np.atleast_1d(params.g).astype(float, copy=False), np.atleast_1d(params.p)
+        return g[:, np.newaxis], p[:, np.newaxis]
+    batch = list(params)
     if not batch:
         raise ValueError("need at least one operating point")
     g, p = np.array([pt.g for pt in batch], dtype=float), np.array([pt.p for pt in batch])
+    if g.ndim != 1:
+        raise ValueError("a sequence of operating points takes single points, not batches")
     return g[:, np.newaxis], p[:, np.newaxis]
 
 
@@ -118,13 +190,14 @@ def _kraus_pair(g, p, levels: int) -> np.ndarray:
     so the slope is 0.  The powers of ``g`` are taken on the first
     :func:`_image_levels` levels only, where the clamped ``k`` keeps them
     from overflowing; the levels above hold the exact constants ``E_s = 1``
-    and ``E_f = dE_s = dE_f = 0``.
+    and ``E_f = dE_s = dE_f = 0``.  The four powers come from one
+    ``np.power`` over the stacked exponents, so every call shape rounds
+    them alike.
     """
     top = _image_levels(levels, p)
     k = np.minimum(np.arange(top, dtype=float) - p, 0.0)
-    # one ``g ** x`` per exponent: for an array ``g`` and a one-level ``x``
-    # numpy's operator takes 1/g at x = -1, where the ufunc rounds g^-1 itself
-    es, square, des, ratio = (g ** x for x in (k, 2.0 * k, k - 1.0, 2.0 * k - 1.0))
+    exponents = np.stack((k, 2.0 * k, k - 1.0, 2.0 * k - 1.0), axis=-2)
+    es, square, des, ratio = np.moveaxis(np.power(np.expand_dims(g, -1), exponents), -2, 0)
     out = np.zeros(es.shape[:-1] + (2, 2, levels))
     out[..., 0, 0, top:] = 1.0
     out[..., 0, 0, :top] = es
@@ -136,10 +209,10 @@ def _kraus_pair(g, p, levels: int) -> np.ndarray:
 
 
 def _kraus_at(params: Points, dim: int) -> np.ndarray:
-    """:func:`_kraus_pair` on levels 0..dim-1 at one point, or a stack for a sequence."""
+    """:func:`_kraus_pair` on levels 0..dim-1 at one point, or a stack for a batch or a sequence."""
     if dim < 1:
         raise ValueError("dim must be positive")
-    if isinstance(params, NlaParams):
+    if _is_point(params):
         return _kraus_pair(params.g, params.p, dim)
     return _kraus_pair(*_point_columns(params), dim)
 
@@ -165,17 +238,17 @@ def kraus_diagonal_derivative(params: Points, branch: str, dim: int) -> np.ndarr
 
 
 def _per_point(params: Points, values: np.ndarray) -> float | np.ndarray:
-    """A float for one operating point, the array of per-point values for a sequence.
+    """A float for one operating point, the array of per-point values for a batch or a sequence.
 
     The value of one point may be a scalar or the one entry of a stack of one.
     """
-    return float(np.ravel(values)[0]) if isinstance(params, NlaParams) else values
+    return float(np.ravel(values)[0]) if _is_point(params) else values
 
 
 def completeness_defect(params: Points, dim: int) -> float | np.ndarray:
     """max_n |E_s(n)^2 + E_f(n)^2 - 1|; zero for a trace-preserving pair.
 
-    A float for one operating point, one value per point for a sequence.
+    A float for one operating point, one value per point for a batch or a sequence.
     """
     es, ef = np.moveaxis(_kraus_at(params, dim)[..., 0, :], -2, 0)
     return _per_point(params, np.max(np.abs(es * es + ef * ef - 1.0), axis=-1))
@@ -184,7 +257,8 @@ def completeness_defect(params: Points, dim: int) -> float | np.ndarray:
 def branch_probability(probe: FockVector, params: Points, branch: str) -> float | np.ndarray:
     """Probability of the branch firing on the given normalized probe.
 
-    A float for one operating point, one probability per point for a sequence.
+    A float for one operating point, one probability per point for a batch or a
+    sequence.
     """
     probe.require_normalized()
     e = kraus_diagonal(params, branch, probe.dim)
@@ -198,7 +272,8 @@ def branch_probability_derivative(
 
     Each branch is differentiated through its own Kraus derivative, so the
     two branch derivatives sum to zero only when the Kraus pair does.  A
-    float for one operating point, one derivative per point for a sequence.
+    float for one operating point, one derivative per point for a batch or a
+    sequence.
     """
     probe.require_normalized()
     i = BRANCHES.index(_check_branch(branch))
@@ -246,8 +321,8 @@ def _branch_rows(probe: FockVector, g, p, branch: str):
 def _conditional_rows(probe: FockVector, params: Points, branch: str):
     """Normalized conditional amplitudes, their gain slopes and the branch probabilities.
 
-    ``params`` is one operating point or a sequence of them, whose thresholds
-    may differ.  Amplitudes and slopes are ``G x dim`` stacks, one row per
+    ``params`` is one operating point, a batch or a sequence of them, whose
+    thresholds may differ.  Amplitudes and slopes are ``G x dim`` stacks, one row per
     point; the probabilities have length ``G``.  The slopes follow the product
     rule on ``a_n = E_n c_n / sqrt(prob)``:
     ``da_n = dE_n c_n / sqrt(prob) - a_n dprob / (2 prob)``.  An impossible
@@ -278,14 +353,16 @@ def _conditional_factors(probe: FockVector, params: Points, branch: str):
 
 
 def conditional_state(probe: FockVector, params: NlaParams, branch: str) -> ConditionalState:
-    """Normalized post-selected state at one point: a view of :func:`_conditional_rows`."""
-    amps, _, prob = _conditional_rows(probe, params, branch)
+    """Normalized post-selected state at one point (a batch raises): a view of
+    :func:`_conditional_rows`."""
+    amps, _, prob = _conditional_rows(probe, _one_point(params), branch)
     return ConditionalState(FockVector(amps[0]), float(prob[0]), branch)
 
 
 def conditional_state_derivative(probe: FockVector, params: NlaParams, branch: str) -> np.ndarray:
-    """Gain derivative of the conditional amplitudes at one point (:func:`_conditional_rows`)."""
-    return _conditional_rows(probe, params, branch)[1][0]
+    """Gain derivative of the conditional amplitudes at one point (a batch raises;
+    :func:`_conditional_rows`)."""
+    return _conditional_rows(probe, _one_point(params), branch)[1][0]
 
 
 def _check_meters(alpha, beta) -> None:

@@ -9,8 +9,8 @@ and the Fisher information of the full joint record (branch, outcome) --
 the latter through its own code path so it can arbitrate the identity
 ``F_joint = p_s Q_s + p_f Q_f + F_c`` independently.
 
-Every function takes one operating point or a sequence of them, whose
-thresholds may differ, and evaluates all points as one stack of rows, except
+Every function takes one operating point, a batch or a sequence of them,
+whose thresholds may differ, and evaluates all points as one stack of rows, except
 :func:`homodyne_density`, which takes one point and any outcomes.  Photon
 counting takes the conditional amplitudes and slopes from one call of the
 instrument kernel ``_conditional_rows``, and the joint-record rows ``E_i c``
@@ -56,7 +56,9 @@ from .instrument import (
     _conditional_factors,
     _conditional_rows,
     _image_levels,
+    _is_point,
     _kraus_pair,
+    _one_point,
     _per_point,
     _point_columns,
 )
@@ -132,15 +134,15 @@ def photon_counting_dist(
 ) -> OutcomeDistribution | list[OutcomeDistribution]:
     """Photon-number distribution of the normalized conditional state.
 
-    ``params`` is one operating point, giving one distribution, or a
-    sequence of them, giving a list.
+    ``params`` is one operating point, giving one distribution, or a batch
+    or a sequence of them, giving a list.
     """
     masses = np.abs(_conditional_rows(probe, params, branch)[0]) ** 2
     support = np.arange(probe.dim, dtype=float)
     for arr in (masses, support):
         arr.setflags(write=False)
     dists = [OutcomeDistribution(PHOTON_COUNTING, branch, support, row) for row in masses]
-    return dists[0] if isinstance(params, NlaParams) else dists
+    return dists[0] if _is_point(params) else dists
 
 
 def _counting_fi(amps: np.ndarray, slopes: np.ndarray) -> np.ndarray:
@@ -160,8 +162,8 @@ def fi_photon_counting(probe: FockVector, params: Points, branch: str) -> float 
 
     ``F = sum_n (dm_n)^2 / m_n`` over occupied levels, with the mass
     derivatives taken analytically through the conditional amplitudes.
-    ``params`` is one operating point, giving a float, or a sequence of
-    them, giving an array.
+    ``params`` is one operating point, giving a float, or a batch or a
+    sequence of them, giving an array.
     """
     amps, slopes, _ = _conditional_rows(probe, params, branch)
     return _per_point(params, _counting_fi(amps[:, None], slopes[:, None]))
@@ -235,12 +237,12 @@ def _fields(rows: np.ndarray, parts: tuple[np.ndarray, ...]) -> list[np.ndarray]
 def homodyne_density(probe: FockVector, params: NlaParams, branch: str, x) -> np.ndarray | float:
     """Conditional x-quadrature density ``|sum_n a_n <x|n>|^2`` at the outcomes ``x``.
 
-    The point's real conditional factor row
+    ``params`` is one point; a batch raises ``ValueError``.  The point's real conditional factor row
     (:func:`~nlametro.instrument._conditional_factors`) times the parts of
     the probe's ``min(dim, p + 2)``-row basis at ``x`` (:func:`_image_basis`);
     the density carries the basis's error model (:func:`_fields`).
     """
-    factors = _conditional_factors(probe, params, branch)[0]
+    factors = _conditional_factors(probe, _one_point(params), branch)[0]
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     parts = _image_basis(probe, wavefunction_matrix(probe.dim, xa), factors.shape[1])
     dens = sum(f * f for f in _fields(factors, parts))[0]
@@ -252,8 +254,8 @@ def homodyne_distribution(
 ) -> OutcomeDistribution | list[OutcomeDistribution]:
     """Conditional homodyne density tabulated on the adaptive grid.
 
-    ``params`` is one operating point, giving one distribution, or a
-    sequence of them, giving a list.  The real Kraus factors of all points
+    ``params`` is one operating point, giving one distribution, or a batch
+    or a sequence of them, giving a list.  The real Kraus factors of all points
     (:func:`~nlametro.instrument._conditional_factors`) are multiplied
     against the probe's window-0 basis of ``min(dim, max p + 2)`` rows
     (:func:`_basis_parts`), ``ROW_CHUNK`` rows at a time; each density
@@ -275,7 +277,7 @@ def homodyne_distribution(
             )
             for row in masses
         )
-    return dists[0] if isinstance(params, NlaParams) else dists
+    return dists[0] if _is_point(params) else dists
 
 
 def _fisher_integral(probe: FockVector, amps: np.ndarray, slopes: np.ndarray) -> np.ndarray:
@@ -349,8 +351,8 @@ def fi_homodyne(
     analytically through the conditional amplitudes.  Raises
     :class:`ComplexProbeUnsupported` for complex probes unless overridden.
 
-    ``params`` is one operating point, giving a float, or a sequence of
-    them, giving an array; either way the points go through one stacked
+    ``params`` is one operating point, giving a float, or a batch or a
+    sequence of them, giving an array; either way the points go through one stacked
     :func:`_fisher_integral`, one row of real Kraus factors per point
     (:func:`~nlametro.instrument._conditional_factors`) on one basis.
     """
@@ -378,8 +380,8 @@ def sequential_fi(
     effective-QFI closed form, so it can serve as an independent witness of
     ``F_joint = p_s Q_s + p_f Q_f + F_c``.
 
-    ``params`` is one operating point, giving a float, or a sequence of
-    them, giving an array.  The two branch rows ``E_i c`` of a point are one
+    ``params`` is one operating point, giving a float, or a batch or a
+    sequence of them, giving an array.  The two branch rows ``E_i c`` of a point are one
     group of :func:`_counting_fi`.  For homodyne, the two unnormalized Kraus
     rows ``E_i`` and their slopes on the first ``min(dim, max p + 2)``
     levels are one group of one stacked :func:`_fisher_integral` on the

@@ -66,6 +66,7 @@ from .instrument import (
     SUCCESS,
     GainDomain,
     NlaParams,
+    _one_point,
     _image_levels,
     _kraus_pair,
     branch_probability,
@@ -89,7 +90,7 @@ DETECTORS = (PHOTON_COUNTING, HOMODYNE, HERALD_ONLY, SUCCESS_ONLY)
 # no gain information at all.
 FLATNESS_TOL = 1e-9
 
-RESULT_SCHEMA_VERSION = 7
+RESULT_SCHEMA_VERSION = 8
 
 # Gains per block of a homodyne likelihood surface.  A block's fields are one
 # (block, rows) @ (rows, shots) product per part of the record into reused
@@ -136,7 +137,7 @@ class GainGrid:
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
-    """One simulated calibration campaign."""
+    """One simulated calibration campaign at one true operating point (a batch raises)."""
 
     probe: ProbeSpec
     params_true: NlaParams
@@ -150,6 +151,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown detector {self.detector!r}")
         if self.shots < 1:
             raise ValueError("shots must be positive")
+        _one_point(self.params_true)
         if not (self.grid.lo <= self.params_true.g <= self.grid.hi):
             raise ValueError("search grid must contain the true gain")
 
@@ -294,7 +296,7 @@ class _ShotSource:
     def __init__(self, probe: FockVector, params: NlaParams, detector: str):
         if detector not in DETECTORS:
             raise ValueError(f"unknown detector {detector!r}")
-        self._probe, self._params, self._detector = probe, params, detector
+        self._probe, self._params, self._detector = probe, _one_point(params), detector
         self._ps, ms, mf = _branch_masses(probe, params)
         self._masses = {SUCCESS: ms, FAILURE: mf}
         self._samplers = {}

@@ -80,6 +80,8 @@ from .instrument import (
     PROBABILITY_FLOOR,
     Points,
     SUCCESS,
+    _is_point,
+    _one_point,
     _point_columns,
     branch_probability,
     branch_probability_derivative,
@@ -413,24 +415,24 @@ class KrausImageFD:
 
     The images ``a_s = E_s c`` and ``a_f = E_f c`` are built once, in
     double-double from the input doubles, at the exact gains ``g -/+ dg/2``
-    of every operating point of ``params``: one point, or a sequence whose
-    thresholds may differ, with one probe for all or one probe per point.
-    Every oracle is a view of that one Kraus pair.  :meth:`pure` and
+    of every operating point of ``params``: one point, or a batch or a
+    sequence of them whose thresholds may differ, with one probe for all or
+    one probe per point.  Every oracle is a view of that one Kraus pair.  :meth:`pure` and
     :meth:`bures` are fidelity differences: they contract three Gram
     matrices, ``<a_i(g-)|a_j(g+)>``, ``<a_i(g-)|a_j(g-)>`` and
     ``<a_i(g+)|a_j(g+)>``, which are real, since the Kraus entries and the
     weights are, and are built on the first such call.  :meth:`mass_slopes`,
     :meth:`probability_slope` and :meth:`coupling` are central differences
-    of the Kraus entries themselves.  A single point gives floats, a
-    sequence one array per view.  Every operation acts on each point alone,
-    so a point's values depend neither on the rest of the batch nor on which
-    other views were asked for.
+    of the Kraus entries themselves.  A single point gives floats, a batch
+    or a sequence one array per view.  Every operation acts on each point
+    alone, so a point's values depend neither on the rest of the batch nor
+    on which other views were asked for.
     """
 
     def __init__(self, probe: Probes, params: Points, dg: float = DEFAULT_QFI_STEP):
         _validate_step(dg)
         self.dg = dg
-        self._single = isinstance(params, NlaParams)
+        self._single = _is_point(params)
         self.g, self.p = (column[:, 0] for column in _point_columns(params))
         self._weights, self._tail = _probe_weights(probe, self.p)
         self._pair = _stepped_kraus_entries(self.g, self.p, dg, self._weights.hi.shape[-1])
@@ -604,7 +606,7 @@ def joint_fi_direct(
     """
     if detector not in (PHOTON_COUNTING, HOMODYNE):
         raise ValueError(f"unknown detector {detector!r}")
-    fd = KrausImageFD(probe, params, dg)
+    fd = KrausImageFD(probe, _one_point(params), dg)
     if detector == PHOTON_COUNTING:
         center = _joint_photon_masses(probe, params)
         slopes = fd.mass_slopes()[0]

@@ -39,41 +39,33 @@ class UnsupportedKind(ValueError):
     """Probe kind is not one of the supported family names."""
 
 
-def _tail_within(weight: float, n: int, step) -> bool:
-    """Whether ``sum_{k >= n} w_k <= DEFAULT_TAIL_TOL``, given ``weight = w_{n-1}``.
-
-    The tail terms come from the recurrence ``w_k = step(w_{k-1}, k)`` and
-    are summed forward until they no longer change the sum; the sum stops
-    early once it exceeds the tolerance.
-    """
-    total, term = 0.0, step(weight, n)
-    while total + term != total:
-        total += term
-        if total > DEFAULT_TAIL_TOL:
-            return False
-        n += 1
-        term = step(term, n)
-    return True
-
-
 def _head_weights(first: float, step, max_terms: int, what: str) -> np.ndarray:
     """Weights ``w_0 .. w_n`` of ``w_k = step(w_{k-1}, k)``, for the first ``n``
     whose tail ``sum_{k > n} w_k`` is at most ``DEFAULT_TAIL_TOL``.
 
-    The tail is a forward sum of its own positive terms (:func:`_tail_within`).
+    The tail is a forward sum of its own positive terms, added until one no
+    longer changes the sum; it fails once the sum exceeds the tolerance.
     One minus a head sum would carry the head's rounding drift, about ``n``
     ulp, which above a few hundred levels exceeds the tolerance and keeps the
-    test from ever passing.  More than ``max_terms`` weights, or a first
-    weight that underflows, raise :class:`TruncationOverflow`.
+    test from ever passing.  Each term of the recurrence is computed once,
+    when the first candidate's tail reaches it, and every later candidate's
+    tail reads it from the same list.  More than ``max_terms`` weights, or a
+    first weight that underflows, raise :class:`TruncationOverflow`.
     """
     if not first > 0.0:
         raise TruncationOverflow(f"{what} needs more than {HARD_DIM_CAP} levels")
-    weights = [first]
-    while not _tail_within(weights[-1], len(weights), step):
-        if len(weights) >= max_terms:
-            raise TruncationOverflow(f"{what} needs more than {HARD_DIM_CAP} levels")
-        weights.append(step(weights[-1], len(weights)))
-    return np.array(weights)
+    terms = [first]
+    for n in range(1, max_terms + 1):
+        # keep w_0 .. w_{n-1} if the tail from w_n is within the tolerance
+        total, k = 0.0, n
+        while total <= DEFAULT_TAIL_TOL:
+            if k == len(terms):
+                terms.append(step(terms[-1], k))
+            if total + terms[k] == total:
+                return np.array(terms[:n])
+            total += terms[k]
+            k += 1
+    raise TruncationOverflow(f"{what} needs more than {HARD_DIM_CAP} levels")
 
 
 def coherent_state(alpha: float) -> FockVector:

@@ -30,27 +30,28 @@ scores all 280 points.  Its analytic generic-meter side makes one
 The suites evaluate on stacks of operating points, each number still coming
 from the library function it checks, and score each row's errors as one
 array.  Every library function takes a probe's 35 operating points, of all
-five thresholds, in one call.  The budgets come from one ``qfi_effective``
-call per probe.  The identity rows pass the points to one
-``completeness_defect`` call and to one call per branch of
-``kraus_diagonal``, ``kraus_diagonal_derivative``, ``branch_probability``
-and ``branch_probability_derivative``, and take the conditional states and
-slopes from one ``_conditional_rows`` call per branch.  The detector rows
-pass them to one call per branch of ``fi_photon_counting``,
-``photon_counting_dist``, ``fi_homodyne`` and ``homodyne_distribution``,
-and to one ``sequential_fi`` call per detector.  Each of these calls takes
-the Kraus rows and slopes of all points, both branches, from one call of
-the instrument's kernel ``_kraus_pair``, which takes powers of the gain on
-``min(dim, max p + 2)`` levels only.  Homodyne multiplies the points' real
-coefficient rows, in chunks, against one Kraus-image basis of that many
-rows on the quadrature grid (7 here, for probes of up
-to 149 levels); its fields differ from the full ``dim``-level sums only by
-the regrouped tail sum, at most about ``dim`` ulp of ``sum_n |c_n <x|n>|``.
-The products stay small enough that OpenBLAS keeps them on one thread.  The meter suite draws the normals of a
-probe's 1750 random meters as one block and makes one ``qfi_joint_meter``
-call per probe, 8 in all: a :class:`~nlametro.instrument.MeterBatch` of
-the probe's 35 points x 54 meters, whose ``q_eff`` and coupling terms are
-evaluated once.
+five thresholds, in one call, as one batch
+(:class:`~nlametro.instrument.NlaParams` with an array of gains).  The
+budgets come from one ``qfi_effective`` call per probe.  The identity rows
+pass the points to one ``completeness_defect`` call and to one call per
+branch of ``kraus_diagonal``, ``kraus_diagonal_derivative``,
+``branch_probability`` and ``branch_probability_derivative``, and take the
+conditional states and slopes from one ``_conditional_rows`` call per
+branch.  The detector rows pass them to one call per branch of
+``fi_photon_counting``, ``photon_counting_dist``, ``fi_homodyne`` and
+``homodyne_distribution``, and to one ``sequential_fi`` call per detector.
+Each of these calls takes the Kraus rows and slopes of all points, both
+branches, from one call of the instrument's kernel ``_kraus_pair``, which
+takes powers of the gain on ``min(dim, max p + 2)`` levels only.  Homodyne
+multiplies the points' real coefficient rows, in chunks, against one
+Kraus-image basis of that many rows on the quadrature grid (7 here, for
+probes of up to 149 levels); its fields differ from the full ``dim``-level
+sums only by the regrouped tail sum, at most about ``dim`` ulp of ``sum_n
+|c_n <x|n>|``.  The products stay small enough that OpenBLAS keeps them on
+one thread.  The meter suite draws the normals of a probe's 1750 random
+meters as one block and makes one ``qfi_joint_meter`` call per probe, 8 in
+all: a :class:`~nlametro.instrument.MeterBatch` of the probe's 35 points x
+54 meters, whose ``q_eff`` and coupling terms are evaluated once.
 
 A row fails when its worst error exceeds the tolerance or when any of its
 errors is NaN or infinite; the row then names the first such point and
@@ -140,11 +141,12 @@ def standard_probes() -> list[tuple[str, float, FockVector]]:
 
 
 def standard_probe_grids():
-    """Yield (probe, labels, params) per standard probe: its 35 operating points."""
+    """Yield (probe, labels, params) per standard probe: its 35 operating points, one batch."""
+    g, p = (np.ravel(x) for x in np.meshgrid(STANDARD_GAINS, STANDARD_THRESHOLDS, indexing="ij"))
     for kind, nbar, probe in standard_probes():
-        points = [(g, p) for g in STANDARD_GAINS for p in STANDARD_THRESHOLDS]
-        labels = [f"{kind} nbar={nbar:g} g={g:g} p={p}" for g, p in points]
-        yield probe, labels, [NlaParams(g=g, p=p) for g, p in points]
+        labels = [f"{kind} nbar={nbar:g} g={gain:g} p={p}"
+                  for gain in STANDARD_GAINS for p in STANDARD_THRESHOLDS]
+        yield probe, labels, NlaParams(g=g, p=p)
 
 
 def standard_breakdowns() -> dict[str, FisherBreakdown]:
@@ -302,9 +304,9 @@ def _check_boundary_divergence() -> CheckResult:
     worst_label = ""
     gains = (1.001, 1.01, 1.1)
     for kind, nbar, probe in standard_probes():
-        vals = qfi_effective_closed_form(
-            probe, [NlaParams(g=g, p=p) for p in STANDARD_THRESHOLDS for g in gains]
-        ).reshape(len(STANDARD_THRESHOLDS), len(gains))
+        points = NlaParams(g=np.tile(gains, len(STANDARD_THRESHOLDS)),
+                           p=np.repeat(STANDARD_THRESHOLDS, len(gains)))
+        vals = qfi_effective_closed_form(probe, points).reshape(-1, len(gains))
         for p, (near, mid, far) in zip(STANDARD_THRESHOLDS, vals):
             count += 1
             if not (near > mid > far):
@@ -339,8 +341,9 @@ def check_oracle_suite(breakdowns: dict[str, FisherBreakdown]) -> list[CheckResu
     """
     grids = list(standard_probe_grids())
     labels = [label for _, grid_labels, _ in grids for label in grid_labels]
-    probes = [probe for probe, _, grid_points in grids for _ in grid_points]
-    points = [params for _, _, grid_points in grids for params in grid_points]
+    probes = [probe for probe, _, grid_points in grids for _ in range(len(grid_points))]
+    points = NlaParams(g=np.concatenate([pts.g for *_, pts in grids]),
+                       p=np.concatenate([pts.p for *_, pts in grids]))
     rng = np.random.default_rng(GENERIC_METER_SEED)
     # one draw of shape (points, 4) yields the numbers of that many
     # standard_normal(4) draws, in the same order
@@ -433,10 +436,6 @@ def _figure_probes() -> list[tuple[str, FockVector]]:
     ]
 
 
-def _gain_points(gains, p: int) -> list[NlaParams]:
-    return [NlaParams(g=float(g), p=p) for g in gains]
-
-
 def _strictly_decreasing(values: np.ndarray) -> bool:
     return bool(np.all(values[:-1] > values[1:]))
 
@@ -449,7 +448,7 @@ def check_figure_behavior() -> list[CheckResult]:
     violations, count, worst_label = 0, 0, ""
     for kind, probe in _figure_probes():
         gs = np.linspace(1.2, 4.0, 15)
-        bd = qfi_effective(probe, _gain_points(gs, 3))
+        bd = qfi_effective(probe, NlaParams(g=gs, p=3))
         count += gs.size
         bad = ~((bd.q_eff > bd.ps_qs) & (bd.ps_qs >= bd.q_unc - 1e-12 * bd.q_eff))
         if bad.any():
@@ -466,11 +465,11 @@ def check_figure_behavior() -> list[CheckResult]:
     for kind, probe in _figure_probes():
         gs = np.linspace(1.05, 6.0, 34)
         count += len(gs) - 1
-        if not _strictly_decreasing(qfi_effective_closed_form(probe, _gain_points(gs, 3))):
+        if not _strictly_decreasing(qfi_effective_closed_form(probe, NlaParams(g=gs, p=3))):
             violations += 1
             worst_label = f"{kind} q_eff not strictly decreasing"
         gs2 = np.linspace(1.3, 4.5, 20)
-        bd = qfi_effective(probe, _gain_points(gs2, 3))
+        bd = qfi_effective(probe, NlaParams(g=gs2, p=3))
         count += len(gs2) - 1
         for field in ("q_eff", "ps_qs", "q_unc"):
             if not _strictly_decreasing(getattr(bd, field)):
@@ -490,7 +489,7 @@ def check_figure_behavior() -> list[CheckResult]:
     sq = ProbeSpec.from_nbar("squeezed-vacuum", 1.0).build()
     low = NlaParams(g=1.2, p=2)
     squeezed_wins_low = qfi_effective_closed_form(sq, low) > qfi_effective_closed_form(coh, low)
-    high = _gain_points(np.linspace(1.3, 6.0, 48), 2)
+    high = NlaParams(g=np.linspace(1.3, 6.0, 48), p=2)
     coherent_wins_somewhere = bool(np.any(
         qfi_effective_closed_form(coh, high) >= qfi_effective_closed_form(sq, high)
     ))
@@ -507,7 +506,7 @@ def check_figure_behavior() -> list[CheckResult]:
     for kind, probe in _figure_probes():
         # the grid's end points are exactly 1.05 and 6.0
         gs = np.linspace(1.05, 6.0, 23)
-        bd = qfi_effective(probe, _gain_points(gs, 3))
+        bd = qfi_effective(probe, NlaParams(g=gs, p=3))
         low, *_, high = bd.points()
         count += 2
         if not (low.f_c > low.ps_qs and low.f_c > low.pf_qf):

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlametro import cli
 from nlametro.fisher import qfi_effective, qfi_effective_closed_form
@@ -415,3 +417,98 @@ def test_readme_simulate_example_prints_what_the_readme_shows(tmp_path, capsys):
     )
     assert len(shown) == 7
     assert {key: result[key] for key in shown} == shown
+
+
+# Payloads for the renderer: every kind of number JSON writes, strings that
+# hold the separators it splits on, rows of numbers (a table's "rows", a
+# custom probe's [re, im] "amps") and nesting of all of them.
+_NUMBER = st.one_of(
+    st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 0, True, False]),
+)
+_TEXT = st.one_of(st.text(max_size=8), st.sampled_from(
+    ["", ", ", "], [", "[", "]", "[[1, 2], [3]]", "a, b], [c", ": ", "{}", "\n", '"', "\\"]))
+_ROWS = st.lists(st.lists(_NUMBER, max_size=4), max_size=4)
+_AMPS = st.lists(st.lists(st.floats(allow_nan=False), min_size=2, max_size=2), max_size=4)
+_LEAF = st.one_of(_NUMBER, _TEXT, st.none(), _ROWS, _AMPS, st.lists(_NUMBER, max_size=5))
+_PAYLOAD = st.recursive(
+    _LEAF,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(_TEXT, inner, max_size=4),
+        st.fixed_dictionaries({"probe": st.fixed_dictionaries({"kind": _TEXT, "amps": _AMPS})}),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOAD)
+def test_json_renderer_equals_the_indented_json_dumps(payload):
+    assert cli._indented_json(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+def test_json_renderer_equals_json_dumps_on_edge_payloads():
+    # tuples, empty containers, a row list with an empty row, keys that are
+    # not strings, and the separators inside strings
+    payloads = [
+        (), [], {}, [[]], [[], [1]], [[1, 2], []], ((1.5, -0.0), (5e-324,)), {"a": {}, "b": []},
+        {1: [2.0], 3: "x"}, [{"k": [[1, 2]]}, "], [", [", "]], float("nan"), "plain", None,
+        {"rows": [[1.0, float("inf")], [-float("inf"), 2]], "amps": [[0.6, 0.0], [0.0, 0.8]]},
+    ]
+    for payload in payloads:
+        assert cli._indented_json(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+def _dumped(text: str) -> str:
+    return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--probe", "squeezed-vacuum", "--nbar", "2", "--p", "5", "--g", "1.01:6:60"],
+    ["contributions", "--probe", "coherent", "--nbar", "1", "--p", "3", "--g", "1.05:6:300"],
+    ["sweep-nbar", "--probe", "coherent", "--gain", "1.5", "--p", "1", "2", "3",
+     "--nbar-grid", "0:6:30"],
+])
+def test_json_tables_are_byte_identical_to_json_dumps(argv, capsys):
+    assert cli.main(argv + ["--format", "json"]) == 0
+    text = capsys.readouterr().out
+    assert text == _dumped(text)
+
+
+def test_simulate_json_and_its_error_are_byte_identical_to_json_dumps(tmp_path, capsys):
+    # a complex custom probe puts nested [re, im] rows in the config echo
+    probe = tmp_path / "probe.json"
+    probe.write_text(json.dumps([[0.6, 0.0], [0.0, 0.64], [0.48, -0.0]]))
+    out = tmp_path / "sim.json"
+    argv = ["simulate", "--probe", "custom", "--custom-file", str(probe), "--p", "1",
+            "--g-true", "2", "--detector", "photon-counting", "--shots", "500",
+            "--replications", "20", "--seed", "5", "--out", str(out)]
+    assert cli.main(argv) == 0
+    text = out.read_text()
+    assert text == _dumped(text) and len(json.loads(text)["config"]["probe"]["amps"]) == 3
+    one = _write_probe(tmp_path, "one.json", [0.0, 1.0])
+    assert cli.main(["simulate", "--probe", "custom", "--custom-file", str(one), "--p", "1",
+                     "--g-true", "2", "--detector", "photon-counting", "--shots", "100",
+                     "--replications", "5", "--seed", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err == _dumped(err)
+
+
+def test_a_gain_table_builds_one_operating_point_object(monkeypatch, capsys):
+    # the 300-point grid is one batch, validated once, never 300 points
+    built = []
+    original = NlaParams.__post_init__
+
+    def counted(self):
+        built.append(np.ndim(self.g))
+        original(self)
+
+    monkeypatch.setattr(NlaParams, "__post_init__", counted)
+    for command in ("compare", "contributions"):
+        built.clear()
+        assert cli.main([command, "--probe", "coherent", "--nbar", "1", "--p", "3",
+                         "--g", "1.05:6:300", "--format", "json"]) == 0
+        assert built == [1]
+    capsys.readouterr()

@@ -556,3 +556,76 @@ def test_impossible_success_branch_in_a_batch_names_the_point(vacuum):
         qfi_effective(vacuum, points)
     with pytest.raises(BranchImpossible, match="point 0"):
         qfi_branch(vacuum, points[1], SUCCESS)
+
+
+def test_fisher_functions_over_a_batch_equal_the_sequence_form_bit_for_bit():
+    # standard_probe_grids yields one batch per probe; its points, thresholds
+    # mixed, go through the same columns as the sequence of single points
+    meter = MeterState(0.6, 0.8j)
+    for probe, labels, batch in standard_probe_grids():
+        assert isinstance(batch, NlaParams) and len(batch) == len(labels)
+        points = list(batch)
+        got, want = qfi_effective(probe, batch), qfi_effective(probe, points)
+        for field in FIELDS:
+            assert np.array_equal(getattr(got, field), getattr(want, field)), (labels[0], field)
+        for fn, args in ((qfi_effective_closed_form, ()), (meter_coupling_term, ()),
+                         (qfi_joint_meter, (meter,)), (classical_fi, ()), (qfi_unconditional, ()),
+                         (qfi_branch, (SUCCESS,))):
+            assert np.array_equal(fn(probe, batch, *args), fn(probe, points, *args)), fn.__name__
+        # the single-point views serve a batch: one value per point
+        for fn in (classical_fi, qfi_unconditional):
+            assert fn(probe, batch).tolist() == [fn(probe, params) for params in points]
+
+
+def test_qfi_branch_over_a_batch_names_the_impossible_point(vacuum):
+    batch = NlaParams(g=np.array([2.0, 1e160, 3.0]), p=2)
+    with pytest.raises(BranchImpossible, match=r"g=1e\+160, p=2 \(point 1\)"):
+        qfi_branch(vacuum, batch, SUCCESS)
+
+
+# Rounding bound of a real probe against the same probe times a global phase
+# e^{0.7i}: the complex path forms |a|^2 and Re(conj(a) da) from products of
+# rotated parts, and its QR and SVD use complex reflections, in sums of at
+# most p + 2 = 7 rows; measured worst 19.5 eps (q_unc) and 4.7 eps (f_c).
+PHASE_EPS = {"q_unc": 32.0}
+PHASE_EPS_DEFAULT = 8.0
+
+
+def test_a_global_phase_leaves_the_budget_within_rounding_of_the_real_path():
+    eps = np.finfo(float).eps
+    for probe, labels, points in standard_probe_grids():
+        phased = FockVector(probe.amps * np.exp(0.7j))
+        assert probe.amps.dtype == np.float64 and phased.amps.dtype == np.complex128
+        real, rotated = qfi_effective(probe, points), qfi_effective(phased, points)
+        for field in FIELDS:
+            want, got = getattr(real, field), getattr(rotated, field)
+            # exact zeros (q_f and pf_qf of a one-level failure branch) stay exact
+            assert np.array_equal(want == 0.0, got == 0.0), (labels[0], field)
+            bound = PHASE_EPS.get(field, PHASE_EPS_DEFAULT) * eps * np.abs(want)
+            assert np.all(np.abs(got - want) <= bound), (labels[0], field)
+
+
+def test_a_real_probe_reaches_the_image_kernels_in_real_arithmetic(monkeypatch):
+    # every array _images receives and returns, and every array the q_unc
+    # kernel (QR and SVD) receives, is float64 for a real probe
+    import nlametro.fisher as fisher
+
+    dtypes = collections.defaultdict(set)
+    images, unconditional = fisher._images, fisher._unconditional_qfi
+
+    def recorded_images(probe, g, p):
+        out = images(probe, g, p)
+        dtypes["_images"].update(x.dtype for x in (probe.amps, g, *out))
+        return out
+
+    def recorded_unconditional(a, da):
+        dtypes["_unconditional_qfi"].update((a.dtype, da.dtype))
+        return unconditional(a, da)
+
+    monkeypatch.setattr(fisher, "_images", recorded_images)
+    monkeypatch.setattr(fisher, "_unconditional_qfi", recorded_unconditional)
+    for probe, _, points in standard_probe_grids():
+        qfi_effective(probe, points)
+        qfi_unconditional(probe, points[0])
+    assert dtypes == {"_images": {np.dtype(np.float64)},
+                      "_unconditional_qfi": {np.dtype(np.float64)}}

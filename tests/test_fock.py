@@ -98,3 +98,29 @@ def test_quadrature_grid_integrates_gaussian():
 
 def test_default_half_width_grows_with_dimension():
     assert default_half_width(64) > default_half_width(4)
+
+
+def test_amplitudes_are_stored_real_exactly_when_every_imaginary_part_is_zero():
+    # the standard probes and real custom probes are float64, whatever the
+    # input type; a single non-zero imaginary part, however small, keeps the
+    # probe complex, while is_real() still accepts it within 1e-12
+    from nlametro.probes import ProbeSpec, custom_probe
+
+    for _, _, probe in standard_probes():
+        assert probe.amps.dtype == np.float64 and not probe.amps.flags.writeable
+    real_inputs = ([0.6, 0.8], [0.6 + 0j, 0.8 - 0j], np.array([0.6, 0.8], dtype=np.complex128),
+                   [1, 0], custom_probe([3.0, 4.0])[0].amps,
+                   ProbeSpec(kind="custom", amps=(0.6 + 0j, 0.8 + 0j)).build().amps)
+    for amps in real_inputs:
+        assert FockVector(amps).amps.dtype == np.float64
+    tiny = FockVector([0.6, 0.8 + 1e-300j])
+    assert tiny.amps.dtype == np.complex128 and tiny.amps[1].imag == 1e-300
+    assert tiny.is_real()
+    assert FockVector([1.0, 1j]).amps.dtype == np.complex128
+
+
+def test_real_storage_copies_the_input():
+    source = np.array([0.6, 0.8])
+    v = FockVector(source)
+    source[0] = 1.0
+    assert v.amps[0] == 0.6 and source.flags.writeable

@@ -22,6 +22,7 @@ from nlametro.instrument import (
     conditional_state,
     conditional_state_derivative,
     kraus_diagonal,
+    _conditional_rows,
     _kraus_pair,
     kraus_diagonal_derivative,
 )
@@ -300,3 +301,96 @@ def test_meter_batch_checks_every_meter():
     batch = MeterBatch(alpha[:2], beta[:2])
     alpha[0, 0] = 5.0
     assert batch.alpha[0, 0] == 0.6 and not batch.alpha.flags.writeable
+
+
+# The Monte-Carlo search grid of the CRB experiments and a log-uniform sweep.
+CALL_SHAPE_GAINS = np.concatenate([
+    np.linspace(4.0 / 3.0, 3.0, 61),
+    np.exp(np.random.default_rng(27).uniform(np.log(1.0 + 1e-9), np.log(1e3), 200)),
+])
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 5])
+def test_every_call_shape_of_the_kraus_pair_agrees_with_kraus_diagonal(p):
+    # one np.power over the stacked exponents: a gain column with a scalar
+    # threshold, a threshold column, a batch, and a numpy scalar gain all
+    # round the powers as the per-point call does, on the one-level vacuum
+    # probe (where numpy's ** operator used to take the exact 1/g) too
+    gains = CALL_SHAPE_GAINS
+    for dim in sorted({1, 2, p + 1, p + 2, 17}):
+        want = np.array([_kraus_pair(float(g), p, dim) for g in gains])
+        for b, branch in enumerate((SUCCESS, FAILURE)):
+            rows = [kraus_diagonal(NlaParams(g=float(g), p=p), branch, dim) for g in gains]
+            npt.assert_array_equal(want[:, b, 0], rows)
+        shapes = (
+            _kraus_pair(gains[:, np.newaxis], p, dim),
+            _kraus_pair(gains[:, np.newaxis], np.full((gains.size, 1), p), dim),
+            np.array([_kraus_pair(g, p, dim) for g in gains]),
+        )
+        for got in shapes:
+            npt.assert_array_equal(got, want)
+        for b, branch in enumerate((SUCCESS, FAILURE)):
+            batch = NlaParams(g=gains, p=p)
+            npt.assert_array_equal(kraus_diagonal(batch, branch, dim), want[:, b, 0])
+            npt.assert_array_equal(kraus_diagonal_derivative(batch, branch, dim), want[:, b, 1])
+
+
+def test_a_batch_is_validated_by_arrays_and_names_its_first_bad_point():
+    batch = NlaParams(g=[1.5, 2.0, 3.0], p=np.array([1, 2, 3], dtype=np.int32))
+    assert batch.g.dtype == np.float64 and batch.p.dtype == np.int64
+    assert not batch.g.flags.writeable and not batch.p.flags.writeable
+    npt.assert_array_equal(NlaParams(g=np.array([1.5, 2.0]), p=4).p, [4, 4])
+    with pytest.raises(GainDomain, match=r"gain 1\.0 below domain floor .* \(point 1\)"):
+        NlaParams(g=[2.0, 1.0, 0.5], p=1)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(GainDomain, match=r"\(point 2\)"):
+            NlaParams(g=[2.0, 3.0, bad], p=1)
+    with pytest.raises(ValueError, match=r"non-negative, got -2 \(point 1\)"):
+        NlaParams(g=[2.0, 3.0, 4.0], p=[1, -2, -3])
+    for p in ([1, 2], [1.0, 2.0, 3.0], [True, False, True], 1.5):
+        with pytest.raises(ValueError, match="integer"):
+            NlaParams(g=[2.0, 3.0, 4.0], p=p)
+    for g in ([], [[2.0, 3.0]]):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            NlaParams(g=g, p=1)
+    # a sequence of points takes single points only
+    with pytest.raises(ValueError, match="single points"):
+        kraus_diagonal([batch, batch], SUCCESS, 3)
+
+
+def test_a_batch_is_a_sequence_of_its_points_and_one_point_is_not():
+    batch = NlaParams(g=np.array([1.5, 2.0, 3.0]), p=[1, 2, 3])
+    assert len(batch) == 3 and bool(batch)
+    assert list(batch) == [NlaParams(g=1.5, p=1), NlaParams(g=2.0, p=2), NlaParams(g=3.0, p=3)]
+    assert batch[1] == NlaParams(g=2.0, p=2) and type(batch[1].g) is float
+    npt.assert_array_equal(batch[1:].g, [2.0, 3.0])
+    point = NlaParams(g=2.0, p=1)
+    assert bool(point)
+    for attempt in (len, list, lambda x: x[0]):
+        with pytest.raises(TypeError):
+            attempt(point)
+
+
+def test_instrument_functions_over_a_batch_equal_the_sequence_form_bit_for_bit(batch_probe):
+    batch = NlaParams(g=[pt.g for pt in MIXED_POINTS], p=[pt.p for pt in MIXED_POINTS])
+    dim = batch_probe.dim
+    npt.assert_array_equal(completeness_defect(batch, dim), completeness_defect(MIXED_POINTS, dim))
+    for branch in (SUCCESS, FAILURE):
+        for fn in (kraus_diagonal, kraus_diagonal_derivative):
+            npt.assert_array_equal(fn(batch, branch, dim), fn(MIXED_POINTS, branch, dim))
+        for fn in (branch_probability, branch_probability_derivative):
+            npt.assert_array_equal(fn(batch_probe, batch, branch), fn(batch_probe, MIXED_POINTS, branch))
+        # p = 0 leaves no failure branch to condition on
+        live = [pt for pt in MIXED_POINTS if pt.p > 0]
+        rows = _conditional_rows(batch_probe, NlaParams(g=[pt.g for pt in live], p=[pt.p for pt in live]),
+                                 branch)
+        for got, want in zip(rows, _conditional_rows(batch_probe, live, branch), strict=True):
+            npt.assert_array_equal(got, want)
+
+
+def test_single_point_functions_refuse_a_batch_or_a_sequence(coherent_nbar1):
+    batch = NlaParams(g=np.array([1.5, 2.0]), p=3)
+    for fn in (conditional_state, conditional_state_derivative):
+        for params in (batch, list(batch)):
+            with pytest.raises(ValueError, match="one operating point"):
+                fn(coherent_nbar1, params, SUCCESS)

@@ -64,6 +64,12 @@ def test_experiment_config_validation(g2p1):
             probe=spec, params_true=NlaParams(g=5.0, p=1), detector="herald-only",
             shots=10, seed=0, grid=SEARCH,
         )
+    # one true operating point, never a batch read at its first point
+    with pytest.raises(ValueError, match="one operating point"):
+        ExperimentConfig(
+            probe=spec, params_true=NlaParams(g=np.array([2.0, 2.5]), p=1),
+            detector="herald-only", shots=10, seed=0, grid=SEARCH,
+        )
 
 
 def test_one_photon_probe_is_deterministic(g2p1):

@@ -875,3 +875,14 @@ def test_identity_suite_makes_a_fixed_number_of_kernel_calls_per_probe(monkeypat
     assert all(r.passed for r in results)
     probes = len(selfcheck.STANDARD_KINDS) * len(selfcheck.STANDARD_NBARS)
     assert calls == {name: (1 if name == "completeness_defect" else 2) * probes for name in names}
+
+
+def test_oracle_views_over_a_batch_equal_the_sequence_form_and_one_point_stays_one():
+    probe, _, batch = next(standard_probe_grids())
+    grid, seq = KrausImageFD(probe, batch), KrausImageFD(probe, list(batch))
+    for view in (SUCCESS, FAILURE, MeterState.trivial()):
+        assert np.array_equal(grid.pure(view), seq.pure(view))
+    assert np.array_equal(grid.bures(), seq.bures())
+    assert isinstance(KrausImageFD(probe, batch[0]).bures(), float)
+    with pytest.raises(ValueError, match="one operating point"):
+        joint_fi_direct(probe, batch, "photon-counting")

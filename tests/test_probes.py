@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from nlametro import probes
 from nlametro.probes import (
     DEFAULT_TAIL_TOL,
     HARD_DIM_CAP,
@@ -132,3 +133,57 @@ def test_energies_beyond_the_cap_raise_overflow():
     for nbar in (512.0, 1e6):
         with pytest.raises(TruncationOverflow):
             ProbeSpec.from_nbar("coherent", nbar).build()
+
+
+def _old_head_weights(first, step, max_terms):
+    """The truncation loop before one run of the recurrence: each candidate
+    level re-ran the recurrence over its own tail.  None where it overflowed."""
+    def tail_within(weight, n):
+        total, term = 0.0, step(weight, n)
+        while total + term != total:
+            total += term
+            if total > DEFAULT_TAIL_TOL:
+                return False
+            n += 1
+            term = step(term, n)
+        return True
+
+    if not first > 0.0:
+        return None
+    weights = [first]
+    while not tail_within(weights[-1], len(weights)):
+        if len(weights) >= max_terms:
+            return None
+        weights.append(step(weights[-1], len(weights)))
+    return np.array(weights)
+
+
+def _family_recurrence(kind, nbar):
+    """The first weight, step and cap the constructors pass to ``_head_weights``."""
+    a = solve_amplitude_for_nbar(kind, nbar)
+    if kind == "coherent":
+        return math.exp(-a * a), lambda w, n: w * a * a / n, HARD_DIM_CAP
+    t2 = math.tanh(a) ** 2
+    return 1.0 / math.cosh(a), lambda w, n: w * t2 * (2 * n - 1) / (2.0 * n), (HARD_DIM_CAP + 1) // 2
+
+
+@pytest.mark.parametrize("kind, nbars", [
+    ("coherent", np.arange(1, 12001) * 0.0005),
+    ("squeezed-vacuum", np.arange(1, 8001) * 0.0005),
+    ("coherent", DRIFT_ENERGIES),
+    ("squeezed-vacuum", (8.0, 9.0)),
+])
+def test_truncation_keeps_the_old_loops_weights_bit_for_bit(kind, nbars):
+    # the benchmark's energy sweeps (coherent to 6, squeezed to 4) on a
+    # 0.0005 grid, the coherent energies whose head-sum stop drifted, and
+    # squeezed nbar 8 (509 levels) and 9 (beyond the cap)
+    for nbar in nbars:
+        first, step, cap = _family_recurrence(kind, float(nbar))
+        want = _old_head_weights(first, step, cap)
+        try:
+            got = probes._head_weights(first, step, cap, kind)
+        except TruncationOverflow:
+            got = None
+        assert (got is None) == (want is None), nbar
+        if want is not None:
+            assert got.shape == want.shape and np.array_equal(got, want), nbar
