@@ -14,6 +14,7 @@ from .instrument import (
     SUCCESS,
     BranchImpossible,
     GainDomain,
+    MeterBatch,
     MeterState,
     NlaParams,
     branch_probability,
@@ -66,6 +67,7 @@ __all__ = [
     "HERALD_ONLY",
     "HOMODYNE",
     "KrausImageFD",
+    "MeterBatch",
     "MeterState",
     "NlaParams",
     "OracleReport",

@@ -6,6 +6,8 @@ long way round, through ``dim x dim`` density matrices and double-precision
 state vectors, so that a test can check an image-based value against a
 construction that shares none of its algebra:
 
+* :func:`conditional_state_derivative` gives the gain derivative of one
+  point's conditional amplitudes as a full ``dim`` vector;
 * :func:`unconditional_state` and :func:`unconditional_state_derivative`
   build the branch-averaged output and its gain derivative as dense matrices;
 * :func:`qfi_mixed` is the eigendecomposition QFI of any such family;
@@ -38,9 +40,9 @@ from .instrument import (
     SUCCESS,
     MeterState,
     NlaParams,
+    _conditional_rows,
     _one_point,
     branch_probability_derivative,
-    conditional_state_derivative,
     kraus_diagonal,
 )
 from .measurements import HOMODYNE
@@ -77,6 +79,12 @@ class StepTooSmall(ArithmeticError):
 # ---------------------------------------------------------------------------
 # Dense unconditional output and its QFI
 # ---------------------------------------------------------------------------
+
+def conditional_state_derivative(probe: FockVector, params: NlaParams, branch: str) -> np.ndarray:
+    """Gain derivative of the conditional amplitudes at one point (a batch raises;
+    :func:`~nlametro.instrument._conditional_rows`)."""
+    return _conditional_rows(probe, _one_point(params), branch)[1][0]
+
 
 def unconditional_state(probe: FockVector, params: NlaParams) -> DensityOperator:
     """Branch-averaged output: rank <= 2 mixture of the conditional states."""

@@ -27,12 +27,11 @@ matrix and an SVD of its 2x2 triangular factor, batched over the whole
 stack, with the rank read off the images' structure; the tests compare it
 with the dense :func:`nlametro.dense.qfi_mixed`.
 
-Every function takes the ``Points`` of :mod:`nlametro.instrument`: one
-:class:`~nlametro.instrument.NlaParams`, a batch (one ``NlaParams`` with an
-array of gains) or a sequence of them, thresholds mixed, which
+Every function takes one :class:`~nlametro.instrument.NlaParams`: one
+point or a batch (an array of gains, thresholds mixed), which
 :func:`~nlametro.instrument._point_columns` maps to gain and threshold
-columns.  One point gives floats, a batch or a sequence arrays, and a
-point's value is a view of a stack of one.  Only :func:`qfi_effective` and
+columns.  One point gives floats, a batch arrays, and a point's value is a
+view of a stack of one.  Only :func:`qfi_effective` and
 :func:`qfi_unconditional` run an SVD.  The images take the probe's dtype:
 a probe stored real (:class:`~nlametro.fock.FockVector`) gives real images,
 so every kernel, the QR and the SVD among them, runs in real arithmetic
@@ -49,7 +48,6 @@ and returns exact zeros for gain-independent branches.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -59,7 +57,7 @@ from .instrument import (
     SUCCESS,
     MeterBatch,
     MeterState,
-    Points,
+    NlaParams,
     _check_branch,
     _image_levels,
     _impossible,
@@ -80,7 +78,7 @@ class FisherBreakdown:
     terms ``ps_qs``/``pf_qf``, the herald information ``f_c``, the bare
     branch QFIs ``q_s``/``q_f``, and the unconditional-state QFI ``q_unc``.
     Each field is a float for one operating point, or a 1-D array with one
-    entry per point for a batch or a sequence of them.
+    entry per point for a batch of them.
     """
 
     q_eff: float | np.ndarray
@@ -219,7 +217,7 @@ def _closed_form(probe: FockVector, g: np.ndarray, p: np.ndarray) -> np.ndarray:
     return 4.0 * total
 
 
-def qfi_branch(probe: FockVector, params: Points, branch: str) -> float | np.ndarray:
+def qfi_branch(probe: FockVector, params: NlaParams, branch: str) -> float | np.ndarray:
     """QFI of the normalized conditional output state; one point gives a float.
 
     Evaluated as the variance of the per-level log-derivative of the Kraus
@@ -230,9 +228,9 @@ def qfi_branch(probe: FockVector, params: Points, branch: str) -> float | np.nda
     which equals the usual ``-(dprob/prob)^2 + second-moment`` expression but
     is free of its cancellation (the conditional amplitudes can be chosen
     real and gain-covariant, so photon counting already extracts the full
-    QFI and the QFI reduces to this classical variance).  A batch or a
-    sequence of points gives an array; an impossible branch at any point
-    raises :class:`BranchImpossible` naming that point.
+    QFI and the QFI reduces to this classical variance).  A batch of
+    points gives an array; an impossible branch at any point raises
+    :class:`BranchImpossible` naming that point.
     """
     g, p = _point_columns(params)
     e, de, a, _ = _images(probe, g, p)
@@ -242,22 +240,21 @@ def qfi_branch(probe: FockVector, params: Points, branch: str) -> float | np.nda
     return _per_point(params, q)
 
 
-def classical_fi(probe: FockVector, params: Points) -> float | np.ndarray:
+def classical_fi(probe: FockVector, params: NlaParams) -> float | np.ndarray:
     """Fisher information of the bare success/failure herald bit.
 
     ``F_c = (dp_s)^2 / p_s + (dp_f)^2 / p_f`` with ``dp_f = -dp_s``.  A
     deterministic herald (one branch impossible) carries no information:
-    returns 0.0 in that case.  One point gives a float, a batch or a
-    sequence of points an array.
+    returns 0.0 in that case.  One point gives a float, a batch an array.
     """
     return _per_point(params, _herald(*_images(probe, *_point_columns(params))[2:])[2])
 
 
-def qfi_effective_closed_form(probe: FockVector, params: Points) -> float | np.ndarray:
+def qfi_effective_closed_form(probe: FockVector, params: NlaParams) -> float | np.ndarray:
     """Closed form of the combined sequential-scheme QFI.
 
-    ``params`` is one operating point, giving a float, or a batch or a
-    sequence of them, thresholds mixed, giving an array.  Each point sums
+    ``params`` is one operating point, giving a float, or a batch of them,
+    thresholds mixed, giving an array.  Each point sums
     over the levels below its own threshold.  At a point whose success
     probability underflows to 0 every term underflows with it, and this
     returns 0.0 rather than raising.
@@ -266,7 +263,7 @@ def qfi_effective_closed_form(probe: FockVector, params: Points) -> float | np.n
     return _per_point(params, _closed_form(probe, *_point_columns(params)))
 
 
-def qfi_unconditional(probe: FockVector, params: Points) -> float | np.ndarray:
+def qfi_unconditional(probe: FockVector, params: NlaParams) -> float | np.ndarray:
     """QFI of the branch-averaged output (herald discarded), on its thin support.
 
     The output is ``rho = A A^+`` with the Kraus-image matrix
@@ -289,17 +286,17 @@ def qfi_unconditional(probe: FockVector, params: Points) -> float | np.ndarray:
     between them), else 1.  The kernel term is the norm of a residual
     rather than a difference of two norms.  Where ``p_s`` underflows to 0
     the terms underflow with it, and this returns 0.0 rather than raising.
-    One point gives a float, a batch or a sequence of points an array.
+    One point gives a float, a batch an array.
     """
     return _per_point(params, _unconditional_qfi(*_images(probe, *_point_columns(params))[2:]))
 
 
-def qfi_effective(probe: FockVector, params: Points) -> FisherBreakdown:
+def qfi_effective(probe: FockVector, params: NlaParams) -> FisherBreakdown:
     """Full information budget at one operating point or over a gain grid.
 
-    ``params`` is one :class:`NlaParams`, giving a breakdown of floats, or a
-    batch or a sequence of them, thresholds mixed, giving a breakdown whose
-    fields are 1-D arrays with one entry per point.  Every component of
+    ``params`` is one :class:`NlaParams` point, giving a breakdown of
+    floats, or a batch, thresholds mixed, giving a breakdown whose fields
+    are 1-D arrays with one entry per point.  Every component of
     every point comes from one evaluation of the stacked Kraus images
     (:func:`_images`): the herald terms, the two branch variances, one
     batched SVD for ``q_unc`` and the closed form, which is ``q_eff``.  The
@@ -330,29 +327,21 @@ def _coupling(a, da) -> np.ndarray:
             - np.sum((a[..., 1].conj() * da[..., 0]).real, axis=1))
 
 
-def meter_coupling_term(probe: FockVector, params: Points) -> float | np.ndarray:
+def meter_coupling_term(probe: FockVector, params: NlaParams) -> float | np.ndarray:
     """Cross term ``<psi|E_s dE_f|psi> - <psi|E_f dE_s|psi>`` (real).
 
     This is the only way the meter preparation enters the joint-state QFI.
-    ``params`` is one operating point, giving a float, or a batch or a
-    sequence of them, thresholds mixed, giving an array; the coupling of
+    ``params`` is one operating point, giving a float, or a batch of them,
+    thresholds mixed, giving an array; the coupling of
     every point comes from one evaluation of the stacked images
     (:func:`_images`).
     """
     return _per_point(params, _coupling(*_images(probe, *_point_columns(params))[2:]))
 
 
-Meters = MeterState | MeterBatch | Sequence[MeterState]
-
-
-def _imbalances(meters: Meters) -> np.ndarray:
-    """``Im(alpha conj(beta))`` of one meter (0-d), a batch or a sequence of meters."""
-    if isinstance(meters, (MeterState, MeterBatch)):
-        return np.asarray(meters.branch_imbalance())
-    return np.array([m.branch_imbalance() for m in meters])
-
-
-def qfi_joint_meter(probe: FockVector, params: Points, meters: Meters) -> float | np.ndarray:
+def qfi_joint_meter(
+    probe: FockVector, params: NlaParams, meters: MeterState | MeterBatch
+) -> float | np.ndarray:
     """QFI of the joint signal-meter pure state for a general meter.
 
     The joint state |Psi_g> has ``<dPsi|dPsi> = q_eff / 4`` regardless of the
@@ -368,18 +357,22 @@ def qfi_joint_meter(probe: FockVector, params: Points, meters: Meters) -> float 
     whose joint-state contraction a test ties to the explicitly built
     :func:`nlametro.dense.joint_state`.)
 
-    ``meters`` is one :class:`MeterState`, a sequence of them or a
-    :class:`MeterBatch`.  At one operating point the result has the meters'
-    shape: a float for one meter, an array for several.  ``params`` may also
-    be a batch or a sequence of ``G`` points, thresholds mixed; then the
-    meters' leading axis runs over the points: one meter for all points gives shape
-    ``(G,)``, one meter per point (a sequence or a batch of length ``G``)
-    gives ``(G,)``, and ``M`` meters per point (a ``G x M`` batch) give
-    ``(G, M)``.  Only the imbalance depends on the meter, so ``q_eff`` and
-    ``X`` are evaluated once per call, for all points, and the formula is
-    broadcast over the meters.
+    ``meters`` is one :class:`MeterState` or a :class:`MeterBatch`; anything
+    else, a list of meters among them, raises ``TypeError``.  At one
+    operating point the result has the meters' shape: a float for one meter,
+    an array for several.  ``params`` may also be a batch of ``G`` points,
+    thresholds mixed; then the meters' leading axis runs over the points:
+    one meter for all points gives shape ``(G,)``, one meter per point (a
+    batch of length ``G``) gives ``(G,)``, and ``M`` meters per point (a
+    ``G x M`` batch) give ``(G, M)``.  Only the imbalance depends on the
+    meter, so ``q_eff`` and ``X`` are evaluated once per call, for all
+    points, and the formula is broadcast over the meters.
     """
-    imbalance = _imbalances(meters)
+    if not isinstance(meters, (MeterState, MeterBatch)):
+        raise TypeError(
+            f"meters must be a MeterState or a MeterBatch, not {type(meters).__name__}"
+        )
+    imbalance = np.asarray(meters.branch_imbalance())
     q_eff = qfi_effective_closed_form(probe, params)
     coupling = meter_coupling_term(probe, params)
     if not _is_point(params) and imbalance.ndim:

@@ -13,9 +13,9 @@ This module provides the Kraus diagonals and their exact gain derivatives,
 branch probabilities, normalized conditional states, and the qubit meter
 that records which branch occurred, one meter (:class:`MeterState`) or an
 array of them (:class:`MeterBatch`).  The Kraus, completeness and
-branch-probability functions take one operating point, a batch of them
-(:class:`NlaParams` with an array of gains) or a sequence of them, whose
-thresholds may differ; the conditional states take one point.  Every Kraus
+branch-probability functions take one operating point or a batch of them
+(:class:`NlaParams` with an array of gains), whose thresholds may differ;
+the conditional states take one point.  Every Kraus
 entry comes from one kernel, :func:`_kraus_pair`, which gives the rows and
 slopes of both branches in one call, for one gain or a column of them; it
 takes powers of the gain on the :func:`_image_levels` ``min(dim, max p +
@@ -28,8 +28,6 @@ Kraus factors on the :func:`_image_levels` levels.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Sequence
-
 import numpy as np
 
 from .fock import FockVector
@@ -71,13 +69,11 @@ class NlaParams:
     One point has a scalar gain and an integer threshold.  A batch has a
     non-empty 1-D array of ``G`` gains and, as ``p``, one integer for every
     gain or an integer array of length ``G``; it is stored as read-only
-    ``float64`` gains and ``int64`` thresholds of length ``G``, and every
-    function that takes a sequence of points takes a batch alike, with the
-    same result bit for bit.  A batch is validated with array checks, and an
-    error names its first bad point.  A function of one point raises
-    ``ValueError`` on a batch.  A batch is also a sequence of its points:
-    it has a length, and its items are single ``NlaParams`` (a slice gives a
-    batch); one point is none of these.
+    ``float64`` gains and ``int64`` thresholds of length ``G``.  A batch is
+    validated with array checks, and an error names its first bad point.
+    ``NlaParams`` is the only way to pass operating points: anything else,
+    a list of points among them, raises ``TypeError``.  A function of one
+    point raises ``ValueError`` on a batch.
     """
 
     g: float | np.ndarray
@@ -108,60 +104,38 @@ class NlaParams:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def _require_batch(self) -> None:
-        if np.ndim(self.g) == 0:
-            raise TypeError("one operating point is not a sequence of points")
-
-    def __bool__(self) -> bool:
-        """Always true: one point has no length, and a batch is never empty."""
-        return True
-
-    def __len__(self) -> int:
-        self._require_batch()
-        return self.g.size
-
-    def __iter__(self):
-        self._require_batch()
-        return map(NlaParams, self.g.tolist(), self.p.tolist())
-
-    def __getitem__(self, index) -> "NlaParams":
-        self._require_batch()
-        g, p = self.g[index], self.p[index]
-        return NlaParams(float(g), int(p)) if np.ndim(g) == 0 else NlaParams(g, p)
-
 
 def _first(bad: np.ndarray) -> int | None:
     """The first index where ``bad`` holds, or None."""
     return int(np.argmax(bad)) if bad.any() else None
 
 
-Points = NlaParams | Sequence[NlaParams]
+def _is_point(params: NlaParams) -> bool:
+    """Whether ``params`` is one operating point rather than a batch.
+
+    Anything but an :class:`NlaParams`, a list of points among them, raises
+    ``TypeError``.
+    """
+    if not isinstance(params, NlaParams):
+        raise TypeError(
+            f"operating points must be an NlaParams (one point or a batch), "
+            f"not {type(params).__name__}"
+        )
+    return np.ndim(params.g) == 0
 
 
-def _is_point(params: Points) -> bool:
-    """Whether ``params`` is one operating point, not a batch or a sequence."""
-    return isinstance(params, NlaParams) and np.ndim(params.g) == 0
-
-
-def _one_point(params: Points) -> NlaParams:
-    """``params`` if it is one operating point; a batch or a sequence raises ``ValueError``."""
+def _one_point(params: NlaParams) -> NlaParams:
+    """``params`` if it is one operating point; a batch raises ``ValueError``."""
     if not _is_point(params):
-        raise ValueError("this function takes one operating point, not a batch or a sequence")
+        raise ValueError("this function takes one operating point, not a batch")
     return params
 
 
-def _point_columns(params: Points) -> tuple[np.ndarray, np.ndarray]:
-    """Gain and threshold columns ``(G, 1)`` of one point, a batch or a sequence of points."""
-    if isinstance(params, NlaParams):
-        g, p = np.atleast_1d(params.g).astype(float, copy=False), np.atleast_1d(params.p)
-        return g[:, np.newaxis], p[:, np.newaxis]
-    batch = list(params)
-    if not batch:
-        raise ValueError("need at least one operating point")
-    g, p = np.array([pt.g for pt in batch], dtype=float), np.array([pt.p for pt in batch])
-    if g.ndim != 1:
-        raise ValueError("a sequence of operating points takes single points, not batches")
-    return g[:, np.newaxis], p[:, np.newaxis]
+def _point_columns(params: NlaParams) -> tuple[np.ndarray, np.ndarray]:
+    """Gain and threshold columns ``(G, 1)`` of one point or a batch (see :func:`_is_point`)."""
+    if _is_point(params):
+        return np.array([[float(params.g)]]), np.array([[params.p]])
+    return params.g[:, np.newaxis], params.p[:, np.newaxis]
 
 
 def _image_levels(dim: int, p) -> int:
@@ -208,8 +182,8 @@ def _kraus_pair(g, p, levels: int) -> np.ndarray:
     return out
 
 
-def _kraus_at(params: Points, dim: int) -> np.ndarray:
-    """:func:`_kraus_pair` on levels 0..dim-1 at one point, or a stack for a batch or a sequence."""
+def _kraus_at(params: NlaParams, dim: int) -> np.ndarray:
+    """:func:`_kraus_pair` on levels 0..dim-1 at one point, or a stack for a batch."""
     if dim < 1:
         raise ValueError("dim must be positive")
     if _is_point(params):
@@ -217,18 +191,18 @@ def _kraus_at(params: Points, dim: int) -> np.ndarray:
     return _kraus_pair(*_point_columns(params), dim)
 
 
-def kraus_diagonal(params: Points, branch: str, dim: int) -> np.ndarray:
+def kraus_diagonal(params: NlaParams, branch: str, dim: int) -> np.ndarray:
     """Diagonal entries of the branch Kraus operator on levels 0..dim-1.
 
-    One operating point gives a row of length ``dim``; a sequence of ``G``
+    One operating point gives a row of length ``dim``; a batch of ``G``
     points, thresholds mixed, gives a ``G x dim`` stack of the same rows.
     """
     i = BRANCHES.index(_check_branch(branch))
     return _kraus_at(params, dim)[..., i, 0, :]
 
 
-def kraus_diagonal_derivative(params: Points, branch: str, dim: int) -> np.ndarray:
-    """Exact gain derivative of :func:`kraus_diagonal`, for one point or a sequence.
+def kraus_diagonal_derivative(params: NlaParams, branch: str, dim: int) -> np.ndarray:
+    """Exact gain derivative of :func:`kraus_diagonal`, for one point or a batch.
 
     The failure entry at ``n == p`` is identically zero for all gains, so its
     derivative is zero (the 0/0 in the naive quotient is removable).
@@ -237,28 +211,27 @@ def kraus_diagonal_derivative(params: Points, branch: str, dim: int) -> np.ndarr
     return _kraus_at(params, dim)[..., i, 1, :]
 
 
-def _per_point(params: Points, values: np.ndarray) -> float | np.ndarray:
-    """A float for one operating point, the array of per-point values for a batch or a sequence.
+def _per_point(params: NlaParams, values: np.ndarray) -> float | np.ndarray:
+    """A float for one operating point, the array of per-point values for a batch.
 
     The value of one point may be a scalar or the one entry of a stack of one.
     """
     return float(np.ravel(values)[0]) if _is_point(params) else values
 
 
-def completeness_defect(params: Points, dim: int) -> float | np.ndarray:
+def completeness_defect(params: NlaParams, dim: int) -> float | np.ndarray:
     """max_n |E_s(n)^2 + E_f(n)^2 - 1|; zero for a trace-preserving pair.
 
-    A float for one operating point, one value per point for a batch or a sequence.
+    A float for one operating point, one value per point for a batch.
     """
     es, ef = np.moveaxis(_kraus_at(params, dim)[..., 0, :], -2, 0)
     return _per_point(params, np.max(np.abs(es * es + ef * ef - 1.0), axis=-1))
 
 
-def branch_probability(probe: FockVector, params: Points, branch: str) -> float | np.ndarray:
+def branch_probability(probe: FockVector, params: NlaParams, branch: str) -> float | np.ndarray:
     """Probability of the branch firing on the given normalized probe.
 
-    A float for one operating point, one probability per point for a batch or a
-    sequence.
+    A float for one operating point, one probability per point for a batch.
     """
     probe.require_normalized()
     e = kraus_diagonal(params, branch, probe.dim)
@@ -266,14 +239,13 @@ def branch_probability(probe: FockVector, params: Points, branch: str) -> float 
 
 
 def branch_probability_derivative(
-    probe: FockVector, params: Points, branch: str
+    probe: FockVector, params: NlaParams, branch: str
 ) -> float | np.ndarray:
     """Exact gain derivative ``2 sum_n E_n dE_n |c_n|^2`` of the branch probability.
 
     Each branch is differentiated through its own Kraus derivative, so the
     two branch derivatives sum to zero only when the Kraus pair does.  A
-    float for one operating point, one derivative per point for a batch or a
-    sequence.
+    float for one operating point, one derivative per point for a batch.
     """
     probe.require_normalized()
     i = BRANCHES.index(_check_branch(branch))
@@ -318,11 +290,11 @@ def _branch_rows(probe: FockVector, g, p, branch: str):
     return e, de, prob, 2.0 * np.sum(e * de * probe.weights(), axis=1)
 
 
-def _conditional_rows(probe: FockVector, params: Points, branch: str):
+def _conditional_rows(probe: FockVector, params: NlaParams, branch: str):
     """Normalized conditional amplitudes, their gain slopes and the branch probabilities.
 
-    ``params`` is one operating point, a batch or a sequence of them, whose
-    thresholds may differ.  Amplitudes and slopes are ``G x dim`` stacks, one row per
+    ``params`` is one operating point or a batch of them, whose thresholds
+    may differ.  Amplitudes and slopes are ``G x dim`` stacks, one row per
     point; the probabilities have length ``G``.  The slopes follow the product
     rule on ``a_n = E_n c_n / sqrt(prob)``:
     ``da_n = dE_n c_n / sqrt(prob) - a_n dprob / (2 prob)``.  An impossible
@@ -334,7 +306,7 @@ def _conditional_rows(probe: FockVector, params: Points, branch: str):
     return amps, de * probe.amps / root - amps * (dprob / (2.0 * prob))[:, np.newaxis], prob
 
 
-def _conditional_factors(probe: FockVector, params: Points, branch: str):
+def _conditional_factors(probe: FockVector, params: NlaParams, branch: str):
     """The real factors ``a_n``, ``da_n`` of the conditional amplitudes ``a_n c_n``.
 
     ``a_n = E_n / sqrt(prob)`` and ``da_n = dE_n / sqrt(prob) - a_n dprob /
@@ -357,12 +329,6 @@ def conditional_state(probe: FockVector, params: NlaParams, branch: str) -> Cond
     :func:`_conditional_rows`."""
     amps, _, prob = _conditional_rows(probe, _one_point(params), branch)
     return ConditionalState(FockVector(amps[0]), float(prob[0]), branch)
-
-
-def conditional_state_derivative(probe: FockVector, params: NlaParams, branch: str) -> np.ndarray:
-    """Gain derivative of the conditional amplitudes at one point (a batch raises;
-    :func:`_conditional_rows`)."""
-    return _conditional_rows(probe, _one_point(params), branch)[1][0]
 
 
 def _check_meters(alpha, beta) -> None:

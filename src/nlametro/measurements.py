@@ -9,9 +9,10 @@ and the Fisher information of the full joint record (branch, outcome) --
 the latter through its own code path so it can arbitrate the identity
 ``F_joint = p_s Q_s + p_f Q_f + F_c`` independently.
 
-Every function takes one operating point, a batch or a sequence of them,
-whose thresholds may differ, and evaluates all points as one stack of rows, except
-:func:`homodyne_density`, which takes one point and any outcomes.  Photon
+Every function takes one operating point or a batch of them
+(:class:`~nlametro.instrument.NlaParams`), whose thresholds may differ, and
+evaluates all points as one stack of rows, except :func:`homodyne_density`,
+which takes one point and any outcomes.  Photon
 counting takes the conditional amplitudes and slopes from one call of the
 instrument kernel ``_conditional_rows``, and the joint-record rows ``E_i c``
 of both branches and their slopes from one ``_kraus_pair`` call.
@@ -52,7 +53,6 @@ from .fock import (
 )
 from .instrument import (
     NlaParams,
-    Points,
     _conditional_factors,
     _conditional_rows,
     _image_levels,
@@ -130,12 +130,12 @@ class OutcomeDistribution:
 # ---------------------------------------------------------------------------
 
 def photon_counting_dist(
-    probe: FockVector, params: Points, branch: str
+    probe: FockVector, params: NlaParams, branch: str
 ) -> OutcomeDistribution | list[OutcomeDistribution]:
     """Photon-number distribution of the normalized conditional state.
 
-    ``params`` is one operating point, giving one distribution, or a batch
-    or a sequence of them, giving a list.
+    ``params`` is one operating point, giving one distribution, or a batch,
+    giving a list.
     """
     masses = np.abs(_conditional_rows(probe, params, branch)[0]) ** 2
     support = np.arange(probe.dim, dtype=float)
@@ -157,13 +157,13 @@ def _counting_fi(amps: np.ndarray, slopes: np.ndarray) -> np.ndarray:
     return (dm * np.divide(dm, m, out=np.zeros_like(m), where=m > MASS_FLOOR)).sum(axis=(1, 2))
 
 
-def fi_photon_counting(probe: FockVector, params: Points, branch: str) -> float | np.ndarray:
+def fi_photon_counting(probe: FockVector, params: NlaParams, branch: str) -> float | np.ndarray:
     """Classical Fisher information of conditional photon counting.
 
     ``F = sum_n (dm_n)^2 / m_n`` over occupied levels, with the mass
     derivatives taken analytically through the conditional amplitudes.
-    ``params`` is one operating point, giving a float, or a batch or a
-    sequence of them, giving an array.
+    ``params`` is one operating point, giving a float, or a batch, giving an
+    array.
     """
     amps, slopes, _ = _conditional_rows(probe, params, branch)
     return _per_point(params, _counting_fi(amps[:, None], slopes[:, None]))
@@ -237,25 +237,28 @@ def _fields(rows: np.ndarray, parts: tuple[np.ndarray, ...]) -> list[np.ndarray]
 def homodyne_density(probe: FockVector, params: NlaParams, branch: str, x) -> np.ndarray | float:
     """Conditional x-quadrature density ``|sum_n a_n <x|n>|^2`` at the outcomes ``x``.
 
-    ``params`` is one point; a batch raises ``ValueError``.  The point's real conditional factor row
-    (:func:`~nlametro.instrument._conditional_factors`) times the parts of
-    the probe's ``min(dim, p + 2)``-row basis at ``x`` (:func:`_image_basis`);
-    the density carries the basis's error model (:func:`_fields`).
+    ``params`` is one point; a batch raises ``ValueError``.  A scalar ``x``
+    (a 0-d array among them) gives a float; a list, a tuple or an array
+    gives an array of ``x``'s shape.  The point's real conditional
+    factor row (:func:`~nlametro.instrument._conditional_factors`) times the
+    parts of the probe's ``min(dim, p + 2)``-row basis at ``x``
+    (:func:`_image_basis`); the density carries the basis's error model
+    (:func:`_fields`).
     """
     factors = _conditional_factors(probe, _one_point(params), branch)[0]
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    parts = _image_basis(probe, wavefunction_matrix(probe.dim, xa), factors.shape[1])
+    xa = np.asarray(x, dtype=float)
+    parts = _image_basis(probe, wavefunction_matrix(probe.dim, xa.ravel()), factors.shape[1])
     dens = sum(f * f for f in _fields(factors, parts))[0]
-    return dens if isinstance(x, np.ndarray) else float(dens[0])
+    return float(dens[0]) if xa.ndim == 0 else dens.reshape(xa.shape)
 
 
 def homodyne_distribution(
-    probe: FockVector, params: Points, branch: str
+    probe: FockVector, params: NlaParams, branch: str
 ) -> OutcomeDistribution | list[OutcomeDistribution]:
     """Conditional homodyne density tabulated on the adaptive grid.
 
-    ``params`` is one operating point, giving one distribution, or a batch
-    or a sequence of them, giving a list.  The real Kraus factors of all points
+    ``params`` is one operating point, giving one distribution, or a batch,
+    giving a list.  The real Kraus factors of all points
     (:func:`~nlametro.instrument._conditional_factors`) are multiplied
     against the probe's window-0 basis of ``min(dim, max p + 2)`` rows
     (:func:`_basis_parts`), ``ROW_CHUNK`` rows at a time; each density
@@ -343,7 +346,7 @@ def _fisher_integral(probe: FockVector, amps: np.ndarray, slopes: np.ndarray) ->
 
 
 def fi_homodyne(
-    probe: FockVector, params: Points, branch: str, allow_complex: bool = False
+    probe: FockVector, params: NlaParams, branch: str, allow_complex: bool = False
 ) -> float | np.ndarray:
     """Classical Fisher information of conditional homodyne detection.
 
@@ -351,8 +354,8 @@ def fi_homodyne(
     analytically through the conditional amplitudes.  Raises
     :class:`ComplexProbeUnsupported` for complex probes unless overridden.
 
-    ``params`` is one operating point, giving a float, or a batch or a
-    sequence of them, giving an array; either way the points go through one stacked
+    ``params`` is one operating point, giving a float, or a batch, giving an
+    array; either way the points go through one stacked
     :func:`_fisher_integral`, one row of real Kraus factors per point
     (:func:`~nlametro.instrument._conditional_factors`) on one basis.
     """
@@ -370,7 +373,7 @@ def fi_homodyne(
 # ---------------------------------------------------------------------------
 
 def sequential_fi(
-    probe: FockVector, params: Points, detector: str = PHOTON_COUNTING
+    probe: FockVector, params: NlaParams, detector: str = PHOTON_COUNTING
 ) -> float | np.ndarray:
     """Fisher information of the joint (branch, outcome) record.
 
@@ -380,8 +383,8 @@ def sequential_fi(
     effective-QFI closed form, so it can serve as an independent witness of
     ``F_joint = p_s Q_s + p_f Q_f + F_c``.
 
-    ``params`` is one operating point, giving a float, or a batch or a
-    sequence of them, giving an array.  The two branch rows ``E_i c`` of a point are one
+    ``params`` is one operating point, giving a float, or a batch, giving an
+    array.  The two branch rows ``E_i c`` of a point are one
     group of :func:`_counting_fi`.  For homodyne, the two unnormalized Kraus
     rows ``E_i`` and their slopes on the first ``min(dim, max p + 2)``
     levels are one group of one stacked :func:`_fisher_integral` on the

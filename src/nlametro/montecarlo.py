@@ -64,6 +64,7 @@ from .instrument import (
     FAILURE,
     GAIN_FLOOR,
     SUCCESS,
+    BranchImpossible,
     GainDomain,
     NlaParams,
     _one_point,
@@ -244,11 +245,14 @@ _RECORDED = {
 
 
 def _branch_masses(probe: FockVector, params: NlaParams) -> tuple[float, np.ndarray, np.ndarray]:
+    """``p_s`` and both branches' photon-number masses; the failure masses are
+    zeros where that branch's own probability is below ``PROBABILITY_FLOOR``,
+    whatever ``p_s`` rounds to."""
     ps = branch_probability(probe, params, SUCCESS)
     ms = photon_counting_dist(probe, params, SUCCESS).masses
-    if ps < 1.0:
+    try:
         mf = photon_counting_dist(probe, params, FAILURE).masses
-    else:
+    except BranchImpossible:
         mf = np.zeros(probe.dim)
     return ps, ms, mf
 

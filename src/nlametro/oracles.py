@@ -75,10 +75,10 @@ from .instrument import (
     BRANCHES,
     BranchImpossible,
     FAILURE,
+    MeterBatch,
     MeterState,
     NlaParams,
     PROBABILITY_FLOOR,
-    Points,
     SUCCESS,
     _is_point,
     _one_point,
@@ -415,21 +415,21 @@ class KrausImageFD:
 
     The images ``a_s = E_s c`` and ``a_f = E_f c`` are built once, in
     double-double from the input doubles, at the exact gains ``g -/+ dg/2``
-    of every operating point of ``params``: one point, or a batch or a
-    sequence of them whose thresholds may differ, with one probe for all or
-    one probe per point.  Every oracle is a view of that one Kraus pair.  :meth:`pure` and
+    of every operating point of ``params``: one point, or a batch whose
+    thresholds may differ, with one probe for all or one probe per point.
+    Every oracle is a view of that one Kraus pair.  :meth:`pure` and
     :meth:`bures` are fidelity differences: they contract three Gram
     matrices, ``<a_i(g-)|a_j(g+)>``, ``<a_i(g-)|a_j(g-)>`` and
     ``<a_i(g+)|a_j(g+)>``, which are real, since the Kraus entries and the
     weights are, and are built on the first such call.  :meth:`mass_slopes`,
     :meth:`probability_slope` and :meth:`coupling` are central differences
     of the Kraus entries themselves.  A single point gives floats, a batch
-    or a sequence one array per view.  Every operation acts on each point
+    one array per view.  Every operation acts on each point
     alone, so a point's values depend neither on the rest of the batch nor
     on which other views were asked for.
     """
 
-    def __init__(self, probe: Probes, params: Points, dg: float = DEFAULT_QFI_STEP):
+    def __init__(self, probe: Probes, params: NlaParams, dg: float = DEFAULT_QFI_STEP):
         _validate_step(dg)
         self.dg = dg
         self._single = _is_point(params)
@@ -465,15 +465,17 @@ class KrausImageFD:
         ``alpha|s> + beta|f>`` is
         ``a_s (x) (beta|s> - alpha|f>) + a_f (x) (alpha|s> + beta|f>)``, so
         ``m = |alpha|^2 + |beta|^2`` and ``y = 2 Im(alpha conj(beta))``.
-        ``view`` is one meter or a sequence of one meter per point.
+        ``view`` is one :class:`MeterState` or a 1-D :class:`MeterBatch` of
+        one meter for all points or one per point; anything else raises
+        ``TypeError``.
         """
-        meters = [view] if isinstance(view, MeterState) else list(view)
-        if not all(isinstance(m, MeterState) for m in meters):
-            raise ValueError(f"view must be a branch or a MeterState, got {view!r}")
-        if len(meters) not in (1, self.g.size):
-            raise ValueError(f"{len(meters)} meters for {self.g.size} points")
-        a = np.array([m.alpha for m in meters])
-        b = np.array([m.beta for m in meters])
+        if not isinstance(view, (MeterState, MeterBatch)):
+            raise TypeError(
+                f"view must be a branch, a MeterState or a MeterBatch, not {type(view).__name__}"
+            )
+        a, b = np.atleast_1d(view.alpha), np.atleast_1d(view.beta)
+        if a.ndim != 1 or a.size not in (1, self.g.size):
+            raise ValueError(f"meters of shape {np.shape(view.alpha)} for {self.g.size} points")
         square = _DD.exact_product
         norm = (square(a.real, a.real) + square(a.imag, a.imag)) + (
             square(b.real, b.real) + square(b.imag, b.imag)
@@ -485,13 +487,16 @@ class KrausImageFD:
 
         ``view`` is ``SUCCESS`` or ``FAILURE`` for the normalized conditional
         state, which keeps one image, unnormalized; or a :class:`MeterState`
-        (or one per point) for the joint signal-meter state.  The deficit of
-        the normalized states is taken exactly, without a small-angle
-        expansion, so no step is ever refused.
+        (or a :class:`MeterBatch` of one per point) for the joint
+        signal-meter state.  The deficit of the normalized states is taken
+        exactly, without a small-angle expansion, so no step is ever
+        refused.
         """
         if isinstance(view, str):
             if view not in BRANCHES:
-                raise ValueError(f"view must be a branch or a MeterState, got {view!r}")
+                raise ValueError(
+                    f"view must be a branch, a MeterState or a MeterBatch, got {view!r}"
+                )
             i = BRANCHES.index(view)
             cross, n_lo, n_hi = (gram[:, i, i] for gram in self._grams)
             overlap = cross * cross

@@ -24,8 +24,9 @@ double-double arithmetic, about 32 digits from error-free transformations
 (Knuth's TwoSum, Dekker's TwoProduct, Hida-Li-Bailey division and square
 root).  Their rounding, O(p) units of 2^-104 in a deficit, lies eleven
 orders below the smallest real deficit, so no step is refused and every row
-scores all 280 points.  Its analytic generic-meter side makes one
-``qfi_joint_meter`` call per probe, one meter per point.
+scores all 280 points.  Its 280 generic meters are one
+:class:`~nlametro.instrument.MeterBatch`, one meter per point; the analytic
+side makes one ``qfi_joint_meter`` call per probe with its slice of them.
 
 The suites evaluate on stacks of operating points, each number still coming
 from the library function it checks, and score each row's errors as one
@@ -338,20 +339,22 @@ def check_oracle_suite(breakdowns: dict[str, FisherBreakdown]) -> list[CheckResu
     ``sqrt F = ||A(g-)^+ A(g+)||_*``).  The deficits have no noise floor,
     so every row scores all 280 points.  The analytic side comes from
     ``breakdowns`` (:func:`standard_breakdowns`) and ``qfi_joint_meter``.
+    The random meters are one :class:`~nlametro.instrument.MeterBatch`.
     """
     grids = list(standard_probe_grids())
     labels = [label for _, grid_labels, _ in grids for label in grid_labels]
-    probes = [probe for probe, _, grid_points in grids for _ in range(len(grid_points))]
+    probes = [probe for probe, _, grid_points in grids for _ in range(grid_points.g.size)]
     points = NlaParams(g=np.concatenate([pts.g for *_, pts in grids]),
                        p=np.concatenate([pts.p for *_, pts in grids]))
     rng = np.random.default_rng(GENERIC_METER_SEED)
     # one draw of shape (points, 4) yields the numbers of that many
-    # standard_normal(4) draws, in the same order
-    meters = []
-    for z in rng.standard_normal((len(points), 4)):
-        amps = (z[0] + 1j * z[1], z[2] + 1j * z[3])
-        nrm = math.hypot(abs(amps[0]), abs(amps[1]))
-        meters.append(MeterState(alpha=amps[0] / nrm, beta=amps[1] / nrm))
+    # standard_normal(4) draws, in the same order; each meter is normalised
+    # in scalar arithmetic, whose bits a vectorised norm need not match
+    scaled = []
+    for a, b in rng.standard_normal((points.g.size, 4)).view(np.complex128):
+        nrm = math.hypot(abs(a), abs(b))
+        scaled.append((a / nrm, b / nrm))
+    meters = MeterBatch(*np.transpose(scaled))
     fd = KrausImageFD(probes, points, DEFAULT_QFI_STEP)
     oracle = np.column_stack([
         fd.pure(SUCCESS),
@@ -363,9 +366,10 @@ def check_oracle_suite(breakdowns: dict[str, FisherBreakdown]) -> list[CheckResu
     # one qfi_joint_meter call per probe, one meter per point
     joint, start = [], 0
     for probe, _, grid_points in grids:
-        stop = start + len(grid_points)
-        joint.append(qfi_joint_meter(probe, grid_points, meters[start:stop]))
-        start = stop
+        part = slice(start, start + grid_points.g.size)
+        joint.append(qfi_joint_meter(probe, grid_points,
+                                     MeterBatch(meters.alpha[part], meters.beta[part])))
+        start = part.stop
     analytic = np.column_stack([
         [[b.q_s, b.q_f, b.q_eff, b.q_unc] for b in map(breakdowns.get, labels)],
         np.concatenate(joint),
@@ -549,10 +553,10 @@ def check_meter_suite() -> list[CheckResult]:
         # one draw of shape (points, samples, 4) yields the numbers of that
         # many standard_normal(4) draws, in the same order; a block per probe
         # keeps the suite's arrays small
-        normals = rng.standard_normal((len(points), METER_SAMPLES_PER_POINT, 4))
+        normals = rng.standard_normal((points.g.size, METER_SAMPLES_PER_POINT, 4))
         amps = normals.view(np.complex128) / np.linalg.norm(normals, axis=-1, keepdims=True)
-        alpha = np.concatenate([amps[..., 0], np.tile(real_alpha, (len(points), 1))], axis=1)
-        beta = np.concatenate([amps[..., 1], np.tile(real_beta, (len(points), 1))], axis=1)
+        alpha = np.concatenate([amps[..., 0], np.tile(real_alpha, (points.g.size, 1))], axis=1)
+        beta = np.concatenate([amps[..., 1], np.tile(real_beta, (points.g.size, 1))], axis=1)
         q_eff = qfi_effective_closed_form(probe, points)[:, np.newaxis]
         joint = qfi_joint_meter(probe, points, MeterBatch(alpha, beta))
         scale = np.maximum(q_eff, NUMERICAL_ZERO)

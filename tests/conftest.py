@@ -57,3 +57,8 @@ def run_python():
     ``environ`` adds variables to the inherited environment.
     """
     return _run_python
+
+
+def points_of(batch: NlaParams) -> list[NlaParams]:
+    """The single points of an ``NlaParams`` batch, in order."""
+    return [NlaParams(g, p) for g, p in zip(batch.g.tolist(), batch.p.tolist())]

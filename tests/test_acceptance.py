@@ -9,6 +9,7 @@ import math
 import time
 
 import pytest
+from conftest import points_of
 
 from nlametro import cli
 from nlametro.fisher import qfi_effective, qfi_effective_closed_form
@@ -44,7 +45,7 @@ def test_criterion_1_decomposition_identities_on_standard_grid():
     start = time.perf_counter()
     count = 0
     for probe, labels, points in standard_probe_grids():
-        for label, params in zip(labels, points):
+        for label, params in zip(labels, points_of(points)):
             bd = qfi_effective(probe, params)
             closed = qfi_effective_closed_form(probe, params)
             total = bd.component_sum()
@@ -69,7 +70,7 @@ def test_criterion_3_detector_fisher_information_saturates_the_qfi():
     # brute-force against the closed form for both detectors.
     _assert_all_passed(check_detector_suite(standard_breakdowns()))
     for probe, labels, points in standard_probe_grids():
-        for label, params in zip(labels, points):
+        for label, params in zip(labels, points_of(points)):
             q_eff = qfi_effective_closed_form(probe, params)
             for detector in ("photon-counting", "homodyne"):
                 fi = joint_fi_direct(probe, params, detector)

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from nlametro import cli
 from nlametro.fisher import qfi_effective, qfi_effective_closed_form
-from nlametro.instrument import NlaParams
+from nlametro.fock import FockVector
+from nlametro.instrument import SUCCESS, NlaParams, branch_probability
 from nlametro.montecarlo import DETECTORS
 from nlametro.probes import ProbeSpec
 
@@ -248,6 +249,29 @@ def test_simulate_degenerate_probe_structured_error(tmp_path, capsys):
         "simulate", "--probe", "custom", "--custom-file", str(probe),
         "--p", "1", "--g-true", "2", "--detector", "photon-counting",
         "--shots", "100", "--replications", "5", "--seed", "1",
+    ])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "DegenerateLikelihood"
+
+
+# All the weight above p = 0, so no shot carries gain information; p_s is the
+# squared norm, which rounds to 1 - 2^-53 for the first probe and to 1 for
+# the second, while the failure branch is impossible for both.
+@pytest.mark.parametrize("amps, ps_below_one", [
+    ([0.0, 0.7535065118573733, 0.657436739779298, 0.002206757100771328], True),
+    ([0.0, 1.0], False),
+])
+def test_simulate_probe_above_the_threshold_is_degenerate_however_p_s_rounds(
+    tmp_path, capsys, amps, ps_below_one
+):
+    ps = branch_probability(FockVector(amps), NlaParams(g=2.0, p=0), SUCCESS)
+    assert (ps < 1.0) == ps_below_one
+    probe = _write_probe(tmp_path, "above.json", amps)
+    rc = cli.main([
+        "simulate", "--probe", "custom", "--custom-file", str(probe),
+        "--p", "0", "--g-true", "2", "--detector", "photon-counting",
+        "--shots", "10", "--seed", "1", "--replications", "3",
     ])
     assert rc == 3
     err = json.loads(capsys.readouterr().err)

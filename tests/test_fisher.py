@@ -8,10 +8,12 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from conftest import points_of
 
 import nlametro.dense
 import nlametro.instrument
 from nlametro.dense import (
+    conditional_state_derivative,
     qfi_mixed,
     qfi_pure,
     unconditional_state,
@@ -29,7 +31,6 @@ from nlametro.instrument import (
     branch_probability,
     branch_probability_derivative,
     conditional_state,
-    conditional_state_derivative,
     kraus_diagonal,
     kraus_diagonal_derivative,
 )
@@ -180,7 +181,7 @@ def test_meter_bound_and_equality(coherent_nbar1):
     ("coherent", 1.0, 2.0, 3),
     ("squeezed-vacuum", 2.0, 1.05, 5),
 ])
-def test_joint_meter_over_a_sequence_equals_scalar_calls(kind, nbar, g, p):
+def test_joint_meter_over_a_batch_equals_scalar_calls(kind, nbar, g, p):
     probe = ProbeSpec.from_nbar(kind, nbar).build()
     params = NlaParams(g=g, p=p)
     rng = np.random.default_rng(5)
@@ -194,7 +195,8 @@ def test_joint_meter_over_a_sequence_equals_scalar_calls(kind, nbar, g, p):
         nrm = math.sqrt(z @ z)
         alpha, beta = complex(z[0], z[1]) / nrm, complex(z[2], z[3]) / nrm
         meters.append(MeterState(alpha=alpha, beta=beta))
-    stacked = qfi_joint_meter(probe, params, meters)
+    batch = MeterBatch([m.alpha for m in meters], [m.beta for m in meters])
+    stacked = qfi_joint_meter(probe, params, batch)
     assert isinstance(stacked, np.ndarray) and stacked.shape == (len(meters),)
     scalar = [qfi_joint_meter(probe, params, meter) for meter in meters]
     assert all(isinstance(value, float) for value in scalar)
@@ -208,7 +210,7 @@ def test_one_meter_draw_per_probe_matches_per_meter_draws():
     # the meter suite draws each probe's normals as one block
     from nlametro.selfcheck import METER_SAMPLES_PER_POINT, METER_SEED
 
-    shapes = [(len(points), METER_SAMPLES_PER_POINT, 4) for *_, points in standard_probe_grids()]
+    shapes = [(points.g.size, METER_SAMPLES_PER_POINT, 4) for *_, points in standard_probe_grids()]
     rng = np.random.default_rng(METER_SEED)
     stacked = np.concatenate([rng.standard_normal(shape) for shape in shapes])
     rng = np.random.default_rng(METER_SEED)
@@ -223,16 +225,17 @@ def _random_meters(rng, shape):
 
 
 @pytest.mark.parametrize("kind, nbar, p", [("two-level", None, 1), ("squeezed-vacuum", 2.0, 5)])
-def test_joint_meter_over_a_sequence_of_points_equals_single_point_calls(kind, nbar, p):
+def test_joint_meter_over_a_batch_of_points_equals_single_point_calls(kind, nbar, p):
     probe = (FockVector([2 ** -0.5, 2 ** -0.5]) if nbar is None
              else ProbeSpec.from_nbar(kind, nbar).build())
-    points = [NlaParams(g=g, p=p) for g in (1.0 + 1e-9, 1.05, 2.0, 6.0)]
-    coupling = meter_coupling_term(probe, points)
+    batch = NlaParams(g=[1.0 + 1e-9, 1.05, 2.0, 6.0], p=p)
+    points = points_of(batch)
+    coupling = meter_coupling_term(probe, batch)
     assert coupling.shape == (len(points),)
     np.testing.assert_array_equal(coupling, [meter_coupling_term(probe, pt) for pt in points])
     rng = np.random.default_rng(3)
     many = _random_meters(rng, (len(points), 6))
-    stacked = qfi_joint_meter(probe, points, many)
+    stacked = qfi_joint_meter(probe, batch, many)
     assert stacked.shape == (len(points), 6)
     for i, params in enumerate(points):
         single = MeterBatch(many.alpha[i], many.beta[i])
@@ -240,19 +243,24 @@ def test_joint_meter_over_a_sequence_of_points_equals_single_point_calls(kind, n
         one_by_one = [qfi_joint_meter(probe, params, MeterState(a, b))
                       for a, b in zip(many.alpha[i], many.beta[i])]
         np.testing.assert_array_equal(stacked[i], one_by_one)
-    # one meter per point, as a batch or as a sequence, and one meter for all
-    per_point = [MeterState(a, b) for a, b in zip(many.alpha[:, 0], many.beta[:, 0])]
-    np.testing.assert_array_equal(qfi_joint_meter(probe, points, per_point), stacked[:, 0])
+    # one meter per point, and one meter for all
+    per_point = MeterBatch(many.alpha[:, 0], many.beta[:, 0])
+    np.testing.assert_array_equal(qfi_joint_meter(probe, batch, per_point), stacked[:, 0])
+    first = MeterState(many.alpha[0, 0], many.beta[0, 0])
     np.testing.assert_array_equal(
-        qfi_joint_meter(probe, points, MeterBatch(many.alpha[:, 0], many.beta[:, 0])),
-        stacked[:, 0],
-    )
-    np.testing.assert_array_equal(
-        qfi_joint_meter(probe, points, per_point[0]),
-        [qfi_joint_meter(probe, pt, per_point[0]) for pt in points],
+        qfi_joint_meter(probe, batch, first),
+        [qfi_joint_meter(probe, pt, first) for pt in points],
     )
     with pytest.raises(ValueError, match="5 rows of meters for 4 points"):
-        qfi_joint_meter(probe, points, per_point + per_point[:1])
+        qfi_joint_meter(probe, batch, MeterBatch(np.full(5, 0.6), np.full(5, 0.8j)))
+
+
+def test_a_list_of_meters_is_refused_naming_the_meter_types(coherent_nbar1):
+    meters = [MeterState(0.6, 0.8j), MeterState.trivial()]
+    for params in (NlaParams(g=[1.5, 2.0], p=3), NlaParams(g=2.0, p=3)):
+        for view in (meters, meters[:1]):
+            with pytest.raises(TypeError, match="MeterState or a MeterBatch"):
+                qfi_joint_meter(coherent_nbar1, params, view)
 
 
 def test_a_batch_with_one_unnormalized_meter_never_reaches_the_joint_qfi():
@@ -283,7 +291,7 @@ def test_hierarchy_on_sample_points():
 
 def test_thin_unconditional_qfi_matches_dense_path_on_standard_grid():
     for probe, labels, points in standard_probe_grids():
-        for label, params in zip(labels, points):
+        for label, params in zip(labels, points_of(points)):
             dense = qfi_mixed(
                 unconditional_state(probe, params),
                 unconditional_state_derivative(probe, params),
@@ -430,10 +438,11 @@ def _assert_close_to_single_points(stacked, singles, points, what=""):
 
 def _assert_batch_matches_points(probe, points):
     batch = qfi_effective(probe, points)
-    singles = [qfi_effective(probe, params) for params in points]
+    singles = [qfi_effective(probe, params) for params in points_of(points)]
     for field in FIELDS:
         _assert_close_to_single_points(
-            getattr(batch, field), [getattr(single, field) for single in singles], points, field
+            getattr(batch, field), [getattr(single, field) for single in singles],
+            points_of(points), field,
         )
     return batch
 
@@ -467,7 +476,7 @@ def test_budget_on_compressed_images_matches_full_vector_references(dim, p, g):
     )
     coupling = float(np.sum(probe.weights() * (es * def_ - ef * des)))
     assert meter_coupling_term(probe, params) == pytest.approx(coupling, rel=1e-12)
-    _assert_batch_matches_points(probe, [NlaParams(g=1.05, p=p), params, NlaParams(g=6.0, p=p)])
+    _assert_batch_matches_points(probe, NlaParams(g=[1.05, g, 6.0], p=p))
 
 
 def test_qfi_effective_evaluates_the_kraus_pair_once(monkeypatch):
@@ -484,7 +493,7 @@ def test_qfi_effective_evaluates_the_kraus_pair_once(monkeypatch):
     for module in list(sys.modules.values()):
         if module.__name__.startswith("nlametro") and getattr(module, "_kraus_pair", None) is original:
             monkeypatch.setattr(module, "_kraus_pair", counted)
-    for points in (NlaParams(g=1.5, p=3), [NlaParams(g=g, p=3) for g in np.linspace(1.05, 6, 300)]):
+    for points in (NlaParams(g=1.5, p=3), NlaParams(g=np.linspace(1.05, 6, 300), p=3)):
         calls.clear()
         qfi_effective(probe, points)
         assert calls == {"_kraus_pair": 1}
@@ -494,30 +503,29 @@ def test_batched_budget_matches_single_points_on_standard_grid():
     zeros = 0
     for probe, labels, points in standard_probe_grids():
         for p in STANDARD_THRESHOLDS:
-            batch = _assert_batch_matches_points(probe, [pt for pt in points if pt.p == p])
+            batch = _assert_batch_matches_points(probe, NlaParams(g=points.g[points.p == p], p=p))
             assert batch.q_eff.shape == (7,)
             zeros += int(np.sum(batch.q_f == 0.0))
         # the probe's 35 points, thresholds mixed, in one call: the images
         # are padded to p = 5, whose sums of at most 7 terms add the padded
         # zeros last, so every field equals the point's own bit for bit
         mixed = qfi_effective(probe, points).points()
-        assert mixed == [qfi_effective(probe, params) for params in points], labels
+        assert mixed == [qfi_effective(probe, params) for params in points_of(points)], labels
     # q_f is exactly 0 at p=1 (one failure level) and for squeezed vacuum at p=2
     assert zeros == 8 * 7 + 4 * 7
 
 
 def test_batched_budget_keeps_exact_zeros_of_q_unc():
     # supported above the threshold only: A = [c, 0] and dA = 0 at every gain
-    batch = qfi_effective(FockVector([0.0, 0.0, 1.0]), [NlaParams(g=g, p=1) for g in (1.5, 4.0)])
+    batch = qfi_effective(FockVector([0.0, 0.0, 1.0]), NlaParams(g=[1.5, 4.0], p=1))
     assert np.array_equal(batch.q_unc, [0.0, 0.0])
     assert np.array_equal(batch.q_f, [0.0, 0.0])
 
 
 def test_batched_budget_points_are_breakdowns_of_floats(coherent_nbar1):
-    points = [NlaParams(g=g, p=3) for g in (1.2, 2.0)]
-    rows = qfi_effective(coherent_nbar1, points).points()
+    rows = qfi_effective(coherent_nbar1, NlaParams(g=[1.2, 2.0], p=3)).points()
     assert [type(x) for x in dataclasses.astuple(rows[1])] == [float] * len(FIELDS)
-    assert rows[1] == qfi_effective(coherent_nbar1, [points[1]]).points()[0]
+    assert rows[1] == qfi_effective(coherent_nbar1, NlaParams(g=[2.0], p=3)).points()[0]
 
 
 def test_batched_budget_takes_mixed_thresholds_and_rejects_no_points():
@@ -525,56 +533,52 @@ def test_batched_budget_takes_mixed_thresholds_and_rejects_no_points():
     # are padded to p = 40, and numpy sums 8 or more terms pairwise, which
     # regroups the padded zeros, so the points agree within rounding rather
     # than bit for bit
-    points = [NlaParams(g=g, p=p) for p in (0, 1, 3, 7, 9, 20, 40) for g in (1.05, 1.5, 3.0, 6.0)]
+    batch = NlaParams(g=np.tile([1.05, 1.5, 3.0, 6.0], 7), p=np.repeat([0, 1, 3, 7, 9, 20, 40], 4))
+    points = points_of(batch)
     meter = MeterState(0.6, 0.8j)
     for kind, nbar in (("coherent", 5.0), ("squeezed-vacuum", 2.0)):
         probe = ProbeSpec.from_nbar(kind, nbar).build()
-        _assert_batch_matches_points(probe, points)
+        _assert_batch_matches_points(probe, batch)
         for fn, args in ((qfi_effective_closed_form, ()), (meter_coupling_term, ()),
                          (qfi_joint_meter, (meter,))):
             singles = [fn(probe, params, *args) for params in points]
-            _assert_close_to_single_points(fn(probe, points, *args), singles, points, fn.__name__)
-        with pytest.raises(ValueError):
+            _assert_close_to_single_points(fn(probe, batch, *args), singles, points, fn.__name__)
+        with pytest.raises(TypeError, match="NlaParams"):
             qfi_effective(probe, [])
 
 
 def test_mixed_threshold_closed_form_equals_single_points_bit_for_bit():
     # the levels are added one column at a time, so the zero-padded levels
     # of the stack's larger thresholds never regroup a point's own sum
-    points = [NlaParams(g=g, p=p) for p in range(13) for g in (1.05, 1.5, 2.0, 6.0)]
+    batch = NlaParams(g=np.tile([1.05, 1.5, 2.0, 6.0], 13), p=np.repeat(np.arange(13), 4))
     for kind in ("coherent", "squeezed-vacuum"):
         for nbar in (0.1, 1.0, 4.0):
             probe = ProbeSpec.from_nbar(kind, nbar).build()
-            singles = [qfi_effective_closed_form(probe, params) for params in points]
-            assert qfi_effective_closed_form(probe, points).tolist() == singles, (kind, nbar)
+            singles = [qfi_effective_closed_form(probe, params) for params in points_of(batch)]
+            assert qfi_effective_closed_form(probe, batch).tolist() == singles, (kind, nbar)
 
 
 def test_impossible_success_branch_in_a_batch_names_the_point(vacuum):
     # g^-2 underflows at g=1e160, so the vacuum never succeeds there
-    points = [NlaParams(g=2.0, p=2), NlaParams(g=1e160, p=2), NlaParams(g=3.0, p=2)]
     with pytest.raises(BranchImpossible, match=r"g=1e\+160, p=2 \(point 1\)"):
-        qfi_effective(vacuum, points)
+        qfi_effective(vacuum, NlaParams(g=[2.0, 1e160, 3.0], p=2))
     with pytest.raises(BranchImpossible, match="point 0"):
-        qfi_branch(vacuum, points[1], SUCCESS)
+        qfi_branch(vacuum, NlaParams(g=1e160, p=2), SUCCESS)
 
 
-def test_fisher_functions_over_a_batch_equal_the_sequence_form_bit_for_bit():
+def test_fisher_functions_over_a_batch_equal_single_points_bit_for_bit():
     # standard_probe_grids yields one batch per probe; its points, thresholds
-    # mixed, go through the same columns as the sequence of single points
+    # mixed, are padded to p = 5, whose sums of at most 7 terms add the
+    # padded zeros last, so every value equals the point's own bit for bit
     meter = MeterState(0.6, 0.8j)
     for probe, labels, batch in standard_probe_grids():
-        assert isinstance(batch, NlaParams) and len(batch) == len(labels)
-        points = list(batch)
-        got, want = qfi_effective(probe, batch), qfi_effective(probe, points)
-        for field in FIELDS:
-            assert np.array_equal(getattr(got, field), getattr(want, field)), (labels[0], field)
+        assert isinstance(batch, NlaParams) and batch.g.size == len(labels)
+        points = points_of(batch)
         for fn, args in ((qfi_effective_closed_form, ()), (meter_coupling_term, ()),
                          (qfi_joint_meter, (meter,)), (classical_fi, ()), (qfi_unconditional, ()),
                          (qfi_branch, (SUCCESS,))):
-            assert np.array_equal(fn(probe, batch, *args), fn(probe, points, *args)), fn.__name__
-        # the single-point views serve a batch: one value per point
-        for fn in (classical_fi, qfi_unconditional):
-            assert fn(probe, batch).tolist() == [fn(probe, params) for params in points]
+            singles = [fn(probe, params, *args) for params in points]
+            assert fn(probe, batch, *args).tolist() == singles, (labels[0], fn.__name__)
 
 
 def test_qfi_branch_over_a_batch_names_the_impossible_point(vacuum):
@@ -626,6 +630,6 @@ def test_a_real_probe_reaches_the_image_kernels_in_real_arithmetic(monkeypatch):
     monkeypatch.setattr(fisher, "_unconditional_qfi", recorded_unconditional)
     for probe, _, points in standard_probe_grids():
         qfi_effective(probe, points)
-        qfi_unconditional(probe, points[0])
+        qfi_unconditional(probe, points_of(points)[0])
     assert dtypes == {"_images": {np.dtype(np.float64)},
                       "_unconditional_qfi": {np.dtype(np.float64)}}

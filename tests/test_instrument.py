@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
+from conftest import points_of
 from hypothesis import strategies as st
 
 from nlametro.fock import FockVector
@@ -20,13 +21,15 @@ from nlametro.instrument import (
     branch_probability_derivative,
     completeness_defect,
     conditional_state,
-    conditional_state_derivative,
     kraus_diagonal,
     _conditional_rows,
     _kraus_pair,
     kraus_diagonal_derivative,
 )
-from nlametro.dense import joint_state, unconditional_state
+from nlametro.dense import conditional_state_derivative, joint_state, unconditional_state
+from nlametro.fisher import qfi_effective
+from nlametro.measurements import fi_homodyne
+from nlametro.oracles import KrausImageFD
 from nlametro.probes import ProbeSpec
 
 
@@ -256,7 +259,7 @@ def test_kraus_pair_does_not_overflow_above_the_threshold():
 
 
 # Two-level probe and squeezed vacuum nbar=2 (dim 149); thresholds mixed.
-MIXED_POINTS = [NlaParams(g=g, p=p) for g in (1.0 + 1e-9, 1.05, 2.0, 6.0) for p in (0, 1, 3, 5)]
+MIXED = NlaParams(g=np.repeat([1.0 + 1e-9, 1.05, 2.0, 6.0], 4), p=np.tile([0, 1, 3, 5], 4))
 
 
 @pytest.fixture(params=["two-level", "squeezed nbar=2"])
@@ -266,22 +269,29 @@ def batch_probe(request, two_level):
     return ProbeSpec.from_nbar("squeezed-vacuum", 2.0).build()
 
 
-def test_instrument_functions_over_a_sequence_equal_single_point_calls(batch_probe):
-    dim = batch_probe.dim
+def test_instrument_functions_over_a_batch_equal_single_point_calls(batch_probe):
+    dim, points = batch_probe.dim, points_of(MIXED)
     for fn in (kraus_diagonal, kraus_diagonal_derivative):
         for branch in (SUCCESS, FAILURE):
-            rows = fn(MIXED_POINTS, branch, dim)
-            assert rows.shape == (len(MIXED_POINTS), dim)
-            npt.assert_array_equal(rows, [fn(pt, branch, dim) for pt in MIXED_POINTS])
-    defects = completeness_defect(MIXED_POINTS, dim)
-    npt.assert_array_equal(defects, [completeness_defect(pt, dim) for pt in MIXED_POINTS])
+            rows = fn(MIXED, branch, dim)
+            assert rows.shape == (len(points), dim)
+            npt.assert_array_equal(rows, [fn(pt, branch, dim) for pt in points])
+    defects = completeness_defect(MIXED, dim)
+    npt.assert_array_equal(defects, [completeness_defect(pt, dim) for pt in points])
     for fn in (branch_probability, branch_probability_derivative):
         for branch in (SUCCESS, FAILURE):
-            values = fn(batch_probe, MIXED_POINTS, branch)
-            assert values.shape == (len(MIXED_POINTS),)
-            single = [fn(batch_probe, pt, branch) for pt in MIXED_POINTS]
+            values = fn(batch_probe, MIXED, branch)
+            assert values.shape == (len(points),)
+            single = [fn(batch_probe, pt, branch) for pt in points]
             assert all(isinstance(x, float) for x in single)
             npt.assert_array_equal(values, single)
+    # p = 0 leaves no failure branch to condition on
+    live = NlaParams(g=MIXED.g[MIXED.p > 0], p=MIXED.p[MIXED.p > 0])
+    for branch in (SUCCESS, FAILURE):
+        rows = _conditional_rows(batch_probe, live, branch)
+        singles = [_conditional_rows(batch_probe, pt, branch) for pt in points_of(live)]
+        for got, want in zip(rows, zip(*singles), strict=True):
+            npt.assert_array_equal(got, np.concatenate(want))
 
 
 def test_meter_batch_checks_every_meter():
@@ -353,44 +363,34 @@ def test_a_batch_is_validated_by_arrays_and_names_its_first_bad_point():
     for g in ([], [[2.0, 3.0]]):
         with pytest.raises(ValueError, match="non-empty 1-D"):
             NlaParams(g=g, p=1)
-    # a sequence of points takes single points only
-    with pytest.raises(ValueError, match="single points"):
-        kraus_diagonal([batch, batch], SUCCESS, 3)
 
 
-def test_a_batch_is_a_sequence_of_its_points_and_one_point_is_not():
-    batch = NlaParams(g=np.array([1.5, 2.0, 3.0]), p=[1, 2, 3])
-    assert len(batch) == 3 and bool(batch)
-    assert list(batch) == [NlaParams(g=1.5, p=1), NlaParams(g=2.0, p=2), NlaParams(g=3.0, p=3)]
-    assert batch[1] == NlaParams(g=2.0, p=2) and type(batch[1].g) is float
-    npt.assert_array_equal(batch[1:].g, [2.0, 3.0])
-    point = NlaParams(g=2.0, p=1)
-    assert bool(point)
-    for attempt in (len, list, lambda x: x[0]):
-        with pytest.raises(TypeError):
-            attempt(point)
+def test_neither_a_batch_nor_a_point_is_a_sequence_of_points():
+    for params in (NlaParams(g=np.array([1.5, 2.0, 3.0]), p=[1, 2, 3]), NlaParams(g=2.0, p=1)):
+        assert bool(params)
+        for attempt in (len, list, lambda x: x[0]):
+            with pytest.raises(TypeError):
+                attempt(params)
 
 
-def test_instrument_functions_over_a_batch_equal_the_sequence_form_bit_for_bit(batch_probe):
-    batch = NlaParams(g=[pt.g for pt in MIXED_POINTS], p=[pt.p for pt in MIXED_POINTS])
-    dim = batch_probe.dim
-    npt.assert_array_equal(completeness_defect(batch, dim), completeness_defect(MIXED_POINTS, dim))
-    for branch in (SUCCESS, FAILURE):
-        for fn in (kraus_diagonal, kraus_diagonal_derivative):
-            npt.assert_array_equal(fn(batch, branch, dim), fn(MIXED_POINTS, branch, dim))
-        for fn in (branch_probability, branch_probability_derivative):
-            npt.assert_array_equal(fn(batch_probe, batch, branch), fn(batch_probe, MIXED_POINTS, branch))
-        # p = 0 leaves no failure branch to condition on
-        live = [pt for pt in MIXED_POINTS if pt.p > 0]
-        rows = _conditional_rows(batch_probe, NlaParams(g=[pt.g for pt in live], p=[pt.p for pt in live]),
-                                 branch)
-        for got, want in zip(rows, _conditional_rows(batch_probe, live, branch), strict=True):
-            npt.assert_array_equal(got, want)
+def test_a_list_of_points_is_refused_naming_nlaparams(coherent_nbar1):
+    points = [NlaParams(g=1.5, p=3), NlaParams(g=2.0, p=3)]
+    calls = (
+        lambda params: qfi_effective(coherent_nbar1, params),
+        lambda params: kraus_diagonal(params, SUCCESS, 3),
+        lambda params: fi_homodyne(coherent_nbar1, params, SUCCESS),
+        lambda params: KrausImageFD(coherent_nbar1, params),
+    )
+    for call in calls:
+        for params in (points, points[:1], (), NlaParams(g=2.0, p=3).g):
+            with pytest.raises(TypeError, match="NlaParams"):
+                call(params)
 
 
-def test_single_point_functions_refuse_a_batch_or_a_sequence(coherent_nbar1):
+def test_single_point_functions_refuse_a_batch_and_a_list(coherent_nbar1):
     batch = NlaParams(g=np.array([1.5, 2.0]), p=3)
     for fn in (conditional_state, conditional_state_derivative):
-        for params in (batch, list(batch)):
-            with pytest.raises(ValueError, match="one operating point"):
-                fn(coherent_nbar1, params, SUCCESS)
+        with pytest.raises(ValueError, match="one operating point, not a batch"):
+            fn(coherent_nbar1, batch, SUCCESS)
+        with pytest.raises(TypeError, match="NlaParams"):
+            fn(coherent_nbar1, points_of(batch), SUCCESS)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from conftest import points_of
 
 from nlametro import instrument, measurements, montecarlo
 from nlametro.fock import FockVector, build_quadrature_grid, default_half_width, wavefunction_matrix
@@ -17,10 +18,10 @@ from nlametro.instrument import (
     _kraus_pair,
     _point_columns,
     conditional_state,
-    conditional_state_derivative,
     kraus_diagonal,
     kraus_diagonal_derivative,
 )
+from nlametro.dense import conditional_state_derivative
 from nlametro.fisher import qfi_branch, qfi_effective
 from nlametro.measurements import (
     HOMODYNE,
@@ -65,6 +66,26 @@ def test_homodyne_density_hand_values(vacuum, two_level, g2p1):
         )
         spot = homodyne_density(probe, g2p1, SUCCESS, 0.0)
         assert isinstance(spot, float) and spot == pytest.approx(want, rel=1e-12)
+
+
+def test_homodyne_density_keeps_every_outcome_in_the_shape_of_x(coherent_nbar1):
+    # a list or a tuple once gave the density at its first outcome only
+    params = NlaParams(g=2.0, p=3)
+    xs = np.array([[0.0, 1.0, -0.5], [2.0, 0.25, -3.0]])
+    grid = homodyne_density(coherent_nbar1, params, SUCCESS, xs)
+    row = homodyne_density(coherent_nbar1, params, SUCCESS, xs[0])
+    assert grid.shape == xs.shape and np.unique(grid).size == xs.size
+    npt.assert_allclose(row, grid[0], rtol=1e-12)
+    for x, want in ((xs.tolist(), grid), (tuple(map(tuple, xs)), grid),
+                    (xs[0].tolist(), row), (tuple(xs[0]), row)):
+        got = homodyne_density(coherent_nbar1, params, SUCCESS, x)
+        assert isinstance(got, np.ndarray) and got.shape == np.shape(x)
+        npt.assert_array_equal(got, want)
+    one = homodyne_density(coherent_nbar1, params, SUCCESS, [1.0])
+    assert one.shape == (1,) and one[0] == pytest.approx(row[1], rel=1e-12)
+    for x in (np.array(1.0), 1.0, np.float64(1.0)):
+        got = homodyne_density(coherent_nbar1, params, SUCCESS, x)
+        assert isinstance(got, float) and got == one[0]
 
 
 def test_homodyne_distribution_normalized(squeezed_nbar1):
@@ -116,7 +137,14 @@ def test_impossible_branch_distribution_is_empty_weighted(vacuum):
     npt.assert_allclose(dist.masses, [0.0, 1.0], atol=1e-14)
 
 
-STANDARD_POINTS = [NlaParams(g=g, p=p) for g in STANDARD_GAINS for p in STANDARD_THRESHOLDS]
+STANDARD_BATCH = NlaParams(g=np.repeat(STANDARD_GAINS, len(STANDARD_THRESHOLDS)),
+                           p=np.tile(STANDARD_THRESHOLDS, len(STANDARD_GAINS)))
+STANDARD_POINTS = points_of(STANDARD_BATCH)
+
+
+def _head(count):
+    """The first ``count`` standard points, as a batch."""
+    return NlaParams(g=STANDARD_BATCH.g[:count], p=STANDARD_BATCH.p[:count])
 
 
 def _complex_fisher_integral(dim, rows):
@@ -150,7 +178,7 @@ def test_stacked_detectors_equal_one_point_at_a_time(kind, nbar):
     probe = ProbeSpec.from_nbar(kind, nbar).build()
     assert len(STANDARD_POINTS) > ROW_CHUNK
     for branch in BRANCHES:
-        stacked = fi_homodyne(probe, STANDARD_POINTS, branch)
+        stacked = fi_homodyne(probe, STANDARD_BATCH, branch)
         assert stacked.shape == (len(STANDARD_POINTS),)
         for value, params in zip(stacked, STANDARD_POINTS):
             assert value == pytest.approx(fi_homodyne(probe, params, branch), rel=1e-12)
@@ -159,14 +187,14 @@ def test_stacked_detectors_equal_one_point_at_a_time(kind, nbar):
             assert value == pytest.approx(
                 _complex_fisher_integral(probe.dim, [(cond, slope)]), rel=1e-12
             )
-        dists = homodyne_distribution(probe, STANDARD_POINTS, branch)
+        dists = homodyne_distribution(probe, STANDARD_BATCH, branch)
         for dist, params in zip(dists, STANDARD_POINTS):
             one = homodyne_distribution(probe, params, branch)
             # near a node of the field the density is a cancellation residue
             npt.assert_allclose(dist.masses, one.masses, rtol=1e-12, atol=1e-15 * one.masses.max())
             assert dist.total() == pytest.approx(one.total(), rel=1e-12)
-        counted = fi_photon_counting(probe, STANDARD_POINTS, branch)
-        dists = photon_counting_dist(probe, STANDARD_POINTS, branch)
+        counted = fi_photon_counting(probe, STANDARD_BATCH, branch)
+        dists = photon_counting_dist(probe, STANDARD_BATCH, branch)
         assert counted.shape == (len(STANDARD_POINTS),) and len(dists) == len(STANDARD_POINTS)
         for value, dist, params in zip(counted, dists, STANDARD_POINTS):
             assert value == pytest.approx(fi_photon_counting(probe, params, branch), rel=1e-12)
@@ -178,7 +206,7 @@ def test_stacked_detectors_equal_one_point_at_a_time(kind, nbar):
             ref_dm = 2.0 * (np.conj(cond) * slope).real
             assert value == pytest.approx(_counting_sum([(masses, ref_dm)]), rel=1e-12)
     for detector in (HOMODYNE, PHOTON_COUNTING):
-        stacked = sequential_fi(probe, STANDARD_POINTS, detector)
+        stacked = sequential_fi(probe, STANDARD_BATCH, detector)
         for value, params in zip(stacked, STANDARD_POINTS):
             assert value == pytest.approx(sequential_fi(probe, params, detector), rel=1e-12)
             e = [kraus_diagonal(params, b, probe.dim) for b in BRANCHES]
@@ -195,19 +223,19 @@ def test_stacked_detectors_equal_one_point_at_a_time(kind, nbar):
 def test_impossible_branch_in_a_batch_names_the_point():
     # |1> can fail below a threshold of 2, but never at threshold 1
     one = FockVector([0.0, 1.0])
-    points = [NlaParams(g=2.0, p=2), NlaParams(g=2.0, p=1)]
-    assert fi_photon_counting(one, points[:1], FAILURE).shape == (1,)
+    points = NlaParams(g=[2.0, 2.0], p=[2, 1])
+    assert fi_photon_counting(one, NlaParams(g=[2.0], p=2), FAILURE).shape == (1,)
     for function in (photon_counting_dist, fi_photon_counting, fi_homodyne):
         with pytest.raises(BranchImpossible, match=r"failure branch .* g=2\.0, p=1 \(point 1\)"):
             function(one, points, FAILURE)
     with pytest.raises(BranchImpossible, match=r"p=1 \(point 0\)"):
-        conditional_state(one, points[1], FAILURE)
+        conditional_state(one, NlaParams(g=2.0, p=1), FAILURE)
 
 
 def test_stacked_homodyne_of_a_complex_probe_uses_both_quadrature_parts():
     probe = FockVector([0.6, 0.5j, 0.3 + 0.4j, -0.2]).normalized()
     for branch in BRANCHES:
-        stacked = fi_homodyne(probe, STANDARD_POINTS, branch, allow_complex=True)
+        stacked = fi_homodyne(probe, STANDARD_BATCH, branch, allow_complex=True)
         for value, params in zip(stacked, STANDARD_POINTS):
             single = fi_homodyne(probe, params, branch, allow_complex=True)
             assert value == pytest.approx(single, rel=1e-12)
@@ -229,7 +257,7 @@ def _widened_points(monkeypatch, probe):
     The truncated window-0 table is scaled by 1 + 1e-6, which marks every
     value integrated on it.
     """
-    exact = fi_homodyne(probe, STANDARD_POINTS, FAILURE)
+    exact = fi_homodyne(probe, STANDARD_BATCH, FAILURE)
     requested = []
 
     def truncated(dim, widen=0):
@@ -240,7 +268,7 @@ def _widened_points(monkeypatch, probe):
         return grid, wavefunction_matrix(dim, grid.nodes) * (1.0 + 1e-6)
 
     monkeypatch.setattr(measurements, "_grid_and_wavefunctions", truncated)
-    stacked = fi_homodyne(probe, STANDARD_POINTS, FAILURE)
+    stacked = fi_homodyne(probe, STANDARD_BATCH, FAILURE)
     widened = []
     for value, params, reference in zip(stacked, STANDARD_POINTS, exact):
         requested.clear()
@@ -336,7 +364,7 @@ def test_one_pass_fisher_integral_equals_the_two_pass_formula_bit_for_bit(
         one = FockVector(one.amps * np.exp(0.7j))
     # K = 1: the conditional factor rows of each branch
     for branch in BRANCHES:
-        amps, slopes = _conditional_factors(probe, STANDARD_POINTS[:ROW_CHUNK], branch)
+        amps, slopes = _conditional_factors(probe, _head(ROW_CHUNK), branch)
         parts = measurements._basis_parts(probe, amps.shape[1])[1]
         assert len(parts) == 1 + complex_rows
         npt.assert_array_equal(
@@ -345,7 +373,8 @@ def test_one_pass_fisher_integral_equals_the_two_pass_formula_bit_for_bit(
         )
     # K = 2: joint-record rows, and |1> at p = 1, whose failure field is
     # zero, so its density is floored at every node
-    points = STANDARD_POINTS[:ROW_CHUNK // 2 - 1] + [NlaParams(g=2.0, p=1)]
+    head = _head(ROW_CHUNK // 2 - 1)
+    points = NlaParams(g=np.append(head.g, 2.0), p=np.append(head.p, 1))
     amps, slopes = _joint_rows(points, min(probe.dim, 5 + 2))
     assert len(amps) == ROW_CHUNK // 2
     for state in (probe, one):
@@ -433,7 +462,7 @@ def test_homodyne_density_equals_the_conditional_state_formula_on_every_standard
     for probe, points in _standard_and_complex_grids():
         half_width = default_half_width(probe.dim)
         xs = np.linspace(-half_width, half_width, 257)
-        for params in points:
+        for params in points_of(points):
             for branch in BRANCHES:
                 got = homodyne_density(probe, params, branch, xs)
                 want = _conditional_state_density(probe, params, branch, xs)
@@ -503,7 +532,7 @@ def test_fisher_integral_raises_when_the_tail_never_vanishes(monkeypatch, cohere
 
     monkeypatch.setattr(measurements, "_grid_and_wavefunctions", truncated)
     with pytest.raises(RuntimeError, match="tail"):
-        fi_homodyne(coherent_nbar1, STANDARD_POINTS[:3], SUCCESS)
+        fi_homodyne(coherent_nbar1, _head(3), SUCCESS)
 
 
 def _random_probe_stacks(count=100, seed=2024):
@@ -518,7 +547,7 @@ def _random_probe_stacks(count=100, seed=2024):
             amps = amps + 1j * rng.standard_normal(dim)
         ps = np.unique(np.concatenate(([0, dim + 2], rng.integers(0, dim + 3, size=2))))
         gains = np.exp(rng.uniform(math.log(1.001), math.log(30.0), size=ps.size))
-        yield FockVector(amps).normalized(), [NlaParams(g=g, p=int(p)) for g, p in zip(gains, ps)]
+        yield FockVector(amps).normalized(), NlaParams(g=gains, p=ps)
 
 
 def test_basis_kernels_on_random_probes_and_mixed_thresholds():
@@ -528,7 +557,8 @@ def test_basis_kernels_on_random_probes_and_mixed_thresholds():
         dim = probe.dim
         psi = measurements._grid_and_wavefunctions(dim, 0)[1]
         for branch in BRANCHES:
-            stack = points if branch == SUCCESS else [pt for pt in points if pt.p > 0]
+            live = points.p > 0
+            stack = points if branch == SUCCESS else NlaParams(g=points.g[live], p=points.p[live])
             if branch == FAILURE:
                 with pytest.raises(BranchImpossible):
                     fi_homodyne(probe, points, branch, allow_complex=True)
@@ -539,7 +569,7 @@ def test_basis_kernels_on_random_probes_and_mixed_thresholds():
             dists = homodyne_distribution(probe, stack, branch)
             got = np.array([d.masses for d in dists])
             assert np.all(np.abs(got - want) <= 1e-12 * want.max(axis=1, keepdims=True))
-            for value, dist, params in zip(stacked, dists, stack):
+            for value, dist, params in zip(stacked, dists, points_of(stack)):
                 assert value == pytest.approx(
                     fi_homodyne(probe, params, branch, allow_complex=True), rel=1e-12, abs=1e-300
                 )
@@ -549,7 +579,7 @@ def test_basis_kernels_on_random_probes_and_mixed_thresholds():
             amps, slopes = _joint_rows(points, dim, probe.amps)
             stacked = sequential_fi(probe, points, HOMODYNE)
             assert _close(stacked, _dim_row_fisher_integral(dim, amps, slopes))
-            for value, params in zip(stacked, points):
+            for value, params in zip(stacked, points_of(points)):
                 assert value == pytest.approx(sequential_fi(probe, params, HOMODYNE), rel=1e-12)
 
 
@@ -583,25 +613,9 @@ def test_a_global_phase_leaves_the_detector_informations_within_rounding():
         rotated = sequential_fi(phased, points, PHOTON_COUNTING)
         assert np.all(real > 0.0) and _within_eps(rotated, real, PHASE_RECORD_EPS), labels[0]
         # the joint homodyne record takes real amplitudes only
-        assert sequential_fi(probe, points, HOMODYNE).shape == (len(points),)
+        assert sequential_fi(probe, points, HOMODYNE).shape == (points.g.size,)
         with pytest.raises(ComplexProbeUnsupported):
             sequential_fi(phased, points, HOMODYNE)
-
-
-def test_measurement_functions_over_a_batch_equal_the_sequence_form_bit_for_bit():
-    for probe, labels, batch in list(standard_probe_grids())[::3]:
-        points = list(batch)
-        for branch in BRANCHES:
-            for fn in (fi_photon_counting, fi_homodyne):
-                npt.assert_array_equal(fn(probe, batch, branch), fn(probe, points, branch))
-            for fn in (photon_counting_dist, homodyne_distribution):
-                got, want = fn(probe, batch, branch), fn(probe, points, branch)
-                assert len(got) == len(points)
-                for a, b in zip(got, want, strict=True):
-                    npt.assert_array_equal(a.masses, b.masses)
-        for detector in (PHOTON_COUNTING, HOMODYNE):
-            npt.assert_array_equal(sequential_fi(probe, batch, detector),
-                                   sequential_fi(probe, points, detector))
 
 
 def test_homodyne_density_refuses_a_batch(coherent_nbar1):
@@ -609,4 +623,4 @@ def test_homodyne_density_refuses_a_batch(coherent_nbar1):
     with pytest.raises(ValueError, match="one operating point"):
         homodyne_density(coherent_nbar1, batch, SUCCESS, np.linspace(-1, 1, 5))
     # a batch of one is still a batch: one distribution per point, in a list
-    assert len(photon_counting_dist(coherent_nbar1, batch[:1], SUCCESS)) == 1
+    assert len(photon_counting_dist(coherent_nbar1, NlaParams(g=[1.5], p=3), SUCCESS)) == 1

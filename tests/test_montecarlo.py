@@ -531,7 +531,7 @@ def _blockwise_surface_reference(p, stats, gains):
     for branch, parts in ((SUCCESS, stats.success), (FAILURE, stats.failure)):
         if parts is None:
             continue
-        e = kraus_diagonal([NlaParams(g=g, p=p) for g in gains], branch, parts[0].shape[0])
+        e = kraus_diagonal(NlaParams(g=gains, p=p), branch, parts[0].shape[0])
         for start in range(0, gains.size, block):
             fields = [e[start:start + block] @ part for part in parts]
             for i, row in enumerate(zip(*fields), start):

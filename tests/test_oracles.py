@@ -9,6 +9,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from conftest import points_of
 
 import nlametro
 from nlametro import cli, fisher, instrument, measurements, oracles, selfcheck
@@ -17,6 +18,7 @@ from nlametro.instrument import (
     BRANCHES,
     FAILURE,
     SUCCESS,
+    MeterBatch,
     MeterState,
     NlaParams,
     branch_probability_derivative,
@@ -89,6 +91,8 @@ DROPPED_NAMES = (
 # Test-only names that left the package modules, and the oracle helpers
 # that built a Kraus pair of their own beside KrausImageFD.
 DROPPED_MODULE_NAMES = {
+    "instrument": ("conditional_state_derivative", "Points"),
+    "fisher": ("Meters", "_imbalances"),
     "montecarlo": ("crb_for_strategy", "_discrete_sampler", "mle_estimate", "sample_shots"),
     "measurements": ("photon_counting_mass_derivative",),
     "oracles": ("_point_arrays", "_mass_slopes", "_image_slope_and_sum", "_coupling_fd",
@@ -227,11 +231,11 @@ def test_kraus_fd_zero_and_validation(vacuum, g2p1, two_level):
     with pytest.raises(ValueError, match="unit gain"):
         KrausImageFD(vacuum, NlaParams(g=1.0004, p=1), 1e-3)
     # one probe, or one per point; one meter, or one per point
-    points = [g2p1, NlaParams(g=3.0, p=2)]
+    points = NlaParams(g=[2.0, 3.0], p=[1, 2])
     with pytest.raises(ValueError, match="1 probes for 2 points"):
         KrausImageFD([vacuum], points)
-    with pytest.raises(ValueError, match="3 meters for 2 points"):
-        KrausImageFD(two_level, points).pure([MeterState.trivial()] * 3)
+    with pytest.raises(ValueError, match=r"meters of shape \(3,\) for 2 points"):
+        KrausImageFD(two_level, points).pure(MeterBatch(np.zeros(3), np.ones(3)))
 
 
 def test_fd_pure_zero_for_constant_family():
@@ -325,7 +329,7 @@ def test_joint_fi_direct_never_reaches_the_library_homodyne_kernels(monkeypatch)
         (ProbeSpec.from_nbar("coherent", 1.0).build(), NlaParams(g=2.0, p=3)),
     ]
     standard = [
-        (probe, points[i])
+        (probe, points_of(points)[i])
         for (probe, _, points), i in zip(standard_probe_grids(), (0, 12, 24, 34))
     ]
     cases = [(probe, params, qfi_effective_closed_form(probe, params))
@@ -396,7 +400,7 @@ def oracle_suite():
         return original_gram(x, *args)
 
     def counted_joint(probe, params, meters):
-        joint.append(len(params))
+        joint.append(params.g.size)
         return original_joint(probe, params, meters)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -467,7 +471,7 @@ def test_meter_suite_computes_one_coupling_term_per_point(monkeypatch):
     original = fisher.meter_coupling_term
 
     def counted(probe, params):
-        calls.append(len(params))
+        calls.append(params.g.size)
         return original(probe, params)
 
     monkeypatch.setattr(fisher, "meter_coupling_term", counted)
@@ -498,12 +502,12 @@ def test_worst_of_an_error_array_is_the_first_largest_in_row_major_order():
 
 
 # The rows whose analytic side is qfi_joint_meter, and the meters that
-# reach it there: a list of MeterState per probe from the oracle suite, and
-# from the meter suite a MeterBatch of 50 random then 4 real-phase meters
-# per point.
+# reach it there: a MeterBatch of one meter per point from the oracle suite,
+# and from the meter suite a MeterBatch of 50 random then 4 real-phase
+# meters per point.
 NAN_ROWS = {
     "joint QFI with generic meters": lambda meters, q: (
-        np.full_like(q, np.nan) if isinstance(meters, list) else q),
+        np.full_like(q, np.nan) if meters.alpha.ndim == 1 else q),
     "joint QFI <= q_eff over random meters": lambda meters, q: (
         np.where(np.arange(q.shape[-1]) < 50, np.nan, q) if q.ndim == 2 else q),
     "joint QFI equals q_eff when Im[alpha conj(beta)] = 0": lambda meters, q: (
@@ -527,13 +531,13 @@ def test_selfcheck_fails_a_row_whose_analytic_side_is_nan(monkeypatch, capsys, r
 
 # The KrausImageFD view behind each oracle-suite row, told apart by its
 # method and arguments: a branch, the trivial meter, the Bures default and
-# a list of one meter per point.
+# a batch of one meter per point.
 ORACLE_VIEWS = {
     "q_s": ("pure", lambda view: view == SUCCESS),
     "q_f": ("pure", lambda view: view == FAILURE),
     "q_eff": ("pure", lambda view: isinstance(view, MeterState)),
     "q_unc": ("bures", lambda: True),
-    "meter": ("pure", lambda view: isinstance(view, list)),
+    "meter": ("pure", lambda view: isinstance(view, MeterBatch)),
 }
 
 
@@ -642,10 +646,8 @@ def test_image_oracle_views_never_call_the_instrument_kernel(monkeypatch):
     assert {"nlametro.instrument", "nlametro.fisher"} <= set(patched)
     with pytest.raises(AssertionError, match="_kraus_pair reached"):
         instrument.kraus_diagonal(NlaParams(g=2.0, p=1), SUCCESS, 3)
-    grids = list(standard_probe_grids())
-    probes = [probe for probe, _, points in grids for _ in points]
-    points = [params for _, _, grid_points in grids for params in grid_points]
-    assert len(points) == 280
+    probes, points = _standard_grid()
+    assert points.g.size == 280
     fd = KrausImageFD(probes, points, oracles.DEFAULT_QFI_STEP)
     views = [fd.pure(SUCCESS), fd.pure(FAILURE), fd.pure(MeterState.trivial()), fd.bures(),
              fd.mass_slopes(), fd.probability_slope(SUCCESS), fd.probability_slope(FAILURE),
@@ -713,8 +715,9 @@ def test_gain_independent_families_read_exactly_zero(kind, vacuum):
     # Bures trace, at the default step and at 1e-6, pass exact zeros through sqrt.
     probe = ProbeSpec.from_nbar(kind, 1.0).build()
     constant = [1, 2] if kind == "squeezed-vacuum" else [1]
-    points = [NlaParams(g=g, p=p) for g in STANDARD_GAINS for p in constant]
-    vacuum_points = [NlaParams(g=g, p=p) for g in STANDARD_GAINS for p in STANDARD_THRESHOLDS]
+    points = NlaParams(g=np.repeat(STANDARD_GAINS, len(constant)),
+                       p=np.tile(constant, len(STANDARD_GAINS)))
+    vacuum_points = next(standard_probe_grids())[2]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert not KrausImageFD(probe, points).pure(FAILURE).any()
@@ -724,13 +727,20 @@ def test_gain_independent_families_read_exactly_zero(kind, vacuum):
         assert not KrausImageFD(vacuum, vacuum_points, 1e-6).bures().any()
 
 
+def _standard_grid():
+    """The 280 standard points as one batch, with one probe per point."""
+    grids = list(standard_probe_grids())
+    probes = [probe for probe, _, points in grids for _ in range(points.g.size)]
+    points = NlaParams(g=np.concatenate([pts.g for *_, pts in grids]),
+                       p=np.concatenate([pts.p for *_, pts in grids]))
+    return probes, points
+
+
 def _grid_meters(count):
     rng = np.random.default_rng(11)
-    meters = []
-    for z in rng.standard_normal((count, 4)):
-        nrm = math.sqrt(z @ z)
-        meters.append(MeterState(complex(z[0], z[1]) / nrm, complex(z[2], z[3]) / nrm))
-    return meters
+    z = rng.standard_normal((count, 4))
+    amps = z.view(np.complex128) / np.linalg.norm(z, axis=1, keepdims=True)
+    return MeterBatch(amps[:, 0], amps[:, 1])
 
 
 def _views(fd, meter):
@@ -751,30 +761,29 @@ def test_batched_image_build_equals_single_point_builds_bit_for_bit(monkeypatch)
     # build of its own for every point, in every view; no view may reach an
     # analytic path
     _bar_analytic_paths(monkeypatch)
-    labels, probes, points = zip(*(
-        (label, probe, params)
-        for probe, grid_labels, grid_points in standard_probe_grids()
-        for label, params in zip(grid_labels, grid_points)
-    ))
-    meters = _grid_meters(len(points))
+    labels = [label for _, grid_labels, _ in standard_probe_grids() for label in grid_labels]
+    probes, points = _standard_grid()
+    meters = _grid_meters(points.g.size)
     grid = KrausImageFD(probes, points)
     batched, slopes = _views(grid, meters), grid.mass_slopes()
-    for i, (label, probe, params) in enumerate(zip(labels, probes, points)):
+    for i, (label, probe, params) in enumerate(zip(labels, probes, points_of(points))):
         single = KrausImageFD(probe, params)
-        assert _views(single, meters[i]) == [float(values[i]) for values in batched], label
+        meter = MeterState(meters.alpha[i], meters.beta[i])
+        assert _views(single, meter) == [float(values[i]) for values in batched], label
         assert _same_slopes(slopes[i], single.mass_slopes()[0]), label
     # the joint-record FI takes its slopes from the same kind of build
     for detector in ("photon-counting", "homodyne"):
-        assert joint_fi_direct(probes[0], points[0], detector) > 0.0
+        assert joint_fi_direct(probes[0], points_of(points)[0], detector) > 0.0
     # one probe for a probe's 35 points gives the same numbers
     start = 0
     for probe, _, grid_points in standard_probe_grids():
-        stop = start + len(grid_points)
+        part = slice(start, start + grid_points.g.size)
         fd = KrausImageFD(probe, grid_points)
-        for values, whole in zip(_views(fd, meters[start:stop]), batched):
-            assert values.tolist() == whole[start:stop].tolist()
-        assert _same_slopes(slopes[start:stop], fd.mass_slopes())
-        start = stop
+        for values, whole in zip(_views(fd, MeterBatch(meters.alpha[part], meters.beta[part])),
+                                 batched):
+            assert values.tolist() == whole[part].tolist()
+        assert _same_slopes(slopes[part], fd.mass_slopes())
+        start = part.stop
 
 
 def _image_fd_reference(probe, params, dg, view=None, branches=None, dps=50):
@@ -824,13 +833,13 @@ def test_image_fd_matches_a_50_digit_reference(kind, p):
     # double-double carries ~32 digits; the smallest deficit on the grid
     # (~4e-17 at dg=1e-4) leaves about 14 of them in the information
     probe = ProbeSpec.from_nbar(kind, 1.0).build()
-    points = [NlaParams(g=g, p=p) for g in (1.05, 2.0, 6.0)]
-    fd = KrausImageFD(probe, points)
+    batch = NlaParams(g=[1.05, 2.0, 6.0], p=p)
+    fd = KrausImageFD(probe, batch)
     for view in (SUCCESS, FAILURE, MeterState.trivial(), QUARTER_METER):
-        for params, value in zip(points, fd.pure(view)):
+        for params, value in zip(points_of(batch), fd.pure(view)):
             want = float(_image_fd_reference(probe, params, 1e-4, view=view))
             assert value == pytest.approx(want, rel=1e-14, abs=0.0), (params, view)
-    for params, value in zip(points, fd.bures()):
+    for params, value in zip(points_of(batch), fd.bures()):
         want = float(_image_fd_reference(probe, params, 1e-4, branches=BRANCHES))
         assert value == pytest.approx(want, rel=1e-14, abs=0.0), params
 
@@ -869,20 +878,35 @@ def test_identity_suite_makes_a_fixed_number_of_kernel_calls_per_probe(monkeypat
              "kraus_diagonal_derivative", "branch_probability", "branch_probability_derivative")
     for name in names:
         count(name)
-    for name in ("conditional_state", "conditional_state_derivative"):
-        monkeypatch.setattr(instrument, name, forbidden)
+    monkeypatch.setattr(instrument, "conditional_state", forbidden)
     results = check_identity_suite(standard_breakdowns())
     assert all(r.passed for r in results)
     probes = len(selfcheck.STANDARD_KINDS) * len(selfcheck.STANDARD_NBARS)
     assert calls == {name: (1 if name == "completeness_defect" else 2) * probes for name in names}
 
 
-def test_oracle_views_over_a_batch_equal_the_sequence_form_and_one_point_stays_one():
+def test_oracle_views_of_one_point_are_floats_and_joint_fi_direct_refuses_a_batch():
     probe, _, batch = next(standard_probe_grids())
-    grid, seq = KrausImageFD(probe, batch), KrausImageFD(probe, list(batch))
-    for view in (SUCCESS, FAILURE, MeterState.trivial()):
-        assert np.array_equal(grid.pure(view), seq.pure(view))
-    assert np.array_equal(grid.bures(), seq.bures())
-    assert isinstance(KrausImageFD(probe, batch[0]).bures(), float)
+    one = KrausImageFD(probe, points_of(batch)[0])
+    assert isinstance(one.bures(), float) and isinstance(one.pure(MeterState.trivial()), float)
     with pytest.raises(ValueError, match="one operating point"):
         joint_fi_direct(probe, batch, "photon-counting")
+
+
+def test_image_fd_takes_one_meter_for_all_points_or_a_batch_of_one_per_point():
+    probe, _, batch = next(standard_probe_grids())
+    fd = KrausImageFD(probe, batch)
+    meters = _grid_meters(batch.g.size)
+    per_point = fd.pure(meters)
+    for i in range(batch.g.size):
+        meter = MeterState(meters.alpha[i], meters.beta[i])
+        assert per_point[i] == fd.pure(meter)[i]
+        assert per_point[i] == fd.pure(MeterBatch(meters.alpha[i:i + 1], meters.beta[i:i + 1]))[i]
+    with pytest.raises(TypeError, match="MeterState or a MeterBatch"):
+        fd.pure([MeterState(a, b) for a, b in zip(meters.alpha, meters.beta)])
+    with pytest.raises(TypeError, match="MeterState or a MeterBatch"):
+        KrausImageFD(probe, points_of(batch)[0]).pure([MeterState.trivial()])
+    for wrong in (MeterBatch(meters.alpha[:2], meters.beta[:2]),
+                  MeterBatch(meters.alpha[:, None], meters.beta[:, None])):
+        with pytest.raises(ValueError, match=f"for {batch.g.size} points"):
+            fd.pure(wrong)
