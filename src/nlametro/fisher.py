@@ -25,7 +25,7 @@ zero-padded to the stack's largest ``p``.  ``q_unc`` is the QFI of the
 rank-<=2 output ``A A^+``, from a QR factorisation of this ``(p+2) x 2``
 matrix and an SVD of its 2x2 triangular factor, batched over the whole
 stack, with the rank read off the images' structure; the tests compare it
-with the dense :func:`nlametro.dense.qfi_mixed`.
+with the dense ``qfi_mixed`` of ``tests/dense.py``.
 
 Every function takes one :class:`~nlametro.instrument.NlaParams`: one
 point or a batch (an array of gains, thresholds mixed), which
@@ -91,11 +91,6 @@ class FisherBreakdown:
 
     def component_sum(self) -> float | np.ndarray:
         return self.ps_qs + self.pf_qf + self.f_c
-
-    def points(self) -> list["FisherBreakdown"]:
-        """One breakdown of floats per point of a breakdown of arrays."""
-        columns = [np.atleast_1d(getattr(self, f.name)) for f in dataclasses.fields(self)]
-        return [FisherBreakdown(*row) for row in np.stack(columns, axis=1).tolist()]
 
 
 def _images(probe: FockVector, g: np.ndarray, p: np.ndarray):
@@ -355,7 +350,7 @@ def qfi_joint_meter(
     the 4(<d|d> - |<psi|d>|^2) QFI convention and is confirmed against the
     Kraus-image fidelity oracle :class:`~nlametro.oracles.KrausImageFD`,
     whose joint-state contraction a test ties to the explicitly built
-    :func:`nlametro.dense.joint_state`.)
+    ``joint_state`` of ``tests/dense.py``.)
 
     ``meters`` is one :class:`MeterState` or a :class:`MeterBatch`; anything
     else, a list of meters among them, raises ``TypeError``.  At one

@@ -12,7 +12,7 @@ oscillatory integrand any consumer forms, to 1 within
 on a known integral, and the doubling shows that the grid is in the
 geometric convergence of the Gauss-Legendre panels.
 :class:`DensityOperator`, a Hermitian matrix in the same basis, is only
-built by the dense test references in :mod:`nlametro.dense`; the package
+built by the dense test references in ``tests/dense.py``; the package
 itself works on pure states and Kraus images.
 """
 

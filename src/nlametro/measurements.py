@@ -12,7 +12,8 @@ the latter through its own code path so it can arbitrate the identity
 Every function takes one operating point or a batch of them
 (:class:`~nlametro.instrument.NlaParams`), whose thresholds may differ, and
 evaluates all points as one stack of rows, except :func:`homodyne_density`,
-which takes one point and any outcomes.  Photon
+which takes one point and any outcomes.  A batch's outcome distribution is
+one :class:`OutcomeDistribution` with a row of masses per point.  Photon
 counting takes the conditional amplitudes and slopes from one call of the
 instrument kernel ``_conditional_rows``, and the joint-record rows ``E_i c``
 of both branches and their slopes from one ``_kraus_pair`` call.
@@ -90,12 +91,14 @@ class ComplexProbeUnsupported(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class OutcomeDistribution:
-    """Outcome distribution of one detector on one branch.
+    """Outcome distribution of one detector on one branch, at one point or a batch.
 
     For photon counting, ``support`` holds the Fock levels and ``masses``
     their probabilities.  For homodyne, ``support`` holds quadrature nodes,
     ``masses`` the density there, and ``weights`` the quadrature weights that
-    integrate it (sum(masses * weights) = 1).
+    integrate it (sum(masses * weights) = 1).  ``masses`` is 1-D at one
+    operating point and ``(G, K)`` for a batch of ``G`` points, one row per
+    point on the shared ``support``.
 
     Every array is read-only: a read-only float64 array is kept as it is (so
     homodyne distributions share their grid's ``nodes`` and ``weights``),
@@ -119,30 +122,32 @@ class OutcomeDistribution:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def total(self) -> float:
-        if self.weights is None:
-            return float(self.masses.sum())
-        return float(np.dot(self.weights, self.masses))
+    def total(self) -> float | np.ndarray:
+        """The total mass: a float for 1-D masses, one per row for a batch.
+
+        Rows are summed one at a time, so a row's total is bit for bit that
+        of a 1-D distribution with its masses (one product of the whole
+        batch against the weights may round differently).
+        """
+        totals = np.array([row.sum() if self.weights is None else np.dot(self.weights, row)
+                           for row in np.atleast_2d(self.masses)])
+        return float(totals[0]) if self.masses.ndim == 1 else totals
 
 
 # ---------------------------------------------------------------------------
 # Photon counting
 # ---------------------------------------------------------------------------
 
-def photon_counting_dist(
-    probe: FockVector, params: NlaParams, branch: str
-) -> OutcomeDistribution | list[OutcomeDistribution]:
+def photon_counting_dist(probe: FockVector, params: NlaParams, branch: str) -> OutcomeDistribution:
     """Photon-number distribution of the normalized conditional state.
 
-    ``params`` is one operating point, giving one distribution, or a batch,
-    giving a list.
+    ``params`` is one operating point, giving 1-D masses, or a batch of
+    ``G``, giving ``(G, dim)`` masses, one row per point.
     """
     masses = np.abs(_conditional_rows(probe, params, branch)[0]) ** 2
-    support = np.arange(probe.dim, dtype=float)
-    for arr in (masses, support):
-        arr.setflags(write=False)
-    dists = [OutcomeDistribution(PHOTON_COUNTING, branch, support, row) for row in masses]
-    return dists[0] if _is_point(params) else dists
+    masses.setflags(write=False)
+    return OutcomeDistribution(PHOTON_COUNTING, branch, np.arange(probe.dim, dtype=float),
+                               masses[0] if _is_point(params) else masses)
 
 
 def _counting_fi(amps: np.ndarray, slopes: np.ndarray) -> np.ndarray:
@@ -252,13 +257,12 @@ def homodyne_density(probe: FockVector, params: NlaParams, branch: str, x) -> np
     return float(dens[0]) if xa.ndim == 0 else dens.reshape(xa.shape)
 
 
-def homodyne_distribution(
-    probe: FockVector, params: NlaParams, branch: str
-) -> OutcomeDistribution | list[OutcomeDistribution]:
+def homodyne_distribution(probe: FockVector, params: NlaParams, branch: str) -> OutcomeDistribution:
     """Conditional homodyne density tabulated on the adaptive grid.
 
-    ``params`` is one operating point, giving one distribution, or a batch,
-    giving a list.  The real Kraus factors of all points
+    ``params`` is one operating point, giving 1-D masses, or a batch of
+    ``G``, giving ``(G, nodes)`` masses, one row per point.  The real Kraus
+    factors of all points
     (:func:`~nlametro.instrument._conditional_factors`) are multiplied
     against the probe's window-0 basis of ``min(dim, max p + 2)`` rows
     (:func:`_basis_parts`), ``ROW_CHUNK`` rows at a time; each density
@@ -266,21 +270,11 @@ def homodyne_distribution(
     """
     factors = _conditional_factors(probe, params, branch)[0]
     grid, parts = _basis_parts(probe, factors.shape[1])
-    dists = []
-    for start in range(0, len(factors), ROW_CHUNK):
-        masses = sum(f * f for f in _fields(factors[start:start + ROW_CHUNK], parts))
-        masses.setflags(write=False)
-        dists.extend(
-            OutcomeDistribution(
-                kind=HOMODYNE,
-                branch=branch,
-                support=grid.nodes,
-                masses=row,
-                weights=grid.weights,
-            )
-            for row in masses
-        )
-    return dists[0] if _is_point(params) else dists
+    masses = np.concatenate([sum(f * f for f in _fields(factors[start:start + ROW_CHUNK], parts))
+                             for start in range(0, len(factors), ROW_CHUNK)])
+    masses.setflags(write=False)
+    return OutcomeDistribution(HOMODYNE, branch, grid.nodes,
+                               masses[0] if _is_point(params) else masses, grid.weights)
 
 
 def _fisher_integral(probe: FockVector, amps: np.ndarray, slopes: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ then, for each recorded branch that fired in any replication, every
 replication's per-level counts ``Multinomial(n, masses)``, with ``n`` the
 array of that branch's shots.  These counts have the distribution of the
 ``bincount`` of the per-shot inverse-CDF draw of
-:func:`nlametro.dense.sample_shots`, the test reference, but they are not
+``sample_shots`` in ``tests/dense.py``, the test reference, but they are not
 the same integers.  No count summarises homodyne quadratures, so homodyne
 replications are drawn one after another from the same stream, and each is
 estimated before the next is drawn.  A branch's homodyne outcomes come in

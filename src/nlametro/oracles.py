@@ -50,7 +50,7 @@ closed forms of :mod:`~nlametro.fisher`, nor the Kraus kernel
 :func:`~nlametro.instrument._kraus_pair`, which a test makes raise in every
 namespace while the views score the grid.  The double-precision finite
 differences of whole state vectors that the tests compare these oracles
-against live in :mod:`nlametro.dense`, which no package module imports.
+against live in ``tests/dense.py``, outside the package.
 """
 
 from __future__ import annotations
@@ -461,7 +461,7 @@ class KrausImageFD:
         """``(m, y)`` of the meter metric ``[[m, i y], [-i y, m]]`` of the joint state.
 
         The joint state of the unitary dilation, which the test reference
-        :func:`nlametro.dense.joint_state` builds explicitly, for a meter
+        ``joint_state`` (``tests/dense.py``) builds explicitly, for a meter
         ``alpha|s> + beta|f>`` is
         ``a_s (x) (beta|s> - alpha|f>) + a_f (x) (alpha|s> + beta|f>)``, so
         ``m = |alpha|^2 + |beta|^2`` and ``y = 2 Im(alpha conj(beta))``.

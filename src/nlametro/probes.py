@@ -155,17 +155,23 @@ def load_custom_probe(path) -> tuple[FockVector, float]:
     """Load a custom probe from JSON: an array of ``[re, im]`` pairs.
 
     The amplitudes are normalized on load; the returned float is the norm of
-    the raw input (the applied correction factor).
+    the raw input (the applied correction factor).  Each part must be a JSON
+    number that fits a double: a string, a boolean or an integer beyond the
+    double range raises ``ValueError`` naming the amplitude's index.
     """
     text = pathlib.Path(path).read_text(encoding="utf-8")
     data = json.loads(text)
     if not isinstance(data, list) or not data:
         raise ValueError("custom probe file must contain a non-empty array")
     amps = []
-    for entry in data:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ValueError("each amplitude must be a [re, im] pair")
-        amps.append(complex(float(entry[0]), float(entry[1])))
+    for index, entry in enumerate(data):
+        if not (isinstance(entry, list) and len(entry) == 2
+                and all(type(x) in (int, float) for x in entry)):
+            raise ValueError(f"amplitude {index} must be a [re, im] pair of JSON numbers")
+        try:
+            amps.append(complex(float(entry[0]), float(entry[1])))
+        except OverflowError:
+            raise ValueError(f"amplitude {index} does not fit a double") from None
     return custom_probe(amps)
 
 

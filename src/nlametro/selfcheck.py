@@ -13,9 +13,10 @@ Five suites, each returning one :class:`CheckResult` row per invariant:
 * meter        — the joint-QFI inequality over random meter states.
 
 The standard grid is 2 probe families x 4 energies x 7 gains x 5 thresholds
-= 280 operating points, 35 per probe.  :func:`run_all` computes the
-information budget of each point once (:func:`standard_breakdowns`) and
-passes it to the identity, oracle and detector suites.
+= 280 operating points, 35 per probe.  :func:`run_all` computes each
+probe's information budget once, one :class:`~nlametro.fisher.FisherBreakdown`
+of arrays (:func:`standard_grids`), and passes it to the identity, oracle,
+detector and meter suites, which read its arrays.
 
 The oracle suite scores its five rows (``q_s``, ``q_f``, ``q_eff`` through
 the trivial meter, ``q_unc`` and a generic meter) on the Kraus-image Gram
@@ -32,8 +33,9 @@ The suites evaluate on stacks of operating points, each number still coming
 from the library function it checks, and score each row's errors as one
 array.  Every library function takes a probe's 35 operating points, of all
 five thresholds, in one call, as one batch
-(:class:`~nlametro.instrument.NlaParams` with an array of gains).  The
-budgets come from one ``qfi_effective`` call per probe.  The identity rows
+(:class:`~nlametro.instrument.NlaParams` with an array of gains), and a
+batch's outcome distribution is one object with a row of masses per point.
+The budgets come from one ``qfi_effective`` call per probe.  The identity rows
 pass the points to one ``completeness_defect`` call and to one call per
 branch of ``kraus_diagonal``, ``kraus_diagonal_derivative``,
 ``branch_probability`` and ``branch_probability_derivative``, and take the
@@ -150,18 +152,20 @@ def standard_probe_grids():
         yield probe, labels, NlaParams(g=g, p=p)
 
 
-def standard_breakdowns() -> dict[str, FisherBreakdown]:
-    """The information budget of each standard operating point, by label.
+ProbeGrid = tuple[FockVector, list[str], NlaParams, FisherBreakdown]
 
-    One :func:`~nlametro.fisher.qfi_effective` call per probe covers its 35
-    operating points, thresholds mixed.  :func:`run_all` computes the budgets
-    once per pass and hands them to the identity, oracle and detector
-    suites; nothing is cached between calls.
+
+def standard_grids() -> list[ProbeGrid]:
+    """(probe, labels, params, budget) per standard probe.
+
+    The budget of a probe's 35 operating points, thresholds mixed, comes from
+    one :func:`~nlametro.fisher.qfi_effective` call, as arrays.
+    :func:`run_all` builds the grids once per pass and hands them to the
+    identity, oracle, detector and meter suites; nothing is cached between
+    calls.
     """
-    out = {}
-    for probe, labels, points in standard_probe_grids():
-        out.update(zip(labels, qfi_effective(probe, points).points()))
-    return out
+    return [(probe, labels, points, qfi_effective(probe, points))
+            for probe, labels, points in standard_probe_grids()]
 
 
 class _Worst:
@@ -229,10 +233,10 @@ def _branch_labels(labels: list[str], suffixes) -> list[str]:
 # Identity suite
 # ---------------------------------------------------------------------------
 
-def check_identity_suite(breakdowns: dict[str, FisherBreakdown]) -> list[CheckResult]:
+def check_identity_suite(grids: list[ProbeGrid]) -> list[CheckResult]:
     """Exact algebraic identities across the standard grid.
 
-    ``breakdowns`` is :func:`standard_breakdowns`.  Each ``instrument``
+    ``grids`` is :func:`standard_grids`.  Each ``instrument``
     function takes a probe's 35 operating points, thresholds mixed, in one
     call (per branch), and the conditional states and their slopes come from
     one ``_conditional_rows`` call per branch.
@@ -246,7 +250,7 @@ def check_identity_suite(breakdowns: dict[str, FisherBreakdown]) -> list[CheckRe
     breakdown_identity = _Worst()
     unc_trace = _Worst()
     hierarchy_slack = _Worst()
-    for probe, labels, points in standard_probe_grids():
+    for probe, labels, points, bd in grids:
         dim = probe.dim
         completeness.update(completeness_defect(points, dim), labels)
         es, ef = (kraus_diagonal(points, b, dim) for b in BRANCHES)
@@ -266,14 +270,12 @@ def check_identity_suite(breakdowns: dict[str, FisherBreakdown]) -> list[CheckRe
             overlaps.append(np.abs(np.sum(amps.conj() * damps, axis=1)))
         cond_norm.update(np.transpose(norms), branch_labels)
         orthogonality.update(np.transpose(overlaps), branch_labels)
-        bd = np.array([[b.q_eff, b.component_sum(), b.ps_qs, b.q_unc]
-                       for b in (breakdowns[label] for label in labels)])
-        q_eff, total, ps_qs, q_unc = bd.T
-        scale = np.maximum(q_eff, NUMERICAL_ZERO)
-        breakdown_identity.update(np.abs(q_eff - total) / scale, labels)
+        scale = np.maximum(bd.q_eff, NUMERICAL_ZERO)
+        breakdown_identity.update(np.abs(bd.q_eff - bd.component_sum()) / scale, labels)
         # one-sided bounds, scored as relative overshoot
-        hierarchy_slack.update(np.stack([np.maximum(ps_qs - q_eff, 0.0) / scale,
-                                         np.maximum(q_unc - q_eff, 0.0) / scale], axis=1), labels)
+        hierarchy_slack.update(np.stack([np.maximum(bd.ps_qs - bd.q_eff, 0.0) / scale,
+                                         np.maximum(bd.q_unc - bd.q_eff, 0.0) / scale], axis=1),
+                               labels)
         # tr(A A^+) = ||A||_F^2 for the Kraus images A = [E_s c, E_f c]; per
         # point, like the norms above
         images = np.stack((es * probe.amps, ef * probe.amps), axis=2)
@@ -327,7 +329,7 @@ def _check_boundary_divergence() -> CheckResult:
 # Oracle suite
 # ---------------------------------------------------------------------------
 
-def check_oracle_suite(breakdowns: dict[str, FisherBreakdown]) -> list[CheckResult]:
+def check_oracle_suite(grids: list[ProbeGrid]) -> list[CheckResult]:
     """Fidelity finite differences against every analytic information value.
 
     The oracle values of all 280 points come from one
@@ -337,15 +339,14 @@ def check_oracle_suite(breakdowns: dict[str, FisherBreakdown]) -> list[CheckResu
     success and failure states, the joint state with the trivial and a
     random meter per point, and the Bures deficit of ``A A^+`` (Uhlmann's
     ``sqrt F = ||A(g-)^+ A(g+)||_*``).  The deficits have no noise floor,
-    so every row scores all 280 points.  The analytic side comes from
-    ``breakdowns`` (:func:`standard_breakdowns`) and ``qfi_joint_meter``.
+    so every row scores all 280 points.  The analytic side comes from the
+    budgets of ``grids`` (:func:`standard_grids`) and ``qfi_joint_meter``.
     The random meters are one :class:`~nlametro.instrument.MeterBatch`.
     """
-    grids = list(standard_probe_grids())
-    labels = [label for _, grid_labels, _ in grids for label in grid_labels]
-    probes = [probe for probe, _, grid_points in grids for _ in range(grid_points.g.size)]
-    points = NlaParams(g=np.concatenate([pts.g for *_, pts in grids]),
-                       p=np.concatenate([pts.p for *_, pts in grids]))
+    labels = [label for _, grid_labels, _, _ in grids for label in grid_labels]
+    probes = [probe for probe, _, grid_points, _ in grids for _ in range(grid_points.g.size)]
+    points = NlaParams(g=np.concatenate([pts.g for _, _, pts, _ in grids]),
+                       p=np.concatenate([pts.p for _, _, pts, _ in grids]))
     rng = np.random.default_rng(GENERIC_METER_SEED)
     # one draw of shape (points, 4) yields the numbers of that many
     # standard_normal(4) draws, in the same order; each meter is normalised
@@ -365,13 +366,13 @@ def check_oracle_suite(breakdowns: dict[str, FisherBreakdown]) -> list[CheckResu
     ])
     # one qfi_joint_meter call per probe, one meter per point
     joint, start = [], 0
-    for probe, _, grid_points in grids:
+    for probe, _, grid_points, _ in grids:
         part = slice(start, start + grid_points.g.size)
         joint.append(qfi_joint_meter(probe, grid_points,
                                      MeterBatch(meters.alpha[part], meters.beta[part])))
         start = part.stop
     analytic = np.column_stack([
-        [[b.q_s, b.q_f, b.q_eff, b.q_unc] for b in map(breakdowns.get, labels)],
+        np.concatenate([np.column_stack([bd.q_s, bd.q_f, bd.q_eff, bd.q_unc]) for *_, bd in grids]),
         np.concatenate(joint),
     ])
     names = (
@@ -393,32 +394,29 @@ def check_oracle_suite(breakdowns: dict[str, FisherBreakdown]) -> list[CheckResu
 # Detector suite
 # ---------------------------------------------------------------------------
 
-def check_detector_suite(breakdowns: dict[str, FisherBreakdown]) -> list[CheckResult]:
+def check_detector_suite(grids: list[ProbeGrid]) -> list[CheckResult]:
     """Detector Fisher informations saturate the branch QFIs on the grid.
 
     The detector quantities of a probe's operating points are computed by
     one call per function and branch over all of them, and the branch QFIs
-    come from ``breakdowns`` (:func:`standard_breakdowns`).
+    come from the budgets of ``grids`` (:func:`standard_grids`).  A batch's
+    distribution gives the totals of all its points from one ``total()``.
     """
     pc_w, hd_w, seq_pc_w, seq_hd_w, norm_w = (_Worst() for _ in range(5))
     detectors = (("photon", photon_counting_dist), ("homodyne", homodyne_distribution))
-    for probe, labels, points in standard_probe_grids():
-        bd = [breakdowns[label] for label in labels]
-        q_branch = np.array([[b.q_s, b.q_f] for b in bd])
+    for probe, labels, points, bd in grids:
+        q_branch = np.column_stack([bd.q_s, bd.q_f])
         branch_labels = _branch_labels(labels, BRANCHES)
         photon = np.column_stack([fi_photon_counting(probe, points, b) for b in BRANCHES])
         pc_w.update(_rel(photon, q_branch), branch_labels)
         homodyne = np.column_stack([fi_homodyne(probe, points, b) for b in BRANCHES])
         hd_w.update(_rel(homodyne, q_branch), branch_labels)
         # point x branch x detector
-        totals = np.array([
-            [[dist.total() for dist in distribution(probe, points, b)]
-             for _, distribution in detectors]
-            for b in BRANCHES
-        ]).transpose(2, 0, 1)
+        totals = np.array([[distribution(probe, points, b).total() for _, distribution in detectors]
+                           for b in BRANCHES]).transpose(2, 0, 1)
         norm_w.update(np.abs(totals - 1.0),
                       _branch_labels(branch_labels, [name for name, _ in detectors]))
-        target = [b.component_sum() for b in bd]
+        target = bd.component_sum()
         seq_pc_w.update(_rel(sequential_fi(probe, points, PHOTON_COUNTING), target), labels)
         seq_hd_w.update(_rel(sequential_fi(probe, points, HOMODYNE), target), labels)
     return [
@@ -511,12 +509,11 @@ def check_figure_behavior() -> list[CheckResult]:
         # the grid's end points are exactly 1.05 and 6.0
         gs = np.linspace(1.05, 6.0, 23)
         bd = qfi_effective(probe, NlaParams(g=gs, p=3))
-        low, *_, high = bd.points()
         count += 2
-        if not (low.f_c > low.ps_qs and low.f_c > low.pf_qf):
+        if not (bd.f_c[0] > bd.ps_qs[0] and bd.f_c[0] > bd.pf_qf[0]):
             violations += 1
             worst_label = f"{kind} f_c not dominant at g=1.05"
-        if not (high.ps_qs > high.f_c and high.ps_qs > high.pf_qf):
+        if not (bd.ps_qs[-1] > bd.f_c[-1] and bd.ps_qs[-1] > bd.pf_qf[-1]):
             violations += 1
             worst_label = f"{kind} ps_qs not dominant at g=6"
         count += gs.size
@@ -536,12 +533,13 @@ def check_figure_behavior() -> list[CheckResult]:
 # Meter suite
 # ---------------------------------------------------------------------------
 
-def check_meter_suite() -> list[CheckResult]:
+def check_meter_suite(grids: list[ProbeGrid]) -> list[CheckResult]:
     """Joint QFI never exceeds q_eff; equality iff the meter phase is real.
 
     The random meters and the real-phase meters of a probe's 35 points go
     through one ``qfi_joint_meter`` call, as one
-    :class:`~nlametro.instrument.MeterBatch`.
+    :class:`~nlametro.instrument.MeterBatch`; ``q_eff`` is the budget's, from
+    ``grids`` (:func:`standard_grids`).
     """
     bound_w = _Worst()
     equality_w = _Worst()
@@ -549,7 +547,7 @@ def check_meter_suite() -> list[CheckResult]:
     real_alpha = [0.0, 1.0, math.sqrt(0.5), -math.sqrt(0.3)]
     real_beta = [1.0, 0.0, math.sqrt(0.5), math.sqrt(0.7)]
     rng = np.random.default_rng(METER_SEED)
-    for probe, labels, points in standard_probe_grids():
+    for probe, labels, points, bd in grids:
         # one draw of shape (points, samples, 4) yields the numbers of that
         # many standard_normal(4) draws, in the same order; a block per probe
         # keeps the suite's arrays small
@@ -557,7 +555,7 @@ def check_meter_suite() -> list[CheckResult]:
         amps = normals.view(np.complex128) / np.linalg.norm(normals, axis=-1, keepdims=True)
         alpha = np.concatenate([amps[..., 0], np.tile(real_alpha, (points.g.size, 1))], axis=1)
         beta = np.concatenate([amps[..., 1], np.tile(real_beta, (points.g.size, 1))], axis=1)
-        q_eff = qfi_effective_closed_form(probe, points)[:, np.newaxis]
+        q_eff = bd.q_eff[:, np.newaxis]
         joint = qfi_joint_meter(probe, points, MeterBatch(alpha, beta))
         scale = np.maximum(q_eff, NUMERICAL_ZERO)
         bound_w.update(np.maximum(joint[:, :METER_SAMPLES_PER_POINT] - q_eff, 0.0) / scale, labels)
@@ -574,11 +572,6 @@ def check_meter_suite() -> list[CheckResult]:
 
 def run_all() -> list[CheckResult]:
     """Every suite, in reporting order."""
-    breakdowns = standard_breakdowns()
-    results: list[CheckResult] = []
-    results.extend(check_identity_suite(breakdowns))
-    results.extend(check_oracle_suite(breakdowns))
-    results.extend(check_detector_suite(breakdowns))
-    results.extend(check_figure_behavior())
-    results.extend(check_meter_suite())
-    return results
+    grids = standard_grids()
+    return [*check_identity_suite(grids), *check_oracle_suite(grids),
+            *check_detector_suite(grids), *check_figure_behavior(), *check_meter_suite(grids)]

@@ -1,13 +1,15 @@
 """Dense double-precision references that the tests compare the package against.
 
-No package module imports this one.  The package computes every quantity on
-the rank-<=2 Kraus images ``A = [E_s c, E_f c]``; the routines here take the
-long way round, through ``dim x dim`` density matrices and double-precision
-state vectors, so that a test can check an image-based value against a
-construction that shares none of its algebra:
+The package never imports this module, which lives with the tests.  The
+package computes every quantity on the rank-<=2 Kraus images
+``A = [E_s c, E_f c]``; the routines here take the long way round,
+through ``dim x dim`` density matrices and double-precision state vectors,
+so that a test can check an image-based value against a construction that
+shares none of its algebra:
 
 * :func:`conditional_state_derivative` gives the gain derivative of one
-  point's conditional amplitudes as a full ``dim`` vector;
+  point's conditional amplitudes as a full ``dim`` vector, by the product
+  rule on the Kraus diagonals and their slopes;
 * :func:`unconditional_state` and :func:`unconditional_state_derivative`
   build the branch-averaged output and its gain derivative as dense matrices;
 * :func:`qfi_mixed` is the eigendecomposition QFI of any such family;
@@ -24,6 +26,9 @@ construction that shares none of its algebra:
   :func:`mle_estimate` estimates the gain of one such record: the per-shot,
   per-record reference for the count draws and the batched search of
   :mod:`nlametro.montecarlo`.
+
+Test modules import it as ``dense``: pytest puts the tests' directory on
+the import path, as it does for ``conftest``.
 """
 
 from __future__ import annotations
@@ -32,21 +37,21 @@ import dataclasses
 
 import numpy as np
 
-from .fock import DensityOperator, FockVector
-from .instrument import (
+from nlametro.fock import DensityOperator, FockVector
+from nlametro.instrument import (
     BRANCHES,
     FAILURE,
     PROBABILITY_FLOOR,
     SUCCESS,
     MeterState,
     NlaParams,
-    _conditional_rows,
     _one_point,
     branch_probability_derivative,
     kraus_diagonal,
+    kraus_diagonal_derivative,
 )
-from .measurements import HOMODYNE
-from .montecarlo import (
+from nlametro.measurements import HOMODYNE
+from nlametro.montecarlo import (
     DETECTORS,
     GainGrid,
     _RECORDED,
@@ -55,7 +60,7 @@ from .montecarlo import (
     _ShotSource,
     _estimates,
 )
-from .oracles import DEFAULT_QFI_STEP, _validate_step
+from nlametro.oracles import DEFAULT_QFI_STEP, _validate_step
 
 DERIVATIVE_HERMITICITY_TOL = 1e-12
 DERIVATIVE_TRACE_TOL = 1e-9
@@ -81,9 +86,21 @@ class StepTooSmall(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 def conditional_state_derivative(probe: FockVector, params: NlaParams, branch: str) -> np.ndarray:
-    """Gain derivative of the conditional amplitudes at one point (a batch raises;
-    :func:`~nlametro.instrument._conditional_rows`)."""
-    return _conditional_rows(probe, _one_point(params), branch)[1][0]
+    """Gain derivative of the conditional amplitudes at one point; a batch raises.
+
+    The product rule on all ``dim`` levels of ``psi_n = E_n c_n / sqrt(P)``,
+    ``P = sum_n E_n^2 |c_n|^2``: ``dpsi_n = dE_n c_n / sqrt(P) - psi_n dP / (2 P)``
+    with ``dP = 2 sum_n E_n dE_n |c_n|^2``, from the public Kraus diagonal and
+    its slope, without the package's conditional-state kernel.
+    """
+    point = _one_point(params)
+    e = kraus_diagonal(point, branch, probe.dim)
+    de = kraus_diagonal_derivative(point, branch, probe.dim)
+    weights = np.abs(probe.amps) ** 2
+    prob = float(np.sum(e * e * weights))
+    dprob = 2.0 * float(np.sum(e * de * weights))
+    root = np.sqrt(prob)
+    return de * probe.amps / root - (e * probe.amps / root) * (dprob / (2.0 * prob))
 
 
 def unconditional_state(probe: FockVector, params: NlaParams) -> DensityOperator:

@@ -24,7 +24,7 @@ from nlametro.selfcheck import (
     check_identity_suite,
     check_meter_suite,
     check_oracle_suite,
-    standard_breakdowns,
+    standard_grids,
     standard_probe_grids,
 )
 
@@ -54,13 +54,13 @@ def test_criterion_1_decomposition_identities_on_standard_grid():
             count += 1
     assert count == 280
     # the full identity suite adds completeness/normalization invariants
-    _assert_all_passed(check_identity_suite(standard_breakdowns()))
+    _assert_all_passed(check_identity_suite(standard_grids()))
     assert time.perf_counter() - start < 10.0
 
 
 def test_criterion_2_fidelity_finite_difference_oracles_within_1e5():
     start = time.perf_counter()
-    _assert_all_passed(check_oracle_suite(standard_breakdowns()))
+    _assert_all_passed(check_oracle_suite(standard_grids()))
     assert time.perf_counter() - start < 120.0
 
 
@@ -68,7 +68,7 @@ def test_criterion_3_detector_fisher_information_saturates_the_qfi():
     # per-branch saturation rows carry their own tolerances (photon counting
     # 1e-9, homodyne 1e-6); the joint (branch, outcome) record is checked
     # brute-force against the closed form for both detectors.
-    _assert_all_passed(check_detector_suite(standard_breakdowns()))
+    _assert_all_passed(check_detector_suite(standard_grids()))
     for probe, labels, points in standard_probe_grids():
         for label, params in zip(labels, points_of(points)):
             q_eff = qfi_effective_closed_form(probe, params)
@@ -151,7 +151,7 @@ def test_criterion_6_monte_carlo_saturates_the_cramer_rao_bound():
 
 def test_criterion_7_meter_states_never_beat_the_sequential_scheme():
     start = time.perf_counter()
-    _assert_all_passed(check_meter_suite())
+    _assert_all_passed(check_meter_suite(standard_grids()))
     assert time.perf_counter() - start < 60.0
 
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import pathlib
@@ -285,6 +286,16 @@ def test_probe_flag_validation(capsys):
     assert "--nbar or --amplitude" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("amps", [[[10 ** 400, 0]], [["0.5", 0], [0.5, 0]], [[True, 0]]])
+def test_a_custom_probe_part_that_is_no_double_is_a_usage_error(amps, tmp_path, capsys):
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(amps))
+    argv = ["compare", "--probe", "custom", "--custom-file", str(path), "--p", "1", "--g", "2:2:1"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "amplitude 0 " in captured.err
+
+
 def test_bad_grid_syntax_rejected(capsys):
     assert cli.main(["compare", "--probe", "coherent", "--nbar", "1", "--p", "1", "--g", "1.5:2"]) == 2
     assert "a:b:n" in capsys.readouterr().err
@@ -441,6 +452,29 @@ def test_readme_simulate_example_prints_what_the_readme_shows(tmp_path, capsys):
     )
     assert len(shown) == 7
     assert {key: result[key] for key in shown} == shown
+
+
+def test_readme_python_example_gives_the_values_its_comments_show():
+    # each top-level expression of a python block shows its value in a
+    # comment, up to an optional ": explanation"
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert blocks
+    checked = 0
+    for block in blocks:
+        lines, namespace = block.splitlines(), {}
+        for node in ast.parse(block).body:
+            code = ast.get_source_segment(block, node)
+            if not isinstance(node, ast.Expr):
+                exec(code, namespace)
+                continue
+            comment = lines[node.end_lineno - 1].partition("#")[2]
+            assert comment, code
+            shown = eval(comment.split(":")[0], {"array": np.array})
+            value = eval(code, namespace)
+            np.testing.assert_allclose(np.asarray(value, dtype=float),
+                                       np.asarray(shown, dtype=float), rtol=1e-12, err_msg=code)
+            checked += 1
+    assert checked == 4
 
 
 # Payloads for the renderer: every kind of number JSON writes, strings that

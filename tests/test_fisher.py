@@ -8,17 +8,17 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+import dense
 from conftest import points_of
-
-import nlametro.dense
-import nlametro.instrument
-from nlametro.dense import (
+from dense import (
     conditional_state_derivative,
     qfi_mixed,
     qfi_pure,
     unconditional_state,
     unconditional_state_derivative,
 )
+
+import nlametro.instrument
 from nlametro.fock import DensityOperator, FockVector
 from nlametro.instrument import (
     FAILURE,
@@ -292,11 +292,11 @@ def test_hierarchy_on_sample_points():
 def test_thin_unconditional_qfi_matches_dense_path_on_standard_grid():
     for probe, labels, points in standard_probe_grids():
         for label, params in zip(labels, points_of(points)):
-            dense = qfi_mixed(
+            reference = qfi_mixed(
                 unconditional_state(probe, params),
                 unconditional_state_derivative(probe, params),
             )
-            assert qfi_unconditional(probe, params) == pytest.approx(dense, rel=1e-12), label
+            assert qfi_unconditional(probe, params) == pytest.approx(reference, rel=1e-12), label
 
 
 def _unconditional_qfi_reference(probe, params, dps=50):
@@ -404,7 +404,7 @@ def test_qfi_effective_builds_no_dense_operator(monkeypatch):
     probe = ProbeSpec.from_nbar("squeezed-vacuum", 2.0).build()
     assert probe.dim == 149
     params = NlaParams(g=1.5, p=3)
-    dense = qfi_mixed(
+    reference = qfi_mixed(
         unconditional_state(probe, params), unconditional_state_derivative(probe, params)
     )
 
@@ -412,12 +412,12 @@ def test_qfi_effective_builds_no_dense_operator(monkeypatch):
         raise AssertionError("dense path reached")
 
     monkeypatch.setattr(DensityOperator, "__post_init__", forbidden)
-    for original in (nlametro.dense.qfi_mixed, nlametro.dense.unconditional_state,
-                     nlametro.dense.unconditional_state_derivative):
+    for original in (dense.qfi_mixed, dense.unconditional_state,
+                     dense.unconditional_state_derivative):
         for name, module in list(sys.modules.items()):
             if name.startswith("nlametro") and getattr(module, original.__name__, None) is original:
                 monkeypatch.setattr(module, original.__name__, forbidden)
-    assert qfi_effective(probe, params).q_unc == pytest.approx(dense, rel=1e-12)
+    assert qfi_effective(probe, params).q_unc == pytest.approx(reference, rel=1e-12)
 
 
 # Rounding bound of the batched kernel against single points: the two differ
@@ -456,10 +456,10 @@ def test_budget_on_compressed_images_matches_full_vector_references(dim, p, g):
     probe, _ = custom_probe(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
     params = NlaParams(g=g, p=p)
     bd = qfi_effective(probe, params)
-    dense = qfi_mixed(
+    reference = qfi_mixed(
         unconditional_state(probe, params), unconditional_state_derivative(probe, params)
     )
-    assert bd.q_unc == pytest.approx(dense, rel=1e-12)
+    assert bd.q_unc == pytest.approx(reference, rel=1e-12)
     for branch, q_branch in ((SUCCESS, bd.q_s), (FAILURE, bd.q_f)):
         state = conditional_state(probe, params, branch).state
         deriv = conditional_state_derivative(probe, params, branch)
@@ -509,8 +509,10 @@ def test_batched_budget_matches_single_points_on_standard_grid():
         # the probe's 35 points, thresholds mixed, in one call: the images
         # are padded to p = 5, whose sums of at most 7 terms add the padded
         # zeros last, so every field equals the point's own bit for bit
-        mixed = qfi_effective(probe, points).points()
-        assert mixed == [qfi_effective(probe, params) for params in points_of(points)], labels
+        mixed = qfi_effective(probe, points)
+        singles = [qfi_effective(probe, params) for params in points_of(points)]
+        for field in FIELDS:
+            assert getattr(mixed, field).tolist() == [getattr(b, field) for b in singles], labels
     # q_f is exactly 0 at p=1 (one failure level) and for squeezed vacuum at p=2
     assert zeros == 8 * 7 + 4 * 7
 
@@ -522,10 +524,14 @@ def test_batched_budget_keeps_exact_zeros_of_q_unc():
     assert np.array_equal(batch.q_f, [0.0, 0.0])
 
 
-def test_batched_budget_points_are_breakdowns_of_floats(coherent_nbar1):
-    rows = qfi_effective(coherent_nbar1, NlaParams(g=[1.2, 2.0], p=3)).points()
-    assert [type(x) for x in dataclasses.astuple(rows[1])] == [float] * len(FIELDS)
-    assert rows[1] == qfi_effective(coherent_nbar1, NlaParams(g=[2.0], p=3)).points()[0]
+def test_batched_budget_is_arrays_and_one_point_is_floats(coherent_nbar1):
+    batch = qfi_effective(coherent_nbar1, NlaParams(g=[1.2, 2.0], p=3))
+    one = qfi_effective(coherent_nbar1, NlaParams(g=2.0, p=3))
+    assert [type(x) for x in dataclasses.astuple(one)] == [float] * len(FIELDS)
+    assert [getattr(batch, field).shape for field in FIELDS] == [(2,)] * len(FIELDS)
+    # a point of a batch is an index into its arrays, with the point's own bits
+    assert [getattr(batch, field)[1] for field in FIELDS] == list(dataclasses.astuple(one))
+    assert not hasattr(batch, "points")
 
 
 def test_batched_budget_takes_mixed_thresholds_and_rejects_no_points():

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from conftest import points_of
+from dense import conditional_state_derivative, joint_state, unconditional_state
 from hypothesis import strategies as st
 
 from nlametro.fock import FockVector
@@ -26,11 +27,11 @@ from nlametro.instrument import (
     _kraus_pair,
     kraus_diagonal_derivative,
 )
-from nlametro.dense import conditional_state_derivative, joint_state, unconditional_state
 from nlametro.fisher import qfi_effective
 from nlametro.measurements import fi_homodyne
 from nlametro.oracles import KrausImageFD
 from nlametro.probes import ProbeSpec
+from nlametro.selfcheck import standard_probe_grids
 
 
 def test_gain_domain_enforced():
@@ -117,6 +118,23 @@ def test_conditional_derivative_orthogonal_for_real_probes(squeezed_nbar1):
         deriv = conditional_state_derivative(squeezed_nbar1, params, branch)
         # normalization forces Re<psi|dpsi> = 0; real amplitudes kill Im too
         assert abs(np.vdot(state.amps, deriv)) < 1e-10
+
+
+def test_dense_conditional_derivative_matches_the_kernel_on_the_standard_points():
+    # the reference takes the product rule on kraus_diagonal and its slope,
+    # not the kernel; the error is relative to the rule's first term
+    # ||dE c|| / sqrt(p_b), which keeps its size where a gain-independent
+    # (one-level) branch cancels the slope itself to rounding residue
+    for probe, labels, points in standard_probe_grids():
+        for branch in (SUCCESS, FAILURE):
+            slopes, probs = _conditional_rows(probe, points, branch)[1:]
+            de = kraus_diagonal_derivative(points, branch, probe.dim)
+            scales = np.linalg.norm(de * probe.amps, axis=1) / np.sqrt(probs)
+            for label, params, slope, scale in zip(labels, points_of(points), slopes, scales,
+                                                   strict=True):
+                reference = conditional_state_derivative(probe, params, branch)
+                error = np.linalg.norm(slope - reference)
+                assert error <= 1e-12 * scale, (label, branch, error / scale)
 
 
 def test_unconditional_state_is_physical_rank_two(coherent_nbar1):

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from conftest import points_of
+from dense import conditional_state_derivative
 
 from nlametro import instrument, measurements, montecarlo
 from nlametro.fock import FockVector, build_quadrature_grid, default_half_width, wavefunction_matrix
@@ -21,7 +22,6 @@ from nlametro.instrument import (
     kraus_diagonal,
     kraus_diagonal_derivative,
 )
-from nlametro.dense import conditional_state_derivative
 from nlametro.fisher import qfi_branch, qfi_effective
 from nlametro.measurements import (
     HOMODYNE,
@@ -187,22 +187,24 @@ def test_stacked_detectors_equal_one_point_at_a_time(kind, nbar):
             assert value == pytest.approx(
                 _complex_fisher_integral(probe.dim, [(cond, slope)]), rel=1e-12
             )
-        dists = homodyne_distribution(probe, STANDARD_BATCH, branch)
-        for dist, params in zip(dists, STANDARD_POINTS):
+        dist = homodyne_distribution(probe, STANDARD_BATCH, branch)
+        totals = dist.total()
+        for row, total, params in zip(dist.masses, totals, STANDARD_POINTS, strict=True):
             one = homodyne_distribution(probe, params, branch)
             # near a node of the field the density is a cancellation residue
-            npt.assert_allclose(dist.masses, one.masses, rtol=1e-12, atol=1e-15 * one.masses.max())
-            assert dist.total() == pytest.approx(one.total(), rel=1e-12)
+            npt.assert_allclose(row, one.masses, rtol=1e-12, atol=1e-15 * one.masses.max())
+            assert total == pytest.approx(one.total(), rel=1e-12)
         counted = fi_photon_counting(probe, STANDARD_BATCH, branch)
-        dists = photon_counting_dist(probe, STANDARD_BATCH, branch)
-        assert counted.shape == (len(STANDARD_POINTS),) and len(dists) == len(STANDARD_POINTS)
-        for value, dist, params in zip(counted, dists, STANDARD_POINTS):
+        dist = photon_counting_dist(probe, STANDARD_BATCH, branch)
+        assert counted.shape == (len(STANDARD_POINTS),)
+        assert dist.masses.shape == (len(STANDARD_POINTS), probe.dim)
+        for value, row, params in zip(counted, dist.masses, STANDARD_POINTS, strict=True):
             assert value == pytest.approx(fi_photon_counting(probe, params, branch), rel=1e-12)
-            npt.assert_array_equal(dist.masses, photon_counting_dist(probe, params, branch).masses)
+            npt.assert_array_equal(row, photon_counting_dist(probe, params, branch).masses)
             cond = conditional_state(probe, params, branch).state.amps
             slope = conditional_state_derivative(probe, params, branch)
             masses = np.abs(cond) ** 2
-            npt.assert_allclose(dist.masses, masses, rtol=1e-12, atol=1e-300)
+            npt.assert_allclose(row, masses, rtol=1e-12, atol=1e-300)
             ref_dm = 2.0 * (np.conj(cond) * slope).real
             assert value == pytest.approx(_counting_sum([(masses, ref_dm)]), rel=1e-12)
     for detector in (HOMODYNE, PHOTON_COUNTING):
@@ -414,7 +416,7 @@ def test_basis_kernels_equal_the_dim_row_formula_on_every_standard_point():
             assert _close(fi_homodyne(probe, points, branch, allow_complex=True),
                           _dim_row_fisher_integral(dim, amps[:, None], slopes[:, None]))
             want = sum(f * f for f in _dim_row_fields(amps, psi))
-            got = np.array([d.masses for d in homodyne_distribution(probe, points, branch)])
+            got = homodyne_distribution(probe, points, branch).masses
             scale = np.maximum(want.max(axis=1, keepdims=True), NUMERICAL_ZERO)
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
         if probe.is_real():
@@ -501,6 +503,24 @@ def test_homodyne_density_and_sampler_never_build_the_conditional_state(monkeypa
     assert products and set(products) == {np.dtype(np.float64)}
 
 
+def test_a_batch_distribution_is_one_object_whose_row_totals_are_the_single_totals():
+    for probe, labels, points in standard_probe_grids():
+        for branch in BRANCHES:
+            for distribution in (photon_counting_dist, homodyne_distribution):
+                dist = distribution(probe, points, branch)
+                assert isinstance(dist, OutcomeDistribution)
+                assert dist.masses.shape == (points.g.size, dist.support.size)
+                assert not dist.masses.flags.writeable
+                totals = dist.total()
+                assert totals.shape == (points.g.size,)
+                for row, total in zip(dist.masses, totals, strict=True):
+                    one = OutcomeDistribution(dist.kind, branch, dist.support, row.copy(),
+                                              dist.weights)
+                    # bit for bit: one product of the batch against the
+                    # weights would round some rows differently
+                    assert type(one.total()) is float and one.total() == total, labels[0]
+
+
 def test_outcome_distributions_are_read_only_and_never_aliased_to_the_caller():
     probe = ProbeSpec.from_nbar("coherent", 1.0).build()
     params = NlaParams(g=2.0, p=3)
@@ -566,15 +586,14 @@ def test_basis_kernels_on_random_probes_and_mixed_thresholds():
             stacked = fi_homodyne(probe, stack, branch, allow_complex=True)
             assert _close(stacked, _dim_row_fisher_integral(dim, amps[:, None], slopes[:, None]))
             want = sum(f * f for f in _dim_row_fields(amps, psi))
-            dists = homodyne_distribution(probe, stack, branch)
-            got = np.array([d.masses for d in dists])
+            got = homodyne_distribution(probe, stack, branch).masses
             assert np.all(np.abs(got - want) <= 1e-12 * want.max(axis=1, keepdims=True))
-            for value, dist, params in zip(stacked, dists, points_of(stack)):
+            for value, row, params in zip(stacked, got, points_of(stack), strict=True):
                 assert value == pytest.approx(
                     fi_homodyne(probe, params, branch, allow_complex=True), rel=1e-12, abs=1e-300
                 )
                 one = homodyne_distribution(probe, params, branch).masses
-                npt.assert_allclose(dist.masses, one, rtol=1e-12, atol=1e-15 * one.max())
+                npt.assert_allclose(row, one, rtol=1e-12, atol=1e-15 * one.max())
         if probe.is_real():
             amps, slopes = _joint_rows(points, dim, probe.amps)
             stacked = sequential_fi(probe, points, HOMODYNE)
@@ -622,5 +641,7 @@ def test_homodyne_density_refuses_a_batch(coherent_nbar1):
     batch = NlaParams(g=np.array([1.5, 2.0]), p=3)
     with pytest.raises(ValueError, match="one operating point"):
         homodyne_density(coherent_nbar1, batch, SUCCESS, np.linspace(-1, 1, 5))
-    # a batch of one is still a batch: one distribution per point, in a list
-    assert len(photon_counting_dist(coherent_nbar1, NlaParams(g=[1.5], p=3), SUCCESS)) == 1
+    # a batch of one is still a batch: one row of masses
+    for distribution in (photon_counting_dist, homodyne_distribution):
+        dist = distribution(coherent_nbar1, NlaParams(g=[1.5], p=3), SUCCESS)
+        assert dist.masses.shape == (1, dist.support.size) and dist.total().shape == (1,)

@@ -8,13 +8,13 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+from dense import _PerShotSource, mle_estimate, sample_shots
 
 from nlametro.fock import FockVector, wavefunction_matrix
 from nlametro.instrument import BRANCHES, FAILURE, SUCCESS, NlaParams, kraus_diagonal
 from nlametro.fisher import qfi_effective_closed_form
 from nlametro.measurements import MASS_FLOOR
 from nlametro import montecarlo
-from nlametro.dense import _PerShotSource, mle_estimate, sample_shots
 from nlametro.montecarlo import (
     DegenerateLikelihood,
     ExperimentConfig,

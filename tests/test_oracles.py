@@ -10,6 +10,15 @@ import mpmath
 import numpy as np
 import pytest
 from conftest import points_of
+from dense import (
+    DEFICIT_FLOOR,
+    StepTooSmall,
+    ZERO_DEFICIT_BAND,
+    joint_state,
+    overlap_deficit,
+    qfi_fd_pure,
+    resolution_floor,
+)
 
 import nlametro
 from nlametro import cli, fisher, instrument, measurements, oracles, selfcheck
@@ -23,15 +32,6 @@ from nlametro.instrument import (
     NlaParams,
     branch_probability_derivative,
     conditional_state,
-)
-from nlametro.dense import (
-    DEFICIT_FLOOR,
-    StepTooSmall,
-    ZERO_DEFICIT_BAND,
-    joint_state,
-    overlap_deficit,
-    qfi_fd_pure,
-    resolution_floor,
 )
 from nlametro.fisher import qfi_branch, qfi_effective_closed_form, qfi_unconditional
 from nlametro.oracles import (
@@ -52,7 +52,7 @@ from nlametro.selfcheck import (
     check_identity_suite,
     check_meter_suite,
     check_oracle_suite,
-    standard_breakdowns,
+    standard_grids,
     standard_probe_grids,
 )
 
@@ -68,7 +68,7 @@ def test_golden_regeneration_runs_one_copy_of_the_oracles(tmp_path, run_python):
 
 
 # Names the package namespace must not expose: the dense-state and per-shot
-# Monte-Carlo test references, which live in nlametro.dense, the per-shot
+# Monte-Carlo test references, which live in the tests' dense module, the per-shot
 # sampler, whose every call rebuilt the whole shot source, and the wrappers
 # that built a KrausImageFD for one view.
 DROPPED_NAMES = (
@@ -95,18 +95,21 @@ DROPPED_MODULE_NAMES = {
     "fisher": ("Meters", "_imbalances"),
     "montecarlo": ("crb_for_strategy", "_discrete_sampler", "mle_estimate", "sample_shots"),
     "measurements": ("photon_counting_mass_derivative",),
+    "selfcheck": ("standard_breakdowns",),
     "oracles": ("_point_arrays", "_mass_slopes", "_image_slope_and_sum", "_coupling_fd",
                 "probability_derivative_fd", "qfi_fd_kraus_pure", "qfi_fd_kraus_bures"),
 }
 
 
 def test_package_never_imports_the_dense_references(run_python):
-    # a fresh interpreter, since this test session imports nlametro.dense and
-    # mpmath; the oracles run in double-double, so mpmath is a test-only
-    # reference too
+    # a fresh interpreter, since this test session imports the tests' dense
+    # module and mpmath; the oracles run in double-double, so mpmath is a
+    # test-only reference too, and the dense references are not in the
+    # package at all
     proc = run_python("-c", (
-        "import sys, nlametro, nlametro.cli, nlametro.selfcheck\n"
-        "for name in ('nlametro.dense', 'mpmath'):\n"
+        "import importlib.util, sys, nlametro, nlametro.cli, nlametro.selfcheck\n"
+        "assert importlib.util.find_spec('nlametro.dense') is None, 'nlametro.dense exists'\n"
+        "for name in ('dense', 'mpmath'):\n"
         "    assert name not in sys.modules, f'the package imported {name}'\n"
     ))
     assert proc.returncode == 0, proc.stderr
@@ -116,6 +119,8 @@ def test_package_never_imports_the_dense_references(run_python):
     for module, names in DROPPED_MODULE_NAMES.items():
         for name in names:
             assert not hasattr(getattr(nlametro, module), name), f"{module}.{name}"
+    # a batch budget is read as arrays, not split into per-point breakdowns
+    assert not hasattr(fisher.FisherBreakdown, "points")
 
 
 def test_selfcheck_text_does_not_depend_on_the_blas_thread_count(run_python):
@@ -391,7 +396,7 @@ def oracle_suite():
     """The oracle suite's rows, with the analytic paths barred from the
     oracle module, the batch size of each image Gram build, and the points
     of each analytic ``qfi_joint_meter`` call."""
-    breakdowns = standard_breakdowns()
+    grids = standard_grids()
     grams, joint = [], []
     original_gram, original_joint = oracles._image_gram, selfcheck.qfi_joint_meter
 
@@ -407,7 +412,7 @@ def oracle_suite():
         _bar_analytic_paths(mp)
         mp.setattr(oracles, "_image_gram", counted_gram)
         mp.setattr(selfcheck, "qfi_joint_meter", counted_joint)
-        rows = check_oracle_suite(breakdowns)
+        rows = check_oracle_suite(grids)
     return rows, grams, joint
 
 
@@ -475,7 +480,7 @@ def test_meter_suite_computes_one_coupling_term_per_point(monkeypatch):
         return original(probe, params)
 
     monkeypatch.setattr(fisher, "meter_coupling_term", counted)
-    bound, equality = check_meter_suite()
+    bound, equality = check_meter_suite(standard_grids())
     assert bound.passed and equality.passed
     assert (bound.points, equality.points) == (14000, 1120)
     assert len(calls) <= PROBES
@@ -606,7 +611,7 @@ def test_detector_suite_makes_a_fixed_number_of_calls_per_probe(monkeypatch):
                  "homodyne_distribution", "sequential_fi"):
         count(selfcheck, name)
     count(measurements, "_conditional_rows")
-    results = selfcheck.check_detector_suite(standard_breakdowns())
+    results = selfcheck.check_detector_suite(standard_grids())
     assert all(r.passed for r in results)
     probes = len(selfcheck.STANDARD_KINDS) * len(selfcheck.STANDARD_NBARS)
     assert calls == {
@@ -619,13 +624,38 @@ def test_detector_suite_makes_a_fixed_number_of_calls_per_probe(monkeypatch):
     }
 
 
+def test_run_all_computes_each_standard_budget_once(monkeypatch):
+    # one qfi_effective call per standard probe serves the identity, oracle,
+    # detector and meter suites; the figure suite's gain lists and the
+    # boundary row's gains are never a probe's 35 standard points
+    calls = collections.Counter()
+
+    def count(name):
+        original = getattr(selfcheck, name)
+
+        def counted(*args):
+            calls[name, np.size(args[-1].g) if args else 0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(selfcheck, name, counted)
+
+    for name in ("qfi_effective", "qfi_effective_closed_form", "standard_probe_grids"):
+        count(name)
+    assert all(r.passed for r in selfcheck.run_all())
+    points = len(STANDARD_GAINS) * len(STANDARD_THRESHOLDS)
+    probes = len(STANDARD_KINDS) * len(selfcheck.STANDARD_NBARS)
+    assert calls["qfi_effective", points] == probes
+    assert calls["qfi_effective_closed_form", points] == 0
+    assert calls["standard_probe_grids", 0] == 1
+
+
 def test_identity_suite_builds_no_dense_operator(monkeypatch):
     # the unit-trace row is ||A||_F^2 of the Kraus images, not a dim x dim trace
     def forbidden(*args, **kwargs):
         raise AssertionError("dense path reached")
 
     monkeypatch.setattr(DensityOperator, "__post_init__", forbidden)
-    results = check_identity_suite(standard_breakdowns())
+    results = check_identity_suite(standard_grids())
     assert all(r.passed for r in results)
     (row,) = [r for r in results if r.name == "unconditional state has unit trace"]
     assert row.points == 280
@@ -666,7 +696,7 @@ def test_probability_derivative_row_fails_on_a_wrong_failure_kraus_derivative(mo
         return pair
 
     monkeypatch.setattr(instrument, "_kraus_pair", corrupted)
-    results = check_identity_suite(standard_breakdowns())
+    results = check_identity_suite(standard_grids())
     (row,) = [r for r in results if r.name == "branch probability derivatives sum to 0"]
     assert not row.passed and row.worst > 1e-3
 
@@ -879,7 +909,7 @@ def test_identity_suite_makes_a_fixed_number_of_kernel_calls_per_probe(monkeypat
     for name in names:
         count(name)
     monkeypatch.setattr(instrument, "conditional_state", forbidden)
-    results = check_identity_suite(standard_breakdowns())
+    results = check_identity_suite(standard_grids())
     assert all(r.passed for r in results)
     probes = len(selfcheck.STANDARD_KINDS) * len(selfcheck.STANDARD_NBARS)
     assert calls == {name: (1 if name == "completeness_defect" else 2) * probes for name in names}

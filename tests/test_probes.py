@@ -84,6 +84,14 @@ def test_load_custom_probe_roundtrip(tmp_path):
     path.write_text(json.dumps([[1.0]]))
     with pytest.raises(ValueError):
         load_custom_probe(path)
+    # each part is a JSON number that fits a double: a string or a boolean is
+    # not read as a number, and an integer beyond the double range is no
+    # OverflowError
+    for amps, index in (([[10 ** 400, 0]], 0), ([["0.5", 0], [0.5, 0]], 0),
+                        ([[True, 0]], 0), ([[0.5, 0], [0, False]], 1)):
+        path.write_text(json.dumps(amps))
+        with pytest.raises(ValueError, match=rf"^amplitude {index} "):
+            load_custom_probe(path)
 
 
 def test_probe_spec_validation():
