@@ -34,6 +34,22 @@ QUADRATURE_ORDER = 16
 QUADRATURE_REL_TOL = 1e-9
 QUADRATURE_MAX_PANELS = 1 << 14
 
+# The 16-point Gauss-Legendre rule on [-1, 1], bit-equal to
+# ``numpy.polynomial.legendre.leggauss(16)``, which is exactly symmetric:
+# its nonnegative nodes in ascending order, and their weights.
+_GL_HALF_NODES = (
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+)
+_GL_HALF_WEIGHTS = (
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+)
+GAUSS_LEGENDRE_NODES = np.concatenate([-np.array(_GL_HALF_NODES[::-1]), _GL_HALF_NODES])
+GAUSS_LEGENDRE_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
+for _rule in (GAUSS_LEGENDRE_NODES, GAUSS_LEGENDRE_WEIGHTS):
+    _rule.setflags(write=False)
+
 
 class NonHermitianInput(ValueError):
     """A matrix that must be Hermitian is not, beyond tolerance."""
@@ -151,6 +167,26 @@ class DensityOperator:
 # Position wavefunctions
 # ---------------------------------------------------------------------------
 
+def _wavefunction_rows(rows: np.ndarray, dim: int, xa: np.ndarray) -> np.ndarray:
+    """Run the recurrence of :func:`wavefunction_matrix` up to level ``dim-1``.
+
+    Level ``n`` is written to ``rows[n % len(rows)]``, so ``dim`` rows hold
+    every level and 2 rows roll over the two levels each step reads (a
+    level is computed before it overwrites the level two below it); the
+    operations, and so the bits of every level, are the same either way.
+    ``rows`` needs ``min(dim, 2)`` rows or more.  Returns the row holding
+    level ``dim-1``.
+    """
+    k = rows.shape[0]
+    rows[0] = np.pi ** -0.25 * np.exp(-0.5 * xa * xa)
+    if dim > 1:
+        rows[1] = math.sqrt(2.0) * xa * rows[0]
+    for n in range(2, dim):
+        rows[n % k] = (math.sqrt(2.0 / n) * xa * rows[(n - 1) % k]
+                       - math.sqrt((n - 1.0) / n) * rows[(n - 2) % k])
+    return rows[(dim - 1) % k]
+
+
 def wavefunction_matrix(dim: int, x: np.ndarray) -> np.ndarray:
     """All normalized position wavefunctions ``<x|n>`` for n < dim.
 
@@ -166,11 +202,7 @@ def wavefunction_matrix(dim: int, x: np.ndarray) -> np.ndarray:
         raise ValueError("dim must be positive")
     xa = np.asarray(x, dtype=float)
     out = np.empty((dim, xa.size))
-    out[0] = np.pi ** -0.25 * np.exp(-0.5 * xa * xa)
-    if dim > 1:
-        out[1] = math.sqrt(2.0) * xa * out[0]
-    for n in range(2, dim):
-        out[n] = math.sqrt(2.0 / n) * xa * out[n - 1] - math.sqrt((n - 1.0) / n) * out[n - 2]
+    _wavefunction_rows(out, dim, xa)
     return out
 
 
@@ -212,12 +244,11 @@ class QuadratureGrid:
 def build_quadrature_grid(half_width: float, panels: int) -> QuadratureGrid:
     if half_width <= 0 or panels < 1:
         raise ValueError("invalid quadrature grid request")
-    base_x, base_w = np.polynomial.legendre.leggauss(QUADRATURE_ORDER)
     edges = np.linspace(-half_width, half_width, panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     centers = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (half * base_x[None, :] + centers[:, None]).ravel()
-    weights = np.tile(half * base_w, panels)
+    nodes = (half * GAUSS_LEGENDRE_NODES[None, :] + centers[:, None]).ravel()
+    weights = np.tile(half * GAUSS_LEGENDRE_WEIGHTS, panels)
     return QuadratureGrid(half_width, panels, QUADRATURE_ORDER, nodes, weights)
 
 
@@ -240,13 +271,16 @@ def adaptive_quadrature_grid(dim: int, half_width: float | None = None) -> Quadr
     and the doubling's agreement shows the grid is in that convergent
     regime rather than at a lucky cancellation.
     """
+    if dim < 1:
+        raise ValueError("dim must be positive")
     if half_width is None:
         half_width = default_half_width(dim)
     panels = max(8, int(math.ceil(half_width)))
     previous = None
     while panels <= QUADRATURE_MAX_PANELS:
         grid = build_quadrature_grid(half_width, panels)
-        top = wavefunction_matrix(dim, grid.nodes)[dim - 1]
+        # only the top level is read: roll the recurrence over 2 rows
+        top = _wavefunction_rows(np.empty((2, grid.nodes.size)), dim, grid.nodes)
         converged = abs(grid.integrate(top * top) - 1.0) <= QUADRATURE_REL_TOL
         if converged and previous is not None:
             return previous

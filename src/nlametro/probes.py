@@ -136,7 +136,9 @@ def custom_probe(amps) -> tuple[FockVector, float]:
     """Wrap raw amplitudes as a normalized probe.
 
     Returns the normalized vector together with the correction factor the
-    input norm was divided by (1.0 means the input was already normalized).
+    input norm was divided by (1.0 means the input was already normalized;
+    ``inf`` when that norm exceeds the double range).  Every amplitude must
+    be finite and one must be non-zero.
     """
     raw = np.array(amps, dtype=np.complex128)
     if raw.ndim != 1 or raw.size == 0:
@@ -145,10 +147,18 @@ def custom_probe(amps) -> tuple[FockVector, float]:
         raise TruncationOverflow(
             f"custom probe has {raw.size} levels, cap is {HARD_DIM_CAP}"
         )
-    nrm = float(np.linalg.norm(raw))
-    if nrm == 0.0:
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("custom probe amplitudes must be finite")
+    largest = float(np.max(np.abs(raw.view(np.float64))))
+    if largest == 0.0:
         raise ValueError("custom probe must have a non-zero amplitude")
-    return FockVector(raw / nrm), nrm
+    # Scale by the power of two 2**e <= largest before taking the norm, so
+    # it neither overflows nor underflows; the scaling is exact, so inputs
+    # whose plain norm is safe keep their bits.
+    e = math.frexp(largest)[1] - 1
+    unit = np.ldexp(raw.view(np.float64), -e).view(np.complex128)
+    nrm = float(np.linalg.norm(unit))
+    return FockVector(unit / nrm), nrm * math.ldexp(1.0, e)
 
 
 def load_custom_probe(path) -> tuple[FockVector, float]:

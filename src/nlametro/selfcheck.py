@@ -26,8 +26,9 @@ double-double arithmetic, about 32 digits from error-free transformations
 root).  Their rounding, O(p) units of 2^-104 in a deficit, lies eleven
 orders below the smallest real deficit, so no step is refused and every row
 scores all 280 points.  Its 280 generic meters are one
-:class:`~nlametro.instrument.MeterBatch`, one meter per point; the analytic
-side makes one ``qfi_joint_meter`` call per probe with its slice of them.
+:class:`~nlametro.instrument.MeterBatch` from :func:`draw_meters`, one meter
+per point; the analytic side makes one ``qfi_joint_meter`` call per probe
+with its slice of them.
 
 The suites evaluate on stacks of operating points, each number still coming
 from the library function it checks, and score each row's errors as one
@@ -51,10 +52,13 @@ Kraus-image basis of that many rows on the quadrature grid (7 here, for
 probes of up to 149 levels); its fields differ from the full ``dim``-level
 sums only by the regrouped tail sum, at most about ``dim`` ulp of ``sum_n
 |c_n <x|n>|``.  The products stay small enough that OpenBLAS keeps them on
-one thread.  The meter suite draws the normals of a probe's 1750 random
-meters as one block and makes one ``qfi_joint_meter`` call per probe, 8 in
-all: a :class:`~nlametro.instrument.MeterBatch` of the probe's 35 points x
-54 meters, whose ``q_eff`` and coupling terms are evaluated once.
+one thread.  The meter suite draws a probe's 1750 random meters as one
+block of a counter-based stream (:func:`draw_meters`, SplitMix64 in
+``uint64`` array arithmetic, so the meters are the same bits on every IEEE
+platform and ``numpy.random`` is never imported) and makes one
+``qfi_joint_meter`` call per probe, 8 in all: a
+:class:`~nlametro.instrument.MeterBatch` of the probe's 35 points x 54
+meters, whose ``q_eff`` and coupling terms are evaluated once.
 
 A row fails when its worst error exceeds the tolerance or when any of its
 errors is NaN or infinite; the row then names the first such point and
@@ -113,6 +117,45 @@ NUMERICAL_ZERO = 1e-20
 METER_SAMPLES_PER_POINT = 50
 METER_SEED = 2718
 GENERIC_METER_SEED = 97
+
+# SplitMix64 (Steele, Lea & Flood 2014): output k of the stream keyed by a
+# seed mixes ``seed + (k + 1) * _SPLITMIX_GAMMA``.
+_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SPLITMIX_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+
+
+def _uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    """Outputs ``start`` .. ``start + count - 1`` of SplitMix64 keyed by
+    ``seed``, as 53-bit uniforms in [0, 1).
+
+    Each output is a function of its index alone, so a block equals the
+    same outputs drawn one at a time.  The ``uint64`` arithmetic stays on
+    arrays, which wrap modulo 2^64 without a warning (numpy scalars warn).
+    """
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64) * _SPLITMIX_GAMMA
+    z += np.uint64(seed)
+    z = (z ^ (z >> np.uint64(30))) * _SPLITMIX_MIX[0]
+    z = (z ^ (z >> np.uint64(27))) * _SPLITMIX_MIX[1]
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def draw_meters(seed: int, shape: tuple[int, ...], start: int = 0) -> MeterBatch:
+    """Meters ``start`` onward of the stream keyed by ``seed``, in ``shape``.
+
+    Meter ``k`` takes uniforms ``4k .. 4k+3`` of :func:`_uniforms`, maps
+    them to ``z`` in [-1, 1) exactly and is ``(z0 + i z1, z2 + i z3) / |z|``,
+    a meter anywhere on the unit sphere (though not uniformly spread).  The
+    norm is summed in a fixed order and every operation is correctly
+    rounded, so the meters are the same bits on every IEEE platform, and a
+    block equals the same meters drawn one at a time.
+    """
+    count = math.prod(shape)
+    z = 2.0 * _uniforms(seed, 4 * start, 4 * count).reshape(*shape, 4) - 1.0
+    nrm = np.sqrt(z[..., 0] * z[..., 0] + z[..., 1] * z[..., 1]
+                  + z[..., 2] * z[..., 2] + z[..., 3] * z[..., 3])
+    amps = (z / nrm[..., np.newaxis]).view(np.complex128)
+    return MeterBatch(amps[..., 0], amps[..., 1])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -347,15 +390,7 @@ def check_oracle_suite(grids: list[ProbeGrid]) -> list[CheckResult]:
     probes = [probe for probe, _, grid_points, _ in grids for _ in range(grid_points.g.size)]
     points = NlaParams(g=np.concatenate([pts.g for _, _, pts, _ in grids]),
                        p=np.concatenate([pts.p for _, _, pts, _ in grids]))
-    rng = np.random.default_rng(GENERIC_METER_SEED)
-    # one draw of shape (points, 4) yields the numbers of that many
-    # standard_normal(4) draws, in the same order; each meter is normalised
-    # in scalar arithmetic, whose bits a vectorised norm need not match
-    scaled = []
-    for a, b in rng.standard_normal((points.g.size, 4)).view(np.complex128):
-        nrm = math.hypot(abs(a), abs(b))
-        scaled.append((a / nrm, b / nrm))
-    meters = MeterBatch(*np.transpose(scaled))
+    meters = draw_meters(GENERIC_METER_SEED, (points.g.size,))
     fd = KrausImageFD(probes, points, DEFAULT_QFI_STEP)
     oracle = np.column_stack([
         fd.pure(SUCCESS),
@@ -546,15 +581,14 @@ def check_meter_suite(grids: list[ProbeGrid]) -> list[CheckResult]:
     # trivial, |s>, (|s> + |f>)/sqrt2, -sqrt(0.3)|s> + sqrt(0.7)|f>
     real_alpha = [0.0, 1.0, math.sqrt(0.5), -math.sqrt(0.3)]
     real_beta = [1.0, 0.0, math.sqrt(0.5), math.sqrt(0.7)]
-    rng = np.random.default_rng(METER_SEED)
+    drawn = 0
     for probe, labels, points, bd in grids:
-        # one draw of shape (points, samples, 4) yields the numbers of that
-        # many standard_normal(4) draws, in the same order; a block per probe
-        # keeps the suite's arrays small
-        normals = rng.standard_normal((points.g.size, METER_SAMPLES_PER_POINT, 4))
-        amps = normals.view(np.complex128) / np.linalg.norm(normals, axis=-1, keepdims=True)
-        alpha = np.concatenate([amps[..., 0], np.tile(real_alpha, (points.g.size, 1))], axis=1)
-        beta = np.concatenate([amps[..., 1], np.tile(real_beta, (points.g.size, 1))], axis=1)
+        # a block of the stream per probe keeps the suite's arrays small
+        shape = (points.g.size, METER_SAMPLES_PER_POINT)
+        meters = draw_meters(METER_SEED, shape, start=drawn)
+        drawn += meters.alpha.size
+        alpha = np.concatenate([meters.alpha, np.tile(real_alpha, (points.g.size, 1))], axis=1)
+        beta = np.concatenate([meters.beta, np.tile(real_beta, (points.g.size, 1))], axis=1)
         q_eff = bd.q_eff[:, np.newaxis]
         joint = qfi_joint_meter(probe, points, MeterBatch(alpha, beta))
         scale = np.maximum(q_eff, NUMERICAL_ZERO)

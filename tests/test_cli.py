@@ -296,6 +296,45 @@ def test_a_custom_probe_part_that_is_no_double_is_a_usage_error(amps, tmp_path, 
     assert captured.out == "" and "amplitude 0 " in captured.err
 
 
+def test_a_custom_probe_far_from_unit_norm_is_normalized_without_a_warning(tmp_path, capsys):
+    argv = ["compare", "--probe", "custom", "--p", "1", "--g", "1.5:3:4", "--custom-file"]
+    outputs = []
+    for name, text in (("unit.json", "[[1.0, 0], [1.0, 0]]"), ("huge.json", "[[1e200, 0], [1e200, 0]]"),
+                       ("tiny.json", "[[1e-320, 0], [1e-320, 0]]")):
+        path = tmp_path / name
+        path.write_text(text)
+        assert cli.main([*argv, str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("text", ["[[NaN, 0]]", "[[0.5, 0], [0, Infinity]]", "[[-Infinity, 0]]"])
+def test_a_non_finite_custom_probe_amplitude_is_a_usage_error(text, tmp_path, capsys):
+    path = tmp_path / "probe.json"
+    path.write_text(text)
+    argv = ["compare", "--probe", "custom", "--custom-file", str(path), "--p", "1", "--g", "2:2:1"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "amplitudes must be finite" in captured.err
+
+
+@pytest.mark.parametrize("argv, absent", [
+    ("selfcheck", ("numpy.random", "numpy.polynomial")),
+    ("simulate --probe coherent --nbar 1 --p 3 --g-true 2 --detector photon-counting "
+     "--shots 500 --replications 20 --seed 1", ("numpy.ma",)),
+], ids=["selfcheck", "simulate"])
+def test_a_subcommand_leaves_modules_it_does_not_need_unimported(run_python, argv, absent):
+    script = ("import sys\n"
+              "from nlametro import cli\n"
+              f"assert cli.main({argv.split()!r}) == 0\n"
+              f"print([name for name in {absent!r} if name in sys.modules], file=sys.stderr)\n")
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert proc.stderr.strip().splitlines()[-1] == "[]"
+
+
 def test_bad_grid_syntax_rejected(capsys):
     assert cli.main(["compare", "--probe", "coherent", "--nbar", "1", "--p", "1", "--g", "1.5:2"]) == 2
     assert "a:b:n" in capsys.readouterr().err

@@ -154,6 +154,19 @@ def test_qfi_mixed_agrees_with_pure_on_rank_one(squeezed_nbar1):
     assert qfi_mixed(rho, dmat) == pytest.approx(qfi_pure(state, deriv), rel=1e-9)
 
 
+def test_qfi_mixed_refuses_a_derivative_that_no_state_family_has(squeezed_nbar1):
+    # a state family's derivative is Hermitian and traceless
+    params = NlaParams(g=1.5, p=2)
+    rho = unconditional_state(squeezed_nbar1, params)
+    drho = unconditional_state_derivative(squeezed_nbar1, params)
+    skew = np.zeros_like(drho)
+    skew[0, 1], skew[1, 0] = 1e-6, -1e-6
+    with pytest.raises(dense.NonHermitianDerivative, match="hermiticity defect"):
+        qfi_mixed(rho, drho + skew)
+    with pytest.raises(dense.NonHermitianDerivative, match="trace"):
+        qfi_mixed(rho, drho + 1e-6 * np.eye(rho.dim))
+
+
 def test_unconditional_qfi_pinned_by_golden_oracle(coherent_nbar1):
     pinned = _golden_value("coherent nbar=1 g=2 p=3: q_unc vs Bures fidelity FD")
     value = qfi_unconditional(coherent_nbar1, NlaParams(g=2.0, p=3))
@@ -206,16 +219,43 @@ def test_joint_meter_over_a_batch_equals_scalar_calls(kind, nbar, g, p):
     assert np.all(stacked[4:] <= q_eff)
 
 
-def test_one_meter_draw_per_probe_matches_per_meter_draws():
-    # the meter suite draws each probe's normals as one block
-    from nlametro.selfcheck import METER_SAMPLES_PER_POINT, METER_SEED
+def _splitmix64(seed, k):
+    # output k of SplitMix64 in Python integers, the textbook form
+    mask = (1 << 64) - 1
+    z = (seed + (k + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
 
-    shapes = [(points.g.size, METER_SAMPLES_PER_POINT, 4) for *_, points in standard_probe_grids()]
-    rng = np.random.default_rng(METER_SEED)
-    stacked = np.concatenate([rng.standard_normal(shape) for shape in shapes])
-    rng = np.random.default_rng(METER_SEED)
-    one_by_one = [rng.standard_normal(4) for _ in range(stacked.size // 4)]
-    assert np.array_equal(stacked.reshape(-1, 4), one_by_one)
+
+def test_meter_uniforms_are_splitmix64_outputs():
+    from nlametro.selfcheck import GENERIC_METER_SEED, METER_SEED, _uniforms
+
+    # the reference stream keyed by 0 begins 0xe220a8397b1dcdaf
+    assert _splitmix64(0, 0) == 0xE220A8397B1DCDAF
+    for seed in (0, METER_SEED, GENERIC_METER_SEED, (1 << 64) - 1):
+        drawn = _uniforms(seed, 5, 40)
+        expected = [(_splitmix64(seed, k) >> 11) * 2.0 ** -53 for k in range(5, 45)]
+        assert drawn.tolist() == expected
+
+
+def test_a_block_of_meters_equals_the_same_meters_drawn_one_at_a_time():
+    # the meter suite draws each probe's meters as one block of the stream
+    from nlametro.selfcheck import METER_SAMPLES_PER_POINT, METER_SEED, draw_meters
+
+    shapes = [(points.g.size, METER_SAMPLES_PER_POINT) for *_, points in standard_probe_grids()]
+    blocks, start = [], 0
+    for shape in shapes:
+        blocks.append(draw_meters(METER_SEED, shape, start=start))
+        start += math.prod(shape)
+    alpha = np.concatenate([block.alpha.ravel() for block in blocks])
+    beta = np.concatenate([block.beta.ravel() for block in blocks])
+    one_by_one = [draw_meters(METER_SEED, (1,), start=k) for k in range(start)]
+    np.testing.assert_array_equal(alpha, [m.alpha[0] for m in one_by_one])
+    np.testing.assert_array_equal(beta, [m.beta[0] for m in one_by_one])
+    # the meters reach far off the real-phase meters, where Im[alpha conj(beta)] = 0
+    imbalance = np.abs(MeterBatch(alpha, beta).branch_imbalance())
+    assert imbalance.max() > 0.45 and np.median(imbalance) > 0.1
 
 
 def _random_meters(rng, shape):

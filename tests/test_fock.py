@@ -4,7 +4,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from nlametro import fock
 from nlametro.fock import (
+    GAUSS_LEGENDRE_NODES,
+    GAUSS_LEGENDRE_WEIGHTS,
+    QUADRATURE_MAX_PANELS,
     QUADRATURE_REL_TOL,
     DensityOperator,
     FockVector,
@@ -88,6 +92,50 @@ def test_adaptive_grid_is_the_coarser_of_the_converged_pair(dim, widen):
     psi = wavefunction_matrix(dim, grid.nodes)
     gram = (psi * grid.weights) @ psi.T
     npt.assert_allclose(gram, np.eye(dim), rtol=0, atol=QUADRATURE_REL_TOL)
+
+
+def test_the_gauss_legendre_rule_is_numpys_bit_for_bit():
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert GAUSS_LEGENDRE_NODES.tolist() == nodes.tolist()
+    assert GAUSS_LEGENDRE_WEIGHTS.tolist() == weights.tolist()
+    assert not GAUSS_LEGENDRE_NODES.flags.writeable and not GAUSS_LEGENDRE_WEIGHTS.flags.writeable
+
+
+def _full_table_search(dim, half_width):
+    # reference search: the full wavefunction table per doubling, and
+    # numpy's rule per grid
+    panels = max(8, int(math.ceil(half_width)))
+    previous = None
+    while panels <= QUADRATURE_MAX_PANELS:
+        base_x, base_w = np.polynomial.legendre.leggauss(16)
+        edges = np.linspace(-half_width, half_width, panels + 1)
+        half = 0.5 * (edges[1] - edges[0])
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        nodes = (half * base_x[None, :] + centers[:, None]).ravel()
+        weights = np.tile(half * base_w, panels)
+        top = wavefunction_matrix(dim, nodes)[dim - 1]
+        converged = abs(float(np.dot(top * top, weights)) - 1.0) <= QUADRATURE_REL_TOL
+        if converged and previous is not None:
+            return previous
+        previous = (panels, nodes, weights) if converged else None
+        panels *= 2
+    raise AssertionError(f"no grid for dim={dim}")
+
+
+def test_adaptive_grids_equal_those_of_the_full_table_search():
+    for dim in range(1, 161):
+        half_width = default_half_width(dim)
+        grid = adaptive_quadrature_grid(dim, half_width)
+        panels, nodes, weights = _full_table_search(dim, half_width)
+        assert grid.panels == panels, dim
+        assert grid.nodes.tolist() == nodes.tolist() and grid.weights.tolist() == weights.tolist()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 17, 149])
+def test_the_rolling_recurrence_gives_the_tables_top_row(dim):
+    x = build_quadrature_grid(default_half_width(dim), 40).nodes
+    top = fock._wavefunction_rows(np.empty((2, x.size)), dim, x)
+    assert top.tolist() == wavefunction_matrix(dim, x)[dim - 1].tolist()
 
 
 def test_quadrature_grid_integrates_gaussian():

@@ -26,6 +26,7 @@ from nlametro.montecarlo import (
     _cramer_rao,
     _Counts,
     _log_likelihoods,
+    _percentile,
     _Quadratures,
     _scores,
     _ShotSource,
@@ -163,6 +164,31 @@ def test_run_is_deterministic(vacuum, g2p1):
     npt.assert_array_equal(a.estimates, b.estimates)
     assert a.ratio == b.ratio
     assert a.ratio_ci == b.ratio_ci
+
+
+def test_bootstrap_percentiles_are_numpys_bit_for_bit():
+    rng = np.random.default_rng(31)
+    samples = [rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3) for n in (1, 2, 3, 7, 40, 999)]
+    samples += [rng.exponential(size=1000) for _ in range(20)]
+    samples.append(np.array([0.0, 0.0, 5e-324, 1.0, 1.0, 1e300]))
+    for values in samples:
+        ascending = np.sort(values)
+        for q in (0.0, 2.5, 25.0, 50.0, 97.5, 99.9, 100.0):
+            assert _percentile(ascending, q) == float(np.percentile(values, q)), (values.size, q)
+    # the interval of a run, against the percentiles of its own bootstrap
+    cfg = ExperimentConfig(
+        probe=ProbeSpec(kind="custom", amps=(1.0 + 0j,)), params_true=NlaParams(g=2.0, p=1),
+        detector="herald-only", shots=1_000, seed=99, grid=SEARCH,
+    )
+    result = run_crb_experiment(cfg, 50)
+    boot_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[1])
+    centred = result.estimates - result.estimates.mean()
+    boot = np.concatenate([
+        np.var(centred[boot_rng.integers(0, 50, size=(100, 50))], axis=1, ddof=1)
+        for _ in range(10)
+    ])
+    lo, hi = np.percentile(boot / result.crb, [2.5, 97.5])
+    assert result.ratio_ci == pytest.approx((lo, hi), rel=1e-12)
 
 
 def test_success_only_counts_and_interval(two_level):

@@ -75,6 +75,25 @@ def test_custom_probe_normalizes_and_reports_correction():
         custom_probe(np.ones(HARD_DIM_CAP + 1))
 
 
+def test_custom_probe_scales_exactly_before_taking_the_norm():
+    # the scaling is by a power of two, so an input whose plain norm is safe
+    # gives the bits of dividing by that norm
+    rng = np.random.default_rng(8)
+    for scale in (1e-150, 1e-3, 1.0, 3.0, 1e150):
+        raw = scale * (rng.standard_normal(9) + 1j * rng.standard_normal(9))
+        state, correction = custom_probe(raw)
+        nrm = float(np.linalg.norm(raw))
+        assert correction == nrm and state.amps.tolist() == (raw / nrm).tolist()
+    for huge in ([1e200, 0.0], [1e308, 1e308], [1e-320, 0.0]):
+        state, correction = custom_probe(huge)
+        assert state.norm() == pytest.approx(1.0, abs=1e-15)
+        assert correction == pytest.approx(math.hypot(*huge), rel=1e-15)
+    assert custom_probe([1.7e308, 1.7e308j])[1] == math.inf
+    for bad in ([math.nan, 0.0], [0.5, complex(0.0, math.inf)]):
+        with pytest.raises(ValueError, match="must be finite"):
+            custom_probe(bad)
+
+
 def test_load_custom_probe_roundtrip(tmp_path):
     path = tmp_path / "probe.json"
     path.write_text(json.dumps([[1.0, 0.0], [0.0, 2.0]]))
