@@ -10,19 +10,19 @@ complementary weight so that the pair is trace preserving level by level:
     failure:  sqrt(1 - g^(2(n-p)))       for n <= p,   0 for n > p
 
 This module provides the Kraus diagonals and their exact gain derivatives,
-branch probabilities, normalized conditional states, and the qubit meter
-that records which branch occurred, one meter (:class:`MeterState`) or an
-array of them (:class:`MeterBatch`).  The Kraus, completeness and
-branch-probability functions take one operating point or a batch of them
-(:class:`NlaParams` with an array of gains), whose thresholds may differ;
-the conditional states take one point.  Every Kraus
-entry comes from one kernel, :func:`_kraus_pair`, which gives the rows and
-slopes of both branches in one call, for one gain or a column of them; it
-takes powers of the gain on the :func:`_image_levels` ``min(dim, max p +
-2)`` levels only, the levels above holding the exact constants.  The conditional amplitudes
-and their slopes come from :func:`_conditional_rows`, for one operating
-point or a stack of them; :func:`_conditional_factors` gives their real
-Kraus factors on the :func:`_image_levels` levels.
+the Kraus images of a probe (:class:`KrausImages`), branch probabilities,
+normalized conditional states, and the qubit meter that records which
+branch occurred, one meter (:class:`MeterState`) or an array of them
+(:class:`MeterBatch`).  Every function takes one operating point or a batch
+of them (:class:`NlaParams` with an array of gains), whose thresholds may
+differ; the conditional states take one point.  Every Kraus entry comes
+from one kernel, :func:`_kraus_pair`, which gives the rows and slopes of
+both branches for one gain or a column of them, taking powers of the gain
+on the :func:`_image_levels` ``min(dim, max p + 2)`` levels only.  A
+function of a probe builds one :class:`KrausImages`, from one kernel call,
+and reads the branch probabilities, the conditional amplitudes
+(:func:`_conditional_rows`) and their real factors
+(:func:`_conditional_factors`) off it.
 """
 
 from __future__ import annotations
@@ -56,10 +56,11 @@ class MeterNotNormalized(ValueError):
     """Meter qubit amplitudes fail |alpha|^2 + |beta|^2 = 1."""
 
 
-def _check_branch(branch: str) -> str:
+def _branch_index(branch: str) -> int:
+    """The column of ``branch`` in :data:`BRANCHES` order; any other name raises."""
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
-    return branch
+    return BRANCHES.index(branch)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -197,8 +198,7 @@ def kraus_diagonal(params: NlaParams, branch: str, dim: int) -> np.ndarray:
     One operating point gives a row of length ``dim``; a batch of ``G``
     points, thresholds mixed, gives a ``G x dim`` stack of the same rows.
     """
-    i = BRANCHES.index(_check_branch(branch))
-    return _kraus_at(params, dim)[..., i, 0, :]
+    return _kraus_at(params, dim)[..., _branch_index(branch), 0, :]
 
 
 def kraus_diagonal_derivative(params: NlaParams, branch: str, dim: int) -> np.ndarray:
@@ -207,8 +207,7 @@ def kraus_diagonal_derivative(params: NlaParams, branch: str, dim: int) -> np.nd
     The failure entry at ``n == p`` is identically zero for all gains, so its
     derivative is zero (the 0/0 in the naive quotient is removable).
     """
-    i = BRANCHES.index(_check_branch(branch))
-    return _kraus_at(params, dim)[..., i, 1, :]
+    return _kraus_at(params, dim)[..., _branch_index(branch), 1, :]
 
 
 def _per_point(params: NlaParams, values: np.ndarray) -> float | np.ndarray:
@@ -228,14 +227,78 @@ def completeness_defect(params: NlaParams, dim: int) -> float | np.ndarray:
     return _per_point(params, np.max(np.abs(es * es + ef * ef - 1.0), axis=-1))
 
 
+@dataclasses.dataclass(frozen=True)
+class KrausImages:
+    """The real Kraus images ``A = [E_s c, E_f c]`` of a probe at one point or a batch.
+
+    The information budget, the detector statistics and the post-selected
+    states depend on the probe only through these images, and on the phases
+    of ``c`` only in the homodyne fields.  :meth:`of` builds them from one
+    :func:`_kraus_pair` call on the :func:`_image_levels` rows.  A point's
+    column ``c`` holds the moduli ``|c_n|`` for ``n <= p`` and, when
+    ``dim > p + 2``, the tail norm ``||c_{>p}||`` in row ``p + 1``, which
+    keeps every inner product (above the threshold ``E_s = 1``, ``E_f = 0``
+    and the slopes vanish), zero-padded to the batch's rows.  ``e`` and
+    ``de`` (the Kraus diagonal and slope on levels ``0 .. rows-1``), ``a = e
+    c`` and ``da = de c`` are contiguous ``G x rows x 2`` arrays, a column
+    per branch in :data:`BRANCHES` order, so sums over fewer than 8 rows add
+    the padded zeros last and a point's values equal its own bit for bit.
+    ``prob`` and ``dprob`` (``G x 2``) are ``p_b = sum_rows a^2`` and
+    ``dp_b = 2 sum_rows a da``, the one place either is summed.  Every array
+    is real and read-only.
+    """
+
+    params: NlaParams
+    g: np.ndarray
+    p: np.ndarray
+    c: np.ndarray
+    e: np.ndarray
+    de: np.ndarray
+    a: np.ndarray
+    da: np.ndarray
+    prob: np.ndarray
+    dprob: np.ndarray
+
+    @classmethod
+    def of(cls, probe: FockVector, params: NlaParams) -> "KrausImages":
+        probe.require_normalized()
+        g, p = _point_columns(params)
+        moduli = np.abs(probe.amps)
+        c = np.zeros((g.shape[0], _image_levels(moduli.size, p)))
+        for top in set(p.flat):
+            head = top + 1
+            row = moduli if moduli.size <= head + 1 else np.append(
+                moduli[:head], np.linalg.norm(moduli[head:]))
+            c[p[:, 0] == top, :row.size] = row
+        e, de = np.ascontiguousarray(np.moveaxis(_kraus_pair(g, p, c.shape[1]), (1, 2), (3, 0)))
+        a, da = e * c[..., np.newaxis], de * c[..., np.newaxis]
+        prob = np.sum(a * a, axis=1)
+        dprob = np.column_stack([2.0 * np.sum(a[..., i] * da[..., i], axis=1) for i in (0, 1)])
+        arrays = (g, p, c, e, de, a, da, prob, dprob)
+        for arr in arrays:
+            arr.setflags(write=False)
+        return cls(params, *arrays)
+
+    def possible(self, branch: str) -> tuple[int, np.ndarray, np.ndarray]:
+        """The branch's column, ``p_b`` and ``dp_b``, for a branch possible at
+        every point; else :class:`BranchImpossible` names the first point
+        where it is not."""
+        i = _branch_index(branch)
+        prob = self.prob[:, i]
+        if np.any(prob < PROBABILITY_FLOOR):
+            k = int(np.argmax(prob < PROBABILITY_FLOOR))
+            raise BranchImpossible(f"{branch} branch is impossible for this probe at "
+                                   f"g={float(self.g[k, 0])!r}, p={int(self.p[k, 0])} (point {k})")
+        return i, prob, self.dprob[:, i]
+
+
 def branch_probability(probe: FockVector, params: NlaParams, branch: str) -> float | np.ndarray:
-    """Probability of the branch firing on the given normalized probe.
+    """Probability of the branch firing on the given normalized probe: the
+    images' ``p_b`` (:class:`KrausImages`).
 
     A float for one operating point, one probability per point for a batch.
     """
-    probe.require_normalized()
-    e = kraus_diagonal(params, branch, probe.dim)
-    return _per_point(params, np.sum(e * e * probe.weights(), axis=-1))
+    return _per_point(params, KrausImages.of(probe, params).prob[:, _branch_index(branch)])
 
 
 def branch_probability_derivative(
@@ -243,14 +306,12 @@ def branch_probability_derivative(
 ) -> float | np.ndarray:
     """Exact gain derivative ``2 sum_n E_n dE_n |c_n|^2`` of the branch probability.
 
-    Each branch is differentiated through its own Kraus derivative, so the
-    two branch derivatives sum to zero only when the Kraus pair does.  A
-    float for one operating point, one derivative per point for a batch.
+    The images' ``dp_b`` (:class:`KrausImages`).  Each branch is
+    differentiated through its own Kraus derivative, so the two branch
+    derivatives sum to zero only when the Kraus pair does.  A float for one
+    operating point, one derivative per point for a batch.
     """
-    probe.require_normalized()
-    i = BRANCHES.index(_check_branch(branch))
-    e, de = np.moveaxis(_kraus_at(params, probe.dim)[..., i, :, :], -2, 0)
-    return _per_point(params, 2.0 * np.sum(e * de * probe.weights(), axis=-1))
+    return _per_point(params, KrausImages.of(probe, params).dprob[:, _branch_index(branch)])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -262,72 +323,38 @@ class ConditionalState:
     branch: str
 
 
-def _impossible(branch: str, g, p, prob: np.ndarray) -> BranchImpossible:
-    """The error naming the first point whose ``prob`` is below :data:`PROBABILITY_FLOOR`."""
-    i = int(np.argmax(prob < PROBABILITY_FLOOR))
-    g, p = np.broadcast_arrays(np.ravel(g), np.ravel(p))
-    return BranchImpossible(
-        f"{branch} branch is impossible for this probe at g={float(g[i])!r}, p={int(p[i])}"
-        f" (point {i})"
-    )
+def _conditional_rows(images: KrausImages, amps: np.ndarray, branch: str):
+    """Conditional amplitudes ``a_n = E_n c_n / sqrt(p_b)`` of the probe
+    amplitudes ``amps`` (complex, or their moduli), their gain slopes
+    ``dE_n c_n / sqrt(p_b) - a_n dp_b / (2 p_b)`` and ``p_b``.
 
-
-def _branch_rows(probe: FockVector, g, p, branch: str):
-    """Kraus rows, their slopes, the branch probabilities and their gain slopes.
-
-    ``g`` and ``p`` are the ``(G, 1)`` columns of :func:`_point_columns`.
-    The rows are ``G x dim`` stacks, one per point; the probabilities
-    ``sum_n |E_n c_n|^2`` and their slopes ``2 sum_n E_n dE_n |c_n|^2`` run
-    over the whole probe and have length ``G``.  An impossible branch at any
-    point raises :class:`BranchImpossible` naming that point.
+    The rows are ``G x dim``, the Kraus entries of the images' last row
+    standing for every level above it.  An impossible branch at any point
+    raises :class:`BranchImpossible` naming that point.
     """
-    i = BRANCHES.index(_check_branch(branch))
-    probe.require_normalized()
-    e, de = np.moveaxis(_kraus_pair(g, p, probe.dim)[:, i], -2, 0)
-    prob = np.sum(np.abs(e * probe.amps) ** 2, axis=1)
-    if np.any(prob < PROBABILITY_FLOOR):
-        raise _impossible(branch, g, p, prob)
-    return e, de, prob, 2.0 * np.sum(e * de * probe.weights(), axis=1)
-
-
-def _conditional_rows(probe: FockVector, params: NlaParams, branch: str):
-    """Normalized conditional amplitudes, their gain slopes and the branch probabilities.
-
-    ``params`` is one operating point or a batch of them, whose thresholds
-    may differ.  Amplitudes and slopes are ``G x dim`` stacks, one row per
-    point; the probabilities have length ``G``.  The slopes follow the product
-    rule on ``a_n = E_n c_n / sqrt(prob)``:
-    ``da_n = dE_n c_n / sqrt(prob) - a_n dprob / (2 prob)``.  An impossible
-    branch at any point raises :class:`BranchImpossible` naming that point.
-    """
-    e, de, prob, dprob = _branch_rows(probe, *_point_columns(params), branch)
+    i, prob, dprob = images.possible(branch)
+    levels = np.minimum(np.arange(amps.size), images.e.shape[1] - 1)
     root = np.sqrt(prob)[:, np.newaxis]
-    amps = e * probe.amps / root
-    return amps, de * probe.amps / root - amps * (dprob / (2.0 * prob))[:, np.newaxis], prob
+    rows = images.e[:, levels, i] * amps / root
+    slopes = images.de[:, levels, i] * amps / root - rows * (dprob / (2.0 * prob))[:, np.newaxis]
+    return rows, slopes, prob
 
 
-def _conditional_factors(probe: FockVector, params: NlaParams, branch: str):
-    """The real factors ``a_n``, ``da_n`` of the conditional amplitudes ``a_n c_n``.
-
-    ``a_n = E_n / sqrt(prob)`` and ``da_n = dE_n / sqrt(prob) - a_n dprob /
-    (2 prob)``, with the probability and its slope over the whole probe
-    (:func:`_branch_rows`).  The rows stop after level ``max p + 1``, at
-    the :func:`_image_levels` ``min(dim, max p + 2)``: every level above a
-    point's threshold has ``E_s = 1`` and ``E_f = dE = 0``, so the last
-    column is the factor of every higher level too.
-    """
-    g, p = _point_columns(params)
-    e, de, prob, dprob = _branch_rows(probe, g, p, branch)
-    levels = _image_levels(probe.dim, p)
+def _conditional_factors(images: KrausImages, branch: str):
+    """The real factors ``E_n / sqrt(p_b)`` of the conditional amplitudes, and
+    their slopes, on the image rows, the last also every higher level's; an
+    impossible branch raises as in :func:`_conditional_rows`."""
+    i, prob, dprob = images.possible(branch)
     root = np.sqrt(prob)[:, np.newaxis]
-    a = e[:, :levels] / root
-    return a, de[:, :levels] / root - a * (dprob / (2.0 * prob))[:, np.newaxis]
+    a = images.e[..., i] / root
+    return a, images.de[..., i] / root - a * (dprob / (2.0 * prob))[:, np.newaxis]
 
 
 def conditional_state(probe: FockVector, params: NlaParams, branch: str) -> ConditionalState:
-    """Normalized post-selected state at one point (a batch raises): a view of
-    :func:`_conditional_rows`."""
-    amps, _, prob = _conditional_rows(probe, _one_point(params), branch)
+    """Normalized post-selected state at one point (a batch raises), with the
+    probe's complex amplitudes: a view of :func:`_conditional_rows`."""
+    images = KrausImages.of(probe, _one_point(params))
+    amps, _, prob = _conditional_rows(images, probe.amps, branch)
     return ConditionalState(FockVector(amps[0]), float(prob[0]), branch)
 
 

@@ -11,31 +11,29 @@ the latter through its own code path so it can arbitrate the identity
 
 Every function takes one operating point or a batch of them
 (:class:`~nlametro.instrument.NlaParams`), whose thresholds may differ, and
-evaluates all points as one stack of rows, except :func:`homodyne_density`,
+evaluates all points as one stack of rows from one
+:class:`~nlametro.instrument.KrausImages`, except :func:`homodyne_density`,
 which takes one point and any outcomes.  A batch's outcome distribution is
-one :class:`OutcomeDistribution` with a row of masses per point.  Photon
-counting takes the conditional amplitudes and slopes from one call of the
-instrument kernel ``_conditional_rows``, and the joint-record rows ``E_i c``
-of both branches and their slopes from one ``_kraus_pair`` call.
+one :class:`OutcomeDistribution` with a row of masses per point.  Each
+public function but that one wraps a kernel of the images, so a caller
+holding them builds none.  Photon counting sees the probe only through
+``|c_n|``: its conditional rows ``E_n |c_n| / sqrt(p_b)`` over all levels
+(``_conditional_rows``) and, for the joint record, the images themselves.
 
-Homodyne works on the Kraus-image basis, in real arithmetic.  Above a
-threshold ``p`` the Kraus operators are constant (``E_s = 1``, ``E_f = 0``),
-so every branch field of a stack whose largest threshold is ``max p`` is a
-real combination of the ``min(dim, max p + 2)`` rows ``c_n <x|n>`` for
-``n <= max p`` and the gain-free tail ``sum_{n > max p} c_n <x|n>``
-(:func:`_image_basis`, which the Monte-Carlo homodyne records share).  The
-basis is kept as its parts, real arrays: the rows of the real amplitudes
-and, for a complex probe, those of the imaginary ones, so a density is the
-sum of the squared field parts and no complex array is built.  One basis per
-call serves every threshold in the stack: a point's coefficient row is its
-Kraus factor row on those levels, whose last entry multiplies the tail.
-:func:`homodyne_density`, :func:`homodyne_distribution`,
-:func:`fi_homodyne` and ``sequential_fi(HOMODYNE)`` all multiply such rows
-against the basis.  The conditional factors ``E / sqrt(p_b)`` and their
-slopes come from one ``_conditional_factors`` call, the joint-record rows
-``E_i`` of both branches and their slopes from one ``_kraus_pair`` call.
-A field from the basis differs from the full ``dim``-level sum only by the
-regrouped tail sum, at most about ``dim`` ulp of ``sum_n |c_n <x|n>|``.
+Homodyne, where the phases enter, works on the Kraus-image basis in real
+arithmetic.  Above a threshold ``p`` the Kraus operators are constant
+(``E_s = 1``, ``E_f = 0``), so every branch field of a stack whose largest
+threshold is ``max p`` is a real combination of the ``min(dim, max p + 2)``
+rows ``c_n <x|n>`` for ``n <= max p`` and the gain-free tail
+``sum_{n > max p} c_n <x|n>`` (:func:`_image_basis`, which the Monte-Carlo
+homodyne records share).  The basis is kept as its parts, real arrays: the
+rows of the real amplitudes and, for a complex probe, those of the
+imaginary ones, so a density is the sum of the squared field parts.  A
+point's coefficient row is its images' real Kraus factor row
+(``_conditional_factors``), or for the joint record its Kraus rows, whose
+last entry multiplies the tail.  A field from the basis differs from the
+full ``dim``-level sum only by the regrouped tail sum, at most about
+``dim`` ulp of ``sum_n |c_n <x|n>|``.
 """
 
 from __future__ import annotations
@@ -53,15 +51,13 @@ from .fock import (
     wavefunction_matrix,
 )
 from .instrument import (
+    KrausImages,
     NlaParams,
     _conditional_factors,
     _conditional_rows,
-    _image_levels,
     _is_point,
-    _kraus_pair,
     _one_point,
     _per_point,
-    _point_columns,
 )
 
 PHOTON_COUNTING = "photon-counting"
@@ -138,28 +134,40 @@ class OutcomeDistribution:
 # Photon counting
 # ---------------------------------------------------------------------------
 
+def _counting_dist(images: KrausImages, probe: FockVector, branch: str) -> OutcomeDistribution:
+    """:func:`photon_counting_dist` of the points of ``images``."""
+    masses = _conditional_rows(images, np.abs(probe.amps), branch)[0] ** 2
+    masses.setflags(write=False)
+    return OutcomeDistribution(PHOTON_COUNTING, branch, np.arange(probe.dim, dtype=float),
+                               masses[0] if _is_point(images.params) else masses)
+
+
 def photon_counting_dist(probe: FockVector, params: NlaParams, branch: str) -> OutcomeDistribution:
     """Photon-number distribution of the normalized conditional state.
 
     ``params`` is one operating point, giving 1-D masses, or a batch of
     ``G``, giving ``(G, dim)`` masses, one row per point.
     """
-    masses = np.abs(_conditional_rows(probe, params, branch)[0]) ** 2
-    masses.setflags(write=False)
-    return OutcomeDistribution(PHOTON_COUNTING, branch, np.arange(probe.dim, dtype=float),
-                               masses[0] if _is_point(params) else masses)
+    return _counting_dist(KrausImages.of(probe, params), probe, branch)
 
 
 def _counting_fi(amps: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-    """``sum dm^2 / m`` over occupied outcomes, ``m = |a|^2``, ``dm = 2 Re(conj(a) da)``.
+    """``sum dm^2 / m`` over occupied outcomes, ``m = a^2``, ``dm = 2 a da``.
 
-    ``amps`` and ``slopes`` are ``(G, K, dim)`` groups of rows, summed per
-    group as in :func:`_fisher_integral`.  Each term is ``dm (dm / m)``:
-    dividing first keeps a slope whose square would underflow.
+    ``amps`` and ``slopes`` are real ``(G, K, rows)`` groups of rows,
+    summed per group as in :func:`_fisher_integral`.  Each term is
+    ``dm (dm / m)``: dividing first keeps a slope whose square would
+    underflow.
     """
-    m = np.abs(amps) ** 2
-    dm = 2.0 * (np.conj(amps) * slopes).real
+    m = amps * amps
+    dm = 2.0 * (amps * slopes)
     return (dm * np.divide(dm, m, out=np.zeros_like(m), where=m > MASS_FLOOR)).sum(axis=(1, 2))
+
+
+def _branch_counting_fi(images: KrausImages, probe: FockVector, branch: str) -> np.ndarray:
+    """:func:`fi_photon_counting` of every point of ``images``."""
+    amps, slopes, _ = _conditional_rows(images, np.abs(probe.amps), branch)
+    return _counting_fi(amps[:, None], slopes[:, None])
 
 
 def fi_photon_counting(probe: FockVector, params: NlaParams, branch: str) -> float | np.ndarray:
@@ -170,8 +178,7 @@ def fi_photon_counting(probe: FockVector, params: NlaParams, branch: str) -> flo
     ``params`` is one operating point, giving a float, or a batch, giving an
     array.
     """
-    amps, slopes, _ = _conditional_rows(probe, params, branch)
-    return _per_point(params, _counting_fi(amps[:, None], slopes[:, None]))
+    return _per_point(params, _branch_counting_fi(KrausImages.of(probe, params), probe, branch))
 
 
 # ---------------------------------------------------------------------------
@@ -250,31 +257,34 @@ def homodyne_density(probe: FockVector, params: NlaParams, branch: str, x) -> np
     (:func:`_image_basis`); the density carries the basis's error model
     (:func:`_fields`).
     """
-    factors = _conditional_factors(probe, _one_point(params), branch)[0]
+    factors = _conditional_factors(KrausImages.of(probe, _one_point(params)), branch)[0]
     xa = np.asarray(x, dtype=float)
     parts = _image_basis(probe, wavefunction_matrix(probe.dim, xa.ravel()), factors.shape[1])
     dens = sum(f * f for f in _fields(factors, parts))[0]
     return float(dens[0]) if xa.ndim == 0 else dens.reshape(xa.shape)
 
 
-def homodyne_distribution(probe: FockVector, params: NlaParams, branch: str) -> OutcomeDistribution:
-    """Conditional homodyne density tabulated on the adaptive grid.
-
-    ``params`` is one operating point, giving 1-D masses, or a batch of
-    ``G``, giving ``(G, nodes)`` masses, one row per point.  The real Kraus
-    factors of all points
-    (:func:`~nlametro.instrument._conditional_factors`) are multiplied
-    against the probe's window-0 basis of ``min(dim, max p + 2)`` rows
-    (:func:`_basis_parts`), ``ROW_CHUNK`` rows at a time; each density
-    carries the basis's error model (:func:`_fields`).
-    """
-    factors = _conditional_factors(probe, params, branch)[0]
+def _homodyne_dist(images: KrausImages, probe: FockVector, branch: str) -> OutcomeDistribution:
+    """:func:`homodyne_distribution` of the points of ``images``."""
+    factors = _conditional_factors(images, branch)[0]
     grid, parts = _basis_parts(probe, factors.shape[1])
     masses = np.concatenate([sum(f * f for f in _fields(factors[start:start + ROW_CHUNK], parts))
                              for start in range(0, len(factors), ROW_CHUNK)])
     masses.setflags(write=False)
     return OutcomeDistribution(HOMODYNE, branch, grid.nodes,
-                               masses[0] if _is_point(params) else masses, grid.weights)
+                               masses[0] if _is_point(images.params) else masses, grid.weights)
+
+
+def homodyne_distribution(probe: FockVector, params: NlaParams, branch: str) -> OutcomeDistribution:
+    """Conditional homodyne density tabulated on the adaptive grid.
+
+    ``params`` is one operating point, giving 1-D masses, or a batch of
+    ``G``, giving ``(G, nodes)`` masses, one row per point.  The points'
+    real Kraus factor rows multiply the probe's window-0 basis
+    (:func:`_basis_parts`), ``ROW_CHUNK`` rows at a time, with the basis's
+    error model (:func:`_fields`).
+    """
+    return _homodyne_dist(KrausImages.of(probe, params), probe, branch)
 
 
 def _fisher_integral(probe: FockVector, amps: np.ndarray, slopes: np.ndarray) -> np.ndarray:
@@ -339,6 +349,12 @@ def _fisher_integral(probe: FockVector, amps: np.ndarray, slopes: np.ndarray) ->
     raise RuntimeError("homodyne Fisher integral tail did not become negligible")
 
 
+def _branch_homodyne_fi(images: KrausImages, probe: FockVector, branch: str) -> np.ndarray:
+    """:func:`fi_homodyne` of every point of ``images``, with no check of the phases."""
+    a, da = _conditional_factors(images, branch)
+    return _fisher_integral(probe, a[:, None], da[:, None])
+
+
 def fi_homodyne(
     probe: FockVector, params: NlaParams, branch: str, allow_complex: bool = False
 ) -> float | np.ndarray:
@@ -349,22 +365,27 @@ def fi_homodyne(
     :class:`ComplexProbeUnsupported` for complex probes unless overridden.
 
     ``params`` is one operating point, giving a float, or a batch, giving an
-    array; either way the points go through one stacked
-    :func:`_fisher_integral`, one row of real Kraus factors per point
-    (:func:`~nlametro.instrument._conditional_factors`) on one basis.
+    array; either way the points' real Kraus factor rows go through one
+    stacked :func:`_fisher_integral`.
     """
     if not allow_complex and not probe.is_real():
         raise ComplexProbeUnsupported(
             "homodyne saturation only holds for real probe amplitudes; "
             "pass allow_complex=True to compute the classical value anyway"
         )
-    a, da = _conditional_factors(probe, params, branch)
-    return _per_point(params, _fisher_integral(probe, a[:, None], da[:, None]))
+    return _per_point(params, _branch_homodyne_fi(KrausImages.of(probe, params), probe, branch))
 
 
 # ---------------------------------------------------------------------------
 # Joint record of the full sequential scheme
 # ---------------------------------------------------------------------------
+
+def _record_fi(images: KrausImages, probe: FockVector, detector: str) -> np.ndarray:
+    """:func:`sequential_fi` of every point of ``images``, with no check of its arguments."""
+    if detector == PHOTON_COUNTING:
+        return _counting_fi(images.a.swapaxes(1, 2), images.da.swapaxes(1, 2))
+    return _fisher_integral(probe, images.e.swapaxes(1, 2), images.de.swapaxes(1, 2))
+
 
 def sequential_fi(
     probe: FockVector, params: NlaParams, detector: str = PHOTON_COUNTING
@@ -378,23 +399,18 @@ def sequential_fi(
     ``F_joint = p_s Q_s + p_f Q_f + F_c``.
 
     ``params`` is one operating point, giving a float, or a batch, giving an
-    array.  The two branch rows ``E_i c`` of a point are one
-    group of :func:`_counting_fi`.  For homodyne, the two unnormalized Kraus
-    rows ``E_i`` and their slopes on the first ``min(dim, max p + 2)``
-    levels are one group of one stacked :func:`_fisher_integral` on the
-    probe's basis, with its error model.  The rows of both branches come
-    from one ``_kraus_pair`` call.  Neither detector conditions on a branch,
-    so a point whose success probability underflows to 0 raises nothing:
-    its information underflows with it, and the result there is 0.0.
+    array.  For photon counting, the two branch images ``E_i c`` of a point
+    (:class:`~nlametro.instrument.KrausImages`) are one group of
+    :func:`_counting_fi`: the tail row stands for the levels above the
+    threshold, whose masses are gain free and add nothing.  For homodyne,
+    the images' two unnormalized Kraus rows ``E_i`` and their slopes are one
+    group of one stacked :func:`_fisher_integral` on the probe's basis, with
+    its error model.  Neither detector conditions on a branch, so a point
+    whose success probability underflows to 0 raises nothing: its
+    information underflows with it, and the result there is 0.0.
     """
-    probe.require_normalized()
     if detector not in DETECTOR_KINDS:
         raise ValueError(f"unknown detector {detector!r}")
     if detector == HOMODYNE and not probe.is_real():
         raise ComplexProbeUnsupported("joint homodyne record requires real probe amplitudes")
-    g, p = _point_columns(params)
-    if detector == PHOTON_COUNTING:
-        rows, c = _kraus_pair(g, p, probe.dim), probe.amps
-        return _per_point(params, _counting_fi(rows[:, :, 0] * c, rows[:, :, 1] * c))
-    rows = _kraus_pair(g, p, _image_levels(probe.dim, p))
-    return _per_point(params, _fisher_integral(probe, rows[:, :, 0], rows[:, :, 1]))
+    return _per_point(params, _record_fi(KrausImages.of(probe, params), probe, detector))

@@ -14,11 +14,12 @@ across runs.  A counting or herald experiment draws its replications as
 arrays, so a run with fewer replications is not a prefix of a longer one.
 
 Estimation works on sufficient statistics.  An experiment does its set-up
-(branch masses, photon-number tables) once.  The R replications of a
-photon-counting, success-only or herald-only experiment are drawn directly
-as their counts, one vectorised call per quantity and no loop per
-replication: the success counts ``n_s ~ Binomial(shots, p_s)`` of all R,
-then, for each recorded branch that fired in any replication, every
+(branch masses, photon-number tables) once, from one
+:class:`~nlametro.instrument.KrausImages` at the true point.  The R
+replications of a photon-counting, success-only or herald-only experiment
+are drawn directly as their counts, one vectorised call per quantity and no
+loop per replication: the success counts ``n_s ~ Binomial(shots, p_s)`` of
+all R, then, for each recorded branch that fired in any replication, every
 replication's per-level counts ``Multinomial(n, masses)``, with ``n`` the
 array of that branch's shots.  These counts have the distribution of the
 ``bincount`` of the per-shot inverse-CDF draw of
@@ -57,7 +58,7 @@ import pathlib
 
 import numpy as np
 
-from .fisher import classical_fi, qfi_branch, qfi_effective_closed_form
+from .fisher import _branch_qfi, _herald, qfi_effective_closed_form
 from .fock import FockVector, default_half_width, wavefunction_matrix
 from .instrument import (
     BRANCHES,
@@ -66,20 +67,21 @@ from .instrument import (
     SUCCESS,
     BranchImpossible,
     GainDomain,
+    KrausImages,
     NlaParams,
     _one_point,
     _image_levels,
     _kraus_pair,
-    branch_probability,
+    _per_point,
     kraus_diagonal,  # noqa: F401  (unused; perfbench's install test reads montecarlo.kraus_diagonal)
 )
 from .measurements import (
     HOMODYNE,
     MASS_FLOOR,
     PHOTON_COUNTING,
+    _counting_dist,
     _image_basis,
     homodyne_density,
-    photon_counting_dist,
 )
 from .probes import ProbeSpec
 
@@ -245,13 +247,15 @@ _RECORDED = {
 
 
 def _branch_masses(probe: FockVector, params: NlaParams) -> tuple[float, np.ndarray, np.ndarray]:
-    """``p_s`` and both branches' photon-number masses; the failure masses are
-    zeros where that branch's own probability is below ``PROBABILITY_FLOOR``,
-    whatever ``p_s`` rounds to."""
-    ps = branch_probability(probe, params, SUCCESS)
-    ms = photon_counting_dist(probe, params, SUCCESS).masses
+    """``p_s`` and both branches' photon-number masses, from one
+    :class:`~nlametro.instrument.KrausImages` at the point; the failure
+    masses are zeros where that branch's own probability is below
+    ``PROBABILITY_FLOOR``, whatever ``p_s`` rounds to."""
+    images = KrausImages.of(probe, _one_point(params))
+    ps = float(images.prob[0, 0])
+    ms = _counting_dist(images, probe, SUCCESS).masses
     try:
-        mf = photon_counting_dist(probe, params, FAILURE).masses
+        mf = _counting_dist(images, probe, FAILURE).masses
     except BranchImpossible:
         mf = np.zeros(probe.dim)
     return ps, ms, mf
@@ -487,10 +491,11 @@ def _scores(probe: FockVector, p: int, detector: str, stats, g: np.ndarray) -> n
     imaginary for a complex probe), ``Re(df/f) = sum_i f_i df_i / density``
     and ``density = sum_i f_i^2``.
 
-    The Kraus rows and slopes of both branches come from one
-    :func:`~nlametro.instrument._kraus_pair` call: at the one scalar gain of
-    a homodyne replication, on its :func:`~nlametro.instrument._image_levels`
-    levels, or at the column of every replication's gain for counts.
+    The search picks its gains as it goes, so the Kraus rows and slopes of
+    both branches come from one :func:`~nlametro.instrument._kraus_pair`
+    call per evaluation: at the one scalar gain of a homodyne replication,
+    on its :func:`~nlametro.instrument._image_levels` levels, or at the
+    column of every replication's gain for counts.
     """
     if detector == HOMODYNE:
         (gain,) = g
@@ -604,13 +609,12 @@ def fisher_per_shot(probe: FockVector, params: NlaParams, detector: str) -> floa
     """Per-shot Fisher information matching the detection strategy."""
     if detector in (PHOTON_COUNTING, HOMODYNE):
         return qfi_effective_closed_form(probe, params)
+    if detector not in DETECTORS:
+        raise ValueError(f"unknown detector {detector!r}")
+    images = KrausImages.of(probe, params)
     if detector == HERALD_ONLY:
-        return classical_fi(probe, params)
-    if detector == SUCCESS_ONLY:
-        return branch_probability(probe, params, SUCCESS) * qfi_branch(
-            probe, params, SUCCESS
-        )
-    raise ValueError(f"unknown detector {detector!r}")
+        return _per_point(params, _herald(images))
+    return _per_point(params, images.prob[:, 0] * _branch_qfi(images, images.possible(SUCCESS)[0]))
 
 
 def _cramer_rao(info: float, detector: str, shots: int) -> float:

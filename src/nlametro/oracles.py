@@ -691,7 +691,8 @@ def generate_golden_reports() -> list[OracleReport]:
     ))
     add(OracleReport.build(
         "vacuum g=2 p=1: q_unc", vac.q_unc, 0.0, 0.0, 1e-9, scale_floor=1.0,
-        note="unconditional state is |0><0| for every gain",
+        note="unconditional state is |0><0| for every gain: one occupied image row, "
+        "so exactly 0",
     ))
     add(OracleReport.build(
         "vacuum g=1.5 p=2: q_eff closed form",

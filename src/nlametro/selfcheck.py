@@ -13,10 +13,13 @@ Five suites, each returning one :class:`CheckResult` row per invariant:
 * meter        — the joint-QFI inequality over random meter states.
 
 The standard grid is 2 probe families x 4 energies x 7 gains x 5 thresholds
-= 280 operating points, 35 per probe.  :func:`run_all` computes each
-probe's information budget once, one :class:`~nlametro.fisher.FisherBreakdown`
-of arrays (:func:`standard_grids`), and passes it to the identity, oracle,
-detector and meter suites, which read its arrays.
+= 280 operating points, 35 per probe, one batch per probe
+(:class:`~nlametro.instrument.NlaParams` with an array of gains).
+:func:`standard_grids` builds each probe's one
+:class:`~nlametro.instrument.KrausImages`, from one ``_kraus_pair`` call,
+and the budget it gives, one :class:`~nlametro.fisher.FisherBreakdown` of
+arrays, and :func:`run_all` passes both to the identity, oracle, detector
+and meter suites, which read their arrays.
 
 The oracle suite scores its five rows (``q_s``, ``q_f``, ``q_eff`` through
 the trivial meter, ``q_unc`` and a generic meter) on the Kraus-image Gram
@@ -27,38 +30,26 @@ root).  Their rounding, O(p) units of 2^-104 in a deficit, lies eleven
 orders below the smallest real deficit, so no step is refused and every row
 scores all 280 points.  Its 280 generic meters are one
 :class:`~nlametro.instrument.MeterBatch` from :func:`draw_meters`, one meter
-per point; the analytic side makes one ``qfi_joint_meter`` call per probe
-with its slice of them.
+per point; the analytic side scores each probe's slice of them with the
+kernel that ``qfi_joint_meter`` wraps, on the probe's budget and images.
 
-The suites evaluate on stacks of operating points, each number still coming
-from the library function it checks, and score each row's errors as one
-array.  Every library function takes a probe's 35 operating points, of all
-five thresholds, in one call, as one batch
-(:class:`~nlametro.instrument.NlaParams` with an array of gains), and a
-batch's outcome distribution is one object with a row of masses per point.
-The budgets come from one ``qfi_effective`` call per probe.  The identity rows
-pass the points to one ``completeness_defect`` call and to one call per
-branch of ``kraus_diagonal``, ``kraus_diagonal_derivative``,
-``branch_probability`` and ``branch_probability_derivative``, and take the
-conditional states and slopes from one ``_conditional_rows`` call per
-branch.  The detector rows pass them to one call per branch of
-``fi_photon_counting``, ``photon_counting_dist``, ``fi_homodyne`` and
-``homodyne_distribution``, and to one ``sequential_fi`` call per detector.
-Each of these calls takes the Kraus rows and slopes of all points, both
-branches, from one call of the instrument's kernel ``_kraus_pair``, which
-takes powers of the gain on ``min(dim, max p + 2)`` levels only.  Homodyne
+The suites score each row's errors as one array, each number still coming
+from the library code it checks.  The identity rows read the images' Kraus
+rows, branch probabilities and traces, take the conditional states from one
+``_conditional_rows`` call per branch on them, and make one
+``completeness_defect`` call.  The detector rows pass the images to the
+kernels that the public detector functions wrap, one call per branch of
+``_branch_counting_fi``, ``_counting_dist``, ``_branch_homodyne_fi`` and
+``_homodyne_dist`` and one ``_record_fi`` call per detector.  Homodyne
 multiplies the points' real coefficient rows, in chunks, against one
-Kraus-image basis of that many rows on the quadrature grid (7 here, for
-probes of up to 149 levels); its fields differ from the full ``dim``-level
-sums only by the regrouped tail sum, at most about ``dim`` ulp of ``sum_n
-|c_n <x|n>|``.  The products stay small enough that OpenBLAS keeps them on
-one thread.  The meter suite draws a probe's 1750 random meters as one
+Kraus-image basis of ``min(dim, max p + 2)`` rows on the quadrature grid (7
+here, for probes of up to 149 levels), which keeps the products on one
+OpenBLAS thread.  The meter suite draws a probe's 1750 random meters as one
 block of a counter-based stream (:func:`draw_meters`, SplitMix64 in
 ``uint64`` array arithmetic, so the meters are the same bits on every IEEE
-platform and ``numpy.random`` is never imported) and makes one
-``qfi_joint_meter`` call per probe, 8 in all: a
+platform and ``numpy.random`` is never imported) and scores a
 :class:`~nlametro.instrument.MeterBatch` of the probe's 35 points x 54
-meters, whose ``q_eff`` and coupling terms are evaluated once.
+meters on the budget's ``q_eff`` and the images' coupling terms.
 
 A row fails when its worst error exceeds the tolerance or when any of its
 errors is NaN or infinite; the row then names the first such point and
@@ -74,33 +65,32 @@ import numpy as np
 
 from .fisher import (
     FisherBreakdown,
+    _budget,
+    _coupling,
+    _joint_meter,
     qfi_effective,
     qfi_effective_closed_form,
-    qfi_joint_meter,
 )
 from .fock import FockVector
 from .instrument import (
     BRANCHES,
     FAILURE,
+    KrausImages,
     MeterBatch,
     MeterState,
     NlaParams,
     SUCCESS,
-    branch_probability,
-    branch_probability_derivative,
     _conditional_rows,
     completeness_defect,
-    kraus_diagonal,
-    kraus_diagonal_derivative,
 )
 from .measurements import (
     HOMODYNE,
     PHOTON_COUNTING,
-    fi_homodyne,
-    fi_photon_counting,
-    homodyne_distribution,
-    photon_counting_dist,
-    sequential_fi,
+    _branch_counting_fi,
+    _branch_homodyne_fi,
+    _counting_dist,
+    _homodyne_dist,
+    _record_fi,
 )
 from .oracles import DEFAULT_QFI_STEP, KrausImageFD
 from .probes import ProbeSpec
@@ -195,20 +185,23 @@ def standard_probe_grids():
         yield probe, labels, NlaParams(g=g, p=p)
 
 
-ProbeGrid = tuple[FockVector, list[str], NlaParams, FisherBreakdown]
+ProbeGrid = tuple[FockVector, list[str], NlaParams, KrausImages, FisherBreakdown]
 
 
 def standard_grids() -> list[ProbeGrid]:
-    """(probe, labels, params, budget) per standard probe.
+    """(probe, labels, params, images, budget) per standard probe.
 
-    The budget of a probe's 35 operating points, thresholds mixed, comes from
-    one :func:`~nlametro.fisher.qfi_effective` call, as arrays.
-    :func:`run_all` builds the grids once per pass and hands them to the
-    identity, oracle, detector and meter suites; nothing is cached between
-    calls.
+    A probe's 35 operating points, thresholds mixed, get one
+    :class:`~nlametro.instrument.KrausImages`, and their budget, as arrays,
+    is the one the images give.  :func:`run_all` builds the grids once per
+    pass and hands them to the identity, oracle, detector and meter suites;
+    nothing is cached between calls.
     """
-    return [(probe, labels, points, qfi_effective(probe, points))
-            for probe, labels, points in standard_probe_grids()]
+    grids = []
+    for probe, labels, points in standard_probe_grids():
+        images = KrausImages.of(probe, points)
+        grids.append((probe, labels, points, images, _budget(images)))
+    return grids
 
 
 class _Worst:
@@ -279,10 +272,12 @@ def _branch_labels(labels: list[str], suffixes) -> list[str]:
 def check_identity_suite(grids: list[ProbeGrid]) -> list[CheckResult]:
     """Exact algebraic identities across the standard grid.
 
-    ``grids`` is :func:`standard_grids`.  Each ``instrument``
-    function takes a probe's 35 operating points, thresholds mixed, in one
-    call (per branch), and the conditional states and their slopes come from
-    one ``_conditional_rows`` call per branch.
+    ``grids`` is :func:`standard_grids`.  The Kraus rows, the branch
+    probabilities and the Kraus-image traces of a probe's 35 operating
+    points, thresholds mixed, are its images' arrays; the conditional
+    states and their slopes come from one ``_conditional_rows`` call per
+    branch on them, and ``completeness_defect`` takes the 35 points in one
+    call over all levels.
     """
     completeness = _Worst()
     kraus_deriv = _Worst()
@@ -293,20 +288,18 @@ def check_identity_suite(grids: list[ProbeGrid]) -> list[CheckResult]:
     breakdown_identity = _Worst()
     unc_trace = _Worst()
     hierarchy_slack = _Worst()
-    for probe, labels, points, bd in grids:
-        dim = probe.dim
-        completeness.update(completeness_defect(points, dim), labels)
-        es, ef = (kraus_diagonal(points, b, dim) for b in BRANCHES)
-        des, def_ = (kraus_diagonal_derivative(points, b, dim) for b in BRANCHES)
-        kraus_deriv.update(np.max(np.abs(es * des + ef * def_), axis=1), labels)
-        ps, pf = (branch_probability(probe, points, b) for b in BRANCHES)
-        prob_sum.update(np.abs(ps + pf - 1.0), labels)
-        dps, dpf = (branch_probability_derivative(probe, points, b) for b in BRANCHES)
-        dprob_sum.update(np.abs(dps + dpf), labels)
+    for probe, labels, points, images, bd in grids:
+        completeness.update(completeness_defect(points, probe.dim), labels)
+        # every level above the image rows has E_s = 1 and E_f = dE = 0
+        e, de = images.e, images.de
+        kraus_deriv.update(np.max(np.abs(e[..., 0] * de[..., 0] + e[..., 1] * de[..., 1]), axis=1),
+                           labels)
+        prob_sum.update(np.abs(images.prob.sum(axis=1) - 1.0), labels)
+        dprob_sum.update(np.abs(images.dprob.sum(axis=1)), labels)
         branch_labels = _branch_labels(labels, BRANCHES)
         norms, overlaps = [], []
         for branch in BRANCHES:
-            amps, damps = _conditional_rows(probe, points, branch)[:2]
+            amps, damps = _conditional_rows(images, probe.amps, branch)[:2]
             # per row: a batched norm sums in another order than the BLAS dot
             # of np.linalg.norm, which moves this row's printed location
             norms.append([abs(np.linalg.norm(row) - 1.0) for row in amps])
@@ -319,10 +312,9 @@ def check_identity_suite(grids: list[ProbeGrid]) -> list[CheckResult]:
         hierarchy_slack.update(np.stack([np.maximum(bd.ps_qs - bd.q_eff, 0.0) / scale,
                                          np.maximum(bd.q_unc - bd.q_eff, 0.0) / scale], axis=1),
                                labels)
-        # tr(A A^+) = ||A||_F^2 for the Kraus images A = [E_s c, E_f c]; per
+        # tr(A A^T) = ||A||_F^2 for the Kraus images A = [E_s c, E_f c]; per
         # point, like the norms above
-        images = np.stack((es * probe.amps, ef * probe.amps), axis=2)
-        unc_trace.update([abs(np.vdot(a, a).real - 1.0) for a in images], labels)
+        unc_trace.update([abs(np.vdot(a, a) - 1.0) for a in images.a], labels)
     results = [
         completeness.result("kraus completeness sum_i E_i^2 = 1", 1e-12),
         kraus_deriv.result("kraus derivative identity E_s dE_s + E_f dE_f = 0", 1e-12),
@@ -383,13 +375,14 @@ def check_oracle_suite(grids: list[ProbeGrid]) -> list[CheckResult]:
     random meter per point, and the Bures deficit of ``A A^+`` (Uhlmann's
     ``sqrt F = ||A(g-)^+ A(g+)||_*``).  The deficits have no noise floor,
     so every row scores all 280 points.  The analytic side comes from the
-    budgets of ``grids`` (:func:`standard_grids`) and ``qfi_joint_meter``.
-    The random meters are one :class:`~nlametro.instrument.MeterBatch`.
+    budgets and images of ``grids`` (:func:`standard_grids`), the generic
+    meters' from the kernel that ``qfi_joint_meter`` wraps.  The random
+    meters are one :class:`~nlametro.instrument.MeterBatch`.
     """
-    labels = [label for _, grid_labels, _, _ in grids for label in grid_labels]
-    probes = [probe for probe, _, grid_points, _ in grids for _ in range(grid_points.g.size)]
-    points = NlaParams(g=np.concatenate([pts.g for _, _, pts, _ in grids]),
-                       p=np.concatenate([pts.p for _, _, pts, _ in grids]))
+    labels = [label for _, grid_labels, *_ in grids for label in grid_labels]
+    probes = [probe for probe, _, grid_points, *_ in grids for _ in range(grid_points.g.size)]
+    points = NlaParams(g=np.concatenate([pts.g for _, _, pts, *_ in grids]),
+                       p=np.concatenate([pts.p for _, _, pts, *_ in grids]))
     meters = draw_meters(GENERIC_METER_SEED, (points.g.size,))
     fd = KrausImageFD(probes, points, DEFAULT_QFI_STEP)
     oracle = np.column_stack([
@@ -399,12 +392,12 @@ def check_oracle_suite(grids: list[ProbeGrid]) -> list[CheckResult]:
         fd.bures(),
         fd.pure(meters),
     ])
-    # one qfi_joint_meter call per probe, one meter per point
+    # one joint-meter call per probe, one meter per point
     joint, start = [], 0
-    for probe, _, grid_points, _ in grids:
-        part = slice(start, start + grid_points.g.size)
-        joint.append(qfi_joint_meter(probe, grid_points,
-                                     MeterBatch(meters.alpha[part], meters.beta[part])))
+    for *_, images, bd in grids:
+        part = slice(start, start + bd.q_eff.size)
+        joint.append(_joint_meter(bd.q_eff, _coupling(images),
+                                  MeterBatch(meters.alpha[part], meters.beta[part])))
         start = part.stop
     analytic = np.column_stack([
         np.concatenate([np.column_stack([bd.q_s, bd.q_f, bd.q_eff, bd.q_unc]) for *_, bd in grids]),
@@ -432,28 +425,29 @@ def check_oracle_suite(grids: list[ProbeGrid]) -> list[CheckResult]:
 def check_detector_suite(grids: list[ProbeGrid]) -> list[CheckResult]:
     """Detector Fisher informations saturate the branch QFIs on the grid.
 
-    The detector quantities of a probe's operating points are computed by
-    one call per function and branch over all of them, and the branch QFIs
-    come from the budgets of ``grids`` (:func:`standard_grids`).  A batch's
-    distribution gives the totals of all its points from one ``total()``.
+    The detector quantities of a probe's operating points come from the
+    kernels that the public detector functions wrap, one call per branch on
+    the probe's images, and the branch QFIs from the budgets of ``grids``
+    (:func:`standard_grids`).  A batch's distribution gives the totals of
+    all its points from one ``total()``.
     """
     pc_w, hd_w, seq_pc_w, seq_hd_w, norm_w = (_Worst() for _ in range(5))
-    detectors = (("photon", photon_counting_dist), ("homodyne", homodyne_distribution))
-    for probe, labels, points, bd in grids:
+    detectors = (("photon", _counting_dist), ("homodyne", _homodyne_dist))
+    for probe, labels, _, images, bd in grids:
         q_branch = np.column_stack([bd.q_s, bd.q_f])
         branch_labels = _branch_labels(labels, BRANCHES)
-        photon = np.column_stack([fi_photon_counting(probe, points, b) for b in BRANCHES])
+        photon = np.column_stack([_branch_counting_fi(images, probe, b) for b in BRANCHES])
         pc_w.update(_rel(photon, q_branch), branch_labels)
-        homodyne = np.column_stack([fi_homodyne(probe, points, b) for b in BRANCHES])
+        homodyne = np.column_stack([_branch_homodyne_fi(images, probe, b) for b in BRANCHES])
         hd_w.update(_rel(homodyne, q_branch), branch_labels)
         # point x branch x detector
-        totals = np.array([[distribution(probe, points, b).total() for _, distribution in detectors]
+        totals = np.array([[distribution(images, probe, b).total() for _, distribution in detectors]
                            for b in BRANCHES]).transpose(2, 0, 1)
         norm_w.update(np.abs(totals - 1.0),
                       _branch_labels(branch_labels, [name for name, _ in detectors]))
         target = bd.component_sum()
-        seq_pc_w.update(_rel(sequential_fi(probe, points, PHOTON_COUNTING), target), labels)
-        seq_hd_w.update(_rel(sequential_fi(probe, points, HOMODYNE), target), labels)
+        seq_pc_w.update(_rel(_record_fi(images, probe, PHOTON_COUNTING), target), labels)
+        seq_hd_w.update(_rel(_record_fi(images, probe, HOMODYNE), target), labels)
     return [
         pc_w.result("photon-counting FI saturates the branch QFI", 1e-9),
         hd_w.result("homodyne FI saturates the branch QFI", 1e-6),
@@ -571,10 +565,10 @@ def check_figure_behavior() -> list[CheckResult]:
 def check_meter_suite(grids: list[ProbeGrid]) -> list[CheckResult]:
     """Joint QFI never exceeds q_eff; equality iff the meter phase is real.
 
-    The random meters and the real-phase meters of a probe's 35 points go
-    through one ``qfi_joint_meter`` call, as one
-    :class:`~nlametro.instrument.MeterBatch`; ``q_eff`` is the budget's, from
-    ``grids`` (:func:`standard_grids`).
+    The random meters and the real-phase meters of a probe's 35 points are
+    one :class:`~nlametro.instrument.MeterBatch`, scored by the kernel that
+    ``qfi_joint_meter`` wraps on the budget's ``q_eff`` and the coupling
+    terms of the probe's images, from ``grids`` (:func:`standard_grids`).
     """
     bound_w = _Worst()
     equality_w = _Worst()
@@ -582,7 +576,7 @@ def check_meter_suite(grids: list[ProbeGrid]) -> list[CheckResult]:
     real_alpha = [0.0, 1.0, math.sqrt(0.5), -math.sqrt(0.3)]
     real_beta = [1.0, 0.0, math.sqrt(0.5), math.sqrt(0.7)]
     drawn = 0
-    for probe, labels, points, bd in grids:
+    for _, labels, points, images, bd in grids:
         # a block of the stream per probe keeps the suite's arrays small
         shape = (points.g.size, METER_SAMPLES_PER_POINT)
         meters = draw_meters(METER_SEED, shape, start=drawn)
@@ -590,7 +584,7 @@ def check_meter_suite(grids: list[ProbeGrid]) -> list[CheckResult]:
         alpha = np.concatenate([meters.alpha, np.tile(real_alpha, (points.g.size, 1))], axis=1)
         beta = np.concatenate([meters.beta, np.tile(real_beta, (points.g.size, 1))], axis=1)
         q_eff = bd.q_eff[:, np.newaxis]
-        joint = qfi_joint_meter(probe, points, MeterBatch(alpha, beta))
+        joint = _joint_meter(bd.q_eff, _coupling(images), MeterBatch(alpha, beta))
         scale = np.maximum(q_eff, NUMERICAL_ZERO)
         bound_w.update(np.maximum(joint[:, :METER_SAMPLES_PER_POINT] - q_eff, 0.0) / scale, labels)
         equality_w.update(np.abs(joint[:, METER_SAMPLES_PER_POINT:] - q_eff) / scale, labels)

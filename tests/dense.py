@@ -46,7 +46,6 @@ from nlametro.instrument import (
     MeterState,
     NlaParams,
     _one_point,
-    branch_probability_derivative,
     kraus_diagonal,
     kraus_diagonal_derivative,
 )
@@ -117,9 +116,11 @@ def unconditional_state_derivative(probe: FockVector, params: NlaParams) -> np.n
     """Exact gain derivative of the unconditional output matrix.
 
     Assembled by the product rule on each branch term
-    ``prob_i |psi_i><psi_i|`` (equivalently on the unnormalized Kraus images);
-    a branch of identically zero probability contributes nothing at any gain
-    and is skipped.
+    ``prob_i |psi_i><psi_i|`` (equivalently on the unnormalized Kraus images),
+    with ``dprob_i = 2 sum_n E_n dE_n |c_n|^2`` from the public Kraus diagonal
+    and its slope over all ``dim`` levels, not from the package's Kraus
+    images; a branch of identically zero probability contributes nothing at
+    any gain and is skipped.
     """
     probe.require_normalized()
     out = np.zeros((probe.dim, probe.dim), dtype=np.complex128)
@@ -129,7 +130,8 @@ def unconditional_state_derivative(probe: FockVector, params: NlaParams) -> np.n
         prob = float(np.sum(np.abs(raw) ** 2))
         if prob < PROBABILITY_FLOOR:
             continue
-        dprob = branch_probability_derivative(probe, params, branch)
+        de = kraus_diagonal_derivative(params, branch, probe.dim)
+        dprob = 2.0 * float(np.sum(e * de * np.abs(probe.amps) ** 2))
         psi = raw / np.sqrt(prob)
         dpsi = conditional_state_derivative(probe, params, branch)
         out += dprob * np.outer(psi, psi.conj())

@@ -45,7 +45,19 @@ def test_compare_vacuum_hand_row(tmp_path, capsys):
     assert g == 2.0
     assert q_eff == pytest.approx(1.0 / 3.0, abs=1e-9)
     assert ps_qs == pytest.approx(0.0, abs=1e-9)
-    assert q_unc == pytest.approx(0.0, abs=1e-9)
+    assert q_unc == 0.0
+
+
+def test_compare_prints_q_unc_of_a_one_level_probe_as_zero(capsys):
+    # squeezed vacuum at nbar=0 is |0>: its output is |0><0| at every gain
+    rc = cli.main(["compare", "--probe", "squeezed-vacuum", "--nbar", "0", "--p", "2",
+                   "--g", "1.5:2:2"])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "g,q_eff,ps_qs,q_unc\n"
+        "1.5,1.75042735,0,0\n"
+        "2,0.266666667,0,0\n"
+    )
 
 
 def test_compare_monotone_decreasing_columns(capsys):
@@ -256,11 +268,13 @@ def test_simulate_degenerate_probe_structured_error(tmp_path, capsys):
     assert err["error"]["type"] == "DegenerateLikelihood"
 
 
-# All the weight above p = 0, so no shot carries gain information; p_s is the
-# squared norm, which rounds to 1 - 2^-53 for the first probe and to 1 for
-# the second, while the failure branch is impossible for both.
+# At p = 0 every level has E_s = 1 and E_f = 0, so no shot carries gain
+# information; p_s is the sum of the squared moduli over the image rows,
+# which rounds to 1 - 2^-53 for the first probe and to 1 for the second,
+# while the failure branch is impossible for both.  (Three levels or more
+# give p_s the square of a tail norm, which never rounds to 1 - 2^-53.)
 @pytest.mark.parametrize("amps, ps_below_one", [
-    ([0.0, 0.7535065118573733, 0.657436739779298, 0.002206757100771328], True),
+    ([0.32212805233828007, 0.9466961064125838], True),
     ([0.0, 1.0], False),
 ])
 def test_simulate_probe_above_the_threshold_is_degenerate_however_p_s_rounds(

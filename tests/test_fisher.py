@@ -23,6 +23,7 @@ from nlametro.fock import DensityOperator, FockVector
 from nlametro.instrument import (
     FAILURE,
     BranchImpossible,
+    KrausImages,
     SUCCESS,
     MeterBatch,
     MeterNotNormalized,
@@ -43,7 +44,17 @@ from nlametro.fisher import (
     qfi_joint_meter,
     qfi_unconditional,
 )
-from nlametro.measurements import HOMODYNE, sequential_fi
+from nlametro.measurements import (
+    HOMODYNE,
+    PHOTON_COUNTING,
+    fi_homodyne,
+    fi_photon_counting,
+    homodyne_density,
+    homodyne_distribution,
+    photon_counting_dist,
+    sequential_fi,
+)
+from nlametro.montecarlo import fisher_per_shot
 from nlametro.probes import ProbeSpec, custom_probe
 from nlametro.selfcheck import STANDARD_THRESHOLDS, standard_probe_grids
 
@@ -396,8 +407,22 @@ def test_thin_unconditional_qfi_matches_extended_precision_reference(kind, nbar,
 def test_thin_unconditional_qfi_exact_zeros(vacuum, g2p1):
     # supported only above the threshold: A = [c, 0] and dA = 0 at every gain
     assert qfi_unconditional(FockVector([0.0, 0.0, 1.0]), NlaParams(g=2.0, p=1)) == 0.0
-    # vacuum: rank 1, and the support term is the rounding of E_s dE_s + E_f dE_f = 0
-    assert abs(qfi_unconditional(vacuum, g2p1)) < 1e-30
+    # vacuum: one occupied row, so the output is |0><0| at every gain
+    assert qfi_unconditional(vacuum, g2p1) == 0.0
+
+
+# Fock |n> at a threshold above n occupies one image row, so its output is
+# |n><n| at every gain; the kernel's support and kernel terms would leave a
+# rounding residue of up to 3e-31 there.
+@pytest.mark.parametrize("n", range(4))
+def test_q_unc_of_a_one_level_probe_is_exactly_zero(n):
+    for dim in (n + 1, n + 5):
+        probe = FockVector(np.eye(dim)[n])
+        for p in (n + 1, n + 2, n + 4):
+            points = NlaParams(g=[1.05, 2.0, 6.0], p=p)
+            assert qfi_unconditional(probe, points).tolist() == [0.0] * 3, (dim, p)
+            assert qfi_effective(probe, points).q_unc.tolist() == [0.0] * 3, (dim, p)
+            assert [qfi_unconditional(probe, pt) for pt in points_of(points)] == [0.0] * 3
 
 
 # Coherent nbar=1 at p=60: p_s falls from 1e-20 to 1e-288, far below any
@@ -415,9 +440,10 @@ def test_unconditional_qfi_keeps_a_vanishing_success_branch(coherent_nbar1, g):
 
 @pytest.mark.parametrize("amps,p", [([0.0, 1.0], 2), ([0.0, 0.0, 1.0, 0.0], 3)])
 def test_structural_rank_one_output_keeps_q_unc_at_rounding(amps, p):
-    # one occupied level: A A^+ has rank 1 whatever the factorisation leaves
-    # as a second singular value (about 1e-16 here), which must not count
-    assert abs(qfi_unconditional(FockVector(amps), NlaParams(g=1.1, p=p))) < 1e-30
+    # one occupied level: A A^T has rank 1 whatever the factorisation leaves
+    # as a second singular value (about 1e-16 here), and the output is the
+    # gain-free |n><n|
+    assert qfi_unconditional(FockVector(amps), NlaParams(g=1.1, p=p)) == 0.0
 
 
 # Coherent nbar=1, p=60, g=1e4: p_s ~ 1e-366 underflows to 0.
@@ -519,10 +545,8 @@ def test_budget_on_compressed_images_matches_full_vector_references(dim, p, g):
     _assert_batch_matches_points(probe, NlaParams(g=[1.05, g, 6.0], p=p))
 
 
-def test_qfi_effective_evaluates_the_kraus_pair_once(monkeypatch):
-    # one evaluation of the Kraus kernel, both branches' rows and slopes,
-    # per call, for a single point and for a 300-point gain grid alike
-    probe = ProbeSpec.from_nbar("squeezed-vacuum", 2.0).build()
+def _count_kraus_pair(monkeypatch) -> collections.Counter:
+    """Count ``_kraus_pair`` calls in every ``nlametro`` namespace that holds it."""
     calls = collections.Counter()
     original = nlametro.instrument._kraus_pair
 
@@ -533,10 +557,66 @@ def test_qfi_effective_evaluates_the_kraus_pair_once(monkeypatch):
     for module in list(sys.modules.values()):
         if module.__name__.startswith("nlametro") and getattr(module, "_kraus_pair", None) is original:
             monkeypatch.setattr(module, "_kraus_pair", counted)
-    for points in (NlaParams(g=1.5, p=3), NlaParams(g=np.linspace(1.05, 6, 300), p=3)):
+    return calls
+
+
+# Every public function of (probe, params), with its other arguments; the
+# closed form and the per-shot information of the full-record detectors
+# read no Kraus entry.
+PUBLIC = {
+    "branch_probability": (branch_probability, (SUCCESS,), 1),
+    "branch_probability_derivative": (branch_probability_derivative, (FAILURE,), 1),
+    "conditional_state": (conditional_state, (FAILURE,), 1),
+    "qfi_branch": (qfi_branch, (SUCCESS,), 1),
+    "classical_fi": (classical_fi, (), 1),
+    "qfi_unconditional": (qfi_unconditional, (), 1),
+    "qfi_effective": (qfi_effective, (), 1),
+    "qfi_effective_closed_form": (qfi_effective_closed_form, (), 0),
+    "meter_coupling_term": (meter_coupling_term, (), 1),
+    "qfi_joint_meter": (qfi_joint_meter, (MeterState(0.6, 0.8j),), 1),
+    "photon_counting_dist": (photon_counting_dist, (FAILURE,), 1),
+    "fi_photon_counting": (fi_photon_counting, (SUCCESS,), 1),
+    "homodyne_density": (homodyne_density, (SUCCESS, [0.0, 0.5]), 1),
+    "homodyne_distribution": (homodyne_distribution, (FAILURE,), 1),
+    "fi_homodyne": (fi_homodyne, (SUCCESS,), 1),
+    "sequential_fi": (sequential_fi, (PHOTON_COUNTING,), 1),
+    "sequential_fi homodyne": (sequential_fi, (HOMODYNE,), 1),
+    "fisher_per_shot herald-only": (fisher_per_shot, ("herald-only",), 1),
+    "fisher_per_shot success-only": (fisher_per_shot, ("success-only",), 1),
+    "fisher_per_shot photon-counting": (fisher_per_shot, ("photon-counting",), 0),
+}
+
+
+@pytest.mark.parametrize("name", list(PUBLIC))
+def test_each_public_function_makes_one_kraus_kernel_call(monkeypatch, name):
+    # one Kraus-image object per call, for a point and a mixed batch alike
+    fn, args, want = PUBLIC[name]
+    probe = ProbeSpec.from_nbar("squeezed-vacuum", 2.0).build()
+    batch = NlaParams(g=np.linspace(1.05, 6, 30), p=np.arange(30) % 5 + 1)
+    calls = _count_kraus_pair(monkeypatch)
+    for points in (NlaParams(g=1.5, p=3), batch):
+        if points is batch and name.startswith(("conditional_state", "homodyne_density",
+                                                "fisher_per_shot")):
+            continue
         calls.clear()
-        qfi_effective(probe, points)
-        assert calls == {"_kraus_pair": 1}
+        fn(probe, points, *args)
+        assert calls["_kraus_pair"] == want, points
+
+
+def test_branch_probabilities_are_the_images_bit_for_bit():
+    # p_b and dp_b are summed at one site, the images, whichever function
+    # reads them, for a batch and for each of its points
+    for probe, _, points in standard_probe_grids():
+        images = KrausImages.of(probe, points)
+        for i, branch in enumerate((SUCCESS, FAILURE)):
+            for fn, want in ((branch_probability, images.prob[:, i]),
+                             (branch_probability_derivative, images.dprob[:, i])):
+                assert np.array_equal(fn(probe, points, branch), want)
+                assert [fn(probe, pt, branch) for pt in points_of(points)] == want.tolist()
+            states = [conditional_state(probe, pt, branch) for pt in points_of(points)]
+            assert [state.probability for state in states] == images.prob[:, i].tolist()
+        budget = qfi_effective(probe, points)
+        assert np.array_equal(budget.ps_qs, images.prob[:, 0] * budget.q_s)
 
 
 def test_batched_budget_matches_single_points_on_standard_grid():
@@ -634,9 +714,9 @@ def test_qfi_branch_over_a_batch_names_the_impossible_point(vacuum):
 
 
 # Rounding bound of a real probe against the same probe times a global phase
-# e^{0.7i}: the complex path forms |a|^2 and Re(conj(a) da) from products of
-# rotated parts, and its QR and SVD use complex reflections, in sums of at
-# most p + 2 = 7 rows; measured worst 19.5 eps (q_unc) and 4.7 eps (f_c).
+# e^{0.7i}: the budget reads the moduli |c_n|, which round within an ulp of
+# the real amplitudes, and q_unc's QR and SVD amplify that; measured worst
+# 24.5 eps (q_unc) and 5.4 eps (f_c).
 PHASE_EPS = {"q_unc": 32.0}
 PHASE_EPS_DEFAULT = 8.0
 
@@ -655,27 +735,62 @@ def test_a_global_phase_leaves_the_budget_within_rounding_of_the_real_path():
             assert np.all(np.abs(got - want) <= bound), (labels[0], field)
 
 
-def test_a_real_probe_reaches_the_image_kernels_in_real_arithmetic(monkeypatch):
-    # every array _images receives and returns, and every array the q_unc
-    # kernel (QR and SVD) receives, is float64 for a real probe
+def _phase_cases(rng):
+    """(probe, points) of the standard grids and of random complex custom
+    probes at mixed thresholds, each failure branch possible."""
+    cases = [(probe, points) for probe, _, points in standard_probe_grids()]
+    for dim in (1, 2, 5, 12, 40):
+        probe, _ = custom_probe(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        cases.append((probe, NlaParams(g=rng.uniform(1.01, 8.0, 12), p=rng.integers(1, 9, 12))))
+    return cases
+
+
+def test_the_budget_and_photon_counting_see_only_the_weights():
+    # seeded random phases per level: every budget field, the counting
+    # informations and masses and the joint counting record equal those of
+    # the probe of moduli |c_n| bit for bit
+    rng = np.random.default_rng(3141)
+    for probe, points in _phase_cases(rng):
+        phased = FockVector(probe.amps * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, probe.dim)))
+        modulus = FockVector(np.abs(phased.amps))
+        assert phased.amps.dtype == np.complex128 and modulus.amps.dtype == np.float64
+        got, want = qfi_effective(phased, points), qfi_effective(modulus, points)
+        for field in FIELDS:
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        for branch in (SUCCESS, FAILURE):
+            assert np.array_equal(fi_photon_counting(phased, points, branch),
+                                  fi_photon_counting(modulus, points, branch)), branch
+            assert np.array_equal(photon_counting_dist(phased, points, branch).masses,
+                                  photon_counting_dist(modulus, points, branch).masses), branch
+        assert np.array_equal(sequential_fi(phased, points), sequential_fi(modulus, points))
+
+
+def test_every_probe_reaches_the_image_kernels_in_real_arithmetic(monkeypatch):
+    # every array of the Kraus images, and every array the q_unc kernel (QR
+    # and SVD) receives, is float64, for real and complex probes alike
     import nlametro.fisher as fisher
 
     dtypes = collections.defaultdict(set)
-    images, unconditional = fisher._images, fisher._unconditional_qfi
+    build, unconditional = KrausImages.of, fisher._unconditional_qfi
 
-    def recorded_images(probe, g, p):
-        out = images(probe, g, p)
-        dtypes["_images"].update(x.dtype for x in (probe.amps, g, *out))
-        return out
+    def recorded_build(probe, params):
+        images = build(probe, params)
+        arrays = (images.c, images.e, images.de, images.a, images.da, images.prob, images.dprob)
+        dtypes["KrausImages"].update(x.dtype for x in arrays)
+        return images
 
-    def recorded_unconditional(a, da):
-        dtypes["_unconditional_qfi"].update((a.dtype, da.dtype))
-        return unconditional(a, da)
+    def recorded_unconditional(images):
+        dtypes["_unconditional_qfi"].update((images.a.dtype, images.da.dtype))
+        return unconditional(images)
 
-    monkeypatch.setattr(fisher, "_images", recorded_images)
+    monkeypatch.setattr(KrausImages, "of", recorded_build)
     monkeypatch.setattr(fisher, "_unconditional_qfi", recorded_unconditional)
-    for probe, _, points in standard_probe_grids():
-        qfi_effective(probe, points)
-        qfi_unconditional(probe, points_of(points)[0])
-    assert dtypes == {"_images": {np.dtype(np.float64)},
+    kinds = set()
+    for probe, points in _phase_cases(np.random.default_rng(2718)):
+        for state in (probe, FockVector(probe.amps * np.exp(0.7j))):
+            kinds.add(state.amps.dtype)
+            qfi_effective(state, points)
+            qfi_unconditional(state, points_of(points)[0])
+    assert kinds == {np.dtype(np.float64), np.dtype(np.complex128)}
+    assert dtypes == {"KrausImages": {np.dtype(np.float64)},
                       "_unconditional_qfi": {np.dtype(np.float64)}}

@@ -14,6 +14,7 @@ from nlametro.instrument import (
     SUCCESS,
     BranchImpossible,
     GainDomain,
+    KrausImages,
     MeterBatch,
     MeterNotNormalized,
     MeterState,
@@ -127,7 +128,7 @@ def test_dense_conditional_derivative_matches_the_kernel_on_the_standard_points(
     # (one-level) branch cancels the slope itself to rounding residue
     for probe, labels, points in standard_probe_grids():
         for branch in (SUCCESS, FAILURE):
-            slopes, probs = _conditional_rows(probe, points, branch)[1:]
+            slopes, probs = _conditional_rows(KrausImages.of(probe, points), probe.amps, branch)[1:]
             de = kraus_diagonal_derivative(points, branch, probe.dim)
             scales = np.linalg.norm(de * probe.amps, axis=1) / np.sqrt(probs)
             for label, params, slope, scale in zip(labels, points_of(points), slopes, scales,
@@ -306,8 +307,9 @@ def test_instrument_functions_over_a_batch_equal_single_point_calls(batch_probe)
     # p = 0 leaves no failure branch to condition on
     live = NlaParams(g=MIXED.g[MIXED.p > 0], p=MIXED.p[MIXED.p > 0])
     for branch in (SUCCESS, FAILURE):
-        rows = _conditional_rows(batch_probe, live, branch)
-        singles = [_conditional_rows(batch_probe, pt, branch) for pt in points_of(live)]
+        rows = _conditional_rows(KrausImages.of(batch_probe, live), batch_probe.amps, branch)
+        singles = [_conditional_rows(KrausImages.of(batch_probe, pt), batch_probe.amps, branch)
+                   for pt in points_of(live)]
         for got, want in zip(rows, zip(*singles), strict=True):
             npt.assert_array_equal(got, np.concatenate(want))
 

@@ -13,6 +13,7 @@ from nlametro.instrument import (
     FAILURE,
     SUCCESS,
     BranchImpossible,
+    KrausImages,
     NlaParams,
     _conditional_factors,
     _conditional_rows,
@@ -366,7 +367,7 @@ def test_one_pass_fisher_integral_equals_the_two_pass_formula_bit_for_bit(
         one = FockVector(one.amps * np.exp(0.7j))
     # K = 1: the conditional factor rows of each branch
     for branch in BRANCHES:
-        amps, slopes = _conditional_factors(probe, _head(ROW_CHUNK), branch)
+        amps, slopes = _conditional_factors(KrausImages.of(probe, _head(ROW_CHUNK)), branch)
         parts = measurements._basis_parts(probe, amps.shape[1])[1]
         assert len(parts) == 1 + complex_rows
         npt.assert_array_equal(
@@ -412,7 +413,7 @@ def test_basis_kernels_equal_the_dim_row_formula_on_every_standard_point():
         dim = probe.dim
         psi = measurements._grid_and_wavefunctions(dim, 0)[1]
         for branch in BRANCHES:
-            amps, slopes, _ = _conditional_rows(probe, points, branch)
+            amps, slopes, _ = _conditional_rows(KrausImages.of(probe, points), probe.amps, branch)
             assert _close(fi_homodyne(probe, points, branch, allow_complex=True),
                           _dim_row_fisher_integral(dim, amps[:, None], slopes[:, None]))
             want = sum(f * f for f in _dim_row_fields(amps, psi))
@@ -582,7 +583,7 @@ def test_basis_kernels_on_random_probes_and_mixed_thresholds():
             if branch == FAILURE:
                 with pytest.raises(BranchImpossible):
                     fi_homodyne(probe, points, branch, allow_complex=True)
-            amps, slopes, _ = _conditional_rows(probe, stack, branch)
+            amps, slopes, _ = _conditional_rows(KrausImages.of(probe, stack), probe.amps, branch)
             stacked = fi_homodyne(probe, stack, branch, allow_complex=True)
             assert _close(stacked, _dim_row_fisher_integral(dim, amps[:, None], slopes[:, None]))
             want = sum(f * f for f in _dim_row_fields(amps, psi))

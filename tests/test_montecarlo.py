@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+from conftest import points_of
 from dense import _PerShotSource, mle_estimate, sample_shots
 
 from nlametro.fock import FockVector, wavefunction_matrix
@@ -16,6 +17,7 @@ from nlametro.fisher import qfi_effective_closed_form
 from nlametro.measurements import MASS_FLOOR
 from nlametro import montecarlo
 from nlametro.montecarlo import (
+    DETECTORS,
     DegenerateLikelihood,
     ExperimentConfig,
     GainGrid,
@@ -151,6 +153,11 @@ def test_fisher_per_shot_strategy_map(two_level, g2p1):
     assert fisher_per_shot(two_level, g2p1, "success-only") == pytest.approx(
         0.1, abs=1e-12
     )
+    # a batch of points gives each point's value
+    batch = NlaParams(g=[1.5, 2.0, 4.0], p=[1, 1, 2])
+    for detector in DETECTORS:
+        npt.assert_array_equal(fisher_per_shot(two_level, batch, detector),
+                               [fisher_per_shot(two_level, pt, detector) for pt in points_of(batch)])
 
 
 def test_run_is_deterministic(vacuum, g2p1):

@@ -9,6 +9,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import dense
 from conftest import points_of
 from dense import (
     DEFICIT_FLOOR,
@@ -395,23 +396,23 @@ def _bar_analytic_paths(mp):
 def oracle_suite():
     """The oracle suite's rows, with the analytic paths barred from the
     oracle module, the batch size of each image Gram build, and the points
-    of each analytic ``qfi_joint_meter`` call."""
+    of each analytic joint-meter call."""
     grids = standard_grids()
     grams, joint = [], []
-    original_gram, original_joint = oracles._image_gram, selfcheck.qfi_joint_meter
+    original_gram, original_joint = oracles._image_gram, selfcheck._joint_meter
 
     def counted_gram(x, *args):
         grams.append(x.hi.shape[0])
         return original_gram(x, *args)
 
-    def counted_joint(probe, params, meters):
-        joint.append(params.g.size)
-        return original_joint(probe, params, meters)
+    def counted_joint(q_eff, coupling, meters):
+        joint.append(q_eff.size)
+        return original_joint(q_eff, coupling, meters)
 
     with pytest.MonkeyPatch.context() as mp:
         _bar_analytic_paths(mp)
         mp.setattr(oracles, "_image_gram", counted_gram)
-        mp.setattr(selfcheck, "qfi_joint_meter", counted_joint)
+        mp.setattr(selfcheck, "_joint_meter", counted_joint)
         rows = check_oracle_suite(grids)
     return rows, grams, joint
 
@@ -469,22 +470,27 @@ def test_shared_image_grams_match_separate_oracles_bit_for_bit(monkeypatch, kind
 
 
 def test_meter_suite_computes_one_coupling_term_per_point(monkeypatch):
-    # q_eff and X do not depend on the meter: one qfi_joint_meter call per
-    # probe covers its 35 points' 50 random and 4 real-phase meters, and
-    # computes each point's coupling term once.
+    # q_eff and X do not depend on the meter: one joint-meter call per probe
+    # covers its 35 points' 50 random and 4 real-phase meters, on the
+    # budget's q_eff and one coupling term per point from the probe's images
+    grids = standard_grids()
     calls = []
-    original = fisher.meter_coupling_term
+    original = selfcheck._coupling
 
-    def counted(probe, params):
-        calls.append(params.g.size)
-        return original(probe, params)
+    def counted(images):
+        calls.append(images.g.shape[0])
+        return original(images)
 
-    monkeypatch.setattr(fisher, "meter_coupling_term", counted)
-    bound, equality = check_meter_suite(standard_grids())
+    def forbidden(*args, **kwargs):
+        raise AssertionError("public path reached")
+
+    monkeypatch.setattr(selfcheck, "_coupling", counted)
+    monkeypatch.setattr(fisher, "meter_coupling_term", forbidden)
+    monkeypatch.setattr(instrument.KrausImages, "of", forbidden)
+    bound, equality = check_meter_suite(grids)
     assert bound.passed and equality.passed
     assert (bound.points, equality.points) == (14000, 1120)
-    assert len(calls) <= PROBES
-    assert sum(calls) == 280
+    assert calls == [35] * PROBES
 
 
 def test_worst_of_an_error_array_is_the_first_largest_in_row_major_order():
@@ -506,10 +512,10 @@ def test_worst_of_an_error_array_is_the_first_largest_in_row_major_order():
     assert row.detail == "y; 3 non-finite, first at x"
 
 
-# The rows whose analytic side is qfi_joint_meter, and the meters that
-# reach it there: a MeterBatch of one meter per point from the oracle suite,
-# and from the meter suite a MeterBatch of 50 random then 4 real-phase
-# meters per point.
+# The rows whose analytic side is the joint-meter kernel, and the meters
+# that reach it there: a MeterBatch of one meter per point from the oracle
+# suite, and from the meter suite a MeterBatch of 50 random then 4
+# real-phase meters per point.
 NAN_ROWS = {
     "joint QFI with generic meters": lambda meters, q: (
         np.full_like(q, np.nan) if meters.alpha.ndim == 1 else q),
@@ -522,12 +528,12 @@ NAN_ROWS = {
 
 @pytest.mark.parametrize("row_name", list(NAN_ROWS))
 def test_selfcheck_fails_a_row_whose_analytic_side_is_nan(monkeypatch, capsys, row_name):
-    original, poison = selfcheck.qfi_joint_meter, NAN_ROWS[row_name]
+    original, poison = selfcheck._joint_meter, NAN_ROWS[row_name]
 
-    def nan_joint(probe, params, meters):
-        return poison(meters, original(probe, params, meters))
+    def nan_joint(q_eff, coupling, meters):
+        return poison(meters, original(q_eff, coupling, meters))
 
-    monkeypatch.setattr(selfcheck, "qfi_joint_meter", nan_joint)
+    monkeypatch.setattr(selfcheck, "_joint_meter", nan_joint)
     assert cli.main(["selfcheck"]) == cli.CHECK_FAILED
     failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert len(failed) == 1 and failed[0].startswith(f"FAIL  {row_name}"), failed
@@ -563,12 +569,12 @@ def test_selfcheck_fails_a_row_whose_oracle_side_is_nan(monkeypatch, capsys, row
     assert "non-finite, first at coherent nbar=0.5 g=1.05 p=1" in failed[0]
 
 
-# The detector function behind each detector row: the selfcheck's row names
+# The detector kernel behind each detector row: the selfcheck's row names
 # that a NaN from it must fail, and no others.
 DETECTOR_NAN_ROWS = {
-    "fi_photon_counting": ("photon-counting FI saturates the branch QFI",),
-    "fi_homodyne": ("homodyne FI saturates the branch QFI",),
-    "sequential_fi": (
+    "_branch_counting_fi": ("photon-counting FI saturates the branch QFI",),
+    "_branch_homodyne_fi": ("homodyne FI saturates the branch QFI",),
+    "_record_fi": (
         "sequential photon-counting record FI equals the sum",
         "sequential homodyne record FI equals the sum",
     ),
@@ -593,9 +599,12 @@ def test_selfcheck_fails_a_detector_row_that_is_nan(monkeypatch, capsys, functio
 
 
 def test_detector_suite_makes_a_fixed_number_of_calls_per_probe(monkeypatch):
-    # each detector function takes a probe's 35 points, of all thresholds, at
-    # once; photon counting takes their conditional rows from one kernel
-    # evaluation, and homodyne never forms them over all dim levels
+    # each detector kernel takes a probe's 35 points, of all thresholds, at
+    # once, on the images of the grid: the suite builds no images and calls
+    # no Kraus kernel; photon counting takes its conditional rows from one
+    # kernel evaluation per branch and kernel, and homodyne never forms them
+    # over all dim levels
+    grids = standard_grids()
     calls = collections.Counter()
 
     def count(module, name):
@@ -607,44 +616,56 @@ def test_detector_suite_makes_a_fixed_number_of_calls_per_probe(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("fi_photon_counting", "photon_counting_dist", "fi_homodyne",
-                 "homodyne_distribution", "sequential_fi"):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("images rebuilt")
+
+    for name in ("_branch_counting_fi", "_counting_dist", "_branch_homodyne_fi",
+                 "_homodyne_dist", "_record_fi"):
         count(selfcheck, name)
     count(measurements, "_conditional_rows")
-    results = selfcheck.check_detector_suite(standard_grids())
+    monkeypatch.setattr(instrument.KrausImages, "of", forbidden)
+    monkeypatch.setattr(instrument, "_kraus_pair", forbidden)
+    results = selfcheck.check_detector_suite(grids)
     assert all(r.passed for r in results)
     probes = len(selfcheck.STANDARD_KINDS) * len(selfcheck.STANDARD_NBARS)
     assert calls == {
-        "fi_photon_counting": 2 * probes,
-        "photon_counting_dist": 2 * probes,
-        "fi_homodyne": 2 * probes,
-        "homodyne_distribution": 2 * probes,
-        "sequential_fi": 2 * probes,
+        "_branch_counting_fi": 2 * probes,
+        "_counting_dist": 2 * probes,
+        "_branch_homodyne_fi": 2 * probes,
+        "_homodyne_dist": 2 * probes,
+        "_record_fi": 2 * probes,
         "_conditional_rows": 4 * probes,
     }
 
 
 def test_run_all_computes_each_standard_budget_once(monkeypatch):
-    # one qfi_effective call per standard probe serves the identity, oracle,
-    # detector and meter suites; the figure suite's gain lists and the
-    # boundary row's gains are never a probe's 35 standard points
+    # one set of images and one budget per standard probe serve the
+    # identity, oracle, detector and meter suites; the figure suite's gain
+    # lists and the boundary row's gains are never a probe's 35 standard
+    # points
     calls = collections.Counter()
 
-    def count(name):
-        original = getattr(selfcheck, name)
+    def count(owner, name):
+        original = getattr(owner, name)
 
         def counted(*args):
-            calls[name, np.size(args[-1].g) if args else 0] += 1
+            points = args[-1] if args and isinstance(args[-1], NlaParams) else None
+            points = args[0].params if name == "_budget" else points
+            calls[name, np.size(points.g) if points is not None else 0] += 1
             return original(*args)
 
-        monkeypatch.setattr(selfcheck, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
-    for name in ("qfi_effective", "qfi_effective_closed_form", "standard_probe_grids"):
-        count(name)
+    for name in ("qfi_effective", "qfi_effective_closed_form", "standard_probe_grids",
+                 "_budget"):
+        count(selfcheck, name)
+    count(instrument.KrausImages, "of")
     assert all(r.passed for r in selfcheck.run_all())
     points = len(STANDARD_GAINS) * len(STANDARD_THRESHOLDS)
     probes = len(STANDARD_KINDS) * len(selfcheck.STANDARD_NBARS)
-    assert calls["qfi_effective", points] == probes
+    assert calls["of", points] == probes
+    assert calls["_budget", points] == probes
+    assert calls["qfi_effective", points] == 0
     assert calls["qfi_effective_closed_form", points] == 0
     assert calls["standard_probe_grids", 0] == 1
 
@@ -661,6 +682,14 @@ def test_identity_suite_builds_no_dense_operator(monkeypatch):
     assert row.points == 280
 
 
+def _assert_every_image_view_scores_the_grid(fd):
+    views = [fd.pure(SUCCESS), fd.pure(FAILURE), fd.pure(MeterState.trivial()), fd.bures(),
+             fd.mass_slopes(), fd.probability_slope(SUCCESS), fd.probability_slope(FAILURE),
+             fd.coupling()]
+    for values in views:
+        assert values.shape[0] == 280 and np.isfinite(values).all()
+
+
 def test_image_oracle_views_never_call_the_instrument_kernel(monkeypatch):
     # KrausImageFD builds its own double-double Kraus entries, so with the
     # library's kernel raising in every namespace each view still scores all
@@ -673,17 +702,72 @@ def test_image_oracle_views_never_call_the_instrument_kernel(monkeypatch):
                if name.startswith("nlametro") and hasattr(module, "_kraus_pair")]
     for name in patched:
         monkeypatch.setattr(sys.modules[name], "_kraus_pair", forbidden)
-    assert {"nlametro.instrument", "nlametro.fisher"} <= set(patched)
+    assert {"nlametro.instrument", "nlametro.montecarlo"} <= set(patched)
     with pytest.raises(AssertionError, match="_kraus_pair reached"):
         instrument.kraus_diagonal(NlaParams(g=2.0, p=1), SUCCESS, 3)
     probes, points = _standard_grid()
     assert points.g.size == 280
-    fd = KrausImageFD(probes, points, oracles.DEFAULT_QFI_STEP)
-    views = [fd.pure(SUCCESS), fd.pure(FAILURE), fd.pure(MeterState.trivial()), fd.bures(),
-             fd.mass_slopes(), fd.probability_slope(SUCCESS), fd.probability_slope(FAILURE),
-             fd.coupling()]
-    for values in views:
-        assert values.shape[0] == 280 and np.isfinite(values).all()
+    _assert_every_image_view_scores_the_grid(KrausImageFD(probes, points, oracles.DEFAULT_QFI_STEP))
+
+
+def test_image_oracles_and_dense_references_never_build_the_kraus_images(monkeypatch):
+    # the package's Kraus images are what KrausImageFD and the dense
+    # references check, so with KrausImages.of raising every view still
+    # scores the 280 standard points and the dense q_unc reference still runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("KrausImages built")
+
+    monkeypatch.setattr(instrument.KrausImages, "of", forbidden)
+    with pytest.raises(AssertionError, match="KrausImages built"):
+        instrument.branch_probability(FockVector([1.0]), NlaParams(g=2.0, p=1), SUCCESS)
+    probes, points = _standard_grid()
+    _assert_every_image_view_scores_the_grid(KrausImageFD(probes, points, oracles.DEFAULT_QFI_STEP))
+    for probe, _, batch in standard_probe_grids():
+        params = points_of(batch)[-1]
+        rho = dense.unconditional_state(probe, params)
+        assert dense.qfi_mixed(rho, dense.unconditional_state_derivative(probe, params)) > 0.0
+        for branch in BRANCHES:
+            assert np.isfinite(dense.conditional_state_derivative(probe, params, branch)).all()
+
+
+# _kraus_pair calls of one selfcheck pass (the golden rows, then run_all),
+# by the function that asked for the Kraus entries: one set of images per
+# standard probe, completeness_defect over all levels, the figure suite's
+# and the golden rows' budgets, and the golden rows' public calls.
+SELFCHECK_KRAUS_CALLS = {
+    "standard_grids": 8,
+    "completeness_defect": 8,
+    "qfi_effective": 8,
+    "branch_probability": 10,
+    "photon_counting_dist": 6,
+    "branch_probability_derivative": 4,
+    "meter_coupling_term": 3,
+    "qfi_branch": 2,
+    "homodyne_distribution": 2,
+    "homodyne_density": 2,
+    "qfi_unconditional": 1,
+}
+
+
+def test_one_selfcheck_pass_makes_a_pinned_number_of_kraus_kernel_calls(monkeypatch, capsys):
+    calls = collections.Counter()
+    original = instrument._kraus_pair
+
+    def counted(*args):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name in ("_kraus_at", "of", "kraus_diagonal",
+                                       "kraus_diagonal_derivative"):
+            frame = frame.f_back
+        calls[frame.f_code.co_name] += 1
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nlametro") and getattr(module, "_kraus_pair", None) is original:
+            monkeypatch.setattr(module, "_kraus_pair", counted)
+    assert cli.main(["selfcheck"]) == 0
+    capsys.readouterr()
+    assert dict(calls) == SELFCHECK_KRAUS_CALLS
+    assert sum(calls.values()) == 54
 
 
 def test_probability_derivative_row_fails_on_a_wrong_failure_kraus_derivative(monkeypatch):
@@ -887,32 +971,38 @@ def test_golden_bures_rows_match_a_50_digit_reference(coherent_nbar1, two_level,
 
 
 def test_identity_suite_makes_a_fixed_number_of_kernel_calls_per_probe(monkeypatch):
-    # a probe's 35 points go to one call per instrument function (and
-    # branch), and its conditional states and slopes come from one kernel
-    # call per branch; the per-point views are never reached
+    # the Kraus rows and branch probabilities of a probe's 35 points are its
+    # images' arrays, its conditional states and slopes come from one kernel
+    # call per branch on them, and the only Kraus-kernel call is the one of
+    # completeness_defect over all levels; the images are never rebuilt and
+    # the per-point and public views are never reached
+    grids = standard_grids()
     calls = collections.Counter()
 
-    def count(name):
-        original = getattr(selfcheck, name)
+    def count(owner, name):
+        original = getattr(owner, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(selfcheck, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("per-point conditional view reached")
+        raise AssertionError("per-point or public view reached")
 
-    names = ("_conditional_rows", "completeness_defect", "kraus_diagonal",
-             "kraus_diagonal_derivative", "branch_probability", "branch_probability_derivative")
-    for name in names:
-        count(name)
-    monkeypatch.setattr(instrument, "conditional_state", forbidden)
-    results = check_identity_suite(standard_grids())
+    for name in ("_conditional_rows", "completeness_defect"):
+        count(selfcheck, name)
+    count(instrument, "_kraus_pair")
+    for name in ("conditional_state", "kraus_diagonal", "kraus_diagonal_derivative",
+                 "branch_probability", "branch_probability_derivative"):
+        monkeypatch.setattr(instrument, name, forbidden)
+    monkeypatch.setattr(instrument.KrausImages, "of", forbidden)
+    results = check_identity_suite(grids)
     assert all(r.passed for r in results)
     probes = len(selfcheck.STANDARD_KINDS) * len(selfcheck.STANDARD_NBARS)
-    assert calls == {name: (1 if name == "completeness_defect" else 2) * probes for name in names}
+    assert calls == {"_conditional_rows": 2 * probes, "completeness_defect": probes,
+                     "_kraus_pair": probes}
 
 
 def test_oracle_views_of_one_point_are_floats_and_joint_fi_direct_refuses_a_batch():
