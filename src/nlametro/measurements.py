@@ -15,8 +15,8 @@ evaluates all points as one stack of rows from one
 :class:`~nlametro.instrument.KrausImages`, except :func:`homodyne_density`,
 which takes one point and any outcomes.  A batch's outcome distribution is
 one :class:`OutcomeDistribution` with a row of masses per point.  Each
-public function but that one wraps a kernel of the images, so a caller
-holding them builds none.  Photon counting sees the probe only through
+public function wraps a kernel of the images, so a caller holding them
+builds none.  Photon counting sees the probe only through
 ``|c_n|``: its conditional rows ``E_n |c_n| / sqrt(p_b)`` over all levels
 (``_conditional_rows``) and, for the joint record, the images themselves.
 
@@ -246,6 +246,15 @@ def _fields(rows: np.ndarray, parts: tuple[np.ndarray, ...]) -> list[np.ndarray]
     return [rows @ part for part in parts]
 
 
+def _homodyne_density(images: KrausImages, probe: FockVector, branch: str, x) -> np.ndarray | float:
+    """:func:`homodyne_density` of the one point of ``images``."""
+    factors = _conditional_factors(images, branch)[0]
+    xa = np.asarray(x, dtype=float)
+    parts = _image_basis(probe, wavefunction_matrix(probe.dim, xa.ravel()), factors.shape[1])
+    dens = sum(f * f for f in _fields(factors, parts))[0]
+    return float(dens[0]) if xa.ndim == 0 else dens.reshape(xa.shape)
+
+
 def homodyne_density(probe: FockVector, params: NlaParams, branch: str, x) -> np.ndarray | float:
     """Conditional x-quadrature density ``|sum_n a_n <x|n>|^2`` at the outcomes ``x``.
 
@@ -257,11 +266,7 @@ def homodyne_density(probe: FockVector, params: NlaParams, branch: str, x) -> np
     (:func:`_image_basis`); the density carries the basis's error model
     (:func:`_fields`).
     """
-    factors = _conditional_factors(KrausImages.of(probe, _one_point(params)), branch)[0]
-    xa = np.asarray(x, dtype=float)
-    parts = _image_basis(probe, wavefunction_matrix(probe.dim, xa.ravel()), factors.shape[1])
-    dens = sum(f * f for f in _fields(factors, parts))[0]
-    return float(dens[0]) if xa.ndim == 0 else dens.reshape(xa.shape)
+    return _homodyne_density(KrausImages.of(probe, _one_point(params)), probe, branch, x)
 
 
 def _homodyne_dist(images: KrausImages, probe: FockVector, branch: str) -> OutcomeDistribution:

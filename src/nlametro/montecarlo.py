@@ -14,7 +14,7 @@ across runs.  A counting or herald experiment draws its replications as
 arrays, so a run with fewer replications is not a prefix of a longer one.
 
 Estimation works on sufficient statistics.  An experiment does its set-up
-(branch masses, photon-number tables) once, from one
+(branch masses, photon-number tables, the bound) once, from one
 :class:`~nlametro.instrument.KrausImages` at the true point.  The R
 replications of a photon-counting, success-only or herald-only experiment
 are drawn directly as their counts, one vectorised call per quantity and no
@@ -29,23 +29,28 @@ replications are drawn one after another from the same stream, and each is
 estimated before the next is drawn.  A branch's homodyne outcomes come in
 ascending order: the branch's uniforms are sorted before the inverse CDF
 maps them, which gives the same outcomes as unsorted uniforms would, sorted.
-A homodyne replication keeps its outcomes reduced to the basis the gain
-reaches: the fields ``c_n <x|n>`` of the levels ``n <= p`` and, on the
-success branch, the gain-free tail ``sum_{n>p} c_n <x|n>``, as real rows
-(and imaginary rows for a complex probe), so its likelihood and score run
-in real arithmetic.
+
+Every detector's replications become one record on the ``min(dim, p+2)``
+Kraus-image rows (:class:`_Term`): per branch, outcome weights and the
+outcomes' real field vectors, so an outcome's density at a gain is
+``sum_P (E @ part)^2`` with ``E`` the Kraus diagonal on those rows.  A
+counted level is a row of ``diag(c)``, ``c`` the images' column, with the
+levels above ``p`` counted in its gain-free tail row; a herald is the whole
+column as orthogonal parts, of density ``p_b``; a homodyne outcome keeps
+the fields ``c_n <x|n>`` of the levels ``n <= p`` and, on the success
+branch, the gain-free tail ``sum_{n>p} c_n <x|n>``, as real rows (and
+imaginary rows for a complex probe).
 
 The estimator is a grid argmax followed by a root search on the analytic
 score, the gain derivative of the log-likelihood, inside one grid cell
-(:func:`_maximize`).  The score takes the Kraus diagonals and their exact
+(:func:`_maximize`).  The score takes the Kraus rows and their exact
 slopes, not a logarithm, and a few score evaluations replace the golden
-section's two dozen likelihood evaluations.  A counting or herald experiment
-searches all its replications at once: its grid surface is one product of
-the count matrix with the log-masses at every grid gain, and each search
-step evaluates every replication's score at its own gain.  A homodyne
-replication's surface multiplies ``GRID_BLOCK`` gains' Kraus rows against
-its reduced fields at a time, into one buffer in which the density, its
-floor and its logarithm are then taken in place.
+section's two dozen likelihood evaluations.  One surface kernel and one
+score kernel serve every record and search all its replications at once;
+each search step evaluates every replication's score at its own gain.  A
+surface multiplies ``GRID_BLOCK`` gains' Kraus rows against a term's field
+vectors at a time, into one buffer in which the density, its floor and its
+logarithm are then taken in place.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ import functools
 import json
 import math
 import pathlib
+import typing
 
 import numpy as np
 
@@ -70,7 +76,6 @@ from .instrument import (
     KrausImages,
     NlaParams,
     _one_point,
-    _image_levels,
     _kraus_pair,
     _per_point,
     kraus_diagonal,  # noqa: F401  (unused; perfbench's install test reads montecarlo.kraus_diagonal)
@@ -80,8 +85,8 @@ from .measurements import (
     MASS_FLOOR,
     PHOTON_COUNTING,
     _counting_dist,
+    _homodyne_density,
     _image_basis,
-    homodyne_density,
 )
 from .probes import ProbeSpec
 
@@ -93,12 +98,12 @@ DETECTORS = (PHOTON_COUNTING, HOMODYNE, HERALD_ONLY, SUCCESS_ONLY)
 # no gain information at all.
 FLATNESS_TOL = 1e-9
 
-RESULT_SCHEMA_VERSION = 8
+RESULT_SCHEMA_VERSION = 9
 
-# Gains per block of a homodyne likelihood surface.  A block's fields are one
-# (block, rows) @ (rows, shots) product per part of the record into reused
-# buffers, and the rest of the surface is taken in place there.  For 10^4
-# shots, blocks of 8 to 16 gains run equally fast, 6 gains about 5% slower
+# Gains per block of a likelihood surface.  A block's fields are one
+# (block, rows) @ (rows, outcomes) product per part of a record's term into
+# reused buffers, and the rest of the surface is taken in place there.  For
+# 10^4 homodyne shots, blocks of 8 to 16 gains run equally fast, 6 gains about 5% slower
 # and the whole 61-gain grid at once 30% slower.  At 8 a block takes 0.6 MB
 # per part.
 GRID_BLOCK = 8
@@ -246,12 +251,10 @@ _RECORDED = {
 }
 
 
-def _branch_masses(probe: FockVector, params: NlaParams) -> tuple[float, np.ndarray, np.ndarray]:
-    """``p_s`` and both branches' photon-number masses, from one
-    :class:`~nlametro.instrument.KrausImages` at the point; the failure
-    masses are zeros where that branch's own probability is below
-    ``PROBABILITY_FLOOR``, whatever ``p_s`` rounds to."""
-    images = KrausImages.of(probe, _one_point(params))
+def _branch_masses(images: KrausImages, probe: FockVector) -> tuple[float, np.ndarray, np.ndarray]:
+    """``p_s`` and both branches' photon-number masses at the one point of
+    ``images``; the failure masses are zeros where that branch's own
+    probability is below ``PROBABILITY_FLOOR``, whatever ``p_s`` rounds to."""
     ps = float(images.prob[0, 0])
     ms = _counting_dist(images, probe, SUCCESS).masses
     try:
@@ -264,8 +267,8 @@ def _branch_masses(probe: FockVector, params: NlaParams) -> tuple[float, np.ndar
 HOMODYNE_CDF_POINTS = 8193
 
 
-def _homodyne_sampler(probe: FockVector, params: NlaParams, branch: str):
-    """Tabulated inverse CDF of the conditional homodyne density.
+def _homodyne_sampler(images: KrausImages, probe: FockVector, branch: str):
+    """Tabulated inverse CDF of the conditional homodyne density at the one point of ``images``.
 
     The density is tabulated on a uniform fine grid and accumulated with the
     trapezoid rule, so inverse sampling draws from the piecewise-linear CDF
@@ -277,7 +280,7 @@ def _homodyne_sampler(probe: FockVector, params: NlaParams, branch: str):
     """
     half_width = default_half_width(probe.dim)
     xs = np.linspace(-half_width, half_width, HOMODYNE_CDF_POINTS)
-    dens = homodyne_density(probe, params, branch, xs)
+    dens = _homodyne_density(images, probe, branch, xs)
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(xs))))
     cdf = cdf / cdf[-1]
     keep = np.empty(cdf.size, dtype=bool)
@@ -294,18 +297,22 @@ def _homodyne_sampler(probe: FockVector, params: NlaParams, branch: str):
 class _ShotSource:
     """Amplifier runs of one configuration, with its set-up done once.
 
-    The branch masses are computed at construction.  :meth:`counts` gives
-    the counts of many counting or herald records at once, straight from
-    their own distribution; :meth:`draw` gives homodyne runs shot by shot.
-    A branch's inverse-CDF table is built on the first shot of that branch,
-    because a branch that never fires may have no density to tabulate.
+    ``images``, the one :class:`~nlametro.instrument.KrausImages` of the
+    true point, is built at construction, and the branch masses, the
+    count records' image column and the homodyne tables read it.
+    :meth:`counts` gives many counting or herald records at once, straight
+    from their own distribution; :meth:`draw` gives homodyne runs shot by
+    shot.  A branch's inverse-CDF table is built on the first shot of that
+    branch, because a branch that never fires may have no density to
+    tabulate.
     """
 
     def __init__(self, probe: FockVector, params: NlaParams, detector: str):
         if detector not in DETECTORS:
             raise ValueError(f"unknown detector {detector!r}")
-        self._probe, self._params, self._detector = probe, _one_point(params), detector
-        self._ps, ms, mf = _branch_masses(probe, params)
+        self._probe, self._detector = probe, detector
+        self.images = KrausImages.of(probe, _one_point(params))
+        self._ps, ms, mf = _branch_masses(self.images, probe)
         self._masses = {SUCCESS: ms, FAILURE: mf}
         self._samplers = {}
 
@@ -319,23 +326,23 @@ class _ShotSource:
         fired = self._fired(int(success.sum()), shots)
         return success, {branch: self._sampler(branch)(rng.random(n)) for branch, n in fired}
 
-    def counts(self, rng: np.random.Generator, shots: int, replications: int) -> "_Counts":
-        """The counts of ``replications`` photon-counting or herald records.
+    def counts(self, rng: np.random.Generator, shots: int, replications: int):
+        """``(n_s, record)`` of ``replications`` photon-counting or herald records.
 
         One ``Binomial(shots, p_s)`` call draws every record's ``n_s``, then
         one ``Multinomial(n, masses)`` call per recorded branch that fired in
         any record, in :meth:`_fired` order, draws every record's per-level
-        counts.  The last level takes the mass a table leaves over, as in the
-        per-shot inverse CDF.  ``p_s``, a sum of squares, is capped at 1,
-        since a norm within rounding of 1 can round it above 1.
+        counts, which :func:`_count_record` turns into the record.  The last
+        level takes the mass a table leaves over, as in the per-shot inverse
+        CDF.  ``p_s``, a sum of squares, is capped at 1, since a norm within
+        rounding of 1 can round it above 1.
         """
         n_s = rng.binomial(shots, min(self._ps, 1.0), size=replications)
         levels = {
             branch: rng.multinomial(n, self._masses[branch])
             for branch, n in self._fired(n_s, shots)
         }
-        zeros = np.zeros((replications, self._probe.dim), dtype=np.int64)
-        return _Counts(n_s, shots - n_s, levels.get(SUCCESS, zeros), levels.get(FAILURE, zeros))
+        return n_s, _count_record(self.images.c[0], self._detector, n_s, shots - n_s, levels)
 
     def _fired(self, n_s, shots: int):
         """Each recorded branch that fired, with its shots, in draw order.
@@ -351,177 +358,147 @@ class _ShotSource:
         if self._detector != HOMODYNE:
             raise ValueError(f"{self._detector} records are drawn as counts")
         if branch not in self._samplers:
-            self._samplers[branch] = _homodyne_sampler(self._probe, self._params, branch)
+            self._samplers[branch] = _homodyne_sampler(self.images, self._probe, branch)
         return self._samplers[branch]
 
 
 # ---------------------------------------------------------------------------
-# Sufficient statistics and the likelihood
+# The record and its likelihood
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class _Counts:
-    """Sufficient statistics of R counting or herald replications.
+class _Term(typing.NamedTuple):
+    """One branch's outcomes in a record: the density of outcome ``o`` at a
+    gain is ``sum_P (E @ parts[P][:, o])^2``, with ``E`` the branch's Kraus
+    diagonal on the first ``rows`` levels, the parts' row count.
 
-    ``n_s``/``n_f`` hold each replication's successes and failures;
-    ``success``/``failure`` its per-level counts (R x dim), zero on a branch
-    the detector does not record or that never fired.
+    ``branch`` is the column in :data:`BRANCHES` order; ``weights`` the
+    ``R x O`` counts of the ``O`` outcomes in ``R`` replications, or None
+    for one replication that holds each outcome once; ``parts`` the
+    outcomes' real field vectors, a ``P x rows x O`` array.
     """
 
-    n_s: np.ndarray
-    n_f: np.ndarray
-    success: np.ndarray
-    failure: np.ndarray
+    branch: int
+    weights: np.ndarray | None
+    parts: np.ndarray
 
 
-@dataclasses.dataclass(frozen=True)
-class _Quadratures:
+def _count_record(c: np.ndarray, detector: str, n_s, n_f, levels: dict) -> tuple[_Term, ...]:
+    """The record of R counting or herald replications on the image column ``c``.
+
+    ``c`` is the true point's :attr:`~nlametro.instrument.KrausImages.c`:
+    the moduli ``|c_n|`` for ``n <= p`` and, when ``dim > p + 2``, the tail
+    norm ``||c_{>p}||`` as its last row.  ``levels`` maps each recorded
+    branch that fired to its ``R x dim`` per-level counts, and ``n_s`` and
+    ``n_f`` hold each replication's successes and failures.  A counted level
+    ``n`` is the field vector ``c_n e_n``, a row of ``diag(c)``, of mass
+    ``E_n^2 |c_n|^2``; the levels above ``p`` are counted in the tail row,
+    whose mass ``||c_{>p}||^2`` is gain free, as are theirs, so the
+    log-likelihood changes only by a gain-free constant.  A herald is the
+    branch's whole image column as ``rows`` orthogonal parts, of density
+    ``p_b``; success-only conditions on success with the success herald at
+    weights ``-n_s``.
+    """
+    rows = c.size
+    diag = np.diag(c)
+    terms = [
+        _Term(BRANCHES.index(branch),
+              np.concatenate((k[:, :rows - 1], k[:, rows - 1:].sum(axis=1, keepdims=True)), axis=1),
+              diag[np.newaxis])
+        for branch, k in levels.items()
+    ]
+    heralds = {HERALD_ONLY: ((0, n_s), (1, n_f)), SUCCESS_ONLY: ((0, -n_s),)}
+    terms += [_Term(col, n[:, np.newaxis], diag[:, :, np.newaxis])
+              for col, n in heralds.get(detector, ())]
+    return tuple(terms)
+
+
+def _homodyne_record(probe: FockVector, p: int, drawn: dict) -> tuple[_Term, ...]:
     """One homodyne replication, reduced to the basis the gain reaches.
 
     Above the threshold ``E_s = 1`` and ``E_f = 0``, so at outcomes ``x`` the
     success field is ``sum_{n<=p} E_s(n) c_n <x|n> + T(x)``, whose tail
     ``T = sum_{n>p} c_n <x|n>`` does not depend on the gain, and the failure
-    field stops at ``n = p``.  Each branch keeps the rows ``c_n <x|n>`` for
-    ``n <= p``, and the success branch also keeps ``T`` as its last row:
-    ``(p+2, N_s)`` and ``(p+1, N_f)``, or ``(dim, N)`` each when ``p+1 >= dim``
-    leaves no tail.  A field is then ``E @ rows``, with ``E`` the Kraus
-    diagonal on the first ``len(rows)`` levels, since ``E_s(p+1) = 1`` weights
-    the tail.  The rows are those of the detector kernels' basis,
-    :func:`~nlametro.measurements._image_basis`, kept as its parts: the real
-    rows and, for a complex probe, the imaginary rows, each a contiguous real
-    array.  A branch is ``None`` where it never fired.
+    field stops at ``n = p``.  Each branch that fired keeps the rows
+    ``c_n <x|n>`` for ``n <= p``, and the success branch also keeps ``T`` as
+    its last row: ``(p+2, N_s)`` and ``(p+1, N_f)``, or ``(dim, N)`` each
+    when ``p+1 >= dim`` leaves no tail.  The rows are those of the detector
+    kernels' basis, :func:`~nlametro.measurements._image_basis`, kept as its
+    parts: the real rows and, for a complex probe, the imaginary rows.
     """
-
-    success: tuple[np.ndarray, ...] | None
-    failure: tuple[np.ndarray, ...] | None
-
-    @classmethod
-    def of(cls, probe: FockVector, p: int, drawn: dict) -> "_Quadratures":
-        def reduce(branch: str) -> tuple[np.ndarray, ...] | None:
-            if branch not in drawn:
-                return None
+    terms = []
+    for col, branch in enumerate(BRANCHES):
+        if branch in drawn:
             levels = min(p + 2 if branch == SUCCESS else p + 1, probe.dim)
             table = probe.dim if branch == SUCCESS else levels
-            return _image_basis(probe, wavefunction_matrix(table, drawn[branch]), levels)
+            parts = _image_basis(probe, wavefunction_matrix(table, drawn[branch]), levels)
+            terms.append(_Term(col, None, np.array(parts)))
+    return tuple(terms)
 
-        return cls(*(reduce(branch) for branch in BRANCHES))
+
+def _kraus_rows(p: int, record: tuple[_Term, ...], g: np.ndarray) -> np.ndarray:
+    """:func:`~nlametro.instrument._kraus_pair` at the gains ``g`` on the record's rows only."""
+    return _kraus_pair(g[:, np.newaxis], p, max(term.parts.shape[1] for term in record))
 
 
-def _log_likelihoods(
-    probe: FockVector, p: int, detector: str, stats, gains: np.ndarray
-) -> np.ndarray:
+def _log_likelihoods(p: int, record: tuple[_Term, ...], gains: np.ndarray) -> np.ndarray:
     """The likelihood surface: ``(R, G)`` log-likelihoods of every replication at every gain.
 
-    Gains must lie in the domain (``GainGrid`` guarantees it).  Masses and
-    densities are floored at ``MASS_FLOOR`` before the logarithm.  A counting
-    or herald surface is one product of the counts with the log-masses of
-    every gain.  A homodyne record is one replication, whose fields are one
-    ``(GRID_BLOCK, rows) @ (rows, N)`` product per part and block of gains.
+    Gains must lie in the domain (``GainGrid`` guarantees it).  Each term
+    adds ``weights @ log(max(density, MASS_FLOOR))``, or the sum over its
+    outcomes for unit weights.  The densities of each block of
+    ``GRID_BLOCK`` gains are fused into one preallocated buffer per part of
+    the term: the fields ``E @ part`` land in them and are squared in place,
+    the squares add up into the first, the density, and its floor and the
+    logarithm are taken there.  Each gain's value equals
+    ``np.log(np.maximum(sum(f * f for f in fields), MASS_FLOOR))`` of its
+    row of the block's fields bit for bit.
     """
-    g = gains[:, np.newaxis]
-    if detector == HOMODYNE:
-        return _homodyne_surface(p, stats, g)[np.newaxis]
-    w = probe.weights()
-    rows = _kraus_pair(g, p, probe.dim)
-    es = rows[:, 0, 0]
-    qs = es * es * w
-    ps = qs.sum(axis=1)
-    if detector == HERALD_ONLY:
-        # the flooring clamps p_s into [MASS_FLOOR, 1 - MASS_FLOOR]
-        return np.outer(stats.n_s, np.log(np.maximum(ps, MASS_FLOOR))) + np.outer(
-            stats.n_f, np.log(np.maximum(1.0 - ps, MASS_FLOOR))
-        )
-    total = stats.success @ np.log(np.maximum(qs, MASS_FLOOR)).T
-    if detector == PHOTON_COUNTING:
-        ef = rows[:, 1, 0]
-        return total + stats.failure @ np.log(np.maximum(ef * ef * w, MASS_FLOOR)).T
-    # success-only: conditional on success, divide each mass by p_s
-    return total - np.outer(stats.n_s, np.log(np.maximum(ps, MASS_FLOOR)))
-
-
-def _homodyne_surface(p: int, stats: _Quadratures, g: np.ndarray) -> np.ndarray:
-    """Log-likelihoods of one homodyne replication at the gains ``g`` (a column).
-
-    Each block of ``GRID_BLOCK`` gains is fused into one preallocated buffer
-    per part of the record: the fields ``E @ part`` land in them and are
-    squared in place, the squares add up into the first, the density
-    ``re^2 + im^2``, and its floor at ``MASS_FLOOR`` and the logarithm are
-    taken there.  Each gain's value equals
-    ``np.log(np.maximum(sum(f * f for f in fields), MASS_FLOOR)).sum()`` of
-    its row of the block's fields bit for bit.
-    """
-    total = np.zeros(g.shape[0])
-    # a branch's record has at most p + 2 rows
-    rows = _kraus_pair(g, p, p + 2)
-    for pair, parts in zip(rows.swapaxes(0, 1), (stats.success, stats.failure)):
-        if parts is None:
-            continue
-        levels, shots = parts[0].shape
-        e = pair[:, 0, :levels]
-        fields = np.empty((len(parts), min(GRID_BLOCK, e.shape[0]), shots))
-        for start in range(0, e.shape[0], GRID_BLOCK):
+    rows = _kraus_rows(p, record, gains)[:, :, 0]
+    total = 0.0
+    for branch, weights, parts in record:
+        e = rows[:, branch, :parts.shape[1]]
+        surface = np.empty((1 if weights is None else weights.shape[0], gains.size))
+        fields = np.empty((parts.shape[0], min(GRID_BLOCK, gains.size), parts.shape[2]))
+        for start in range(0, gains.size, GRID_BLOCK):
             block = e[start:start + GRID_BLOCK]
             f = fields[:, :block.shape[0]]
-            for part, out in zip(parts, f):
-                np.matmul(block, part, out=out)
+            np.matmul(block, parts, out=f)
             np.multiply(f, f, out=f)
             density = f[0]
             for square in f[1:]:
                 density += square
             np.maximum(density, MASS_FLOOR, out=density)
             np.log(density, out=density)
-            total[start:start + GRID_BLOCK] += density.sum(axis=1)
+            surface[:, start:start + GRID_BLOCK] = (
+                density.sum(axis=1) if weights is None else weights @ density.T
+            )
+        total = total + surface
     return total
 
 
-def _log_slope(value: np.ndarray, slope: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """``slope / value`` where ``mass > MASS_FLOOR`` and 0 where the floor holds ``log(mass)``."""
-    return np.divide(slope, value, out=np.zeros_like(slope), where=mass > MASS_FLOOR)
-
-
-def _scores(probe: FockVector, p: int, detector: str, stats, g: np.ndarray) -> np.ndarray:
+def _scores(p: int, record: tuple[_Term, ...], g: np.ndarray) -> np.ndarray:
     """The score: gain derivative of :func:`_log_likelihoods` of replication ``r`` at ``g[r]``.
 
-    It differentiates the same floored log-likelihood, so a mass or density
-    held at ``MASS_FLOOR`` adds 0, and it takes no logarithm.  A level of mass
-    ``q = E^2 w`` adds ``n dq/q = 2 n dE/E``; a homodyne outcome of field
-    ``f = E @ rows`` and slope ``df = dE @ rows`` adds ``2 Re(df/f)``; a
-    herald adds ``n_s dp_s/p_s - n_f dp_s/(1 - p_s)``.  In real arithmetic,
-    with ``f_i`` and ``df_i`` the field's and the slope's parts (real, then
-    imaginary for a complex probe), ``Re(df/f) = sum_i f_i df_i / density``
-    and ``density = sum_i f_i^2``.
-
-    The search picks its gains as it goes, so the Kraus rows and slopes of
-    both branches come from one :func:`~nlametro.instrument._kraus_pair`
-    call per evaluation: at the one scalar gain of a homodyne replication,
-    on its :func:`~nlametro.instrument._image_levels` levels, or at the
-    column of every replication's gain for counts.
+    It differentiates the same floored log-likelihood, so a density held at
+    ``MASS_FLOOR`` adds 0, and it takes no logarithm.  An outcome of field
+    parts ``f_i = E @ part_i`` and slopes ``df_i = dE @ part_i`` adds
+    ``2 sum_i f_i df_i / density`` with ``density = sum_i f_i^2``, times its
+    weight.  The search picks its gains as it goes, so the Kraus rows and
+    slopes of both branches come from one
+    :func:`~nlametro.instrument._kraus_pair` call per evaluation, on the
+    record's rows, at the column of every replication's gain.
     """
-    if detector == HOMODYNE:
-        (gain,) = g
-        total = 0.0
-        pairs = _kraus_pair(gain, p, _image_levels(probe.dim, p))
-        for pair, parts in zip(pairs, (stats.success, stats.failure)):
-            if parts is None:
-                continue
-            (field, slope), *more = (pair[:, :part.shape[0]] @ part for part in parts)
-            density, cross = field * field, field * slope
-            for f, df in more:
-                density += f * f
-                cross += f * df
-            total += 2.0 * float(np.sum(_log_slope(density, cross, density)))
-        return np.array([total])
-    w = probe.weights()
-    (es, des), (ef, def_) = np.moveaxis(_kraus_pair(g[:, np.newaxis], p, probe.dim), 0, 2)
-    qs = es * es * w
-    ps = qs.sum(axis=1)
-    dps = 2.0 * np.sum(es * des * w, axis=1)
-    if detector == HERALD_ONLY:
-        return stats.n_s * _log_slope(ps, dps, ps) - stats.n_f * _log_slope(1.0 - ps, dps, 1.0 - ps)
-    total = np.sum(stats.success * _log_slope(es, 2.0 * des, qs), axis=1)
-    if detector == PHOTON_COUNTING:
-        return total + np.sum(stats.failure * _log_slope(ef, 2.0 * def_, ef * ef * w), axis=1)
-    return total - stats.n_s * _log_slope(ps, dps, ps)
+    pairs = _kraus_rows(p, record, g)
+    total = np.zeros(g.size)
+    for branch, weights, parts in record:
+        # one (2R, rows) @ (rows, O) product per part: each replication's row, then its slope
+        e = pairs[:, branch, :, :parts.shape[1]].reshape(-1, parts.shape[1])
+        f, df = np.moveaxis((e @ parts).reshape(parts.shape[0], g.size, 2, -1), 2, 0)
+        density, cross = (f * f).sum(axis=0), (f * df).sum(axis=0)
+        # 0 where the floor holds log(density)
+        ratio = np.divide(cross, density, out=np.zeros_like(cross), where=density > MASS_FLOOR)
+        total += 2.0 * (ratio.sum(axis=1) if weights is None else np.sum(weights * ratio, axis=1))
+    return total
 
 
 def _maximize(surface: np.ndarray, score, values: np.ndarray, tol: float = 1e-6):
@@ -594,11 +571,11 @@ def _maximize(surface: np.ndarray, score, values: np.ndarray, tol: float = 1e-6)
     return estimates, evaluations, slope
 
 
-def _estimates(probe: FockVector, p: int, detector: str, stats, grid: GainGrid):
-    """Maximum-likelihood gains of the replications in ``stats`` (see :func:`_maximize`)."""
+def _estimates(p: int, record: tuple[_Term, ...], grid: GainGrid):
+    """Maximum-likelihood gains of the replications in ``record`` (see :func:`_maximize`)."""
     values = grid.values()
-    surface = _log_likelihoods(probe, p, detector, stats, values)
-    return _maximize(surface, functools.partial(_scores, probe, p, detector, stats), values)
+    surface = _log_likelihoods(p, record, values)
+    return _maximize(surface, functools.partial(_scores, p, record), values)
 
 
 # ---------------------------------------------------------------------------
@@ -611,10 +588,14 @@ def fisher_per_shot(probe: FockVector, params: NlaParams, detector: str) -> floa
         return qfi_effective_closed_form(probe, params)
     if detector not in DETECTORS:
         raise ValueError(f"unknown detector {detector!r}")
-    images = KrausImages.of(probe, params)
+    return _per_point(params, _heralded_information(KrausImages.of(probe, params), detector))
+
+
+def _heralded_information(images: KrausImages, detector: str) -> np.ndarray:
+    """Per point :func:`fisher_per_shot` of a herald-only or success-only record."""
     if detector == HERALD_ONLY:
-        return _per_point(params, _herald(images))
-    return _per_point(params, images.prob[:, 0] * _branch_qfi(images, images.possible(SUCCESS)[0]))
+        return _herald(images)
+    return images.prob[:, 0] * _branch_qfi(images, images.possible(SUCCESS)[0])
 
 
 def _cramer_rao(info: float, detector: str, shots: int) -> float:
@@ -662,17 +643,17 @@ def run_crb_experiment(config: ExperimentConfig, replications: int) -> Experimen
             success, drawn = source.draw(draws, config.shots)
             success_counts[i] = int(success.sum())
             # outcomes have no count summary: estimate before the next draw
-            stats = _Quadratures.of(probe, p, drawn)
-            (estimates[i],), (evaluations[i],), (observed[i],) = _estimates(
-                probe, p, detector, stats, config.grid
-            )
-            del stats
+            record = _homodyne_record(probe, p, drawn)
+            (estimates[i],), (evaluations[i],), (observed[i],) = _estimates(p, record, config.grid)
+            del record
     else:
-        counts = source.counts(draws, config.shots, replications)
-        estimates, evaluations, observed = _estimates(probe, p, detector, counts, config.grid)
-        success_counts = counts.n_s
+        success_counts, record = source.counts(draws, config.shots, replications)
+        estimates, evaluations, observed = _estimates(p, record, config.grid)
     variance = float(estimates.var(ddof=1))
-    info = fisher_per_shot(probe, config.params_true, detector)
+    # the bound reads the source's images; the full record's is the closed form
+    info = (float(_heralded_information(source.images, detector)[0])
+            if detector in (HERALD_ONLY, SUCCESS_ONLY)
+            else qfi_effective_closed_form(probe, config.params_true))
     crb = _cramer_rao(info, detector, config.shots)
     ratio = variance / crb
     # 100 resamples at a time, the same draws as one (1000, R) block.  The

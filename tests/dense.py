@@ -21,11 +21,11 @@ shares none of its algebra:
   the smallest value a step can certify);
 * :func:`joint_state` builds the joint signal-meter state of the unitary
   dilation as a :class:`JointState` of two explicit amplitude blocks;
-* :func:`sample_shots` draws a Monte-Carlo record shot by shot, a counting
-  branch by the inverse CDF of its photon-number masses, and
-  :func:`mle_estimate` estimates the gain of one such record: the per-shot,
-  per-record reference for the count draws and the batched search of
-  :mod:`nlametro.montecarlo`.
+* :func:`sample_shots` draws a Monte-Carlo record shot by shot from the
+  public Kraus diagonal over all ``dim`` levels, never from the package's
+  Kraus images, and :func:`mle_estimate` estimates the gain of one such
+  record: the per-shot, per-record reference for the count draws and the
+  batched search of :mod:`nlametro.montecarlo`.
 
 Test modules import it as ``dense``: pytest puts the tests' directory on
 the import path, as it does for ``conftest``.
@@ -37,12 +37,13 @@ import dataclasses
 
 import numpy as np
 
-from nlametro.fock import DensityOperator, FockVector
+from nlametro.fock import DensityOperator, FockVector, default_half_width, wavefunction_matrix
 from nlametro.instrument import (
     BRANCHES,
     FAILURE,
     PROBABILITY_FLOOR,
     SUCCESS,
+    KrausImages,
     MeterState,
     NlaParams,
     _one_point,
@@ -52,12 +53,12 @@ from nlametro.instrument import (
 from nlametro.measurements import HOMODYNE
 from nlametro.montecarlo import (
     DETECTORS,
+    HOMODYNE_CDF_POINTS,
     GainGrid,
     _RECORDED,
-    _Counts,
-    _Quadratures,
-    _ShotSource,
+    _count_record,
     _estimates,
+    _homodyne_record,
 )
 from nlametro.oracles import DEFAULT_QFI_STEP, _validate_step
 
@@ -315,17 +316,60 @@ def _discrete_sampler(masses: np.ndarray):
     return sample
 
 
-class _PerShotSource(_ShotSource):
-    """A shot source whose :meth:`draw` also draws counting records shot by shot.
+def _continuous_sampler(xs: np.ndarray, density: np.ndarray):
+    """Inverse of the trapezoid CDF of ``density`` tabulated at ``xs``.
 
-    A counting branch takes one uniform per shot through the inverse CDF of
-    its masses; homodyne draws as in :mod:`nlametro.montecarlo`.
+    Cells that add less than 1e-15 to the normalized CDF are dropped, so
+    the table ``np.interp`` inverts increases strictly; the uniforms are
+    mapped in ascending order.
+    """
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(xs))))
+    cdf = cdf / cdf[-1]
+    keep = np.concatenate(([True], np.diff(cdf) > 1e-15))
+    return lambda u: np.interp(np.sort(u), cdf[keep], xs[keep])
+
+
+class _PerShotSource:
+    """Amplifier runs of one point and detector, drawn shot by shot.
+
+    A branch's unnormalized amplitudes are the public
+    :func:`~nlametro.instrument.kraus_diagonal` times the probe amplitudes
+    on all ``dim`` levels, so ``p_s``, the photon-number masses and the
+    homodyne density ``|sum_n E_n c_n <x|n>|^2 / p_b`` (with
+    ``wavefunction_matrix``, on the package's ``HOMODYNE_CDF_POINTS`` grid)
+    read no Kraus image of the package.  A counting branch takes one
+    uniform per shot through the inverse CDF of its masses, a homodyne
+    branch through that of its density; the generator is consumed as the
+    package's shot source consumes it.
     """
 
+    def __init__(self, probe: FockVector, params: NlaParams, detector: str):
+        if detector not in DETECTORS:
+            raise ValueError(f"unknown detector {detector!r}")
+        self._detector = detector
+        self._raw = {b: kraus_diagonal(_one_point(params), b, probe.dim) * probe.amps
+                     for b in BRANCHES}
+        self._prob = {b: float(np.sum(np.abs(raw) ** 2)) for b, raw in self._raw.items()}
+
+    def draw(self, rng: np.random.Generator, shots: int) -> tuple[np.ndarray, dict]:
+        """``(success_mask, {branch: outcomes of that branch's shots})`` for
+        each recorded branch that fired."""
+        success = rng.random(shots) < self._prob[SUCCESS]
+        n_s, drawn = int(success.sum()), {}
+        for branch, n in ((SUCCESS, n_s), (FAILURE, shots - n_s)):
+            if n and branch in _RECORDED[self._detector]:
+                drawn[branch] = self._sampler(branch)(rng.random(n))
+        return success, drawn
+
     def _sampler(self, branch: str):
+        raw, prob = self._raw[branch], self._prob[branch]
         if self._detector == HOMODYNE:
-            return super()._sampler(branch)
-        return _discrete_sampler(self._masses[branch])
+            half_width = default_half_width(raw.size)
+            xs = np.linspace(-half_width, half_width, HOMODYNE_CDF_POINTS)
+            return _continuous_sampler(xs, np.abs(raw @ wavefunction_matrix(raw.size, xs)) ** 2 / prob)
+        if prob < PROBABILITY_FLOOR:
+            return _discrete_sampler(np.zeros(raw.size))
+        return _discrete_sampler(np.abs(raw) ** 2 / prob)
 
 
 def sample_shots(
@@ -374,12 +418,11 @@ def mle_estimate(
             values = outcomes[mask]
             drawn[branch] = values if detector == HOMODYNE else values.astype(int)
     if detector == HOMODYNE:
-        stats = _Quadratures.of(probe, pthreshold, drawn)
+        record = _homodyne_record(probe, pthreshold, drawn)
     else:
-        levels = [
-            np.bincount(drawn.get(branch, []), minlength=probe.dim)[np.newaxis]
-            for branch in BRANCHES
-        ]
+        levels = {b: np.bincount(k, minlength=probe.dim)[np.newaxis] for b, k in drawn.items()}
         n_s = np.array([success.sum()])
-        stats = _Counts(n_s, success.size - n_s, *levels)
-    return float(_estimates(probe, pthreshold, detector, stats, grid)[0][0])
+        # the image column does not depend on the gain: any gain of the grid gives it
+        c = KrausImages.of(probe, NlaParams(g=grid.lo, p=pthreshold)).c[0]
+        record = _count_record(c, detector, n_s, success.size - n_s, levels)
+    return float(_estimates(pthreshold, record, grid)[0][0])

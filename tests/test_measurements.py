@@ -499,7 +499,7 @@ def test_homodyne_density_and_sampler_never_build_the_conditional_state(monkeypa
         dens = homodyne_density(probe, params, branch, np.linspace(-4.0, 4.0, 65))
         assert dens.dtype == np.float64
         assert isinstance(homodyne_density(probe, params, branch, 0.5), float)
-        outcomes = montecarlo._homodyne_sampler(probe, params, branch)(uniforms)
+        outcomes = montecarlo._homodyne_sampler(KrausImages.of(probe, params), probe, branch)(uniforms)
         assert outcomes.dtype == np.float64 and np.all(np.diff(outcomes) >= 0.0)
     assert products and set(products) == {np.dtype(np.float64)}
 

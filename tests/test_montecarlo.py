@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import functools
 import json
 import math
@@ -9,12 +8,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from conftest import points_of
-from dense import _PerShotSource, mle_estimate, sample_shots
+from dense import _PerShotSource, _continuous_sampler, _discrete_sampler, mle_estimate, sample_shots
 
-from nlametro.fock import FockVector, wavefunction_matrix
-from nlametro.instrument import BRANCHES, FAILURE, SUCCESS, NlaParams, kraus_diagonal
+from nlametro.fock import FockVector, default_half_width, wavefunction_matrix
+from nlametro.instrument import BRANCHES, FAILURE, SUCCESS, KrausImages, NlaParams, kraus_diagonal
 from nlametro.fisher import qfi_effective_closed_form
-from nlametro.measurements import MASS_FLOOR
+from nlametro.measurements import MASS_FLOOR, homodyne_density
 from nlametro import montecarlo
 from nlametro.montecarlo import (
     DETECTORS,
@@ -25,11 +24,11 @@ from nlametro.montecarlo import (
     run_crb_experiment,
     write_records_jsonl,
     _branch_masses,
+    _count_record,
     _cramer_rao,
-    _Counts,
+    _homodyne_record,
     _log_likelihoods,
     _percentile,
-    _Quadratures,
     _scores,
     _ShotSource,
 )
@@ -240,11 +239,20 @@ def test_records_jsonl_roundtrip(tmp_path, g2p1):
 _RECORDED = {"photon-counting": BRANCHES, "success-only": (SUCCESS,), "herald-only": ()}
 
 
+def _as_outcomes(success, drawn):
+    """A shot source's draw as the ``(success_mask, outcomes)`` pair of ``sample_shots``."""
+    outcomes = np.full(success.size, np.nan)
+    for branch, values in drawn.items():
+        outcomes[success if branch == SUCCESS else ~success] = values
+    return success, outcomes
+
+
 def _replayed_records(cfg, replications):
     """The experiment's records, replayed from its replication stream.
 
     The root seed spawns the replication stream and the bootstrap stream.  A
-    homodyne experiment draws its records shot by shot, one after another.  A
+    homodyne experiment draws its records shot by shot, one after another,
+    from the experiment's own shot source.  A
     counting experiment draws every record's ``n_s ~ Binomial(shots, p_s)``
     in one call, then ``Multinomial(n, masses)`` of every record per
     recorded branch that fired; each record is expanded shot by shot into
@@ -253,8 +261,9 @@ def _replayed_records(cfg, replications):
     probe, params, shots = cfg.probe.build(), cfg.params_true, cfg.shots
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[0])
     if cfg.detector == "homodyne":
-        return [sample_shots(probe, params, cfg.detector, rng, shots) for _ in range(replications)]
-    ps, ms, mf = _branch_masses(probe, params)
+        source = _ShotSource(probe, params, cfg.detector)
+        return [_as_outcomes(*source.draw(rng, shots)) for _ in range(replications)]
+    ps, ms, mf = _branch_masses(KrausImages.of(probe, params), probe)
     n_s = rng.binomial(shots, ps, size=replications)
     levels = {
         branch: rng.multinomial(n, masses)
@@ -367,48 +376,80 @@ _CASES_BY_ID = {
 }
 
 
+def _folded(levels, rows):
+    """Per-level counts with the levels from ``rows - 1`` up summed into the last column."""
+    return np.concatenate((levels[..., :rows - 1], levels[..., rows - 1:].sum(axis=-1, keepdims=True)),
+                          axis=-1)
+
+
+def _counted(record, branch):
+    """The per-row counts of ``branch``'s counted levels in a count record of several image rows."""
+    (weights,) = [t.weights for t in record
+                  if t.branch == BRANCHES.index(branch) and t.parts[0].shape[1] > 1]
+    return weights
+
+
+def _heralds(record):
+    """``(branch column, weights)`` of the herald terms (one outcome each) of a count record."""
+    return [(t.branch, t.weights) for t in record if t.parts[0].shape[1] == 1]
+
+
 @pytest.mark.parametrize("detector", _COUNT_DETECTORS)
 def test_shot_source_counts_draw_a_binomial_then_a_multinomial_per_recorded_branch(detector):
     probe, params = _CASES_BY_ID["coherent-dim17"]
-    ps, ms, mf = _branch_masses(probe, params)
+    images = KrausImages.of(probe, params)
+    ps, ms, mf = _branch_masses(images, probe)
     a, b = np.random.default_rng(5), np.random.default_rng(5)
-    counts = _ShotSource(probe, params, detector).counts(a, 3_000, 7)
-    npt.assert_array_equal(counts.n_s, b.binomial(3_000, ps, size=7))
-    npt.assert_array_equal(counts.n_s + counts.n_f, 3_000)
-    assert ((0 < counts.n_s) & (counts.n_s < 3_000)).all()
-    for branch, n, masses, rows in (
-        (SUCCESS, counts.n_s, ms, counts.success), (FAILURE, counts.n_f, mf, counts.failure),
-    ):
-        assert rows.shape == (7, probe.dim)
+    n_s, record = _ShotSource(probe, params, detector).counts(a, 3_000, 7)
+    npt.assert_array_equal(n_s, b.binomial(3_000, ps, size=7))
+    n_f = 3_000 - n_s
+    assert ((0 < n_s) & (n_s < 3_000)).all()
+    # the counted levels: one term per recorded branch, on the p + 2 = 5 image rows
+    rows = images.c.shape[1]
+    assert rows == 5
+    for branch, n, masses in ((SUCCESS, n_s, ms), (FAILURE, n_f, mf)):
+        counted = [t for t in record if t.branch == BRANCHES.index(branch) and t.parts[0].shape[1] > 1]
         if branch in _RECORDED[detector]:
-            npt.assert_array_equal(rows, b.multinomial(n, masses))
-            npt.assert_array_equal(rows.sum(axis=1), n)
+            (term,) = counted
+            assert term.weights.shape == (7, rows)
+            npt.assert_array_equal(term.weights, _folded(b.multinomial(n, masses), rows))
+            npt.assert_array_equal(term.weights.sum(axis=1), n)
+            npt.assert_array_equal(term.parts, [np.diag(images.c[0])])
         else:
-            npt.assert_array_equal(rows, 0)
+            assert counted == []
+    # the heralds: both branches for herald-only, the success herald at -n_s for success-only
+    expected = {"photon-counting": [], "herald-only": [(0, n_s), (1, n_f)], "success-only": [(0, -n_s)]}
+    heralds = _heralds(record)
+    assert [col for col, _ in heralds] == [col for col, _ in expected[detector]]
+    for (_, weights), (_, n) in zip(heralds, expected[detector]):
+        npt.assert_array_equal(weights, n[:, np.newaxis])
     assert a.random() == b.random()
 
 
 @pytest.mark.parametrize("case", sorted(_CASES_BY_ID))
 def test_count_draw_matches_the_per_shot_draw_in_distribution(case):
     probe, params = _CASES_BY_ID[case]
-    ps, ms, mf = _branch_masses(probe, params)
-    source = _PerShotSource(probe, params, "photon-counting")
+    images = KrausImages.of(probe, params)
+    ps, ms, mf = _branch_masses(images, probe)
+    rows = images.c.shape[1]
+    source = _ShotSource(probe, params, "photon-counting")
+    per_shot = _PerShotSource(probe, params, "photon-counting")
     shots, replications = 1_000, 2_000
-    # mean counts per replication: one row per branch, one column per level
-    expected = shots * np.array([ps * ms, (1.0 - ps) * mf])
+    # mean counts per replication: one row per branch, one column per image row
+    expected = _folded(shots * np.array([ps * ms, (1.0 - ps) * mf]), rows)
     sigma = np.sqrt(expected * (1.0 - expected / shots) / replications)
 
     def summed_counts(rng):
-        counts = source.counts(rng, shots, replications)
-        return np.array([counts.success.sum(axis=0), counts.failure.sum(axis=0)])
+        record = source.counts(rng, shots, replications)[1]
+        return np.array([_counted(record, branch).sum(axis=0) for branch in BRANCHES])
 
     def summed_draws(rng):
-        total = np.zeros((2, probe.dim), dtype=np.int64)
+        total = np.zeros((2, rows), dtype=np.int64)
         for _ in range(replications):
-            drawn = source.draw(rng, shots)[1]
+            drawn = per_shot.draw(rng, shots)[1]
             for row, branch in enumerate(BRANCHES):
                 if branch in drawn:
-                    total[row] += np.bincount(drawn[branch], minlength=probe.dim)
+                    total[row] += _folded(np.bincount(drawn[branch], minlength=probe.dim), rows)
         return total
 
     for name, summed in (("counts", summed_counts), ("draw", summed_draws)):
@@ -429,53 +470,61 @@ def test_shot_source_draws_only_homodyne_runs_shot_by_shot(g2p1):
 
 @pytest.mark.parametrize("branch", BRANCHES)
 def test_homodyne_sampler_gives_the_sorted_outcomes_of_its_uniforms(branch):
-    sample = montecarlo._homodyne_sampler(_COHERENT, NlaParams(g=2.0, p=3), branch)
+    images = KrausImages.of(_COHERENT, NlaParams(g=2.0, p=3))
+    sample = montecarlo._homodyne_sampler(images, _COHERENT, branch)
     u = np.random.default_rng(23).random(2_000)
     # one uniform per call: the outcome each uniform maps to, in draw order
     unsorted = np.array([sample(u[i:i + 1])[0] for i in range(u.size)])
     drawn = sample(u)
     assert np.all(np.diff(drawn) >= 0.0)
     assert np.array_equal(drawn, np.sort(unsorted))
+    # the table is the public density's, bit for bit, read off the source's images
+    xs = np.linspace(-default_half_width(_COHERENT.dim), default_half_width(_COHERENT.dim),
+                     montecarlo.HOMODYNE_CDF_POINTS)
+    density = homodyne_density(_COHERENT, NlaParams(g=2.0, p=3), branch, xs)
+    assert np.array_equal(drawn, _continuous_sampler(xs, density)(u))
 
 
 def test_count_draw_of_a_one_photon_probe_never_fails(g2p1):
-    counts = _ShotSource(ONE_PHOTON, g2p1, "photon-counting").counts(
+    n_s, record = _ShotSource(ONE_PHOTON, g2p1, "photon-counting").counts(
         np.random.default_rng(3), 500, 4
     )
-    npt.assert_array_equal(counts.n_s, 500)
-    npt.assert_array_equal(counts.n_f, 0)
-    npt.assert_array_equal(counts.success, [[0, 500]] * 4)
-    # the failure branch never fired: its rows stay zero
-    npt.assert_array_equal(counts.failure, 0)
+    npt.assert_array_equal(n_s, 500)
+    npt.assert_array_equal(500 - n_s, 0)
+    npt.assert_array_equal(_counted(record, SUCCESS), [[0, 500]] * 4)
+    # the failure branch never fired: the record has no term of it
+    assert [t.branch for t in record] == [0]
 
 
 def test_count_draw_clamps_a_success_probability_rounded_above_one():
     # the norm check accepts 1 + 4e-11, so p_s rounds above 1
     probe, params = FockVector([0.0, 1.0 + 4e-11]), NlaParams(g=2.0, p=0)
-    assert _branch_masses(probe, params)[0] > 1.0
-    counts = _ShotSource(probe, params, "photon-counting").counts(
+    assert _branch_masses(KrausImages.of(probe, params), probe)[0] > 1.0
+    n_s, record = _ShotSource(probe, params, "photon-counting").counts(
         np.random.default_rng(3), 500, 4
     )
-    npt.assert_array_equal(counts.n_s, 500)
-    npt.assert_array_equal(counts.success.sum(axis=1), 500)
-    npt.assert_array_equal(counts.failure, 0)
+    npt.assert_array_equal(n_s, 500)
+    npt.assert_array_equal(_counted(record, SUCCESS).sum(axis=1), 500)
+    assert [t.branch for t in record] == [0]
 
 
 def test_count_draw_puts_the_remainder_of_a_short_table_in_the_last_level(monkeypatch):
     masses = np.array([0.125, 0.25, 0.125])  # sums to 1/2
     monkeypatch.setattr(
-        montecarlo, "_branch_masses", lambda probe, params: (1.0, masses, np.zeros(3))
+        montecarlo, "_branch_masses", lambda images, probe: (1.0, masses, np.zeros(3))
     )
-    source = _PerShotSource(FockVector([1.0, 0.0, 0.0]), NlaParams(g=2.0, p=1), "success-only")
+    # p = 1 on three levels: the image rows are the levels
+    source = _ShotSource(FockVector([1.0, 0.0, 0.0]), NlaParams(g=2.0, p=1), "success-only")
     shots = 40_000
     expected = shots * np.array([0.125, 0.25, 0.625])
     sigma = np.sqrt(expected * (1.0 - expected / shots))
     rng = np.random.default_rng(21)
-    counted = source.counts(rng, shots, 1)
-    assert counted.n_s[0] == shots and counted.success[0].sum() == shots
-    success, drawn = source.draw(rng, shots)
-    assert success.all()
-    for counts in (counted.success[0], np.bincount(drawn[SUCCESS], minlength=3)):
+    n_s, record = source.counts(rng, shots, 1)
+    counted = _counted(record, SUCCESS)[0]
+    assert n_s[0] == shots and counted.sum() == shots
+    # the per-shot reference's inverse CDF of the same short table
+    drawn = _discrete_sampler(masses)(rng.random(shots))
+    for counts in (counted, np.bincount(drawn, minlength=3)):
         assert (np.abs(counts - expected) <= 5.0 * sigma).all(), counts
 
 
@@ -499,7 +548,7 @@ def test_one_flat_replication_makes_the_batch_degenerate():
         run_crb_experiment(cfg, 4)
 
 
-def _homodyne_record(probe, params, shots, seed):
+def _homodyne_outcomes(probe, params, shots, seed):
     success, outcomes = sample_shots(probe, params, "homodyne", np.random.default_rng(seed), shots)
     drawn = {SUCCESS: outcomes[success], FAILURE: outcomes[~success]}
     return {branch: xs for branch, xs in drawn.items() if xs.size}
@@ -517,6 +566,7 @@ def _full_vector_log_likelihood(probe, p, drawn, g):
 
 _COHERENT = ProbeSpec.from_nbar("coherent", 1.0).build()
 _COMPLEX = FockVector(np.array([0.6, 0.5j, 0.4 * np.exp(1j * np.pi / 3), 0.3 - 0.2j])).normalized()
+_HALF_PAIR = FockVector([_HALF, _HALF])
 
 
 @pytest.mark.parametrize(
@@ -534,25 +584,25 @@ _COMPLEX = FockVector(np.array([0.6, 0.5j, 0.4 * np.exp(1j * np.pi / 3), 0.3 - 0
     ],
 )
 def test_compressed_homodyne_likelihood_matches_full_vector(probe, p, g_true, keep):
-    record = _homodyne_record(probe, NlaParams(g=g_true, p=p), 400, seed=17)
-    drawn = {branch: xs for branch, xs in record.items() if branch in keep}
+    outcomes = _homodyne_outcomes(probe, NlaParams(g=g_true, p=p), 400, seed=17)
+    drawn = {branch: xs for branch, xs in outcomes.items() if branch in keep}
     assert set(drawn) == set(keep)
-    stats = _Quadratures.of(probe, p, drawn)
-    for branch, parts, levels in ((SUCCESS, stats.success, p + 2), (FAILURE, stats.failure, p + 1)):
-        if branch not in drawn:
-            assert parts is None
-            continue
+    record = _homodyne_record(probe, p, drawn)
+    # one unit-weight term per branch that fired, in branch order
+    assert [BRANCHES[t.branch] for t in record] == [b for b in BRANCHES if b in drawn]
+    for (branch, weights, parts), levels in zip(record, (p + 2 if b == SUCCESS else p + 1 for b in drawn)):
+        assert weights is None
         # the real rows, then the imaginary rows of a complex probe
         assert len(parts) == 1 + bool(probe.amps.imag.any())
         for part in parts:
-            assert part.shape == (min(levels, probe.dim), drawn[branch].size)
+            assert part.shape == (min(levels, probe.dim), drawn[BRANCHES[branch]].size)
             assert part.dtype == np.float64 and part.flags.c_contiguous
     for g in SEARCH.values():
-        compressed = _log_likelihoods(probe, p, "homodyne", stats, np.array([g]))[0]
+        compressed = _log_likelihoods(p, record, np.array([g]))[0]
         assert compressed == pytest.approx(_full_vector_log_likelihood(probe, p, drawn, g), rel=1e-12)
 
 
-def _blockwise_surface_reference(p, stats, gains):
+def _blockwise_surface_reference(p, record, gains):
     """Unfused homodyne surface: per gain, ``np.log(np.maximum(re^2 + im^2, MASS_FLOOR)).sum()``.
 
     The field parts come from the same ``GRID_BLOCK``-gain products as the
@@ -561,10 +611,8 @@ def _blockwise_surface_reference(p, stats, gains):
     """
     total = np.zeros(gains.size)
     block = montecarlo.GRID_BLOCK
-    for branch, parts in ((SUCCESS, stats.success), (FAILURE, stats.failure)):
-        if parts is None:
-            continue
-        e = kraus_diagonal(NlaParams(g=gains, p=p), branch, parts[0].shape[0])
+    for branch, _, parts in record:
+        e = kraus_diagonal(NlaParams(g=gains, p=p), BRANCHES[branch], parts[0].shape[0])
         for start in range(0, gains.size, block):
             fields = [e[start:start + block] @ part for part in parts]
             for i, row in enumerate(zip(*fields), start):
@@ -573,10 +621,11 @@ def _blockwise_surface_reference(p, stats, gains):
     return total
 
 
-def _with_a_vanished_field(stats):
-    """``stats`` with one more success outcome whose field is 0 at every gain."""
-    parts = tuple(np.hstack((part, np.zeros((part.shape[0], 1)))) for part in stats.success)
-    return _Quadratures(parts, stats.failure)
+def _with_a_vanished_field(record):
+    """``record`` with one more success outcome whose field is 0 at every gain."""
+    success, *rest = record
+    parts = np.concatenate((success.parts, np.zeros(success.parts.shape[:2] + (1,))), axis=2)
+    return (success._replace(parts=parts), *rest)
 
 
 @pytest.mark.parametrize(
@@ -589,65 +638,61 @@ def _with_a_vanished_field(stats):
     ],
 )
 def test_fused_homodyne_surface_equals_the_unfused_reference_bit_for_bit(probe, p, floored):
-    stats = _Quadratures.of(probe, p, _homodyne_record(probe, NlaParams(g=2.0, p=p), 3_000, seed=19))
+    record = _homodyne_record(probe, p, _homodyne_outcomes(probe, NlaParams(g=2.0, p=p), 3_000, seed=19))
     gains = SEARCH.values()
     if floored:
-        plain = _log_likelihoods(probe, p, "homodyne", stats, gains)
-        stats = _with_a_vanished_field(stats)
-    surface = _log_likelihoods(probe, p, "homodyne", stats, gains)
+        plain = _log_likelihoods(p, record, gains)
+        record = _with_a_vanished_field(record)
+    surface = _log_likelihoods(p, record, gains)
     assert surface.shape == (1, gains.size)
-    npt.assert_array_equal(surface[0], _blockwise_surface_reference(p, stats, gains))
+    npt.assert_array_equal(surface[0], _blockwise_surface_reference(p, record, gains))
     if floored:
         # the vanished field adds log(MASS_FLOOR) at every gain
         npt.assert_allclose(surface - plain, math.log(MASS_FLOOR), rtol=1e-9)
 
 
-def _count_row(counts, r):
-    """Replication ``r`` of ``counts`` as a one-row :class:`_Counts`."""
-    return _Counts(*(getattr(counts, f.name)[r:r + 1] for f in dataclasses.fields(counts)))
+def _count_row(record, r):
+    """Replication ``r`` of a count record as a one-row record."""
+    return tuple(term._replace(weights=term.weights[r:r + 1]) for term in record)
 
 
-def _failure_never_fired(counts):
-    """``counts`` with every shot a success: the failure branch never fired."""
-    zeros = np.zeros_like(counts.n_f)
-    return _Counts(counts.n_s + counts.n_f, zeros, counts.success, np.zeros_like(counts.failure))
+def _failure_never_fired(record):
+    """A photon-counting record without its failure term: the failure branch never fired."""
+    return tuple(term for term in record if BRANCHES[term.branch] == SUCCESS)
 
 
 def _score_cases():
-    """(id, probe, p, detector, stats) for every detector, with never-fired branches."""
+    """(id, p, record) for every detector, with never-fired branches."""
     cases = []
     # at p = 3 the complex probe's imaginary amplitudes reach gain-dependent
     # levels, so its homodyne score has an imaginary cross term
     for name, probe, p in (("coherent", _COHERENT, 3), ("complex", _COMPLEX, 1),
                            ("complex-p3", _COMPLEX, 3)):
         for detector in _COUNT_DETECTORS:
-            counts = _ShotSource(probe, NlaParams(g=2.0, p=p), detector).counts(
+            record = _ShotSource(probe, NlaParams(g=2.0, p=p), detector).counts(
                 np.random.default_rng(5), 2_000, 4
-            )
-            cases.append((f"{name}-{detector}", probe, p, detector, counts))
+            )[1]
+            cases.append((f"{name}-{detector}", p, record))
         cases.append((
-            f"{name}-photon-counting-failure-never-fired", probe, p, "photon-counting",
-            _failure_never_fired(cases[-3][-1]),
+            f"{name}-photon-counting-failure-never-fired", p, _failure_never_fired(cases[-3][-1]),
         ))
-        record = _homodyne_record(probe, NlaParams(g=2.0, p=p), 400, seed=17)
+        outcomes = _homodyne_outcomes(probe, NlaParams(g=2.0, p=p), 400, seed=17)
         for keep in (BRANCHES, (SUCCESS,), (FAILURE,)):
-            drawn = {branch: xs for branch, xs in record.items() if branch in keep}
+            drawn = {branch: xs for branch, xs in outcomes.items() if branch in keep}
             label = "" if keep == BRANCHES else f"-only-{keep[0]}-fired"
-            cases.append(
-                (f"{name}-homodyne{label}", probe, p, "homodyne", _Quadratures.of(probe, p, drawn))
-            )
+            cases.append((f"{name}-homodyne{label}", p, _homodyne_record(probe, p, drawn)))
     return [pytest.param(*case[1:], id=case[0]) for case in cases]
 
 
-@pytest.mark.parametrize("probe, p, detector, stats", _score_cases())
-def test_score_is_the_gain_derivative_of_the_log_likelihood(probe, p, detector, stats):
+@pytest.mark.parametrize("p, record", _score_cases())
+def test_score_is_the_gain_derivative_of_the_log_likelihood(p, record):
     # The central difference errs by h^2 |l'''| / 6 plus a rounding of about
     # eps |l| / h = 2e-11 |l|; both stay below 1e-9 |l| on these records, and
     # the test allows ten times that.
     gains, h = np.array([1.4, 1.8, 2.0, 2.3, 2.9]), 1e-5
-    surface = functools.partial(_log_likelihoods, probe, p, detector, stats)
+    surface = functools.partial(_log_likelihoods, p, record)
     rows = surface(gains).shape[0]
-    scores = np.array([_scores(probe, p, detector, stats, np.full(rows, g)) for g in gains]).T
+    scores = np.array([_scores(p, record, np.full(rows, g)) for g in gains]).T
     central = (surface(gains + h) - surface(gains - h)) / (2.0 * h)
     assert np.all(np.abs(central - scores) <= 1e-8 * np.abs(surface(gains)))
 
@@ -655,17 +700,17 @@ def test_score_is_the_gain_derivative_of_the_log_likelihood(probe, p, detector, 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_section_reference(probe, p, detector, stats, grid, tol=1e-6):
+def _golden_section_reference(p, record, grid, tol=1e-6):
     """The log-path estimate of a one-row record: grid argmax, then golden section.
 
     The search brackets the two grid cells around the argmax and narrows
     them by golden section on the log-likelihood itself to ``tol``.
     """
     def loglik(g):
-        return _log_likelihoods(probe, p, detector, stats, np.array([g]))[0, 0]
+        return _log_likelihoods(p, record, np.array([g]))[0, 0]
 
     values = grid.values()
-    i = int(np.argmax(_log_likelihoods(probe, p, detector, stats, values)[0]))
+    i = int(np.argmax(_log_likelihoods(p, record, values)[0]))
     a, b = values[max(i - 1, 0)], values[min(i + 1, values.size - 1)]
     x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
     f1, f2 = loglik(x1), loglik(x2)
@@ -697,13 +742,13 @@ def test_score_root_search_agrees_with_golden_section_on_the_log_path(spec, para
     rng = np.random.default_rng(29)
     source = _ShotSource(probe, params, detector)
     if detector == "homodyne":
-        records = [_Quadratures.of(probe, p, source.draw(rng, 2_000)[1]) for _ in range(3)]
+        records = [_homodyne_record(probe, p, source.draw(rng, 2_000)[1]) for _ in range(3)]
     else:
-        counts = source.counts(rng, 2_000, 8)
+        counts = source.counts(rng, 2_000, 8)[1]
         records = [_count_row(counts, r) for r in range(8)]
-    for stats in records:
-        estimate = montecarlo._estimates(probe, p, detector, stats, SEARCH)[0][0]
-        assert abs(estimate - _golden_section_reference(probe, p, detector, stats, SEARCH)) <= 1e-6
+    for record in records:
+        estimate = montecarlo._estimates(p, record, SEARCH)[0][0]
+        assert abs(estimate - _golden_section_reference(p, record, SEARCH)) <= 1e-6
 
 
 @pytest.mark.parametrize("edge", ["lo", "hi"])
@@ -731,11 +776,10 @@ def test_a_secant_step_onto_a_bracket_end_takes_the_minimum_step():
     # bisection there takes 17 score evaluations.
     assert 2.0 in SEARCH.values()
     half = 1.0 / math.sqrt(2.0)
-    stats = _Counts(np.array([7_000]), np.array([3_000]), np.array([[1_000, 6_000]]),
-                    np.array([[3_000, 0]]))
-    (estimate,), (evaluations,), _ = montecarlo._estimates(
-        FockVector([half, half]), 1, "photon-counting", stats, SEARCH
-    )
+    levels = {SUCCESS: np.array([[1_000, 6_000]]), FAILURE: np.array([[3_000, 0]])}
+    record = _count_record(np.array([half, half]), "photon-counting", np.array([7_000]),
+                           np.array([3_000]), levels)
+    (estimate,), (evaluations,), _ = montecarlo._estimates(1, record, SEARCH)
     assert estimate == pytest.approx(2.0, rel=0.0, abs=1e-9)
     assert evaluations <= 3
 
@@ -762,3 +806,107 @@ def test_search_makes_one_surface_and_a_few_score_steps(monkeypatch, detector, r
     assert res.likelihood_evaluations == SEARCH.points * replications
     # the weighted steps take about 3 per replication; unweighted regula falsi about 4
     assert 2 * replications < res.score_evaluations <= 5.5 * replications
+
+
+def _forbid_kraus_images(monkeypatch):
+    def forbidden(cls, *args):
+        raise AssertionError("KrausImages built")
+
+    monkeypatch.setattr(KrausImages, "of", classmethod(forbidden))
+
+
+@pytest.mark.parametrize("detector", DETECTORS)
+def test_the_per_shot_reference_never_reads_the_kraus_images(monkeypatch, detector):
+    probe, params = FockVector([0.6, 0.8]), NlaParams(g=2.0, p=1)
+    _forbid_kraus_images(monkeypatch)
+    success, outcomes = sample_shots(probe, params, detector, np.random.default_rng(3), 500)
+    assert 0 < success.sum() < 500
+    recorded = {"photon-counting": 500, "homodyne": 500, "herald-only": 0,
+                "success-only": int(success.sum())}
+    assert np.isfinite(outcomes).sum() == recorded[detector]
+
+
+@pytest.mark.parametrize("detector", DETECTORS)
+def test_the_search_takes_the_kraus_pair_on_the_image_rows_only(monkeypatch, detector):
+    levels, original = [], montecarlo._kraus_pair
+
+    def recorded(g, p, n):
+        levels.append(n)
+        return original(g, p, n)
+
+    monkeypatch.setattr(montecarlo, "_kraus_pair", recorded)
+    # coherent nbar 1 has 17 levels; p + 2 = 5 of them carry the gain
+    cfg = ExperimentConfig(
+        probe=ProbeSpec.from_nbar("coherent", 1.0), params_true=NlaParams(g=2.0, p=3),
+        detector=detector, shots=500, seed=3, grid=SEARCH,
+    )
+    run_crb_experiment(cfg, 3 if detector == "homodyne" else 20)
+    assert levels and max(levels) <= 5
+
+
+@pytest.mark.parametrize("detector", DETECTORS)
+def test_an_experiment_builds_one_kraus_image_object(monkeypatch, detector):
+    spec, params = _BATCH_CASES[0][1:]
+    builds, original = [], KrausImages.of.__func__
+
+    def counted(cls, probe, point):
+        builds.append(point)
+        return original(cls, probe, point)
+
+    cfg = ExperimentConfig(
+        probe=spec, params_true=params, detector=detector, shots=500, seed=3, grid=SEARCH,
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(KrausImages, "of", classmethod(counted))
+        res = run_crb_experiment(cfg, 3 if detector == "homodyne" else 20)
+    assert builds == [params]
+    # the bound read off the source's images is the public one, bit for bit
+    assert res.fisher_per_shot == fisher_per_shot(spec.build(), params, detector)
+
+
+def _dim_level_log_likelihood(probe, p, detector, n_s, n_f, levels, g):
+    """Replications' log-likelihoods from the counts on every level, by the public Kraus diagonal."""
+    point, weights = NlaParams(g=g, p=p), np.abs(probe.amps) ** 2
+    mass = {branch: kraus_diagonal(point, branch, probe.dim) ** 2 * weights for branch in BRANCHES}
+
+    def log(x):
+        return np.log(np.maximum(x, MASS_FLOOR))
+
+    ps, pf = (mass[branch].sum() for branch in BRANCHES)
+    if detector == "herald-only":
+        return n_s * log(ps) + n_f * log(pf)
+    total = sum(levels[branch] @ log(mass[branch]) for branch in levels)
+    return total - n_s * log(ps) if detector == "success-only" else total
+
+
+@pytest.mark.parametrize("detector", _COUNT_DETECTORS)
+@pytest.mark.parametrize(
+    "probe, p",
+    [
+        pytest.param(_COMPLEX, 3, id="dim-below-p-plus-2"),
+        pytest.param(_HALF_PAIR, 1, id="two-level-dim-below-p-plus-2"),
+        pytest.param(_COMPLEX, 2, id="dim-at-p-plus-2"),
+        pytest.param(_COMPLEX, 1, id="dim-above-p-plus-2"),
+        pytest.param(_COHERENT, 3, id="coherent-dim17"),
+    ],
+)
+def test_count_surface_differences_are_the_dim_level_log_likelihood_differences(probe, p, detector):
+    rng = np.random.default_rng(37)
+    shots, params = 2_000, NlaParams(g=2.0, p=p)
+    weights = np.abs(probe.amps) ** 2
+    mass = {b: kraus_diagonal(params, b, probe.dim) ** 2 * weights for b in BRANCHES}
+    n_s = rng.binomial(shots, mass[SUCCESS].sum(), size=4)
+    n_f = shots - n_s
+    levels = {
+        branch: rng.multinomial(n, mass[branch] / mass[branch].sum())
+        for branch, n in ((SUCCESS, n_s), (FAILURE, n_f)) if branch in _RECORDED[detector]
+    }
+    record = _count_record(KrausImages.of(probe, params).c[0], detector, n_s, n_f, levels)
+    gains = np.array([1.4, 1.7, 2.0, 2.5, 3.0])
+    surface = _log_likelihoods(p, record, gains)
+    reference = np.array(
+        [_dim_level_log_likelihood(probe, p, detector, n_s, n_f, levels, g) for g in gains]
+    ).T
+    # equal up to a gain-free constant per replication
+    npt.assert_allclose(surface[:, 1:] - surface[:, :1], reference[:, 1:] - reference[:, :1],
+                        rtol=1e-12)

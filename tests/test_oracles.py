@@ -28,13 +28,14 @@ from nlametro.instrument import (
     BRANCHES,
     FAILURE,
     SUCCESS,
+    BranchImpossible,
     MeterBatch,
     MeterState,
     NlaParams,
     branch_probability_derivative,
     conditional_state,
 )
-from nlametro.fisher import qfi_branch, qfi_effective_closed_form, qfi_unconditional
+from nlametro.fisher import qfi_branch, qfi_effective, qfi_effective_closed_form, qfi_unconditional
 from nlametro.oracles import (
     DD_UNIT,
     IMAGE_ZERO_DEFICIT,
@@ -1030,3 +1031,63 @@ def test_image_fd_takes_one_meter_for_all_points_or_a_batch_of_one_per_point():
                   MeterBatch(meters.alpha[:, None], meters.beta[:, None])):
         with pytest.raises(ValueError, match=f"for {batch.g.size} points"):
             fd.pure(wrong)
+
+
+def _random_custom_sweep():
+    """400 seeded custom probes and one point each, beyond the standard grid.
+
+    Dims 1-29, every other probe complex, ``p`` in ``0 .. dim + 2`` and ``g``
+    log-uniform in [1.01, 30].
+    """
+    rng = np.random.default_rng(20190121)
+    probes, gains, thresholds = [], [], []
+    for i in range(400):
+        dim = int(rng.integers(1, 30))
+        amps = rng.standard_normal(dim) + (1j * rng.standard_normal(dim) if i % 2 else 0.0)
+        probes.append(FockVector(amps).normalized())
+        thresholds.append(int(rng.integers(0, dim + 3)))
+        gains.append(float(np.exp(rng.uniform(math.log(1.01), math.log(30.0)))))
+    return probes, np.array(gains), np.array(thresholds)
+
+
+def test_random_custom_probes_meet_the_image_oracles_within_their_error_model():
+    # Error model at dg = 1e-4: the oracle errs by its O(dg^2) truncation,
+    # (o(2dg) - o(dg)) / 3, taken twice here; by its zero-deficit
+    # resolution, 8 IMAGE_ZERO_DEFICIT / dg^2 = 8.2e-20 (where the q_f of
+    # 1e-21 to 1e-18 at g near 20-30 with p > dim sit), taken four times;
+    # and by rounding, 1e-13 of the value.
+    probes, g, p = _random_custom_sweep()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        budgets = [qfi_effective(probe, NlaParams(g=gi, p=int(pi))) for probe, gi, pi in zip(probes, g, p)]
+    # at p = 0 the failure branch is impossible: q_f reads 0 and has no oracle
+    live = p >= 1
+    assert all(budget.q_f == 0.0 for budget, alive in zip(budgets, live) if not alive)
+
+    def oracles_at(dg):
+        fd = KrausImageFD(probes, NlaParams(g=g, p=p), dg)
+        failure = KrausImageFD([x for x, alive in zip(probes, live) if alive],
+                               NlaParams(g=g[live], p=p[live]), dg)
+        return {"q_s": fd.pure(SUCCESS), "q_eff": fd.pure(MeterState.trivial()),
+                "q_unc": fd.bures(), "q_f": failure.pure(FAILURE)}
+
+    dg = 1e-4
+    at_dg, at_2dg = oracles_at(dg), oracles_at(2.0 * dg)
+    compared = 0
+    for name, oracle in at_dg.items():
+        analytic = np.array([getattr(budget, name) for budget in budgets])
+        analytic = analytic[live] if name == "q_f" else analytic
+        bound = (2.0 * np.abs(at_2dg[name] - oracle) / 3.0 + 4.0 * 8.0 * IMAGE_ZERO_DEFICIT / dg**2
+                 + 1e-13 * np.abs(analytic))
+        worst = int(np.argmax(np.abs(analytic - oracle) / bound))
+        assert np.all(np.abs(analytic - oracle) <= bound), (name, worst, analytic[worst], oracle[worst])
+        compared += analytic.size
+    assert compared == 1568
+    # vacuum at g 30, p 250: p_s = 30^-500 underflows
+    vacuum, extreme = FockVector([1.0]), NlaParams(g=30.0, p=250)
+    with pytest.raises(BranchImpossible, match=r"\(point 0\)"):
+        qfi_effective(vacuum, extreme)
+    fd = KrausImageFD(vacuum, extreme, dg)
+    with pytest.raises(BranchImpossible, match=r"\(point 0\)"):
+        fd.pure(SUCCESS)
+    assert qfi_unconditional(vacuum, extreme) == 0.0 and fd.bures() == 0.0
