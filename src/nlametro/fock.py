@@ -6,11 +6,14 @@ imaginary part is exactly zero (:class:`FockVector`).  This module owns that
 type, the normalized position wavefunctions <x|n> and composite
 Gauss-Legendre quadrature grids for integrals over the quadrature variable
 x.  A grid sized for ``dim`` levels is the coarsest of a doubling sequence
-that integrates the top-level density ``|<x|dim-1>|^2``, the most
-oscillatory integrand any consumer forms, to 1 within
-``QUADRATURE_REL_TOL`` while its doubling does too: the error is measured
-on a known integral, and the doubling shows that the grid is in the
-geometric convergence of the Gauss-Legendre panels.
+whose weighted error on the level densities ``|<x|n>|^2``, each of which
+integrates to 1, is within ``QUADRATURE_REL_TOL`` while its doubling's is
+too: the errors are measured on known integrals, and the doubling shows
+that the grid is in the geometric convergence of the Gauss-Legendre
+panels.  The weights are a probe's ``|c_n|^2``, or all on the top level
+``dim-1``, the most oscillatory density of ``dim`` levels.  The levels are
+streamed over 2 rolling rows (:func:`wavefunction_levels`), so no
+``dim``-row table is needed to size a grid or to build a probe's fields.
 :class:`DensityOperator`, a Hermitian matrix in the same basis, is only
 built by the dense test references in ``tests/dense.py``; the package
 itself works on pure states and Kraus images.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import typing
 
 import numpy as np
 
@@ -167,24 +171,33 @@ class DensityOperator:
 # Position wavefunctions
 # ---------------------------------------------------------------------------
 
-def _wavefunction_rows(rows: np.ndarray, dim: int, xa: np.ndarray) -> np.ndarray:
-    """Run the recurrence of :func:`wavefunction_matrix` up to level ``dim-1``.
+def wavefunction_levels(dim: int, x) -> typing.Iterator[np.ndarray]:
+    """Yield ``<x|n>`` at the outcomes ``x`` for n = 0 .. dim-1, one level at a time.
 
-    Level ``n`` is written to ``rows[n % len(rows)]``, so ``dim`` rows hold
-    every level and 2 rows roll over the two levels each step reads (a
-    level is computed before it overwrites the level two below it); the
-    operations, and so the bits of every level, are the same either way.
-    ``rows`` needs ``min(dim, 2)`` rows or more.  Returns the row holding
-    level ``dim-1``.
+    Runs the recurrence of :func:`wavefunction_matrix` over 2 rolling rows
+    of ``x.size``, in place, so at most 3 rows exist however large ``dim``
+    is; each yielded row is overwritten two levels later, so a consumer
+    reads it before asking for the next.  The operations, and so the bits
+    of every level, are those of :func:`wavefunction_matrix`.
     """
-    k = rows.shape[0]
+    if dim < 1:
+        raise ValueError("dim must be positive")
+    xa = np.asarray(x, dtype=float)
+    rows = np.empty((2, xa.size))
     rows[0] = np.pi ** -0.25 * np.exp(-0.5 * xa * xa)
+    yield rows[0]
     if dim > 1:
         rows[1] = math.sqrt(2.0) * xa * rows[0]
+        yield rows[1]
+    scratch = np.empty(xa.size)
     for n in range(2, dim):
-        rows[n % k] = (math.sqrt(2.0 / n) * xa * rows[(n - 1) % k]
-                       - math.sqrt((n - 1.0) / n) * rows[(n - 2) % k])
-    return rows[(dim - 1) % k]
+        # rows[n % 2] holds level n-2 until level n overwrites it
+        row = rows[n % 2]
+        np.multiply(math.sqrt(2.0 / n), xa, out=scratch)
+        scratch *= rows[(n - 1) % 2]
+        row *= math.sqrt((n - 1.0) / n)
+        np.subtract(scratch, row, out=row)
+        yield row
 
 
 def wavefunction_matrix(dim: int, x: np.ndarray) -> np.ndarray:
@@ -196,13 +209,16 @@ def wavefunction_matrix(dim: int, x: np.ndarray) -> np.ndarray:
 
     which keeps every row O(1), so arbitrary orders are safe.  Convention:
     ``<x|0> = pi^{-1/4} exp(-x^2/2)`` (unit-variance-free quadrature with
-    ``[x, p] = i``, vacuum density variance 1/2).
+    ``[x, p] = i``, vacuum density variance 1/2).  The package streams the
+    levels (:func:`wavefunction_levels`) and never holds this ``dim``-row
+    table; the oracles and the test references build it.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
     xa = np.asarray(x, dtype=float)
     out = np.empty((dim, xa.size))
-    _wavefunction_rows(out, dim, xa)
+    for n, row in enumerate(wavefunction_levels(dim, xa)):
+        out[n] = row
     return out
 
 
@@ -217,10 +233,10 @@ class QuadratureGrid:
     ``nodes``/``weights`` are ordered left to right and read-only;
     ``panels`` equal-width panels of ``order`` points each, so the outermost
     panels are the first and last ``order`` nodes.  A grid built by
-    :func:`adaptive_quadrature_grid` integrates the top-level density it was
-    sized for to 1 within ``QUADRATURE_REL_TOL`` (1e-9), and so do the grid
-    with twice its panels; products of lower wavefunctions are no more
-    oscillatory and carry the same tolerance.
+    :func:`adaptive_quadrature_grid` integrates the level densities it was
+    sized for to 1 within ``QUADRATURE_REL_TOL`` (1e-9) in their weighted
+    sum, and so does the grid with twice its panels; products of two
+    levels are no more oscillatory than their densities.
     """
 
     half_width: float
@@ -257,31 +273,52 @@ def default_half_width(dim: int) -> float:
     return 6.0 + 2.0 * math.sqrt(dim)
 
 
-def adaptive_quadrature_grid(dim: int, half_width: float | None = None) -> QuadratureGrid:
-    """Coarsest composite Gauss-Legendre grid that resolves level ``dim-1``.
+def adaptive_quadrature_grid(
+    dim: int, half_width: float | None = None, level_weights: np.ndarray | None = None
+) -> QuadratureGrid:
+    """Coarsest composite Gauss-Legendre grid that resolves ``dim`` levels at their weights.
 
-    The most oscillatory integrand any consumer produces is the density of
-    the highest level, ``|<x|dim-1>|^2``, whose exact integral is 1.  The
+    Every level's density ``|<x|n>|^2`` integrates to exactly 1, so each
+    grid has a measured error per level, ``|integral psi_n^2 - 1|``.
+    ``level_weights`` (``dim`` nonnegative numbers, a probe's ``|c_n|^2``)
+    weighs them; None puts all the weight on the top level ``dim-1``, the
+    most oscillatory density any consumer of ``dim`` levels forms.  The
     panel count is doubled from ``max(8, ceil(half_width))``, and the first
-    grid that integrates that density to 1 within ``QUADRATURE_REL_TOL``
-    while its doubling does too is returned.  Error model: each 16-point
-    panel is exact for polynomials of degree <= 31, so on these analytic
-    integrands the error falls geometrically with the panel count; the
-    returned grid's error on the top-level density is measured directly,
-    and the doubling's agreement shows the grid is in that convergent
-    regime rather than at a lucky cancellation.
+    grid whose weighted error ``sum_n w_n |integral psi_n^2 - 1|`` is within
+    ``QUADRATURE_REL_TOL`` while its doubling's is too is returned.  Levels
+    of zero weight are skipped, so with all the weight on the top level the
+    rule, and every bit of the grid, are those of the top-level test alone.
+
+    Error model: each 16-point panel is exact for polynomials of degree
+    <= 31, so on these analytic integrands the error falls geometrically
+    with the panel count; the returned grid's weighted error is measured
+    directly, and the doubling's agreement shows the grid is in that
+    convergent regime rather than at a lucky cancellation.  A density the
+    probe forms is a sum of products ``c_m c_n <x|m><x|n>``, each no more
+    oscillatory than the densities of its two levels, so levels the probe
+    barely occupies need resolving only as far as their weight reaches.
+    The search streams the levels over 2 rolling rows of nodes
+    (:func:`wavefunction_levels`).
     """
     if dim < 1:
         raise ValueError("dim must be positive")
     if half_width is None:
         half_width = default_half_width(dim)
+    if level_weights is None:
+        level_weights = np.zeros(dim)
+        level_weights[-1] = 1.0
+    level_weights = np.asarray(level_weights, dtype=float)
+    if level_weights.shape != (dim,):
+        raise ValueError("level_weights must hold one weight per level")
     panels = max(8, int(math.ceil(half_width)))
     previous = None
     while panels <= QUADRATURE_MAX_PANELS:
         grid = build_quadrature_grid(half_width, panels)
-        # only the top level is read: roll the recurrence over 2 rows
-        top = _wavefunction_rows(np.empty((2, grid.nodes.size)), dim, grid.nodes)
-        converged = abs(grid.integrate(top * top) - 1.0) <= QUADRATURE_REL_TOL
+        error = 0.0
+        for n, row in enumerate(wavefunction_levels(dim, grid.nodes)):
+            if level_weights[n] != 0.0:
+                error += level_weights[n] * abs(grid.integrate(row * row) - 1.0)
+        converged = error <= QUADRATURE_REL_TOL
         if converged and previous is not None:
             return previous
         previous = grid if converged else None

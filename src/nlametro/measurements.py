@@ -34,12 +34,23 @@ point's coefficient row is its images' real Kraus factor row
 last entry multiplies the tail.  A field from the basis differs from the
 full ``dim``-level sum only by the regrouped tail sum, at most about
 ``dim`` ulp of ``sum_n |c_n <x|n>|``.
+
+The basis is streamed: :func:`_image_basis` runs the wavefunction
+recurrence over 2 rolling rows at any outcomes, writing the head rows and
+adding each higher level into the tail, so no ``dim``-row table of
+``<x|n>`` is ever built; the quadrature kernels, the density at any
+outcomes (and so the Monte-Carlo sampler's table) and the Monte-Carlo
+records all use it.  The quadrature grid is sized by the probe: the
+coarsest doubling whose level-density errors, weighted by ``|c_n|^2``, sum
+to at most ``QUADRATURE_REL_TOL`` (:func:`_probe_grid`), 224 to 496 nodes
+on the standard probes of 14 to 149 levels.  The grids and the bases on
+them are cached per probe's amplitudes (and per basis rows and window),
+each entry ``levels x nodes``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 import numpy as np
 
@@ -48,7 +59,7 @@ from .fock import (
     QuadratureGrid,
     adaptive_quadrature_grid,
     default_half_width,
-    wavefunction_matrix,
+    wavefunction_levels,
 )
 from .instrument import (
     KrausImages,
@@ -71,7 +82,7 @@ MASS_FLOOR = 1e-300
 # window is widened before trusting the result.
 TAIL_SHARE = 1e-12
 
-# Field rows multiplied against the wavefunction table in one product; bounds
+# Field rows multiplied against the Kraus-image basis in one product; bounds
 # the rows x nodes temporaries of a stacked evaluation.
 ROW_CHUNK = 16
 
@@ -185,58 +196,94 @@ def fi_photon_counting(probe: FockVector, params: NlaParams, branch: str) -> flo
 # Homodyne
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
-def _grid_and_wavefunctions(dim: int, widen: int = 0) -> tuple[QuadratureGrid, np.ndarray]:
-    """Quadrature grid sized for ``dim`` levels plus the matching <x|n> table.
+def _image_basis(probe: FockVector, x: np.ndarray, levels: int) -> np.ndarray:
+    """The parts of the ``levels``-row basis at the outcomes ``x``: rows ``c_n <x|n>``, then the tail.
 
-    ``widen`` enlarges the window by 25% per step when a Fisher integral
-    reports a non-negligible tail.
+    With ``levels`` below ``dim``, the rows are those of the first
+    ``levels - 1`` levels and the last row is the tail
+    ``sum_{n >= levels-1} c_n <x|n>``; with ``levels = dim``, every row is a
+    level's.  A branch field of a point whose threshold is at most
+    ``levels - 2``, or of any point when there is no tail, is the point's
+    Kraus diagonal on the first ``levels`` levels times the rows, since
+    every level above ``p`` has ``E_s = 1`` and ``E_f = 0``, the tail's
+    coefficients.
+
+    The levels are streamed (:func:`~nlametro.fock.wavefunction_levels`):
+    each is written to its row or added to the tail, in level order, as the
+    recurrence reaches it, so no ``dim``-row table is built.  Returns a
+    ``(P, levels, x.size)`` real array, whose parts are the rows of the
+    real amplitudes and, for a complex probe, of the imaginary ones, so no
+    complex array is built.
     """
-    grid = adaptive_quadrature_grid(dim, half_width=default_half_width(dim) * 1.25 ** widen)
-    return grid, wavefunction_matrix(dim, grid.nodes)
-
-
-def _image_basis(probe: FockVector, psi: np.ndarray, levels: int) -> tuple[np.ndarray, ...]:
-    """The parts of the ``levels``-row basis: rows ``c_n <x|n>``, then the tail.
-
-    ``psi`` holds ``<x|n>`` at the outcomes for its first levels.  With more
-    than ``levels`` of them, the rows are those of the first ``levels - 1``
-    levels and the last row is the tail ``sum_{n >= levels-1} c_n <x|n>``;
-    with exactly ``levels``, every row is a level's.  A branch field of a
-    point whose threshold is at most ``levels - 2``, or of any point when
-    there is no tail, is the point's Kraus diagonal on the first ``levels``
-    levels times the rows, since every level above ``p`` has ``E_s = 1``
-    and ``E_f = 0``, the tail's coefficients.
-
-    The parts are the rows' real part and, for a complex probe, their
-    imaginary part: contiguous real arrays, each formed from its own real
-    amplitudes, so no complex array is built.
-    """
-    head = levels if psi.shape[0] == levels else levels - 1
     amps = probe.amps
-    parts = []
-    for c in (amps.real, amps.imag) if amps.imag.any() else (amps.real,):
-        rows = c[:head, np.newaxis] * psi[:head]
-        if psi.shape[0] > head:
-            rows = np.vstack((rows, c[head:] @ psi[head:]))
-        parts.append(rows)
-    return tuple(parts)
+    coefficients = (amps.real, amps.imag) if amps.imag.any() else (amps.real,)
+    head = levels if levels == probe.dim else levels - 1
+    parts = np.zeros((len(coefficients), levels, x.size))
+    term = np.empty(x.size)
+    for n, psi in enumerate(wavefunction_levels(probe.dim, x)):
+        for part, c in zip(parts, coefficients):
+            if n < head:
+                np.multiply(c[n], psi, out=part[n])
+            else:
+                np.multiply(c[n], psi, out=term)
+                part[head] += term
+    return parts
 
 
-def _basis_parts(probe: FockVector, levels: int, widen: int = 0):
-    """The window-``widen`` grid and the parts of the probe's ``levels``-row basis.
+# Entries kept by each cache of the homodyne kernels; past it, the oldest goes.
+CACHE_SIZE = 64
+# Quadrature grids keyed by (amplitude dtype, amplitude bytes, widen), and
+# basis parts on them keyed by the same plus the basis rows: each entry is
+# levels x nodes per part, never dim x nodes.
+_GRIDS: dict = {}
+_BASES: dict = {}
 
-    The basis is :func:`_image_basis` on the grid's wavefunction table: the
-    rows of the first ``levels - 1`` levels and the tail from level
-    ``levels - 1`` on, or all ``dim`` rows when ``levels = dim``.  With
-    ``levels = min(dim, max p + 2)`` it serves every threshold up to
+
+def _cached(cache: dict, key, build):
+    """``cache[key]``, built by ``build()`` when missing; past ``CACHE_SIZE``
+    entries the oldest is dropped."""
+    if key not in cache:
+        cache[key] = build()
+        if len(cache) > CACHE_SIZE:
+            del cache[next(iter(cache))]
+    return cache[key]
+
+
+def _probe_grid(probe: FockVector, widen: int = 0) -> QuadratureGrid:
+    """The probe's quadrature grid on window ``widen``, cached.
+
+    It is sized by the probe alone: the coarsest doubling whose error on
+    the level densities, weighted by ``|c_n|^2``, is within
+    ``QUADRATURE_REL_TOL`` (:func:`~nlametro.fock.adaptive_quadrature_grid`),
+    so a point and any batch of the probe share one support.  ``widen``
+    enlarges the window by 25% per step when a Fisher integral reports a
+    non-negligible tail.
+    """
+    return _cached(_GRIDS, (probe.amps.dtype.str, probe.amps.tobytes(), widen),
+                   lambda: adaptive_quadrature_grid(
+                       probe.dim, default_half_width(probe.dim) * 1.25 ** widen, probe.weights()))
+
+
+def _basis_parts(probe: FockVector, levels: int, widen: int = 0) -> tuple[QuadratureGrid, np.ndarray]:
+    """The probe's window-``widen`` grid and the read-only parts of its ``levels``-row basis there.
+
+    The basis is :func:`_image_basis` at the nodes of :func:`_probe_grid`,
+    cached, keyed by the probe's amplitudes, ``levels`` and ``widen``.
+    With ``levels = min(dim, max p + 2)`` it serves every threshold up to
     ``max p``.
     """
-    grid, psi = _grid_and_wavefunctions(probe.dim, widen)
-    return grid, _image_basis(probe, psi, levels)
+    grid = _probe_grid(probe, widen)
+
+    def build():
+        parts = _image_basis(probe, grid.nodes, levels)
+        parts.setflags(write=False)
+        return parts
+
+    key = (probe.amps.dtype.str, probe.amps.tobytes(), widen, levels)
+    return grid, _cached(_BASES, key, build)
 
 
-def _fields(rows: np.ndarray, parts: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+def _fields(rows: np.ndarray, parts: np.ndarray) -> list[np.ndarray]:
     """Real coefficient rows times each part of the basis: the fields' real and imaginary parts.
 
     Error model: a field from the basis differs from the full sum
@@ -250,7 +297,7 @@ def _homodyne_density(images: KrausImages, probe: FockVector, branch: str, x) ->
     """:func:`homodyne_density` of the one point of ``images``."""
     factors = _conditional_factors(images, branch)[0]
     xa = np.asarray(x, dtype=float)
-    parts = _image_basis(probe, wavefunction_matrix(probe.dim, xa.ravel()), factors.shape[1])
+    parts = _image_basis(probe, xa.ravel(), factors.shape[1])
     dens = sum(f * f for f in _fields(factors, parts))[0]
     return float(dens[0]) if xa.ndim == 0 else dens.reshape(xa.shape)
 

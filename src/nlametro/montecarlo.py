@@ -65,7 +65,7 @@ import typing
 import numpy as np
 
 from .fisher import _branch_qfi, _herald, qfi_effective_closed_form
-from .fock import FockVector, default_half_width, wavefunction_matrix
+from .fock import FockVector, default_half_width
 from .instrument import (
     BRANCHES,
     FAILURE,
@@ -98,7 +98,7 @@ DETECTORS = (PHOTON_COUNTING, HOMODYNE, HERALD_ONLY, SUCCESS_ONLY)
 # no gain information at all.
 FLATNESS_TOL = 1e-9
 
-RESULT_SCHEMA_VERSION = 9
+RESULT_SCHEMA_VERSION = 10
 
 # Gains per block of a likelihood surface.  A block's fields are one
 # (block, rows) @ (rows, outcomes) product per part of a record's term into
@@ -423,15 +423,16 @@ def _homodyne_record(probe: FockVector, p: int, drawn: dict) -> tuple[_Term, ...
     its last row: ``(p+2, N_s)`` and ``(p+1, N_f)``, or ``(dim, N)`` each
     when ``p+1 >= dim`` leaves no tail.  The rows are those of the detector
     kernels' basis, :func:`~nlametro.measurements._image_basis`, kept as its
-    parts: the real rows and, for a complex probe, the imaginary rows.
+    parts: the real rows and, for a complex probe, the imaginary rows.  The
+    failure rows are the basis of the probe's first ``p+1`` levels, whose
+    recurrence stops there.
     """
     terms = []
     for col, branch in enumerate(BRANCHES):
         if branch in drawn:
             levels = min(p + 2 if branch == SUCCESS else p + 1, probe.dim)
-            table = probe.dim if branch == SUCCESS else levels
-            parts = _image_basis(probe, wavefunction_matrix(table, drawn[branch]), levels)
-            terms.append(_Term(col, None, np.array(parts)))
+            source = probe if branch == SUCCESS else FockVector(probe.amps[:levels])
+            terms.append(_Term(col, None, _image_basis(source, drawn[branch], levels)))
     return tuple(terms)
 
 
@@ -525,7 +526,10 @@ def _maximize(surface: np.ndarray, score, values: np.ndarray, tol: float = 1e-6)
     stops moving, so each row takes exactly the steps of a search run on its
     own.  Returns the gains, each row's score evaluations and its observed
     information ``-l''``, the secant slope of the score over its final
-    bracket (the grid cell when there was no root to find).
+    bracket (the grid cell when there was no root to find).  A row whose
+    score is exactly 0 at its argmax grid gain has that gain as its root,
+    and its slope is taken there instead: the secant over ``g -/+ tol/2``,
+    kept inside the grid, at two more evaluations for that row.
     """
     finite = np.isfinite(surface)
     top = surface.max(axis=1)
@@ -567,6 +571,12 @@ def _maximize(surface: np.ndarray, score, values: np.ndarray, tol: float = 1e-6)
         a, sa = np.where(up, x, a), np.where(up, sx, sa)
         b, sb = np.where(down, x, b), np.where(down, sx, sb)
     slope = (sa - sb) / (b - a)
+    zero = s_top == 0.0
+    if zero.any():
+        g = values[idx]
+        lo, hi = np.maximum(g - 0.5 * tol, values[0]), np.minimum(g + 0.5 * tol, values[-1])
+        slope[zero] = ((score(lo) - score(hi)) / (hi - lo))[zero]
+        evaluations += 2 * zero
     estimates = np.where(root, b + np.divide(sb, slope, out=np.zeros(a.size), where=root), values[idx])
     return estimates, evaluations, slope
 

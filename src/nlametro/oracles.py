@@ -38,7 +38,12 @@ the exact deficit ``1 - |<u|v>|`` of the normalized images
 ``sqrt F(AA^+, BB^+) = ||A^+ B||_*`` on the ``dim x 2`` image matrices
 (:meth:`~KrausImageFD.bures`); the mass and probability slopes, the meter
 coupling term and :func:`joint_fi_direct` carry the image difference
-through cancellation-free identities.
+through cancellation-free identities.  The homodyne joint record
+integrates on its own grid, the one that resolves the top level
+``dim-1``, with its own full ``dim``-row wavefunction table, both built
+per call and never cached, and reads the library's density at its nodes:
+the library's probe-weighted grid and streamed Kraus-image basis are
+checked, never shared.
 
 The selfcheck grid scores all five of its oracle rows on the same images:
 one :class:`KrausImageFD` builds the image Gram matrices of all 280
@@ -70,7 +75,7 @@ from .fisher import (
     qfi_joint_meter,
     qfi_unconditional,
 )
-from .fock import FockVector
+from .fock import FockVector, adaptive_quadrature_grid, wavefunction_matrix
 from .instrument import (
     BRANCHES,
     BranchImpossible,
@@ -90,9 +95,7 @@ from .measurements import (
     HOMODYNE,
     MASS_FLOOR,
     PHOTON_COUNTING,
-    _grid_and_wavefunctions,
     homodyne_density,
-    homodyne_distribution,
     photon_counting_dist,
 )
 from .probes import HARD_DIM_CAP, ProbeSpec, custom_probe, solve_amplitude_for_nbar
@@ -601,10 +604,15 @@ def joint_fi_direct(
     ``|A|^2 - |B|^2 = Re[(A - B) conj(A + B)]`` with the image difference
     taken in double-double and rounded once, so no analytic derivative
     enters and no cancellation reaches the slope.  The centre masses and
-    densities come from the measurement module; the homodyne densities are
-    its :func:`~nlametro.measurements.homodyne_distribution` on the window-0
-    quadrature grid, whose wavefunction table the slope fields use too.
-    The slope fields are full ``dim``-level sums formed in real arithmetic,
+    densities come from the measurement module.  For homodyne the oracle
+    builds its own grid, the one that resolves the top level ``dim-1``
+    (:func:`~nlametro.fock.adaptive_quadrature_grid` with its default
+    weights, not the library's probe-weighted grid), and its own full
+    ``dim``-row wavefunction table on it, per call and never cached; the
+    centre densities are
+    :func:`~nlametro.measurements.homodyne_density` at its nodes, so the
+    library's quadrature is checked as well.  The slope fields are full
+    ``dim``-level sums formed in real arithmetic,
     ``Re[s conj(t)] = s_r t_r + s_i t_i``, and never the measurement
     module's Kraus-image basis, so the homodyne joint record stays an
     independent witness of the library's kernels.
@@ -620,7 +628,8 @@ def joint_fi_direct(
         slope = slope.ravel()
         keep = center > MASS_FLOOR
         return float(np.sum(slope[keep] ** 2 / center[keep]))
-    grid, psi = _grid_and_wavefunctions(probe.dim, 0)
+    grid = adaptive_quadrature_grid(probe.dim)
+    psi = wavefunction_matrix(probe.dim, grid.nodes)
     lo, hi = fd._pair
     head = lo.hi.shape[-1]
     parts = (probe.amps.real, probe.amps.imag) if probe.amps.imag.any() else (probe.amps.real,)
@@ -629,7 +638,7 @@ def joint_fi_direct(
     for b, branch in enumerate(BRANCHES):
         try:
             prob = branch_probability(probe, params, branch)
-            center = prob * homodyne_distribution(probe, params, branch).masses
+            center = prob * homodyne_density(probe, params, branch, grid.nodes)
         except BranchImpossible:
             continue
         diff, both = (hi - lo)[0, b] / dg, (hi + lo)[0, b]

@@ -42,9 +42,11 @@ kernels that the public detector functions wrap, one call per branch of
 ``_branch_counting_fi``, ``_counting_dist``, ``_branch_homodyne_fi`` and
 ``_homodyne_dist`` and one ``_record_fi`` call per detector.  Homodyne
 multiplies the points' real coefficient rows, in chunks, against one
-Kraus-image basis of ``min(dim, max p + 2)`` rows on the quadrature grid (7
-here, for probes of up to 149 levels), which keeps the products on one
-OpenBLAS thread.  The meter suite draws a probe's 1750 random meters as one
+Kraus-image basis of ``min(dim, max p + 2)`` rows on the probe's quadrature
+grid (7 rows here, for probes of up to 149 levels, on grids of 224 to 496
+nodes sized by the probe's level weights), which keeps the products on one
+OpenBLAS thread; the basis is streamed from the wavefunction recurrence and
+cached as those rows only, so a pass holds no ``dim``-row table.  The meter suite draws a probe's 1750 random meters as one
 block of a counter-based stream (:func:`draw_meters`, SplitMix64 in
 ``uint64`` array arithmetic, so the meters are the same bits on every IEEE
 platform and ``numpy.random`` is never imported) and scores a

@@ -131,11 +131,37 @@ def test_adaptive_grids_equal_those_of_the_full_table_search():
         assert grid.nodes.tolist() == nodes.tolist() and grid.weights.tolist() == weights.tolist()
 
 
+def _expression_recurrence(dim, x):
+    # reference: the recurrence as one expression per level, into a full table
+    out = np.empty((dim, x.size))
+    out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    if dim > 1:
+        out[1] = math.sqrt(2.0) * x * out[0]
+    for n in range(2, dim):
+        out[n] = math.sqrt(2.0 / n) * x * out[n - 1] - math.sqrt((n - 1.0) / n) * out[n - 2]
+    return out
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 17, 149])
 def test_the_rolling_recurrence_gives_the_tables_top_row(dim):
+    # every streamed level, the top one included, and the table are the
+    # bits of the expression recurrence
     x = build_quadrature_grid(default_half_width(dim), 40).nodes
-    top = fock._wavefunction_rows(np.empty((2, x.size)), dim, x)
-    assert top.tolist() == wavefunction_matrix(dim, x)[dim - 1].tolist()
+    table = _expression_recurrence(dim, x)
+    streamed = [row.copy() for row in fock.wavefunction_levels(dim, x)]
+    assert np.array(streamed).tobytes() == table.tobytes()
+    assert wavefunction_matrix(dim, x).tobytes() == table.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 17, 149])
+def test_all_weight_on_the_top_level_is_the_top_level_rule(dim):
+    weights = np.zeros(dim)
+    weights[-1] = 1.0
+    for widen in (0, 1):
+        half_width = default_half_width(dim) * 1.25 ** widen
+        grid = adaptive_quadrature_grid(dim, half_width, weights)
+        top = adaptive_quadrature_grid(dim, half_width)
+        assert grid.panels == top.panels and grid.nodes.tobytes() == top.nodes.tobytes()
 
 
 def test_quadrature_grid_integrates_gaussian():

@@ -6,8 +6,15 @@ import pytest
 from conftest import points_of
 from dense import conditional_state_derivative
 
-from nlametro import instrument, measurements, montecarlo
-from nlametro.fock import FockVector, build_quadrature_grid, default_half_width, wavefunction_matrix
+from nlametro import instrument, measurements, montecarlo, selfcheck
+from nlametro.fock import (
+    QUADRATURE_REL_TOL,
+    FockVector,
+    adaptive_quadrature_grid,
+    build_quadrature_grid,
+    default_half_width,
+    wavefunction_matrix,
+)
 from nlametro.instrument import (
     BRANCHES,
     FAILURE,
@@ -43,6 +50,7 @@ from nlametro.selfcheck import (
     STANDARD_GAINS,
     STANDARD_THRESHOLDS,
     standard_probe_grids,
+    standard_probes,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -148,12 +156,18 @@ def _head(count):
     return NlaParams(g=STANDARD_BATCH.g[:count], p=STANDARD_BATCH.p[:count])
 
 
-def _complex_fisher_integral(dim, rows):
-    """Loop reference: one complex field product per row on the window-0 grid.
+def _dim_row_table(probe):
+    """The probe's window-0 grid and the full ``dim``-row table ``<x|n>`` on it."""
+    grid = measurements._probe_grid(probe, 0)
+    return grid, wavefunction_matrix(probe.dim, grid.nodes)
+
+
+def _complex_fisher_integral(probe, rows):
+    """Loop reference: one complex field product per row on the probe's window-0 grid.
 
     ``rows`` is a list of (amplitudes, slopes) pairs whose integrands add up.
     """
-    grid, psi = measurements._grid_and_wavefunctions(dim, 0)
+    grid, psi = _dim_row_table(probe)
     integrand = np.zeros(grid.nodes.size)
     for amps, slopes in rows:
         field = np.asarray(amps, dtype=complex) @ psi
@@ -186,7 +200,7 @@ def test_stacked_detectors_equal_one_point_at_a_time(kind, nbar):
             cond = conditional_state(probe, params, branch).state.amps
             slope = conditional_state_derivative(probe, params, branch)
             assert value == pytest.approx(
-                _complex_fisher_integral(probe.dim, [(cond, slope)]), rel=1e-12
+                _complex_fisher_integral(probe, [(cond, slope)]), rel=1e-12
             )
         dist = homodyne_distribution(probe, STANDARD_BATCH, branch)
         totals = dist.total()
@@ -216,7 +230,7 @@ def test_stacked_detectors_equal_one_point_at_a_time(kind, nbar):
             de = [kraus_diagonal_derivative(params, b, probe.dim) for b in BRANCHES]
             if detector == HOMODYNE:
                 rows = [(ei * probe.amps, dei * probe.amps) for ei, dei in zip(e, de)]
-                reference = _complex_fisher_integral(probe.dim, rows)
+                reference = _complex_fisher_integral(probe, rows)
             else:
                 w = probe.weights()
                 reference = _counting_sum([(ei * ei * w, 2.0 * ei * dei * w) for ei, dei in zip(e, de)])
@@ -245,32 +259,32 @@ def test_stacked_homodyne_of_a_complex_probe_uses_both_quadrature_parts():
             cond = conditional_state(probe, params, branch).state.amps
             slope = conditional_state_derivative(probe, params, branch)
             assert value == pytest.approx(
-                _complex_fisher_integral(probe.dim, [(cond, slope)]), rel=1e-12
+                _complex_fisher_integral(probe, [(cond, slope)]), rel=1e-12
             )
 
 
-WINDOWS = measurements._grid_and_wavefunctions
+WINDOWS = measurements._basis_parts
 
 
 def _widened_points(monkeypatch, probe):
-    """Which standard failure-branch points a truncated window-0 table widens.
+    """Which standard failure-branch points a truncated window-0 basis widens.
 
     At half-width 6 the failure-branch integrand of some standard points
     keeps more than TAIL_SHARE in an outermost panel, and of others not.
-    The truncated window-0 table is scaled by 1 + 1e-6, which marks every
+    The truncated window-0 basis is scaled by 1 + 1e-6, which marks every
     value integrated on it.
     """
     exact = fi_homodyne(probe, STANDARD_BATCH, FAILURE)
     requested = []
 
-    def truncated(dim, widen=0):
+    def truncated(probe, levels, widen=0):
         requested.append(widen)
         if widen:
-            return WINDOWS(dim, widen)
+            return WINDOWS(probe, levels, widen)
         grid = build_quadrature_grid(6.0, 64)
-        return grid, wavefunction_matrix(dim, grid.nodes) * (1.0 + 1e-6)
+        return grid, measurements._image_basis(probe, grid.nodes, levels) * (1.0 + 1e-6)
 
-    monkeypatch.setattr(measurements, "_grid_and_wavefunctions", truncated)
+    monkeypatch.setattr(measurements, "_basis_parts", truncated)
     stacked = fi_homodyne(probe, STANDARD_BATCH, FAILURE)
     widened = []
     for value, params, reference in zip(stacked, STANDARD_POINTS, exact):
@@ -338,13 +352,13 @@ def _dim_row_fields(rows, psi):
     return [rows.real @ psi]
 
 
-def _dim_row_fisher_integral(dim, amps, slopes):
-    """:func:`_two_pass_integral` of full ``dim``-level rows on the window-0 table.
+def _dim_row_fisher_integral(probe, amps, slopes):
+    """:func:`_two_pass_integral` of full ``dim``-level rows on the probe's window-0 grid.
 
     The kernel before the Kraus-image basis: every row multiplies all ``dim``
-    rows of the wavefunction table.
+    rows of a wavefunction table built here on the kernels' support.
     """
-    grid, psi = measurements._grid_and_wavefunctions(dim, 0)
+    grid, psi = _dim_row_table(probe)
     return _two_pass_integral(grid, amps, slopes, lambda rows: _dim_row_fields(rows, psi))
 
 
@@ -411,11 +425,11 @@ def test_basis_kernels_equal_the_dim_row_formula_on_every_standard_point():
     # is a cancellation residue
     for probe, points in _standard_and_complex_grids():
         dim = probe.dim
-        psi = measurements._grid_and_wavefunctions(dim, 0)[1]
+        psi = _dim_row_table(probe)[1]
         for branch in BRANCHES:
             amps, slopes, _ = _conditional_rows(KrausImages.of(probe, points), probe.amps, branch)
             assert _close(fi_homodyne(probe, points, branch, allow_complex=True),
-                          _dim_row_fisher_integral(dim, amps[:, None], slopes[:, None]))
+                          _dim_row_fisher_integral(probe, amps[:, None], slopes[:, None]))
             want = sum(f * f for f in _dim_row_fields(amps, psi))
             got = homodyne_distribution(probe, points, branch).masses
             scale = np.maximum(want.max(axis=1, keepdims=True), NUMERICAL_ZERO)
@@ -423,7 +437,7 @@ def test_basis_kernels_equal_the_dim_row_formula_on_every_standard_point():
         if probe.is_real():
             amps, slopes = _joint_rows(points, dim, probe.amps)
             assert _close(sequential_fi(probe, points, HOMODYNE),
-                          _dim_row_fisher_integral(dim, amps, slopes))
+                          _dim_row_fisher_integral(probe, amps, slopes))
 
 
 def test_homodyne_kernels_multiply_only_the_kraus_image_basis(monkeypatch):
@@ -525,7 +539,7 @@ def test_a_batch_distribution_is_one_object_whose_row_totals_are_the_single_tota
 def test_outcome_distributions_are_read_only_and_never_aliased_to_the_caller():
     probe = ProbeSpec.from_nbar("coherent", 1.0).build()
     params = NlaParams(g=2.0, p=3)
-    grid = measurements._grid_and_wavefunctions(probe.dim, 0)[0]
+    grid = measurements._probe_grid(probe, 0)
     for branch in BRANCHES:
         counted = photon_counting_dist(probe, params, branch)
         measured = homodyne_distribution(probe, params, branch)
@@ -547,11 +561,11 @@ def test_outcome_distributions_are_read_only_and_never_aliased_to_the_caller():
 
 
 def test_fisher_integral_raises_when_the_tail_never_vanishes(monkeypatch, coherent_nbar1):
-    def truncated(dim, widen=0):
+    def truncated(probe, levels, widen=0):
         grid = build_quadrature_grid(3.0, 16)
-        return grid, wavefunction_matrix(dim, grid.nodes)
+        return grid, measurements._image_basis(probe, grid.nodes, levels)
 
-    monkeypatch.setattr(measurements, "_grid_and_wavefunctions", truncated)
+    monkeypatch.setattr(measurements, "_basis_parts", truncated)
     with pytest.raises(RuntimeError, match="tail"):
         fi_homodyne(coherent_nbar1, _head(3), SUCCESS)
 
@@ -576,7 +590,7 @@ def test_basis_kernels_on_random_probes_and_mixed_thresholds():
     # the failure branch is impossible at p = 0, where E_f = 0 on every level
     for probe, points in _random_probe_stacks():
         dim = probe.dim
-        psi = measurements._grid_and_wavefunctions(dim, 0)[1]
+        psi = _dim_row_table(probe)[1]
         for branch in BRANCHES:
             live = points.p > 0
             stack = points if branch == SUCCESS else NlaParams(g=points.g[live], p=points.p[live])
@@ -585,7 +599,7 @@ def test_basis_kernels_on_random_probes_and_mixed_thresholds():
                     fi_homodyne(probe, points, branch, allow_complex=True)
             amps, slopes, _ = _conditional_rows(KrausImages.of(probe, stack), probe.amps, branch)
             stacked = fi_homodyne(probe, stack, branch, allow_complex=True)
-            assert _close(stacked, _dim_row_fisher_integral(dim, amps[:, None], slopes[:, None]))
+            assert _close(stacked, _dim_row_fisher_integral(probe, amps[:, None], slopes[:, None]))
             want = sum(f * f for f in _dim_row_fields(amps, psi))
             got = homodyne_distribution(probe, stack, branch).masses
             assert np.all(np.abs(got - want) <= 1e-12 * want.max(axis=1, keepdims=True))
@@ -598,9 +612,79 @@ def test_basis_kernels_on_random_probes_and_mixed_thresholds():
         if probe.is_real():
             amps, slopes = _joint_rows(points, dim, probe.amps)
             stacked = sequential_fi(probe, points, HOMODYNE)
-            assert _close(stacked, _dim_row_fisher_integral(dim, amps, slopes))
+            assert _close(stacked, _dim_row_fisher_integral(probe, amps, slopes))
             for value, params in zip(stacked, points_of(points)):
                 assert value == pytest.approx(sequential_fi(probe, params, HOMODYNE), rel=1e-12)
+
+
+def _weighted_error(grid, probe):
+    """The grid rule's measure, summed in level order: ``sum_n |c_n|^2 |integral psi_n^2 - 1|``."""
+    psi = wavefunction_matrix(probe.dim, grid.nodes)
+    error = 0.0
+    for w, row in zip(probe.weights(), psi):
+        if w != 0.0:
+            error += w * abs(grid.integrate(row * row) - 1.0)
+    return error
+
+
+def _meets_the_weighted_rule(probe, widen):
+    """The probe's grid and its doubling are within QUADRATURE_REL_TOL, and a
+    grid with half its panels, when the doubling sequence has one, is not."""
+    grid = measurements._probe_grid(probe, widen)
+    half_width = default_half_width(probe.dim) * 1.25 ** widen
+    assert grid.half_width == half_width
+    coarser = [build_quadrature_grid(half_width, grid.panels // 2)] if (
+        grid.panels // 2 >= max(8, math.ceil(half_width))) else []
+    return (_weighted_error(grid, probe) <= QUADRATURE_REL_TOL
+            and _weighted_error(build_quadrature_grid(half_width, 2 * grid.panels), probe)
+            <= QUADRATURE_REL_TOL
+            and all(_weighted_error(c, probe) > QUADRATURE_REL_TOL for c in coarser))
+
+
+def test_each_probe_grid_is_the_coarsest_doubling_that_meets_the_weighted_rule():
+    for probe, _ in _standard_and_complex_grids():
+        for widen in (0, 1):
+            assert _meets_the_weighted_rule(probe, widen)
+    for probe, _ in _random_probe_stacks():
+        assert _meets_the_weighted_rule(probe, 0)
+    # the standard probes, dim 14 to 149, take 224 to 496 nodes at window 0
+    sizes = [measurements._probe_grid(probe).nodes.size for probe, _, _ in standard_probe_grids()]
+    assert min(sizes) == 224 and max(sizes) == 496
+
+
+def test_a_probe_with_most_weight_on_its_top_level_gets_the_top_level_grid():
+    for dim in (5, 17, 60):
+        amps = np.full(dim, math.sqrt(0.1 / (dim - 1)))
+        amps[-1] = math.sqrt(0.9)
+        grid = measurements._probe_grid(FockVector(amps))
+        top = adaptive_quadrature_grid(dim)
+        assert grid.panels == top.panels and grid.nodes.tobytes() == top.nodes.tobytes()
+
+
+def test_a_point_and_a_batch_share_one_homodyne_support(coherent_nbar1):
+    batch = homodyne_distribution(coherent_nbar1, STANDARD_BATCH, SUCCESS)
+    for params in (STANDARD_POINTS[0], NlaParams(g=2.0, p=0)):
+        one = homodyne_distribution(coherent_nbar1, params, SUCCESS)
+        assert one.support is batch.support and one.weights is batch.weights
+
+
+def test_after_a_selfcheck_pass_the_homodyne_caches_hold_no_dim_row_table():
+    # each cached basis owns its key's rows, at most max p + 2 = 7, and the
+    # caches' arrays total under 1 MB (a dim-row table of every standard
+    # probe took 4.2 MB), on whatever order the tests ran in
+    measurements._GRIDS.clear()
+    measurements._BASES.clear()
+    assert all(row.passed for row in selfcheck.run_all())
+    assert measurements._BASES
+    smallest = min(probe.dim for _, _, probe in standard_probes())
+    total = 0
+    for key, parts in measurements._BASES.items():
+        levels = key[-1]
+        assert parts.shape[1] == levels <= max(STANDARD_THRESHOLDS) + 2 < smallest
+        assert parts.base is None  # not a view that keeps a larger table alive
+        total += parts.nbytes
+    total += sum(g.nodes.nbytes + g.weights.nbytes for g in measurements._GRIDS.values())
+    assert total < 1 << 20
 
 
 # Rounding bound of a real probe's detector informations against the same

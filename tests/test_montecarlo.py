@@ -784,6 +784,36 @@ def test_a_secant_step_onto_a_bracket_end_takes_the_minimum_step():
     assert evaluations <= 3
 
 
+def _cubic_search(centres, values):
+    """:func:`montecarlo._maximize` on the log-likelihoods ``-d^2/2 - 5 d^4 / 2``
+    with ``d = g - centre``, one row per centre, whose score ``-d - 10 d^3``
+    has slope -1 at its root and its secant 1.1 over a cell of 0.1 there."""
+    d = values[np.newaxis, :] - centres[:, np.newaxis]
+
+    def score(g):
+        dg = g - centres
+        return -dg - 10.0 * dg ** 3
+
+    return montecarlo._maximize(-0.5 * d * d - 2.5 * d ** 4, score, values)
+
+
+def test_a_score_of_exactly_zero_at_a_grid_gain_reports_the_slope_there():
+    # rows 0 and 2 have their maximum on a grid gain, inside the grid and on
+    # its edge, where the score is exactly 0: the observed information is
+    # the score's slope there, 1, and not the secant 1.1 over the grid cell;
+    # row 1 searches its cell and is untouched by the other rows
+    values = np.linspace(1.5, 2.5, 11)
+    assert values[5] == 2.0
+    estimates, evaluations, observed = _cubic_search(np.array([2.0, 2.03, 1.5]), values)
+    assert estimates[0] == 2.0 and estimates[2] == 1.5
+    assert observed[0] == pytest.approx(1.0, rel=1e-9)
+    assert observed[2] == pytest.approx(1.0, rel=1e-6)
+    assert evaluations[0] == evaluations[2] == 4
+    alone = _cubic_search(np.array([2.03]), values)
+    assert (estimates[1], evaluations[1], observed[1]) == tuple(column[0] for column in alone)
+    assert estimates[1] == pytest.approx(2.03, abs=1e-6) and evaluations[1] > 2
+
+
 @pytest.mark.parametrize("detector, replications", [("photon-counting", 500), ("homodyne", 3)])
 def test_search_makes_one_surface_and_a_few_score_steps(monkeypatch, detector, replications):
     calls = collections.Counter()

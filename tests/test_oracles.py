@@ -744,8 +744,9 @@ SELFCHECK_KRAUS_CALLS = {
     "branch_probability_derivative": 4,
     "meter_coupling_term": 3,
     "qfi_branch": 2,
-    "homodyne_distribution": 2,
-    "homodyne_density": 2,
+    # two golden hand values, and the two branch centres of the joint
+    # homodyne record at the oracle's own nodes
+    "homodyne_density": 4,
     "qfi_unconditional": 1,
 }
 
