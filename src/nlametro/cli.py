@@ -60,8 +60,8 @@ CHECK_FAILED = 3
 # Argument plumbing
 # ---------------------------------------------------------------------------
 
-def _parse_linear_grid(text: str, name: str) -> np.ndarray:
-    """``a:b:n`` -> n points linearly spaced on [a, b]."""
+def _linear_grid_spec(text: str, name: str) -> tuple[float, float, int]:
+    """``a:b:n`` -> ``(a, b, n)``, with finite ``a <= b`` and ``n >= 1``; else ``ValueError``."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"{name} grid must look like a:b:n, got {text!r}")
@@ -75,7 +75,12 @@ def _parse_linear_grid(text: str, name: str) -> np.ndarray:
         raise ValueError(f"{name} grid needs at least one point")
     if hi < lo:
         raise ValueError(f"{name} grid has hi < lo")
-    return np.linspace(lo, hi, n)
+    return lo, hi, n
+
+
+def _parse_linear_grid(text: str, name: str) -> np.ndarray:
+    """``a:b:n`` -> n points linearly spaced on [a, b]."""
+    return np.linspace(*_linear_grid_spec(text, name))
 
 
 def _gain_grid_from_arg(text: str) -> np.ndarray:
@@ -277,7 +282,10 @@ def cmd_sweep_nbar(args) -> int:
 def cmd_simulate(args) -> int:
     """Run a CRB experiment; emit the result (and config echo) as JSON."""
     spec = _probe_spec_from_args(args)
-    lo, hi, n = args.grid
+    if args.grid is None:
+        lo, hi, n = max(1.0 + 1e-6, args.g_true / 1.5), args.g_true * 1.5, 61
+    else:
+        lo, hi, n = _linear_grid_spec(args.grid, "search")
     config = ExperimentConfig(
         probe=spec,
         params_true=NlaParams(g=args.g_true, p=args.p),
@@ -339,13 +347,6 @@ def cmd_selfcheck(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _grid_triple(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("grid must look like a:b:n")
-    return float(parts[0]), float(parts[1]), int(parts[2])
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nlametro",
@@ -383,10 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--replications", type=int, default=500)
     sub.add_argument("--seed", type=_seed_type, required=True)
     sub.add_argument(
-        "--grid",
-        type=_grid_triple,
-        default=None,
-        help="MLE search grid a:b:n (default: g/1.5 to 1.5g, 61 points)",
+        "--grid", help="MLE search grid a:b:n (default: g/1.5 to 1.5g, 61 points)"
     )
     sub.add_argument(
         "--records", type=pathlib.Path, help="also write per-replication JSON lines here"
@@ -407,9 +405,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if getattr(args, "grid", None) is None and args.command == "simulate":
-        lo = max(1.0 + 1e-6, args.g_true / 1.5)
-        args.grid = (lo, args.g_true * 1.5, 61)
     # looked up at call time, so a handler replaced on this module still runs
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:

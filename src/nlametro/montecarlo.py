@@ -14,32 +14,33 @@ across runs.  A counting or herald experiment draws its replications as
 arrays, so a run with fewer replications is not a prefix of a longer one.
 
 Estimation works on sufficient statistics.  An experiment does its set-up
-(branch masses, photon-number tables, the bound) once, from one
-:class:`~nlametro.instrument.KrausImages` at the true point.  The R
-replications of a photon-counting, success-only or herald-only experiment
-are drawn directly as their counts, one vectorised call per quantity and no
-loop per replication: the success counts ``n_s ~ Binomial(shots, p_s)`` of
-all R, then, for each recorded branch that fired in any replication, every
-replication's per-level counts ``Multinomial(n, masses)``, with ``n`` the
-array of that branch's shots.  These counts have the distribution of the
-``bincount`` of the per-shot inverse-CDF draw of
-``sample_shots`` in ``tests/dense.py``, the test reference, but they are not
-the same integers.  No count summarises homodyne quadratures, so homodyne
-replications are drawn one after another from the same stream, and each is
-estimated before the next is drawn.  A branch's homodyne outcomes come in
-ascending order: the branch's uniforms are sorted before the inverse CDF
-maps them, which gives the same outcomes as unsorted uniforms would, sorted.
+(count masses, homodyne tables, the bound) once, from one
+:class:`~nlametro.instrument.KrausImages` at the true point, and one loop
+estimates the stream of records its shot source draws
+(:meth:`_ShotSource.records`).  The R replications of a photon-counting,
+success-only or herald-only experiment are one record, drawn as their
+counts with no loop per replication: the success counts ``n_s ~
+Binomial(shots, p_s)`` of all R, then, per recorded branch that fired in
+any replication, every replication's counts on the image rows,
+``Multinomial(n, masses)`` with ``n`` that branch's shots and the masses
+``(a_n / sqrt(p_b))^2`` read off the images.  These counts have the
+distribution of the per-shot inverse-CDF draw of ``sample_shots`` in
+``tests/dense.py``, the test reference, binned on the image rows, but they
+are not the same integers.  No count summarises homodyne quadratures, so
+each homodyne replication is a record of its own, drawn from the same
+stream once the previous one has been estimated.  A branch's homodyne
+outcomes come in ascending order: its uniforms are sorted before the
+inverse CDF maps them, which gives the unsorted uniforms' outcomes, sorted.
 
-Every detector's replications become one record on the ``min(dim, p+2)``
-Kraus-image rows (:class:`_Term`): per branch, outcome weights and the
-outcomes' real field vectors, so an outcome's density at a gain is
-``sum_P (E @ part)^2`` with ``E`` the Kraus diagonal on those rows.  A
-counted level is a row of ``diag(c)``, ``c`` the images' column, with the
-levels above ``p`` counted in its gain-free tail row; a herald is the whole
-column as orthogonal parts, of density ``p_b``; a homodyne outcome keeps
-the fields ``c_n <x|n>`` of the levels ``n <= p`` and, on the success
-branch, the gain-free tail ``sum_{n>p} c_n <x|n>``, as real rows (and
-imaginary rows for a complex probe).
+Every record lives on the ``min(dim, p+2)`` Kraus-image rows
+(:class:`_Term`): per branch, outcome weights and the outcomes' real field
+vectors, so an outcome's density at a gain is ``sum_P (E @ part)^2`` with
+``E`` the Kraus diagonal on those rows.  A counted row is a row of
+``diag(c)``, ``c`` the images' column, whose gain-free tail row counts the
+levels above ``p``; a herald is the whole column as orthogonal parts, of
+density ``p_b``; a homodyne outcome keeps the fields ``c_n <x|n>`` of the
+levels ``n <= p`` and, on the success branch, the gain-free tail ``sum_{n>p}
+c_n <x|n>``, as real rows (and imaginary rows for a complex probe).
 
 The estimator is a grid argmax followed by a root search on the analytic
 score, the gain derivative of the log-likelihood, inside one grid cell
@@ -64,14 +65,14 @@ import typing
 
 import numpy as np
 
-from .fisher import _branch_qfi, _herald, qfi_effective_closed_form
+from .fisher import _branch_qfi, _closed_form, _herald
 from .fock import FockVector, default_half_width
 from .instrument import (
     BRANCHES,
     FAILURE,
     GAIN_FLOOR,
+    PROBABILITY_FLOOR,
     SUCCESS,
-    BranchImpossible,
     GainDomain,
     KrausImages,
     NlaParams,
@@ -84,7 +85,6 @@ from .measurements import (
     HOMODYNE,
     MASS_FLOOR,
     PHOTON_COUNTING,
-    _counting_dist,
     _homodyne_density,
     _image_basis,
 )
@@ -98,7 +98,7 @@ DETECTORS = (PHOTON_COUNTING, HOMODYNE, HERALD_ONLY, SUCCESS_ONLY)
 # no gain information at all.
 FLATNESS_TOL = 1e-9
 
-RESULT_SCHEMA_VERSION = 10
+RESULT_SCHEMA_VERSION = 11
 
 # Gains per block of a likelihood surface.  A block's fields are one
 # (block, rows) @ (rows, outcomes) product per part of a record's term into
@@ -107,6 +107,9 @@ RESULT_SCHEMA_VERSION = 10
 # and the whole 61-gain grid at once 30% slower.  At 8 a block takes 0.6 MB
 # per part.
 GRID_BLOCK = 8
+
+# Width below which the score's root search stops narrowing its bracket.
+SEARCH_TOL = 1e-6
 
 
 class DegenerateLikelihood(RuntimeError):
@@ -251,17 +254,15 @@ _RECORDED = {
 }
 
 
-def _branch_masses(images: KrausImages, probe: FockVector) -> tuple[float, np.ndarray, np.ndarray]:
-    """``p_s`` and both branches' photon-number masses at the one point of
-    ``images``; the failure masses are zeros where that branch's own
-    probability is below ``PROBABILITY_FLOOR``, whatever ``p_s`` rounds to."""
-    ps = float(images.prob[0, 0])
-    ms = _counting_dist(images, probe, SUCCESS).masses
-    try:
-        mf = _counting_dist(images, probe, FAILURE).masses
-    except BranchImpossible:
-        mf = np.zeros(probe.dim)
-    return ps, ms, mf
+def _image_masses(images: KrausImages) -> np.ndarray:
+    """Both branches' count masses ``(a_n / sqrt(p_b))^2`` on the image rows
+    of the one point of ``images``, a column per branch in :data:`BRANCHES`
+    order; the tail row's is that of every level above ``p``.  A branch below
+    ``PROBABILITY_FLOOR`` has zero masses, so a multinomial puts any of its
+    shots in the last row, the one that takes the mass the others leave."""
+    a, prob = images.a[0], images.prob[0]
+    ratio = np.divide(a, np.sqrt(prob), out=np.zeros_like(a), where=prob >= PROBABILITY_FLOOR)
+    return ratio * ratio
 
 
 HOMODYNE_CDF_POINTS = 8193
@@ -298,51 +299,48 @@ class _ShotSource:
     """Amplifier runs of one configuration, with its set-up done once.
 
     ``images``, the one :class:`~nlametro.instrument.KrausImages` of the
-    true point, is built at construction, and the branch masses, the
-    count records' image column and the homodyne tables read it.
-    :meth:`counts` gives many counting or herald records at once, straight
-    from their own distribution; :meth:`draw` gives homodyne runs shot by
-    shot.  A branch's inverse-CDF table is built on the first shot of that
+    true point, is built at construction, and the count masses, the count
+    records' image column and the homodyne tables read it.  A branch's
+    inverse-CDF table is built, and cached, on the first shot of that
     branch, because a branch that never fires may have no density to
     tabulate.
     """
 
     def __init__(self, probe: FockVector, params: NlaParams, detector: str):
-        if detector not in DETECTORS:
-            raise ValueError(f"unknown detector {detector!r}")
         self._probe, self._detector = probe, detector
         self.images = KrausImages.of(probe, _one_point(params))
-        self._ps, ms, mf = _branch_masses(self.images, probe)
-        self._masses = {SUCCESS: ms, FAILURE: mf}
-        self._samplers = {}
+        self._sampler = functools.cache(functools.partial(_homodyne_sampler, self.images, probe))
 
-    def draw(self, rng: np.random.Generator, shots: int) -> tuple[np.ndarray, dict]:
-        """``(success_mask, {branch: quadratures of that branch's shots})``.
+    def records(self, rng: np.random.Generator, shots: int, replications: int):
+        """``(n_s, record)`` chunks of ``replications`` records, drawn lazily in stream order.
 
-        Only the branches the detector records appear, each only when it
-        fired; the generator is consumed in that order.
+        A photon-counting or herald experiment is one chunk: one
+        ``Binomial(shots, p_s)`` call draws every record's ``n_s``, then one
+        ``Multinomial(n, masses)`` call per recorded branch that fired in any
+        record, in :meth:`_fired` order, draws every record's counts on the
+        image rows (:func:`_image_masses`), which :func:`_count_record` takes
+        as they come.  A homodyne experiment is one chunk per replication:
+        ``shots`` uniforms pick the successes, then each recorded branch
+        that fired maps uniforms through its inverse CDF.  No chunk is kept
+        here, so a consumer that drops each before asking for the next holds
+        one homodyne record at a time.  ``p_s``, a sum of squares, is capped
+        at 1, since a norm within rounding of 1 can round it above 1.
         """
-        success = rng.random(shots) < self._ps
-        fired = self._fired(int(success.sum()), shots)
-        return success, {branch: self._sampler(branch)(rng.random(n)) for branch, n in fired}
-
-    def counts(self, rng: np.random.Generator, shots: int, replications: int):
-        """``(n_s, record)`` of ``replications`` photon-counting or herald records.
-
-        One ``Binomial(shots, p_s)`` call draws every record's ``n_s``, then
-        one ``Multinomial(n, masses)`` call per recorded branch that fired in
-        any record, in :meth:`_fired` order, draws every record's per-level
-        counts, which :func:`_count_record` turns into the record.  The last
-        level takes the mass a table leaves over, as in the per-shot inverse
-        CDF.  ``p_s``, a sum of squares, is capped at 1, since a norm within
-        rounding of 1 can round it above 1.
-        """
-        n_s = rng.binomial(shots, min(self._ps, 1.0), size=replications)
-        levels = {
-            branch: rng.multinomial(n, self._masses[branch])
-            for branch, n in self._fired(n_s, shots)
-        }
-        return n_s, _count_record(self.images.c[0], self._detector, n_s, shots - n_s, levels)
+        ps = min(float(self.images.prob[0, 0]), 1.0)
+        if self._detector != HOMODYNE:
+            n_s = rng.binomial(shots, ps, size=replications)
+            masses = _image_masses(self.images)
+            counts = {branch: rng.multinomial(n, masses[:, BRANCHES.index(branch)])
+                      for branch, n in self._fired(n_s, shots)}
+            yield n_s, _count_record(self.images.c[0], self._detector, n_s, shots - n_s, counts)
+            return
+        p = int(self.images.p[0, 0])
+        for _ in range(replications):
+            n_s = int(np.count_nonzero(rng.random(shots) < ps))
+            yield np.array([n_s]), _homodyne_record(self._probe, p, {
+                branch: self._sampler(branch)(rng.random(n))
+                for branch, n in self._fired(n_s, shots)
+            })
 
     def _fired(self, n_s, shots: int):
         """Each recorded branch that fired, with its shots, in draw order.
@@ -353,13 +351,6 @@ class _ShotSource:
         for branch, n in ((SUCCESS, n_s), (FAILURE, shots - n_s)):
             if np.any(n) and branch in _RECORDED[self._detector]:
                 yield branch, n
-
-    def _sampler(self, branch: str):
-        if self._detector != HOMODYNE:
-            raise ValueError(f"{self._detector} records are drawn as counts")
-        if branch not in self._samplers:
-            self._samplers[branch] = _homodyne_sampler(self.images, self._probe, branch)
-        return self._samplers[branch]
 
 
 # ---------------------------------------------------------------------------
@@ -382,30 +373,24 @@ class _Term(typing.NamedTuple):
     parts: np.ndarray
 
 
-def _count_record(c: np.ndarray, detector: str, n_s, n_f, levels: dict) -> tuple[_Term, ...]:
+def _count_record(c: np.ndarray, detector: str, n_s, n_f, counts: dict) -> tuple[_Term, ...]:
     """The record of R counting or herald replications on the image column ``c``.
 
     ``c`` is the true point's :attr:`~nlametro.instrument.KrausImages.c`:
     the moduli ``|c_n|`` for ``n <= p`` and, when ``dim > p + 2``, the tail
-    norm ``||c_{>p}||`` as its last row.  ``levels`` maps each recorded
-    branch that fired to its ``R x dim`` per-level counts, and ``n_s`` and
-    ``n_f`` hold each replication's successes and failures.  A counted level
-    ``n`` is the field vector ``c_n e_n``, a row of ``diag(c)``, of mass
-    ``E_n^2 |c_n|^2``; the levels above ``p`` are counted in the tail row,
-    whose mass ``||c_{>p}||^2`` is gain free, as are theirs, so the
-    log-likelihood changes only by a gain-free constant.  A herald is the
-    branch's whole image column as ``rows`` orthogonal parts, of density
-    ``p_b``; success-only conditions on success with the success herald at
-    weights ``-n_s``.
+    norm ``||c_{>p}||`` as its last row.  ``counts`` maps each recorded
+    branch that fired to its ``R x rows`` counts on those rows, and ``n_s``
+    and ``n_f`` hold each replication's successes and failures.  A counted
+    row ``n`` is the field vector ``c_n e_n``, a row of ``diag(c)``, of mass
+    ``E_n^2 |c_n|^2``; the tail row counts every level above ``p``, and its
+    mass ``||c_{>p}||^2`` is gain free, as are theirs, so the log-likelihood
+    differs from that of the per-level counts by a gain-free constant.  A
+    herald is the branch's whole image column as ``rows`` orthogonal parts,
+    of density ``p_b``; success-only conditions on success with the success
+    herald at weights ``-n_s``.
     """
-    rows = c.size
     diag = np.diag(c)
-    terms = [
-        _Term(BRANCHES.index(branch),
-              np.concatenate((k[:, :rows - 1], k[:, rows - 1:].sum(axis=1, keepdims=True)), axis=1),
-              diag[np.newaxis])
-        for branch, k in levels.items()
-    ]
+    terms = [_Term(BRANCHES.index(branch), k, diag[np.newaxis]) for branch, k in counts.items()]
     heralds = {HERALD_ONLY: ((0, n_s), (1, n_f)), SUCCESS_ONLY: ((0, -n_s),)}
     terms += [_Term(col, n[:, np.newaxis], diag[:, :, np.newaxis])
               for col, n in heralds.get(detector, ())]
@@ -502,7 +487,7 @@ def _scores(p: int, record: tuple[_Term, ...], g: np.ndarray) -> np.ndarray:
     return total
 
 
-def _maximize(surface: np.ndarray, score, values: np.ndarray, tol: float = 1e-6):
+def _maximize(surface: np.ndarray, score, values: np.ndarray):
     """Per-row maximum-likelihood gains: grid argmax, then a root search on the score.
 
     ``surface`` holds each row's log-likelihood at the grid gains ``values``;
@@ -511,10 +496,10 @@ def _maximize(surface: np.ndarray, score, values: np.ndarray, tol: float = 1e-6)
     there; at a grid edge whose score points outward, it takes the edge cell.
 
     When the score falls from positive to negative across the cell, regula
-    falsi narrows the bracket until it is at most ``tol`` wide.  The end a
-    step keeps has its score weighted by ``1 - s(x)/s(replaced end)``, or by
-    1/2 when that is not positive (Anderson & Bjorck's variant of the
-    Illinois rule), so neither end stalls.  A step that would leave the
+    falsi narrows the bracket until it is at most ``tol = SEARCH_TOL`` wide.
+    The end a step keeps has its score weighted by ``1 - s(x)/s(replaced
+    end)``, or by 1/2 when that is not positive (Anderson & Bjorck's variant
+    of the Illinois rule), so neither end stalls.  A step that would leave the
     bracket bisects it, and a step onto an end or within ``tol/2`` of one is
     moved ``tol/2`` inside (Brent's minimum step), so the last step closes
     the bracket around a converged iterate.  The estimate is the secant root
@@ -556,11 +541,11 @@ def _maximize(surface: np.ndarray, score, values: np.ndarray, tol: float = 1e-6)
     root = (sa > 0.0) & (sb < 0.0)
     fa, fb = sa, sb  # the weighted scores the steps interpolate
     evaluations = np.full(idx.size, 2, dtype=np.int64)
-    while (active := root & (b - a > tol)).any():
+    while (active := root & (b - a > SEARCH_TOL)).any():
         evaluations += active
         x = b - np.divide(fb * (b - a), fb - fa, out=np.zeros(a.size), where=active)
         x = np.where((a <= x) & (x <= b), x, 0.5 * (a + b))
-        x = np.where(active, np.clip(x, a + 0.5 * tol, b - 0.5 * tol), a)
+        x = np.where(active, np.clip(x, a + 0.5 * SEARCH_TOL, b - 0.5 * SEARCH_TOL), a)
         sx = score(x)
         up, down = active & (sx > 0.0), active & ~(sx > 0.0)
         replaced = np.where(up, fa, fb)
@@ -574,7 +559,8 @@ def _maximize(surface: np.ndarray, score, values: np.ndarray, tol: float = 1e-6)
     zero = s_top == 0.0
     if zero.any():
         g = values[idx]
-        lo, hi = np.maximum(g - 0.5 * tol, values[0]), np.minimum(g + 0.5 * tol, values[-1])
+        lo = np.maximum(g - 0.5 * SEARCH_TOL, values[0])
+        hi = np.minimum(g + 0.5 * SEARCH_TOL, values[-1])
         slope[zero] = ((score(lo) - score(hi)) / (hi - lo))[zero]
         evaluations += 2 * zero
     estimates = np.where(root, b + np.divide(sb, slope, out=np.zeros(a.size), where=root), values[idx])
@@ -594,15 +580,16 @@ def _estimates(p: int, record: tuple[_Term, ...], grid: GainGrid):
 
 def fisher_per_shot(probe: FockVector, params: NlaParams, detector: str) -> float:
     """Per-shot Fisher information matching the detection strategy."""
-    if detector in (PHOTON_COUNTING, HOMODYNE):
-        return qfi_effective_closed_form(probe, params)
     if detector not in DETECTORS:
         raise ValueError(f"unknown detector {detector!r}")
-    return _per_point(params, _heralded_information(KrausImages.of(probe, params), detector))
+    return _per_point(params, _information(KrausImages.of(probe, params), detector))
 
 
-def _heralded_information(images: KrausImages, detector: str) -> np.ndarray:
-    """Per point :func:`fisher_per_shot` of a herald-only or success-only record."""
+def _information(images: KrausImages, detector: str) -> np.ndarray:
+    """Per point :func:`fisher_per_shot` of ``images``: the closed form ``q_eff``
+    of a full record, ``F_c`` of the herald, or ``p_s Q_s`` of success-only."""
+    if detector in (PHOTON_COUNTING, HOMODYNE):
+        return _closed_form(images.c * images.c, images.g, images.p)
     if detector == HERALD_ONLY:
         return _herald(images)
     return images.prob[:, 0] * _branch_qfi(images, images.possible(SUCCESS)[0])
@@ -645,25 +632,13 @@ def run_crb_experiment(config: ExperimentConfig, replications: int) -> Experimen
     p, detector = config.params_true.p, config.detector
     draws, boot_rng = map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2))
     source = _ShotSource(probe, config.params_true, detector)
-    if detector == HOMODYNE:
-        estimates, observed = np.empty(replications), np.empty(replications)
-        evaluations = np.empty(replications, dtype=np.int64)
-        success_counts = np.empty(replications, dtype=np.int64)
-        for i in range(replications):
-            success, drawn = source.draw(draws, config.shots)
-            success_counts[i] = int(success.sum())
-            # outcomes have no count summary: estimate before the next draw
-            record = _homodyne_record(probe, p, drawn)
-            (estimates[i],), (evaluations[i],), (observed[i],) = _estimates(p, record, config.grid)
-            del record
-    else:
-        success_counts, record = source.counts(draws, config.shots, replications)
-        estimates, evaluations, observed = _estimates(p, record, config.grid)
+    chunks = []
+    for n_s, record in source.records(draws, config.shots, replications):
+        chunks.append((n_s, *_estimates(p, record, config.grid)))
+        del record  # a homodyne record has no count summary: drop it before the next draw
+    success_counts, estimates, evaluations, observed = map(np.concatenate, zip(*chunks))
     variance = float(estimates.var(ddof=1))
-    # the bound reads the source's images; the full record's is the closed form
-    info = (float(_heralded_information(source.images, detector)[0])
-            if detector in (HERALD_ONLY, SUCCESS_ONLY)
-            else qfi_effective_closed_form(probe, config.params_true))
+    info = float(_information(source.images, detector)[0])
     crb = _cramer_rao(info, detector, config.shots)
     ratio = variance / crb
     # 100 resamples at a time, the same draws as one (1000, R) block.  The

@@ -239,12 +239,10 @@ class _Worst:
             self.value = float(flat[i])
             self.label = labels[i // run]
 
-    def result(self, name: str, tol: float, extra: str = "") -> CheckResult:
+    def result(self, name: str, tol: float) -> CheckResult:
         parts = [self.label] if self.value > 0 else []
         if self.nonfinite:
             parts.append(f"{self.nonfinite} non-finite, first at {self.nonfinite_label}")
-        if extra:
-            parts.append(extra)
         return CheckResult(
             name=name,
             worst=self.value,

@@ -391,6 +391,12 @@ def sample_shots(
     return success, outcomes
 
 
+def fold_levels(levels: np.ndarray, rows: int) -> np.ndarray:
+    """Per-level counts on ``rows`` image rows: the levels from ``rows - 1`` up summed into the last."""
+    return np.concatenate((levels[..., :rows - 1], levels[..., rows - 1:].sum(axis=-1, keepdims=True)),
+                          axis=-1)
+
+
 def mle_estimate(
     records: tuple[np.ndarray, np.ndarray],
     probe: FockVector,
@@ -420,9 +426,11 @@ def mle_estimate(
     if detector == HOMODYNE:
         record = _homodyne_record(probe, pthreshold, drawn)
     else:
-        levels = {b: np.bincount(k, minlength=probe.dim)[np.newaxis] for b, k in drawn.items()}
         n_s = np.array([success.sum()])
         # the image column does not depend on the gain: any gain of the grid gives it
         c = KrausImages.of(probe, NlaParams(g=grid.lo, p=pthreshold)).c[0]
-        record = _count_record(c, detector, n_s, success.size - n_s, levels)
+        # the levels from the tail row up are counted in the tail row
+        counts = {b: fold_levels(np.bincount(k, minlength=probe.dim)[np.newaxis], c.size)
+                  for b, k in drawn.items()}
+        record = _count_record(c, detector, n_s, success.size - n_s, counts)
     return float(_estimates(pthreshold, record, grid)[0][0])

@@ -365,6 +365,24 @@ def test_simulate_grid_below_gain_floor_rejected(capsys):
     assert "1.000000000001" in err and "np.float64" not in err
 
 
+@pytest.mark.parametrize("grid", [
+    "1.5:2:x", "1.5:x:61", "x:2:61", "1.5:2", "1.5:2:61:1", "", "1.5:2:0", "1.5:2:2",
+    "2:1.5:61", "1.5:1.5:61", "nan:2:61", "1.5:2:6.5", "0.5:2:61", "2.5:3:61",
+])
+def test_simulate_bad_grid_is_a_usage_error(grid, capsys):
+    # the search grid takes the gain grids' checks: exit 2 and one error line,
+    # never an argparse exit or an internal name
+    rc = cli.main([
+        "simulate", "--probe", "coherent", "--nbar", "1", "--p", "3", "--g-true", "2",
+        "--detector", "herald-only", "--shots", "100", "--replications", "3",
+        "--seed", "1", "--grid", grid,
+    ])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "_grid_triple" not in err and "np.float64" not in err
+
+
 @pytest.mark.parametrize("detector", DETECTORS)
 def test_simulate_non_finite_grid_is_a_usage_error(detector, capsys):
     # an infinite upper edge once searched a grid of NaN gains and emitted

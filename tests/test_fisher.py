@@ -583,7 +583,7 @@ PUBLIC = {
     "sequential_fi homodyne": (sequential_fi, (HOMODYNE,), 1),
     "fisher_per_shot herald-only": (fisher_per_shot, ("herald-only",), 1),
     "fisher_per_shot success-only": (fisher_per_shot, ("success-only",), 1),
-    "fisher_per_shot photon-counting": (fisher_per_shot, ("photon-counting",), 0),
+    "fisher_per_shot photon-counting": (fisher_per_shot, ("photon-counting",), 1),
 }
 
 
@@ -595,8 +595,7 @@ def test_each_public_function_makes_one_kraus_kernel_call(monkeypatch, name):
     batch = NlaParams(g=np.linspace(1.05, 6, 30), p=np.arange(30) % 5 + 1)
     calls = _count_kraus_pair(monkeypatch)
     for points in (NlaParams(g=1.5, p=3), batch):
-        if points is batch and name.startswith(("conditional_state", "homodyne_density",
-                                                "fisher_per_shot")):
+        if points is batch and name.startswith(("conditional_state", "homodyne_density")):
             continue
         calls.clear()
         fn(probe, points, *args)

@@ -8,12 +8,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from conftest import points_of
-from dense import _PerShotSource, _continuous_sampler, _discrete_sampler, mle_estimate, sample_shots
+from dense import (
+    _PerShotSource, _continuous_sampler, _discrete_sampler, fold_levels, mle_estimate, sample_shots,
+)
 
 from nlametro.fock import FockVector, default_half_width, wavefunction_matrix
-from nlametro.instrument import BRANCHES, FAILURE, SUCCESS, KrausImages, NlaParams, kraus_diagonal
+from nlametro import instrument, measurements
+from nlametro.instrument import (
+    BRANCHES, FAILURE, PROBABILITY_FLOOR, SUCCESS, KrausImages, NlaParams, kraus_diagonal,
+)
 from nlametro.fisher import qfi_effective_closed_form
-from nlametro.measurements import MASS_FLOOR, homodyne_density
+from nlametro.measurements import MASS_FLOOR, homodyne_density, photon_counting_dist
 from nlametro import montecarlo
 from nlametro.montecarlo import (
     DETECTORS,
@@ -23,16 +28,17 @@ from nlametro.montecarlo import (
     fisher_per_shot,
     run_crb_experiment,
     write_records_jsonl,
-    _branch_masses,
     _count_record,
     _cramer_rao,
     _homodyne_record,
+    _image_masses,
     _log_likelihoods,
     _percentile,
     _scores,
     _ShotSource,
 )
 from nlametro.probes import ProbeSpec
+from nlametro.selfcheck import standard_probes
 
 ONE_PHOTON = FockVector([0.0, 1.0])
 SEARCH = GainGrid(lo=4.0 / 3.0, hi=3.0, points=61)
@@ -247,27 +253,43 @@ def _as_outcomes(success, drawn):
     return success, outcomes
 
 
+def _image_row_masses(probe, params, branch):
+    """The public photon-number masses on the image rows, the levels above ``p`` folded into the tail row."""
+    rows = KrausImages.of(probe, params).c.shape[1]
+    return fold_levels(photon_counting_dist(probe, params, branch).masses, rows)
+
+
 def _replayed_records(cfg, replications):
     """The experiment's records, replayed from its replication stream.
 
     The root seed spawns the replication stream and the bootstrap stream.  A
-    homodyne experiment draws its records shot by shot, one after another,
-    from the experiment's own shot source.  A
-    counting experiment draws every record's ``n_s ~ Binomial(shots, p_s)``
-    in one call, then ``Multinomial(n, masses)`` of every record per
-    recorded branch that fired; each record is expanded shot by shot into
-    ``(success_mask, outcomes)``.
+    homodyne experiment draws its records shot by shot, one after another:
+    the success uniforms, then each branch that fired through the package's
+    inverse-CDF sampler.  A counting experiment draws every record's ``n_s
+    ~ Binomial(shots, p_s)`` in one call, then ``Multinomial(n, masses)`` of
+    every record per recorded branch that fired, on the image rows, with the
+    public photon-number masses folded there; each record is expanded shot
+    by shot into ``(success_mask, outcomes)``, a tail-row count as level
+    ``p + 1``.
     """
     probe, params, shots = cfg.probe.build(), cfg.params_true, cfg.shots
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(2)[0])
+    images = KrausImages.of(probe, params)
+    ps = min(float(images.prob[0, 0]), 1.0)
     if cfg.detector == "homodyne":
-        source = _ShotSource(probe, params, cfg.detector)
-        return [_as_outcomes(*source.draw(rng, shots)) for _ in range(replications)]
-    ps, ms, mf = _branch_masses(KrausImages.of(probe, params), probe)
+        sampler = functools.cache(functools.partial(montecarlo._homodyne_sampler, images, probe))
+        records = []
+        for _ in range(replications):
+            success = rng.random(shots) < ps
+            n_s = int(success.sum())
+            drawn = {branch: sampler(branch)(rng.random(n))
+                     for branch, n in ((SUCCESS, n_s), (FAILURE, shots - n_s)) if n}
+            records.append(_as_outcomes(success, drawn))
+        return records
     n_s = rng.binomial(shots, ps, size=replications)
-    levels = {
-        branch: rng.multinomial(n, masses)
-        for branch, n, masses in ((SUCCESS, n_s, ms), (FAILURE, shots - n_s, mf))
+    counts = {
+        branch: rng.multinomial(n, _image_row_masses(probe, params, branch))
+        for branch, n in ((SUCCESS, n_s), (FAILURE, shots - n_s))
         if n.any() and branch in _RECORDED[cfg.detector]
     }
     records = []
@@ -275,8 +297,8 @@ def _replayed_records(cfg, replications):
         success = np.repeat([True, False], [n_s[r], shots - n_s[r]])
         outcomes = np.full(shots, np.nan)
         for branch, mask in ((SUCCESS, success), (FAILURE, ~success)):
-            if branch in levels:
-                outcomes[mask] = np.repeat(np.arange(probe.dim), levels[branch][r])
+            if branch in counts:
+                outcomes[mask] = np.repeat(np.arange(counts[branch].shape[1]), counts[branch][r])
         records.append((success, outcomes))
     return records
 
@@ -325,25 +347,34 @@ def test_batched_estimates_equal_per_record_mle(spec, params, detector, replicat
 
 
 class _CountingGenerator:
-    """A generator that counts its calls by method name."""
+    """A generator that counts its calls by method name and the masses of each multinomial call."""
 
-    def __init__(self, rng, calls):
-        self._rng, self._calls = rng, calls
+    def __init__(self, rng, calls, sizes):
+        self._rng, self._calls, self._sizes = rng, calls, sizes
 
     def __getattr__(self, name):
         method = getattr(self._rng, name)
 
         def counted(*args, **kwargs):
             self._calls[name] += 1
+            if name == "multinomial":
+                self._sizes.append(len(args[1]))
             return method(*args, **kwargs)
 
         return counted
 
 
+def _forbidden(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    return call
+
+
 @pytest.mark.parametrize("replications", [20, 500])
 @pytest.mark.parametrize("detector", _COUNT_DETECTORS)
 def test_counting_experiment_draws_with_a_fixed_number_of_calls(monkeypatch, detector, replications):
-    spawned, generators = [], []
+    spawned, generators, sizes = [], [], []
     seed_sequence, default_rng = np.random.SeedSequence, np.random.default_rng
 
     class CountingSeedSequence(seed_sequence):
@@ -353,10 +384,14 @@ def test_counting_experiment_draws_with_a_fixed_number_of_calls(monkeypatch, det
 
     def counting_rng(seed):
         generators.append(collections.Counter())
-        return _CountingGenerator(default_rng(seed), generators[-1])
+        return _CountingGenerator(default_rng(seed), generators[-1], sizes)
 
     monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    # the per-level masses and conditional amplitudes are never formed
+    monkeypatch.setattr(measurements, "_counting_dist", _forbidden("_counting_dist"))
+    monkeypatch.setattr(instrument, "_conditional_rows", _forbidden("_conditional_rows"))
+    assert not hasattr(montecarlo, "_counting_dist") and not hasattr(montecarlo, "_conditional_rows")
     spec, params = _BATCH_CASES[0][1:]
     cfg = ExperimentConfig(
         probe=spec, params_true=params, detector=detector, shots=2_000, seed=41, grid=SEARCH,
@@ -368,18 +403,50 @@ def test_counting_experiment_draws_with_a_fixed_number_of_calls(monkeypatch, det
     # 0 < p_s < 1: both branches fire
     assert draws == collections.Counter(binomial=1, multinomial=len(_RECORDED[detector]))
     assert set(boot) == {"integers"}
+    # each multinomial draws over the p + 2 = 5 image rows of the 17 levels
+    assert sizes == [5] * len(_RECORDED[detector])
+
+
+def _mass_cases():
+    """The standard probes and 60 random custom ones of 1 to 12 levels, at g 1.05, 2 and 6 and p 0 to 6."""
+    rng = np.random.default_rng(2026)
+    probes = [probe for _, _, probe in standard_probes()]
+    for dim in rng.integers(1, 13, size=60):
+        probes.append(FockVector(rng.standard_normal(dim) + 1j * rng.standard_normal(dim)).normalized())
+    return [(probe, NlaParams(g=g, p=p)) for probe in probes for g in (1.05, 2.0, 6.0) for p in range(7)]
+
+
+def test_image_masses_are_the_photon_number_masses_on_the_image_rows():
+    # The tail row is (||c_{>p}|| / sqrt(p_b))^2, one norm where the fold sums
+    # the levels' own masses, so the two round differently: at most 3.4 eps
+    # apart relative on these cases, and the test allows 8 eps.
+    eps, compared, tails = np.finfo(float).eps, 0, 0
+    for probe, params in _mass_cases():
+        images = KrausImages.of(probe, params)
+        masses = _image_masses(images)
+        rows = masses.shape[0]
+        assert rows == min(probe.dim, params.p + 2)
+        for col, branch in enumerate(BRANCHES):
+            if images.prob[0, col] < PROBABILITY_FLOOR:
+                # the failure branch at p = 0: no level reaches it
+                npt.assert_array_equal(masses[:, col], 0.0)
+                continue
+            compared += 1
+            levels = photon_counting_dist(probe, params, branch).masses
+            if probe.dim <= params.p + 2:
+                npt.assert_array_equal(masses[:, col], levels)
+                continue
+            npt.assert_array_equal(masses[:-1, col], levels[:rows - 1])
+            folded = levels[rows - 1:].sum()
+            assert abs(masses[-1, col] - folded) <= 8 * eps * folded, (params, branch)
+            tails += folded > 0.0
+    assert compared == 2652 and tails > 800
 
 
 _CASES_BY_ID = {
     "coherent-dim17": (ProbeSpec.from_nbar("coherent", 1.0).build(), NlaParams(g=2.0, p=3)),
     "two-level": (FockVector([_HALF, _HALF]), NlaParams(g=2.0, p=1)),
 }
-
-
-def _folded(levels, rows):
-    """Per-level counts with the levels from ``rows - 1`` up summed into the last column."""
-    return np.concatenate((levels[..., :rows - 1], levels[..., rows - 1:].sum(axis=-1, keepdims=True)),
-                          axis=-1)
 
 
 def _counted(record, branch):
@@ -398,21 +465,21 @@ def _heralds(record):
 def test_shot_source_counts_draw_a_binomial_then_a_multinomial_per_recorded_branch(detector):
     probe, params = _CASES_BY_ID["coherent-dim17"]
     images = KrausImages.of(probe, params)
-    ps, ms, mf = _branch_masses(images, probe)
     a, b = np.random.default_rng(5), np.random.default_rng(5)
-    n_s, record = _ShotSource(probe, params, detector).counts(a, 3_000, 7)
-    npt.assert_array_equal(n_s, b.binomial(3_000, ps, size=7))
+    # every replication of a counting or herald experiment is one chunk
+    ((n_s, record),) = _ShotSource(probe, params, detector).records(a, 3_000, 7)
+    npt.assert_array_equal(n_s, b.binomial(3_000, images.prob[0, 0], size=7))
     n_f = 3_000 - n_s
     assert ((0 < n_s) & (n_s < 3_000)).all()
-    # the counted levels: one term per recorded branch, on the p + 2 = 5 image rows
+    # the counted rows: one term per recorded branch, drawn on the p + 2 = 5 image rows
     rows = images.c.shape[1]
     assert rows == 5
-    for branch, n, masses in ((SUCCESS, n_s, ms), (FAILURE, n_f, mf)):
+    for branch, n in ((SUCCESS, n_s), (FAILURE, n_f)):
         counted = [t for t in record if t.branch == BRANCHES.index(branch) and t.parts[0].shape[1] > 1]
         if branch in _RECORDED[detector]:
             (term,) = counted
             assert term.weights.shape == (7, rows)
-            npt.assert_array_equal(term.weights, _folded(b.multinomial(n, masses), rows))
+            npt.assert_array_equal(term.weights, b.multinomial(n, _image_row_masses(probe, params, branch)))
             npt.assert_array_equal(term.weights.sum(axis=1), n)
             npt.assert_array_equal(term.parts, [np.diag(images.c[0])])
         else:
@@ -430,17 +497,18 @@ def test_shot_source_counts_draw_a_binomial_then_a_multinomial_per_recorded_bran
 def test_count_draw_matches_the_per_shot_draw_in_distribution(case):
     probe, params = _CASES_BY_ID[case]
     images = KrausImages.of(probe, params)
-    ps, ms, mf = _branch_masses(images, probe)
+    ps = images.prob[0, 0]
+    ms, mf = (photon_counting_dist(probe, params, branch).masses for branch in BRANCHES)
     rows = images.c.shape[1]
     source = _ShotSource(probe, params, "photon-counting")
     per_shot = _PerShotSource(probe, params, "photon-counting")
     shots, replications = 1_000, 2_000
     # mean counts per replication: one row per branch, one column per image row
-    expected = _folded(shots * np.array([ps * ms, (1.0 - ps) * mf]), rows)
+    expected = fold_levels(shots * np.array([ps * ms, (1.0 - ps) * mf]), rows)
     sigma = np.sqrt(expected * (1.0 - expected / shots) / replications)
 
     def summed_counts(rng):
-        record = source.counts(rng, shots, replications)[1]
+        record = next(source.records(rng, shots, replications))[1]
         return np.array([_counted(record, branch).sum(axis=0) for branch in BRANCHES])
 
     def summed_draws(rng):
@@ -449,7 +517,7 @@ def test_count_draw_matches_the_per_shot_draw_in_distribution(case):
             drawn = per_shot.draw(rng, shots)[1]
             for row, branch in enumerate(BRANCHES):
                 if branch in drawn:
-                    total[row] += _folded(np.bincount(drawn[branch], minlength=probe.dim), rows)
+                    total[row] += fold_levels(np.bincount(drawn[branch], minlength=probe.dim), rows)
         return total
 
     for name, summed in (("counts", summed_counts), ("draw", summed_draws)):
@@ -460,12 +528,19 @@ def test_count_draw_matches_the_per_shot_draw_in_distribution(case):
         assert (np.abs(mean - expected) <= 5.0 * sigma).all(), (name, mean - expected, sigma)
 
 
-def test_shot_source_draws_only_homodyne_runs_shot_by_shot(g2p1):
-    for detector in ("photon-counting", "success-only"):
-        with pytest.raises(ValueError, match="drawn as counts"):
-            _ShotSource(ONE_PHOTON, g2p1, detector).draw(np.random.default_rng(3), 10)
-    success, drawn = _ShotSource(ONE_PHOTON, g2p1, "homodyne").draw(np.random.default_rng(3), 10)
-    assert success.all() and drawn[SUCCESS].shape == (10,)
+def test_shot_source_draws_a_homodyne_record_only_when_it_is_asked_for(g2p1):
+    rng = np.random.default_rng(3)
+    stream = _ShotSource(ONE_PHOTON, g2p1, "homodyne").records(rng, 10, 3)
+    n_s, record = next(stream)
+    # |1> always succeeds at p = 1: ten success outcomes on the two levels
+    npt.assert_array_equal(n_s, [10])
+    ((branch, weights, parts),) = record
+    assert branch == 0 and weights is None and parts.shape == (1, 2, 10)
+    # so far the stream took the first replication's 10 + 10 uniforms only
+    reference = np.random.default_rng(3)
+    reference.random(20)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert len(list(stream)) == 2
 
 
 @pytest.mark.parametrize("branch", BRANCHES)
@@ -486,9 +561,9 @@ def test_homodyne_sampler_gives_the_sorted_outcomes_of_its_uniforms(branch):
 
 
 def test_count_draw_of_a_one_photon_probe_never_fails(g2p1):
-    n_s, record = _ShotSource(ONE_PHOTON, g2p1, "photon-counting").counts(
+    n_s, record = next(_ShotSource(ONE_PHOTON, g2p1, "photon-counting").records(
         np.random.default_rng(3), 500, 4
-    )
+    ))
     npt.assert_array_equal(n_s, 500)
     npt.assert_array_equal(500 - n_s, 0)
     npt.assert_array_equal(_counted(record, SUCCESS), [[0, 500]] * 4)
@@ -499,10 +574,10 @@ def test_count_draw_of_a_one_photon_probe_never_fails(g2p1):
 def test_count_draw_clamps_a_success_probability_rounded_above_one():
     # the norm check accepts 1 + 4e-11, so p_s rounds above 1
     probe, params = FockVector([0.0, 1.0 + 4e-11]), NlaParams(g=2.0, p=0)
-    assert _branch_masses(KrausImages.of(probe, params), probe)[0] > 1.0
-    n_s, record = _ShotSource(probe, params, "photon-counting").counts(
+    assert KrausImages.of(probe, params).prob[0, 0] > 1.0
+    n_s, record = next(_ShotSource(probe, params, "photon-counting").records(
         np.random.default_rng(3), 500, 4
-    )
+    ))
     npt.assert_array_equal(n_s, 500)
     npt.assert_array_equal(_counted(record, SUCCESS).sum(axis=1), 500)
     assert [t.branch for t in record] == [0]
@@ -510,16 +585,14 @@ def test_count_draw_clamps_a_success_probability_rounded_above_one():
 
 def test_count_draw_puts_the_remainder_of_a_short_table_in_the_last_level(monkeypatch):
     masses = np.array([0.125, 0.25, 0.125])  # sums to 1/2
-    monkeypatch.setattr(
-        montecarlo, "_branch_masses", lambda images, probe: (1.0, masses, np.zeros(3))
-    )
-    # p = 1 on three levels: the image rows are the levels
-    source = _ShotSource(FockVector([1.0, 0.0, 0.0]), NlaParams(g=2.0, p=1), "success-only")
+    monkeypatch.setattr(montecarlo, "_image_masses", lambda images: np.column_stack((masses, np.zeros(3))))
+    # |1> succeeds surely at p = 1 on three levels: the image rows are the levels
+    source = _ShotSource(FockVector([0.0, 1.0, 0.0]), NlaParams(g=2.0, p=1), "success-only")
     shots = 40_000
     expected = shots * np.array([0.125, 0.25, 0.625])
     sigma = np.sqrt(expected * (1.0 - expected / shots))
     rng = np.random.default_rng(21)
-    n_s, record = source.counts(rng, shots, 1)
+    n_s, record = next(source.records(rng, shots, 1))
     counted = _counted(record, SUCCESS)[0]
     assert n_s[0] == shots and counted.sum() == shots
     # the per-shot reference's inverse CDF of the same short table
@@ -669,9 +742,9 @@ def _score_cases():
     for name, probe, p in (("coherent", _COHERENT, 3), ("complex", _COMPLEX, 1),
                            ("complex-p3", _COMPLEX, 3)):
         for detector in _COUNT_DETECTORS:
-            record = _ShotSource(probe, NlaParams(g=2.0, p=p), detector).counts(
+            record = next(_ShotSource(probe, NlaParams(g=2.0, p=p), detector).records(
                 np.random.default_rng(5), 2_000, 4
-            )[1]
+            ))[1]
             cases.append((f"{name}-{detector}", p, record))
         cases.append((
             f"{name}-photon-counting-failure-never-fired", p, _failure_never_fired(cases[-3][-1]),
@@ -742,9 +815,9 @@ def test_score_root_search_agrees_with_golden_section_on_the_log_path(spec, para
     rng = np.random.default_rng(29)
     source = _ShotSource(probe, params, detector)
     if detector == "homodyne":
-        records = [_homodyne_record(probe, p, source.draw(rng, 2_000)[1]) for _ in range(3)]
+        records = [record for _, record in source.records(rng, 2_000, 3)]
     else:
-        counts = source.counts(rng, 2_000, 8)[1]
+        counts = next(source.records(rng, 2_000, 8))[1]
         records = [_count_row(counts, r) for r in range(8)]
     for record in records:
         estimate = montecarlo._estimates(p, record, SEARCH)[0][0]
@@ -931,7 +1004,9 @@ def test_count_surface_differences_are_the_dim_level_log_likelihood_differences(
         branch: rng.multinomial(n, mass[branch] / mass[branch].sum())
         for branch, n in ((SUCCESS, n_s), (FAILURE, n_f)) if branch in _RECORDED[detector]
     }
-    record = _count_record(KrausImages.of(probe, params).c[0], detector, n_s, n_f, levels)
+    c = KrausImages.of(probe, params).c[0]
+    counts = {branch: fold_levels(k, c.size) for branch, k in levels.items()}
+    record = _count_record(c, detector, n_s, n_f, counts)
     gains = np.array([1.4, 1.7, 2.0, 2.5, 3.0])
     surface = _log_likelihoods(p, record, gains)
     reference = np.array(
